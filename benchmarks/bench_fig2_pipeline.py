@@ -18,17 +18,14 @@ def run_pipeline(dataset, params_doc) -> dict:
     client = TestClient(create_app())
     upload = client.upload_dataset(dataset, chunk_lines=10_000)
     assert upload.status == 201, upload.json()
-    first = client.post(
-        "/mine", json_body={"dataset": dataset.name, "parameters": params_doc}
-    )
-    assert first.status == 200
-    listing = client.get(f"/caps/{dataset.name}")
+    results = f"/api/v1/datasets/{dataset.name}/results"
+    first = client.post(results, json_body={"parameters": params_doc})
+    assert first.status == 201
+    listing = client.get(results)
     assert listing.status == 200
-    second = client.post(
-        "/mine", json_body={"dataset": dataset.name, "parameters": params_doc}
-    )
-    assert second.status == 200
-    stats = client.get("/admin/stats").json()
+    second = client.post(results, json_body={"parameters": params_doc})
+    assert second.status == 201
+    stats = client.get("/api/v1/admin/stats").json()
     return {
         "num_caps": first.json()["num_caps"],
         "first_from_cache": first.json()["from_cache"],

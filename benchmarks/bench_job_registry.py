@@ -14,7 +14,7 @@ This bench quantifies that trade and the recovery path that justifies it:
   ``Database(path)`` replay + ``recover()``, the work standing between a
   restart and serving again.
 
-Numbers land in ``BENCH_durable_jobs.json`` (CI's bench lane uploads it).
+Numbers land in ``BENCH_job_registry.json`` (CI's bench lane uploads it).
 The assertions check *shape*, not absolutes: durable transitions cost more
 than in-memory ones (if not, nothing is being persisted and durability is
 fiction), recovery requeues nothing for queued-only registries, and a
@@ -32,7 +32,7 @@ from repro.store.database import Database
 
 from .conftest import machine_info, print_table
 
-REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_durable_jobs.json"
+REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_job_registry.json"
 
 JOBS = 60
 RECOVERY_BACKLOG = 100
@@ -112,7 +112,7 @@ def test_durable_transition_overhead_and_recovery(tmp_path):
           f"WAL after {JOBS} jobs: {store_kb:.1f} KB")
 
     REPORT_PATH.write_text(json.dumps({
-        "benchmark": "bench_durable_jobs",
+        "benchmark": "bench_job_registry",
         "machine": machine_info(),
         "timed_region": "job lifecycle transitions + startup recovery",
         "jobs": JOBS,

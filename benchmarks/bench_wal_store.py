@@ -2,21 +2,22 @@
 
 The ISSUE-6 claim in numbers: PR 5's durability rode snapshot-per-write —
 every persisted transition re-serialized the *whole* database (7–11 ms per
-job in ``BENCH_durable_jobs.json``, degrading linearly with store size).
+job at the time, degrading linearly with store size).
 The WAL engine appends one checksummed, fsync'd record instead, so a
 transition costs the record — not the world:
 
 * **per-transition overhead** — one indexed ``update_one`` on a store
   preloaded with a realistic document population, measured on the memory
-  engine (floor), the WAL engine (append + fsync), and the snapshot
-  engine with a ``save()`` per mutation (PR 5's durable semantics);
+  engine (floor), the WAL engine (append + fsync), and snapshot-per-write
+  (a memory store exporting ``save(path)`` after every mutation — exactly
+  what the retired snapshot engine did for durability);
 * **compaction cost vs log length** — ``compact_collection`` on logs of
   growing record counts: the price of folding history back to live state,
   and the bytes it reclaims.
 
 Numbers land in ``BENCH_wal_store.json`` (CI's bench lane uploads it).
-The acceptance bar is explicit: WAL per-transition cost must undercut the
-snapshot engine's by ≥10x, or the engine rewrite bought nothing.
+The acceptance bar is explicit: WAL per-transition cost must undercut
+snapshot-per-write by ≥10x, or the engine rewrite bought nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .conftest import machine_info, print_table
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_wal_store.json"
 
 #: Documents already in the store when transitions are measured — the
-#: snapshot engine's cost scales with this; the WAL engine's must not.
+#: snapshot-per-write cost scales with this; the WAL engine's must not.
 PRELOAD_DOCS = 300
 TRANSITIONS = 120
 COMPACTION_LOG_LENGTHS = (200, 800, 3200)
@@ -70,11 +71,14 @@ def test_wal_transition_collapse_and_compaction(tmp_path):
     memory_jobs = _preload(Database())
     memory_ms = _transition_ms(memory_jobs)
 
-    snapshot_db = Database(tmp_path / "snap.json", engine="snapshot")
+    snapshot_db = Database()
     snapshot_jobs = _preload(snapshot_db)
-    snapshot_db.save()
-    # PR 5 semantics: every persisted transition rewrites the snapshot.
-    snapshot_ms = _transition_ms(snapshot_jobs, save=snapshot_db.save)
+    snapshot_path = tmp_path / "snap.json"
+    snapshot_db.save(snapshot_path)
+    # Snapshot-per-write: every persisted transition rewrites the snapshot.
+    snapshot_ms = _transition_ms(
+        snapshot_jobs, save=lambda: snapshot_db.save(snapshot_path)
+    )
 
     wal_db = Database(tmp_path / "wal.json")
     wal_jobs = _preload(wal_db)
@@ -91,7 +95,7 @@ def test_wal_transition_collapse_and_compaction(tmp_path):
           f"(acceptance bar: >= {MIN_COLLAPSE_X:.0f}x)")
 
     # Durability must cost more than memory, and the WAL must collapse the
-    # snapshot engine's per-transition price by at least the ISSUE-6 bar.
+    # snapshot-per-write price by at least the acceptance bar.
     assert wal_ms > memory_ms
     assert collapse_x >= MIN_COLLAPSE_X
 

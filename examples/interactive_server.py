@@ -38,9 +38,8 @@ Long mines need not block the map — submit asynchronously and poll:
     curl localhost:8000/api/v1/jobs/<job_id>      # status + result link
     curl -X POST localhost:8000/api/v1/jobs/<job_id>/cancel
 
-The pre-v1 unversioned routes (``POST /mine``, ``GET /caps/...``) still
-answer, marked with a ``Deprecation: true`` header and a ``Link`` to the
-v1 successor.
+Every route lives under ``/api/v1``; any other path is a 404 in the same
+``{"error": {"code", "message", "detail"}}`` envelope.
 """
 
 from __future__ import annotations

@@ -10,11 +10,11 @@ Everything the demo's web UI drives is reachable from a terminal:
 * ``sweep``     — the §2.1 sensitivity sweep, as a table and optional SVG;
 * ``compare``   — the Figure-4 before/after diff at a split date;
 * ``serve``     — start the Figure-2 API server (the versioned ``/api/v1``
-  resource API plus the deprecated unversioned shims); with ``--store``
-  the job registry is durable: jobs survive restarts and several server
-  processes sharing the snapshot claim work through leases;
+  resource API); with ``--store`` the job registry is durable: jobs
+  survive restarts and several server processes sharing the store claim
+  work through leases;
 * ``jobs``      — inspect (``list``) or recover (``recover``) the durable
-  job registry of a store snapshot without starting a server;
+  job registry of a store without starting a server;
 * ``trace``     — reconstruct one job's timeline (an ASCII waterfall of its
   persisted spans — for a distributed mine: planner, every shard attempt,
   merge) straight from a store, no server needed;
@@ -197,9 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--port", type=int, default=8000,
                        help="TCP port (0 = pick a free one; the chosen port "
                             "is announced on the MISCELA_READY line)")
-    p_srv.add_argument("--store", help="JSON snapshot path for persistence; "
-                       "also enables the durable job registry (jobs survive "
-                       "restarts, several processes may share one store)")
+    p_srv.add_argument("--store", help="store path for persistence (WAL logs "
+                       "under <path>.wal/); also enables the durable job "
+                       "registry (jobs survive restarts, several processes "
+                       "may share one store)")
     p_srv.add_argument("--preload", action="store_true",
                        help="pre-upload synthetic santander")
     p_srv.add_argument("--preload-dataset", dest="preload_dataset",
@@ -256,18 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
         "recover",
         help="requeue interrupted jobs and republish finished ones",
     )
-    p_jrec.add_argument("--store", required=True, help="JSON snapshot path")
+    p_jrec.add_argument("--store", required=True, help="store path")
     p_jrec.add_argument("--lease-seconds", dest="lease_seconds", type=float,
                         default=30.0)
     p_jlist = jobs_sub.add_parser("list", help="print the registry's jobs")
-    p_jlist.add_argument("--store", required=True, help="JSON snapshot path")
+    p_jlist.add_argument("--store", required=True, help="store path")
     p_jlist.add_argument("--status", help="filter by job state")
     p_jredrive = jobs_sub.add_parser(
         "redrive",
         help="replay quarantined dead-letter jobs as fresh queued jobs "
              "(attempt counters reset; any worker may claim them)",
     )
-    p_jredrive.add_argument("--store", required=True, help="JSON snapshot path")
+    p_jredrive.add_argument("--store", required=True, help="store path")
     p_jredrive.add_argument(
         "--job-id", dest="job_ids", action="append", metavar="JOB_ID",
         help="redrive only this dead-lettered job (repeatable; "
@@ -533,7 +534,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         dataset = generate(preload_name, seed=args.preload_seed)
         response = TestClient(app).upload_dataset(dataset)
         print(f"pre-loaded {preload_name}: {response.status}", flush=True)
-    if app.state.durable_jobs and args.worker_poll > 0:
+    if app.state.durable and args.worker_poll > 0:
         # Multi-process worker mode: this process also claims (and, after
         # lease expiry, reclaims) jobs any process sharing the store enqueued.
         app.state.start_job_worker(interval=args.worker_poll)
@@ -544,9 +545,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"Miscela-V API on http://127.0.0.1:{port} "
           f"(threaded, {args.job_workers} job workers; Ctrl-C to stop)", flush=True)
     print(f"  v1 API:  http://127.0.0.1:{port}/api/v1 "
-          f"(schema at /api/v1/schema; unversioned routes are deprecated shims)",
+          f"(schema at /api/v1/schema)",
           flush=True)
-    if app.state.durable_jobs:
+    if app.state.durable:
         worker = app.state.jobs.store.worker_id
         poll = f"worker poll {args.worker_poll}s" if args.worker_poll > 0 \
             else "worker disabled"
@@ -567,14 +568,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         server.serve_forever()
     except KeyboardInterrupt:
-        # Wait for the workers: running jobs cancel at their next checkpoint,
-        # and the snapshot below must not race a result write.
+        # Wait for the workers: running jobs cancel at their next checkpoint
+        # (every acknowledged write is already fsync'd to the WAL).
         app.close(wait=True)
-        if args.store and app.state.database.engine != "wal":
-            # WAL: every acknowledged write is already fsync'd — there is
-            # no exit snapshot to take.
-            app.state.database.save()
-            print(f"saved store to {args.store}")
     return 0
 
 

@@ -1,9 +1,10 @@
 """Asynchronous mining jobs: queue, store, executor, lifecycle model.
 
 The serving tier's answer to long mines (ROADMAP's "async server offload"):
-``POST /mine mode=async`` opens a :class:`Job` here, a background executor
-thread drives the parallel engine, and the interactive endpoints keep
-answering while it runs.  With a snapshot-bound store the registry is
+``POST /api/v1/datasets/{name}/results`` with ``mode=async`` opens a
+:class:`Job` here, a background executor thread drives the parallel
+engine, and the interactive endpoints keep answering while it runs.  With
+a store bound to a path the registry is
 *durable* (:class:`DurableJobStore`): jobs survive restarts, several
 processes share one registry through lease-based claiming, and a
 :class:`JobWorker` thread lets any process execute jobs any other process

@@ -3,24 +3,17 @@
 :class:`DurableJobStore` keeps the PR 3 :class:`~repro.jobs.store.JobStore`
 contract — the queued→running→succeeded/failed/cancelled state machine,
 monotone progress, atomic cache-key dedup — but every job lives as a
-document in the ``jobs`` collection of a :class:`~repro.store.Database`
-and every transition writes through :meth:`Database.save`.  A submitted
-job therefore survives the process that accepted it: a restarted server
-finds it in the snapshot and :meth:`recover` puts it back to work.
-
-**Two engines.**  With the WAL store engine (the default for a path),
-the registry simply rides :meth:`Database.exclusive`: every transition
-appends one checksummed record inside the store's own cross-process
-critical section and is fsync'd before the lock releases — no snapshot
-rewriting, no union-merging, and deletions propagate as first-class
-tombstone records.  With the legacy ``snapshot`` engine the PR 5
-protocol remains: a critical section (process-local lock + an ``flock``
-on ``<snapshot>.lock``) that refreshes this process's view from disk,
-mutates, then persists the whole snapshot.
+document in the ``jobs`` collection of a :class:`~repro.store.Database`.
+The registry rides :meth:`Database.exclusive`: every transition appends
+one checksummed WAL record inside the store's own cross-process critical
+section and is fsync'd before the lock releases, and deletions propagate
+as first-class tombstone records.  A submitted job therefore survives the
+process that accepted it: a restarted server replays it from the store
+and :meth:`recover` puts it back to work.
 
 **Multi-process protocol.**  Several server processes may share one
-store path.  Either way the on-disk store is the single source of truth
-and a compare-and-set through :meth:`repro.store.Collection.update_if`
+store path.  The on-disk store is the single source of truth and a
+compare-and-set through :meth:`repro.store.Collection.update_if`
 decides every claim exactly once across processes:
 
 * **claiming** — a worker moves a job ``queued → running`` only via CAS,
@@ -68,7 +61,6 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..cache.keys import short_key
@@ -171,8 +163,8 @@ class DurableJobStore:
     ----------
     database:
         The backing store.  With ``database.path`` set, every transition
-        persists a snapshot and cross-process claiming is coordinated
-        through ``<path>.lock``; without a path the registry is
+        is a fsync'd WAL append and cross-process claiming is coordinated
+        through the store's lock; without a path the registry is
         process-local (unit tests) but keeps identical semantics.
     worker_id:
         Stable identity stamped onto claimed jobs; defaults to a
@@ -240,43 +232,20 @@ class DurableJobStore:
         self._terminal_capacity = terminal_capacity
         self._results_collection = results_collection
         self._lock = threading.RLock()
-        self._lock_depth = 0
-        #: (mtime_ns, size) of the snapshot this process last merged.
-        self._disk_state: tuple[int, int] | None = None
-        #: job_id -> locally observed progress not yet persisted, survives
-        #: collection refreshes (monotone re-application).
-        self._progress_cache: dict[str, dict[str, Any]] = {}
         #: job_id -> result_key for evicted succeeded jobs (process lifetime).
         self._evicted_results: dict[str, str] = {}
-        #: Collections other processes also write, merged on refresh by a
-        #: unique field (never overwriting local documents).
-        self.merge_collections: dict[str, str] = {
-            results_collection: "key",
-            "datasets": "name",
-            "spans": "span_id",
-            "shard_outputs": "shard_id",
-            "observations": "batch_id",
-            "stream_epochs": "name",
-            "stream_state": "name",
-            "cap_events": "event_id",
-            # Rule ids are unique per *dataset*, so rules merge by the
-            # composite ``rule_uid`` ("{dataset}:{rule_id}") the API stamps.
-            "alert_rules": "rule_uid",
-            "alerts": "alert_id",
-        }
         #: Trace spans ride the same store (and therefore the same
-        #: durability + cross-process merge rules) as the jobs they time.
+        #: durability and cross-process visibility) as the jobs they time.
         self.spans = SpanStore(database)
-        #: Minimum age between snapshot reloads on the *cancellation poll*
-        #: (the engine checkpoints between every work unit; re-parsing the
-        #: whole snapshot each time a peer renews a lease would put a
-        #: multi-MB JSON load on the hot mining path).  Bounds cancel
+        #: Minimum age between tail replays on the *cancellation poll* (the
+        #: engine checkpoints between every work unit; stat-ing every log
+        #: each time would tax the hot mining path).  Bounds cancel
         #: latency; set to 0 for immediate cross-process visibility.
         self.poll_refresh_seconds = 0.2
         self._last_refresh_mono = float("-inf")
         self._ensure_indexes()
 
-    # -- locking / refresh / persistence ---------------------------------------
+    # -- locking / refresh ----------------------------------------------------
 
     def _ensure_indexes(self) -> None:
         collection = self.database.collection(_JOBS)
@@ -285,145 +254,31 @@ class DurableJobStore:
         collection.create_index("state", "hash")
         collection.create_index("parent_id", "hash")
 
-    @property
-    def _lock_path(self) -> Path | None:
-        if self.database.path is None:
-            return None
-        return self.database.path.with_name(self.database.path.name + ".lock")
-
     @contextmanager
     def _exclusive(self) -> Iterator[None]:
-        """The cross-process critical section: lock, refresh, then mutate.
+        """The cross-process critical section: the store's own.
 
-        WAL engine: delegate to the store's own exclusive section — entry
-        replays peers' appended records, exit fsyncs ours, and the flock
-        lives with the store (one lock protocol instead of two).
-
-        Snapshot engine: reentrant flock on ``<snapshot>.lock`` + refresh
-        + persist, as in PR 5 (``flock`` self-deadlocks across fds of one
-        process otherwise, hence the depth counter).
+        Entry replays peers' appended records, exit fsyncs ours, and the
+        flock lives with the store (on the memory engine it is the
+        process lock alone).
         """
-        if self.database.engine == "wal":
-            with self._lock, self.database.exclusive():
-                yield
-            return
-        with self._lock:
-            if self._lock_depth > 0:
-                self._lock_depth += 1
-                try:
-                    yield
-                finally:
-                    self._lock_depth -= 1
-                return
-            handle = None
-            lock_path = self._lock_path
-            if lock_path is not None:
-                handle = open(lock_path, "a+")
-                try:
-                    import fcntl
+        with self._lock, self.database.exclusive():
+            yield
 
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-                except ImportError:  # pragma: no cover - non-POSIX fallback
-                    pass
-            self._lock_depth = 1
-            try:
-                self._refresh_locked()
-                yield
-            finally:
-                self._lock_depth = 0
-                if handle is not None:
-                    handle.close()  # closing the fd releases the flock
+    def refresh(self, max_age: float | None = None) -> None:
+        """Adopt records other processes appended since the last look.
 
-    def refresh(self) -> None:
-        """Adopt any changes other processes persisted since the last look.
-
-        Cheap when nothing changed (one ``stat``).  Readers call this; the
-        mutating paths refresh inside :meth:`_exclusive` automatically.
+        Cheap when nothing changed (one ``stat`` per log).  Readers call
+        this; the mutating paths refresh inside :meth:`_exclusive`
+        automatically.  ``max_age`` throttles how often a hot poll even
+        stats.
         """
         with self._lock:
-            self._refresh_locked()
-
-    def _refresh_locked(self, max_age: float | None = None) -> None:
-        if self.database.engine == "wal":
-            # Tail replay: per-collection byte cursors; one stat per log
-            # when nothing changed.  The throttle still bounds how often
-            # the cancellation poll even stats.
-            if (
-                max_age is not None
-                and time.monotonic() - self._last_refresh_mono < max_age
-            ):
+            now = time.monotonic()
+            if max_age is not None and now - self._last_refresh_mono < max_age:
                 return
-            self._last_refresh_mono = time.monotonic()
+            self._last_refresh_mono = now
             self.database.refresh()
-            return
-        path = self.database.path
-        if path is None or not path.exists():
-            return
-        if (
-            max_age is not None
-            and time.monotonic() - self._last_refresh_mono < max_age
-        ):
-            return
-        self._last_refresh_mono = time.monotonic()
-        stat = path.stat()
-        disk_state = (stat.st_mtime_ns, stat.st_size)
-        if disk_state == self._disk_state:
-            return
-        fresh = Database(path)
-        # Jobs: the on-disk registry is the source of truth — every writer
-        # persists before leaving the critical section.  Locally cached
-        # progress (ticks between lease renewals) is re-applied on top.
-        if _JOBS in fresh:
-            jobs = fresh[_JOBS]
-            self._reapply_progress(jobs)
-            self.database.replace_collection(jobs)
-            self._ensure_indexes()
-        # Shared artifact collections: union in documents another process
-        # wrote (a worker's mined result, a dataset uploaded elsewhere).
-        # Local documents win — this process may hold newer unsaved state.
-        for name, unique in self.merge_collections.items():
-            if name not in fresh:
-                continue
-            local = self.database.collection(name)
-            for document in fresh[name].find():
-                document.pop("_id", None)
-                if local.find_one({unique: document[unique]}) is None:
-                    local.insert_one(document)
-        self._disk_state = disk_state
-
-    def _reapply_progress(self, jobs_collection) -> None:
-        for job_id, cached in list(self._progress_cache.items()):
-            document = jobs_collection.find_one({"job_id": job_id})
-            if (
-                document is None
-                or document["state"] != RUNNING
-                or document.get("worker_id") != self.worker_id
-                or document.get("attempt") != cached["attempt"]
-            ):
-                del self._progress_cache[job_id]
-                continue
-            if cached["progress"] > document.get("progress", 0.0):
-                jobs_collection.update_one(
-                    {"job_id": job_id},
-                    {
-                        "progress": cached["progress"],
-                        "shards_done": cached["shards_done"],
-                        "shards_total": cached["shards_total"],
-                    },
-                )
-
-    def _persist(self) -> None:
-        """Write the snapshot (when bound to one) and remember its identity.
-
-        WAL engine: a deliberate no-op — every mutation already appended
-        its record, and the exclusive section fsyncs on exit, so there is
-        no "world" left to rewrite.
-        """
-        if self.database.engine == "wal" or self.database.path is None:
-            return
-        target = self.database.save()
-        stat = target.stat()
-        self._disk_state = (stat.st_mtime_ns, stat.st_size)
 
     def _fault_point(self, name: str) -> None:
         maybe_fault(name)
@@ -503,7 +358,6 @@ class DurableJobStore:
                 stored["plan_workers"] = int(plan_workers or PLAN_WORKERS_DEFAULT)
             self._collection().insert_one(stored)
             self._prune_terminal_locked()
-            self._persist()
             self._fault_point("after-enqueue")
             return job, True
 
@@ -545,7 +399,6 @@ class DurableJobStore:
             )
             self._collection().insert_one(self._store_document(job))
             self._prune_terminal_locked()
-            self._persist()
             self._fault_point("after-enqueue")
             return job, True
 
@@ -553,7 +406,7 @@ class DurableJobStore:
 
     def get(self, job_id: str) -> Job | None:
         with self._lock:
-            self._refresh_locked()
+            self.refresh()
             document = self._doc(job_id)
             return self._job(document) if document is not None else None
 
@@ -572,7 +425,7 @@ class DurableJobStore:
                 f"unknown job status {status!r}; expected one of {JOB_STATES}"
             )
         with self._lock:
-            self._refresh_locked()
+            self.refresh()
             query = {"state": status} if status is not None else None
             documents = self._collection().find(query, sort="sequence")
             return [
@@ -584,7 +437,7 @@ class DurableJobStore:
     def children(self, parent_id: str) -> list[Job]:
         """A distributed parent's sub-jobs: shards (by index), then merge."""
         with self._lock:
-            self._refresh_locked()
+            self.refresh()
             documents = self._collection().find(
                 {"parent_id": parent_id}, sort="sequence"
             )
@@ -600,7 +453,7 @@ class DurableJobStore:
     def counters(self) -> dict[str, Any]:
         """Per-state job counts plus lease health (``/admin/stats``)."""
         with self._lock:
-            self._refresh_locked()
+            self.refresh()
             counts: dict[str, Any] = {state: 0 for state in JOB_STATES}
             active = expired = 0
             now = self._clock()
@@ -630,7 +483,7 @@ class DurableJobStore:
         process sharing the store (a cancel posted to server A stops the
         worker mining in server B, within ``poll_refresh_seconds``)."""
         with self._lock:
-            self._refresh_locked(max_age=self.poll_refresh_seconds)
+            self.refresh(max_age=self.poll_refresh_seconds)
             document = self._doc(job_id)
             return bool(document and document.get("cancel_requested"))
 
@@ -638,25 +491,6 @@ class DurableJobStore:
         """The result key of a succeeded job whose metadata was evicted."""
         with self._lock:
             return self._evicted_results.get(job_id)
-
-    def persist_removal(self, collection_name: str, query: Mapping[str, Any]) -> int:
-        """Apply a deletion to the *shared* store; returns the count.
-
-        WAL engine: ``delete_many`` appends a first-class tombstone record,
-        so the removal propagates to every peer's next tail replay — no
-        merge races.  Snapshot engine: a plain local ``delete_many`` is not
-        enough because the union-merge of :meth:`refresh` would re-adopt
-        the documents from disk on the next peer write; running it inside
-        the critical section (refresh, delete, persist) makes the removal
-        the snapshot's new truth, though a peer that still holds the
-        documents locally re-publishes them with its next persist.
-        """
-        with self._exclusive():
-            removed = self.database.collection(collection_name).delete_many(
-                dict(query)
-            )
-            self._persist()
-            return removed
 
     # -- claiming / leases ------------------------------------------------------
 
@@ -747,7 +581,6 @@ class DurableJobStore:
         )
         if matched is None:  # pragma: no cover - CAS races need no lock here
             return None
-        self._persist()
         _CLAIMS.inc(document.get("kind", KIND_MINE))
         if document.get("kind", KIND_MINE) == KIND_SHARD:
             self._fault_point("after-shard-claim")
@@ -774,7 +607,6 @@ class DurableJobStore:
             )
             if matched is not None:
                 _LEASE_RENEWALS.inc()
-                self._persist()
             else:
                 _CAS_CONFLICTS.inc()
 
@@ -787,7 +619,6 @@ class DurableJobStore:
         """
         with self._exclusive():
             now = self._clock()
-            processed = 0
             reclaimed: list[Job] = []
             for document in self._collection().find({"state": RUNNING}):
                 lease = document.get("lease_expires_at")
@@ -796,12 +627,9 @@ class DurableJobStore:
                     # drive them); live leases belong to live workers.
                     continue
                 job = self._requeue_locked(document, now)
-                processed += 1
                 if job.state == QUEUED:
                     reclaimed.append(job)
-            processed += self._resolve_parents_locked(now)
-            if processed:
-                self._persist()
+            self._resolve_parents_locked(now)
             return reclaimed
 
     def _attempt_limit(self, document: Mapping[str, Any]) -> int:
@@ -880,7 +708,6 @@ class DurableJobStore:
                 }
                 _REQUEUES.inc()
         self._collection().update_if({"job_id": job_id}, expected, changes)
-        self._progress_cache.pop(job_id, None)
         return self._job(self._require_doc(job_id))
 
     def _quarantine_locked(self, document: Mapping[str, Any], now: float) -> None:
@@ -904,7 +731,7 @@ class DurableJobStore:
             }
         )
 
-    def _resolve_parents_locked(self, now: float) -> int:
+    def _resolve_parents_locked(self, now: float) -> None:
         """Drive planned parents from their children's states.
 
         A planned parent is lease-less: its lifecycle is a pure function of
@@ -918,10 +745,7 @@ class DurableJobStore:
         * the merge ``succeeded`` → parent ``succeeded``, publishing the
           merge's result key;
         * otherwise the parent's progress tracks its shard completions.
-
-        Returns how many documents changed (persistence is the caller's).
         """
-        changed = 0
         parents = [
             document
             for document in self._collection().find({"state": RUNNING})
@@ -969,22 +793,18 @@ class DurableJobStore:
                     },
                 )
                 self._cancel_children_locked(parent["job_id"], children, now)
-                changed += 1
                 continue
             cancelling = parent.get("cancel_requested") or any(
                 c["state"] == CANCELLED for c in children
             )
             if cancelling:
-                changed += self._cancel_children_locked(
-                    parent["job_id"], children, now
-                )
+                self._cancel_children_locked(parent["job_id"], children, now)
                 if all(c["state"] in TERMINAL_STATES for c in children):
                     self._collection().update_if(
                         {"job_id": parent["job_id"]},
                         {"state": RUNNING},
                         {"state": CANCELLED, "finished_at": now},
                     )
-                    changed += 1
                 continue
             if merge is not None and merge["state"] == SUCCEEDED:
                 self._collection().update_if(
@@ -999,7 +819,6 @@ class DurableJobStore:
                         "result_key": merge.get("result_key") or parent["key"],
                     },
                 )
-                changed += 1
                 continue
             done = sum(1 for c in shards if c["state"] == SUCCEEDED)
             fraction = min(done / len(shards), 0.99) if shards else 0.0
@@ -1016,22 +835,19 @@ class DurableJobStore:
                         "shards_total": len(shards),
                     },
                 )
-                changed += 1
-        return changed
 
     def _cancel_children_locked(
         self, parent_id: str, children: list[dict[str, Any]], now: float
-    ) -> int:
+    ) -> None:
         """Stop a failing/cancelling parent's remaining children.
 
         Queued children cancel immediately; running ones get the
         cooperative flag (their worker aborts at the next checkpoint, or
         lease reclamation finishes the cancellation for a dead one).
         """
-        changed = 0
         for child in children:
             if child["state"] == QUEUED:
-                if self._collection().update_if(
+                self._collection().update_if(
                     {"job_id": child["job_id"]},
                     {"state": QUEUED},
                     {
@@ -1039,14 +855,11 @@ class DurableJobStore:
                         "cancel_requested": True,
                         "finished_at": now,
                     },
-                ):
-                    changed += 1
+                )
             elif child["state"] == RUNNING and not child.get("cancel_requested"):
                 self._collection().update_one(
                     {"job_id": child["job_id"]}, {"cancel_requested": True}
                 )
-                changed += 1
-        return changed
 
     # -- progress ---------------------------------------------------------------
 
@@ -1055,68 +868,15 @@ class DurableJobStore:
     ) -> Job:
         """Record a progress tick; monotone, capped below 1.0, lease-renewing.
 
-        Ticks mutate the local view immediately; the snapshot is only
-        rewritten when the lease is due for renewal (writing the whole
-        database per shard would drown the mine in IO).  The monotone rule
-        is per *attempt* — a requeued job legitimately starts over at 0 —
-        and a tick carrying an ``attempt`` is ignored unless it matches the
-        current claim (a stale thread of this same process must not touch a
-        newer attempt's progress or lease).
-
-        WAL engine: ticks write through — one appended record per tick is
-        cheap, and it renews the lease inline (an extra field on the same
-        record) instead of taking a second critical section.  The local
-        progress cache exists only for the snapshot engine's deferred
-        persistence.
+        Ticks write through: one appended record per tick is cheap, and
+        it renews the lease inline (an extra field on the same record, once
+        two thirds of the lease remain) instead of taking a second critical
+        section.  The monotone rule is per *attempt* — a requeued job
+        legitimately starts over at 0 — and a tick carrying an ``attempt``
+        is ignored unless it matches the current claim (a stale thread of
+        this same process must not touch a newer attempt's progress or
+        lease).
         """
-        if self.database.engine == "wal":
-            return self._set_progress_wal(job_id, done, total, attempt)
-        with self._lock:
-            document = self._doc(job_id)
-            if (
-                document is None
-                or document["state"] != RUNNING
-                or document.get("worker_id") != self.worker_id
-                or (attempt is not None and document.get("attempt") != attempt)
-                or total <= 0
-            ):
-                return self._job(document) if document else None  # type: ignore[return-value]
-            fraction = min(max(done / total, 0.0), 1.0)
-            fraction = min(fraction, 0.99)
-            changes: dict[str, Any] = {}
-            if fraction >= document.get("progress", 0.0):
-                changes["progress"] = fraction
-                if (
-                    document.get("shards_total") != total
-                    or done > document.get("shards_done", 0)
-                ):
-                    changes["shards_done"] = done
-                    changes["shards_total"] = total
-            if changes:
-                self._collection().update_one({"job_id": job_id}, changes)
-                document = self._require_doc(job_id)
-                self._progress_cache[job_id] = {
-                    "progress": document["progress"],
-                    "shards_done": document["shards_done"],
-                    "shards_total": document["shards_total"],
-                    "attempt": document.get("attempt", 0),
-                }
-            lease = document.get("lease_expires_at")
-            renew_due = (
-                lease is not None
-                and lease - self._clock() < self.lease_seconds * (2.0 / 3.0)
-            )
-        if renew_due:
-            self.renew_lease(job_id, attempt=attempt)
-            with self._lock:
-                self._progress_cache.pop(job_id, None)  # persisted with renewal
-                document = self._doc(job_id) or document
-        return self._job(document)
-
-    def _set_progress_wal(
-        self, job_id: str, done: int, total: int, attempt: int | None
-    ) -> Job:
-        """Write-through progress tick for the WAL engine."""
         with self._exclusive():
             document = self._doc(job_id)
             if (
@@ -1233,10 +993,8 @@ class DurableJobStore:
             "lease_expires_at": None,
         }
         if fault_before is not None:
-            # Crash *before* the transition reaches disk.  The CAS itself
-            # writes through on the WAL engine, so "before persist" means
-            # before the update — on the snapshot engine the process dies
-            # either way before ``_persist`` runs.
+            # Crash *before* the transition reaches disk: the CAS itself
+            # writes through, so "before persist" means before the update.
             self._fault_point(fault_before)
         matched = self._collection().update_if(
             {"job_id": document["job_id"]}, expected, changes
@@ -1248,8 +1006,6 @@ class DurableJobStore:
                 f"{self.worker_id!r} (lease lost); refusing the "
                 f"{document['state']!r} -> {state!r} transition"
             )
-        self._progress_cache.pop(document["job_id"], None)
-        self._persist()
         if fault_after is not None:
             self._fault_point(fault_after)
 
@@ -1287,7 +1043,6 @@ class DurableJobStore:
                 )
                 self._cancel_children_locked(job_id, children, now)
                 self._resolve_parents_locked(now)
-            self._persist()
             return self._job(self._require_doc(job_id))
 
     # -- distributed sub-jobs ---------------------------------------------------
@@ -1295,7 +1050,7 @@ class DurableJobStore:
     def plan_workers(self, job_id: str) -> int:
         """The planning width a distributed parent was submitted with."""
         with self._lock:
-            self._refresh_locked()
+            self.refresh()
             document = self._require_doc(job_id)
             return int(document.get("plan_workers", PLAN_WORKERS_DEFAULT))
 
@@ -1408,13 +1163,12 @@ class DurableJobStore:
                     f"job {job_id} is no longer owned by {self.worker_id!r} "
                     f"(lease lost); refusing to finish planning"
                 )
-            self._persist()
             return self._job(self._require_doc(job_id))
 
     def shard_spec(self, job_id: str) -> dict[str, Any]:
         """A sub-job's execution inputs, as persisted by the planner."""
         with self._lock:
-            self._refresh_locked()
+            self.refresh()
             document = self._require_doc(job_id)
             return {
                 "units": document.get("units", []),
@@ -1485,7 +1239,7 @@ class DurableJobStore:
         CAP list.
         """
         with self._lock:
-            self._refresh_locked()
+            self.refresh()
             parent = self._require_doc(parent_id)
             spills = self.database.collection(_SHARD_OUTPUTS)
             outputs: list[dict[str, Any]] = []
@@ -1577,8 +1331,6 @@ class DurableJobStore:
             self.spans.close_open_spans(
                 job_id, "released", error="claim released"
             )
-            self._progress_cache.pop(job_id, None)
-            self._persist()
             return True
 
     def redrive(self, job_ids: Sequence[str] | None = None) -> list[str]:
@@ -1665,8 +1417,6 @@ class DurableJobStore:
                             )
                 letters.delete_many({"job_id": job_id})
                 redriven.append(job_id)
-            if redriven:
-                self._persist()
         return redriven
 
     # -- recovery ---------------------------------------------------------------
@@ -1702,7 +1452,6 @@ class DurableJobStore:
         with self._exclusive():
             results = self.database.collection(self._results_collection)
             now = self._clock()
-            changed = False
             for document in self._collection().find(sort="sequence"):
                 state = document["state"]
                 if state == RUNNING:
@@ -1714,7 +1463,6 @@ class DurableJobStore:
                     lease = document.get("lease_expires_at")
                     if lease is None or lease < now:
                         job = self._requeue_locked(document, now)
-                        changed = True
                         if job.state == QUEUED:
                             summary["requeued"].append(job.job_id)
                         elif job.state == FAILED:
@@ -1725,10 +1473,7 @@ class DurableJobStore:
                         summary["missing_results"].append(document["job_id"])
                     else:
                         summary["republished"].append(document["job_id"])
-            if self._resolve_parents_locked(now):
-                changed = True
-            if changed:
-                self._persist()
+            self._resolve_parents_locked(now)
             for document in self._collection().find(
                 {"state": QUEUED}, sort="sequence"
             ):
@@ -1765,5 +1510,5 @@ class DurableJobStore:
 
     def __len__(self) -> int:
         with self._lock:
-            self._refresh_locked()
+            self.refresh()
             return len(self._collection())

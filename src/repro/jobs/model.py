@@ -229,7 +229,7 @@ class Job:
     sequence: int = field(default=0, repr=False)
 
     def to_document(self) -> dict[str, Any]:
-        """JSON-serialisable form — the ``GET /jobs/{id}`` payload core."""
+        """JSON-serialisable form — the ``GET /api/v1/jobs/{id}`` payload core."""
         return {
             "job_id": self.job_id,
             "dataset": self.dataset,

@@ -12,7 +12,7 @@ Two invariants the store enforces beyond the transition table:
   backwards, and nothing but a successful finish sets it to 1.0;
 * **one active job per cache key** — :meth:`open_job` atomically either
   reuses the queued/running job for a key or creates a fresh one, which is
-  what makes ``POST /mine mode=async`` dedup race-free.
+  what makes ``mode=async`` submission dedup race-free.
 """
 
 from __future__ import annotations

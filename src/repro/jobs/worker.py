@@ -76,8 +76,8 @@ class JobWorker(threading.Thread):
             try:
                 worked = self._tick()
             except Exception:
-                # Never die: a transient store error (e.g. the snapshot
-                # mid-replacement on an unlucky filesystem) retries next tick.
+                # Never die: a transient store error (e.g. a log swapped by
+                # a peer's compaction mid-read) retries next tick.
                 worked = False
             if worked:
                 continue  # drain the queue before sleeping again

@@ -2,7 +2,7 @@
 
 from .api_v1 import register_v1_routes
 from .app import App, TestClient, create_app, create_wsgi_app
-from .handlers import ServerState, register_routes
+from .handlers import ServerState
 from .http import (
     HTTPError,
     Request,
@@ -38,7 +38,6 @@ __all__ = [
     "logging_middleware",
     "make_threaded_server",
     "negotiate_media_type",
-    "register_routes",
     "register_v1_routes",
     "svg_response",
 ]

@@ -1,8 +1,6 @@
 """The versioned resource-oriented HTTP API: ``/api/v1``.
 
-Where the legacy surface translated the paper's Figure-2 flow
-endpoint-by-endpoint into RPC calls (``POST /mine`` sometimes mines,
-sometimes replays cache, sometimes enqueues a job), v1 models the system as
+The server's one HTTP surface.  It models the paper's Figure-2 flow as
 resources with durable identities:
 
 * **Datasets** — ``/api/v1/datasets/{name}``: uploaded through the same
@@ -29,7 +27,7 @@ Visualization endpoints content-negotiate: ``Accept: image/svg+xml``
 returns the bare SVG document, ``text/html`` (the default) the standalone
 page.
 
-Every error rendered under this prefix uses the uniform envelope
+Every error (on any path) uses the uniform envelope
 ``{"error": {"code", "message", "detail"}}`` (see
 :mod:`repro.server.middleware`).
 """
@@ -347,7 +345,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         responses={"200": "service document with top-level resource links"},
     )
     def v1_index(request: Request) -> Response:
-        """Service document: version, top-level links, deprecation policy."""
+        """Service document: version and top-level links."""
         return json_response(
             {
                 "service": "miscela-v",
@@ -359,10 +357,6 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
                     "jobs": _url("/jobs"),
                     "admin_stats": _url("/admin/stats"),
                 },
-                "deprecation_policy": (
-                    "unversioned routes answer with 'Deprecation: true' and a "
-                    "'Link: rel=\"successor-version\"' header pointing here"
-                ),
             }
         )
 
@@ -630,7 +624,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         """Paginated, filterable CAP pages of one result.
 
         Pages preserve mining order, so concatenating every page (no
-        filters) reproduces the legacy full-payload CAP list exactly.
+        filters) reproduces the mined CAP list exactly.
         """
         key = request.path_params["key"]
         document = state.get_result_document(key)
@@ -986,8 +980,6 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         removed = state.database.collection(ALERT_RULES).delete_many(query)
         if not removed:
             raise HTTPError(404, f"unknown rule {rule_id!r}", code="unknown_rule")
-        if state.durable_jobs:
-            state.jobs.store.persist_removal(ALERT_RULES, query)
         return Response(status=204)
 
     @router.get(
@@ -1089,7 +1081,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
             raise HTTPError(
                 409,
                 "tracing requires the durable job registry "
-                "(start the server on a snapshot path)",
+                "(start the server with --store)",
                 code="not_durable",
             )
         try:

@@ -4,11 +4,9 @@
 a single callable, and :func:`create_wsgi_app` adapts it to WSGI so it runs
 under any WSGI server (``wsgiref.simple_server`` in the example).
 
-Two route sets share one router and one :class:`ServerState`: the versioned
-resource API (:func:`repro.server.api_v1.register_v1_routes`, the canonical
-surface) and the legacy unversioned routes
-(:func:`repro.server.handlers.register_routes`), which answer with their
-historical payloads plus deprecation headers.
+One route set — the versioned resource API
+(:func:`repro.server.api_v1.register_v1_routes`) — runs against one
+:class:`ServerState`; every path outside ``/api/v1`` is a 404.
 
 The in-process :class:`TestClient` drives the app without sockets; the
 integration tests and the pipeline benchmark use it, which keeps the whole
@@ -23,7 +21,7 @@ from ..store.compaction import CompactionThread
 from ..store.database import Database
 from ..stream import sweep_retention
 from .api_v1 import register_v1_routes
-from .handlers import ServerState, register_routes
+from .handlers import ServerState
 from .http import Request, Response, wsgi_adapter
 from .middleware import (
     body_limit_middleware,
@@ -63,11 +61,11 @@ class App:
         Stops the lease-polling worker (if started) and the executor.
         ``wait=True`` blocks until the worker threads exit — bounded,
         because shutdown cancels running jobs first and they abort at their
-        next checkpoint.  Required before ``Database.save``: a snapshot
-        taken while a worker is still writing a result would iterate a
-        mutating collection.  With the durable registry, queued jobs
-        survive anyway — whichever process next recovers the store picks
-        them up.
+        next checkpoint.  Required before a ``Database.save`` export: a
+        snapshot taken while a worker is still writing a result would
+        iterate a mutating collection.  With the durable registry, queued
+        jobs survive anyway — whichever process next recovers the store
+        picks them up.
 
         Order matters: the polling worker is *signalled* first but only
         joined after ``jobs.shutdown`` has swept cancellation over running
@@ -87,7 +85,6 @@ def create_app(
     body_limit: int = DEFAULT_BODY_LIMIT,
     with_logging: bool = False,
     job_workers: int = 2,
-    durable_jobs: bool | None = None,
     worker_id: str | None = None,
     lease_seconds: float = 30.0,
     max_attempts: int = 5,
@@ -99,8 +96,12 @@ def create_app(
     Parameters
     ----------
     database:
-        Backing store; pass a :class:`Database` opened on a snapshot path
-        for persistence across restarts.  Defaults to in-memory.
+        Backing store; pass a :class:`Database` opened on a store path for
+        persistence across restarts.  A store path also selects the
+        durable job registry (lease-based multi-process claiming in the
+        ``jobs`` collection); startup recovery runs here, so interrupted
+        jobs are requeued and rescheduled before the first request is
+        served.  Defaults to in-memory, with a process-local registry.
     body_limit:
         Maximum request body size (enforces the chunked-upload protocol).
     with_logging:
@@ -110,12 +111,6 @@ def create_app(
         /api/v1/datasets/{name}/results`` with ``mode=async``).  Each
         worker is a *driver* thread — the mining itself may fan out
         further through ``MiningParameters.n_jobs``.
-    durable_jobs:
-        ``True`` persists the job registry in the database's ``jobs``
-        collection with lease-based multi-process claiming; ``None``
-        (default) enables it exactly when the database is bound to a
-        snapshot path.  Startup recovery runs here: interrupted jobs are
-        requeued and rescheduled before the first request is served.
     worker_id, lease_seconds:
         Durable-registry identity and claim lifetime (see
         :class:`repro.jobs.DurableJobStore`).
@@ -140,7 +135,6 @@ def create_app(
     state = ServerState(
         database,
         job_workers=job_workers,
-        durable_jobs=durable_jobs,
         worker_id=worker_id,
         lease_seconds=lease_seconds,
         max_attempts=max_attempts,
@@ -149,7 +143,6 @@ def create_app(
     state.recover_jobs()
     router = Router()
     register_v1_routes(router, state)
-    register_routes(router, state)  # legacy shims, deprecation-flagged
     handler: Callable[[Request], Response] = router.dispatch
     handler = body_limit_middleware(body_limit)(handler)
     if with_logging:
@@ -236,14 +229,8 @@ class TestClient:
     def delete(self, url: str, headers: Mapping[str, str] | None = None) -> Response:
         return self.request("DELETE", url, headers=headers)
 
-    def upload_dataset(
-        self, dataset, chunk_lines: int = 10_000, base: str = "/api/v1"
-    ) -> Response:
-        """Run the full three-step chunked upload for a dataset object.
-
-        Goes through the v1 session endpoints by default; pass ``base=""``
-        to exercise the legacy shims (same state methods either way).
-        """
+    def upload_dataset(self, dataset, chunk_lines: int = 10_000) -> Response:
+        """Run the full three-step chunked upload for a dataset object."""
         import csv
         import io
 
@@ -258,7 +245,7 @@ class TestClient:
             writer.writerow([row.sensor_id, row.attribute, repr(row.lat), repr(row.lon)])
         attr_text = "\n".join(dataset.attributes) + "\n"
         begin = self.post(
-            f"{base}/datasets/{dataset.name}/upload/begin",
+            f"/api/v1/datasets/{dataset.name}/upload/begin",
             json_body={
                 "location_csv": loc_buffer.getvalue(),
                 "attribute_csv": attr_text,
@@ -268,8 +255,8 @@ class TestClient:
             return begin
         for chunk in iter_chunks(data_rows, chunk_lines):
             response = self.post(
-                f"{base}/datasets/{dataset.name}/upload/chunk", text_body=chunk
+                f"/api/v1/datasets/{dataset.name}/upload/chunk", text_body=chunk
             )
             if response.status != 200:
                 return response
-        return self.post(f"{base}/datasets/{dataset.name}/upload/finish")
+        return self.post(f"/api/v1/datasets/{dataset.name}/upload/finish")

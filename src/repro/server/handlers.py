@@ -1,16 +1,11 @@
-"""Server state, shared handler cores, and the legacy (unversioned) routes.
+"""Server state and the handler cores behind the ``/api/v1`` routes.
 
-The canonical HTTP surface is the versioned resource API registered by
-:mod:`repro.server.api_v1`.  This module keeps two things:
+The HTTP surface is the versioned resource API registered by
+:mod:`repro.server.api_v1`.  This module keeps what its handlers share:
 
 * :class:`ServerState` — store, cache, upload sessions, job queue: the
-  shared state every handler (v1 and legacy) runs against;
-* the *legacy* unversioned routes of the paper's Figure-2 flow
-  (``POST /mine``, ``GET /caps/{dataset}``, …), registered as thin
-  deprecation shims: each delegates to the same core helpers the v1
-  handlers use and answers with its historical payload shape plus
-  ``Deprecation: true`` and a ``Link: <successor>; rel="successor-version"``
-  header pointing at the v1 resource that replaces it.
+  state every handler runs against;
+* the request-parsing and payload helpers the route handlers delegate to.
 
 Upload protocol (Section 3.2):
 
@@ -74,9 +69,9 @@ from ..stream import (
     STREAM_STATE,
     StreamSession,
 )
-from .http import HTTPError, Request, Response, html_response, json_response
+from .http import HTTPError, Request, Response, json_response
 
-__all__ = ["ServerState", "register_routes"]
+__all__ = ["ServerState"]
 
 _DATASETS = "datasets"
 _RESULTS = "cap_results"
@@ -102,21 +97,21 @@ class ServerState:
     Mining itself never holds the lock — only the bookkeeping around it
     does.
 
-    When the backing database is bound to a snapshot path, the job
-    registry is the **durable** one by default: jobs live in the ``jobs``
-    collection, every transition persists, and any number of server
-    processes sharing the snapshot claim work through leases (pass
-    ``durable_jobs=False`` to opt out).  ``recover_jobs`` (called by
-    :func:`repro.server.app.create_app`) requeues interrupted work on
-    startup, and :meth:`start_job_worker` turns this process into a
-    polling worker for jobs other processes enqueued.
+    When the backing database is bound to a store path, the job registry
+    is the **durable** one: jobs live in the ``jobs`` collection, every
+    transition is a WAL append, and any number of server processes
+    sharing the store claim work through leases.  An in-memory database
+    gets the process-local :class:`~repro.jobs.JobStore` instead (same
+    lifecycle, without the per-job store round trips).  ``recover_jobs``
+    (called by :func:`repro.server.app.create_app`) requeues interrupted
+    work on startup, and :meth:`start_job_worker` turns this process into
+    a polling worker for jobs other processes enqueued.
     """
 
     def __init__(
         self,
         database: Database | None = None,
         job_workers: int = 2,
-        durable_jobs: bool | None = None,
         worker_id: str | None = None,
         lease_seconds: float = 30.0,
         max_attempts: int = 5,
@@ -156,10 +151,9 @@ class ServerState:
         self.stream_idle_seconds = 0.5
         self.stream_poll_seconds = 0.25
         self.lock = threading.RLock()
-        if durable_jobs is None:
-            durable_jobs = self.database.path is not None
-        self.durable_jobs = durable_jobs
-        if durable_jobs:
+        #: Whether jobs live in the store (exactly when it has a path).
+        self.durable = self.database.path is not None
+        if self.durable:
             store = DurableJobStore(
                 self.database,
                 worker_id=worker_id,
@@ -284,8 +278,8 @@ class ServerState:
         return dataset
 
     def _refresh_shared(self) -> bool:
-        """Merge changes other processes persisted; False when not durable."""
-        if not self.durable_jobs:
+        """Adopt changes other processes appended; False when not durable."""
+        if not self.durable:
             return False
         self.jobs.store.refresh()
         return True
@@ -303,10 +297,6 @@ class ServerState:
         self._bump_generation(dataset.name)
         self._cancel_dataset_jobs(dataset.name)
         self._purge_stream(dataset.name)
-        if self.durable_jobs:
-            # Purge the superseded results from the shared snapshot too (the
-            # replaced dataset document itself wins the merge by name).
-            self.jobs.store.persist_removal(_RESULTS, {"payload.dataset": dataset.name})
 
     def delete_dataset(self, name: str) -> bool:
         """Delete a dataset; only an *actual* delete invalidates anything.
@@ -325,17 +315,12 @@ class ServerState:
         self._bump_generation(name)
         self._cancel_dataset_jobs(name)
         self._purge_stream(name)
-        if self.durable_jobs:
-            # Without this the union-merge refresh would resurrect the
-            # dataset (and its results) from the shared snapshot.
-            self.jobs.store.persist_removal(_DATASETS, {"name": name})
-            self.jobs.store.persist_removal(_RESULTS, {"payload.dataset": name})
         return True
 
     def _cancel_dataset_jobs(self, dataset_name: str) -> None:
         """In-flight jobs for a replaced/deleted dataset are obsolete."""
         jobs = self.jobs.list()
-        if self.durable_jobs:
+        if self.durable:
             # Resident stream jobs are not in the default (mine) listing.
             jobs += self.jobs.store.list(kind=KIND_STREAM)
         for job in jobs:
@@ -365,18 +350,14 @@ class ServerState:
         }
         for collection, query in queries.items():
             self.database.collection(collection).delete_many(query)
-            if self.durable_jobs:
-                # Tombstone the shared snapshot too, or the union-merge
-                # refresh would resurrect the purged stream.
-                self.jobs.store.persist_removal(collection, query)
 
     def _bump_generation(self, name: str) -> None:
         """Advance a dataset's generation in the shared store.
 
         Runs inside the store's exclusive section so concurrent bumps from
         several processes serialize: each one replays peers' records first,
-        then appends its own increment.  (On non-WAL engines ``exclusive``
-        degrades to the process-local lock, preserving the old semantics.)
+        then appends its own increment.  (On the memory engine
+        ``exclusive`` is the process-local lock.)
         """
         collection = self.database.collection(_GENERATIONS)
         with self.database.exclusive():
@@ -439,10 +420,6 @@ class ServerState:
         self.cache.delete_key(key)
         with self.lock:
             self._results.pop(key, None)
-        if self.durable_jobs:
-            # Make the deletion the shared snapshot's truth, or the next
-            # refresh would re-adopt the result from disk.
-            self.jobs.store.persist_removal(_RESULTS, {"key": key})
 
     # -- async mining jobs ------------------------------------------------------
 
@@ -478,7 +455,7 @@ class ServerState:
         """
         key = cache_key(dataset.name, params)
         if distributed:
-            if not self.durable_jobs:
+            if not self.durable:
                 raise HTTPError(
                     409,
                     "distributed mining requires the durable job registry "
@@ -520,7 +497,7 @@ class ServerState:
         lease-claim/release cycles, and recovery replays the WAL-backed
         observation log.
         """
-        if not self.durable_jobs:
+        if not self.durable:
             raise HTTPError(
                 409,
                 "streaming mining requires the durable job registry "
@@ -836,7 +813,7 @@ class ServerState:
         work accepted by a dead process still completes — even with the
         polling worker disabled.
         """
-        if not self.durable_jobs:
+        if not self.durable:
             return {}
         summary = self.jobs.store.recover()
         queued = self.jobs.list(QUEUED)
@@ -867,7 +844,7 @@ class ServerState:
 
     def start_job_worker(self, interval: float = 1.0) -> JobWorker:
         """Run a lease-polling worker thread against the durable registry."""
-        if not self.durable_jobs:
+        if not self.durable:
             raise ValueError("the job worker requires the durable job registry")
         if self._worker is not None and self._worker.is_alive():
             return self._worker
@@ -892,7 +869,7 @@ class ServerState:
             self._worker = None
 
 
-# -- shared handler cores (used by both the legacy shims and the v1 API) -------
+# -- handler cores (the v1 route handlers delegate to these) -------------------
 
 
 def parse_upload_begin(request: Request) -> tuple[list, list]:
@@ -967,8 +944,8 @@ def correlated_sensors_core(
 def render_viz_svg(state: ServerState, kind: str, name: str, request: Request):
     """Render one visualization; returns ``(svg, title)``.
 
-    Shared by the legacy HTML endpoints and the content-negotiating v1
-    endpoints — only the final wrapping (HTML page vs raw SVG) differs.
+    The content-negotiating v1 endpoints wrap it as an HTML page or
+    serve the raw SVG.
     """
     dataset = state.get_dataset(name)
     if kind == "map":
@@ -1086,339 +1063,3 @@ def results_by_dataset_payload(state: ServerState) -> dict[str, Any]:
     for row in settings:
         per_dataset.setdefault(row["_id"], {"total_caps": 0})["settings"] = row["settings"]
     return {"results_by_dataset": per_dataset}
-
-
-def result_payload(result: MiningResult) -> dict[str, Any]:
-    """The legacy full-fat result payload (``POST /mine``'s 200 body)."""
-    return {
-        "dataset": result.dataset_name,
-        "parameters": result.parameters.to_document(),
-        "num_caps": result.num_caps,
-        "caps": [cap.to_document() for cap in result.caps],
-        "from_cache": result.from_cache,
-        "elapsed_seconds": result.elapsed_seconds,
-    }
-
-
-# Kept under the old private name: tests and older callers import it.
-_result_payload = result_payload
-
-
-def register_routes(router: Any, state: ServerState) -> None:
-    """Attach the legacy unversioned routes as v1 deprecation shims."""
-
-    @router.get(
-        "/", deprecated=True, successor="/api/v1",
-        responses={"200": "service banner and the full route list"},
-    )
-    def index(request: Request) -> Response:
-        """Service banner with every registered route (legacy index)."""
-        return json_response(
-            {
-                "service": "miscela-v",
-                "routes": [f"{m} {p}" for m, p in router.routes()],
-            }
-        )
-
-    # -- upload (Figure 2, stage 1) -------------------------------------------
-
-    @router.post(
-        "/datasets/{name}/upload/begin",
-        deprecated=True, successor="/api/v1/datasets/{name}/upload/begin",
-        responses={"201": "upload session opened", "409": "session already open"},
-    )
-    def upload_begin(request: Request) -> Response:
-        """Open a chunked-upload session (location + attribute CSVs)."""
-        name = request.path_params["name"]
-        locations, attributes = parse_upload_begin(request)
-        state.begin_upload(name, locations, attributes)
-        return json_response({"dataset": name, "status": "upload started"}, status=201)
-
-    @router.post(
-        "/datasets/{name}/upload/chunk",
-        deprecated=True, successor="/api/v1/datasets/{name}/upload/chunk",
-        responses={"200": "chunk accepted", "409": "no session open"},
-    )
-    def upload_chunk(request: Request) -> Response:
-        """Append one ≤10,000-line data.csv chunk to the open session."""
-        name = request.path_params["name"]
-        chunks, rows, total = state.append_upload_chunk(name, request.text())
-        return json_response(
-            {
-                "dataset": name,
-                "chunk": chunks,
-                "rows_in_chunk": rows,
-                "rows_total": total,
-            }
-        )
-
-    @router.post(
-        "/datasets/{name}/upload/finish",
-        deprecated=True, successor="/api/v1/datasets/{name}/upload/finish",
-        responses={"201": "dataset validated and stored", "409": "no session open"},
-    )
-    def upload_finish(request: Request) -> Response:
-        """Validate, assemble, and store the uploaded dataset."""
-        name = request.path_params["name"]
-        dataset = state.finish_upload(name)
-        return json_response(
-            {"dataset": name, "summary": dataset.describe()}, status=201
-        )
-
-    @router.post(
-        "/datasets/{name}/upload/abort",
-        deprecated=True, successor="/api/v1/datasets/{name}/upload/abort",
-        responses={"200": "session discarded", "409": "no session open"},
-    )
-    def upload_abort(request: Request) -> Response:
-        """Discard an open upload session (recover from a failed upload)."""
-        name = request.path_params["name"]
-        if not state.abort_upload(name):
-            raise HTTPError(
-                409,
-                f"no upload in progress for dataset {name!r}",
-                code="no_upload_in_progress",
-            )
-        return json_response({"dataset": name, "status": "upload aborted"})
-
-    # -- dataset registry -------------------------------------------------------
-
-    @router.get(
-        "/datasets", deprecated=True, successor="/api/v1/datasets",
-        responses={"200": "uploaded dataset names"},
-    )
-    def list_datasets(request: Request) -> Response:
-        """List the uploaded dataset names."""
-        return json_response({"datasets": state.dataset_names()})
-
-    @router.get(
-        "/datasets/{name}", deprecated=True, successor="/api/v1/datasets/{name}",
-        responses={"200": "dataset summary", "404": "unknown dataset"},
-    )
-    def describe_dataset(request: Request) -> Response:
-        """Describe one dataset (sensors, records, attributes, time span)."""
-        dataset = state.get_dataset(request.path_params["name"])
-        return json_response(dataset.describe())
-
-    @router.delete(
-        "/datasets/{name}", deprecated=True, successor="/api/v1/datasets/{name}",
-        responses={"200": "dataset deleted", "404": "unknown dataset"},
-    )
-    def delete_dataset(request: Request) -> Response:
-        """Delete a dataset and every result mined from it."""
-        if not state.delete_dataset(request.path_params["name"]):
-            raise HTTPError(
-                404,
-                f"unknown dataset {request.path_params['name']!r}",
-                code="unknown_dataset",
-            )
-        return json_response({"deleted": request.path_params["name"]})
-
-    # -- mining (Figure 2, stages 2 and 3) ----------------------------------------
-
-    @router.post(
-        "/mine", deprecated=True, successor="/api/v1/datasets/{name}/results",
-        responses={
-            "200": "the full mined result (sync mode)",
-            "202": "job accepted (mode=async)",
-            "400": "bad body/parameters/mode",
-            "404": "unknown dataset",
-        },
-    )
-    def mine(request: Request) -> Response:
-        """RPC-style mining: full payload sync, or job submission async."""
-        payload = request.json()
-        if not isinstance(payload, dict):
-            raise HTTPError(400, "expected a JSON object")
-        if "dataset" not in payload or "parameters" not in payload:
-            raise HTTPError(
-                400, "body must contain 'dataset' and 'parameters'",
-                code="missing_fields",
-            )
-        mode = parse_mine_mode(payload, request)
-        dataset = state.get_dataset(str(payload["dataset"]))
-        params = parse_parameters(payload["parameters"])
-        if mode == "streaming":
-            job, created = state.submit_stream_job(dataset, params)
-            return json_response(
-                {
-                    "job_id": job.job_id,
-                    "state": job.state,
-                    "deduplicated": not created,
-                },
-                status=202,
-            )
-        if mode in ("async", "distributed"):
-            job, created = state.submit_mine_job(
-                dataset, params, distributed=(mode == "distributed")
-            )
-            return json_response(
-                {
-                    "job_id": job.job_id,
-                    "state": job.state,
-                    "deduplicated": not created,
-                },
-                status=202,
-            )
-        result = state.cache.mine_cached(dataset, params)
-        return json_response(result_payload(result))
-
-    # -- async jobs (submit via POST /mine mode=async) -----------------------------
-
-    @router.get(
-        "/jobs", deprecated=True, successor="/api/v1/jobs",
-        query=({"name": "status", "type": "string",
-                "description": "filter by job state"},),
-        responses={"200": "job documents", "400": "unknown status"},
-    )
-    def list_jobs(request: Request) -> Response:
-        """List mining jobs, optionally filtered by state."""
-        status = request.param("status")
-        try:
-            jobs = state.jobs.list(status)
-        except JobStateError as exc:
-            raise HTTPError(400, str(exc), code="invalid_status") from exc
-        return json_response({"jobs": [job.to_document() for job in jobs]})
-
-    @router.get(
-        "/jobs/{job_id}", deprecated=True, successor="/api/v1/jobs/{job_id}",
-        responses={"200": "job document (result inlined on success)",
-                   "301": "metadata evicted; Location points at the result",
-                   "404": "unknown job"},
-    )
-    def job_status(request: Request) -> Response:
-        """One job's status/progress; inlines the result once succeeded."""
-        job_id = request.path_params["job_id"]
-        job = state.jobs.get(job_id)
-        if job is None:
-            evicted = evicted_job_response(state, job_id)
-            if evicted is not None:
-                return evicted
-            raise HTTPError(404, f"unknown job {job_id!r}", code="unknown_job")
-        document = job.to_document()
-        if job.result_key is not None:
-            stored = state.database[_RESULTS].find_one({"key": job.result_key})
-            if stored is not None:
-                # Rendered through the same memoized deserialization the
-                # sync cache-hit path uses, so the payload is byte-identical
-                # to ``POST /mine`` for the same (dataset, parameters).
-                document["result"] = result_payload(
-                    state.result_from_document(stored)
-                )
-        return json_response(document)
-
-    @router.post(
-        "/jobs/{job_id}/cancel", deprecated=True,
-        successor="/api/v1/jobs/{job_id}/cancel",
-        responses={"200": "cancellation requested", "404": "unknown job",
-                   "409": "job already finished"},
-    )
-    def job_cancel(request: Request) -> Response:
-        """Request cooperative cancellation of a queued/running job."""
-        job_id = request.path_params["job_id"]
-        try:
-            job = state.jobs.cancel(job_id)
-        except KeyError as exc:
-            raise HTTPError(404, f"unknown job {job_id!r}", code="unknown_job") from exc
-        except JobStateError as exc:
-            raise HTTPError(409, str(exc), code="job_finished") from exc
-        return json_response(job.to_document())
-
-    @router.get(
-        "/caps/{dataset}", deprecated=True,
-        successor="/api/v1/datasets/{name}/results",
-        responses={"200": "cached result listing", "404": "unknown dataset"},
-    )
-    def cached_results(request: Request) -> Response:
-        """List the cached mining results for one dataset."""
-        name = request.path_params["dataset"]
-        documents = dataset_result_documents(state, name)
-        return json_response(
-            {
-                "dataset": name,
-                "cached_results": [
-                    {
-                        "key": doc["key"],
-                        "parameters": doc["payload"]["parameters"],
-                        "num_caps": len(doc["result"]["caps"]),
-                    }
-                    for doc in documents
-                ],
-            }
-        )
-
-    @router.get(
-        "/caps/{dataset}/sensors/{sensor_id}", deprecated=True,
-        successor="/api/v1/datasets/{name}/sensors/{sensor_id}/correlated",
-        responses={"200": "correlated sensors with shared attributes",
-                   "404": "unknown dataset/sensor", "409": "nothing mined yet"},
-    )
-    def correlated_sensors(request: Request) -> Response:
-        """The map's click interaction: who is correlated with this sensor?"""
-        name = request.path_params["dataset"]
-        sensor_id = request.path_params["sensor_id"]
-        correlated = correlated_sensors_core(state, name, sensor_id)
-        return json_response(
-            {"dataset": name, "sensor": sensor_id, "correlated": correlated}
-        )
-
-    # -- visualization ------------------------------------------------------------
-
-    @router.get(
-        "/viz/{dataset}/map", deprecated=True,
-        successor="/api/v1/datasets/{name}/viz/map",
-        query=({"name": "highlight", "type": "string",
-                "description": "comma-separated sensor ids to highlight"},),
-        responses={"200": "HTML page with the sensor map"},
-    )
-    def viz_map(request: Request) -> Response:
-        """Sensor map as an HTML page."""
-        svg, title = render_viz_svg(state, "map", request.path_params["dataset"], request)
-        return html_response(svg.to_html_page(title=title))
-
-    @router.get(
-        "/viz/{dataset}/heatmap", deprecated=True,
-        successor="/api/v1/datasets/{name}/viz/heatmap",
-        query=({"name": "sensors", "type": "string",
-                "description": "comma-separated sensor ids (default: first 20)"},),
-        responses={"200": "HTML page with the co-evolution heatmap"},
-    )
-    def viz_heatmap(request: Request) -> Response:
-        """Co-evolution heatmap as an HTML page."""
-        svg, title = render_viz_svg(
-            state, "heatmap", request.path_params["dataset"], request
-        )
-        return html_response(svg.to_html_page(title=title))
-
-    @router.get(
-        "/viz/{dataset}/timeseries", deprecated=True,
-        successor="/api/v1/datasets/{name}/viz/timeseries",
-        query=({"name": "sensors", "type": "string",
-                "description": "comma-separated sensor ids (required)"},),
-        responses={"200": "HTML page with measurement time series"},
-    )
-    def viz_timeseries(request: Request) -> Response:
-        """Measurement time series as an HTML page."""
-        svg, title = render_viz_svg(
-            state, "timeseries", request.path_params["dataset"], request
-        )
-        return html_response(svg.to_html_page(title=title))
-
-    # -- admin ----------------------------------------------------------------------
-
-    @router.get(
-        "/admin/results-by-dataset", deprecated=True,
-        successor="/api/v1/admin/results-by-dataset",
-        responses={"200": "per-dataset cached-result aggregation"},
-    )
-    def admin_results_by_dataset(request: Request) -> Response:
-        """Aggregation-pipeline summary of the cached results per dataset."""
-        return json_response(results_by_dataset_payload(state))
-
-    @router.get(
-        "/admin/stats", deprecated=True, successor="/api/v1/admin/stats",
-        responses={"200": "store/cache/job counters"},
-    )
-    def admin_stats(request: Request) -> Response:
-        """Store, cache, and job-queue counters."""
-        return json_response(admin_stats_payload(state))

@@ -82,8 +82,8 @@ class Request:
     body: bytes = b""
     #: Filled by the router with the matched path parameters.
     path_params: dict[str, str] = field(default_factory=dict)
-    #: Filled by the router with the matched route, so the error envelope
-    #: can add deprecation headers even when the handler raises.
+    #: Filled by the router with the matched route, so the metrics layer
+    #: labels the request by its route template.
     route: Any = field(default=None, repr=False, compare=False)
     #: Filled by the request-id middleware: the honored ``X-Request-Id``
     #: header or a freshly minted id.  Stamped onto submitted jobs so
@@ -249,7 +249,7 @@ def wsgi_adapter(handler: Handler) -> Callable[..., Iterable[bytes]]:
 def make_threaded_server(host: str, port: int, wsgi_app: Callable[..., Iterable[bytes]]):
     """A ``wsgiref`` server that handles each request on its own thread.
 
-    The stock ``make_server`` is single-threaded: one long ``POST /mine``
+    The stock ``make_server`` is single-threaded: one long sync mine
     freezes every map click until mining finishes.  Mixing in
     :class:`socketserver.ThreadingMixIn` gives a thread per request, so
     job-status polls and visualization requests are answered while a mine

@@ -3,18 +3,13 @@
 Composable request wrappers in the WSGI/django tradition.  The error
 middleware is the API's single error-envelope layer: every failure —
 :class:`~repro.server.http.HTTPError`, dataset validation, or an unexpected
-exception — renders through :func:`render_error`, which picks the response
-shape by path:
-
-* ``/api/v1/...`` requests get the uniform v1 error document
-  ``{"error": {"code", "message", "detail"}}`` — one shape for 400s, 404s,
-  405s and 500s alike, with a stable machine-readable ``code``;
-* legacy unversioned routes keep their historical
-  ``{"error": <message>, "details": ...}`` shape so pre-v1 clients and
-  tests are unaffected.
+exception — renders through :func:`render_error` as the uniform v1 error
+document ``{"error": {"code", "message", "detail"}}``: one shape for 400s,
+404s, 405s and 500s alike, with a stable machine-readable ``code``, on
+every path (an unmatched path outside ``/api/v1`` included).
 
 Headers attached to an :class:`HTTPError` (e.g. ``Allow`` on a 405) are
-merged into the rendered response in both shapes.
+merged into the rendered response.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from ..data.validation import DatasetValidationError
 from ..obs.logging import log_context
 from ..obs.metrics import get_registry
 from .http import HTTPError, Request, Response, json_response
-from .routing import apply_deprecation_headers
 
 __all__ = [
     "error_middleware",
@@ -46,9 +40,6 @@ Handler = Callable[[Request], Response]
 
 logger = logging.getLogger("repro.server")
 
-#: The versioned API prefix the envelope layer keys off.
-V1_PREFIX = "/api/v1"
-
 #: The trace-propagation header: honored when the client sends one,
 #: minted and echoed otherwise.
 REQUEST_ID_HEADER = "X-Request-Id"
@@ -58,28 +49,18 @@ REQUEST_ID_HEADER = "X-Request-Id"
 SLOW_REQUEST_ENV = "REPRO_SLOW_REQUEST_MS"
 
 
-def _is_v1(path: str) -> bool:
-    return path == V1_PREFIX or path.startswith(V1_PREFIX + "/")
-
-
 def render_error(
-    request: Request,
     status: int,
     code: str,
     message: str,
     detail: Any = None,
     headers: Mapping[str, str] | None = None,
 ) -> Response:
-    """Render one error in the shape the request's API version expects."""
-    if _is_v1(request.path):
-        payload: dict[str, Any] = {
-            "error": {"code": code, "message": message, "detail": detail}
-        }
-    else:
-        payload = {"error": message}
-        if detail is not None:
-            payload["details"] = detail
-    response = json_response(payload, status=status)
+    """Render one error as the v1 envelope."""
+    response = json_response(
+        {"error": {"code": code, "message": message, "detail": detail}},
+        status=status,
+    )
     if headers:
         response.headers.update(headers)
     return response
@@ -92,24 +73,18 @@ def error_middleware(handler: Handler) -> Handler:
         try:
             return handler(request)
         except HTTPError as exc:
-            response = render_error(
-                request, exc.status, exc.code, exc.message,
+            return render_error(
+                exc.status, exc.code, exc.message,
                 detail=exc.details, headers=exc.headers,
             )
         except DatasetValidationError as exc:
-            response = render_error(
-                request, 400, "validation_failed",
+            return render_error(
+                400, "validation_failed",
                 "dataset validation failed", detail=exc.errors,
             )
         except Exception as exc:  # noqa: BLE001 - the server must not crash
             logger.exception("unhandled error for %s %s", request.method, request.path)
-            response = render_error(
-                request, 500, "internal_error", f"internal error: {exc}"
-            )
-        # Errors raised by a deprecated route's handler carry the
-        # deprecation headers too (dispatch never saw a response to mark).
-        apply_deprecation_headers(getattr(request, "route", None), response)
-        return response
+            return render_error(500, "internal_error", f"internal error: {exc}")
 
     return wrapped
 

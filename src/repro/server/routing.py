@@ -6,16 +6,10 @@ captures one path segment; captured values land in ``request.path_params``.
 
 Routes carry *metadata* beyond the handler — a name, a one-line summary
 (defaulting to the handler's docstring), declared query parameters and
-response descriptions, and a deprecation flag with a pointer at the v1
-successor route.  The metadata feeds two consumers:
-
-* ``GET /api/v1/schema`` — :mod:`repro.server.schema` walks
-  :meth:`Router.describe` and emits an OpenAPI-style document covering
-  every registered route (the CI route-parity check keeps `API.md` in
-  sync with it);
-* the dispatcher itself — deprecated routes answer normally but gain
-  ``Deprecation: true`` and a ``Link: <successor>; rel="successor-version"``
-  header, and a method mismatch raises a 405 carrying the ``Allow`` header.
+response descriptions.  ``GET /api/v1/schema`` (:mod:`repro.server.schema`)
+walks :meth:`Router.describe` and emits an OpenAPI-style document covering
+every registered route; the CI route-parity check keeps `API.md` in sync
+with it.  A method mismatch raises a 405 carrying the ``Allow`` header.
 """
 
 from __future__ import annotations
@@ -26,20 +20,9 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .http import HTTPError, Request, Response
 
-__all__ = ["Router", "Route", "apply_deprecation_headers"]
+__all__ = ["Router", "Route"]
 
 Handler = Callable[[Request], Response]
-
-
-def apply_deprecation_headers(route: "Route | None", response: Response) -> None:
-    """Mark a response served by a deprecated route (success or error)."""
-    if route is None or not route.deprecated:
-        return
-    response.headers.setdefault("Deprecation", "true")
-    if route.successor:
-        response.headers.setdefault(
-            "Link", f'<{route.successor}>; rel="successor-version"'
-        )
 
 _PLACEHOLDER = re.compile(r"\{([a-zA-Z_][a-zA-Z0-9_]*)\}")
 
@@ -71,10 +54,6 @@ class Route:
     query: tuple[Mapping[str, str], ...] = ()
     #: Response descriptions keyed by status code string.
     responses: Mapping[str, str] = field(default_factory=dict)
-    #: Deprecated routes still answer, but with deprecation headers.
-    deprecated: bool = False
-    #: The v1 route that replaces this one (``Link rel="successor-version"``).
-    successor: str | None = None
 
     @property
     def path_params(self) -> list[str]:
@@ -97,8 +76,6 @@ class Router:
         summary: str | None = None,
         query: Sequence[Mapping[str, str]] = (),
         responses: Mapping[str, str] | None = None,
-        deprecated: bool = False,
-        successor: str | None = None,
     ) -> None:
         method = method.upper()
         if method not in ("GET", "POST", "PUT", "DELETE", "PATCH", "HEAD"):
@@ -118,13 +95,11 @@ class Router:
                 summary=summary,
                 query=tuple(dict(q) for q in query),
                 responses=dict(responses or {}),
-                deprecated=deprecated,
-                successor=successor,
             )
         )
 
     def get(self, pattern: str, **meta: Any) -> Callable[[Handler], Handler]:
-        """Decorator form: ``@router.get("/caps/{dataset}")``."""
+        """Decorator form: ``@router.get("/api/v1/results/{key}")``."""
         return self._decorator("GET", pattern, **meta)
 
     def post(self, pattern: str, **meta: Any) -> Callable[[Handler], Handler]:
@@ -157,9 +132,7 @@ class Router:
                 continue
             request.path_params = dict(match.groupdict())
             request.route = route
-            response = route.handler(request)
-            apply_deprecation_headers(route, response)
-            return response
+            return route.handler(request)
         if allowed:
             raise HTTPError(
                 405,
@@ -184,8 +157,6 @@ class Router:
                 "path_params": route.path_params,
                 "query": [dict(q) for q in route.query],
                 "responses": dict(route.responses),
-                "deprecated": route.deprecated,
-                "successor": route.successor,
             }
             for route in self._routes
         ]

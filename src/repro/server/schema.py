@@ -3,7 +3,7 @@
 ``GET /api/v1/schema`` serves :func:`build_schema` over the live router, so
 the description can never drift from the registered routes — every
 ``Router.add`` call surfaces here with its method, path/query parameters,
-response descriptions, and deprecation metadata.
+and response descriptions.
 
 Two artifacts hang off the generated document:
 
@@ -63,10 +63,7 @@ def build_schema(router: Any) -> dict[str, Any]:
             "summary": route["summary"],
             "parameters": parameters,
             "responses": responses,
-            "deprecated": route["deprecated"],
         }
-        if route["successor"]:
-            operation["x-successor"] = route["successor"]
         paths.setdefault(route["pattern"], {})[route["method"].lower()] = operation
     return {
         "service": "miscela-v",
@@ -89,12 +86,6 @@ def build_schema(router: Any) -> dict[str, Any]:
 
 def _render_operation(method: str, pattern: str, operation: Mapping[str, Any]) -> list[str]:
     lines = [f"### `{method.upper()} {pattern}`", ""]
-    if operation.get("deprecated"):
-        successor = operation.get("x-successor")
-        note = "**Deprecated.**"
-        if successor:
-            note += f" Successor: `{successor}`."
-        lines += [note, ""]
     if operation.get("summary"):
         lines += [operation["summary"], ""]
     query = [p for p in operation.get("parameters", ()) if p.get("in") == "query"]
@@ -119,14 +110,9 @@ def _render_operation(method: str, pattern: str, operation: Mapping[str, Any]) -
 def render_markdown(schema: Mapping[str, Any]) -> str:
     """Render the schema document as the ``API.md`` reference."""
     v1: list[str] = []
-    legacy: list[str] = []
     for pattern, operations in schema["paths"].items():
         for method, operation in sorted(operations.items()):
-            section = _render_operation(method, pattern, operation)
-            if operation.get("deprecated"):
-                legacy += section
-            else:
-                v1 += section
+            v1 += _render_operation(method, pattern, operation)
     lines = [
         "# Miscela-V HTTP API reference",
         "",
@@ -157,14 +143,6 @@ def render_markdown(schema: Mapping[str, Any]) -> str:
         " by `GET /api/v1/jobs/{job_id}/trace` (and `repro trace`).",
         "",
         *v1,
-        "## Deprecated unversioned routes",
-        "",
-        "The pre-v1 surface.  Every route still answers with its historical"
-        " payload shape, plus `Deprecation: true` and a"
-        ' `Link: <successor>; rel="successor-version"` header naming its v1'
-        " replacement.  New clients should use `/api/v1` exclusively.",
-        "",
-        *legacy,
     ]
     return "\n".join(lines).rstrip() + "\n"
 

@@ -5,19 +5,18 @@ Plays the role MongoDB plays in the paper: one database holds the
 re-uploading by specifying the dataset name") and the ``cap_results``
 collection (cached mining results keyed by dataset + parameters).
 
-Three engines share the :class:`Database` surface:
+Two engines share the :class:`Database` surface, chosen by ``path``:
 
 * ``memory`` (no path) — collections live in this process only;
-* ``wal`` (the default for a path) — every mutation appends one
-  checksummed record to a per-collection append-only log under
-  ``<path>.wal/`` (see :mod:`repro.store.wal`); opening replays the logs,
-  recovery truncates torn tails, and several processes share the store
-  through one ``flock`` + tail replay.  Deletions are first-class
-  tombstone records, so a removal in one process is a removal everywhere;
-* ``snapshot`` (opt-in, legacy) — the PR 5 whole-database JSON snapshot,
-  kept for export (:meth:`save` always writes it), for migration of
-  pre-WAL stores, and as the comparison arm of the WAL benchmarks.
+* ``wal`` (a path) — every mutation appends one checksummed record to a
+  per-collection append-only log under ``<path>.wal/`` (see
+  :mod:`repro.store.wal`); opening replays the logs, recovery truncates
+  torn tails, and several processes share the store through one
+  ``flock`` + tail replay.  Deletions are first-class tombstone records,
+  so a removal in one process is a removal everywhere.
 
+The whole-database JSON snapshot (``repro-store-v1``) survives only as
+the export format (:meth:`Database.save`) and as a one-shot import.
 A legacy ``repro-store-v1`` snapshot at ``path`` is migrated to WAL
 segments on first open; the original file is left byte-untouched until
 the first successful full compaction archives it (``<path>.pre-wal``).
@@ -136,8 +135,7 @@ def write_segment(
 class Database:
     """A set of named collections, optionally bound to durable storage."""
 
-    def __init__(self, path: str | Path | None = None,
-                 engine: str = "wal") -> None:
+    def __init__(self, path: str | Path | None = None) -> None:
         self._collections: dict[str, Collection] = {}
         self.path = Path(path) if path is not None else None
         self._tlock = threading.RLock()
@@ -148,24 +146,15 @@ class Database:
         self._wal_dir_dirty = False
         if self.path is None:
             self.engine = "memory"
-        elif engine == "snapshot":
-            self.engine = "snapshot"
-            if self.path.exists():
-                for collection in self._read_snapshot(self.path):
-                    self._collections[collection.name] = collection
-        elif engine == "wal":
-            self.engine = "wal"
-            self._wal_root = self.path.with_name(self.path.name + ".wal")
-            self._wal_root.mkdir(parents=True, exist_ok=True)
-            # Open under the store lock: migrate a legacy snapshot if one
-            # is present, clean compaction leftovers, replay the logs, and
-            # truncate any torn tail a previous crash left behind.
-            with self.exclusive():
-                pass
-        else:
-            raise ValueError(
-                f'engine must be "wal" or "snapshot", got {engine!r}'
-            )
+            return
+        self.engine = "wal"
+        self._wal_root = self.path.with_name(self.path.name + ".wal")
+        self._wal_root.mkdir(parents=True, exist_ok=True)
+        # Open under the store lock: migrate a legacy snapshot if one is
+        # present, clean compaction leftovers, replay the logs, and
+        # truncate any torn tail a previous crash left behind.
+        with self.exclusive():
+            pass
 
     # -- collection management ------------------------------------------------
 
@@ -210,24 +199,6 @@ class Database:
                 existed = True
             return existed
 
-    def replace_collection(self, collection: Collection) -> None:
-        """Swap in a collection object wholesale (keyed by its name).
-
-        Used by the *snapshot* engine's refresh protocol, which adopts
-        another process's view of a collection from the shared snapshot.
-        The WAL engine never swaps objects — peers' records replay into
-        the existing collection — but rebinding keeps a swapped-in
-        collection journaled if someone does it anyway.
-        """
-        if self.engine == "wal":
-            collection.bind_engine(
-                guard=self.exclusive,
-                journal=lambda record, _name=collection.name: self._wal_append(
-                    _name, record
-                ),
-            )
-        self._collections[collection.name] = collection
-
     def stats(self) -> dict[str, Any]:
         """Document counts per collection (the admin endpoint's payload),
         plus per-segment WAL counters when this store journals."""
@@ -263,8 +234,8 @@ class Database:
         always starts from the shared present — id assignment and
         ``update_if`` CAS decisions are then correct across processes)
         and exit fsyncs every dirty log *before* the lock releases, so an
-        acknowledged mutation is durable.  Other engines: the process
-        lock only (their collections are process-local between saves).
+        acknowledged mutation is durable.  Memory engine: the process
+        lock only.
 
         Reentrant: nested sections piggyback on the outer one (``flock``
         self-deadlocks across fds of one process otherwise) and share its
@@ -480,13 +451,14 @@ class Database:
     # -- persistence (legacy snapshot format; export + migration) ---------------
 
     def save(self, path: str | Path | None = None) -> Path:
-        """Write a JSON snapshot atomically *and durably*; returns the path.
+        """Export a JSON snapshot atomically *and durably*; returns the path.
 
-        The WAL engine does not need this for durability (appends are
-        fsync'd per transition) — it remains the export format and the
-        snapshot engine's persistence.  The temp file is fsync'd before
-        the rename and the directory after it, so the snapshot survives
-        power loss, not just process death.
+        A pure export: the WAL engine needs no snapshot for durability
+        (appends are fsync'd per transition), and saving a memory database
+        does not bind it to ``path``.  A snapshot at a store path is
+        imported into WAL segments on first open.  The temp file is
+        fsync'd before the rename and the directory after it, so the
+        snapshot survives power loss, not just process death.
         """
         target = Path(path) if path is not None else self.path
         if target is None:
@@ -512,8 +484,6 @@ class Database:
             except FileNotFoundError:
                 pass
             raise
-        if self.path is None:
-            self.path = target
         return target
 
     def _read_snapshot(self, path: Path) -> list[Collection]:

@@ -33,6 +33,26 @@ def step_series(n: int, jump_at: list[int], jump: float = 5.0, base: float = 10.
     return values
 
 
+def mine_v1(client, dataset: str, parameters, **body):
+    """POST one mine to the v1 results resource of ``dataset``."""
+    return client.post(
+        f"/api/v1/datasets/{dataset}/results",
+        json_body={"parameters": parameters, **body},
+    )
+
+
+def result_caps(client, key: str) -> list[dict]:
+    """Every CAP document of one v1 result, concatenated over its pages."""
+    caps: list[dict] = []
+    while True:
+        page = client.get(
+            f"/api/v1/results/{key}/caps?offset={len(caps)}&limit=1000"
+        ).json()
+        caps += page["caps"]
+        if len(caps) >= page["total"]:
+            return caps
+
+
 @pytest.fixture
 def tiny_dataset() -> SensorDataset:
     """Four sensors, two clusters; a+b co-evolve at steps 3, 7, 12.

@@ -1,6 +1,6 @@
 """DurableJobStore units: persisted state machine, leases, recovery rules.
 
-Two store instances opened on one snapshot path stand in for two server
+Two store instances opened on one store path stand in for two server
 processes — the same protocol the subprocess suites exercise end-to-end,
 tested here at the registry level where every interleaving is cheap to
 arrange.
@@ -66,7 +66,7 @@ def store(store_path, clock):
 
 
 def second_store(store_path, clock, worker_id="beta") -> DurableJobStore:
-    """Another 'process': a fresh Database over the same snapshot."""
+    """Another 'process': a fresh Database over the same store path."""
     return make_store(store_path, clock, worker_id)
 
 
@@ -318,18 +318,21 @@ class TestRegistryViews:
         store.set_progress(job.job_id, 1, 8)
         assert store.get(job.job_id).progress == pytest.approx(1 / 8)
 
-    def test_persist_removal_survives_refresh(self, store, store_path, clock):
-        """A deletion pushed through persist_removal is the snapshot's new
-        truth: a peer's write no longer resurrects the document."""
+    def test_deletion_is_not_resurrected_by_a_peer(self, store, store_path, clock):
+        """A plain ``delete_many`` appends a tombstone: a peer that still
+        holds the document neither resurrects it with its next write nor
+        sees it after a refresh."""
         results = store.database.collection("cap_results")
         results.insert_one({"key": KEY, "result": {}})
-        job, _ = store.open_job("santander", PARAMS, KEY)  # persists everything
-        assert store.persist_removal("cap_results", {"key": KEY}) == 1
         other = second_store(store_path, clock)
+        peer_results = other.database.collection("cap_results")
+        assert peer_results.find_one({"key": KEY}) is not None
+        assert results.delete_many({"key": KEY}) == 1
         other.open_job("santander", PARAMS, OTHER_KEY)  # peer write
         store.refresh()
         assert results.find_one({"key": KEY}) is None  # not resurrected
-        assert other.database.collection("cap_results").find_one({"key": KEY}) is None
+        other.refresh()
+        assert peer_results.find_one({"key": KEY}) is None
 
     def test_terminal_eviction_keeps_result_key_mapping(self, store_path, clock):
         store = DurableJobStore(

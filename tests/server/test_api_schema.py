@@ -10,6 +10,8 @@ from repro.server.app import TestClient, create_app
 from repro.server.schema import build_schema, check_parity, main, render_markdown
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+#: A single-method route the parity tests break on purpose.
+CANCEL = "/api/v1/jobs/{job_id}/cancel"
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +44,12 @@ class TestSchemaEndpoint:
         path_param = next(p for p in caps["parameters"] if p["name"] == "key")
         assert path_param["in"] == "path" and path_param["required"] is True
         assert "200" in caps["responses"] and "304" in caps["responses"]
-        assert caps["deprecated"] is False
 
-    def test_legacy_routes_marked_deprecated_with_successor(self, schema):
-        mine = schema["paths"]["/mine"]["post"]
-        assert mine["deprecated"] is True
-        assert mine["x-successor"] == "/api/v1/datasets/{name}/results"
+    def test_every_path_is_versioned(self, schema):
+        for pattern, operations in schema["paths"].items():
+            assert pattern == "/api/v1" or pattern.startswith("/api/v1/"), pattern
+            for operation in operations.values():
+                assert "deprecated" not in operation and "x-successor" not in operation
 
     def test_schema_is_json_stable(self, app):
         assert build_schema(app.router) == build_schema(app.router)
@@ -61,19 +63,16 @@ class TestMarkdownReference:
     def test_markdown_sections(self, schema):
         markdown = render_markdown(schema)
         assert "## API v1 (current)" in markdown
-        assert "## Deprecated unversioned routes" in markdown
         assert "### `POST /api/v1/datasets/{name}/results`" in markdown
-        assert markdown.index("API v1 (current)") < markdown.index(
-            "Deprecated unversioned routes"
-        )
+        assert "Deprecated" not in markdown
 
     def test_parity_detects_missing_route(self, app, schema):
         markdown = render_markdown(schema)
-        broken = markdown.replace("### `POST /mine`", "### `POST /mined`")
+        broken = markdown.replace(f"### `POST {CANCEL}`", f"### `POST {CANCEL}led`")
         problems = check_parity(app.router, schema, broken)
         assert problems == [
-            "POST /mine: missing from API.md",
-            "POST /mined: documented in API.md but not registered",
+            f"POST {CANCEL}: missing from API.md",
+            f"POST {CANCEL}led: documented in API.md but not registered",
         ]
 
     def test_parity_detects_stale_documented_route(self, app, schema):
@@ -86,10 +85,10 @@ class TestMarkdownReference:
     def test_parity_detects_schema_gap(self, app, schema):
         markdown = render_markdown(schema)
         pruned = {
-            "paths": {k: v for k, v in schema["paths"].items() if k != "/mine"}
+            "paths": {k: v for k, v in schema["paths"].items() if k != CANCEL}
         }
         problems = check_parity(app.router, pruned, markdown)
-        assert problems == ["POST /mine: missing from the schema output"]
+        assert problems == [f"POST {CANCEL}: missing from the schema output"]
 
 
 class TestCommittedReference:
@@ -111,7 +110,7 @@ class TestCli:
     def test_check_fails_on_drift(self, tmp_path, capsys):
         target = tmp_path / "API.md"
         assert main(["--out", str(target)]) == 0
-        target.write_text(target.read_text().replace("### `POST /mine`", ""))
+        target.write_text(target.read_text().replace(f"### `POST {CANCEL}`", ""))
         assert main(["--check", str(target)]) == 1
         assert "FAILED" in capsys.readouterr().out
 

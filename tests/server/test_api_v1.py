@@ -1,11 +1,11 @@
 """The versioned resource API: the ISSUE-4 acceptance criteria.
 
 * results are first-class resources (``201 Location``, stable keys, links);
-* CAP pages concatenated over all offsets reproduce the legacy
-  ``POST /mine`` CAP list byte-identically;
+* CAP pages concatenated over all offsets reproduce the full mined CAP
+  list byte-identically;
 * conditional GETs revalidate via ETag/If-None-Match with a 304;
-* every legacy route still answers through its v1 shim with a
-  ``Deprecation`` header (and a ``Link`` to its successor);
+* ``/api/v1`` is the only surface: a former unversioned path is a 404
+  with the v1 error envelope;
 * upload sessions are race-safe (concurrent ``begin`` → 409) and
   ``DELETE`` of a never-uploaded dataset invalidates nothing.
 """
@@ -18,6 +18,8 @@ import time
 
 import pytest
 
+from repro.core.miner import MiscelaMiner
+from repro.core.parameters import MiningParameters
 from repro.data.datasets import recommended_parameters
 from repro.data.synthetic import generate_santander
 from repro.jobs import TERMINAL_STATES
@@ -126,15 +128,12 @@ class TestResultResources:
 
 
 class TestCapsPagination:
-    def test_pages_concatenate_to_legacy_mine_byte_identically(self, client):
-        """The acceptance criterion: v1 pages ≡ legacy full payload."""
-        legacy = client.post(
-            "/mine", json_body={"dataset": "santander", "parameters": PARAMS}
-        )
-        assert legacy.status == 200
-        legacy_caps = legacy.json()["caps"]
+    def test_pages_concatenate_to_legacy_mine_byte_identically(self, client, dataset):
+        """The acceptance criterion: v1 pages ≡ the full mined CAP list."""
+        direct = MiscelaMiner(MiningParameters.from_document(PARAMS)).mine(dataset)
+        legacy_caps = [cap.to_document() for cap in direct.caps]
         key, created = create_result(client)
-        assert created["from_cache"] is True  # same underlying resource
+        assert created["num_caps"] == len(legacy_caps)
 
         limit = 7
         pages: list[dict] = []
@@ -369,8 +368,6 @@ class TestServiceDocuments:
         )
         assert response.status == 200
         assert response.json()["correlated"]
-        legacy = client.get(f"/caps/santander/sensors/{sensor}")
-        assert legacy.json()["correlated"] == response.json()["correlated"]
 
     def test_admin_endpoints(self, client):
         stats = client.get("/api/v1/admin/stats").json()
@@ -379,115 +376,39 @@ class TestServiceDocuments:
         assert by_dataset.status == 200
 
 
-# Concrete requests exercising every legacy route (the shim inventory).
-# A legacy route registered without an entry here fails
-# ``test_every_legacy_route_is_covered`` — coverage can't silently rot.
-LEGACY_REQUESTS: dict[tuple[str, str], dict] = {
-    ("GET", "/"): {},
-    ("GET", "/datasets"): {},
-    ("GET", "/datasets/{name}"): {"path": "/datasets/santander"},
-    ("DELETE", "/datasets/{name}"): {"path": "/datasets/second"},
-    ("POST", "/datasets/{name}/upload/begin"): {"upload_step": "begin"},
-    ("POST", "/datasets/{name}/upload/chunk"): {"upload_step": "chunk"},
-    ("POST", "/datasets/{name}/upload/finish"): {"upload_step": "finish"},
-    ("POST", "/datasets/{name}/upload/abort"): {"upload_step": "abort"},
-    ("POST", "/mine"): {
-        "json": {"dataset": "santander", "parameters": PARAMS}
-    },
-    ("GET", "/jobs"): {},
-    ("GET", "/jobs/{job_id}"): {"needs_job": True},
-    ("POST", "/jobs/{job_id}/cancel"): {"needs_job": True, "expect": 409},
-    ("GET", "/caps/{dataset}"): {"path": "/caps/santander"},
-    ("GET", "/caps/{dataset}/sensors/{sensor_id}"): {"needs_sensor": True},
-    ("GET", "/viz/{dataset}/map"): {"path": "/viz/santander/map"},
-    ("GET", "/viz/{dataset}/heatmap"): {"path": "/viz/santander/heatmap"},
-    ("GET", "/viz/{dataset}/timeseries"): {"needs_timeseries": True},
-    ("GET", "/admin/stats"): {},
-    ("GET", "/admin/results-by-dataset"): {},
-}
+#: Paths the pre-v1 unversioned surface answered on (one per route family).
+FORMER_UNVERSIONED = [
+    ("GET", "/"),
+    ("GET", "/datasets"),
+    ("GET", "/datasets/santander"),
+    ("POST", "/datasets/x/upload/begin"),
+    ("POST", "/mine"),
+    ("GET", "/jobs"),
+    ("GET", "/caps/santander"),
+    ("GET", "/viz/santander/map"),
+    ("GET", "/admin/stats"),
+]
 
 
-class TestDeprecationShims:
-    """Every legacy route answers, marked deprecated, pointing at v1."""
+class TestOneSurface:
+    """``/api/v1`` is the whole HTTP surface."""
 
-    def test_every_legacy_route_is_covered(self, app):
-        legacy = {
-            (r["method"], r["pattern"])
-            for r in app.router.describe()
-            if r["deprecated"]
-        }
-        assert legacy == set(LEGACY_REQUESTS), (
-            "legacy route set changed; update LEGACY_REQUESTS"
-        )
+    def test_every_route_is_versioned(self, app):
+        patterns = [pattern for _method, pattern in app.router.routes()]
+        assert patterns
+        assert all(
+            p == "/api/v1" or p.startswith("/api/v1/") for p in patterns
+        ), [p for p in patterns if not p.startswith("/api/v1")]
 
-    def test_every_legacy_route_answers_with_deprecation_headers(
-        self, app, client, dataset
-    ):
-        # Setup: a mined result, a finished job, a known sensor, a second
-        # dataset to delete, and an upload session driven through the
-        # legacy endpoints.
-        mined = client.post(
-            "/mine", json_body={"dataset": "santander", "parameters": PARAMS}
-        ).json()
-        sensor = mined["caps"][0]["sensors"][0]
-        job_id = client.post(
-            "/mine",
-            json_body={"dataset": "santander", "parameters": PARAMS, "mode": "async"},
-        ).json()["job_id"]
-        deadline = time.monotonic() + TIMEOUT
-        while time.monotonic() < deadline:
-            if client.get(f"/jobs/{job_id}").json()["state"] in TERMINAL_STATES:
-                break
-            time.sleep(0.02)
-        second = generate_santander(seed=5, neighbourhoods=2, steps=80)
-        second.name = "second"
-        assert client.upload_dataset(second, base="").status == 201  # legacy upload
-        third = generate_santander(seed=6, neighbourhoods=2, steps=80)
-        third.name = "third"
-
-        for (method, pattern), spec in LEGACY_REQUESTS.items():
-            if spec.get("upload_step"):
-                continue  # exercised by the legacy upload_dataset call above
-            path = spec.get("path", pattern)
-            if spec.get("needs_job"):
-                path = pattern.replace("{job_id}", job_id)
-            if spec.get("needs_sensor"):
-                path = f"/caps/santander/sensors/{sensor}"
-            if spec.get("needs_timeseries"):
-                path = f"/viz/santander/timeseries?sensors={sensor}"
-            response = client.request(method, path, json_body=spec.get("json"))
-            expected = spec.get("expect", (200, 202))
-            expected = expected if isinstance(expected, tuple) else (expected,)
-            assert response.status in expected, (method, path, response.json())
-            assert response.headers.get("Deprecation") == "true", (method, path)
-            if pattern != "/":
-                assert "successor-version" in response.headers.get("Link", ""), (
-                    method, path,
-                )
-
-        # The legacy upload calls above went through begin/chunk/finish;
-        # check the deprecation headers on each step explicitly (errors
-        # included — shims mark every answer, not just the happy path).
-        begin = client.post(
-            "/datasets/third/upload/begin",
-            json_body={"location_csv": "id,attribute,lat,lon\n",
-                       "attribute_csv": "t\n"},
-        )
-        assert begin.status == 201
-        chunk = client.post("/datasets/third/upload/chunk", text_body="garbage")
-        abort = client.post("/datasets/third/upload/abort")
-        assert abort.status == 200  # legacy recovery path for wedged sessions
-        finish = client.post("/datasets/third/upload/finish")
-        assert finish.status == 409  # aborted: nothing left to finish
-        for step in (begin, chunk, abort, finish):
-            assert step.headers.get("Deprecation") == "true"
-            assert "successor-version" in step.headers.get("Link", "")
-
-    def test_legacy_error_responses_carry_deprecation_too(self, client):
-        response = client.get("/datasets/ghost")
-        assert response.status == 404
-        assert response.headers.get("Deprecation") == "true"
-        assert response.json() == {"error": "unknown dataset 'ghost'"}  # legacy shape
+    def test_former_unversioned_paths_answer_404_envelope(self, client):
+        for method, path in FORMER_UNVERSIONED:
+            body = {"dataset": "santander", "parameters": PARAMS} if method == "POST" else None
+            response = client.request(method, path, json_body=body)
+            assert response.status == 404, (method, path)
+            error = response.json()["error"]
+            assert error["code"] == "not_found", (method, path)
+            assert error["message"] == f"no route for {path}"
+            assert "Deprecation" not in response.headers
 
 
 class TestUploadSessionSafety:
@@ -523,11 +444,6 @@ class TestUploadSessionSafety:
         for thread in threads:
             thread.join(timeout=10)
         assert sorted(statuses) == [201] + [409] * 7
-
-    def test_legacy_begin_shares_the_409(self, client):
-        body = {"location_csv": "id,attribute,lat,lon\n", "attribute_csv": "t\n"}
-        assert client.post("/datasets/y/upload/begin", json_body=body).status == 201
-        assert client.post("/datasets/y/upload/begin", json_body=body).status == 409
 
 
 class TestDeleteDatasetInvalidation:

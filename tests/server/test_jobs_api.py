@@ -2,10 +2,9 @@
 
 The contract under test is the ISSUE-3 acceptance criteria: while an async
 mine runs, status polls and visualization requests are answered; progress
-only ever grows, ending at 1.0; and the completed job's result payload is
-byte-identical to what sync ``POST /mine`` returns for the same
-(dataset, parameters) — because both are served from the same cache
-document through the same memoized deserialization.
+only ever grows, ending at 1.0; and the completed job's result resource is
+the one a sync mine of the same (dataset, parameters) answers with, its CAP
+pages byte-identical to a direct mine.
 """
 
 from __future__ import annotations
@@ -17,13 +16,16 @@ import time
 import pytest
 
 from repro.core.miner import MiningResult, MiscelaMiner
+from repro.core.parameters import MiningParameters
 from repro.data.datasets import recommended_parameters
 from repro.data.synthetic import generate_santander
 from repro.jobs import TERMINAL_STATES
 from repro.server.app import TestClient, create_app
+from tests.conftest import mine_v1, result_caps
 
 PARAMS = recommended_parameters("santander").to_document()
 TIMEOUT = 60.0
+API = "/api/v1"
 
 
 @pytest.fixture
@@ -42,10 +44,7 @@ def client(dataset):
 
 
 def submit_async(client, params=PARAMS) -> str:
-    response = client.post(
-        "/mine",
-        json_body={"dataset": "santander", "parameters": params, "mode": "async"},
-    )
+    response = mine_v1(client, "santander", params, mode="async")
     assert response.status == 202, response.json()
     payload = response.json()
     assert payload["job_id"]
@@ -55,7 +54,7 @@ def submit_async(client, params=PARAMS) -> str:
 def poll_until_terminal(client, job_id: str, timeout: float = TIMEOUT) -> dict:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        doc = client.get(f"/jobs/{job_id}").json()
+        doc = client.get(f"{API}/jobs/{job_id}").json()
         if doc["state"] in TERMINAL_STATES:
             return doc
         time.sleep(0.02)
@@ -88,30 +87,32 @@ class SlowMine:
 
 
 class TestSubmitPollResult:
-    def test_async_result_matches_sync_byte_for_byte(self, client):
+    def test_async_result_matches_sync_byte_for_byte(self, client, dataset):
         job_id = submit_async(client)
         final = poll_until_terminal(client, job_id)
         assert final["state"] == "succeeded", final.get("error")
         assert final["progress"] == 1.0
-        assert "result" in final
-        sync = client.post(
-            "/mine", json_body={"dataset": "santander", "parameters": PARAMS}
+        assert final["links"]["result"] == f"{API}/results/{final['result_key']}"
+        sync = mine_v1(client, "santander", PARAMS)
+        assert sync.status == 201
+        assert sync.json()["key"] == final["result_key"]
+        assert sync.json()["from_cache"] is True
+        direct = MiscelaMiner(MiningParameters.from_document(PARAMS)).mine(dataset)
+        caps = result_caps(client, final["result_key"])
+        assert json.dumps(caps, sort_keys=True) == json.dumps(
+            [cap.to_document() for cap in direct.caps], sort_keys=True
         )
-        assert sync.status == 200
-        assert json.dumps(final["result"], sort_keys=True) == json.dumps(
-            sync.json(), sort_keys=True
-        )
-        assert final["result"]["num_caps"] > 0
+        assert caps
 
     def test_async_result_lands_in_the_shared_cache(self, client):
         job_id = submit_async(client)
-        poll_until_terminal(client, job_id)
-        # The cached-results listing and map-click lookup see the async CAPs
+        final = poll_until_terminal(client, job_id)
+        # The result listing and map-click lookup see the async CAPs
         # exactly as if they had been mined synchronously.
-        listing = client.get("/caps/santander").json()
-        assert len(listing["cached_results"]) == 1
-        sensor = client.get(f"/jobs/{job_id}").json()["result"]["caps"][0]["sensors"][0]
-        clicked = client.get(f"/caps/santander/sensors/{sensor}")
+        listing = client.get(f"{API}/datasets/santander/results").json()
+        assert len(listing["results"]) == 1
+        sensor = result_caps(client, final["result_key"])[0]["sensors"][0]
+        clicked = client.get(f"{API}/datasets/santander/sensors/{sensor}/correlated")
         assert clicked.status == 200
         assert clicked.json()["correlated"]
 
@@ -122,7 +123,7 @@ class TestSubmitPollResult:
         seen: list[float] = []
         deadline = time.monotonic() + TIMEOUT
         while time.monotonic() < deadline:
-            doc = client.get(f"/jobs/{job_id}").json()
+            doc = client.get(f"{API}/jobs/{job_id}").json()
             seen.append(doc["progress"])
             if doc["state"] in TERMINAL_STATES:
                 break
@@ -139,35 +140,27 @@ class TestSubmitPollResult:
         job_id = submit_async(client)
         submit_latency = time.perf_counter() - started
         assert submit_latency < 2.0  # 202 comes back immediately, not after 10s
-        doc = client.get(f"/jobs/{job_id}").json()
+        doc = client.get(f"{API}/jobs/{job_id}").json()
         assert doc["state"] in ("queued", "running")
         # Interactive endpoints answer while the mine is in flight.
-        assert client.get("/viz/santander/map").status == 200
-        assert client.get("/admin/stats").json()["jobs"]["running"] == 1
-        assert client.post(f"/jobs/{job_id}/cancel").status == 200
+        assert client.get(f"{API}/datasets/santander/viz/map").status == 200
+        assert client.get(f"{API}/admin/stats").json()["jobs"]["running"] == 1
+        assert client.post(f"{API}/jobs/{job_id}/cancel").status == 200
         assert poll_until_terminal(client, job_id)["state"] == "cancelled"
 
     def test_sync_mode_unchanged(self, client):
-        response = client.post(
-            "/mine", json_body={"dataset": "santander", "parameters": PARAMS}
-        )
-        assert response.status == 200
+        response = mine_v1(client, "santander", PARAMS)
+        assert response.status == 201
         payload = response.json()
-        assert payload["num_caps"] == len(payload["caps"]) > 0
+        assert payload["num_caps"] == len(result_caps(client, payload["key"])) > 0
         assert not payload["from_cache"]
 
     def test_bad_mode_rejected(self, client):
-        response = client.post(
-            "/mine",
-            json_body={"dataset": "santander", "parameters": PARAMS, "mode": "nope"},
-        )
+        response = mine_v1(client, "santander", PARAMS, mode="nope")
         assert response.status == 400
 
     def test_unknown_dataset_rejected_at_submit(self, client):
-        response = client.post(
-            "/mine",
-            json_body={"dataset": "ghost", "parameters": PARAMS, "mode": "async"},
-        )
+        response = mine_v1(client, "ghost", PARAMS, mode="async")
         assert response.status == 404
 
 
@@ -176,41 +169,33 @@ class TestDedup:
         slow = SlowMine(steps=200, delay=0.05)
         monkeypatch.setattr(MiscelaMiner, "mine", lambda s, d, control=None: slow(s, d, control))
         first = submit_async(client)
-        response = client.post(
-            "/mine",
-            json_body={"dataset": "santander", "parameters": PARAMS, "mode": "async"},
-        )
+        response = mine_v1(client, "santander", PARAMS, mode="async")
         assert response.status == 202
         assert response.json()["job_id"] == first
         assert response.json()["deduplicated"] is True
         # n_jobs is an execution knob, not an identity: it must dedup too.
         tweaked = dict(PARAMS, n_jobs=4)
-        again = client.post(
-            "/mine",
-            json_body={"dataset": "santander", "parameters": tweaked, "mode": "async"},
-        )
+        again = mine_v1(client, "santander", tweaked, mode="async")
         assert again.json()["job_id"] == first
         # Different parameters are a different job.
-        other = client.post(
-            "/mine",
-            json_body={
-                "dataset": "santander",
-                "parameters": dict(PARAMS, min_support=PARAMS["min_support"] + 1),
-                "mode": "async",
-            },
+        other = mine_v1(
+            client, "santander",
+            dict(PARAMS, min_support=PARAMS["min_support"] + 1), mode="async",
         )
         assert other.json()["job_id"] != first
-        client.post(f"/jobs/{first}/cancel")
-        client.post(f"/jobs/{other.json()['job_id']}/cancel")
+        client.post(f"{API}/jobs/{first}/cancel")
+        client.post(f"{API}/jobs/{other.json()['job_id']}/cancel")
 
     def test_resubmit_after_completion_is_instant_cache_hit(self, client):
         first = submit_async(client)
-        poll_until_terminal(client, first)
+        key = poll_until_terminal(client, first)["result_key"]
+        hits = client.get(f"{API}/admin/stats").json()["cache"]["hits"]
         second = submit_async(client)
         assert second != first
         final = poll_until_terminal(client, second)
         assert final["state"] == "succeeded"
-        assert final["result"]["from_cache"] is True
+        assert final["result_key"] == key
+        assert client.get(f"{API}/admin/stats").json()["cache"]["hits"] == hits + 1
 
 
 class TestCancellation:
@@ -219,16 +204,17 @@ class TestCancellation:
         monkeypatch.setattr(MiscelaMiner, "mine", lambda s, d, control=None: slow(s, d, control))
         job_id = submit_async(client)
         assert slow.started.wait(TIMEOUT)
-        response = client.post(f"/jobs/{job_id}/cancel")
+        response = client.post(f"{API}/jobs/{job_id}/cancel")
         assert response.status == 200
         assert response.json()["cancel_requested"] is True
         final = poll_until_terminal(client, job_id)
         assert final["state"] == "cancelled"
         assert final["progress"] < 1.0
         assert final["error"] is None
-        assert "result" not in final
+        assert final["result_key"] is None
+        assert "result" not in final["links"]
         # A cancelled run stored nothing: sync mining still has to compute.
-        assert client.get("/caps/santander").json()["cached_results"] == []
+        assert client.get(f"{API}/datasets/santander/results").json()["results"] == []
 
     def test_reupload_during_inflight_job_withdraws_the_result(
         self, client, dataset, monkeypatch
@@ -242,39 +228,39 @@ class TestCancellation:
         assert client.upload_dataset(dataset, chunk_lines=1000).status == 201
         final = poll_until_terminal(client, job_id)
         assert final["state"] == "cancelled"
-        assert client.get("/caps/santander").json()["cached_results"] == []
+        assert client.get(f"{API}/datasets/santander/results").json()["results"] == []
 
     def test_cancel_unknown_job_404(self, client):
-        assert client.post("/jobs/job-0099-missing/cancel").status == 404
+        assert client.post(f"{API}/jobs/job-0099-missing/cancel").status == 404
 
     def test_cancel_finished_job_409(self, client):
         job_id = submit_async(client)
         poll_until_terminal(client, job_id)
-        assert client.post(f"/jobs/{job_id}/cancel").status == 409
+        assert client.post(f"{API}/jobs/{job_id}/cancel").status == 409
 
 
 class TestJobListing:
     def test_listing_and_status_filter(self, client):
         job_id = submit_async(client)
         poll_until_terminal(client, job_id)
-        everything = client.get("/jobs").json()["jobs"]
+        everything = client.get(f"{API}/jobs").json()["jobs"]
         assert [job["job_id"] for job in everything] == [job_id]
-        assert "result" not in everything[0]  # listings stay light
-        done = client.get("/jobs?status=succeeded").json()["jobs"]
+        assert "caps" not in everything[0]  # listings stay light
+        done = client.get(f"{API}/jobs?status=succeeded").json()["jobs"]
         assert [job["job_id"] for job in done] == [job_id]
-        assert client.get("/jobs?status=queued").json()["jobs"] == []
-        assert client.get("/jobs?status=bogus").status == 400
+        assert client.get(f"{API}/jobs?status=queued").json()["jobs"] == []
+        assert client.get(f"{API}/jobs?status=bogus").status == 400
 
     def test_unknown_job_404(self, client):
-        assert client.get("/jobs/job-0042-nothing").status == 404
+        assert client.get(f"{API}/jobs/job-0042-nothing").status == 404
 
     def test_admin_stats_counters(self, client):
-        stats = client.get("/admin/stats").json()["jobs"]
+        stats = client.get(f"{API}/admin/stats").json()["jobs"]
         assert stats["total"] == 0
         assert stats["executor_width"] == 2
         job_id = submit_async(client)
         poll_until_terminal(client, job_id)
-        stats = client.get("/admin/stats").json()["jobs"]
+        stats = client.get(f"{API}/admin/stats").json()["jobs"]
         assert stats["succeeded"] == 1
         assert stats["total"] == 1
 
@@ -311,8 +297,8 @@ class TestThreadedServer:
 
         try:
             status, payload = fetch(
-                "POST", "/mine",
-                {"dataset": "santander", "parameters": PARAMS, "mode": "async"},
+                "POST", f"{API}/datasets/santander/results",
+                {"parameters": PARAMS, "mode": "async"},
             )
             assert status == 202
             job_id = payload["job_id"]
@@ -320,16 +306,16 @@ class TestThreadedServer:
             # While the mine runs, polls and admin calls are served promptly.
             for _ in range(3):
                 t0 = time.perf_counter()
-                status, doc = fetch("GET", f"/jobs/{job_id}")
+                status, doc = fetch("GET", f"{API}/jobs/{job_id}")
                 assert status == 200 and doc["state"] == "running"
                 assert time.perf_counter() - t0 < 5.0
-            status, stats = fetch("GET", "/admin/stats")
+            status, stats = fetch("GET", f"{API}/admin/stats")
             assert stats["jobs"]["running"] == 1
-            status, cancelled = fetch("POST", f"/jobs/{job_id}/cancel")
+            status, cancelled = fetch("POST", f"{API}/jobs/{job_id}/cancel")
             assert status == 200
             deadline = time.monotonic() + TIMEOUT
             while time.monotonic() < deadline:
-                _, doc = fetch("GET", f"/jobs/{job_id}")
+                _, doc = fetch("GET", f"{API}/jobs/{job_id}")
                 if doc["state"] in TERMINAL_STATES:
                     break
                 time.sleep(0.05)
@@ -362,11 +348,10 @@ class TestEvictedJobRedirect:
 
     def test_evicted_job_redirects_to_result(self, client):
         job_ids, keys = self.evict_first_of_three(client)
-        for path in (f"/jobs/{job_ids[0]}", f"/api/v1/jobs/{job_ids[0]}"):
-            response = client.get(path)
-            assert response.status == 301, (path, response.json())
-            assert response.headers["Location"] == f"/api/v1/results/{keys[0]}"
-            assert response.json()["result_key"] == keys[0]
+        response = client.get(f"{API}/jobs/{job_ids[0]}")
+        assert response.status == 301, response.json()
+        assert response.headers["Location"] == f"/api/v1/results/{keys[0]}"
+        assert response.json()["result_key"] == keys[0]
         # The redirect target still serves the result metadata.
         target = client.get(f"/api/v1/results/{keys[0]}")
         assert target.status == 200

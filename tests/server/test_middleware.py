@@ -30,7 +30,8 @@ class TestErrorMiddleware:
 
         resp = error_middleware(handler)(Request("GET", "/"))
         assert resp.status == 404
-        assert resp.json() == {"error": "nope", "details": {"hint": "x"}}
+        assert resp.json()["error"]["message"] == "nope"
+        assert resp.json()["error"]["detail"] == {"hint": "x"}
 
     def test_validation_error_rendered_as_400(self):
         def handler(request):
@@ -38,7 +39,7 @@ class TestErrorMiddleware:
 
         resp = error_middleware(handler)(Request("GET", "/"))
         assert resp.status == 400
-        assert resp.json()["details"] == ["bad row 1", "bad row 2"]
+        assert resp.json()["error"]["detail"] == ["bad row 1", "bad row 2"]
 
     def test_unexpected_error_is_500(self, caplog):
         def handler(request):
@@ -47,7 +48,7 @@ class TestErrorMiddleware:
         with caplog.at_level(logging.ERROR, logger="repro.server"):
             resp = error_middleware(handler)(Request("GET", "/"))
         assert resp.status == 500
-        assert "boom" in resp.json()["error"]
+        assert "boom" in resp.json()["error"]["message"]
 
 
 class TestBodyLimit:
@@ -59,7 +60,7 @@ class TestBodyLimit:
         handler = error_middleware(body_limit_middleware(10)(ok_handler))
         resp = handler(Request("POST", "/", body=b"x" * 11))
         assert resp.status == 413
-        assert "chunked upload" in resp.json()["error"]
+        assert "chunked upload" in resp.json()["error"]["message"]
 
     def test_bad_limit(self):
         with pytest.raises(ValueError):
@@ -75,7 +76,7 @@ class TestLogging:
 
 
 class TestV1ErrorEnvelope:
-    """Under /api/v1 every failure renders the uniform error document."""
+    """Every failure renders the uniform error document."""
 
     def test_http_error_uses_envelope(self):
         def handler(request):
@@ -126,12 +127,15 @@ class TestV1ErrorEnvelope:
         assert resp.json()["error"]["code"] == "bad_request"
         assert "malformed" in resp.json()["error"]["message"]
 
-    def test_legacy_paths_keep_the_old_shape(self):
+    def test_unversioned_paths_get_the_envelope_too(self):
         def handler(request):
             raise HTTPError(404, "nope", details={"hint": "x"})
 
         resp = error_middleware(handler)(Request("GET", "/datasets/x"))
-        assert resp.json() == {"error": "nope", "details": {"hint": "x"}}
+        assert resp.json() == {
+            "error": {"code": "not_found", "message": "nope",
+                      "detail": {"hint": "x"}}
+        }
 
     def test_error_headers_merged_into_response(self):
         def handler(request):

@@ -129,8 +129,6 @@ class TestRouteMetadata:
             summary="One thing.",
             query=({"name": "verbose", "type": "string", "description": "d"},),
             responses={"200": "the thing"},
-            deprecated=True,
-            successor="/api/v1/things/{thing_id}",
         )
         description = r.describe()[0]
         assert description["path_params"] == ["thing_id"]
@@ -138,18 +136,6 @@ class TestRouteMetadata:
             {"name": "verbose", "type": "string", "description": "d"}
         ]
         assert description["responses"] == {"200": "the thing"}
-        assert description["deprecated"] is True
-        assert description["successor"] == "/api/v1/things/{thing_id}"
-
-    def test_deprecated_route_gets_headers_on_dispatch(self):
-        r = Router()
-        r.add(
-            "GET", "/old", lambda req: json_response({"ok": 1}),
-            deprecated=True, successor="/api/v1/new",
-        )
-        response = r.dispatch(Request("GET", "/old"))
-        assert response.headers["Deprecation"] == "true"
-        assert response.headers["Link"] == '</api/v1/new>; rel="successor-version"'
 
     def test_active_route_gets_no_deprecation_headers(self, router):
         response = router.dispatch(Request("GET", "/datasets"))

@@ -61,7 +61,10 @@ class TestPersistence:
         db["x"].insert_one({"a": 1})
         target = db.save(tmp_path / "explicit.json")
         assert target.exists()
-        assert db.path == target
+        # A pure export: the memory store stays unbound (no WAL engine,
+        # no durable registry behind a store whose writes never hit disk).
+        assert db.path is None
+        assert db.engine == "memory"
 
     def test_snapshot_is_json(self, tmp_path):
         db = Database()

@@ -176,11 +176,11 @@ def test_exclusive_serializes_two_instances(tmp_path):
 
 def _legacy_store(tmp_path, documents):
     path = tmp_path / "store.json"
-    legacy = Database(path, engine="snapshot")
+    legacy = Database()
     legacy["caps"].create_index("i", "hash")
     for document in documents:
         legacy["caps"].insert_one(dict(document))
-    legacy.save()
+    legacy.save(path)
     return path, legacy
 
 
@@ -189,7 +189,7 @@ def test_migration_round_trip_preserves_contents(tmp_path):
     path, legacy = _legacy_store(tmp_path, documents)
     original = path.read_bytes()
 
-    migrated = Database(path)  # default engine: migrates on first open
+    migrated = Database(path)  # migrates on first open
     assert migrated["caps"].find() == legacy["caps"].find()
     assert migrated["caps"].find({"i": 2}) == legacy["caps"].find({"i": 2})
     # Satellite: the original snapshot is byte-untouched until compaction.

@@ -27,13 +27,14 @@ from tests.conftest import make_timeline, step_series
 class TestStoreCorruption:
     def test_truncated_snapshot_quarantined(self, tmp_path):
         path = tmp_path / "db.json"
-        db = Database(path, engine="snapshot")
+        db = Database()
         db["x"].insert_one({"a": 1})
-        db.save()
+        db.save(path)
         # Truncate the file mid-JSON.
         raw = path.read_text()
         path.write_text(raw[: len(raw) // 2])
-        # Graceful degradation: the bad file is quarantined, not fatal.
+        # Graceful degradation: the first-open import quarantines the bad
+        # file instead of refusing to start.
         reopened = Database.open(path)
         assert reopened["x"].count() == 0
         quarantined = [p for p in tmp_path.iterdir() if ".corrupt-" in p.name]
@@ -43,15 +44,15 @@ class TestStoreCorruption:
 
     def test_save_failure_preserves_previous_snapshot(self, tmp_path):
         path = tmp_path / "db.json"
-        db = Database(path, engine="snapshot")
+        db = Database()
         db["x"].insert_one({"a": 1})
-        db.save()
+        db.save(path)
         before = path.read_text()
 
         # Inject: a document that cannot be JSON-encoded.
         db["x"].insert_one({"bad": {"nested": bytes(b"\x00")}})
         with pytest.raises(TypeError):
-            db.save()
+            db.save(path)
         # Atomic write: the old snapshot is untouched and no temp litter.
         assert path.read_text() == before
         assert [p for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
@@ -76,7 +77,7 @@ class TestServerUnhappyPaths:
         app = create_app(body_limit=1024)
         client = TestClient(app)
         begin = client.post(
-            "/datasets/x/upload/begin",
+            "/api/v1/datasets/x/upload/begin",
             json_body={
                 "location_csv": "id,attribute,lat,lon\ns,t,0,0\n",
                 "attribute_csv": "t\n",
@@ -84,29 +85,29 @@ class TestServerUnhappyPaths:
         )
         assert begin.status == 201
         big = "id,attribute,time,data\n" + "s,t,2016-03-01 00:00:00,1\n" * 200
-        resp = client.post("/datasets/x/upload/chunk", text_body=big)
+        resp = client.post("/api/v1/datasets/x/upload/chunk", text_body=big)
         assert resp.status == 413
 
     def test_abandoned_upload_does_not_leak_into_registry(self):
         client = TestClient(create_app())
         client.post(
-            "/datasets/ghost/upload/begin",
+            "/api/v1/datasets/ghost/upload/begin",
             json_body={
                 "location_csv": "id,attribute,lat,lon\ns,t,0,0\n",
                 "attribute_csv": "t\n",
             },
         )
         # Never finished: dataset list stays empty, mining 404s.
-        assert client.get("/datasets").json() == {"datasets": []}
+        assert client.get("/api/v1/datasets").json() == {"datasets": []}
         params = recommended_parameters("santander").to_document()
         assert client.post(
-            "/mine", json_body={"dataset": "ghost", "parameters": params}
+            "/api/v1/datasets/ghost/results", json_body={"parameters": params}
         ).status == 404
 
     def test_failed_finish_clears_pending_upload(self):
         client = TestClient(create_app())
         client.post(
-            "/datasets/x/upload/begin",
+            "/api/v1/datasets/x/upload/begin",
             json_body={
                 "location_csv": "id,attribute,lat,lon\ns,t,0,0\n",
                 "attribute_csv": "t\n",
@@ -114,18 +115,18 @@ class TestServerUnhappyPaths:
         )
         # One chunk referencing an undeclared sensor -> finish must 400.
         client.post(
-            "/datasets/x/upload/chunk",
+            "/api/v1/datasets/x/upload/chunk",
             text_body="id,attribute,time,data\nghost,t,2016-03-01 00:00:00,1\n"
                       "ghost,t,2016-03-01 01:00:00,2\n",
         )
-        assert client.post("/datasets/x/upload/finish").status == 400
+        assert client.post("/api/v1/datasets/x/upload/finish").status == 400
         # The pending state is gone: another finish now conflicts (409),
         # it does not retry the bad data.
-        assert client.post("/datasets/x/upload/finish").status == 409
+        assert client.post("/api/v1/datasets/x/upload/finish").status == 409
 
     def test_malformed_json_body_is_400_not_500(self):
         client = TestClient(create_app())
-        resp = client.post("/mine", text_body="{not json")
+        resp = client.post("/api/v1/datasets/x/results", text_body="{not json")
         assert resp.status == 400
 
 

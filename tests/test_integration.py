@@ -27,6 +27,7 @@ from repro import (
     write_dataset_dir,
 )
 from repro.store.database import Database
+from tests.conftest import mine_v1, result_caps
 
 
 class TestCsvRoundTripThenMine:
@@ -59,40 +60,40 @@ class TestServerScenario:
         assert client.upload_dataset(dataset).status == 201
 
         # 2. First parameter setting.
-        r1 = client.post("/mine", json_body={
-            "dataset": dataset.name, "parameters": params.to_document(),
-        })
-        assert r1.status == 200 and r1.json()["num_caps"] > 0
+        r1 = mine_v1(client, dataset.name, params.to_document())
+        assert r1.status == 201 and r1.json()["num_caps"] > 0
+        caps1 = result_caps(client, r1.json()["key"])
 
         # 3. "Users can easily change parameters": a looser ψ.
         loose = params.with_updates(min_support=5)
-        r2 = client.post("/mine", json_body={
-            "dataset": dataset.name, "parameters": loose.to_document(),
-        })
+        r2 = mine_v1(client, dataset.name, loose.to_document())
         assert r2.json()["num_caps"] >= r1.json()["num_caps"]
 
         # 4. Repeating the first setting is served from cache.
-        r3 = client.post("/mine", json_body={
-            "dataset": dataset.name, "parameters": params.to_document(),
-        })
+        r3 = mine_v1(client, dataset.name, params.to_document())
         assert r3.json()["from_cache"]
-        assert r3.json()["caps"] == r1.json()["caps"]
+        assert result_caps(client, r3.json()["key"]) == caps1
 
         # 5. Click a sensor, get its correlated sensors, view both charts.
-        probe = r1.json()["caps"][0]["sensors"][0]
-        corr = client.get(f"/caps/{dataset.name}/sensors/{probe}")
+        probe = caps1[0]["sensors"][0]
+        corr = client.get(
+            f"/api/v1/datasets/{dataset.name}/sensors/{probe}/correlated"
+        )
         partners = list(corr.json()["correlated"])
         assert partners
         chart = client.get(
-            f"/viz/{dataset.name}/timeseries?sensors={probe},{partners[0]}"
+            f"/api/v1/datasets/{dataset.name}/viz/timeseries"
+            f"?sensors={probe},{partners[0]}"
         )
         assert chart.status == 200 and b"<svg" in chart.body
-        highlighted_map = client.get(f"/viz/{dataset.name}/map?highlight={probe}")
+        highlighted_map = client.get(
+            f"/api/v1/datasets/{dataset.name}/viz/map?highlight={probe}"
+        )
         assert highlighted_map.status == 200
 
         # 6. Both cached settings are listed.
-        listing = client.get(f"/caps/{dataset.name}").json()
-        assert len(listing["cached_results"]) == 2
+        listing = client.get(f"/api/v1/datasets/{dataset.name}/results").json()
+        assert len(listing["results"]) == 2
 
 
 class TestCovidScenarioEndToEnd:
