@@ -56,7 +56,7 @@ from .data import (
     recommended_parameters,
     write_dataset_dir,
 )
-from .jobs import Job, JobQueue, JobStore
+from .jobs import Job, JobQueue
 from .server import TestClient, create_app, create_wsgi_app
 from .store import Database
 from .viz import (
@@ -78,7 +78,6 @@ __all__ = [
     "EvolvingSet",
     "Job",
     "JobQueue",
-    "JobStore",
     "LRUPolicy",
     "MiningCancelled",
     "MiningControl",

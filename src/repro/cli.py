@@ -10,9 +10,9 @@ Everything the demo's web UI drives is reachable from a terminal:
 * ``sweep``     — the §2.1 sensitivity sweep, as a table and optional SVG;
 * ``compare``   — the Figure-4 before/after diff at a split date;
 * ``serve``     — start the Figure-2 API server (the versioned ``/api/v1``
-  resource API); with ``--store`` the job registry is durable: jobs
-  survive restarts and several server processes sharing the store claim
-  work through leases;
+  resource API); with ``--store`` the job registry persists with the
+  store: jobs survive restarts and several server processes sharing the
+  store claim work through leases;
 * ``jobs``      — inspect (``list``) or recover (``recover``) the durable
   job registry of a store without starting a server;
 * ``trace``     — reconstruct one job's timeline (an ASCII waterfall of its
@@ -198,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 = pick a free one; the chosen port "
                             "is announced on the MISCELA_READY line)")
     p_srv.add_argument("--store", help="store path for persistence (WAL logs "
-                       "under <path>.wal/); also enables the durable job "
-                       "registry (jobs survive restarts, several processes "
-                       "may share one store)")
+                       "under <path>.wal/); the job registry persists there "
+                       "too (jobs survive restarts, several processes may "
+                       "share one store)")
     p_srv.add_argument("--preload", action="store_true",
                        help="pre-upload synthetic santander")
     p_srv.add_argument("--preload-dataset", dest="preload_dataset",
@@ -534,9 +534,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         dataset = generate(preload_name, seed=args.preload_seed)
         response = TestClient(app).upload_dataset(dataset)
         print(f"pre-loaded {preload_name}: {response.status}", flush=True)
-    if app.state.durable and args.worker_poll > 0:
-        # Multi-process worker mode: this process also claims (and, after
-        # lease expiry, reclaims) jobs any process sharing the store enqueued.
+    if args.worker_poll > 0:
+        # The polling worker claims what no executor thread was handed:
+        # shard and merge sub-jobs, jobs other processes sharing the store
+        # enqueued, and (after lease expiry) jobs whose worker died.
         app.state.start_job_worker(interval=args.worker_poll)
     # Threaded server: status polls and map clicks stay responsive while a
     # mine runs (async on the job executor, or sync on a request thread).
@@ -547,12 +548,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"  v1 API:  http://127.0.0.1:{port}/api/v1 "
           f"(schema at /api/v1/schema)",
           flush=True)
-    if app.state.durable:
-        worker = app.state.jobs.store.worker_id
-        poll = f"worker poll {args.worker_poll}s" if args.worker_poll > 0 \
-            else "worker disabled"
-        print(f"  durable jobs: store={args.store} worker_id={worker} "
-              f"lease={args.lease_seconds}s ({poll})", flush=True)
+    worker = app.state.jobs.store.worker_id
+    poll = f"worker poll {args.worker_poll}s" if args.worker_poll > 0 \
+        else "worker disabled"
+    print(f"  jobs: store={args.store or 'in-memory'} worker_id={worker} "
+          f"lease={args.lease_seconds}s ({poll})", flush=True)
     # Machine-readable readiness line: the fault-injection harness (and any
     # supervisor) parses the actual port from it, which makes --port 0 usable.
     print(f"MISCELA_READY port={port}", flush=True)

@@ -3,13 +3,14 @@
 The serving tier's answer to long mines (ROADMAP's "async server offload"):
 ``POST /api/v1/datasets/{name}/results`` with ``mode=async`` opens a
 :class:`Job` here, a background executor thread drives the parallel
-engine, and the interactive endpoints keep answering while it runs.  With
-a store bound to a path the registry is
-*durable* (:class:`DurableJobStore`): jobs survive restarts, several
-processes share one registry through lease-based claiming, and a
-:class:`JobWorker` thread lets any process execute jobs any other process
-enqueued.  See ``DESIGN.md`` ("Async job queue", "Durable jobs") for the
-state machine, lease protocol, and recovery rules.
+engine, and the interactive endpoints keep answering while it runs.  One
+registry serves every database (:class:`DurableJobStore`): jobs live as
+documents in the ``jobs`` collection.  With a store bound to a path they
+survive restarts, several processes share one registry through
+lease-based claiming, and a :class:`JobWorker` thread lets any process
+execute jobs any other process enqueued; a path-less database keeps the
+same registry in memory.  See ``DESIGN.md`` ("Async job queue", "Durable
+jobs") for the state machine, lease protocol, and recovery rules.
 """
 
 from .durable import DurableJobStore, maybe_fault
@@ -40,7 +41,6 @@ from .planner import (
     plan_mine,
 )
 from .queue import JobQueue
-from .store import JobStore
 from .worker import JobWorker
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "JobExecutor",
     "JobQueue",
     "JobStateError",
-    "JobStore",
     "JobWorker",
     "MinePlan",
     "execute_units",

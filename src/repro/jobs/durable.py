@@ -1,15 +1,16 @@
 """The durable job registry: store-backed lifecycle + lease-based claiming.
 
-:class:`DurableJobStore` keeps the PR 3 :class:`~repro.jobs.store.JobStore`
-contract — the queued→running→succeeded/failed/cancelled state machine,
-monotone progress, atomic cache-key dedup — but every job lives as a
-document in the ``jobs`` collection of a :class:`~repro.store.Database`.
-The registry rides :meth:`Database.exclusive`: every transition appends
-one checksummed WAL record inside the store's own cross-process critical
-section and is fsync'd before the lock releases, and deletions propagate
-as first-class tombstone records.  A submitted job therefore survives the
-process that accepted it: a restarted server replays it from the store
-and :meth:`recover` puts it back to work.
+:class:`DurableJobStore` is the one job registry — the
+queued→running→succeeded/failed/cancelled state machine, monotone
+progress, atomic cache-key dedup — and every job lives as a document in
+the ``jobs`` collection of a :class:`~repro.store.Database`.  On a
+path-less database the registry is process-local with identical
+semantics.  On a store path it rides :meth:`Database.exclusive`: every
+transition appends one checksummed WAL record inside the store's own
+cross-process critical section and is fsync'd before the lock releases,
+and deletions propagate as first-class tombstone records.  A submitted
+job therefore survives the process that accepted it: a restarted server
+replays it from the store and :meth:`recover` puts it back to work.
 
 **Multi-process protocol.**  Several server processes may share one
 store path.  The on-disk store is the single source of truth and a
@@ -153,11 +154,9 @@ def maybe_fault(name: str) -> None:
 class DurableJobStore:
     """Store-backed registry of async jobs with lease-based claiming.
 
-    Drop-in for :class:`~repro.jobs.store.JobStore` wherever the queue,
-    executor, and handlers are concerned; the additional surface
-    (:meth:`claim_next`, :meth:`reclaim_expired`, :meth:`recover`,
-    :meth:`refresh`) is what multi-process serving and crash recovery
-    build on.
+    What the queue, executor, and handlers talk to; :meth:`claim_next`,
+    :meth:`reclaim_expired`, :meth:`recover` and :meth:`refresh` are what
+    multi-process serving and crash recovery build on.
 
     Parameters
     ----------
@@ -165,7 +164,7 @@ class DurableJobStore:
         The backing store.  With ``database.path`` set, every transition
         is a fsync'd WAL append and cross-process claiming is coordinated
         through the store's lock; without a path the registry is
-        process-local (unit tests) but keeps identical semantics.
+        process-local but keeps identical semantics.
     worker_id:
         Stable identity stamped onto claimed jobs; defaults to a
         pid-derived token unique per store instance.
@@ -174,12 +173,13 @@ class DurableJobStore:
         renew it; pick a small value in tests so orphaned jobs are
         reclaimed quickly.
     terminal_capacity:
-        Retention bound for finished jobs, as in the in-memory store.
-        Evicted *succeeded* jobs leave their ``job_id → result_key``
-        mapping behind (see :meth:`evicted_result_key`) so result
-        ``Location`` links issued this process lifetime keep resolving.
-        Counted over top-level jobs; a pruned distributed parent takes its
-        sub-job documents with it.
+        Retention bound for finished jobs.  Evicted *succeeded* jobs leave
+        their ``job_id → result_key`` mapping behind (see
+        :meth:`evicted_result_key`; the newest ``max(1024, 4 ×
+        terminal_capacity)`` are kept) so result ``Location`` links issued
+        this process lifetime keep resolving.  Counted over top-level jobs
+        of every kind; a pruned distributed parent takes its sub-job
+        documents with it.
     max_attempts:
         Dead-letter bound: a job whose lease lapses on its Nth attempt with
         ``N >= max_attempts`` fails with a structured
@@ -232,8 +232,10 @@ class DurableJobStore:
         self._terminal_capacity = terminal_capacity
         self._results_collection = results_collection
         self._lock = threading.RLock()
-        #: job_id -> result_key for evicted succeeded jobs (process lifetime).
+        #: job_id -> result_key for evicted succeeded jobs: insertion-ordered
+        #: and bounded, oldest mappings dropped first.
         self._evicted_results: dict[str, str] = {}
+        self._evicted_capacity = max(1024, 4 * terminal_capacity)
         #: Trace spans ride the same store (and therefore the same
         #: durability and cross-process visibility) as the jobs they time.
         self.spans = SpanStore(database)
@@ -253,6 +255,9 @@ class DurableJobStore:
         collection.create_index("key", "hash")
         collection.create_index("state", "hash")
         collection.create_index("parent_id", "hash")
+        # The sequence counter reads the maximum off this index instead of
+        # scanning (and copying) every job document per submission.
+        collection.create_index("sequence", "sorted")
 
     @contextmanager
     def _exclusive(self) -> Iterator[None]:
@@ -304,10 +309,7 @@ class DurableJobStore:
         return {**job.to_document(), "sequence": job.sequence}
 
     def _next_sequence(self) -> int:
-        return 1 + max(
-            (doc.get("sequence", 0) for doc in self._collection().find()),
-            default=0,
-        )
+        return 1 + (self._collection().max("sequence") or 0)
 
     # -- creation / dedup -------------------------------------------------------
 
@@ -324,11 +326,11 @@ class DurableJobStore:
     ) -> tuple[Job, bool]:
         """The active job for ``key``, or a new queued one — atomically.
 
-        Same contract as the in-memory store, but the decision is made
-        against the *shared* registry: a job another process opened for the
-        same key dedups here too.  Dedup considers top-level jobs only —
-        shard/merge sub-jobs share their parent's key and never absorb a
-        submission.  ``distributed=True`` marks the new job for shard-level
+        The decision is made against the *shared* registry: a job another
+        process opened for the same key dedups here too.  Dedup considers
+        top-level jobs only — shard/merge sub-jobs share their parent's key
+        and never absorb a submission.  ``distributed=True`` marks the new
+        job for shard-level
         execution (the planner splits it when a worker claims it);
         ``plan_workers`` fixes the planning width the split uses;
         ``trace_id`` (the request's ``X-Request-Id``) is stamped on the job
@@ -336,10 +338,9 @@ class DurableJobStore:
         distributed mine.  Dedup keeps the *existing* job's trace.
         """
         with self._exclusive():
-            for document in self._collection().find({"key": key}):
-                if document.get("kind", KIND_MINE) != KIND_MINE:
-                    continue
-                if document["state"] in (QUEUED, RUNNING):
+            live = {"key": key, "state": {"$in": [QUEUED, RUNNING]}}
+            for document in self._collection().find(live):
+                if document.get("kind", KIND_MINE) == KIND_MINE:
                     return self._job(document), False
             sequence = self._next_sequence()
             job = Job(
@@ -380,10 +381,9 @@ class DurableJobStore:
         resident job must never dead-letter itself by simply living.
         """
         with self._exclusive():
-            for document in self._collection().find({"dataset": dataset}):
-                if document.get("kind", KIND_MINE) != KIND_STREAM:
-                    continue
-                if document["state"] in (QUEUED, RUNNING):
+            live = {"dataset": dataset, "state": {"$in": [QUEUED, RUNNING]}}
+            for document in self._collection().find(live):
+                if document.get("kind", KIND_MINE) == KIND_STREAM:
                     return self._job(document), False
             sequence = self._next_sequence()
             job = Job(
@@ -1483,30 +1483,33 @@ class DurableJobStore:
     # -- retention --------------------------------------------------------------
 
     def _prune_terminal_locked(self) -> None:
-        # Capacity counts top-level jobs; a pruned distributed parent takes
-        # its shard/merge documents (and their stored outputs) with it, so
-        # sub-jobs can never outlive — or evict — the parents they feed.
-        terminal = [
-            document
-            for document in self._collection().find(
-                {"state": {"$in": sorted(TERMINAL_STATES)}}, sort="sequence"
-            )
-            if document.get("kind", KIND_MINE) == KIND_MINE
-        ]
-        overflow = terminal[: max(0, len(terminal) - self._terminal_capacity)]
+        """Evict the oldest finished top-level jobs beyond the retention bound.
+
+        Capacity counts top-level jobs of every kind (no ``parent_id``).  A
+        pruned job takes its spans, sub-job documents and spilled shard
+        outputs with it, so sub-jobs can never outlive — or evict — the
+        parents they feed.  Counting copies no document; only the overflow
+        is fetched.
+        """
+        jobs = self._collection()
+        finished = {"state": {"$in": sorted(TERMINAL_STATES)}, "parent_id": None}
+        overflow = jobs.count(finished) - self._terminal_capacity
+        if overflow <= 0:
+            return
         spans = self.database.collection("spans")
         spills = self.database.collection(_SHARD_OUTPUTS)
-        for document in overflow:
+        for document in jobs.find(finished, sort="sequence", limit=overflow):
+            job_id = document["job_id"]
             if document["state"] == SUCCEEDED and document.get("result_key"):
-                self._evicted_results[document["job_id"]] = document["result_key"]
-            for child in self._collection().find(
-                {"parent_id": document["job_id"]}
-            ):
-                spans.delete_many({"job_id": child["job_id"]})
-                spills.delete_many({"shard_id": child["job_id"]})
-            spans.delete_many({"job_id": document["job_id"]})
-            self._collection().delete_many({"job_id": document["job_id"]})
-            self._collection().delete_many({"parent_id": document["job_id"]})
+                self._evicted_results[job_id] = document["result_key"]
+            spans.delete_many({"job_id": job_id})
+            # Sub-job spans and a stream job's alert spans point back here.
+            spans.delete_many({"parent_job_id": job_id})
+            spills.delete_many({"parent_id": job_id})
+            jobs.delete_many({"job_id": job_id})
+            jobs.delete_many({"parent_id": job_id})
+        while len(self._evicted_results) > self._evicted_capacity:
+            self._evicted_results.pop(next(iter(self._evicted_results)))
 
     def __len__(self) -> int:
         with self._lock:

@@ -81,8 +81,7 @@ def _log_execution(store, job: Job) -> None:
     path = os.environ.get(EXEC_LOG_ENV)
     if not path:
         return
-    worker = getattr(store, "worker_id", "local")
-    line = f"{job.job_id} {worker} attempt={job.attempt}\n"
+    line = f"{job.job_id} {store.worker_id} attempt={job.attempt}\n"
     with open(path, "a") as handle:  # single short write: O_APPEND-atomic
         handle.write(line)
 
@@ -116,39 +115,29 @@ def run_claimed_job(store, job: Job, runner: JobRunner, should_abort=None) -> No
     back to queued for immediate takeover by a surviving process — rather
     than cancelled.
 
-    Every execution opens a trace span *before* the work starts (when the
-    store has a span store) so a ``kill -9`` mid-run leaves the open span
-    behind as evidence; whoever reclaims the lease marks it
-    ``interrupted``.  The span closes through a CAS, so this thread
-    finishing late cannot overwrite a reclaimer's verdict.
+    Every execution opens a trace span *before* the work starts so a
+    ``kill -9`` mid-run leaves the open span behind as evidence; whoever
+    reclaims the lease marks it ``interrupted``.  The span closes through
+    a CAS, so this thread finishing late cannot overwrite a reclaimer's
+    verdict.
     """
     _log_execution(store, job)
-    job_id, attempt = job.job_id, job.attempt
-    trace_id = getattr(job, "trace_id", None)
-    spans = getattr(store, "spans", None)
-    sid = None
-    if spans is not None:
-        # A claimed distributed parent is always the planning step — once
-        # planned it stays running lease-less and is never claimed again.
-        name = (
-            "planner"
-            if job.kind == KIND_MINE and getattr(job, "distributed", False)
-            else job.kind
-        )
-        sid = spans.begin(
-            job_id=job_id,
-            attempt=attempt,
-            worker_id=getattr(store, "worker_id", "local"),
-            name=name,
-            kind=job.kind,
-            trace_id=trace_id,
-            parent_job_id=job.parent_id,
-            shard_index=job.shard_index,
-        )
+    job_id, attempt, trace_id = job.job_id, job.attempt, job.trace_id
+    # A claimed distributed parent is always the planning step — once
+    # planned it stays running lease-less and is never claimed again.
+    sid = store.spans.begin(
+        job_id=job_id,
+        attempt=attempt,
+        worker_id=store.worker_id,
+        name="planner" if job.kind == KIND_MINE and job.distributed else job.kind,
+        kind=job.kind,
+        trace_id=trace_id,
+        parent_job_id=job.parent_id,
+        shard_index=job.shard_index,
+    )
 
     def _close_span(status: str, error: str | None = None) -> None:
-        if spans is not None and sid is not None:
-            spans.finish(sid, status, error=error)
+        store.spans.finish(sid, status, error=error)
 
     def _should_cancel() -> bool:
         if should_abort is not None and should_abort():
@@ -166,12 +155,9 @@ def run_claimed_job(store, job: Job, runner: JobRunner, should_abort=None) -> No
         try:
             result_key = runner(control)
         except MiningCancelled:
-            aborting = should_abort is not None and should_abort()
-            release = getattr(store, "release", None)
-            if aborting and release is not None:
+            if should_abort is not None and should_abort():
                 # release() marks still-open spans "released" itself.
-                release(job_id, attempt)
-                sid = None
+                store.release(job_id, attempt)
             else:
                 _close_span("cancelled")
                 _finish(store.mark_cancelled, job_id, attempt=attempt)
@@ -182,10 +168,8 @@ def run_claimed_job(store, job: Job, runner: JobRunner, should_abort=None) -> No
             _close_span("error", error=f"{type(exc).__name__}: {exc}")
             _finish(store.mark_failed, job_id, exc, attempt=attempt)
         else:
-            if result_key is HANDLED:
-                _close_span("ok")
-            else:
-                _close_span("ok")
+            _close_span("ok")
+            if result_key is not HANDLED:
                 _finish(
                     store.mark_succeeded,
                     job_id,

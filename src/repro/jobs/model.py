@@ -14,14 +14,14 @@ cooperation is needed); ``running → cancelled`` is cooperative — the worker
 raises :class:`~repro.core.parallel.MiningCancelled` at the engine's next
 shard/component checkpoint.  Terminal states never transition again.
 
-The durable registry (:class:`~repro.jobs.durable.DurableJobStore`) adds one
+The registry (:class:`~repro.jobs.durable.DurableJobStore`) adds one
 *recovery* edge outside this table: ``running → queued``, taken only when a
 running job's **lease** lapsed (its worker died without finishing).  That
 edge is deliberately not in :data:`_TRANSITIONS` — a live worker can never
 take it; only lease-expiry reclamation can (see ``DurableJobStore.requeue``).
 
-Everything here is plain data; the thread-safety lives in
-:class:`~repro.jobs.store.JobStore` / the durable store.
+Everything here is plain data; the thread-safety and persistence live in
+the registry, :class:`~repro.jobs.durable.DurableJobStore`.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ class Job:
 
     @classmethod
     def from_document(cls, document: Mapping[str, Any]) -> "Job":
-        """Rebuild a job from its stored document (the durable registry)."""
+        """Rebuild a job from its stored document (the registry's form)."""
         error = document.get("error")
         return cls(
             job_id=str(document["job_id"]),

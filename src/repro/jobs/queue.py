@@ -1,8 +1,8 @@
 """The job queue facade: submit, cancel, observe.
 
 :class:`JobQueue` is what the server and CLI talk to — it composes the
-registry (:class:`~repro.jobs.store.JobStore`) with the background executor
-(:class:`~repro.jobs.executor.JobExecutor`) and owns the dedup rule:
+registry (:class:`~repro.jobs.durable.DurableJobStore`) with the background
+executor (:class:`~repro.jobs.executor.JobExecutor`) and owns the dedup rule:
 submissions are identified by the *result cache key* of their
 (dataset, parameters) pair, the same canonical hash Section 3.3 caches
 results under, so "identical job already in flight" and "result already
@@ -14,9 +14,10 @@ from __future__ import annotations
 import threading
 from typing import Any, Mapping
 
+from ..store.database import Database
+from .durable import DurableJobStore
 from .executor import JobExecutor, JobRunner
-from .model import Job, JobStateError
-from .store import JobStore
+from .model import TERMINAL_STATES, Job, JobStateError
 
 __all__ = ["JobQueue"]
 
@@ -24,18 +25,17 @@ __all__ = ["JobQueue"]
 class JobQueue:
     """Asynchronous mining jobs: dedup'd submission over a thread pool.
 
-    ``store`` may be the in-memory :class:`JobStore` (default) or a
-    :class:`~repro.jobs.durable.DurableJobStore` — the queue only speaks
-    the registry contract they share.
+    ``store`` defaults to a registry over a fresh in-memory database (the
+    CLI's ``mine --async``); a server passes one bound to its own store.
     """
 
     def __init__(
         self,
-        store: "JobStore | Any | None" = None,
+        store: DurableJobStore | None = None,
         executor: JobExecutor | None = None,
         width: int = 2,
     ) -> None:
-        self.store = store if store is not None else JobStore()
+        self.store = store if store is not None else DurableJobStore(Database())
         self.executor = executor if executor is not None else JobExecutor(width)
         self._stopping = threading.Event()
 
@@ -85,9 +85,8 @@ class JobQueue:
         return self.store.list(status)
 
     def children(self, parent_id: str) -> list[Job]:
-        """A distributed parent's sub-jobs ([] on stores without sub-jobs)."""
-        children = getattr(self.store, "children", None)
-        return children(parent_id) if children is not None else []
+        """A distributed parent's sub-jobs: shards, then merge."""
+        return self.store.children(parent_id)
 
     def evicted_result_key(self, job_id: str) -> str | None:
         """Result key left behind by an evicted succeeded job, if any."""
@@ -101,9 +100,10 @@ class JobQueue:
     def shutdown(self, wait: bool = False) -> None:
         """Stop the queue promptly without forfeiting shared work.
 
-        Process-local registry: cancel every non-terminal job first, so
-        running mines abort at their next checkpoint instead of holding
-        the (non-daemon) worker threads — a Ctrl-C exits promptly.
+        Process-local registry (path-less database): cancel every
+        non-terminal job first, so running mines abort at their next
+        checkpoint instead of holding the (non-daemon) worker threads — a
+        Ctrl-C exits promptly.
 
         Shared (store-backed) registry: cancelling would kill work other
         processes can still finish, so instead the stop signal makes
@@ -111,11 +111,9 @@ class JobQueue:
         claims (CAS back to queued) for immediate takeover; jobs this
         process never claimed are simply left for the fleet.
         """
-        from .model import TERMINAL_STATES
-
         self._stopping.set()
-        if not getattr(self.store, "shared", False):
-            for job in self.store.list():
+        if not self.store.shared:
+            for job in self.store.list(kind=None):
                 if job.state not in TERMINAL_STATES:
                     try:
                         self.store.request_cancel(job.job_id)

@@ -57,6 +57,7 @@ class SpanStore:
         collection = database.collection(SPANS_COLLECTION)
         collection.create_index("job_id", "hash")
         collection.create_index("trace_id", "hash")
+        collection.create_index("parent_job_id", "hash")
 
     def _collection(self):
         return self.database.collection(SPANS_COLLECTION)

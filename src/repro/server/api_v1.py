@@ -309,7 +309,7 @@ def _poll_events(
     deadline = time.monotonic() + wait
     delay = POLL_BACKOFF_INITIAL
     while True:
-        state._refresh_shared()
+        state.jobs.store.refresh()
         _require_live_cursor(state, name, cursor)
         events = read_events(state.database, name, cursor, limit)
         remaining = deadline - time.monotonic()
@@ -494,8 +494,6 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
                    "observation batches into the CAP change feed)",
             "400": "bad body/parameters/mode",
             "404": "unknown dataset",
-            "409": "mode=distributed or mode=streaming without a durable "
-                   "job registry",
         },
     )
     def v1_create_result(request: Request) -> Response:
@@ -813,7 +811,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
             cursor = _int_param(request, "cursor", 0, 0, 10**12)
         limit = _int_param(request, "limit", DEFAULT_PAGE_LIMIT, 1, MAX_PAGE_LIMIT)
         wait = _wait_param(request)
-        state._refresh_shared()
+        state.jobs.store.refresh()
         prefix = ""
         first_live = first_live_seq(state.database, name)
         if cursor < first_live - 1:
@@ -844,7 +842,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         """The feed snapshot that replaces events behind the retention horizon."""
         name = request.path_params["name"]
         state.get_dataset(name)
-        state._refresh_shared()
+        state.jobs.store.refresh()
         snapshot = feed_snapshot(state.database, name)
         if snapshot is None:
             raise HTTPError(
@@ -870,7 +868,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         """The effective stream retention configuration for one dataset."""
         name = request.path_params["name"]
         state.get_dataset(name)
-        state._refresh_shared()
+        state.jobs.store.refresh()
         config = get_retention(
             state.database, name, default=state.stream_default_retention
         )
@@ -959,7 +957,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         """List the alert rules registered for one dataset."""
         name = request.path_params["name"]
         state.get_dataset(name)
-        state._refresh_shared()
+        state.jobs.store.refresh()
         rows = state.database.collection(ALERT_RULES).find(
             {"dataset": name}, sort="rule_id"
         )
@@ -1002,7 +1000,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         state.get_dataset(name)
         limit = _int_param(request, "limit", DEFAULT_PAGE_LIMIT, 1, MAX_PAGE_LIMIT)
         rule = request.param("rule")
-        state._refresh_shared()
+        state.jobs.store.refresh()
         rows = state.database.collection(ALERTS).find({"dataset": name}, sort="seq")
         if rule:
             rows = [row for row in rows if row.get("rule_id") == rule]
@@ -1036,7 +1034,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         "/api/v1/jobs/{job_id}",
         responses={"200": "job resource (links to the result once succeeded; "
                           "worker_id/lease_expires_at/attempt expose the "
-                          "durable registry's lease state; a distributed "
+                          "registry's lease state; a distributed "
                           "parent inlines its shard tree — per-shard states, "
                           "attempts, and workers plus the merge step)",
                    "301": "metadata evicted; Location points at the result",
@@ -1065,27 +1063,17 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
                           "worker, start/end) for the job and, on a "
                           "distributed parent, every shard and merge "
                           "sub-job, plus measured shard wall-times",
-                   "404": "unknown job",
-                   "409": "job registry is not durable (no persisted spans)"},
+                   "404": "unknown job"},
     )
     def v1_job_trace(request: Request) -> Response:
         """The persisted trace of one job as a JSON span tree.
 
         The same tree ``repro trace <job_id>`` renders as an ASCII
-        waterfall.  Requires the durable registry — spans live in the
-        store's ``spans`` collection.
+        waterfall; spans live in the store's ``spans`` collection.
         """
         job_id = request.path_params["job_id"]
-        store = getattr(state.jobs, "store", None)
-        if store is None or getattr(store, "spans", None) is None:
-            raise HTTPError(
-                409,
-                "tracing requires the durable job registry "
-                "(start the server with --store)",
-                code="not_durable",
-            )
         try:
-            tree = trace_tree(store, job_id)
+            tree = trace_tree(state.jobs.store, job_id)
         except KeyError as exc:
             raise HTTPError(404, f"unknown job {job_id!r}", code="unknown_job") from exc
         return json_response(tree)
@@ -1147,9 +1135,9 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
 
     @router.get(
         "/api/v1/admin/stats",
-        responses={"200": "store/cache/job counters (durable registries add "
-                          "per-lease health: active vs expired, a per-kind "
-                          "job breakdown, and the dead-lettered job count)"},
+        responses={"200": "store/cache/job counters (with per-lease health: "
+                          "active vs expired, a per-kind job breakdown, and "
+                          "the dead-lettered job count)"},
     )
     def v1_admin_stats(request: Request) -> Response:
         """Store, cache, and job-queue counters."""

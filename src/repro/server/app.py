@@ -63,8 +63,8 @@ class App:
         because shutdown cancels running jobs first and they abort at their
         next checkpoint.  Required before a ``Database.save`` export: a
         snapshot taken while a worker is still writing a result would
-        iterate a mutating collection.  With the durable registry, queued
-        jobs survive anyway — whichever process next recovers the store
+        iterate a mutating collection.  On a store path, queued jobs
+        survive anyway — whichever process next recovers the store
         picks them up.
 
         Order matters: the polling worker is *signalled* first but only
@@ -97,9 +97,9 @@ def create_app(
     ----------
     database:
         Backing store; pass a :class:`Database` opened on a store path for
-        persistence across restarts.  A store path also selects the
-        durable job registry (lease-based multi-process claiming in the
-        ``jobs`` collection); startup recovery runs here, so interrupted
+        persistence across restarts.  The job registry lives in its
+        ``jobs`` collection (lease-based multi-process claiming when the
+        store has a path); startup recovery runs here, so interrupted
         jobs are requeued and rescheduled before the first request is
         served.  Defaults to in-memory, with a process-local registry.
     body_limit:
@@ -112,10 +112,10 @@ def create_app(
         worker is a *driver* thread — the mining itself may fan out
         further through ``MiningParameters.n_jobs``.
     worker_id, lease_seconds:
-        Durable-registry identity and claim lifetime (see
+        Job-registry identity and claim lifetime (see
         :class:`repro.jobs.DurableJobStore`).
     max_attempts:
-        Durable-registry dead-letter bound: a job (or shard sub-job) that
+        Job-registry dead-letter bound: a job (or shard sub-job) that
         loses its worker on this many attempts fails with a structured
         ``AttemptsExhausted`` error instead of requeueing forever
         (``0`` disables the bound).

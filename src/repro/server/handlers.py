@@ -97,15 +97,15 @@ class ServerState:
     Mining itself never holds the lock — only the bookkeeping around it
     does.
 
-    When the backing database is bound to a store path, the job registry
-    is the **durable** one: jobs live in the ``jobs`` collection, every
-    transition is a WAL append, and any number of server processes
-    sharing the store claim work through leases.  An in-memory database
-    gets the process-local :class:`~repro.jobs.JobStore` instead (same
-    lifecycle, without the per-job store round trips).  ``recover_jobs``
-    (called by :func:`repro.server.app.create_app`) requeues interrupted
-    work on startup, and :meth:`start_job_worker` turns this process into
-    a polling worker for jobs other processes enqueued.
+    The job registry is a :class:`~repro.jobs.DurableJobStore` over the
+    backing database: jobs live in its ``jobs`` collection.  Bound to a
+    store path, every transition is a WAL append and any number of server
+    processes sharing the store claim work through leases; an in-memory
+    database keeps the same registry, spans, sub-jobs and stream jobs
+    process-local.  ``recover_jobs`` (called by
+    :func:`repro.server.app.create_app`) requeues interrupted work on
+    startup, and :meth:`start_job_worker` turns this process into a
+    polling worker for jobs any process enqueued.
     """
 
     def __init__(
@@ -151,18 +151,13 @@ class ServerState:
         self.stream_idle_seconds = 0.5
         self.stream_poll_seconds = 0.25
         self.lock = threading.RLock()
-        #: Whether jobs live in the store (exactly when it has a path).
-        self.durable = self.database.path is not None
-        if self.durable:
-            store = DurableJobStore(
-                self.database,
-                worker_id=worker_id,
-                lease_seconds=lease_seconds,
-                max_attempts=max_attempts,
-            )
-            self.jobs = JobQueue(store=store, width=job_workers)
-        else:
-            self.jobs = JobQueue(width=job_workers)
+        store = DurableJobStore(
+            self.database,
+            worker_id=worker_id,
+            lease_seconds=lease_seconds,
+            max_attempts=max_attempts,
+        )
+        self.jobs = JobQueue(store=store, width=job_workers)
         self._worker: JobWorker | None = None
         self._pending: dict[str, ChunkAssembler] = {}
         self._pending_meta: dict[str, tuple[list, list]] = {}
@@ -267,8 +262,9 @@ class ServerState:
             if name in self._loaded:
                 return self._loaded[name]
         document = self.database[_DATASETS].find_one({"name": name})
-        if document is None and self._refresh_shared():
+        if document is None:
             # Another process sharing the store may have uploaded it.
+            self.jobs.store.refresh()
             document = self.database[_DATASETS].find_one({"name": name})
         if document is None:
             raise HTTPError(404, f"unknown dataset {name!r}", code="unknown_dataset")
@@ -276,13 +272,6 @@ class ServerState:
         with self.lock:
             self._loaded[name] = dataset
         return dataset
-
-    def _refresh_shared(self) -> bool:
-        """Adopt changes other processes appended; False when not durable."""
-        if not self.durable:
-            return False
-        self.jobs.store.refresh()
-        return True
 
     def put_dataset(self, dataset: SensorDataset) -> None:
         with self.lock:
@@ -320,9 +309,8 @@ class ServerState:
     def _cancel_dataset_jobs(self, dataset_name: str) -> None:
         """In-flight jobs for a replaced/deleted dataset are obsolete."""
         jobs = self.jobs.list()
-        if self.durable:
-            # Resident stream jobs are not in the default (mine) listing.
-            jobs += self.jobs.store.list(kind=KIND_STREAM)
+        # Resident stream jobs are not in the default (mine) listing.
+        jobs += self.jobs.store.list(kind=KIND_STREAM)
         for job in jobs:
             if job.dataset == dataset_name and job.state not in TERMINAL_STATES:
                 try:
@@ -372,11 +360,11 @@ class ServerState:
     def dataset_generation(self, name: str) -> int:
         """The current generation of ``name`` (0 until first upload).
 
-        Reads through the shared store — with a peer-visible refresh when
-        durable — so a runner's mid-mine currency check observes a
-        re-upload that happened in another process.
+        Reads through the shared store — after a peer-visible refresh — so
+        a runner's mid-mine currency check observes a re-upload that
+        happened in another process.
         """
-        self._refresh_shared()
+        self.jobs.store.refresh()
         document = self.database.collection(_GENERATIONS).find_one({"name": name})
         return int(document["generation"]) if document else 0
 
@@ -392,8 +380,9 @@ class ServerState:
     def get_result_document(self, key: str) -> Mapping[str, Any]:
         """The stored ``cap_results`` document for one key; 404 when absent."""
         document = self.database[_RESULTS].find_one({"key": key})
-        if document is None and self._refresh_shared():
+        if document is None:
             # A worker in another process may have published it.
+            self.jobs.store.refresh()
             document = self.database[_RESULTS].find_one({"key": key})
         if document is None:
             raise HTTPError(404, f"unknown result {key!r}", code="unknown_result")
@@ -448,20 +437,13 @@ class ServerState:
         if a re-upload slipped between check and put.  Either way the job
         ends ``cancelled``, never serving superseded data.
 
-        ``distributed=True`` (durable registry only) submits the job as a
-        distributed *parent*: the scheduled runner is the planner, which
-        splits the mine into shard sub-jobs + a merge sub-job that any
-        process's polling worker can claim under its own lease.
+        ``distributed=True`` submits the job as a distributed *parent*: the
+        scheduled runner is the planner, which splits the mine into shard
+        sub-jobs + a merge sub-job that any process's polling worker can
+        claim under its own lease.
         """
         key = cache_key(dataset.name, params)
         if distributed:
-            if not self.durable:
-                raise HTTPError(
-                    409,
-                    "distributed mining requires the durable job registry "
-                    "(run the server with --store)",
-                    code="not_durable",
-                )
             job, created = self.jobs.store.open_job(
                 dataset.name,
                 params.to_document(),
@@ -493,17 +475,10 @@ class ServerState:
         drains observation batches as they are appended, re-mining
         incrementally and publishing CAP deltas to the change feed (see
         :mod:`repro.stream`).  One per dataset — resubmission dedups onto
-        the live job.  Durable registry only: residency is implemented as
-        lease-claim/release cycles, and recovery replays the WAL-backed
+        the live job.  Residency is implemented as lease-claim/release
+        cycles; on a store path, recovery replays the WAL-backed
         observation log.
         """
-        if not self.durable:
-            raise HTTPError(
-                409,
-                "streaming mining requires the durable job registry "
-                "(run the server with --store)",
-                code="not_durable",
-            )
         if params.segmentation != "none":
             raise HTTPError(
                 400,
@@ -805,7 +780,7 @@ class ServerState:
         return self._mine_runner(dataset, params, job.key)
 
     def recover_jobs(self) -> dict[str, list[str]]:
-        """Startup recovery against the durable registry (no-op otherwise).
+        """Startup recovery against the registry (trivial on a fresh one).
 
         Requeues interrupted ``running`` jobs whose lease lapsed,
         republishes ``succeeded`` ones from their stored result keys, and
@@ -813,8 +788,6 @@ class ServerState:
         work accepted by a dead process still completes — even with the
         polling worker disabled.
         """
-        if not self.durable:
-            return {}
         summary = self.jobs.store.recover()
         queued = self.jobs.list(QUEUED)
         # Resident stream jobs are top-level too, but live outside the
@@ -843,9 +816,7 @@ class ServerState:
         return runner
 
     def start_job_worker(self, interval: float = 1.0) -> JobWorker:
-        """Run a lease-polling worker thread against the durable registry."""
-        if not self.durable:
-            raise ValueError("the job worker requires the durable job registry")
+        """Run a lease-polling worker thread against the job registry."""
         if self._worker is not None and self._worker.is_alive():
             return self._worker
         self._worker = JobWorker(

@@ -316,7 +316,8 @@ class Collection:
     # -- reads ----------------------------------------------------------------
 
     def _candidate_ids(self, query: Mapping[str, Any]) -> Iterable[int] | None:
-        """Use an index to narrow the scan, if any equality/range term has one.
+        """Use an index to narrow the scan, if an equality/``$in``/range term
+        has one.
 
         Returns ``None`` when no index applies (full scan).  Index results
         are a superset-of-matches *for that term*, so the final predicate is
@@ -329,11 +330,15 @@ class Collection:
                 isinstance(condition, Mapping)
                 and any(str(k).startswith("$") for k in condition)
             )
-            if is_plain and key in self._hash_indexes:
+            is_in = isinstance(condition, Mapping) and set(condition) == {"$in"}
+            if (is_plain or is_in) and key in self._hash_indexes:
                 index = self._hash_indexes[key]
-                # Documents missing the field are not in the index and can
-                # only equality-match None; scan those separately.
-                ids = index.lookup(condition)
+                values = condition["$in"] if is_in else (condition,)
+                ids = set().union(*(index.lookup(value) for value in values))
+                if len(index) == len(self._documents):
+                    return ids  # every document is indexed under this field
+                # Documents missing the field (or holding None or an
+                # unhashable value) are not in the index; scan those too.
                 uncovered = [d for d in self._documents if not index.covers(d)]
                 return list(ids) + uncovered
             if isinstance(condition, Mapping) and key in self._sorted_indexes:
@@ -355,6 +360,49 @@ class Collection:
                     return ids
         return None
 
+    def _exact_ids(self, query: Mapping[str, Any]) -> set[int] | None:
+        """The matching ids read straight off hash indexes, or ``None``.
+
+        Answers queries whose every term is an equality or ``$in`` on a
+        hash-indexed field holding no unhashable value: index membership
+        then *is* the predicate, so no document is visited.  Equality with
+        None matches exactly the documents the index leaves out.
+        """
+        matched: set[int] | None = None
+        for key, condition in query.items():
+            index = self._hash_indexes.get(key)
+            if index is None or index.unhashable:
+                return None
+            if isinstance(condition, Mapping) and any(
+                str(k).startswith("$") for k in condition
+            ):
+                values = condition.get("$in")
+                if set(condition) != {"$in"} or any(v is None for v in values):
+                    return None
+                ids = set().union(*(index.lookup(value) for value in values))
+            elif condition is None:
+                ids = self._documents.keys() - index.ids()
+            else:
+                ids = index.lookup(condition)
+            matched = ids if matched is None else matched & ids
+        return matched
+
+    def _matching_ids(self, query: Mapping[str, Any]) -> Iterable[int]:
+        """Ids of the documents matching ``query``, in no particular order."""
+        predicate = compile_query(query)  # validates, even when unused
+        exact = self._exact_ids(query)
+        if exact is not None:
+            return exact
+        candidates = self._candidate_ids(query)
+        if candidates is None:
+            candidates = list(self._documents)
+        documents = self._documents
+        return [
+            doc_id
+            for doc_id in candidates
+            if doc_id in documents and predicate(documents[doc_id])
+        ]
+
     def find(
         self,
         query: Mapping[str, Any] | None = None,
@@ -367,15 +415,11 @@ class Collection:
         ``sort`` is a dotted field path; documents missing the field sort
         last regardless of direction.
         """
-        query = query or {}
-        predicate = compile_query(query)
-        candidates = self._candidate_ids(query)
-        if candidates is None:
-            candidates = list(self._documents)
+        documents = self._documents
         results = [
-            self._documents[doc_id]
-            for doc_id in candidates
-            if doc_id in self._documents and predicate(self._documents[doc_id])
+            documents[doc_id]
+            for doc_id in self._matching_ids(query or {})
+            if doc_id in documents  # a concurrent delete may have won
         ]
         if sort is not None:
             present = [d for d in results if get_path(d, sort) is not _MISSING]
@@ -403,15 +447,12 @@ class Collection:
     def count(self, query: Mapping[str, Any] | None = None) -> int:
         if not query:
             return len(self._documents)
-        predicate = compile_query(query)
-        candidates = self._candidate_ids(query)
-        if candidates is None:
-            candidates = list(self._documents)
-        return sum(
-            1
-            for doc_id in candidates
-            if doc_id in self._documents and predicate(self._documents[doc_id])
-        )
+        return len(self._matching_ids(query))
+
+    def max(self, path: str) -> Any:
+        """The largest value under ``path``, read off its sorted index in
+        O(1); ``None`` when no document holds one."""
+        return self._sorted_indexes[path].max()
 
     def __len__(self) -> int:
         return len(self._documents)

@@ -5,7 +5,8 @@ Two index kinds, mirroring what the system actually queries:
 * :class:`HashIndex` — exact-match lookup on one dotted field path.  Used by
   the cache (lookup by parameter-hash) and by dataset-name queries.
 * :class:`SortedIndex` — order-preserving index supporting range scans
-  (``$gt``/``$lt`` style), used by support-ordered CAP queries.
+  (``$gt``/``$lt`` style) and an O(1) maximum, used by support-ordered CAP
+  queries and the job registry's sequence counter.
 
 Indexes observe inserts/removes through the collection; they never own the
 documents.  Values that are missing or unorderable simply stay out of the
@@ -16,7 +17,7 @@ handles that).
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, KeysView, Mapping
 
 from .query import MISSING as _MISSING
 from .query import get_path
@@ -33,25 +34,25 @@ class HashIndex:
         self.path = path
         self._buckets: dict[Any, set[int]] = {}
         self._indexed: dict[int, Any] = {}
-
-    def _key_for(self, document: Mapping[str, Any]) -> Any:
-        value = get_path(document, self.path)
-        if value is _MISSING or value is None:
-            return _MISSING
-        try:
-            hash(value)
-        except TypeError:
-            return _MISSING
-        return value
+        #: Documents whose value is present but unhashable (arrays, objects).
+        #: While any exist, an equality may match outside the index (array
+        #: containment), so membership alone does not answer it.
+        self.unhashable: set[int] = set()
 
     def insert(self, doc_id: int, document: Mapping[str, Any]) -> None:
-        key = self._key_for(document)
-        if key is _MISSING:
+        key = get_path(document, self.path)
+        if key is _MISSING or key is None:
             return
-        self._buckets.setdefault(key, set()).add(doc_id)
+        try:
+            bucket = self._buckets.setdefault(key, set())
+        except TypeError:
+            self.unhashable.add(doc_id)
+            return
+        bucket.add(doc_id)
         self._indexed[doc_id] = key
 
     def remove(self, doc_id: int) -> None:
+        self.unhashable.discard(doc_id)
         key = self._indexed.pop(doc_id, _MISSING)
         if key is _MISSING:
             return
@@ -72,6 +73,10 @@ class HashIndex:
     def covers(self, doc_id: int) -> bool:
         """Whether the document's field was indexable at insert time."""
         return doc_id in self._indexed
+
+    def ids(self) -> KeysView[int]:
+        """Every indexed document id (a live view)."""
+        return self._indexed.keys()
 
     def __len__(self) -> int:
         return len(self._indexed)
@@ -136,6 +141,10 @@ class SortedIndex:
                 except TypeError:
                     continue
             yield doc_id
+
+    def max(self) -> Any:
+        """The largest indexed value, or ``None`` when the index is empty."""
+        return self._entries[-1][0] if self._entries else None
 
     def covers(self, doc_id: int) -> bool:
         return doc_id in self._indexed

@@ -1,4 +1,8 @@
-"""JobStore units: the state machine, progress monotonicity, dedup index."""
+"""Job registry units: the state machine, progress monotonicity, dedup index.
+
+Run against :class:`DurableJobStore` over a path-less :class:`Database` —
+the one registry every process uses, here without a WAL underneath.
+"""
 
 from __future__ import annotations
 
@@ -11,25 +15,33 @@ from repro.jobs import (
     QUEUED,
     RUNNING,
     SUCCEEDED,
+    KIND_STREAM,
+    DurableJobStore,
     JobStateError,
-    JobStore,
 )
 from repro.jobs.model import ensure_transition
+from repro.store.database import Database
 
 KEY = "a" * 64
 OTHER_KEY = "b" * 64
 PARAMS = {"min_support": 5}
 
 
-@pytest.fixture
-def store() -> JobStore:
+def make_store(**kwargs) -> DurableJobStore:
     # A deterministic, strictly increasing clock: timestamp ordering
     # assertions never depend on wall-clock resolution.
-    ticks = iter(range(1, 10_000))
-    return JobStore(clock=lambda: float(next(ticks)))
+    ticks = iter(range(1, 100_000))
+    return DurableJobStore(
+        Database(), clock=lambda: float(next(ticks)), **kwargs
+    )
 
 
-def open_one(store: JobStore, key: str = KEY):
+@pytest.fixture
+def store() -> DurableJobStore:
+    return make_store()
+
+
+def open_one(store: DurableJobStore, key: str = KEY):
     job, created = store.open_job("santander", PARAMS, key)
     assert created
     return job
@@ -237,7 +249,7 @@ class TestListing:
 
 class TestTerminalRetention:
     def test_oldest_finished_jobs_evicted_beyond_capacity(self):
-        store = JobStore(terminal_capacity=2)
+        store = make_store(terminal_capacity=2)
         finished = []
         for i in range(4):
             job, _ = store.open_job("santander", PARAMS, f"{i:064d}")
@@ -251,7 +263,7 @@ class TestTerminalRetention:
         assert finished[2] in remaining and finished[3] in remaining
 
     def test_active_jobs_never_evicted(self):
-        store = JobStore(terminal_capacity=1)
+        store = make_store(terminal_capacity=1)
         active, _ = store.open_job("santander", PARAMS, "a" * 64)
         store.mark_running(active.job_id)
         for i in range(3):
@@ -265,7 +277,7 @@ class TestTerminalRetention:
     def test_evicted_succeeded_jobs_keep_their_result_key(self):
         """Eviction drops metadata only: the job_id -> result_key mapping
         survives, so result links issued against the job id still resolve."""
-        store = JobStore(terminal_capacity=1)
+        store = make_store(terminal_capacity=1)
         first, _ = store.open_job("santander", PARAMS, "a" * 64)
         store.mark_running(first.job_id)
         store.mark_succeeded(first.job_id, result_key="a" * 64)
@@ -279,7 +291,7 @@ class TestTerminalRetention:
         assert store.evicted_result_key("job-0000-nope") is None
 
     def test_evicted_failed_jobs_leave_no_mapping(self):
-        store = JobStore(terminal_capacity=1)
+        store = make_store(terminal_capacity=1)
         failed, _ = store.open_job("santander", PARAMS, "a" * 64)
         store.mark_running(failed.job_id)
         store.mark_failed(failed.job_id, RuntimeError("boom"))
@@ -291,7 +303,7 @@ class TestTerminalRetention:
         assert store.evicted_result_key(failed.job_id) is None
 
     def test_evicted_mapping_is_bounded(self):
-        store = JobStore(terminal_capacity=1)
+        store = make_store(terminal_capacity=1)
         store._evicted_capacity = 2  # tighten the bound for the test
         ids = []
         for index in range(4):
@@ -303,3 +315,22 @@ class TestTerminalRetention:
         kept = [job_id for job_id in ids if store.evicted_result_key(job_id)]
         assert len(kept) <= 2
         assert store.evicted_result_key(ids[0]) is None  # oldest dropped first
+
+    def test_finished_stream_jobs_count_against_capacity(self):
+        """Every destructive re-upload cancels the dataset's stream job and
+        a new one opens; the cancelled ones must be pruned like mines."""
+        store = make_store(terminal_capacity=2)
+        for _ in range(6):
+            job, created = store.open_stream_job("santander", PARAMS, KEY)
+            assert created
+            store.spans.begin(
+                job_id=job.job_id, attempt=1, worker_id=store.worker_id,
+                name="stream", kind=KIND_STREAM,
+            )
+            store.request_cancel(job.job_id)
+        store.open_job("santander", PARAMS, OTHER_KEY)
+        remaining = store.list(kind=KIND_STREAM)
+        assert len(remaining) == 2
+        assert all(job.state == CANCELLED for job in remaining)
+        # The pruned jobs' spans went with them.
+        assert len(store.database.collection("spans")) == 2

@@ -364,3 +364,29 @@ class TestEvictedJobRedirect:
 
     def test_unknown_job_still_404s(self, client):
         assert client.get("/api/v1/jobs/job-9999-nope").status == 404
+
+
+class TestPathLessRegistry:
+    """A path-less app runs the one job registry in memory: distributed
+    mines and resident stream jobs are accepted there too."""
+
+    def test_distributed_mine_matches_a_direct_mine(self, client, dataset):
+        client.app.state.start_job_worker(interval=0.05)
+        response = mine_v1(client, "santander", PARAMS, mode="distributed")
+        assert response.status == 202, response.json()
+        final = poll_until_terminal(client, response.json()["job_id"])
+        assert final["state"] == "succeeded", final
+        assert final["merge"]["state"] == "succeeded"
+        direct = MiscelaMiner(MiningParameters.from_document(PARAMS)).mine(dataset)
+        caps = result_caps(client, final["result_key"])
+        assert json.dumps(caps, sort_keys=True) == json.dumps(
+            [cap.to_document() for cap in direct.caps], sort_keys=True
+        )
+        assert caps
+
+    def test_streaming_mode_opens_a_resident_job(self, client):
+        params = dict(PARAMS, segmentation="none")
+        response = mine_v1(client, "santander", params, mode="streaming")
+        assert response.status == 202, response.json()
+        job = client.get(f"{API}/jobs/{response.json()['job_id']}").json()
+        assert job["kind"] == "stream"

@@ -9,9 +9,9 @@ Covers the end-to-end telemetry contract from the outside in:
   ``/api/v1/admin/stats`` folds the same registry in as a summary;
 * slow-request / slow-shard warnings fire only when their env knobs are
   set (default off — benchmarks must not pay for them);
-* ``GET /api/v1/jobs/{id}/trace`` serves the persisted span tree on a
-  durable store, 409s on the in-memory registry, and stamps the request's
-  id onto submitted jobs as their trace id.
+* ``GET /api/v1/jobs/{id}/trace`` serves the span tree on a store path
+  and on a path-less app alike, and stamps the request's id onto
+  submitted jobs as their trace id.
 """
 
 from __future__ import annotations
@@ -173,10 +173,10 @@ class TestSlowWarnings:
         assert "/api/v1/schema" in record.message
 
     def test_slow_shard_warning_fires_past_threshold(self, caplog, monkeypatch):
+        from repro.jobs import DurableJobStore
         from repro.jobs.executor import run_claimed_job
-        from repro.jobs.store import JobStore
 
-        store = JobStore()
+        store = DurableJobStore(Database())
         job, _ = store.open_job("d", {}, "key-1", trace_id="t1")
         claimed = store.mark_running(job.job_id)
         monkeypatch.setenv("REPRO_SLOW_SHARD_S", "0.000001")
@@ -187,11 +187,11 @@ class TestSlowWarnings:
         assert store.get(job.job_id).state == "succeeded"
 
     def test_slow_shard_warning_is_off_by_default(self, caplog, monkeypatch):
+        from repro.jobs import DurableJobStore
         from repro.jobs.executor import run_claimed_job
-        from repro.jobs.store import JobStore
 
         monkeypatch.delenv("REPRO_SLOW_SHARD_S", raising=False)
-        store = JobStore()
+        store = DurableJobStore(Database())
         job, _ = store.open_job("d", {}, "key-1")
         claimed = store.mark_running(job.job_id)
         with caplog.at_level(logging.WARNING, logger="repro.jobs"):
@@ -203,10 +203,21 @@ class TestSlowWarnings:
 
 
 class TestTraceEndpoint:
-    def test_in_memory_registry_answers_409(self, client):
-        response = client.get("/api/v1/jobs/job-0001-deadbeef/trace")
-        assert response.status == 409
-        assert response.json()["error"]["code"] == "not_durable"
+    def test_path_less_app_serves_the_span_tree(self, client, dataset):
+        assert client.upload_dataset(dataset, chunk_lines=1000).status == 201
+        submitted = client.post(
+            "/api/v1/datasets/santander/results",
+            json_body={"parameters": PARAMS, "mode": "async"},
+            headers={"X-Request-Id": "in-memory"},
+        )
+        assert submitted.status == 202, submitted.json()
+        job_id = submitted.json()["job_id"]
+        assert poll_until_terminal(client, job_id)["state"] == "succeeded"
+        tree = client.get(f"/api/v1/jobs/{job_id}/trace").json()
+        assert tree["job_id"] == job_id
+        assert tree["trace_id"] == "in-memory"
+        (span,) = tree["spans"]
+        assert (span["name"], span["status"]) == ("mine", "ok")
 
     def test_unknown_job_answers_404(self, durable_client):
         response = durable_client.get("/api/v1/jobs/no-such-job/trace")

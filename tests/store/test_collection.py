@@ -156,6 +156,33 @@ class TestIndexedQueries:
         # equality on missing field matches None per Mongo semantics
         assert people.count({"city": None}) == 1
 
+    def test_mixed_query_scans_documents_missing_the_field(self, people):
+        people.create_index("city", "hash")
+        people.insert_one({"name": "nocity"})
+        query = {"city": None, "name": {"$regex": "^no"}}
+        assert [d["name"] for d in people.find(query)] == ["nocity"]
+
+    def test_unhashable_values_still_match_through_the_index(self, people):
+        people.create_index("city", "hash")
+        people.insert_one({"name": "nomad", "city": ["london", "paris"]})
+        # Array-contains equality: the array sits outside the index.
+        london = {d["name"] for d in people.find({"city": "london"})}
+        assert london == {"ada", "alan", "nomad"}
+        assert people.count({"city": "paris", "age": {"$exists": False}}) == 1
+
+    def test_in_query_uses_the_hash_index(self, people):
+        people.create_index("city", "hash")
+        assert people.count({"city": {"$in": ["london", "arlington"]}}) == 3
+        assert people.count({"city": {"$in": ["paris"]}}) == 0
+
+    def test_max_reads_the_sorted_index(self, people):
+        people.create_index("age", "sorted")
+        assert people.max("age") == 85
+        people.delete_many({"name": "grace"})
+        assert people.max("age") == 41
+        people.delete_many({})
+        assert people.max("age") is None
+
     def test_duplicate_index_noop(self, people):
         people.create_index("city", "hash")
         people.create_index("city", "hash")

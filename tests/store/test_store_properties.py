@@ -52,6 +52,36 @@ def test_hash_index_equals_scan(docs, probe):
     assert plain.find({"group": probe}) == indexed.find({"group": probe})
 
 
+sparse_documents = st.lists(
+    st.fixed_dictionaries(
+        {"group": st.sampled_from(["a", "b"])},
+        optional={"extra": st.one_of(field_values, st.lists(field_values, max_size=2))},
+    ),
+    max_size=30,
+)
+
+
+@given(sparse_documents, st.one_of(field_values, st.lists(field_values, max_size=2)))
+@settings(max_examples=60)
+def test_hash_index_on_a_sparse_field_equals_scan(docs, probe):
+    """``extra`` is missing, None, a scalar or an array: exact index answers,
+    the unhashable set, and the gap scan must all agree with a full scan."""
+    plain = Collection("plain")
+    indexed = Collection("indexed")
+    indexed.create_index("extra", "hash")
+    indexed.create_index("group", "hash")
+    plain.insert_many(docs)
+    indexed.insert_many(docs)
+    for query in (
+        {"extra": probe},
+        {"extra": {"$in": [probe, 3]}},
+        {"extra": probe, "group": "a"},
+        {"extra": probe, "group": {"$ne": "b"}},
+    ):
+        assert plain.find(query) == indexed.find(query), query
+        assert plain.count(query) == indexed.count(query), query
+
+
 @given(documents, st.integers(-60, 60), st.integers(-60, 60))
 @settings(max_examples=60)
 def test_sorted_index_equals_scan(docs, bound1, bound2):
