@@ -12,8 +12,6 @@ import math
 from collections import Counter
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from ..core.evolving import extract_evolving
 from ..core.types import CAP, EvolvingSet, Sensor, SensorDataset
 
@@ -27,21 +25,16 @@ __all__ = [
 ]
 
 
-def co_evolution_rate(a: EvolvingSet, b: EvolvingSet, backend: str = "bitset") -> float:
+def co_evolution_rate(a: EvolvingSet, b: EvolvingSet) -> float:
     """Jaccard similarity of two evolving sets.
 
     1.0 means the sensors always change together; 0.0 never.  This is the
     symmetric normalisation of the paper's raw support count.  The shared
-    count is a word-wise ``AND`` + popcount over the packed bitmaps by
-    default (``backend="bitset"``); ``backend="array"`` keeps the sorted
-    intersection as the oracle — both give identical rates.
+    count is a word-wise ``AND`` + popcount over the packed bitmaps.
     """
     if len(a) == 0 and len(b) == 0:
         return 0.0
-    if backend == "bitset":
-        shared = a.bits.intersect_count(b.bits)
-    else:
-        shared = np.intersect1d(a.indices, b.indices, assume_unique=True).size
+    shared = a.bits.intersect_count(b.bits)
     union = len(a) + len(b) - shared
     return shared / union if union else 0.0
 
@@ -50,20 +43,14 @@ def pairwise_co_evolution(
     dataset: SensorDataset,
     evolving: Mapping[str, EvolvingSet],
     sensor_ids: Sequence[str] | None = None,
-    backend: str = "bitset",
 ) -> dict[tuple[str, str], float]:
-    """Co-evolution rate for every sensor pair (or a subset).
-
-    ``backend`` is forwarded to :func:`co_evolution_rate` — pass a mining
-    run's ``params.evolving_backend`` to keep an ablation end-to-end on one
-    representation (both give identical rates).
-    """
+    """Co-evolution rate for every sensor pair (or a subset)."""
     ids = list(sensor_ids) if sensor_ids is not None else list(dataset.sensor_ids)
     rates: dict[tuple[str, str], float] = {}
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
             key = (a, b) if a <= b else (b, a)
-            rates[key] = co_evolution_rate(evolving[a], evolving[b], backend)
+            rates[key] = co_evolution_rate(evolving[a], evolving[b])
     return rates
 
 

@@ -102,7 +102,6 @@ def _params_from_args(args: argparse.Namespace, dataset_name: str) -> MiningPara
         ("max_delay", "max_delay"),
         ("segmentation", "segmentation"),
         ("segmentation_error", "segmentation_error"),
-        ("evolving_backend", "evolving_backend"),
         ("n_jobs", "n_jobs"),
     ]:
         value = getattr(args, flag, None)
@@ -124,10 +123,6 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--direction-aware", dest="direction_aware", action="store_true")
     group.add_argument("--segmentation", choices=["none", "sliding_window", "bottom_up", "top_down"])
     group.add_argument("--segmentation-error", dest="segmentation_error", type=float)
-    group.add_argument(
-        "--evolving-backend", dest="evolving_backend", choices=["array", "bitset"],
-        help="evolving-set representation: packed bitmaps (default) or the sorted-array oracle",
-    )
     group.add_argument(
         "--jobs", dest="n_jobs", type=int, metavar="N",
         help="worker processes for the CAP search (0 = all cores, default 1)",

@@ -17,7 +17,7 @@ from .parallel import (
     plan_shards,
     resolve_jobs,
 )
-from .parameters import EVOLVING_BACKENDS, SEGMENTATION_METHODS, MiningParameters
+from .parameters import SEGMENTATION_METHODS, MiningParameters
 from .search import dedupe_strongest, filter_maximal, search_all, search_component
 from .segmentation import (
     Segment,
@@ -42,7 +42,6 @@ from .types import CAP, EvolvingSet, Sensor, SensorDataset, haversine_km
 __all__ = [
     "BitsetEvolvingSet",
     "CAP",
-    "EVOLVING_BACKENDS",
     "EvolvingSet",
     "GridIndex",
     "MiningCancelled",

@@ -3,7 +3,9 @@
 The paper motivates MISCELA as "an efficient algorithm for CAP mining"; the
 natural comparator (and our correctness oracle) enumerates **every** subset
 of every spatially connected component, checks connectivity of the induced
-subgraph, and recomputes the co-evolution support from scratch.  It produces
+subgraph, and recomputes the co-evolution support from scratch over plain
+sorted index arrays — deliberately not through the packed bitmaps the tree
+search runs on, so the cross-check exercises independent code.  It produces
 exactly the same CAP set as the tree search, exponentially slower.
 
 ``benchmarks/bench_miscela_vs_baseline.py`` uses this to reproduce the
@@ -17,7 +19,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bitset import and_words, bits_to_indices, popcount
 from .parameters import MiningParameters
 from .spatial import connected_components, is_connected
 from .types import CAP, EvolvingSet, Sensor
@@ -62,39 +63,6 @@ def _direction_aware_support(
     return common[best_mask]
 
 
-def _direction_aware_support_bits(
-    evolving: Mapping[str, EvolvingSet], members: Sequence[str], common: np.ndarray
-) -> np.ndarray:
-    """Word-wise twin of :func:`_direction_aware_support`.
-
-    ``common`` is a presence word array; direction agreement per sensor is
-    ``XOR`` against the seed's direction words, and each of the 2^(k-1)
-    orientation assignments is scored with a popcount.  Enumeration order
-    and the strictly-greater tie-break match the array oracle exactly, so
-    both backends select the same assignment.
-    """
-    n = common.size
-    if n == 0 or len(members) < 2 or not np.any(common):
-        return common
-    # ``common`` is truncated to the shortest member bitmap, so every
-    # member's direction words cover at least ``n`` words.
-    base = evolving[members[0]].bits.dirs[:n]
-    differs = [base ^ evolving[sid].bits.dirs[:n] for sid in members[1:]]
-    best_words = np.zeros(n, dtype=np.uint64)
-    best_count = 0
-    for choice in range(1 << len(differs)):
-        words = common.copy()
-        for bit, x in enumerate(differs):
-            words &= x if (choice >> bit) & 1 else ~x
-            if not np.any(words):
-                break
-        count = popcount(words)
-        if count > best_count:
-            best_count = count
-            best_words = words
-    return best_words
-
-
 def naive_search(
     sensors: Sequence[Sensor],
     adjacency: Mapping[str, set[str]],
@@ -125,7 +93,6 @@ def naive_search(
     attributes = {s.sensor_id: s.attribute for s in sensors}
     caps: list[CAP] = []
     max_size = params.max_sensors
-    use_bits = params.evolving_backend == "bitset"
     for component in connected_components(adjacency):
         if len(component) < 2:
             continue
@@ -145,38 +112,22 @@ def naive_search(
                     continue
                 if not is_connected(adjacency, subset):
                     continue
-                if use_bits:
-                    words = evolving[subset[0]].bits.words
-                    for sid in subset[1:]:
-                        words = and_words(words, evolving[sid].bits.words)
-                        if not np.any(words):
-                            break
-                    if params.direction_aware:
-                        words = _direction_aware_support_bits(
-                            evolving, subset, words
-                        )
-                    support = popcount(words)
-                    if support < params.min_support:
-                        continue
-                    common = bits_to_indices(words)
-                else:
-                    common = evolving[subset[0]].indices
-                    for sid in subset[1:]:
-                        common = np.intersect1d(
-                            common, evolving[sid].indices, assume_unique=True
-                        )
-                        if common.size == 0:
-                            break
-                    if params.direction_aware:
-                        common = _direction_aware_support(evolving, subset, common)
-                    if common.size < params.min_support:
-                        continue
-                    support = int(common.size)
+                common = evolving[subset[0]].indices
+                for sid in subset[1:]:
+                    common = np.intersect1d(
+                        common, evolving[sid].indices, assume_unique=True
+                    )
+                    if common.size == 0:
+                        break
+                if params.direction_aware:
+                    common = _direction_aware_support(evolving, subset, common)
+                if common.size < params.min_support:
+                    continue
                 caps.append(
                     CAP(
                         sensor_ids=frozenset(subset),
                         attributes=attrs,
-                        support=support,
+                        support=int(common.size),
                         evolving_indices=tuple(common.tolist()),
                     )
                 )

@@ -1,4 +1,4 @@
-"""Packed-bitmap evolving sets — the word-wise co-evolution backend.
+"""Packed-bitmap evolving sets — the representation the search runs on.
 
 Every layer of the miner ultimately asks one question: *at which timestamps
 do all these sensors evolve (with consistent directions)?*  The sorted-array
@@ -13,12 +13,10 @@ into two ``np.uint64`` word arrays over the timeline:
 
 Co-evolution intersection then becomes a vectorized ``AND`` + popcount over
 ``timeline/64`` words, direction consistency becomes ``XOR``/``AND-NOT``,
-and the time-delayed variant's shift becomes a word-level bit shift.  The
-mining stack selects this backend via
-``MiningParameters.evolving_backend`` (default ``"bitset"``); the sorted
-array path stays available as the correctness oracle and ablation baseline
-(``benchmarks/bench_ablation_evolving_backend.py``), mirroring how
-:mod:`repro.core.spatial` keeps ``method="brute"`` beside the grid index.
+and the time-delayed variant's shift becomes a word-level bit shift.  Every
+search mode runs on these bitmaps; the exhaustive
+:func:`repro.core.baseline.naive_search` keeps the sorted arrays as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -172,8 +170,7 @@ class BitsetEvolvingSet:
     def shift(self, delay: int, horizon: int) -> "BitsetEvolvingSet":
         """Bitmap with every bit moved ``delay`` steps later, clipped.
 
-        Matches :meth:`repro.core.types.EvolvingSet.shift`: positive delay
-        moves events later (``t -> t + delay``), negative earlier; bits
+        Positive delay moves events later (``t -> t + delay``), negative earlier; bits
         leaving ``[0, horizon)`` are dropped.  The result always covers
         exactly ``horizon`` positions so delayed-search word arrays stay
         aligned without truncation.

@@ -9,13 +9,12 @@ reference timestamps ``t`` every sensor evolves at ``t + d_s``.
 
 Implementation: shifting an evolving set *earlier* by ``d`` turns "evolves at
 ``t + d``" into "evolves at ``t``", so delayed co-evolution is an ordinary
-intersection of shifted sets.  With the packed-bitmap backend
-(``params.evolving_backend == "bitset"``) the shift is a word-level bit
-shift, cached per (sensor, delay), and the intersection a word-wise ``AND``
-+ popcount; the sorted-array path remains the correctness oracle.  For each
-sensor set the miner reports the best delay assignment (maximum support),
-which is what the analyst wants to see; enumerating every passing
-assignment is available via ``emit_all_assignments``.
+intersection of shifted sets.  The shift is a word-level bit shift of the
+packed bitmap (:mod:`repro.core.bitset`), cached per (sensor, delay), and
+the intersection a word-wise ``AND`` + popcount.  For each sensor set the
+miner reports the best delay assignment (maximum support), which is what
+the analyst wants to see; enumerating every passing assignment is
+available via ``emit_all_assignments``.
 """
 
 from __future__ import annotations
@@ -32,66 +31,46 @@ from .types import CAP, EvolvingSet, Sensor
 __all__ = ["search_delayed", "search_delayed_component", "delayed_support"]
 
 
-def _shift_earlier(evolving: EvolvingSet, delay: int, horizon: int) -> EvolvingSet:
-    """Evolving set re-indexed to reference time (event at t+delay → t)."""
-    return evolving.shift(-delay, horizon)
-
-
 def delayed_support(
     evolving: Mapping[str, EvolvingSet],
     delays: Mapping[str, int],
     horizon: int,
-    backend: str = "bitset",
 ) -> np.ndarray:
-    """Reference timestamps where every sensor evolves at its delayed time.
-
-    ``backend`` selects word-wise ``AND`` over shifted bitmaps
-    (``"bitset"``, default) or sorted-array intersection (``"array"``);
-    both return identical indices.
-    """
+    """Reference timestamps where every sensor evolves at its delayed time."""
     items = list(delays.items())
     if not items:
         return np.empty(0, dtype=np.int64)
-    if backend == "bitset":
-        first_id, first_delay = items[0]
-        common = evolving[first_id].bits.shift(-first_delay, horizon).words
-        for sid, delay in items[1:]:
-            common = common & evolving[sid].bits.shift(-delay, horizon).words
-            if not np.any(common):
-                break
-        return bits_to_indices(common)
     first_id, first_delay = items[0]
-    common = _shift_earlier(evolving[first_id], first_delay, horizon).indices
+    common = evolving[first_id].bits.shift(-first_delay, horizon).words
     for sid, delay in items[1:]:
-        shifted = _shift_earlier(evolving[sid], delay, horizon).indices
-        common = np.intersect1d(common, shifted, assume_unique=True)
-        if common.size == 0:
+        common = common & evolving[sid].bits.shift(-delay, horizon).words
+        if not np.any(common):
             break
-    return common
+    return bits_to_indices(common)
 
 
 class _DelayedState:
     """A tree node: members with chosen delays and surviving reference times.
 
-    ``indices`` holds the sorted reference timestamps on the array backend
-    and the packed presence words on the bitset backend; ``support`` caches
-    the count so bitmap nodes never materialize index arrays.
+    ``words`` holds the reference timestamps as packed presence bits;
+    ``support`` caches their popcount so nodes never materialize index
+    arrays.
     """
 
-    __slots__ = ("members", "delays", "attrs", "indices", "support")
+    __slots__ = ("members", "delays", "attrs", "words", "support")
 
     def __init__(
         self,
         members: tuple[str, ...],
         delays: tuple[int, ...],
         attrs: frozenset[str],
-        indices: np.ndarray,
+        words: np.ndarray,
         support: int,
     ) -> None:
         self.members = members
         self.delays = delays
         self.attrs = attrs
-        self.indices = indices
+        self.words = words
         self.support = support
 
 
@@ -117,14 +96,11 @@ def search_delayed_component(
     delta = params.max_delay
     if order is None:
         order = {sid: i for i, sid in enumerate(sorted(adjacency))}
-    use_bits = params.evolving_backend == "bitset"
     results: list[CAP] = []
 
     # Shifted evolving sets are reused across the whole tree: cache the
-    # word-shifted bitmaps and the re-indexed arrays per (sensor, delay),
-    # separately — the two stores hold incompatible representations.
+    # word-shifted bitmaps per (sensor, delay).
     words_cache: dict[tuple[str, int], np.ndarray] = {}
-    indices_cache: dict[tuple[str, int], np.ndarray] = {}
 
     def shifted_words(sid: str, delay: int) -> np.ndarray:
         key = (sid, delay)
@@ -133,14 +109,6 @@ def search_delayed_component(
             words = evolving[sid].bits.shift(-delay, horizon).words
             words_cache[key] = words
         return words
-
-    def shifted_indices(sid: str, delay: int) -> np.ndarray:
-        key = (sid, delay)
-        indices = indices_cache.get(key)
-        if indices is None:
-            indices = _shift_earlier(evolving[sid], delay, horizon).indices
-            indices_cache[key] = indices
-        return indices
 
     def emit(state: _DelayedState) -> None:
         if len(state.members) < 2:
@@ -155,7 +123,7 @@ def search_delayed_component(
         delays = {
             sid: d - min_delay for sid, d in zip(state.members, state.delays)
         }
-        indices = bits_to_indices(state.indices) if use_bits else state.indices
+        indices = bits_to_indices(state.words)
         results.append(
             CAP(
                 sensor_ids=frozenset(state.members),
@@ -190,17 +158,8 @@ def search_delayed_component(
             for delay in range(-delta, delta + 1):
                 if max(hi, delay) - min(lo, delay) > delta:
                     continue
-                if use_bits:
-                    common = state.indices & shifted_words(candidate, delay)
-                    new_support = popcount(common)
-                else:
-                    mask = np.isin(
-                        state.indices,
-                        shifted_indices(candidate, delay),
-                        assume_unique=True,
-                    )
-                    common = state.indices[mask]
-                    new_support = int(common.size)
+                common = state.words & shifted_words(candidate, delay)
+                new_support = popcount(common)
                 if new_support < params.min_support:
                     continue
                 if added is None:
@@ -235,16 +194,12 @@ def search_delayed_component(
         seed_rank = order[seed]
         extension = [w for w in adjacency[seed] if order[w] > seed_rank]
         excluded = {seed} | adjacency[seed]
-        if use_bits:
-            seed_indices: np.ndarray = shifted_words(seed, 0)
-        else:
-            seed_indices = seed_evolving.indices
         expand(
             _DelayedState(
                 (seed,),
                 (0,),
                 frozenset({attributes[seed]}),
-                seed_indices,
+                shifted_words(seed, 0),
                 len(seed_evolving),
             ),
             extension,

@@ -9,12 +9,9 @@ The extractor optionally smooths the series first with the linear
 segmentation of step 1, which removes sub-ε jitter that would otherwise
 create spurious single-step evolutions.
 
-Downstream, evolving sets are consumed through one of two interchangeable
-representations selected by ``MiningParameters.evolving_backend``: the
-sorted index arrays built here (``"array"``, the correctness oracle) or
-their packed-bitmap twins (``"bitset"``, the default fast path — see
+Downstream, the search consumes evolving sets as packed bitmaps (see
 :mod:`repro.core.bitset`), which every :class:`EvolvingSet` materializes
-lazily via its ``.bits`` property.
+lazily from the sorted index arrays built here via its ``.bits`` property.
 """
 
 from __future__ import annotations
@@ -95,29 +92,19 @@ def extract_all_evolving(
 def co_evolution_count(
     evolving: Mapping[str, EvolvingSet],
     sensor_ids: tuple[str, ...] | list[str],
-    backend: str = "bitset",
 ) -> int:
     """Number of timestamps at which *all* the given sensors evolve.
 
     This is the support of the sensor set under the demo paper's
-    direction-agnostic definition of co-evolution.  ``backend="bitset"``
-    (default) folds the sets with word-wise ``AND`` + popcount over their
-    packed bitmaps; ``backend="array"`` keeps the sorted-index intersection
-    as the oracle.  Both return the same count.
+    direction-agnostic definition of co-evolution, folded with word-wise
+    ``AND`` + popcount over the sets' packed bitmaps.
     """
     if not sensor_ids:
         return 0
     ids = list(sensor_ids)
-    if backend == "bitset":
-        words = evolving[ids[0]].bits.words
-        for sid in ids[1:]:
-            words = and_words(words, evolving[sid].bits.words)
-            if not np.any(words):
-                return 0
-        return popcount(words)
-    common = evolving[ids[0]].indices
+    words = evolving[ids[0]].bits.words
     for sid in ids[1:]:
-        common = np.intersect1d(common, evolving[sid].indices, assume_unique=True)
-        if common.size == 0:
+        words = and_words(words, evolving[sid].bits.words)
+        if not np.any(words):
             return 0
-    return int(common.size)
+    return popcount(words)

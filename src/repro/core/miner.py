@@ -124,13 +124,10 @@ class MiscelaMiner:
         selects the execution engine for step 4: ``1`` runs serially,
         anything else shards the search across a process pool
         (:mod:`repro.core.parallel`) with identical output.
-    spatial_method:
-        ``"grid"`` (default) or ``"brute"`` — how the η-graph is built.
     """
 
-    def __init__(self, params: MiningParameters, spatial_method: str = "grid") -> None:
+    def __init__(self, params: MiningParameters) -> None:
         self.params = params
-        self.spatial_method = spatial_method
 
     def mine(
         self, dataset: SensorDataset, control: MiningControl | None = None
@@ -149,9 +146,7 @@ class MiscelaMiner:
         evolving = extract_all_evolving(dataset, self.params)
         if control is not None:
             control.checkpoint()
-        adjacency = build_proximity_graph(
-            list(dataset), self.params.distance_threshold, self.spatial_method
-        )
+        adjacency = build_proximity_graph(list(dataset), self.params.distance_threshold)
         sensors = list(dataset)
         if self.params.max_delay > 0:
             if control is None:
@@ -185,9 +180,7 @@ class MiscelaMiner:
 
     def components(self, dataset: SensorDataset) -> list[set[str]]:
         """The spatially connected sensor sets (step 3 output), for inspection."""
-        adjacency = build_proximity_graph(
-            list(dataset), self.params.distance_threshold, self.spatial_method
-        )
+        adjacency = build_proximity_graph(list(dataset), self.params.distance_threshold)
         return connected_components(adjacency)
 
 
@@ -201,21 +194,17 @@ class NaiveMiner:
     def __init__(
         self,
         params: MiningParameters,
-        spatial_method: str = "grid",
         max_component_size: int = 20,
     ) -> None:
         if params.max_delay > 0:
             raise NotImplementedError("the naive baseline mines simultaneous CAPs only")
         self.params = params
-        self.spatial_method = spatial_method
         self.max_component_size = max_component_size
 
     def mine(self, dataset: SensorDataset) -> MiningResult:
         start = time.perf_counter()
         evolving = extract_all_evolving(dataset, self.params)
-        adjacency = build_proximity_graph(
-            list(dataset), self.params.distance_threshold, self.spatial_method
-        )
+        adjacency = build_proximity_graph(list(dataset), self.params.distance_threshold)
         caps = naive_search(
             list(dataset),
             adjacency,

@@ -8,19 +8,31 @@ directly as a cache key component (Section 3.3).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
-__all__ = ["MiningParameters", "SEGMENTATION_METHODS", "EVOLVING_BACKENDS"]
+__all__ = ["MiningParameters", "SEGMENTATION_METHODS"]
 
 #: Linear-segmentation algorithms offered by :mod:`repro.core.segmentation`.
 SEGMENTATION_METHODS = ("none", "sliding_window", "bottom_up", "top_down")
 
-#: Evolving-set representations the mining stack can run on.  ``"bitset"``
-#: (default) intersects packed word arrays (:mod:`repro.core.bitset`);
-#: ``"array"`` keeps the sorted-index path as the correctness oracle and
-#: ablation baseline.
-EVOLVING_BACKENDS = ("array", "bitset")
+#: Values the retired ``evolving_backend`` field may carry in documents
+#: written before it was removed; both mined identical CAPs.
+_LEGACY_BACKENDS = ("array", "bitset")
+
+#: Fields that count things and must hold whole numbers.
+_INTEGER_FIELDS = ("max_attributes", "min_support", "max_sensors", "max_delay", "n_jobs")
+
+
+def _as_int(name: str, value: Any) -> int:
+    """``value`` as an ``int``; bools and fractional numbers are rejected."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, numbers.Real) and float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,12 +77,6 @@ class MiningParameters:
         extension (DPD 2020).  ``0`` mines simultaneous CAPs only.
     evolving_rate_per_attribute:
         Optional per-attribute ε overrides, e.g. ``{"temperature": 0.5}``.
-    evolving_backend:
-        Representation the search intersects evolving sets with.
-        ``"bitset"`` (default) runs co-evolution as word-wise ``AND`` +
-        popcount over packed bitmaps; ``"array"`` keeps the sorted-index
-        intersection as the correctness oracle and ablation baseline
-        (``benchmarks/bench_ablation_evolving_backend.py``).
     n_jobs:
         Worker processes for the CAP search (:mod:`repro.core.parallel`).
         ``1`` (default) runs today's serial path, ``0`` means one worker
@@ -91,10 +97,17 @@ class MiningParameters:
     require_multi_attribute: bool = True
     max_delay: int = 0
     evolving_rate_per_attribute: Mapping[str, float] = field(default_factory=dict)
-    evolving_backend: str = "bitset"
     n_jobs: int = 1
 
     def __post_init__(self) -> None:
+        # Counts compare against the raw value during the search, so a
+        # fractional one would mine differently from its ``int`` document
+        # (and cache key); integral floats such as ``3.0`` are normalised.
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if name == "max_sensors" and value is None:
+                continue
+            object.__setattr__(self, name, _as_int(name, value))
         if self.evolving_rate < 0:
             raise ValueError(f"evolving_rate must be >= 0, got {self.evolving_rate}")
         if self.distance_threshold <= 0:
@@ -123,11 +136,6 @@ class MiningParameters:
             )
         if self.max_delay < 0:
             raise ValueError(f"max_delay must be >= 0, got {self.max_delay}")
-        if self.evolving_backend not in EVOLVING_BACKENDS:
-            raise ValueError(
-                f"evolving_backend must be one of {EVOLVING_BACKENDS}, "
-                f"got {self.evolving_backend!r}"
-            )
         if self.n_jobs < 0:
             raise ValueError(
                 f"n_jobs must be >= 0 (0 = one worker per CPU), got {self.n_jobs}"
@@ -176,11 +184,19 @@ class MiningParameters:
                 k: float(v)
                 for k, v in sorted(self.evolving_rate_per_attribute.items())
             },
-            "evolving_backend": self.evolving_backend,
+            # Fixed format constant: cache keys, ETags and stored documents
+            # hash this dict, so dropping the retired field would re-key them.
+            "evolving_backend": "bitset",
         }
 
     @classmethod
     def from_document(cls, doc: Mapping[str, Any]) -> "MiningParameters":
+        """Parameters from their document form.
+
+        The retired ``evolving_backend`` field is accepted (and dropped)
+        when it names one of the former backends, so stored jobs, results
+        and stream state written with it still decode.
+        """
         known = {
             "evolving_rate",
             "distance_threshold",
@@ -202,7 +218,13 @@ class MiningParameters:
         missing = {"evolving_rate", "distance_threshold", "max_attributes", "min_support"} - set(doc)
         if missing:
             raise ValueError(f"missing required parameter fields: {sorted(missing)}")
-        return cls(**dict(doc))
+        fields = dict(doc)
+        backend = fields.pop("evolving_backend", "bitset")
+        if backend not in _LEGACY_BACKENDS:
+            raise ValueError(
+                f"evolving_backend must be one of {_LEGACY_BACKENDS}, got {backend!r}"
+            )
+        return cls(**fields)
 
     def __hash__(self) -> int:
         return hash(
@@ -218,7 +240,6 @@ class MiningParameters:
                 self.require_multi_attribute,
                 self.max_delay,
                 tuple(sorted(self.evolving_rate_per_attribute.items())),
-                self.evolving_backend,
                 self.n_jobs,
             )
         )

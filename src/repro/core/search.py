@@ -11,18 +11,12 @@ enumeration (Wernicke 2006) of connected subgraphs of the η-proximity graph:
 * attribute-count and sensor-count bounds prune expansions that could never
   return below the limits.
 
-Two interchangeable evolving-set backends drive the inner loop, selected by
-``params.evolving_backend``:
-
-* ``"bitset"`` (default) — interior tree nodes carry packed ``np.uint64``
-  bitmaps (:mod:`repro.core.bitset`): co-evolution intersection is a
-  word-wise ``AND`` + popcount, direction consistency is ``XOR``/``AND``,
-  and index arrays are materialized only at emit time, so a node allocates
-  O(timeline/64) words instead of O(support) int64s;
-* ``"array"`` — the original sorted-index intersection, kept as the
-  correctness oracle and ablation baseline
-  (``benchmarks/bench_ablation_evolving_backend.py``), mirroring how
-  :mod:`repro.core.spatial` keeps ``method="brute"`` beside the grid index.
+Tree nodes carry packed ``np.uint64`` bitmaps (:mod:`repro.core.bitset`):
+co-evolution intersection is a word-wise ``AND`` + popcount, direction
+consistency is ``XOR``/``AND``, and index arrays are materialized only at
+emit time, so a node allocates O(timeline/64) words instead of O(support)
+int64s.  The exhaustive :func:`repro.core.baseline.naive_search`, written
+over plain sorted arrays, is the in-library oracle for this loop.
 
 The ESU extension list is grown incrementally: each tree node extends the
 excluded-neighbourhood set of its parent by one sensor's adjacency (O(degree)
@@ -68,36 +62,6 @@ class _SearchContext:
         self.order = {sid: i for i, sid in enumerate(sorted(adjacency))}
 
 
-def _signs_at(evolving: EvolvingSet, indices: np.ndarray) -> np.ndarray:
-    """Directions of ``evolving`` at the given indices (must all be present)."""
-    pos = np.searchsorted(evolving.indices, indices)
-    return evolving.directions[pos].astype(np.int8)
-
-
-def _emit(
-    ctx: _SearchContext,
-    members: tuple[str, ...],
-    attrs: frozenset[str],
-    indices: np.ndarray,
-    out: list[CAP],
-) -> None:
-    params = ctx.params
-    if len(members) < 2:
-        return
-    if params.require_multi_attribute and len(attrs) < 2:
-        return
-    if indices.size < params.min_support:
-        return
-    out.append(
-        CAP(
-            sensor_ids=frozenset(members),
-            attributes=attrs,
-            support=int(indices.size),
-            evolving_indices=tuple(indices.tolist()),
-        )
-    )
-
-
 def _grow_excluded(
     adjacency: Mapping[str, set[str]], excluded: set[str], candidate: str
 ) -> list[str]:
@@ -115,93 +79,7 @@ def _grow_excluded(
     return added
 
 
-def _expand(
-    ctx: _SearchContext,
-    members: tuple[str, ...],
-    attrs: frozenset[str],
-    indices: np.ndarray,
-    ref_signs: np.ndarray | None,
-    extension: list[str],
-    excluded: set[str],
-    seed_rank: int,
-    out: list[CAP],
-) -> None:
-    """One node of the CAP tree (sorted-array backend).
-
-    ``members`` is the current connected sensor set, ``indices`` the
-    timestamps at which it co-evolves, ``ref_signs`` (direction-aware mode)
-    the seed sensor's direction at each of those timestamps, ``extension``
-    the ESU extension list (sensors that may still be added in this
-    subtree), and ``excluded`` the members' closed neighbourhood, grown
-    incrementally along the path.
-    """
-    params = ctx.params
-    _emit(ctx, members, attrs, indices, out)
-    if params.max_sensors is not None and len(members) >= params.max_sensors:
-        return
-    order = ctx.order
-    # Work on a copy we can consume: ESU removes each candidate before
-    # recursing so no connected set is generated twice.
-    pending = list(extension)
-    while pending:
-        candidate = pending.pop()
-        cand_attr = ctx.attributes[candidate]
-        new_attrs = attrs | {cand_attr}
-        if len(new_attrs) > params.max_attributes:
-            continue
-        cand_evolving = ctx.evolving[candidate]
-        if len(cand_evolving) < params.min_support:
-            continue
-        # Timestamps where the grown set still co-evolves.
-        mask = np.isin(indices, cand_evolving.indices, assume_unique=True)
-        new_indices = indices[mask]
-        if params.direction_aware and new_indices.size:
-            cand_signs = _signs_at(cand_evolving, new_indices)
-            base_signs = ref_signs[mask]  # type: ignore[index]
-            added = _grow_excluded(ctx.adjacency, excluded, candidate)
-            new_extension = pending + [
-                w for w in added if order[w] > seed_rank
-            ]
-            # Keep timestamps where the candidate moves with a consistent
-            # relative direction to the seed.  Both relative orientations
-            # (same / opposite) are explored as separate tree branches.
-            for relative in (1, -1):
-                dir_mask = cand_signs == base_signs * relative
-                if int(np.count_nonzero(dir_mask)) < params.min_support:
-                    continue
-                _expand(
-                    ctx,
-                    members + (candidate,),
-                    new_attrs,
-                    new_indices[dir_mask],
-                    base_signs[dir_mask],
-                    new_extension,
-                    excluded,
-                    seed_rank,
-                    out,
-                )
-            excluded.difference_update(added)
-            continue
-        if new_indices.size < params.min_support:
-            continue
-        new_ref = ref_signs[mask] if params.direction_aware else None  # type: ignore[index]
-        added = _grow_excluded(ctx.adjacency, excluded, candidate)
-        new_extension = pending + [w for w in added if order[w] > seed_rank]
-        _expand(
-            ctx,
-            members + (candidate,),
-            new_attrs,
-            new_indices,
-            new_ref,
-            new_extension,
-            excluded,
-            seed_rank,
-            out,
-        )
-        excluded.difference_update(added)
-
-
-def _emit_bits(
+def _emit(
     ctx: _SearchContext,
     members: tuple[str, ...],
     attrs: frozenset[str],
@@ -228,7 +106,7 @@ def _emit_bits(
     )
 
 
-def _expand_bits(
+def _expand(
     ctx: _SearchContext,
     members: tuple[str, ...],
     attrs: frozenset[str],
@@ -240,18 +118,24 @@ def _expand_bits(
     seed_rank: int,
     out: list[CAP],
 ) -> None:
-    """One node of the CAP tree (packed-bitmap backend).
+    """One node of the CAP tree.
 
-    ``words`` holds the surviving co-evolution timestamps as presence bits
-    and ``ref_dirs`` (direction-aware mode) the seed's direction bits; both
-    stay packed along the whole path — intersection is ``AND``, direction
+    ``members`` is the current connected sensor set, ``words`` the
+    timestamps at which it co-evolves as presence bits (``support`` their
+    popcount), ``ref_dirs`` (direction-aware mode) the seed's direction
+    bits, ``extension`` the ESU extension list (sensors that may still be
+    added in this subtree), and ``excluded`` the members' closed
+    neighbourhood, grown incrementally along the path.  Everything stays
+    packed along the whole path — intersection is ``AND``, direction
     consistency ``XOR``/``AND-NOT``, support a popcount.
     """
     params = ctx.params
-    _emit_bits(ctx, members, attrs, words, support, out)
+    _emit(ctx, members, attrs, words, support, out)
     if params.max_sensors is not None and len(members) >= params.max_sensors:
         return
     order = ctx.order
+    # Work on a copy we can consume: ESU removes each candidate before
+    # recursing so no connected set is generated twice.
     pending = list(extension)
     while pending:
         candidate = pending.pop()
@@ -269,12 +153,14 @@ def _expand_bits(
             differs = ref_dirs[:n] ^ cand_bits.dirs[:n]  # type: ignore[index]
             added = _grow_excluded(ctx.adjacency, excluded, candidate)
             new_extension = pending + [w for w in added if order[w] > seed_rank]
-            # Same / opposite relative orientation, as separate branches.
+            # Keep timestamps where the candidate moves with a consistent
+            # relative direction to the seed.  Both relative orientations
+            # (same / opposite) are explored as separate tree branches.
             for branch_words in (common & ~differs, common & differs):
                 branch_support = popcount(branch_words)
                 if branch_support < params.min_support:
                     continue
-                _expand_bits(
+                _expand(
                     ctx,
                     members + (candidate,),
                     new_attrs,
@@ -293,7 +179,7 @@ def _expand_bits(
             continue
         added = _grow_excluded(ctx.adjacency, excluded, candidate)
         new_extension = pending + [w for w in added if order[w] > seed_rank]
-        _expand_bits(
+        _expand(
             ctx,
             members + (candidate,),
             new_attrs,
@@ -329,8 +215,7 @@ def search_component(
     evolving:
         Sensor id → evolving set (step-2 output).
     params:
-        Mining parameters; ``params.evolving_backend`` selects the
-        packed-bitmap fast path or the sorted-array oracle.
+        Mining parameters.
     seeds:
         Optional subset of the component to use as tree roots.  Each seed's
         root-level ESU branch is independent of every other seed's, so the
@@ -338,7 +223,6 @@ def search_component(
         components into seed runs; ``None`` (default) roots at every member.
     """
     ctx = _SearchContext(adjacency, attributes, evolving, params)
-    use_bits = params.evolving_backend == "bitset"
     out: list[CAP] = []
     members = sorted(component, key=lambda sid: ctx.order[sid])
     if seeds is not None:
@@ -351,33 +235,19 @@ def search_component(
             continue
         extension = [w for w in adjacency[seed] if ctx.order[w] > seed_rank]
         excluded = {seed} | adjacency[seed]
-        if use_bits:
-            seed_bits = seed_evolving.bits
-            _expand_bits(
-                ctx,
-                (seed,),
-                frozenset({attributes[seed]}),
-                seed_bits.words,
-                len(seed_evolving),
-                seed_bits.dirs if params.direction_aware else None,
-                extension,
-                excluded,
-                seed_rank,
-                out,
-            )
-        else:
-            ref = seed_evolving.directions if params.direction_aware else None
-            _expand(
-                ctx,
-                (seed,),
-                frozenset({attributes[seed]}),
-                seed_evolving.indices,
-                ref,
-                extension,
-                excluded,
-                seed_rank,
-                out,
-            )
+        seed_bits = seed_evolving.bits
+        _expand(
+            ctx,
+            (seed,),
+            frozenset({attributes[seed]}),
+            seed_bits.words,
+            len(seed_evolving),
+            seed_bits.dirs if params.direction_aware else None,
+            extension,
+            excluded,
+            seed_rank,
+            out,
+        )
     return out
 
 

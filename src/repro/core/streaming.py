@@ -12,8 +12,8 @@ The contract (checked by property tests): after any sequence of
 exactly what a batch :class:`~repro.core.miner.MiscelaMiner` returns on the
 concatenated dataset.
 
-With the ``"bitset"`` evolving backend the per-sensor packed bitmaps
-(:mod:`repro.core.bitset`) are maintained incrementally too: each append
+The per-sensor packed bitmaps (:mod:`repro.core.bitset`) the search runs
+on are maintained incrementally too: each append
 copies the old words once and ORs in only the packed tail, so re-mining
 after an extend never re-packs the full history.
 
@@ -232,15 +232,14 @@ class StreamingMiner:
             merged_indices = np.concatenate([old.indices, offset_indices])
             merged_directions = np.concatenate([old.directions, tail_evolving.directions])
             merged = EvolvingSet(merged_indices, merged_directions)
-            if self.params.evolving_backend == "bitset":
-                # Incremental word-append: copy the old bitmap once and OR
-                # in only the packed tail, instead of re-packing the whole
-                # history when the search asks for `.bits`.
-                merged._bits = old.bits.extended(
-                    offset_indices,
-                    tail_evolving.directions,
-                    len(self._timeline),
-                )
+            # Incremental word-append: copy the old bitmap once and OR in
+            # only the packed tail, instead of re-packing the whole history
+            # when the search asks for `.bits`.
+            merged._bits = old.bits.extended(
+                offset_indices,
+                tail_evolving.directions,
+                len(self._timeline),
+            )
             self._evolving[sid] = merged
             if len(tail_evolving):
                 changed.add(sid)

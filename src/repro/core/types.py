@@ -281,8 +281,8 @@ class EvolvingSet:
     by index and immutable.
 
     :attr:`bits` lazily materializes (and caches) the packed-bitmap twin of
-    the set — see :mod:`repro.core.bitset` — which the ``"bitset"`` mining
-    backend uses to turn every intersection into a word-wise ``AND``.
+    the set — see :mod:`repro.core.bitset` — which the search uses to turn
+    every intersection into a word-wise ``AND``.
     """
 
     __slots__ = ("indices", "directions", "_bits")
@@ -338,28 +338,6 @@ class EvolvingSet:
         if pos >= self.indices.size or int(self.indices[pos]) != index:
             raise KeyError(f"timestamp index {index} is not evolving")
         return int(self.directions[pos])
-
-    def intersect_indices(self, other: "EvolvingSet") -> np.ndarray:
-        """Timestamp indices at which both sensors evolve (any direction).
-
-        This is the paper's co-evolution: "increase/decrease at the same
-        timestamp".  Direction-aware variants are layered on top by the
-        search (see :mod:`repro.core.search`).
-        """
-        return np.intersect1d(self.indices, other.indices, assume_unique=True)
-
-    def shift(self, delay: int, horizon: int) -> "EvolvingSet":
-        """Evolving set shifted later by ``delay`` steps, clipped to the timeline.
-
-        Used by the time-delayed extension (DPD 2020): sensor B reacting
-        ``delay`` steps after sensor A contributes co-evolutions between A's
-        events and B's events shifted back by ``delay``.
-        """
-        if delay == 0:
-            return self
-        shifted = self.indices + delay
-        keep = (shifted >= 0) & (shifted < horizon)
-        return EvolvingSet(shifted[keep], self.directions[keep])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EvolvingSet(n={len(self)})"

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cache.keys import cache_key, canonical_payload
 from repro.core.parameters import MiningParameters
+from repro.data.datasets import recommended_parameters
 
 
 def params(**overrides):
@@ -43,6 +44,20 @@ class TestCacheKey:
     def test_empty_dataset_name_rejected(self):
         with pytest.raises(ValueError):
             cache_key("", params())
+
+    def test_keys_are_pinned(self):
+        """Stored results, ETags and stream state are addressed by these."""
+        santander = recommended_parameters("santander")
+        assert cache_key("santander", santander) == (
+            "3a31e42ad727d0acb7f3beb51afc0972ed21dbecb09be6f484ebe5595f9675b2"
+        )
+        assert cache_key("china6", recommended_parameters("china6")) == (
+            "ac701dff464cc157b529cd6b45c0b17458a5c0a2f818f8388ca5bf01c947e8bb"
+        )
+        delayed = santander.with_updates(direction_aware=True, max_delay=2)
+        assert cache_key("santander", delayed) == (
+            "a657417c0987c7952f25738cf6d84fe454c34397155940c496bde434fe4ae54d"
+        )
 
     def test_payload_reconstructs_parameters(self):
         payload = canonical_payload("d", params(max_delay=2))

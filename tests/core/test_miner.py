@@ -28,11 +28,6 @@ class TestMiscelaMiner:
         comps = MiscelaMiner(tiny_params).components(tiny_dataset)
         assert sorted(sorted(c) for c in comps) == [["a", "b"], ["c", "d"]]
 
-    def test_spatial_method_brute_same_result(self, tiny_dataset, tiny_params):
-        grid = MiscelaMiner(tiny_params, spatial_method="grid").mine(tiny_dataset)
-        brute = MiscelaMiner(tiny_params, spatial_method="brute").mine(tiny_dataset)
-        assert {c.key() for c in grid.caps} == {c.key() for c in brute.caps}
-
 
 class TestMiningResult:
     @pytest.fixture

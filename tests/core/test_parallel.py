@@ -309,13 +309,6 @@ class TestParallelEquivalence:
         parallel = MiscelaMiner(params.with_updates(n_jobs=4)).mine(dataset).caps
         assert cap_fingerprint(serial) == cap_fingerprint(parallel)
 
-    def test_array_backend(self):
-        dataset = random_dataset(4)
-        params = base_params(evolving_backend="array")
-        serial = MiscelaMiner(params).mine(dataset).caps
-        parallel = MiscelaMiner(params.with_updates(n_jobs=3)).mine(dataset).caps
-        assert cap_fingerprint(serial) == cap_fingerprint(parallel)
-
     def test_naive_baseline(self):
         dataset = random_dataset(5, n_clusters=3, cluster_size=4)
         params = base_params()

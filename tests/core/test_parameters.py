@@ -73,6 +73,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="override"):
             make(evolving_rate_per_attribute={"temperature": -1.0})
 
+    @pytest.mark.parametrize(
+        "field", ["max_attributes", "min_support", "max_sensors", "max_delay", "n_jobs"]
+    )
+    @pytest.mark.parametrize("value", [2.5, True, "3", float("nan")])
+    def test_integer_fields_reject_fractions_and_bools(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make(**{field: value})
+
+    def test_integral_floats_become_ints(self):
+        p = make(max_attributes=3.0, min_support=5.0, max_sensors=4.0,
+                 max_delay=1.0, n_jobs=2.0)
+        q = make(max_attributes=3, min_support=5, max_sensors=4, max_delay=1, n_jobs=2)
+        assert p == q and hash(p) == hash(q)
+        assert p.to_document() == q.to_document()
+        assert all(type(getattr(p, name)) is int for name in
+                   ("max_attributes", "min_support", "max_sensors", "max_delay", "n_jobs"))
+
+    def test_backend_is_not_a_parameter(self):
+        assert not hasattr(make(), "evolving_backend")
+        with pytest.raises(TypeError):
+            make(evolving_backend="bitset")
+
 
 class TestBehaviour:
     def test_rate_for_uses_override(self):
@@ -118,6 +140,22 @@ class TestSerialisation:
         doc = make().to_document()
         doc["bogus"] = 1
         with pytest.raises(ValueError, match="unknown"):
+            MiningParameters.from_document(doc)
+
+    def test_document_keeps_the_backend_constant(self):
+        # Cache keys hash this document; the retired field stays in it.
+        assert make().to_document()["evolving_backend"] == "bitset"
+
+    @pytest.mark.parametrize("backend", ["array", "bitset"])
+    def test_legacy_backend_field_decodes(self, backend):
+        doc = make(max_delay=1).to_document()
+        doc["evolving_backend"] = backend
+        assert MiningParameters.from_document(doc) == make(max_delay=1)
+
+    def test_unknown_backend_rejected(self):
+        doc = make().to_document()
+        doc["evolving_backend"] = "gpu"
+        with pytest.raises(ValueError, match="evolving_backend"):
             MiningParameters.from_document(doc)
 
     def test_missing_required_field_rejected(self):

@@ -3,8 +3,7 @@ byte-identical to a from-scratch mine of the concatenated history.
 
 Stronger than the signature-set checks in ``test_streaming.py``: the CAP
 *documents* — sensors, attributes, support, evolving indices, delays —
-are serialised to canonical JSON and compared as bytes, under BOTH
-evolving-set backends, and the two backends must agree with each other.
+are serialised to canonical JSON and compared as bytes.
 """
 
 from __future__ import annotations
@@ -49,30 +48,26 @@ def split_points(cuts: list[int]) -> list[int]:
     ),
 )
 @settings(max_examples=15, deadline=None)
-def test_any_split_is_byte_identical_across_backends(seed, cuts):
+def test_any_split_is_byte_identical(seed, cuts):
     city = generate_santander(seed=seed, neighbourhoods=2, steps=STEPS)
     points = split_points(cuts)
-    per_backend: dict[str, bytes] = {}
-    for backend in ("bitset", "array"):
-        params = MiningParameters(**PARAM_DOC, evolving_backend=backend)
-        batch = MiscelaMiner(params).mine(city)
+    params = MiningParameters(**PARAM_DOC)
+    batch = MiscelaMiner(params).mine(city)
 
-        prefix = city.slice_time(
-            city.timeline[0], city.timeline[points[0]], name=city.name
+    prefix = city.slice_time(
+        city.timeline[0], city.timeline[points[0]], name=city.name
+    )
+    miner = StreamingMiner(params, prefix)
+    bounds = points + [len(city.timeline)]
+    for start, stop in zip(bounds, bounds[1:]):
+        if start == stop:
+            continue
+        miner.extend(
+            list(city.timeline[start:stop]),
+            {sid: city.values(sid)[start:stop] for sid in city.sensor_ids},
         )
-        miner = StreamingMiner(params, prefix)
-        bounds = points + [len(city.timeline)]
-        for start, stop in zip(bounds, bounds[1:]):
-            if start == stop:
-                continue
-            miner.extend(
-                list(city.timeline[start:stop]),
-                {sid: city.values(sid)[start:stop] for sid in city.sensor_ids},
-            )
-        incremental = miner.mine()
+    incremental = miner.mine()
 
-        assert canonical_bytes(incremental) == canonical_bytes(batch), (
-            f"backend {backend}: split {points} diverged from batch mine"
-        )
-        per_backend[backend] = canonical_bytes(incremental)
-    assert per_backend["bitset"] == per_backend["array"]
+    assert canonical_bytes(incremental) == canonical_bytes(batch), (
+        f"split {points} diverged from batch mine"
+    )

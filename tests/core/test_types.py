@@ -7,6 +7,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from repro.core.bitset import and_words, bits_to_indices
 from repro.core.types import (
     CAP,
     EvolvingSet,
@@ -214,18 +215,25 @@ class TestEvolvingSet:
     def test_intersect(self):
         a = EvolvingSet(np.array([1, 3, 5]), np.array([1, 1, 1], dtype=np.int8))
         b = EvolvingSet(np.array([3, 5, 7]), np.array([1, -1, 1], dtype=np.int8))
-        np.testing.assert_array_equal(a.intersect_indices(b), [3, 5])
+        common = bits_to_indices(and_words(a.bits.words, b.bits.words))
+        np.testing.assert_array_equal(common, [3, 5])
 
     def test_shift_clips_to_horizon(self):
         ev = EvolvingSet(np.array([1, 8]), np.array([1, 1], dtype=np.int8))
-        shifted = ev.shift(3, horizon=10)
-        np.testing.assert_array_equal(shifted.indices, [4])
-        back = ev.shift(-2, horizon=10)
-        np.testing.assert_array_equal(back.indices, [6])
+        for delay, expected in ((3, [4]), (-2, [6])):
+            moved = ev.indices + delay
+            np.testing.assert_array_equal(
+                moved[(moved >= 0) & (moved < 10)], expected
+            )
+            np.testing.assert_array_equal(
+                ev.bits.shift(delay, horizon=10).to_indices(), expected
+            )
 
     def test_shift_zero_is_identity(self):
-        ev = EvolvingSet(np.array([1, 8]), np.array([1, 1], dtype=np.int8))
-        assert ev.shift(0, 10) is ev
+        ev = EvolvingSet(np.array([1, 8]), np.array([-1, 1], dtype=np.int8))
+        shifted = ev.bits.shift(0, 10)
+        np.testing.assert_array_equal(shifted.to_indices(), ev.indices)
+        np.testing.assert_array_equal(shifted.to_directions(), ev.directions)
 
     def test_arrays_immutable(self):
         ev = EvolvingSet(np.array([1]), np.array([1], dtype=np.int8))

@@ -99,6 +99,36 @@ class TestMining:
         bad = dict(PARAMS, min_support=0)
         assert mine(client, bad).status == 400
 
+    @pytest.mark.parametrize(
+        "override", [{"max_sensors": 2.5}, {"max_delay": 1.5}, {"evolving_backend": "gpu"}]
+    )
+    def test_mine_rejects_invalid_values(self, client, override):
+        resp = mine(client, dict(PARAMS, **override))
+        assert resp.status == 400
+        assert resp.json()["error"]["code"] == "invalid_parameters"
+
+    def test_mine_accepts_legacy_backend_field(self, client):
+        key = mine(client).json()["key"]
+        legacy = mine(client, dict(PARAMS, evolving_backend="array")).json()
+        assert legacy["key"] == key and legacy["from_cache"]
+
+    def test_stored_legacy_result_serves(self, dataset):
+        """A result stored with ``evolving_backend: "array"`` still decodes."""
+        database = Database()
+        first = TestClient(create_app(database=database))
+        assert first.upload_dataset(dataset, chunk_lines=1000).status == 201
+        key = mine(first).json()["key"]
+        caps = result_caps(first, key)
+        results = database.collection("cap_results")
+        document = results.find_one({"key": key})
+        document["result"]["parameters"]["evolving_backend"] = "array"
+        document["payload"]["parameters"]["evolving_backend"] = "array"
+        results.replace_one({"key": key}, document)
+
+        restarted = TestClient(create_app(database=database))
+        assert restarted.get(f"{API}/results/{key}").status == 200
+        assert result_caps(restarted, key) == caps
+
     def test_mine_missing_fields(self, client):
         resp = client.post(f"{API}/datasets/santander/results", json_body={})
         assert resp.status == 400

@@ -10,7 +10,7 @@ The acceptance criteria from the issue, layer by layer:
   ``410 cursor_expired`` carrying ``first_live_seq`` and a usable
   snapshot link; an expired SSE ``Last-Event-ID`` bootstraps from one
   ``event: snapshot`` frame instead of erroring;
-* **windowed replay** (property, both evolving backends) — a session
+* **windowed replay** (property) — a session
   rebuilt after observation trimming replays only post-watermark epochs
   yet keeps mining byte-identical CAP documents and events;
 * **crash convergence** — ``kill -9`` (exit 72 via ``REPRO_STREAM_FAULT``)
@@ -55,13 +55,12 @@ from tests.jobs.harness import SRC_DIR, ServerProcess, upload_dataset
 from tests.stream.test_stream_e2e import PARAMS, BatchFeeder, append, poll_events
 
 
-def make_params(backend: str = "bitset") -> MiningParameters:
+def make_params() -> MiningParameters:
     return MiningParameters(
         evolving_rate=1.0,
         distance_threshold=2.0,
         max_attributes=3,
         min_support=3,
-        evolving_backend=backend,
     )
 
 
@@ -247,12 +246,11 @@ class TestCompactFeed:
 
 
 class TestWindowedReplay:
-    @pytest.mark.parametrize("backend", ["array", "bitset"])
-    def test_compacted_session_mines_byte_identical(self, tiny_dataset, backend):
+    def test_compacted_session_mines_byte_identical(self, tiny_dataset):
         """The property at the heart of windowed replay: a reference run
         that never compacts and a run that folds + trims mid-stream end
         with byte-identical CAP state and identical live events."""
-        params = make_params(backend)
+        params = make_params()
 
         ref_db = Database()
         ref, _ = drive(ref_db, tiny_dataset, params, JUMPS)

@@ -26,6 +26,10 @@ class TestParser:
         assert args.min_support == 5
         assert args.direction_aware
 
+    def test_evolving_backend_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["mine", "--evolving-backend", "bitset"])
+
 
 class TestInventory:
     def test_prints_all_datasets(self, capsys):
