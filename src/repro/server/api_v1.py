@@ -191,8 +191,12 @@ def _result_etag(state: ServerState, key: str, dataset: str, *parts: object) -> 
     digest of their offset/limit/filters so each page validates
     independently.  The digest keeps distinct parameter combinations from
     colliding (and arbitrary filter strings out of the header value).
+
+    The generation is read from the store view as it stands: callers read
+    the result first (``get_result_document`` and ``get_dataset`` refresh
+    the view), so the ETag names the generation the body was built from.
     """
-    generation = state.dataset_generation(dataset)
+    generation = state.dataset_generation(dataset, refresh=False)
     suffix = ""
     if any(part is not None and part != "" for part in parts):
         import hashlib
@@ -811,7 +815,6 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
             cursor = _int_param(request, "cursor", 0, 0, 10**12)
         limit = _int_param(request, "limit", DEFAULT_PAGE_LIMIT, 1, MAX_PAGE_LIMIT)
         wait = _wait_param(request)
-        state.jobs.store.refresh()
         prefix = ""
         first_live = first_live_seq(state.database, name)
         if cursor < first_live - 1:
@@ -842,7 +845,6 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         """The feed snapshot that replaces events behind the retention horizon."""
         name = request.path_params["name"]
         state.get_dataset(name)
-        state.jobs.store.refresh()
         snapshot = feed_snapshot(state.database, name)
         if snapshot is None:
             raise HTTPError(
@@ -868,7 +870,6 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         """The effective stream retention configuration for one dataset."""
         name = request.path_params["name"]
         state.get_dataset(name)
-        state.jobs.store.refresh()
         config = get_retention(
             state.database, name, default=state.stream_default_retention
         )
@@ -957,7 +958,6 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         """List the alert rules registered for one dataset."""
         name = request.path_params["name"]
         state.get_dataset(name)
-        state.jobs.store.refresh()
         rows = state.database.collection(ALERT_RULES).find(
             {"dataset": name}, sort="rule_id"
         )
@@ -1000,7 +1000,6 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         state.get_dataset(name)
         limit = _int_param(request, "limit", DEFAULT_PAGE_LIMIT, 1, MAX_PAGE_LIMIT)
         rule = request.param("rule")
-        state.jobs.store.refresh()
         rows = state.database.collection(ALERTS).find({"dataset": name}, sort="seq")
         if rule:
             rows = [row for row in rows if row.get("rule_id") == rule]

@@ -27,7 +27,7 @@ import io
 import os
 import threading
 import time
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from ..cache.cache import ResultCache
 from ..cache.keys import cache_key
@@ -76,6 +76,19 @@ __all__ = ["ServerState"]
 _DATASETS = "datasets"
 _RESULTS = "cap_results"
 _GENERATIONS = "generations"
+
+
+class _Memo(NamedTuple):
+    """An object decoded from one stored document.
+
+    Stored documents are frozen and every write swaps in a new object, so
+    the entry is current exactly while ``document`` *is* the stored one —
+    identity is the version check, also across processes sharing a store.
+    """
+
+    document: Mapping[str, Any]
+    value: Any
+
 
 #: Test hook: seconds to sleep inside the mining runner before the engine
 #: starts.  The fault-injection harness sets it to hold a job mid-mine long
@@ -166,12 +179,13 @@ class ServerState:
         # parsing must not happen under the global ``self.lock`` — one
         # client streaming a big upload would stall every other handler.
         self._pending_locks: dict[str, threading.Lock] = {}
-        self._loaded: dict[str, SensorDataset] = {}
-        # Deserialized mining results memoized per cache key so the
-        # map-click hot path reuses each result's sensor→CAP inverted index
-        # instead of rebuilding the object (and rescanning) per request.
-        # LRU-bounded: a parameter sweep must not pin every result in RAM.
-        self._results: dict[str, MiningResult] = {}
+        # Decoded datasets per name and mining results per cache key (see
+        # ``_Memo``), so the map-click hot path reuses each result's
+        # sensor→CAP inverted index instead of rebuilding the object (and
+        # rescanning) per request.  The result memo is LRU-bounded: a
+        # parameter sweep must not pin every result in RAM.
+        self._loaded: dict[str, _Memo] = {}
+        self._results: dict[str, _Memo] = {}
         self._results_capacity = 32
         # Dataset generations (see ``_bump_generation``) are bumped on
         # every re-upload/delete; async jobs snapshot the value at submit
@@ -258,31 +272,37 @@ class ServerState:
         )
 
     def get_dataset(self, name: str) -> SensorDataset:
-        with self.lock:
-            if name in self._loaded:
-                return self._loaded[name]
+        """The stored dataset, decoded once per stored version.
+
+        Refreshes the store view first: another process sharing the store
+        may have uploaded, replaced or deleted it.
+        """
+        self.jobs.store.refresh()
         document = self.database[_DATASETS].find_one({"name": name})
         if document is None:
-            # Another process sharing the store may have uploaded it.
-            self.jobs.store.refresh()
-            document = self.database[_DATASETS].find_one({"name": name})
-        if document is None:
             raise HTTPError(404, f"unknown dataset {name!r}", code="unknown_dataset")
+        with self.lock:
+            memo = self._loaded.get(name)
+            if memo is not None and memo.document is document:
+                return memo.value
         dataset = dataset_from_document(document["dataset"])
         with self.lock:
-            self._loaded[name] = dataset
+            self._loaded[name] = _Memo(document, dataset)
         return dataset
 
     def put_dataset(self, dataset: SensorDataset) -> None:
         with self.lock:
             collection = self.database[_DATASETS]
             document = {"name": dataset.name, "dataset": dataset_to_document(dataset)}
-            if collection.replace_one({"name": dataset.name}, document) is None:
-                collection.insert_one(document)
+            # One critical section: no refresh can swap in a peer's upload
+            # between this write and the read that memoizes it.
+            with self.database.exclusive():
+                if collection.replace_one({"name": dataset.name}, document) is None:
+                    collection.insert_one(document)
+                stored = collection.find_one({"name": dataset.name})
             # Re-uploading under an existing name invalidates its cached CAPs.
             self.cache.invalidate_dataset(dataset.name)
-            self._drop_results(dataset.name)
-            self._loaded[dataset.name] = dataset
+            self._loaded[dataset.name] = _Memo(stored, dataset)
         self._bump_generation(dataset.name)
         self._cancel_dataset_jobs(dataset.name)
         self._purge_stream(dataset.name)
@@ -299,7 +319,6 @@ class ServerState:
             if not removed:
                 return False
             self.cache.invalidate_dataset(name)
-            self._drop_results(name)
             self._loaded.pop(name, None)
         self._bump_generation(name)
         self._cancel_dataset_jobs(name)
@@ -357,52 +376,52 @@ class ServerState:
                     {"name": name}, {"generation": document["generation"] + 1}
                 )
 
-    def dataset_generation(self, name: str) -> int:
+    def dataset_generation(self, name: str, *, refresh: bool = True) -> int:
         """The current generation of ``name`` (0 until first upload).
 
         Reads through the shared store — after a peer-visible refresh — so
         a runner's mid-mine currency check observes a re-upload that
-        happened in another process.
+        happened in another process.  ``refresh=False`` reads the store
+        view as it stands, for a caller that just refreshed it and must
+        pair the generation with documents read from that same view.
         """
-        self.jobs.store.refresh()
+        if refresh:
+            self.jobs.store.refresh()
         document = self.database.collection(_GENERATIONS).find_one({"name": name})
         return int(document["generation"]) if document else 0
-
-    def _drop_results(self, dataset_name: str) -> None:
-        self._results = {
-            key: result
-            for key, result in self._results.items()
-            if result.dataset_name != dataset_name
-        }
 
     # -- result resources -------------------------------------------------------
 
     def get_result_document(self, key: str) -> Mapping[str, Any]:
-        """The stored ``cap_results`` document for one key; 404 when absent."""
+        """The stored ``cap_results`` document for one key; 404 when absent.
+
+        Refreshes the store view first — another process may have
+        published, replaced or deleted the result — so the caller can read
+        the matching dataset generation from the same view.
+        """
+        self.jobs.store.refresh()
         document = self.database[_RESULTS].find_one({"key": key})
-        if document is None:
-            # A worker in another process may have published it.
-            self.jobs.store.refresh()
-            document = self.database[_RESULTS].find_one({"key": key})
         if document is None:
             raise HTTPError(404, f"unknown result {key!r}", code="unknown_result")
         return document
 
     def result_from_document(self, document: Mapping[str, Any]) -> MiningResult:
-        """The stored result behind one ``cap_results`` document, memoized."""
+        """The stored result behind one ``cap_results`` document, memoized
+        while ``document`` is the stored version (see ``_Memo``)."""
         key = str(document["key"])
         with self.lock:
-            result = self._results.pop(key, None)
-            if result is not None:
-                self._results[key] = result  # re-insert: dict order is LRU order
-                return result
+            memo = self._results.pop(key, None)
+            if memo is not None and memo.document is document:
+                self._results[key] = memo  # re-insert: dict order is LRU order
+                return memo.value
         # Deserialize outside the lock — it can be slow for big results.
         result = MiningResult.from_document(document["result"])
         with self.lock:
-            self._results.setdefault(key, result)
+            self._results.pop(key, None)
+            self._results[key] = _Memo(document, result)
             while len(self._results) > self._results_capacity:
                 self._results.pop(next(iter(self._results)))
-            return self._results[key]
+        return result
 
     def forget_result(self, key: str) -> None:
         """Drop one result: the stored document and its memoized object."""

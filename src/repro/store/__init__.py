@@ -4,12 +4,18 @@ Bound to a path it runs the crash-safe WAL engine by default: every
 mutation appends one checksummed, fsync'd record to a per-collection
 append-only log under ``<path>.wal/`` (see :mod:`repro.store.wal` and the
 "Store engine" section of DESIGN.md).
+
+Documents are frozen on write and shared read-only on read: ``find`` and
+``find_one`` return the stored objects themselves, whose mutators raise
+``TypeError`` (see :mod:`repro.store.frozen`); ``thaw()`` one to get a
+mutable copy.
 """
 
 from .aggregate import aggregate
 from .collection import Collection
 from .compaction import CompactionThread
 from .database import Database
+from .frozen import thaw
 from .index import HashIndex, SortedIndex
 from .query import QueryError, compile_query, matches
 from .wal import crc32c, verify_log
@@ -25,5 +31,6 @@ __all__ = [
     "compile_query",
     "crc32c",
     "matches",
+    "thaw",
     "verify_log",
 ]

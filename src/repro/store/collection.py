@@ -5,18 +5,23 @@ store assigns (exposed as ``_id``), supports Mongo-style ``find`` /
 ``insert_one`` / ``update_one`` / ``delete_many``, and consults its
 secondary indexes to avoid full scans for equality and range queries.
 
-Documents are deep-copied on the way in and out so callers can never mutate
-stored state behind the store's back — the same isolation a real database
-client gives you.
+Documents are frozen on write and shared read-only on read: every write
+stores a :class:`~repro.store.frozen.FrozenDict` (nested values frozen too,
+see :mod:`repro.store.frozen`), and ``find``/``find_one``/``dump`` return
+those stored objects themselves, with no copy.  A caller can therefore never
+change stored state behind the store's back — a mutation attempt raises
+``TypeError`` — and a caller that needs to edit a document works on
+``thaw(document)``.  Updates are copy-on-write: they swap in a new frozen
+document, so a reader holding the old one keeps a consistent snapshot.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
 from contextlib import nullcontext
 from typing import Any, Callable, ContextManager, Iterable, Iterator, Mapping, Sequence
 
+from .frozen import FrozenDict, freeze
 from .index import HashIndex, SortedIndex
 from .query import MISSING as _MISSING
 from .query import QueryError, compile_query, get_path, matches
@@ -31,7 +36,7 @@ class Collection:
         if not name:
             raise ValueError("collection name must be non-empty")
         self.name = name
-        self._documents: dict[int, dict[str, Any]] = {}
+        self._documents: dict[int, FrozenDict] = {}
         self._next_id = 1
         self._hash_indexes: dict[str, HashIndex] = {}
         self._sorted_indexes: dict[str, SortedIndex] = {}
@@ -100,7 +105,7 @@ class Collection:
                 self._next_id = max(self._next_id, int(record["value"]))
 
     def _replay_put(self, document: Mapping[str, Any]) -> None:
-        doc = copy.deepcopy(dict(document))
+        doc = freeze(document)
         doc_id = int(doc["_id"])
         with self._write_lock:
             if doc_id in self._documents:
@@ -189,12 +194,12 @@ class Collection:
         """
         if not isinstance(document, Mapping):
             raise TypeError(f"document must be a mapping, got {type(document).__name__}")
-        doc = copy.deepcopy(dict(document))
+        frozen = freeze(document)
         with self._engine():
             with self._write_lock:
                 doc_id = self._next_id
                 self._next_id += 1
-                doc["_id"] = doc_id
+                doc = FrozenDict(frozen, _id=doc_id)
                 self._documents[doc_id] = doc
                 for index in self._hash_indexes.values():
                     index.insert(doc_id, doc)
@@ -213,6 +218,7 @@ class Collection:
         Returns the ``_id`` of the replaced document, or ``None`` if no
         document matched.
         """
+        frozen = freeze(document)
         with self._engine():
             with self._write_lock:
                 found = self.find_one(query)
@@ -220,8 +226,7 @@ class Collection:
                     return None
                 doc_id = found["_id"]
                 self._unindex(doc_id)
-                doc = copy.deepcopy(dict(document))
-                doc["_id"] = doc_id
+                doc = FrozenDict(frozen, _id=doc_id)
                 self._documents[doc_id] = doc
                 self._index(doc_id, doc)
                 self._journal_put(doc_id)
@@ -266,12 +271,13 @@ class Collection:
                 return doc_id
 
     def _apply_changes(self, doc_id: int, changes: Mapping[str, Any]) -> int:
-        doc = self._documents[doc_id]
+        """Copy-on-write: swap in a new frozen document with ``changes`` set."""
+        if "_id" in changes:
+            raise QueryError("_id is immutable")
+        changed = {key: freeze(value) for key, value in changes.items()}
+        doc = FrozenDict({**self._documents[doc_id], **changed})
         self._unindex(doc_id)
-        for key, value in changes.items():
-            if key == "_id":
-                raise QueryError("_id is immutable")
-            doc[key] = copy.deepcopy(value)
+        self._documents[doc_id] = doc
         self._index(doc_id, doc)
         return doc_id
 
@@ -410,7 +416,10 @@ class Collection:
         descending: bool = False,
         limit: int | None = None,
     ) -> list[dict[str, Any]]:
-        """All matching documents (deep copies), optionally sorted/limited.
+        """All matching documents, optionally sorted/limited.
+
+        The returned documents are the stored, read-only objects themselves
+        (see the module docstring); ``thaw()`` one to edit it.
 
         ``sort`` is a dotted field path; documents missing the field sort
         last regardless of direction.
@@ -432,7 +441,7 @@ class Collection:
             if limit < 0:
                 raise ValueError(f"limit must be >= 0, got {limit}")
             results = results[:limit]
-        return copy.deepcopy(results)
+        return results
 
     def find_one(self, query: Mapping[str, Any] | None = None) -> dict[str, Any] | None:
         found = self.find(query, limit=1)
@@ -473,7 +482,7 @@ class Collection:
             return {
                 "name": self.name,
                 "next_id": self._next_id,
-                "documents": [copy.deepcopy(d) for d in self._documents.values()],
+                "documents": list(self._documents.values()),
                 "indexes": self.indexes(),
             }
 
@@ -485,7 +494,7 @@ class Collection:
         for path in snapshot.get("indexes", {}).get("sorted", []):
             collection.create_index(path, "sorted")
         for document in snapshot.get("documents", []):
-            doc = copy.deepcopy(dict(document))
+            doc = freeze(document)
             doc_id = int(doc["_id"])
             collection._documents[doc_id] = doc
             collection._index(doc_id, doc)

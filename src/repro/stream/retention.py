@@ -213,7 +213,7 @@ def set_retention(
         else:
             changes["updated_at"] = clock()
             collection.update_one({"name": name}, changes)
-            document.update(changes)
+            document = {**document, **changes}
     return {k: v for k, v in document.items() if k != "_id"}
 
 

@@ -25,6 +25,7 @@ built entirely from these pieces.
 from __future__ import annotations
 
 import csv
+import http.client
 import io
 import json
 import os
@@ -231,7 +232,9 @@ class ServerProcess:
                 return response.status, response.read()
         except urllib.error.HTTPError as exc:
             return exc.code, exc.read()
-        except (urllib.error.URLError, ConnectionError, TimeoutError, OSError):
+        except (urllib.error.URLError, http.client.HTTPException, OSError):
+            # The server died answering: no connection, or a response cut
+            # off mid-body (a crash point firing while it was being sent).
             return None, None
 
     def get_json(self, path: str):

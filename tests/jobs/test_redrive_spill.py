@@ -19,7 +19,7 @@ from repro.jobs import (
     DurableJobStore,
     JobStateError,
 )
-from repro.store.database import Database
+from repro.store import Database, thaw
 
 KEY = "a" * 64
 OTHER_KEY = "b" * 64
@@ -118,7 +118,7 @@ class TestShardOutputSpill:
         jobs = store.database.collection("jobs")
         legacy_id = f"{parent_id}-s000"
         spills.delete_many({"shard_id": legacy_id})
-        document = jobs.find_one({"job_id": legacy_id})
+        document = thaw(jobs.find_one({"job_id": legacy_id}))
         document["output"] = [{"tag": [9, 9], "caps": []}]
         jobs.replace_one({"job_id": legacy_id}, document)
         outputs = store.shard_outputs(parent_id)

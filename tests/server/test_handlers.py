@@ -7,7 +7,7 @@ import pytest
 from repro.data.datasets import recommended_parameters
 from repro.data.synthetic import generate_santander
 from repro.server.app import TestClient, create_app
-from repro.store.database import Database
+from repro.store import Database, thaw
 from tests.conftest import mine_v1, result_caps
 
 
@@ -120,7 +120,7 @@ class TestMining:
         key = mine(first).json()["key"]
         caps = result_caps(first, key)
         results = database.collection("cap_results")
-        document = results.find_one({"key": key})
+        document = thaw(results.find_one({"key": key}))
         document["result"]["parameters"]["evolving_backend"] = "array"
         document["payload"]["parameters"]["evolving_backend"] = "array"
         results.replace_one({"key": key}, document)

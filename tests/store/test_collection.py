@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 
+from repro.store import thaw
 from repro.store.collection import Collection
 from repro.store.query import QueryError
 
@@ -60,10 +66,29 @@ class TestInsertFind:
         with pytest.raises(TypeError):
             people.insert_one(["nope"])  # type: ignore[arg-type]
 
-    def test_returned_documents_are_copies(self, people):
-        doc = people.find_one({"name": "ada"})
-        doc["age"] = 999
-        assert people.find_one({"name": "ada"})["age"] == 36
+    def test_returned_documents_are_read_only(self, people):
+        people.insert_one({"name": "nested", "tags": ["a"], "meta": {"k": [1]}})
+        expected = {"name": "nested", "tags": ["a"], "meta": {"k": [1]}, "_id": 4}
+        doc = people.find_one({"name": "nested"})
+        mutations = [
+            lambda: doc.__setitem__("age", 999),
+            lambda: doc.update(age=999),
+            lambda: doc.pop("name"),
+            lambda: doc["tags"].append("b"),
+            lambda: doc["tags"].__setitem__(0, "z"),
+            lambda: doc["meta"].__setitem__("k", None),
+            lambda: doc["meta"]["k"].extend([2]),
+        ]
+        for mutate in mutations:
+            with pytest.raises(TypeError, match="read-only"):
+                mutate()
+        assert people.find_one({"name": "nested"}) == expected
+        copy_ = thaw(doc)
+        copy_["tags"].append("b")
+        copy_["meta"]["k"].append(2)
+        copy_["age"] = 1
+        assert type(copy_) is dict and type(copy_["meta"]["k"]) is list
+        assert people.find_one({"name": "nested"}) == expected
 
     def test_inserted_documents_are_copied(self):
         c = Collection("c")
@@ -109,6 +134,73 @@ class TestUpdateDelete:
         people.delete_many({})
         new_id = people.insert_one({"name": "new"})
         assert new_id == 4
+
+
+class TestDocumentIsolation:
+    """Stored documents are frozen on write and shared read-only on read."""
+
+    def test_reads_share_the_stored_object(self, people):
+        assert people.find_one({"name": "ada"}) is people.find_one({"name": "ada"})
+
+    def test_reader_snapshot_survives_update(self, people):
+        people.insert_one({"name": "n", "tags": ["a"]})
+        before = people.find_one({"name": "n"})
+        people.update_one({"name": "n"}, {"tags": ["a", "b"], "extra": 1})
+        assert before == {"name": "n", "tags": ["a"], "_id": 4}
+        after = people.find_one({"name": "n"})
+        assert after == {"name": "n", "tags": ["a", "b"], "_id": 4, "extra": 1}
+        assert after is not before
+
+    def test_update_rejecting_id_leaves_the_document_indexed(self, people):
+        people.create_index("city", "hash")
+        with pytest.raises(QueryError, match="_id"):
+            people.update_one({"name": "ada"}, {"city": "york", "_id": 9})
+        assert [d["name"] for d in people.find({"city": "london"})] == ["ada", "alan"]
+
+    def test_deepcopy_and_pickle_yield_plain_containers(self, people):
+        people.insert_one({"name": "n", "tags": [{"k": [1]}]})
+        doc = people.find_one({"name": "n"})
+        for clone in (copy.deepcopy(doc), pickle.loads(pickle.dumps(doc))):
+            assert clone == doc
+            assert type(clone) is dict
+            assert type(clone["tags"]) is list
+            assert type(clone["tags"][0]) is dict
+            assert type(clone["tags"][0]["k"]) is list
+            clone["tags"][0]["k"].append(2)  # mutable, and independent
+        assert doc["tags"][0]["k"] == [1]
+
+    def test_concurrent_reader_sees_whole_versions(self):
+        """A reader racing a writer that adds fields gets consistent
+        versions, never an error from iterating a document mid-update."""
+        c = Collection("c")
+        c.insert_one({"name": "n", "a": 0, "b": 0, **{f"p{i}": i for i in range(5000)}})
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def write() -> None:
+            version = 0
+            try:
+                while not stop.is_set():
+                    version += 1
+                    c.update_one(
+                        {"name": "n"}, {"a": version, f"new{version}": 1, "b": version}
+                    )
+            except BaseException as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            for _ in range(200):
+                doc = c.find_one({"name": "n"})
+                assert doc["a"] == doc["b"]
+        finally:
+            stop.set()
+            writer.join()
+            sys.setswitchinterval(interval)
+        assert not errors
 
 
 class TestIndexedQueries:

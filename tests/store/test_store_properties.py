@@ -8,6 +8,9 @@ Invariants:
 * ``update_if`` is a true compare-and-set: under any interleaving of
   claim attempts — sequential or genuinely concurrent — each document is
   won exactly once, by the first attempt that reaches it;
+* any sequence of writes, WAL replays and compactions reads back exactly
+  what a plain-dict model holds, and every document a read returns is
+  read-only all the way down;
 * WAL torn-tail recovery is *exact*: a log cut or bit-flipped at any byte
   offset replays to precisely the prefix of intact records — never one
   record short, never a corrupt record adopted.
@@ -15,13 +18,16 @@ Invariants:
 
 from __future__ import annotations
 
+import tempfile
 import threading
 from bisect import bisect_right
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.store import wal
+from repro.store import thaw, wal
 from repro.store.collection import Collection
 from repro.store.database import Database
 
@@ -208,6 +214,113 @@ def test_update_if_is_atomic_under_real_threads():
         doc = c.find_one({"job": job})
         assert doc["state"] == "running"
         assert job in wins[doc["worker"]]  # the stamp matches the winner
+
+# -- op sequences against a plain-dict model ---------------------------------
+
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-1000, 1000),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=5),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=3), children, max_size=3),
+    ),
+    max_leaves=8,
+)
+keys = st.sampled_from(["a", "b", "c"])
+payloads = st.fixed_dictionaries(
+    {"k": keys, "v": json_values}, optional={"w": json_values}
+)
+store_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), payloads),
+        st.tuples(st.just("update"), keys, st.dictionaries(
+            st.sampled_from(["k", "v", "w", "x"]), json_values, min_size=1
+        )),
+        st.tuples(st.just("replace"), keys, payloads),
+        st.tuples(st.just("delete"), keys),
+        st.tuples(st.just("compact")),
+        st.tuples(st.just("reopen")),
+    ),
+    max_size=16,
+)
+
+
+def _first_match(model: dict[int, dict], key: str) -> int | None:
+    return min((i for i, doc in model.items() if doc["k"] == key), default=None)
+
+
+def _assert_read_only(value) -> None:
+    """Every container in a returned document rejects mutation."""
+    if isinstance(value, dict):
+        with pytest.raises(TypeError):
+            value["_probe"] = 1
+        for item in value.values():
+            _assert_read_only(item)
+    elif isinstance(value, list):
+        with pytest.raises(TypeError):
+            value.append(1)
+        for item in value:
+            _assert_read_only(item)
+
+
+def _check_view(collection: Collection, model: dict[int, dict]) -> None:
+    documents = collection.find()
+    assert documents == [model[i] for i in sorted(model)]
+    for key in ("a", "b", "c"):
+        first = _first_match(model, key)
+        found = collection.find_one({"k": key})
+        assert found == (None if first is None else model[first])
+        documents.append(found)
+    for document in documents:
+        _assert_read_only(document)
+
+
+@given(st.lists(payloads, min_size=3, max_size=6), store_ops)
+@settings(max_examples=60, deadline=None)
+def test_random_ops_read_back_the_model_and_stay_read_only(initial, ops):
+    """Writes, WAL replay (reopen and a refreshing peer) and compaction:
+    every read equals the plain-dict model and rejects mutation."""
+    ops = [("insert", payload) for payload in initial] + ops
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "store.json"
+        database, peer = Database(path), Database(path)
+        collection = database.collection("docs")
+        collection.create_index("k", "hash")
+        model: dict[int, dict] = {}
+        for op in ops:
+            kind = op[0]
+            if kind == "insert":
+                doc_id = collection.insert_one(op[1])
+                model[doc_id] = {**thaw(op[1]), "_id": doc_id}
+            elif kind == "update":
+                target = _first_match(model, op[1])
+                assert collection.update_one({"k": op[1]}, op[2]) == target
+                if target is not None:
+                    model[target].update(thaw(op[2]))
+            elif kind == "replace":
+                target = _first_match(model, op[1])
+                assert collection.replace_one({"k": op[1]}, op[2]) == target
+                if target is not None:
+                    model[target] = {**thaw(op[2]), "_id": target}
+            elif kind == "delete":
+                removed = [i for i, doc in model.items() if doc["k"] == op[1]]
+                assert collection.delete_many({"k": op[1]}) == len(removed)
+                for doc_id in removed:
+                    del model[doc_id]
+            elif kind == "compact":
+                database.compact_collection("docs")
+            else:
+                database = Database(path)
+                collection = database.collection("docs")
+            _check_view(collection, model)
+            peer.refresh()
+            _check_view(peer.collection("docs"), model)
+
 
 # -- WAL torn-tail recovery ----------------------------------------------------
 
