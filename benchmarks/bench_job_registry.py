@@ -64,7 +64,7 @@ def _lifecycle(store, count: int) -> float:
     for index in range(count):
         job, created = store.open_job("bench", PARAMS, _key(index))
         assert created
-        store.mark_running(job.job_id)
+        store.claim_next()
         store.set_progress(job.job_id, 1, 2)
         store.mark_succeeded(job.job_id, result_key=job.key)
     return time.perf_counter() - start

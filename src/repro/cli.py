@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 from datetime import datetime
@@ -204,16 +205,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--preload-seed", dest="preload_seed", type=int, default=7,
                        help="generator seed for --preload/--preload-dataset")
     p_srv.add_argument("--job-workers", dest="job_workers", type=int, default=2,
-                       help="async mining executor width (mode=async submissions)")
+                       help="claim-loop threads running jobs (async, "
+                            "distributed and streaming submissions)")
     p_srv.add_argument("--lease-seconds", dest="lease_seconds", type=float,
                        default=30.0,
                        help="with --store: how long a claimed job's lease "
                             "lasts without a progress renewal")
-    p_srv.add_argument("--worker-poll", dest="worker_poll", type=float, default=1.0,
-                       metavar="SECONDS",
-                       help="with --store: poll interval of the lease worker "
-                            "that claims jobs other processes enqueued "
-                            "(0 disables the worker)")
+    p_srv.add_argument("--worker-poll", dest="worker_poll", type=_positive_seconds,
+                       default=1.0, metavar="SECONDS",
+                       help="how often an idle claim loop looks for jobs "
+                            "(> 0): those other processes enqueued, resting "
+                            "stream jobs, lapsed leases; local submissions "
+                            "start at once (default 1.0)")
     p_srv.add_argument("--max-attempts", dest="max_attempts", type=int,
                        default=5, metavar="N",
                        help="with --store: dead-letter a job (or shard "
@@ -374,25 +377,35 @@ def _print_mine_result(result, params: MiningParameters, args: argparse.Namespac
         print(f"wrote {args.json}")
 
 
+def _positive_seconds(text: str) -> float:
+    """argparse type: a duration in seconds, finite and > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def _mine_async(dataset: SensorDataset, params: MiningParameters,
                 args: argparse.Namespace) -> int:
     """Submit-and-poll mode: the job queue runs the mine, we watch it."""
     import time
 
     from .cache.keys import cache_key
-    from .jobs import FAILED, SUCCEEDED, TERMINAL_STATES, JobQueue
+    from .jobs import FAILED, SUCCEEDED, TERMINAL_STATES, DurableJobStore, JobQueue
+    from .store.database import Database
 
-    queue = JobQueue(width=1)
-    miner = MiscelaMiner(params)
+    key = cache_key(dataset.name, params)
     outcome: dict = {}
 
     def runner(control):
-        outcome["result"] = miner.mine(dataset, control=control)
-        return cache_key(dataset.name, params)
+        outcome["result"] = MiscelaMiner(params).mine(dataset, control=control)
+        return key
 
-    job, _created = queue.submit(
-        dataset.name, params.to_document(), cache_key(dataset.name, params), runner
-    )
+    queue = JobQueue(DurableJobStore(Database()), lambda job: runner, width=1)
+    job, _created = queue.submit(dataset.name, params.to_document(), key)
     print(f"submitted {job.job_id} (dataset={dataset.name})")
     last_line = ""
     try:
@@ -514,6 +527,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         database,
         with_logging=True,
         job_workers=args.job_workers,
+        worker_poll=args.worker_poll,
         worker_id=args.worker_id,
         lease_seconds=args.lease_seconds,
         max_attempts=args.max_attempts,
@@ -529,13 +543,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         dataset = generate(preload_name, seed=args.preload_seed)
         response = TestClient(app).upload_dataset(dataset)
         print(f"pre-loaded {preload_name}: {response.status}", flush=True)
-    if args.worker_poll > 0:
-        # The polling worker claims what no executor thread was handed:
-        # shard and merge sub-jobs, jobs other processes sharing the store
-        # enqueued, and (after lease expiry) jobs whose worker died.
-        app.state.start_job_worker(interval=args.worker_poll)
     # Threaded server: status polls and map clicks stay responsive while a
-    # mine runs (async on the job executor, or sync on a request thread).
+    # mine runs (async on a claim loop, or sync on a request thread).
     server = make_threaded_server("127.0.0.1", args.port, wsgi_adapter(app))
     port = server.server_address[1]
     print(f"Miscela-V API on http://127.0.0.1:{port} "
@@ -544,10 +553,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"(schema at /api/v1/schema)",
           flush=True)
     worker = app.state.jobs.store.worker_id
-    poll = f"worker poll {args.worker_poll}s" if args.worker_poll > 0 \
-        else "worker disabled"
     print(f"  jobs: store={args.store or 'in-memory'} worker_id={worker} "
-          f"lease={args.lease_seconds}s ({poll})", flush=True)
+          f"lease={args.lease_seconds}s (worker poll {args.worker_poll}s)",
+          flush=True)
     # Machine-readable readiness line: the fault-injection harness (and any
     # supervisor) parses the actual port from it, which makes --port 0 usable.
     print(f"MISCELA_READY port={port}", flush=True)

@@ -1,20 +1,23 @@
-"""Asynchronous mining jobs: queue, store, executor, lifecycle model.
+"""Asynchronous mining jobs: queue, store, claim loop, lifecycle model.
 
 The serving tier's answer to long mines (ROADMAP's "async server offload"):
 ``POST /api/v1/datasets/{name}/results`` with ``mode=async`` opens a
-:class:`Job` here, a background executor thread drives the parallel
-engine, and the interactive endpoints keep answering while it runs.  One
-registry serves every database (:class:`DurableJobStore`): jobs live as
-documents in the ``jobs`` collection.  With a store bound to a path they
-survive restarts, several processes share one registry through
-lease-based claiming, and a :class:`JobWorker` thread lets any process
-execute jobs any other process enqueued; a path-less database keeps the
-same registry in memory.  See ``DESIGN.md`` ("Async job queue", "Durable
-jobs") for the state machine, lease protocol, and recovery rules.
+:class:`Job` here, a claim-loop thread drives the parallel engine, and the
+interactive endpoints keep answering while it runs.  One registry serves
+every database (:class:`DurableJobStore`): jobs live as documents in the
+``jobs`` collection.  One execution path serves every job: a
+:class:`ClaimLoop` thread claims it from the registry and builds its
+runner from the stored document, so mines, distributed sub-jobs and
+resident stream jobs run the same whether this process or another one
+enqueued them.  With a store bound to a path jobs survive restarts and
+several processes share one registry through lease-based claiming; a
+path-less database keeps the same registry in memory.  See ``DESIGN.md``
+("Async job queue", "Durable jobs") for the state machine, lease
+protocol, and recovery rules.
 """
 
 from .durable import DurableJobStore, maybe_fault
-from .executor import HANDLED, JobExecutor, run_claimed_job, run_job
+from .executor import HANDLED, ClaimLoop, run_job
 from .model import (
     ATTEMPTS_EXHAUSTED,
     CANCELLED,
@@ -41,7 +44,6 @@ from .planner import (
     plan_mine,
 )
 from .queue import JobQueue
-from .worker import JobWorker
 
 __all__ = [
     "ATTEMPTS_EXHAUSTED",
@@ -59,18 +61,16 @@ __all__ = [
     "QUEUED",
     "RUNNING",
     "TERMINAL_STATES",
+    "ClaimLoop",
     "DurableJobStore",
     "Job",
     "JobError",
-    "JobExecutor",
     "JobQueue",
     "JobStateError",
-    "JobWorker",
     "MinePlan",
     "execute_units",
     "maybe_fault",
     "merge_outputs",
     "plan_mine",
-    "run_claimed_job",
     "run_job",
 ]

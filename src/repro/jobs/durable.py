@@ -154,7 +154,7 @@ def maybe_fault(name: str) -> None:
 class DurableJobStore:
     """Store-backed registry of async jobs with lease-based claiming.
 
-    What the queue, executor, and handlers talk to; :meth:`claim_next`,
+    What the queue, claim loop, and handlers talk to; :meth:`claim_next`,
     :meth:`reclaim_expired`, :meth:`recover` and :meth:`refresh` are what
     multi-process serving and crash recovery build on.
 
@@ -188,8 +188,8 @@ class DurableJobStore:
         ``0`` disables the bound.  Per-job ``max_attempts`` overrides it.
     backoff_base, backoff_cap:
         Exponential requeue delay: attempt *n*'s requeue sets
-        ``not_before = now + min(cap, base * 2**(n-1))``, gating the
-        polling claim path so a crashing job doesn't hot-loop the fleet.
+        ``not_before = now + min(cap, base * 2**(n-1))``, gating
+        :meth:`claim_next` so a crashing job doesn't hot-loop the fleet.
     """
 
     def __init__(
@@ -494,34 +494,16 @@ class DurableJobStore:
 
     # -- claiming / leases ------------------------------------------------------
 
-    def mark_running(self, job_id: str) -> Job:
-        """Claim one specific queued job (the executor's path).
-
-        Atomic: the ``queued → running`` edge is a compare-and-set that
-        stamps this store's ``worker_id`` and a fresh lease, so of all the
-        executors and pollers racing for a job — in this process or
-        another — exactly one wins.
-        """
-        with self._exclusive():
-            document = self._require_doc(job_id)
-            claimed = self._claim_locked(document)
-            if claimed is None:
-                # CAS failed: surface the illegal edge the state machine saw.
-                ensure_transition(self._require_doc(job_id)["state"], RUNNING)
-                raise JobStateError(  # pragma: no cover - ensure raises first
-                    f"job {job_id} could not be claimed"
-                )
-            return claimed
-
     def claim_next(self) -> Job | None:
         """Claim the oldest *claimable* queued job, or ``None``.
 
-        The polling worker's path: lets a process execute jobs *other*
-        processes enqueued (it reconstructs the runner from the job's
-        stored dataset + parameters).  Sub-jobs gate on readiness
-        (:meth:`_claimable_locked`): a shard needs its parent planned and
-        live, the merge additionally needs every shard ``succeeded``, and
-        a requeued job backs off until its ``not_before``.
+        The only claim path: every execution starts here, wherever the job
+        was enqueued (the claim loop rebuilds the runner from the job's
+        stored document).  Atomic: the ``queued → running`` edge is a
+        compare-and-set that stamps this store's ``worker_id`` and a fresh
+        lease, so of all the loops racing for a job — in this process or
+        another — exactly one wins.  Jobs gate on readiness
+        (:meth:`_claimable_locked`).
         """
         with self._exclusive():
             queued = self._collection().find({"state": QUEUED}, sort="sequence")
@@ -535,11 +517,11 @@ class DurableJobStore:
             return None
 
     def _claimable_locked(self, document: Mapping[str, Any], now: float) -> bool:
-        """Readiness gate for the *polling* claim path.
+        """Readiness gate of :meth:`claim_next`.
 
-        Deliberately not applied by :meth:`mark_running` — the executor
-        claims a specific job it was just handed (liveness over backoff)
-        — so ``not_before`` throttles only fleet-wide polling.
+        A requeued job backs off until its ``not_before``; a shard needs
+        its parent planned and live; the merge additionally needs every
+        shard ``succeeded``.
         """
         not_before = document.get("not_before")
         if not_before is not None and now < not_before:
@@ -979,7 +961,7 @@ class DurableJobStore:
         counter: a worker whose lease lapsed and whose job was requeued and
         re-claimed gets a :class:`JobStateError` instead of clobbering the
         newer attempt.  The attempt check matters within one process too,
-        where the executor and the polling worker share a ``worker_id``.
+        where every claim-loop thread shares one ``worker_id``.
         """
         expected: dict[str, Any] = {"state": document["state"]}
         if document["state"] == RUNNING:
@@ -1290,8 +1272,8 @@ class DurableJobStore:
 
         ``retry_in`` sets a short ``not_before`` gate instead of immediate
         claimability — the resident stream job's idle cadence: drained, it
-        releases with a sub-second gate so the polling worker re-claims on
-        a beat instead of spinning.
+        releases with a sub-second gate so a claim loop re-claims it on a
+        beat instead of spinning.
         """
         expected: dict[str, Any] = {
             "state": RUNNING,
@@ -1432,9 +1414,8 @@ class DurableJobStore:
           answering (and linking to its PR 4 result resource) after a
           restart; a succeeded job whose result document is gone is
           reported, not re-run (results are only deleted deliberately).
-        * ``queued`` jobs are reported so the caller can schedule them onto
-          its executor — a restart must finish what the dead process
-          accepted.
+        * ``queued`` jobs are reported; any claim loop on the store picks
+          them up, so a restart finishes what the dead process accepted.
         * planned distributed parents are left ``running`` (they are
           lease-less by design); instead the child-resolution pass runs, so
           a parent whose shard dead-lettered while every server was down

@@ -1,22 +1,33 @@
-"""The background executor: worker threads driving mining runs.
+"""The job execution loop: claim from the registry, build, run.
 
-A thin wrapper over :class:`concurrent.futures.ThreadPoolExecutor` —
-threads, not processes, because the heavy lifting already happens in the
-PR 2 process pool (:mod:`repro.core.parallel`): the job thread is the
-*driver* of that pool (or of the in-process component loop), spending its
-life waiting on shard completions, so a handful of threads oversees many
-cores without oversubscription.
+There is one way a job runs.  :class:`ClaimLoop` keeps ``width`` daemon
+threads, each repeating ``claim_next()`` → ``runner_factory(job)`` →
+:func:`run_job` against a :class:`~repro.jobs.durable.DurableJobStore`.
+Claims are compare-and-set, so any number of loops — in this process or
+in others sharing the store — execute each job exactly once, and the
+runner is always rebuilt from the stored job document, so a job runs the
+same wherever it was enqueued.  Threads, not processes: the heavy lifting
+already happens in the engine's process pool (:mod:`repro.core.parallel`);
+a loop thread only drives that pool, spending its life waiting on shard
+completions, so a handful of threads oversees many cores without
+oversubscription.
 
-:func:`run_job` is the worker-side wrapper around one run: it performs the
-``queued → running`` transition — against the durable registry that is an
-atomic lease *claim*, so executors and pollers racing across processes
-resolve to exactly one winner — wires a
-:class:`~repro.core.parallel.MiningControl` to the store (progress ticks in,
-cancellation polls out), and maps the outcome onto the state machine —
-return value → ``succeeded``, :class:`MiningCancelled` → ``cancelled``, any
-other exception → ``failed`` with structured capture.
-:func:`run_claimed_job` is the same tail for a job already claimed through
-``DurableJobStore.claim_next`` (the polling worker's path).
+An idle loop sleeps until :meth:`ClaimLoop.wake` (a local submission,
+which returns once an idle loop has looked, so the job is already claimed
+when the submitter answers) or its ``poll_seconds`` beat, whichever comes
+first; the beat picks up jobs other processes enqueued, resting stream
+jobs and backed-off requeues whose gate opened.  Once
+per beat per process, :meth:`DurableJobStore.reclaim_expired` requeues
+jobs whose worker died and resolves distributed parents from their
+sub-jobs.
+
+:func:`run_job` is the tail around one claimed execution: it wires a
+:class:`~repro.core.parallel.MiningControl` to the store (progress ticks
+in, cancellation polls out) and maps the outcome onto the state machine —
+return value → ``succeeded``, :class:`MiningCancelled` → ``cancelled``,
+any other exception → ``failed`` with structured capture.  The loop calls
+it through this module's global, so instrumentation that rebinds
+``repro.jobs.executor.run_job`` sees every execution.
 
 When ``REPRO_JOBS_EXEC_LOG`` names a file, every execution appends one
 ``job_id worker attempt=N`` line to it (``O_APPEND``-atomic).  The
@@ -28,15 +39,15 @@ from __future__ import annotations
 
 import logging
 import os
+import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable
 
 from ..core.parallel import MiningCancelled, MiningControl
 from ..obs.logging import log_context
-from .model import KIND_MINE, QUEUED, Job, JobStateError
+from .model import KIND_MINE, Job, JobStateError
 
-__all__ = ["HANDLED", "JobExecutor", "run_job", "run_claimed_job"]
+__all__ = ["HANDLED", "ClaimLoop", "JobRunner", "RunnerFactory", "run_job"]
 
 _log = logging.getLogger("repro.jobs")
 
@@ -66,12 +77,16 @@ class _Handled:
 #: A runner returns this when it already moved the job to a terminal state
 #: itself — the planner runner (``finish_planning`` leaves the parent in
 #: its planned-running form) and the shard runner (``complete_shard``
-#: persists output atomically with the success) do; ``run_claimed_job``
-#: then applies no transition of its own.
+#: persists output atomically with the success) do; ``run_job`` then
+#: applies no transition of its own.
 HANDLED = _Handled()
 
 #: ``runner(control) -> result_key | None | HANDLED`` — one job's work.
 JobRunner = Callable[[MiningControl], "str | None"]
+
+#: Builds the executable work for a claimed job from its stored document
+#: (``ServerState.runner_for_job``: load dataset, parse parameters, mine).
+RunnerFactory = Callable[[Job], JobRunner]
 
 #: Environment variable naming the execution audit log (tests only).
 EXEC_LOG_ENV = "REPRO_JOBS_EXEC_LOG"
@@ -86,23 +101,8 @@ def _log_execution(store, job: Job) -> None:
         handle.write(line)
 
 
-def run_job(store, job_id: str, runner: JobRunner, should_abort=None) -> None:
-    """Claim and execute one job end to end, recording its lifecycle."""
-    job = store.get(job_id)
-    if job is None or job.state != QUEUED:
-        # Cancelled (or otherwise finished) before this worker picked it up.
-        return
-    try:
-        claimed = store.mark_running(job_id)
-    except Exception:
-        # Lost the race — an immediate cancel, or another process's claim,
-        # landed between the check above and the transition.
-        return
-    run_claimed_job(store, claimed, runner, should_abort=should_abort)
-
-
-def run_claimed_job(store, job: Job, runner: JobRunner, should_abort=None) -> None:
-    """Execute a job this worker already claimed (holds the lease on).
+def run_job(store, job: Job, runner: JobRunner, should_abort=None) -> None:
+    """Execute a job this worker claimed (holds the lease on).
 
     Every store write carries the claim's ``attempt``, so if the lease
     lapses mid-run and the job is re-claimed — even by this same process —
@@ -203,23 +203,142 @@ def _finish(transition, job_id: str, *args, **kwargs) -> None:
         pass
 
 
-class JobExecutor:
-    """A fixed-width pool of job-driver threads."""
+class ClaimLoop:
+    """``width`` daemon threads claiming and running jobs from one registry."""
 
-    def __init__(self, width: int = 2) -> None:
+    def __init__(
+        self,
+        store,
+        runner_factory: RunnerFactory,
+        width: int = 2,
+        poll_seconds: float = 1.0,
+    ) -> None:
         if width < 1:
-            raise ValueError(f"executor width must be >= 1, got {width}")
+            raise ValueError(f"loop width must be >= 1, got {width}")
+        if not 0 < poll_seconds <= threading.TIMEOUT_MAX:
+            raise ValueError(f"poll interval must be > 0, got {poll_seconds}")
+        self.store = store
+        self.runner_factory = runner_factory
         self.width = width
-        self._pool = ThreadPoolExecutor(
-            max_workers=width, thread_name_prefix="mining-job"
-        )
+        self.poll_seconds = float(poll_seconds)
+        self._stopping = threading.Event()
+        # One lock guards the counters below; idle loops wait on ``_work``,
+        # a waking submitter on ``_looked``.  A loop snapshots ``_wakes``
+        # before it claims and sleeps only if nobody woke it since, so no
+        # wake is lost; ``_answered`` is the newest snapshot a finished
+        # claim attempt covered.
+        self._lock = threading.Lock()
+        self._work = threading.Condition(self._lock)
+        self._looked = threading.Condition(self._lock)
+        self._wakes = 0
+        self._answered = 0
+        self._idle = 0
+        self._next_reclaim = 0.0
+        #: ``(job_id, attempt)`` of every claim being executed right now.
+        self._claims: set[tuple[str, int]] = set()
+        self._threads = [
+            threading.Thread(
+                target=self._run,
+                name=f"job-loop-{store.worker_id}-{index}",
+                daemon=True,
+            )
+            for index in range(width)
+        ]
+        for thread in self._threads:
+            thread.start()
 
-    def submit(
-        self, store, job_id: str, runner: JobRunner, should_abort=None
-    ) -> Future:
-        """Queue one job for execution; returns the underlying future."""
-        return self._pool.submit(run_job, store, job_id, runner, should_abort)
+    def wake(self) -> None:
+        """Have an idle loop look for work now instead of at its next beat.
+
+        If a loop is idle, returns once it has looked (at most one beat
+        later), so a job just written here is already claimed when the
+        submitter answers; with every loop busy it returns at once and the
+        job waits for the first loop to finish.
+        """
+        with self._lock:
+            self._wakes += 1
+            wake = self._wakes
+            if not self._idle:
+                return
+            self._work.notify()
+            self._looked.wait_for(
+                lambda: self._answered >= wake or self._stopping.is_set(),
+                timeout=self.poll_seconds,
+            )
 
     def shutdown(self, wait: bool = False) -> None:
-        """Stop accepting work; pending queued futures are dropped."""
-        self._pool.shutdown(wait=wait, cancel_futures=True)
+        """Stop claiming; ``wait=True`` joins the loop threads.
+
+        On a shared registry the claims being executed are *released*
+        immediately (CAS back to queued), so a surviving process takes
+        them over now instead of waiting out the lease; the runners abort
+        at their next checkpoint, and their own late release CAS-fails
+        silently.
+        """
+        with self._lock:
+            self._stopping.set()
+            self._work.notify_all()
+            self._looked.notify_all()
+            claims = list(self._claims)
+        if self.store.shared:
+            for claim in claims:
+                try:
+                    self.store.release(*claim)
+                except Exception:
+                    pass  # shutdown must not die on a store hiccup
+        if wait:
+            for thread in self._threads:
+                if thread is not threading.current_thread():
+                    thread.join()
+
+    def _run(self) -> None:
+        while not self._stopping.is_set():
+            with self._lock:
+                seen = self._wakes
+            job = self._claim()
+            with self._lock:
+                self._answered = max(self._answered, seen)
+                self._looked.notify_all()
+                if job is None:
+                    if self._wakes == seen and not self._stopping.is_set():
+                        self._idle += 1
+                        self._work.wait(self.poll_seconds)
+                        self._idle -= 1
+                    continue
+                claim = (job.job_id, job.attempt)
+                self._claims.add(claim)
+            try:
+                self._execute(job)
+            except Exception:  # a store error mid-run must not kill the loop
+                _log.exception("claim loop: job %s attempt %d", *claim)
+            finally:
+                with self._lock:
+                    self._claims.discard(claim)
+
+    def _claim(self) -> Job | None:
+        """Reclaim lapsed leases if a beat passed, then claim the oldest
+        claimable job; ``None`` when there is none (or the store failed —
+        never die: a transient error, e.g. a log swapped by a peer's
+        compaction mid-read, retries on the next beat)."""
+        now = time.monotonic()
+        with self._lock:
+            reclaim = now >= self._next_reclaim
+            if reclaim:
+                self._next_reclaim = now + self.poll_seconds
+        try:
+            if reclaim:
+                self.store.reclaim_expired()
+            if self._stopping.is_set():
+                return None
+            return self.store.claim_next()
+        except Exception:
+            _log.warning("claim loop: store error; retrying", exc_info=True)
+            return None
+
+    def _execute(self, job: Job) -> None:
+        try:
+            runner = self.runner_factory(job)
+        except Exception as exc:  # the job must not stay leased
+            _finish(self.store.mark_failed, job.job_id, exc, attempt=job.attempt)
+            return
+        run_job(self.store, job, runner, should_abort=self._stopping.is_set)

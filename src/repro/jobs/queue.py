@@ -1,76 +1,74 @@
 """The job queue facade: submit, cancel, observe.
 
 :class:`JobQueue` is what the server and CLI talk to — it composes the
-registry (:class:`~repro.jobs.durable.DurableJobStore`) with the background
-executor (:class:`~repro.jobs.executor.JobExecutor`) and owns the dedup rule:
+registry (:class:`~repro.jobs.durable.DurableJobStore`) with the claim
+loop (:class:`~repro.jobs.executor.ClaimLoop`) and owns the dedup rule:
 submissions are identified by the *result cache key* of their
 (dataset, parameters) pair, the same canonical hash Section 3.3 caches
 results under, so "identical job already in flight" and "result already
-cached" are decided by one piece of machinery.
+cached" are decided by one piece of machinery.  Submitting only writes
+the job and wakes an idle loop; the loop claims it and builds its runner
+from the stored document like any other job.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Mapping
 
-from ..store.database import Database
 from .durable import DurableJobStore
-from .executor import JobExecutor, JobRunner
+from .executor import ClaimLoop, RunnerFactory
 from .model import TERMINAL_STATES, Job, JobStateError
 
 __all__ = ["JobQueue"]
 
 
 class JobQueue:
-    """Asynchronous mining jobs: dedup'd submission over a thread pool.
+    """Asynchronous jobs: dedup'd submission, executed by claim loops.
 
-    ``store`` defaults to a registry over a fresh in-memory database (the
-    CLI's ``mine --async``); a server passes one bound to its own store.
+    ``store`` is the registry (a server's is bound to its own database;
+    the CLI's ``mine --async`` uses one over a fresh in-memory database).
+    ``runner_factory(job)`` builds each claimed job's work; ``width``
+    loop threads claim jobs, and idle ones look again every
+    ``poll_seconds`` (or at once when a job is submitted here).
     """
 
     def __init__(
         self,
-        store: DurableJobStore | None = None,
-        executor: JobExecutor | None = None,
+        store: DurableJobStore,
+        runner_factory: RunnerFactory,
         width: int = 2,
+        poll_seconds: float = 1.0,
     ) -> None:
-        self.store = store if store is not None else DurableJobStore(Database())
-        self.executor = executor if executor is not None else JobExecutor(width)
-        self._stopping = threading.Event()
+        self.store = store
+        self.loop = ClaimLoop(self.store, runner_factory, width, poll_seconds)
 
     def submit(
         self,
         dataset: str,
         parameters: Mapping[str, Any],
         key: str,
-        runner: JobRunner,
         **open_kwargs: Any,
     ) -> tuple[Job, bool]:
         """Submit a mining run; returns ``(job, created)``.
 
         ``created=False`` means an identical job (same cache ``key``) was
-        already queued or running and is returned instead — the runner is
-        *not* scheduled again.  ``runner(control)`` executes on an executor
-        thread and returns the cache key its result was stored under.
-        Extra keyword arguments (``distributed=``, ``plan_workers=``,
-        ``max_attempts=``) pass through to the store's ``open_job``.
+        already queued or running and is returned instead.  Extra keyword
+        arguments (``distributed=``, ``plan_workers=``, ``max_attempts=``,
+        ``trace_id=``) pass through to the store's ``open_job``.
         """
         job, created = self.store.open_job(dataset, parameters, key, **open_kwargs)
         if created:
-            self.schedule(job.job_id, runner)
+            self.loop.wake()
         return job, created
 
-    def schedule(self, job_id: str, runner: JobRunner) -> None:
-        """Hand one already-registered job to the executor.
-
-        The execution is wired to this queue's stop signal: on shutdown an
-        in-flight run aborts at its next checkpoint and (on a shared
-        registry) releases its claim for takeover.
-        """
-        self.executor.submit(
-            self.store, job_id, runner, should_abort=self._stopping.is_set
-        )
+    def open_stream_job(
+        self, dataset: str, parameters: Mapping[str, Any], key: str, **kwargs: Any
+    ) -> tuple[Job, bool]:
+        """Open (or dedup onto) the dataset's resident stream job."""
+        job, created = self.store.open_stream_job(dataset, parameters, key, **kwargs)
+        if created:
+            self.loop.wake()
+        return job, created
 
     def cancel(self, job_id: str) -> Job:
         """Request cancellation (immediate when queued, cooperative when
@@ -94,24 +92,22 @@ class JobQueue:
 
     def counters(self) -> dict[str, int]:
         counts: dict[str, Any] = self.store.counters()
-        counts["executor_width"] = self.executor.width
+        counts["executor_width"] = self.loop.width
         return counts
 
     def shutdown(self, wait: bool = False) -> None:
         """Stop the queue promptly without forfeiting shared work.
 
         Process-local registry (path-less database): cancel every
-        non-terminal job first, so running mines abort at their next
-        checkpoint instead of holding the (non-daemon) worker threads — a
-        Ctrl-C exits promptly.
+        non-terminal job, so running mines abort at their next checkpoint
+        and a Ctrl-C exits promptly.
 
         Shared (store-backed) registry: cancelling would kill work other
-        processes can still finish, so instead the stop signal makes
-        in-flight runs abort at their next checkpoint and *release* their
-        claims (CAS back to queued) for immediate takeover; jobs this
-        process never claimed are simply left for the fleet.
+        processes can still finish, so instead this process's claims are
+        *released* (CAS back to queued) for immediate takeover and its
+        in-flight runs abort at their next checkpoint; jobs it never
+        claimed are simply left for the fleet.
         """
-        self._stopping.set()
         if not self.store.shared:
             for job in self.store.list(kind=None):
                 if job.state not in TERMINAL_STATES:
@@ -119,4 +115,4 @@ class JobQueue:
                         self.store.request_cancel(job.job_id)
                     except JobStateError:
                         pass  # finished between the list and the cancel
-        self.executor.shutdown(wait=wait)
+        self.loop.shutdown(wait=wait)

@@ -56,28 +56,19 @@ class App:
         return self._handler(request)
 
     def close(self, wait: bool = False) -> None:
-        """Stop the background job machinery (pending queued jobs dropped).
+        """Stop the background machinery: compaction, then the claim loops.
 
-        Stops the lease-polling worker (if started) and the executor.
-        ``wait=True`` blocks until the worker threads exit — bounded,
-        because shutdown cancels running jobs first and they abort at their
-        next checkpoint.  Required before a ``Database.save`` export: a
-        snapshot taken while a worker is still writing a result would
-        iterate a mutating collection.  On a store path, queued jobs
-        survive anyway — whichever process next recovers the store
-        picks them up.
-
-        Order matters: the polling worker is *signalled* first but only
-        joined after ``jobs.shutdown`` has swept cancellation over running
-        jobs — a worker synchronously mining a claimed job needs that
-        cancel to reach its next checkpoint, otherwise joining it would
-        wait out the whole mine.
+        ``wait=True`` blocks until the loop threads exit — bounded, because
+        shutdown cancels (path-less store) or releases (store path) running
+        jobs first and they abort at their next checkpoint.  Required
+        before a ``Database.save`` export: a snapshot taken while a loop is
+        still writing a result would iterate a mutating collection.  On a
+        store path, queued jobs survive anyway — whichever process next
+        opens the store picks them up.
         """
         if self.compactor is not None:
             self.compactor.stop(wait=wait)
-        self.state.stop_job_worker(wait=False)
         self.state.jobs.shutdown(wait=wait)
-        self.state.stop_job_worker(wait=wait)
 
 
 def create_app(
@@ -85,6 +76,7 @@ def create_app(
     body_limit: int = DEFAULT_BODY_LIMIT,
     with_logging: bool = False,
     job_workers: int = 2,
+    worker_poll: float = 1.0,
     worker_id: str | None = None,
     lease_seconds: float = 30.0,
     max_attempts: int = 5,
@@ -100,17 +92,23 @@ def create_app(
         persistence across restarts.  The job registry lives in its
         ``jobs`` collection (lease-based multi-process claiming when the
         store has a path); startup recovery runs here, so interrupted
-        jobs are requeued and rescheduled before the first request is
-        served.  Defaults to in-memory, with a process-local registry.
+        jobs are requeued before the first request is served.  Defaults
+        to in-memory, with a process-local registry.
     body_limit:
         Maximum request body size (enforces the chunked-upload protocol).
     with_logging:
         Attach the request-logging middleware.
     job_workers:
-        Width of the async mining executor (``POST
-        /api/v1/datasets/{name}/results`` with ``mode=async``).  Each
-        worker is a *driver* thread — the mining itself may fan out
-        further through ``MiningParameters.n_jobs``.
+        Number of claim-loop threads.  Every job — async, distributed
+        (planner, shards, merge) and resident stream jobs alike, whichever
+        process enqueued it — is claimed from the registry and run by one
+        of them.  A loop thread only drives a mine: the mining itself may
+        fan out further through ``MiningParameters.n_jobs``.
+    worker_poll:
+        Seconds an idle claim loop waits before looking for work again
+        (must be > 0).  A submission to this app wakes a loop at once; the
+        beat picks up jobs other processes enqueued, re-claims resting
+        stream jobs and backed-off requeues, and reclaims lapsed leases.
     worker_id, lease_seconds:
         Job-registry identity and claim lifetime (see
         :class:`repro.jobs.DurableJobStore`).
@@ -135,12 +133,13 @@ def create_app(
     state = ServerState(
         database,
         job_workers=job_workers,
+        worker_poll=worker_poll,
         worker_id=worker_id,
         lease_seconds=lease_seconds,
         max_attempts=max_attempts,
         stream_retention=stream_retention,
     )
-    state.recover_jobs()
+    state.jobs.store.recover()
     router = Router()
     register_v1_routes(router, state)
     handler: Callable[[Request], Response] = router.dispatch

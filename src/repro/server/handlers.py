@@ -42,14 +42,12 @@ from ..jobs import (
     KIND_MERGE,
     KIND_SHARD,
     KIND_STREAM,
-    QUEUED,
     RUNNING,
     TERMINAL_STATES,
     DurableJobStore,
     Job,
     JobQueue,
     JobStateError,
-    JobWorker,
     execute_units,
     maybe_fault,
     merge_outputs,
@@ -101,11 +99,21 @@ _MINE_DELAY_ENV = "REPRO_JOBS_MINE_DELAY"
 _SHARD_DELAY_ENV = "REPRO_JOBS_SHARD_DELAY"
 
 
+def _hold(env: str, control) -> None:
+    """Sleep for the seconds ``env`` names, honouring cancellation (the
+    fault-injection hold of :data:`_MINE_DELAY_ENV` / :data:`_SHARD_DELAY_ENV`)."""
+    delay = float(os.environ.get(env, 0) or 0)
+    deadline = time.monotonic() + delay
+    while time.monotonic() < deadline:
+        control.checkpoint()
+        time.sleep(min(0.05, max(0.0, deadline - time.monotonic())))
+
+
 class ServerState:
     """Shared state behind the handlers: store, cache, uploads, job queue.
 
-    With the threaded WSGI server and the background job executor, handlers
-    run concurrently; ``self.lock`` guards the in-memory mutable state
+    With the threaded WSGI server and the job claim loops, handlers run
+    concurrently; ``self.lock`` guards the in-memory mutable state
     (dataset registry caches, upload sessions, the memoized-result LRU).
     Mining itself never holds the lock — only the bookkeeping around it
     does.
@@ -115,16 +123,17 @@ class ServerState:
     store path, every transition is a WAL append and any number of server
     processes sharing the store claim work through leases; an in-memory
     database keeps the same registry, spans, sub-jobs and stream jobs
-    process-local.  ``recover_jobs`` (called by
-    :func:`repro.server.app.create_app`) requeues interrupted work on
-    startup, and :meth:`start_job_worker` turns this process into a
-    polling worker for jobs any process enqueued.
+    process-local.  Submissions only open jobs; ``job_workers`` claim-loop
+    threads claim every job — whichever process enqueued it — and run the
+    work :meth:`runner_for_job` builds from its stored document, looking
+    for work every ``worker_poll`` seconds when idle.
     """
 
     def __init__(
         self,
         database: Database | None = None,
         job_workers: int = 2,
+        worker_poll: float = 1.0,
         worker_id: str | None = None,
         lease_seconds: float = 30.0,
         max_attempts: int = 5,
@@ -158,20 +167,12 @@ class ServerState:
             dict(stream_retention) if stream_retention else None
         )
         # Resident-miner cadence: a drained stream job idles this long
-        # before releasing its claim, gated for re-claim after the poll
-        # interval (sub-second so appended batches surface quickly; tests
-        # shorten both).
+        # before releasing its claim, gated for re-claim after
+        # ``stream_poll_seconds``; a claim loop takes it back on its next
+        # beat (tests shorten all three).
         self.stream_idle_seconds = 0.5
         self.stream_poll_seconds = 0.25
         self.lock = threading.RLock()
-        store = DurableJobStore(
-            self.database,
-            worker_id=worker_id,
-            lease_seconds=lease_seconds,
-            max_attempts=max_attempts,
-        )
-        self.jobs = JobQueue(store=store, width=job_workers)
-        self._worker: JobWorker | None = None
         self._pending: dict[str, ChunkAssembler] = {}
         self._pending_meta: dict[str, tuple[list, list]] = {}
         # One lock per open upload session: chunks of the same session must
@@ -188,10 +189,23 @@ class ServerState:
         self._results: dict[str, _Memo] = {}
         self._results_capacity = 32
         # Dataset generations (see ``_bump_generation``) are bumped on
-        # every re-upload/delete; async jobs snapshot the value at submit
-        # and refuse to publish a result mined from superseded data, and v1
-        # result ETags embed it so conditional GETs never revalidate a
-        # representation derived from replaced data.
+        # every re-upload/delete; async jobs snapshot the value when
+        # claimed and refuse to publish a result mined from superseded
+        # data, and v1 result ETags embed it so conditional GETs never
+        # revalidate a representation derived from replaced data.
+        #
+        # Last: the claim loops start here and may build a runner at once.
+        self.jobs = JobQueue(
+            DurableJobStore(
+                self.database,
+                worker_id=worker_id,
+                lease_seconds=lease_seconds,
+                max_attempts=max_attempts,
+            ),
+            self.runner_for_job,
+            width=job_workers,
+            poll_seconds=worker_poll,
+        )
 
     # -- upload sessions ------------------------------------------------------
 
@@ -441,44 +455,25 @@ class ServerState:
     ) -> tuple[Job, bool]:
         """Open (or dedup onto) the async mining job for (dataset, params).
 
-        The runner executes on an executor thread and funnels its result
+        Only writes the job: a claim loop claims it and builds its runner
+        with :meth:`runner_for_job`.  The runner funnels its result
         through the exact sync path — :meth:`ResultCache.mine_cached` — so
         async-mined CAPs land in the same ``cap_results`` documents (and
         the same memoized-deserialization path) that result reads and map
         clicks use.
 
-        A re-upload or delete of the dataset while the job is in flight
-        makes the captured dataset object stale: :meth:`put_dataset` /
-        :meth:`delete_dataset` bump the dataset's generation and request
-        cancellation of its jobs, and the runner checks the generation
-        *before publishing* (so CAPs mined from replaced data normally
-        never reach the cache) plus once more after, withdrawing the entry
-        if a re-upload slipped between check and put.  Either way the job
-        ends ``cancelled``, never serving superseded data.
-
-        ``distributed=True`` submits the job as a distributed *parent*: the
-        scheduled runner is the planner, which splits the mine into shard
-        sub-jobs + a merge sub-job that any process's polling worker can
-        claim under its own lease.
+        ``distributed=True`` opens the job as a distributed *parent*: its
+        claimed execution is the planner, which splits the mine into shard
+        sub-jobs + a merge sub-job that any process's claim loop can claim
+        under its own lease.
         """
-        key = cache_key(dataset.name, params)
-        if distributed:
-            job, created = self.jobs.store.open_job(
-                dataset.name,
-                params.to_document(),
-                key,
-                distributed=True,
-                plan_workers=plan_workers,
-                trace_id=trace_id,
-            )
-            if created:
-                # The planner runs as the parent's claimed execution; the
-                # runner needs the job id, which only exists post-open.
-                self.jobs.schedule(job.job_id, self._planner_runner(job.job_id))
-            return job, created
-        runner = self._mine_runner(dataset, params, key)
         return self.jobs.submit(
-            dataset.name, params.to_document(), key, runner, trace_id=trace_id
+            dataset.name,
+            params.to_document(),
+            cache_key(dataset.name, params),
+            distributed=distributed,
+            plan_workers=plan_workers,
+            trace_id=trace_id,
         )
 
     def submit_stream_job(
@@ -506,12 +501,30 @@ class ServerState:
                 code="invalid_parameters",
             )
         key = cache_key(dataset.name, params)
-        job, created = self.jobs.store.open_stream_job(
+        return self.jobs.open_stream_job(
             dataset.name, params.to_document(), key, trace_id=trace_id
         )
-        if created:
-            self.jobs.schedule(job.job_id, self._stream_runner(job))
-        return job, created
+
+    def runner_for_job(self, job: Job):
+        """Build a claimed job's work from its stored document.
+
+        The claim loop's runner factory: every job — whichever process
+        enqueued it — is rebuilt from its stored kind, dataset name and
+        canonical parameters.  Shard and merge sub-jobs get their
+        distributed runners, a stream job its resident miner, an unplanned
+        distributed parent the planner, and everything else is a whole
+        mine.  Raising here (e.g. the dataset document is gone) fails the
+        job with the structured error.
+        """
+        if job.kind == KIND_SHARD:
+            return self._shard_runner(job)
+        if job.kind == KIND_MERGE:
+            return self._merge_runner(job)
+        if job.kind == KIND_STREAM:
+            return self._stream_runner(job)
+        if job.distributed and not job.planned:
+            return lambda control: self._run_planner(job, control)
+        return self._mine_runner(job)
 
     def _stream_runner(self, job: Job):
         """The resident streaming miner's claimed execution (one drain).
@@ -521,7 +534,7 @@ class ServerState:
         event diff → alert evaluation, each persisted atomically), renews
         its lease on a lease/3 beat while working, and once drained-and-
         idle *releases* the claim with a short retry gate and returns
-        ``HANDLED`` — the polling worker re-claims it on the next beat, so
+        ``HANDLED`` — a claim loop re-claims it on its next beat, so
         residency never depends on this thread surviving.  A ``kill -9``
         leaves a lapsed lease; the reclaimer's session resumes from the
         high-water mark with deterministic, insert-if-missing events — no
@@ -530,10 +543,7 @@ class ServerState:
 
         def runner(control):
             store = self.jobs.store
-            claimed = store.get(job.job_id)
-            if claimed is None or claimed.state != RUNNING:
-                raise MiningCancelled(f"stream job {job.job_id} lost its claim")
-            attempt = claimed.attempt
+            attempt = job.attempt
             try:
                 dataset = self.get_dataset(job.dataset)
             except HTTPError:
@@ -605,47 +615,26 @@ class ServerState:
 
         return runner
 
-    def _mine_runner(self, dataset: SensorDataset, params: MiningParameters, key: str):
-        """The executable work of one mining job (see :meth:`submit_mine_job`)."""
-        generation = self.dataset_generation(dataset.name)
+    def _mine_runner(self, job: Job):
+        """One whole mine: the dataset as of the claim, cached like a sync mine.
 
-        def check_current() -> None:
-            if self.dataset_generation(dataset.name) != generation:
-                raise MiningCancelled(
-                    f"dataset {dataset.name!r} was replaced while mining"
-                )
+        A re-upload or delete of the dataset while the job is in flight
+        makes the loaded dataset stale: :meth:`put_dataset` /
+        :meth:`delete_dataset` bump the dataset's generation and request
+        cancellation of its jobs, and :meth:`_publish` refuses (or
+        withdraws) a result mined under an older generation, so the job
+        ends ``cancelled`` instead of serving superseded data.
+        """
+        generation = self.dataset_generation(job.dataset)
+        dataset = self.get_dataset(job.dataset)
+        params = MiningParameters.from_document(job.parameters)
 
         def runner(control) -> str:
-            delay = float(os.environ.get(_MINE_DELAY_ENV, 0) or 0)
-            if delay > 0:  # fault-injection harness only; see _MINE_DELAY_ENV
-                deadline = time.monotonic() + delay
-                while time.monotonic() < deadline:
-                    control.checkpoint()
-                    time.sleep(min(0.05, max(0.0, deadline - time.monotonic())))
-            cached = self.cache.get(dataset.name, params)
-            if cached is None:
-                miner = MiscelaMiner(params)
-                result = miner.mine(dataset, control=control)
-                check_current()  # never publish a superseded result
-                self.cache.put(result)
-                try:
-                    check_current()
-                except MiningCancelled:
-                    # Re-upload interleaved with the put: withdraw it.
-                    self.cache.delete_key(key)
-                    raise
-            return key
-
-        return runner
-
-    def _planner_runner(self, job_id: str):
-        """Submit-path wrapper: resolve the claim, then run the planner."""
-
-        def runner(control):
-            job = self.jobs.store.get(job_id)
-            if job is None:
-                raise MiningCancelled(f"job {job_id} vanished before planning")
-            return self._run_planner(job, control)
+            _hold(_MINE_DELAY_ENV, control)
+            if self.cache.get(job.dataset, params) is None:
+                result = MiscelaMiner(params).mine(dataset, control=control)
+                self._publish(result, job.key, generation)
+            return job.key
 
         return runner
 
@@ -658,9 +647,6 @@ class ServerState:
         skips sub-jobs that already exist.
         """
         store = self.jobs.store
-        current = store.get(job.job_id)  # the claim this runner executes under
-        if current is None:
-            raise MiningCancelled(f"job {job.job_id} vanished while planning")
         dataset = self.get_dataset(job.dataset)
         params = MiningParameters.from_document(job.parameters)
         generation = self.dataset_generation(job.dataset)
@@ -668,7 +654,7 @@ class ServerState:
         control.checkpoint()
         store.finish_planning(
             job.job_id,
-            current.attempt,
+            job.attempt,
             shard_units=plan.shard_documents,
             mode=plan.mode,
             horizon=plan.horizon,
@@ -688,21 +674,12 @@ class ServerState:
         def runner(control):
             store = self.jobs.store
             spec = store.shard_spec(job.job_id)
-            delay = float(os.environ.get(_SHARD_DELAY_ENV, 0) or 0)
-            if delay > 0:  # fault-injection harness only; see _SHARD_DELAY_ENV
-                deadline = time.monotonic() + delay
-                while time.monotonic() < deadline:
-                    control.checkpoint()
-                    time.sleep(min(0.05, max(0.0, deadline - time.monotonic())))
-            if self.dataset_generation(job.dataset) != spec["generation"]:
-                raise MiningCancelled(
-                    f"dataset {job.dataset!r} was replaced while mining"
-                )
+            _hold(_SHARD_DELAY_ENV, control)
+            self._require_generation(job.dataset, spec["generation"])
             dataset = self.get_dataset(job.dataset)
             params = MiningParameters.from_document(job.parameters)
             profiler = Profiler()
-            if control is not None:
-                control.profiler = profiler
+            control.profiler = profiler
             started = time.monotonic()
             output = execute_units(
                 dataset, params, spec["units"], spec["mode"], spec["horizon"],
@@ -736,16 +713,8 @@ class ServerState:
             store = self.jobs.store
             spec = store.shard_spec(job.job_id)
             params = MiningParameters.from_document(job.parameters)
-
-            def check_current() -> None:
-                if self.dataset_generation(job.dataset) != spec["generation"]:
-                    raise MiningCancelled(
-                        f"dataset {job.dataset!r} was replaced while mining"
-                    )
-
-            check_current()
-            cached = self.cache.get(job.dataset, params)
-            if cached is None:
+            self._require_generation(job.dataset, spec["generation"])
+            if self.cache.get(job.dataset, params) is None:
                 shard_results = store.shard_outputs(spec["parent_id"])
                 outputs = [
                     entry
@@ -762,101 +731,31 @@ class ServerState:
                         shard["elapsed_seconds"] for shard in shard_results
                     ),
                 )
-                check_current()  # never publish a superseded result
                 maybe_fault("before-merge-publish")
-                self.cache.put(result)
-                try:
-                    check_current()
-                except MiningCancelled:
-                    # Re-upload interleaved with the put: withdraw it.
-                    self.cache.delete_key(job.key)
-                    raise
+                self._publish(result, job.key, spec["generation"])
             return job.key
 
         return runner
 
-    def runner_for_job(self, job: Job):
-        """Rebuild a claimed job's work from its stored document.
+    def _publish(self, result: MiningResult, key: str, generation: int) -> None:
+        """Cache a job's result unless its dataset moved past ``generation``.
 
-        The polling :class:`~repro.jobs.JobWorker` executes jobs *other*
-        processes enqueued — no submit-time closure exists here, so the
-        dataset is loaded (refreshing from the shared store if needed) and
-        the parameters re-parsed from the job's canonical document.
-        Dispatches on the job's kind: shard and merge sub-jobs get their
-        distributed runners, an unplanned distributed parent gets the
-        planner, and everything else is a whole mine.
+        Checked before the put, so CAPs mined from replaced data normally
+        never reach the cache, and once more after it: a re-upload that
+        slipped between check and put withdraws the entry.  Either way the
+        job ends ``cancelled``.
         """
-        if job.kind == KIND_SHARD:
-            return self._shard_runner(job)
-        if job.kind == KIND_MERGE:
-            return self._merge_runner(job)
-        if job.kind == KIND_STREAM:
-            return self._stream_runner(job)
-        if job.distributed and not job.planned:
-            return lambda control: self._run_planner(job, control)
-        dataset = self.get_dataset(job.dataset)
-        params = MiningParameters.from_document(job.parameters)
-        return self._mine_runner(dataset, params, job.key)
+        self._require_generation(result.dataset_name, generation)
+        self.cache.put(result)
+        try:
+            self._require_generation(result.dataset_name, generation)
+        except MiningCancelled:
+            self.cache.delete_key(key)
+            raise
 
-    def recover_jobs(self) -> dict[str, list[str]]:
-        """Startup recovery against the registry (trivial on a fresh one).
-
-        Requeues interrupted ``running`` jobs whose lease lapsed,
-        republishes ``succeeded`` ones from their stored result keys, and
-        schedules every ``queued`` job onto this process's executor so
-        work accepted by a dead process still completes — even with the
-        polling worker disabled.
-        """
-        summary = self.jobs.store.recover()
-        queued = self.jobs.list(QUEUED)
-        # Resident stream jobs are top-level too, but live outside the
-        # default (mine) listing; requeue-recovered ones must also resume.
-        queued += self.jobs.store.list(QUEUED, kind=KIND_STREAM)
-        for job in queued:
-            # Top-level jobs only (shard/merge sub-jobs are the polling
-            # worker's to claim — their readiness gates live in the store).
-            self.jobs.schedule(job.job_id, self._deferred_runner(job))
-        return summary
-
-    def _deferred_runner(self, job: Job):
-        """Build the job's runner on the executor thread, not at recovery.
-
-        Startup must not crash (or synchronously load every queued job's
-        dataset) because one recovered job is broken: a failing
-        ``runner_for_job`` — e.g. the dataset document is gone — raises
-        inside the claimed execution, where the standard tail marks the
-        job ``failed`` with the structured error instead of killing
-        ``create_app``.
-        """
-
-        def runner(control):
-            return self.runner_for_job(job)(control)
-
-        return runner
-
-    def start_job_worker(self, interval: float = 1.0) -> JobWorker:
-        """Run a lease-polling worker thread against the job registry."""
-        if self._worker is not None and self._worker.is_alive():
-            return self._worker
-        self._worker = JobWorker(
-            self.jobs.store, self.runner_for_job, interval=interval
-        )
-        self._worker.start()
-        return self._worker
-
-    def stop_job_worker(self, wait: bool = False) -> None:
-        """Signal (and with ``wait=True`` join) the polling worker.
-
-        Idempotent; the reference is only dropped once the thread is
-        actually gone, so signal-now/join-later sequencing works
-        (:meth:`repro.server.app.App.close` relies on it).
-        """
-        worker = self._worker
-        if worker is None:
-            return
-        worker.stop(wait=wait)
-        if not worker.is_alive():
-            self._worker = None
+    def _require_generation(self, name: str, generation: int) -> None:
+        if self.dataset_generation(name) != generation:
+            raise MiningCancelled(f"dataset {name!r} was replaced while mining")
 
 
 # -- handler cores (the v1 route handlers delegate to these) -------------------

@@ -476,7 +476,7 @@ class Collection:
 
         Taken under the write lock so a snapshot never observes a
         half-applied write (the durable job registry saves the database
-        while executor threads are still transitioning other jobs).
+        while claim-loop threads are still transitioning other jobs).
         """
         with self._write_lock:
             return {

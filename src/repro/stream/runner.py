@@ -2,8 +2,8 @@
 
 The ``stream`` job kind is *resident but polite*: a claimed worker drains
 every appended epoch, then releases its claim with a short retry gate and
-returns — the polling :class:`~repro.jobs.worker.JobWorker` re-claims it
-moments later (or another process does).  Liveness therefore never
+returns — a :class:`~repro.jobs.executor.ClaimLoop` re-claims it on its
+next beat (or another process does).  Liveness therefore never
 depends on one thread surviving: a ``kill -9`` mid-drain just leaves a
 lapsed lease, and whoever reclaims the job rebuilds this session.
 

@@ -70,13 +70,20 @@ def second_store(store_path, clock, worker_id="beta") -> DurableJobStore:
     return make_store(store_path, clock, worker_id)
 
 
+def claim(store: DurableJobStore, job):
+    """Claim ``job``, which must be the oldest claimable queued job."""
+    claimed = store.claim_next()
+    assert claimed is not None and claimed.job_id == job.job_id
+    return claimed
+
+
 class TestPersistedLifecycle:
     def test_every_transition_survives_reopen(self, store, store_path, clock):
         job, created = store.open_job("santander", PARAMS, KEY)
         assert created and job.state == QUEUED
         assert second_store(store_path, clock).get(job.job_id).state == QUEUED
 
-        store.mark_running(job.job_id)
+        claim(store, job)
         assert second_store(store_path, clock).get(job.job_id).state == RUNNING
 
         store.mark_succeeded(job.job_id, result_key=KEY)
@@ -87,7 +94,7 @@ class TestPersistedLifecycle:
 
     def test_failed_error_round_trips_through_snapshot(self, store, store_path, clock):
         job, _ = store.open_job("santander", PARAMS, KEY)
-        store.mark_running(job.job_id)
+        claim(store, job)
         try:
             raise ValueError("sensor exploded")
         except ValueError as exc:
@@ -99,10 +106,9 @@ class TestPersistedLifecycle:
 
     def test_terminal_states_stay_terminal(self, store):
         job, _ = store.open_job("santander", PARAMS, KEY)
-        store.mark_running(job.job_id)
+        claim(store, job)
         store.mark_succeeded(job.job_id)
-        with pytest.raises(JobStateError):
-            store.mark_running(job.job_id)
+        assert store.claim_next() is None
         with pytest.raises(JobStateError):
             store.request_cancel(job.job_id)
 
@@ -110,7 +116,7 @@ class TestPersistedLifecycle:
         # No snapshot path: still a registry, just process-local.
         store = DurableJobStore(Database(), worker_id="solo", clock=clock)
         job, _ = store.open_job("santander", PARAMS, KEY)
-        store.mark_running(job.job_id)
+        claim(store, job)
         final = store.mark_succeeded(job.job_id, result_key=KEY)
         assert final.state == SUCCEEDED and final.worker_id == "solo"
 
@@ -118,7 +124,7 @@ class TestPersistedLifecycle:
 class TestClaiming:
     def test_claim_stamps_worker_and_lease(self, store, clock):
         job, _ = store.open_job("santander", PARAMS, KEY)
-        claimed = store.mark_running(job.job_id)
+        claimed = claim(store, job)
         assert claimed.worker_id == "alpha"
         assert claimed.attempt == 1
         assert claimed.lease_expires_at == pytest.approx(clock.now, abs=11.0)
@@ -137,8 +143,6 @@ class TestClaiming:
         assert other.claim_next().job_id == job.job_id
         # The loser sees the claim and gets nothing.
         assert store.claim_next() is None
-        with pytest.raises(JobStateError):
-            store.mark_running(job.job_id)
 
     def test_claim_next_is_fifo(self, store):
         first, _ = store.open_job("santander", PARAMS, KEY)
@@ -157,14 +161,15 @@ class TestClaiming:
             store.mark_failed(job.job_id, RuntimeError("late"))
 
     def test_stale_attempt_of_same_worker_cannot_clobber(self, store, clock):
-        """Executor and polling worker share one worker_id: the attempt
-        token is what keeps a stale thread of the *same process* from
-        finishing (or progress-poisoning) a re-claimed job."""
+        """Every claim-loop thread shares one worker_id: the attempt token
+        is what keeps a stale thread of the *same process* from finishing
+        (or progress-poisoning) a re-claimed job."""
         job, _ = store.open_job("santander", PARAMS, KEY)
-        first = store.mark_running(job.job_id)  # attempt 1 (stale thread)
+        first = claim(store, job)  # attempt 1 (stale thread)
         clock.advance(11.0)
         store.reclaim_expired()
-        second = store.mark_running(job.job_id)  # attempt 2 (fresh claim)
+        clock.advance(1.0)  # past the requeue backoff window
+        second = claim(store, job)  # attempt 2 (fresh claim)
         assert (first.attempt, second.attempt) == (1, 2)
         # Stale thread's late writes carry attempt=1 and are refused.
         with pytest.raises(JobStateError, match="lease lost"):
@@ -182,7 +187,7 @@ class TestClaiming:
 
     def test_stale_winner_cannot_clobber_newer_attempt(self, store, store_path, clock):
         job, _ = store.open_job("santander", PARAMS, KEY)
-        store.mark_running(job.job_id)
+        claim(store, job)
         clock.advance(11.0)  # lease lapses
         other = second_store(store_path, clock)
         assert [j.job_id for j in other.reclaim_expired()] == [job.job_id]
@@ -199,7 +204,7 @@ class TestClaiming:
 class TestLeases:
     def test_progress_renews_lease(self, store, clock):
         job, _ = store.open_job("santander", PARAMS, KEY)
-        claimed = store.mark_running(job.job_id)
+        claimed = claim(store, job)
         clock.advance(5.0)  # more than a third of the lease consumed
         store.set_progress(job.job_id, 1, 4)
         renewed = store.get(job.job_id)
@@ -208,9 +213,9 @@ class TestLeases:
     def test_reclaim_requeues_only_lapsed(self, store, clock):
         expired, _ = store.open_job("santander", PARAMS, KEY)
         live, _ = store.open_job("santander", PARAMS, OTHER_KEY)
-        store.mark_running(expired.job_id)
+        claim(store, expired)
         clock.advance(11.0)
-        store.mark_running(live.job_id)  # fresh lease
+        claim(store, live)  # fresh lease
         requeued = store.reclaim_expired()
         assert [j.job_id for j in requeued] == [expired.job_id]
         assert store.get(expired.job_id).state == QUEUED
@@ -219,7 +224,7 @@ class TestLeases:
 
     def test_reclaim_honours_pending_cancellation(self, store, clock):
         job, _ = store.open_job("santander", PARAMS, KEY)
-        store.mark_running(job.job_id)
+        claim(store, job)
         store.request_cancel(job.job_id)
         clock.advance(11.0)
         assert store.reclaim_expired() == []  # cancelled, not requeued
@@ -228,9 +233,9 @@ class TestLeases:
     def test_lease_counters(self, store, clock):
         a, _ = store.open_job("santander", PARAMS, KEY)
         b, _ = store.open_job("santander", PARAMS, OTHER_KEY)
-        store.mark_running(a.job_id)
+        claim(store, a)
         clock.advance(11.0)
-        store.mark_running(b.job_id)
+        claim(store, b)
         counters = store.counters()
         assert counters["running"] == 2
         assert counters["leases"] == {"active": 1, "expired": 1}
@@ -248,7 +253,7 @@ class TestLeases:
 class TestRecovery:
     def test_requeues_lapsed_running_jobs(self, store, store_path, clock):
         job, _ = store.open_job("santander", PARAMS, KEY)
-        store.mark_running(job.job_id)
+        claim(store, job)
         clock.advance(11.0)
         fresh = second_store(store_path, clock, worker_id="recoverer")
         summary = fresh.recover()
@@ -258,7 +263,7 @@ class TestRecovery:
 
     def test_leaves_live_leases_alone(self, store, store_path, clock):
         job, _ = store.open_job("santander", PARAMS, KEY)
-        store.mark_running(job.job_id)
+        claim(store, job)
         fresh = second_store(store_path, clock, worker_id="recoverer")
         summary = fresh.recover()
         assert summary["requeued"] == []
@@ -268,7 +273,7 @@ class TestRecovery:
         database = store.database
         database.collection("cap_results").insert_one({"key": KEY, "result": {}})
         job, _ = store.open_job("santander", PARAMS, KEY)
-        store.mark_running(job.job_id)
+        claim(store, job)
         store.mark_succeeded(job.job_id, result_key=KEY)
         summary = second_store(store_path, clock).recover()
         assert summary["republished"] == [job.job_id]
@@ -278,7 +283,7 @@ class TestRecovery:
         self, store, store_path, clock
     ):
         job, _ = store.open_job("santander", PARAMS, KEY)
-        store.mark_running(job.job_id)
+        claim(store, job)
         store.mark_succeeded(job.job_id, result_key=KEY)  # result never stored
         summary = second_store(store_path, clock).recover()
         assert summary["missing_results"] == [job.job_id]
@@ -307,14 +312,15 @@ class TestRegistryViews:
 
     def test_progress_is_monotone_per_attempt(self, store, clock):
         job, _ = store.open_job("santander", PARAMS, KEY)
-        store.mark_running(job.job_id)
+        claim(store, job)
         store.set_progress(job.job_id, 3, 8)
         store.set_progress(job.job_id, 2, 8)  # late tick: ignored
         assert store.get(job.job_id).progress == pytest.approx(3 / 8)
         clock.advance(11.0)
         store.reclaim_expired()
         assert store.get(job.job_id).progress == 0.0  # new attempt starts over
-        store.mark_running(job.job_id)
+        clock.advance(1.0)  # past the requeue backoff window
+        claim(store, job)
         store.set_progress(job.job_id, 1, 8)
         assert store.get(job.job_id).progress == pytest.approx(1 / 8)
 
@@ -342,7 +348,7 @@ class TestRegistryViews:
         finished = []
         for index in range(3):
             job, _ = store.open_job("santander", PARAMS, f"{index:064d}")
-            store.mark_running(job.job_id)
+            claim(store, job)
             store.mark_succeeded(job.job_id, result_key=job.key)
             finished.append(job)
         store.open_job("santander", PARAMS, "z" * 64)  # triggers the prune

@@ -1,7 +1,13 @@
-"""JobQueue + executor behaviour: real threads, cooperative cancellation."""
+"""JobQueue + claim-loop behaviour: real threads, cooperative cancellation.
+
+Each test registers a runner per cache key; the queue's runner factory
+looks the claimed job's key up, the way a server rebuilds a runner from
+the stored job document.
+"""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -13,8 +19,10 @@ from repro.jobs import (
     FAILED,
     SUCCEEDED,
     TERMINAL_STATES,
+    DurableJobStore,
     JobQueue,
 )
+from repro.store.database import Database
 
 KEY = "f" * 64
 PARAMS = {"min_support": 5}
@@ -35,9 +43,26 @@ def wait_terminal(queue: JobQueue, job_id: str):
     return queue.get(job_id)
 
 
+class Queue(JobQueue):
+    """A one-thread queue whose submissions carry their runner."""
+
+    def __init__(self, **kwargs):
+        self.runners = {}
+        super().__init__(
+            DurableJobStore(Database()),
+            lambda job: self.runners[job.key],
+            width=1,
+            **kwargs,
+        )
+
+    def submit(self, dataset, parameters, key, runner):
+        self.runners[key] = runner
+        return super().submit(dataset, parameters, key)
+
+
 @pytest.fixture
 def queue():
-    q = JobQueue(width=1)
+    q = Queue()
     yield q
     q.shutdown(wait=True)
 
@@ -165,7 +190,7 @@ class TestShutdown:
     def test_shutdown_cancels_running_jobs(self):
         """Ctrl-C must not wait out an in-flight mine: shutdown requests
         cancellation, the runner aborts at its next checkpoint."""
-        queue = JobQueue(width=1)
+        queue = Queue()
         started = threading.Event()
 
         def runner(control: MiningControl) -> str:
@@ -181,6 +206,72 @@ class TestShutdown:
         queue.shutdown(wait=True)
         assert time.monotonic() - begun < TIMEOUT / 2  # not the full 50 s loop
         assert queue.get(job.job_id).state == CANCELLED
+
+
+class TestClaimLoop:
+    def test_factory_failure_fails_the_job(self):
+        def factory(job):
+            raise LookupError("dataset is gone")
+
+        queue = JobQueue(DurableJobStore(Database()), factory, width=1)
+        try:
+            job, _ = queue.submit("santander", PARAMS, KEY)
+            final = wait_terminal(queue, job.job_id)
+            assert final.state == FAILED
+            assert final.error.type == "LookupError"
+        finally:
+            queue.shutdown(wait=True)
+
+    def test_job_written_straight_to_the_store_runs_on_the_beat(self):
+        """A job another process enqueued wakes nobody here: the poll beat
+        finds it."""
+        queue = Queue(poll_seconds=0.05)
+        try:
+            queue.runners[KEY] = lambda control: KEY
+            job, _ = queue.store.open_job("santander", PARAMS, KEY)
+            assert wait_terminal(queue, job.job_id).state == SUCCEEDED
+        finally:
+            queue.shutdown(wait=True)
+
+    def test_concurrent_submitters_run_each_job_exactly_once(self):
+        """More loops than cores, several submitters, a tiny switch
+        interval: every job runs once, and no wake-up is lost (a lost one
+        would leave a job queued for the whole 30 s beat)."""
+        runs = []
+        queue = JobQueue(
+            DurableJobStore(Database()),
+            lambda job: lambda control: runs.append(job.key) or job.key,
+            width=4,
+            poll_seconds=30.0,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def submit_many(offset: int) -> None:
+                for index in range(offset, offset + 25):
+                    queue.submit("santander", PARAMS, f"{index:064d}")
+
+            submitters = [
+                threading.Thread(target=submit_many, args=(25 * n,)) for n in range(4)
+            ]
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(TIMEOUT)
+                assert not thread.is_alive()
+            wait_until(
+                lambda: all(j.state == SUCCEEDED for j in queue.store.list())
+                and len(queue.store.list()) == 100
+            )
+        finally:
+            sys.setswitchinterval(interval)
+            queue.shutdown(wait=True)
+        assert sorted(runs) == sorted(f"{index:064d}" for index in range(100))
+
+    @pytest.mark.parametrize("poll", [0.0, -1.0, float("nan"), float("inf")])
+    def test_poll_interval_must_be_positive(self, poll):
+        with pytest.raises(ValueError, match="poll interval"):
+            JobQueue(DurableJobStore(Database()), lambda job: None, poll_seconds=poll)
 
 
 class TestCounters:

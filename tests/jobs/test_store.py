@@ -41,6 +41,13 @@ def store() -> DurableJobStore:
     return make_store()
 
 
+def claim(store: DurableJobStore, job):
+    """Claim ``job``, which must be the oldest claimable queued job."""
+    claimed = store.claim_next()
+    assert claimed is not None and claimed.job_id == job.job_id
+    return claimed
+
+
 def open_one(store: DurableJobStore, key: str = KEY):
     job, created = store.open_job("santander", PARAMS, key)
     assert created
@@ -57,7 +64,7 @@ class TestStateMachine:
 
     def test_happy_path_timestamps(self, store):
         job = open_one(store)
-        store.mark_running(job.job_id)
+        claim(store, job)
         store.mark_succeeded(job.job_id, result_key=KEY)
         final = store.get(job.job_id)
         assert final.state == SUCCEEDED
@@ -66,10 +73,9 @@ class TestStateMachine:
 
     def test_succeeded_is_terminal(self, store):
         job = open_one(store)
-        store.mark_running(job.job_id)
+        claim(store, job)
         store.mark_succeeded(job.job_id)
-        with pytest.raises(JobStateError, match="illegal job transition"):
-            store.mark_running(job.job_id)
+        assert store.claim_next() is None  # nothing claimable is left
         with pytest.raises(JobStateError, match="cannot cancel"):
             store.request_cancel(job.job_id)
 
@@ -85,13 +91,15 @@ class TestStateMachine:
 
     def test_unknown_job_raises_keyerror(self, store):
         with pytest.raises(KeyError):
-            store.mark_running("job-9999-nope")
+            store.mark_succeeded("job-9999-nope")
+        with pytest.raises(KeyError):
+            store.request_cancel("job-9999-nope")
 
 
 class TestProgress:
     def test_progress_is_monotone(self, store):
         job = open_one(store)
-        store.mark_running(job.job_id)
+        claim(store, job)
         store.set_progress(job.job_id, 3, 8)
         assert store.get(job.job_id).progress == pytest.approx(3 / 8)
         store.set_progress(job.job_id, 2, 8)  # late tick: must not regress
@@ -101,7 +109,7 @@ class TestProgress:
 
     def test_progress_stays_below_one_until_success(self, store):
         job = open_one(store)
-        store.mark_running(job.job_id)
+        claim(store, job)
         store.set_progress(job.job_id, 8, 8)
         assert store.get(job.job_id).progress < 1.0
         store.mark_succeeded(job.job_id)
@@ -111,14 +119,14 @@ class TestProgress:
         job = open_one(store)
         store.set_progress(job.job_id, 1, 2)  # still queued
         assert store.get(job.job_id).progress == 0.0
-        store.mark_running(job.job_id)
+        claim(store, job)
         store.mark_failed(job.job_id, ValueError("boom"))
         store.set_progress(job.job_id, 2, 2)  # after failure
         assert store.get(job.job_id).progress == 0.0
 
     def test_shard_counters_follow_progress(self, store):
         job = open_one(store)
-        store.mark_running(job.job_id)
+        claim(store, job)
         store.set_progress(job.job_id, 5, 12)
         snapshot = store.get(job.job_id)
         assert (snapshot.shards_done, snapshot.shards_total) == (5, 12)
@@ -127,7 +135,7 @@ class TestProgress:
         """The last shards of a big run tie at the 0.99 cap; counters must
         keep counting even though the fraction is pinned."""
         job = open_one(store)
-        store.mark_running(job.job_id)
+        claim(store, job)
         for done in (198, 199, 200):
             store.set_progress(job.job_id, done, 200)
             assert store.get(job.job_id).shards_done == done
@@ -140,7 +148,7 @@ class TestProgress:
 class TestErrorCapture:
     def test_failure_records_structured_error(self, store):
         job = open_one(store)
-        store.mark_running(job.job_id)
+        claim(store, job)
         try:
             raise ValueError("dataset vanished")
         except ValueError as exc:
@@ -153,7 +161,7 @@ class TestErrorCapture:
 
     def test_error_serialises(self, store):
         job = open_one(store)
-        store.mark_running(job.job_id)
+        claim(store, job)
         store.mark_failed(job.job_id, RuntimeError("x"))
         doc = store.get(job.job_id).to_document()
         assert doc["error"]["type"] == "RuntimeError"
@@ -169,13 +177,13 @@ class TestDedup:
 
     def test_running_job_still_dedups(self, store):
         job = open_one(store)
-        store.mark_running(job.job_id)
+        claim(store, job)
         again, created = store.open_job("santander", PARAMS, KEY)
         assert not created and again.job_id == job.job_id
 
     def test_finished_job_does_not_dedup(self, store):
         job = open_one(store)
-        store.mark_running(job.job_id)
+        claim(store, job)
         store.mark_succeeded(job.job_id)
         fresh, created = store.open_job("santander", PARAMS, KEY)
         assert created and fresh.job_id != job.job_id
@@ -202,7 +210,7 @@ class TestCancellation:
 
     def test_cancel_running_is_cooperative(self, store):
         job = open_one(store)
-        store.mark_running(job.job_id)
+        claim(store, job)
         flagged = store.request_cancel(job.job_id)
         assert flagged.state == RUNNING  # still running until the checkpoint
         assert store.cancel_requested(job.job_id)
@@ -223,7 +231,7 @@ class TestListing:
     def test_status_filter(self, store):
         a = open_one(store, KEY)
         b = open_one(store, OTHER_KEY)
-        store.mark_running(a.job_id)
+        claim(store, a)
         assert [j.job_id for j in store.list(RUNNING)] == [a.job_id]
         assert [j.job_id for j in store.list(QUEUED)] == [b.job_id]
 
@@ -234,7 +242,7 @@ class TestListing:
     def test_counters(self, store):
         a = open_one(store, KEY)
         open_one(store, OTHER_KEY)
-        store.mark_running(a.job_id)
+        claim(store, a)
         store.mark_succeeded(a.job_id)
         counts = store.counters()
         assert counts["succeeded"] == 1
@@ -253,7 +261,7 @@ class TestTerminalRetention:
         finished = []
         for i in range(4):
             job, _ = store.open_job("santander", PARAMS, f"{i:064d}")
-            store.mark_running(job.job_id)
+            claim(store, job)
             store.mark_succeeded(job.job_id)
             finished.append(job.job_id)
         # A new submission triggers the prune of the oldest two.
@@ -265,10 +273,10 @@ class TestTerminalRetention:
     def test_active_jobs_never_evicted(self):
         store = make_store(terminal_capacity=1)
         active, _ = store.open_job("santander", PARAMS, "a" * 64)
-        store.mark_running(active.job_id)
+        claim(store, active)
         for i in range(3):
             job, _ = store.open_job("santander", PARAMS, f"{i:064d}")
-            store.mark_running(job.job_id)
+            claim(store, job)
             store.mark_succeeded(job.job_id)
         store.open_job("santander", PARAMS, "z" * 64)
         assert store.get(active.job_id) is not None
@@ -279,10 +287,10 @@ class TestTerminalRetention:
         survives, so result links issued against the job id still resolve."""
         store = make_store(terminal_capacity=1)
         first, _ = store.open_job("santander", PARAMS, "a" * 64)
-        store.mark_running(first.job_id)
+        claim(store, first)
         store.mark_succeeded(first.job_id, result_key="a" * 64)
         second, _ = store.open_job("santander", PARAMS, "b" * 64)
-        store.mark_running(second.job_id)
+        claim(store, second)
         store.mark_succeeded(second.job_id, result_key="b" * 64)
         store.open_job("santander", PARAMS, "c" * 64)  # prunes `first`
         assert store.get(first.job_id) is None
@@ -293,10 +301,10 @@ class TestTerminalRetention:
     def test_evicted_failed_jobs_leave_no_mapping(self):
         store = make_store(terminal_capacity=1)
         failed, _ = store.open_job("santander", PARAMS, "a" * 64)
-        store.mark_running(failed.job_id)
+        claim(store, failed)
         store.mark_failed(failed.job_id, RuntimeError("boom"))
         ok, _ = store.open_job("santander", PARAMS, "b" * 64)
-        store.mark_running(ok.job_id)
+        claim(store, ok)
         store.mark_succeeded(ok.job_id, result_key="b" * 64)
         store.open_job("santander", PARAMS, "c" * 64)  # prunes `failed`
         assert store.get(failed.job_id) is None
@@ -308,7 +316,7 @@ class TestTerminalRetention:
         ids = []
         for index in range(4):
             job, _ = store.open_job("santander", PARAMS, f"{index:064d}")
-            store.mark_running(job.job_id)
+            claim(store, job)
             store.mark_succeeded(job.job_id, result_key=job.key)
             ids.append(job.job_id)
         store.open_job("santander", PARAMS, "z" * 64)

@@ -2,7 +2,7 @@
 
 Two real ``repro serve`` subprocesses share one store snapshot; the mine is
 submitted ``mode=distributed`` so a planner splits it into shard sub-jobs
-that either process's polling worker can claim under its own lease.  The
+that either process's claim loops can claim under their own leases.  The
 matrix proves the headline robustness claims:
 
 * a clean distributed run produces the byte-identical CAP page a serial

@@ -371,7 +371,6 @@ class TestPathLessRegistry:
     mines and resident stream jobs are accepted there too."""
 
     def test_distributed_mine_matches_a_direct_mine(self, client, dataset):
-        client.app.state.start_job_worker(interval=0.05)
         response = mine_v1(client, "santander", PARAMS, mode="distributed")
         assert response.status == 202, response.json()
         final = poll_until_terminal(client, response.json()["job_id"])
@@ -390,3 +389,68 @@ class TestPathLessRegistry:
         assert response.status == 202, response.json()
         job = client.get(f"{API}/jobs/{response.json()['job_id']}").json()
         assert job["kind"] == "stream"
+
+    def test_released_stream_job_mines_a_later_batch(self, dataset):
+        """The resident miner rests between claims; a batch appended while
+        it rests is still mined and lands on the feed."""
+        app = create_app(worker_poll=0.2)
+        try:
+            client = TestClient(app)
+            assert client.upload_dataset(dataset, chunk_lines=1000).status == 201
+            params = dict(PARAMS, segmentation="none")
+            response = mine_v1(client, "santander", params, mode="streaming")
+            assert response.status == 202, response.json()
+            job_id = response.json()["job_id"]
+
+            def released() -> bool:
+                job = client.get(f"{API}/jobs/{job_id}").json()
+                return job["attempt"] >= 1 and job["state"] == "queued"
+
+            wait_for(released, "the stream job never went idle and released its claim")
+            step = dataset.timeline[1] - dataset.timeline[0]
+            start = dataset.timeline[-1] + step
+            # Every sensor steps up at the batch's second timestamp: a
+            # co-evolution the baseline has not seen.
+            series = {
+                sid: [float(dataset.values(sid)[-1]) + (5.0 if i else 0.0)
+                      for i in range(3)]
+                for sid in dataset.sensor_ids
+            }
+            batch = {"timeline": [(start + i * step).isoformat() for i in range(3)],
+                     "series": series}
+            receipt = client.post(
+                f"{API}/datasets/santander/observations", json_body=batch
+            )
+            assert receipt.status == 202, receipt.json()
+            feed = {}
+
+            def epoch_on_feed() -> bool:
+                feed.update(client.get(f"{API}/datasets/santander/events?cursor=0").json())
+                return any(event["epoch"] == 1 for event in feed["events"])
+
+            wait_for(epoch_on_feed, "the appended batch never reached the feed")
+            assert feed["cursor"] > 0
+        finally:
+            app.close(wait=True)
+
+    def test_submission_starts_without_waiting_for_a_beat(self, dataset):
+        """A local submission wakes an idle claim loop: the mine finishes
+        long before the 30 s poll beat would have found it."""
+        app = create_app(worker_poll=30.0)
+        try:
+            client = TestClient(app)
+            assert client.upload_dataset(dataset, chunk_lines=1000).status == 201
+            job_id = submit_async(client)
+            final = poll_until_terminal(client, job_id, timeout=10.0)
+            assert final["state"] == "succeeded", final
+        finally:
+            app.close(wait=True)
+
+
+def wait_for(predicate, message: str, timeout: float = 20.0) -> None:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return
+        time.sleep(0.05)
+    raise AssertionError(message)

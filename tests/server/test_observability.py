@@ -174,28 +174,28 @@ class TestSlowWarnings:
 
     def test_slow_shard_warning_fires_past_threshold(self, caplog, monkeypatch):
         from repro.jobs import DurableJobStore
-        from repro.jobs.executor import run_claimed_job
+        from repro.jobs.executor import run_job
 
         store = DurableJobStore(Database())
         job, _ = store.open_job("d", {}, "key-1", trace_id="t1")
-        claimed = store.mark_running(job.job_id)
+        claimed = store.claim_next()
         monkeypatch.setenv("REPRO_SLOW_SHARD_S", "0.000001")
         with caplog.at_level(logging.WARNING, logger="repro.jobs"):
-            run_claimed_job(store, claimed, lambda control: "result-key")
+            run_job(store, claimed, lambda control: "result-key")
         (record,) = [r for r in caplog.records if "slow" in r.message]
         assert job.job_id in record.message
         assert store.get(job.job_id).state == "succeeded"
 
     def test_slow_shard_warning_is_off_by_default(self, caplog, monkeypatch):
         from repro.jobs import DurableJobStore
-        from repro.jobs.executor import run_claimed_job
+        from repro.jobs.executor import run_job
 
         monkeypatch.delenv("REPRO_SLOW_SHARD_S", raising=False)
         store = DurableJobStore(Database())
         job, _ = store.open_job("d", {}, "key-1")
-        claimed = store.mark_running(job.job_id)
+        claimed = store.claim_next()
         with caplog.at_level(logging.WARNING, logger="repro.jobs"):
-            run_claimed_job(store, claimed, lambda control: "result-key")
+            run_job(store, claimed, lambda control: "result-key")
         assert not [r for r in caplog.records if "slow" in r.message]
 
 

@@ -31,6 +31,23 @@ class TestParser:
             build_parser().parse_args(["mine", "--evolving-backend", "bitset"])
 
 
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf", "soon"])
+    def test_serve_rejects_a_non_positive_worker_poll(self, value, capsys):
+        """Every server runs claim loops; an interval that would stop them
+        is an argparse error, raised before any server starts."""
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--port", "0", "--worker-poll", value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "--worker-poll" in err
+        assert "must be a finite number > 0" in err or "not a number" in err
+
+    def test_serve_worker_poll_flag(self):
+        args = build_parser().parse_args(["serve", "--worker-poll", "0.25"])
+        assert args.worker_poll == 0.25
+        assert build_parser().parse_args(["serve"]).worker_poll == 1.0
+
+
 class TestInventory:
     def test_prints_all_datasets(self, capsys):
         assert main(["inventory"]) == 0
