@@ -11,9 +11,6 @@ from .parallel import (
     PackedEvolvingStore,
     ShardUnit,
     estimate_seed_cost,
-    parallel_naive_search,
-    parallel_search_all,
-    parallel_search_delayed,
     plan_shards,
     resolve_jobs,
 )
@@ -71,9 +68,6 @@ __all__ = [
     "haversine_matrix",
     "is_connected",
     "naive_search",
-    "parallel_naive_search",
-    "parallel_search_all",
-    "parallel_search_delayed",
     "plan_shards",
     "reconstruct",
     "resolve_jobs",

@@ -6,7 +6,9 @@ of every spatially connected component, checks connectivity of the induced
 subgraph, and recomputes the co-evolution support from scratch over plain
 sorted index arrays — deliberately not through the packed bitmaps the tree
 search runs on, so the cross-check exercises independent code.  It produces
-exactly the same CAP set as the tree search, exponentially slower.
+exactly the same CAP set as the tree search, exponentially slower.  It
+runs serially in the calling process and shares none of step 4's execution
+code (:mod:`repro.core.parallel`) with the engine it cross-checks.
 
 ``benchmarks/bench_miscela_vs_baseline.py`` uses this to reproduce the
 efficiency claim; the property tests use it to cross-check the tree search.
@@ -80,16 +82,10 @@ def naive_search(
 
     Notes
     -----
-    With ``params.n_jobs != 1`` the components are mined on a process pool
-    (:func:`repro.core.parallel.parallel_naive_search`); output is
-    identical to the serial path.
+    Always serial, whatever worker count the parameters ask for: the
+    oracle shares no execution code (driver, planner, pool) with the
+    engine it checks.
     """
-    if params.n_jobs != 1:
-        from .parallel import parallel_naive_search
-
-        return parallel_naive_search(
-            sensors, adjacency, evolving, params, max_component_size
-        )
     attributes = {s.sensor_id: s.attribute for s in sensors}
     caps: list[CAP] = []
     max_size = params.max_sensors

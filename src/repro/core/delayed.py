@@ -25,7 +25,7 @@ import numpy as np
 
 from .bitset import bits_to_indices, popcount
 from .parameters import MiningParameters
-from .spatial import connected_components
+from .parallel import MiningControl, sharded_search
 from .types import CAP, EvolvingSet, Sensor
 
 __all__ = ["search_delayed", "search_delayed_component", "delayed_support"]
@@ -86,12 +86,12 @@ def search_delayed_component(
 ) -> list[CAP]:
     """Delayed CAPs rooted inside one connected component, in emission order.
 
-    Returns the raw (pre-dedup) pattern stream for the component so callers
-    — the serial driver below and the parallel engine — apply the
-    best-assignment selection once over the merged stream.  ``seeds``
-    optionally restricts the tree roots (the parallel engine's seed-split
-    sharding); ``order`` may pass the precomputed canonical rank map to
-    avoid re-sorting the whole adjacency per component.
+    Returns the raw (pre-dedup) pattern stream for the component so the
+    step-4 driver applies the best-assignment selection once over the
+    merged stream.  ``seeds`` optionally restricts the tree roots (the
+    planner's seed-split sharding); ``order`` may pass the precomputed
+    canonical rank map to avoid re-sorting the whole adjacency per
+    component.
     """
     delta = params.max_delay
     if order is None:
@@ -227,6 +227,7 @@ def search_delayed(
     params: MiningParameters,
     horizon: int,
     emit_all_assignments: bool = False,
+    control: MiningControl | None = None,
 ) -> list[CAP]:
     """Delayed CAPs over the proximity graph.
 
@@ -238,36 +239,25 @@ def search_delayed(
         When true every passing delay assignment becomes its own CAP;
         by default only the maximum-support assignment per sensor set is
         returned.
+    control:
+        Optional progress/cancellation hooks, as for ``search_all``.
+
+    Raises
+    ------
+    NotImplementedError
+        With ``params.direction_aware`` (raised by the execution core,
+        :func:`repro.core.parallel.run_shard_units`).
 
     Notes
     -----
     With ``params.max_delay == 0`` this reduces exactly to the simultaneous
     search (every delay is forced to 0) — the property tests rely on that.
-    With ``params.n_jobs != 1`` the component/seed shards run on a process
-    pool (:func:`repro.core.parallel.parallel_search_delayed`) with
-    identical output.
+    Runs through step 4's one driver
+    (:func:`repro.core.parallel.sharded_search`); ``params.n_jobs`` picks
+    the execution, never the result.
     """
-    if params.direction_aware:
-        raise NotImplementedError(
-            "direction-aware delayed mining is not part of the reproduction; "
-            "use direction_aware=False with max_delay > 0"
-        )
-    if params.n_jobs != 1:
-        from .parallel import parallel_search_delayed
-
-        return parallel_search_delayed(
-            sensors, adjacency, evolving, params, horizon, emit_all_assignments
-        )
-    attributes = {s.sensor_id: s.attribute for s in sensors}
-    order = {sid: i for i, sid in enumerate(sorted(adjacency))}
-    results: list[CAP] = []
-    for component in connected_components(adjacency):
-        if len(component) < 2:
-            continue
-        results.extend(
-            search_delayed_component(
-                component, adjacency, attributes, evolving, params, horizon,
-                order=order,
-            )
-        )
-    return finalize_delayed(results, emit_all_assignments)
+    merged = sharded_search(
+        "delayed", sensors, adjacency, evolving, params,
+        horizon=horizon, control=control,
+    )
+    return finalize_delayed(merged, emit_all_assignments)

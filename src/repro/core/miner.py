@@ -23,11 +23,15 @@ from typing import Mapping, Sequence
 from .baseline import naive_search
 from .delayed import search_delayed
 from .evolving import extract_all_evolving
-from .parallel import MiningControl, parallel_search_all, parallel_search_delayed
+from .parallel import MiningControl
 from .parameters import MiningParameters
 from .search import search_all
 from .spatial import build_proximity_graph, connected_components
 from .types import CAP, EvolvingSet, SensorDataset
+
+#: perfbench/layers.py traces step 4 under this name too; it is its only
+#: consumer.
+parallel_search_all = search_all
 
 __all__ = ["MiningResult", "MiscelaMiner", "NaiveMiner"]
 
@@ -121,9 +125,9 @@ class MiscelaMiner:
     ----------
     params:
         Mining parameters (ε, η, μ, ψ and extensions).  ``params.n_jobs``
-        selects the execution engine for step 4: ``1`` runs serially,
-        anything else shards the search across a process pool
-        (:mod:`repro.core.parallel`) with identical output.
+        sets step 4's worker count: ``1`` runs every component in this
+        process, anything else may shard the search across a process pool
+        (:func:`repro.core.parallel.sharded_search`) with identical output.
     """
 
     def __init__(self, params: MiningParameters) -> None:
@@ -134,11 +138,14 @@ class MiscelaMiner:
     ) -> MiningResult:
         """Run the four MISCELA steps over a dataset.
 
-        ``control`` (optional) makes the run observable and cancellable: the
-        search reports per-shard/per-component progress through it and polls
-        it for cooperative cancellation, raising
-        :class:`~repro.core.parallel.MiningCancelled` at the next checkpoint
-        when requested.  The mined CAPs are identical with or without one.
+        ``control`` (optional) makes the run observable and cancellable: it
+        is passed through to step 4, which reports per-unit (in process) or
+        per-shard (pooled) progress through it and polls it for cooperative
+        cancellation, raising :class:`~repro.core.parallel.MiningCancelled`
+        at the next checkpoint when requested.  The mined CAPs are identical
+        with or without one.  ``search_all`` is looked up through this
+        module's globals on every call, so wrapping it here instruments the
+        simultaneous search.
         """
         start = time.perf_counter()
         if control is not None:
@@ -149,23 +156,12 @@ class MiscelaMiner:
         adjacency = build_proximity_graph(list(dataset), self.params.distance_threshold)
         sensors = list(dataset)
         if self.params.max_delay > 0:
-            if control is None:
-                caps = search_delayed(
-                    sensors,
-                    adjacency,
-                    evolving,
-                    self.params,
-                    horizon=dataset.num_timestamps,
-                )
-            else:
-                caps = parallel_search_delayed(
-                    sensors, adjacency, evolving, self.params,
-                    dataset.num_timestamps, control=control,
-                )
-        elif control is None:
-            caps = search_all(sensors, adjacency, evolving, self.params)
+            caps = search_delayed(
+                sensors, adjacency, evolving, self.params,
+                horizon=dataset.num_timestamps, control=control,
+            )
         else:
-            caps = parallel_search_all(
+            caps = search_all(
                 sensors, adjacency, evolving, self.params, control=control
             )
         elapsed = time.perf_counter() - start
@@ -188,7 +184,9 @@ class NaiveMiner:
     """Exhaustive baseline miner with identical inputs and outputs.
 
     Only usable on small components (exponential search); see
-    :func:`repro.core.baseline.naive_search`.
+    :func:`repro.core.baseline.naive_search`.  A serial-only oracle:
+    ``params.n_jobs`` is ignored, and no execution code is shared with
+    :class:`MiscelaMiner`'s step 4.
     """
 
     def __init__(

@@ -26,18 +26,21 @@ back into *exactly* the serial result:
 * **Deterministic merge** — every unit is tagged with
   ``(component_index, first_seed_rank)``; sorting the tags reproduces the
   serial emission order (components largest-first, seeds in canonical rank
-  order), after which the exact serial post-passes run once over the merged
+  order), after which the caller's post-pass runs once over the merged
   stream: :func:`~repro.core.search.dedupe_strongest` for the tree search,
-  :func:`~repro.core.delayed.finalize_delayed` for the delayed variant, a
-  global ``(-support, key)`` sort for the naive baseline.  Callers that
-  only want maximal patterns run
+  :func:`~repro.core.delayed.finalize_delayed` for the delayed variant.
+  Callers that only want maximal patterns run
   :func:`~repro.core.search.filter_maximal` once over the merged set,
   never per shard.
 
-The engine is selected by ``MiningParameters.n_jobs`` (``1`` = serial,
-``0`` = one worker per CPU) and guarantees byte-identical CAP lists for
-every worker count — the property tests in ``tests/core/test_parallel.py``
-hold it to that.
+* **One driver** — :func:`sharded_search` is step 4 for every caller:
+  plan units, run them through :func:`run_shard_units`, merge.  With
+  ``MiningParameters.n_jobs`` resolving to more than one worker and more
+  than one planned shard the units run on a process pool; otherwise each
+  component is one whole unit run in this process.  The distributed shard
+  sub-jobs (:mod:`repro.jobs.planner`) run the same
+  :func:`run_shard_units`, so every path yields byte-identical CAP lists —
+  the property tests in ``tests/core/test_parallel.py`` hold it to that.
 """
 
 from __future__ import annotations
@@ -48,13 +51,13 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .bitset import BitsetEvolvingSet
 from .parameters import MiningParameters
-from .spatial import connected_components, subgraph
+from .spatial import connected_components
 from .types import CAP, EvolvingSet, Sensor
 
 __all__ = [
@@ -67,9 +70,7 @@ __all__ = [
     "plan_shards",
     "run_shard_units",
     "merge_tagged",
-    "parallel_search_all",
-    "parallel_search_delayed",
-    "parallel_naive_search",
+    "sharded_search",
 ]
 
 
@@ -266,14 +267,11 @@ def plan_shards(
     evolving: Mapping[str, EvolvingSet],
     params: MiningParameters,
     n_workers: int,
-    splittable: bool = True,
 ) -> list[list[ShardUnit]]:
     """Partition components into cost-balanced shards.
 
     Components whose estimated cost exceeds an even per-worker share are
-    split into contiguous seed runs (when ``splittable``; the naive
-    baseline's subset enumeration is not seed-rooted, so it shards at
-    component granularity only).  Units are then packed greedily into at
+    split into contiguous seed runs.  Units are then packed greedily into at
     most ``n_workers * 4`` shards, biggest unit first onto the least
     loaded shard (LPT), which bounds the makespan far tighter than
     round-robin when component sizes are skewed.
@@ -293,7 +291,7 @@ def plan_shards(
     fair_share = total / max(1, n_workers)
     units: list[ShardUnit] = []
     for ci, members, costs, component_cost in per_component:
-        if not splittable or component_cost <= fair_share or len(members) < 2:
+        if component_cost <= fair_share or len(members) < 2:
             units.append(ShardUnit(ci, None, -1, component_cost))
             continue
         # Oversized: contiguous seed runs of roughly one pool-slot each.
@@ -328,15 +326,13 @@ def plan_shards(
 class _RunSpec:
     """Everything a worker needs, shared once per run (fork: zero-copy)."""
 
-    mode: str  # "search" | "delayed" | "naive"
-    params: MiningParameters  # n_jobs forced to 1 — workers never nest pools
+    mode: str  # "search" | "delayed"
+    params: MiningParameters
     adjacency: dict[str, set[str]]
     attributes: dict[str, str]
     components: list[list[str]]
     store: PackedEvolvingStore
     horizon: int = 0
-    sensors: tuple[Sensor, ...] = ()
-    max_component_size: int = 0
 
 
 #: Parent-set state inherited by forked workers (or installed by the spawn
@@ -381,25 +377,35 @@ def run_shard_units(
     components: Sequence[Sequence[str]],
     units: Sequence[ShardUnit],
     horizon: int = 0,
-    sensors: Sequence[Sensor] = (),
-    max_component_size: int = 0,
     order: Mapping[str, int] | None = None,
     control: MiningControl | None = None,
 ) -> list[tuple[tuple[int, int], list[CAP]]]:
     """Execute shard units against prepared inputs; ``(merge_tag, caps)`` pairs.
 
-    The single execution core behind both engines: the in-process pool
-    workers (:func:`_run_shard`) and the distributed shard sub-jobs
-    (:mod:`repro.jobs.planner`) run *exactly* this, so a unit produces the
-    same caps whether it executes in a forked pool or on another machine's
-    worker — the precondition for the distributed merge being byte-identical
-    to the serial engine.  With a ``control``, progress is reported and
-    cancellation polled between units.
+    The single execution core of step 4: the in-process run of
+    :func:`sharded_search`, its pool workers (:func:`_run_shard`) and the
+    distributed shard sub-jobs (:mod:`repro.jobs.planner`) all run
+    *exactly* this, so a unit produces the same caps wherever it executes —
+    the precondition for every merge being byte-identical.  ``mode`` is
+    ``"search"`` or ``"delayed"``.  With a ``control``, progress is
+    reported and cancellation polled between units.
+
+    Raises
+    ------
+    NotImplementedError
+        For ``mode="delayed"`` with ``params.direction_aware`` — checked
+        here so that no execution path can mine that combination.
     """
-    from .baseline import naive_search
     from .delayed import search_delayed_component
     from .search import search_component
 
+    if mode == "delayed" and params.direction_aware:
+        raise NotImplementedError(
+            "direction-aware delayed mining is not part of the reproduction; "
+            "use direction_aware=False with max_delay > 0"
+        )
+    if mode not in ("search", "delayed"):
+        raise ValueError(f"mode must be 'search' or 'delayed', got {mode!r}")
     if order is None:
         order = {sid: i for i, sid in enumerate(sorted(adjacency))}
     profiler = getattr(control, "profiler", None) if control is not None else None
@@ -414,17 +420,10 @@ def run_shard_units(
                 component, adjacency, attributes, evolving,
                 params, seeds=unit.seeds,
             )
-        elif mode == "delayed":
+        else:
             caps = search_delayed_component(
                 component, adjacency, attributes, evolving,
                 params, horizon, seeds=unit.seeds, order=order,
-            )
-        else:
-            keep = set(component)
-            members = [s for s in sensors if s.sensor_id in keep]
-            caps = naive_search(
-                members, subgraph(adjacency, component), evolving,
-                params, max_component_size=max_component_size,
             )
         if profiler is not None:
             # Measured next to the planner's cost estimate — the pair is
@@ -448,9 +447,8 @@ def merge_tagged(
 ) -> list[CAP]:
     """Sort unit outputs by merge tag and concatenate: serial emission order.
 
-    The merge half of the shard protocol — callers then apply the same
-    mode-specific post-pass the serial engine ends with
-    (``dedupe_strongest`` / ``finalize_delayed`` / the naive support sort).
+    The merge half of the shard protocol — callers then apply their mode's
+    post-pass (``dedupe_strongest`` / ``finalize_delayed``).
     """
     tagged = sorted(tagged, key=lambda pair: pair[0])
     return [cap for _tag, caps in tagged for cap in caps]
@@ -469,8 +467,6 @@ def _run_shard(shard: list[ShardUnit]) -> list[tuple[tuple[int, int], list[CAP]]
         spec.components,
         shard,
         horizon=spec.horizon,
-        sensors=spec.sensors,
-        max_component_size=spec.max_component_size,
         order=_worker_order(),
     )
 
@@ -490,14 +486,14 @@ def _run_sharded(
     shards: list[list[ShardUnit]],
     n_workers: int,
     control: MiningControl | None = None,
-) -> list[CAP]:
-    """Run shards on a pool and merge in serial emission order.
+) -> list[tuple[tuple[int, int], list[CAP]]]:
+    """Run shards on a pool; the tagged unit outputs, in completion order.
 
-    With a ``control``, shards stream back as they finish
-    (``imap_unordered`` — the merge re-sorts by tag, so completion order
-    never affects output), progress is reported per completed shard, and
-    cancellation is checked between completions; a cancel tears the pool
-    down via ``Pool.__exit__``'s ``terminate()``.
+    Shards stream back as they finish (``imap_unordered`` — the merge
+    re-sorts by tag, so completion order never affects output).  With a
+    ``control``, progress is reported per completed shard and cancellation
+    is checked between completions; a cancel tears the pool down via
+    ``Pool.__exit__``'s ``terminate()``.
     """
     ctx = _pool_context()
     forked = ctx.get_start_method() == "fork"
@@ -508,80 +504,24 @@ def _run_sharded(
     else:  # pragma: no cover - spawn-only platforms
         initializer, initargs = _install_spec, (spec,)
     processes = max(1, min(n_workers, len(shards)))
+    tagged: list[tuple[tuple[int, int], list[CAP]]] = []
     try:
         with ctx.Pool(
             processes=processes, initializer=initializer, initargs=initargs
         ) as pool:
-            if control is None:
-                shard_results = pool.map(_run_shard, shards, chunksize=1)
-            else:
+            if control is not None:
                 control.checkpoint()
-                shard_results = []
-                for result in pool.imap_unordered(_run_shard, shards):
-                    shard_results.append(result)
-                    control.report(len(shard_results), len(shards))
+            for done, result in enumerate(
+                pool.imap_unordered(_run_shard, shards), start=1
+            ):
+                tagged.extend(result)
+                if control is not None:
+                    control.report(done, len(shards))
                     control.checkpoint()
     finally:
         if forked:
             _install_spec(None)  # type: ignore[arg-type]
-    return merge_tagged([pair for result in shard_results for pair in result])
-
-
-def _run_serial_components(
-    mode: str,
-    sensors: Sequence[Sensor],
-    adjacency: Mapping[str, set[str]],
-    evolving: Mapping[str, EvolvingSet],
-    params: MiningParameters,
-    components: list[list[str]],
-    control: MiningControl,
-    horizon: int = 0,
-    max_component_size: int = 0,
-) -> list[CAP]:
-    """In-process component loop with per-component progress/cancellation.
-
-    The controllable twin of the serial fallback: each component runs whole,
-    in serial emission order, so the concatenated output is exactly a
-    one-unit-per-component sharded run (callers apply the same post-pass as
-    for the pooled merge).  Used when a control is attached but the run is
-    not worth a process pool.
-    """
-    from .baseline import naive_search
-    from .delayed import search_delayed_component
-    from .search import search_component
-
-    attributes = {s.sensor_id: s.attribute for s in sensors}
-    order = {sid: i for i, sid in enumerate(sorted(adjacency))}
-    profiler = getattr(control, "profiler", None)
-    out: list[CAP] = []
-    control.checkpoint()
-    for done, component in enumerate(components, start=1):
-        component_started = time.perf_counter() if profiler is not None else 0.0
-        if mode == "search":
-            out.extend(
-                search_component(component, adjacency, attributes, evolving, params)
-            )
-        elif mode == "delayed":
-            out.extend(
-                search_delayed_component(
-                    component, adjacency, attributes, evolving, params, horizon,
-                    order=order,
-                )
-            )
-        else:
-            keep = set(component)
-            members = [s for s in sensors if s.sensor_id in keep]
-            out.extend(
-                naive_search(
-                    members, subgraph(adjacency, component), evolving, params,
-                    max_component_size=max_component_size,
-                )
-            )
-        if profiler is not None:
-            profiler.record("search", time.perf_counter() - component_started)
-        control.report(done, len(components))
-        control.checkpoint()
-    return out
+    return tagged
 
 
 def _mining_components(adjacency: Mapping[str, set[str]]) -> list[list[str]]:
@@ -594,129 +534,48 @@ def _mining_components(adjacency: Mapping[str, set[str]]) -> list[list[str]]:
     ]
 
 
-def _try_sharded(
+def sharded_search(
     mode: str,
     sensors: Sequence[Sensor],
     adjacency: Mapping[str, set[str]],
     evolving: Mapping[str, EvolvingSet],
-    serial_params: MiningParameters,
-    n_workers: int,
-    splittable: bool = True,
+    params: MiningParameters,
     horizon: int = 0,
-    include_sensors: bool = False,
-    max_component_size: int = 0,
     control: MiningControl | None = None,
-) -> list[CAP] | None:
-    """Plan and run shards; ``None`` when the serial path should handle it.
+) -> list[CAP]:
+    """Step 4's one driver: plan units, run them, merge by tag.
 
-    The common scaffolding of all three drivers: shard planning, the
-    not-worth-a-pool fallback decision, spec assembly, pooled execution,
-    and the tag-ordered merge.  With a ``control`` attached, runs that are
-    not worth a pool still go through the controllable in-process component
-    loop (:func:`_run_serial_components`) so progress and cancellation work
-    at every worker count.
+    Returns the merged raw CAP stream in serial emission order; the caller
+    applies its mode's post-pass (``search_all`` → ``dedupe_strongest``,
+    ``search_delayed`` → ``finalize_delayed``).  When ``params.n_jobs``
+    resolves to more than one worker and :func:`plan_shards` yields more
+    than one shard, the shards run on a process pool; otherwise each
+    component is one whole unit run in this process.  The output is the
+    same either way.
     """
     components = _mining_components(adjacency)
-    if not components:
-        return None
-    use_pool = n_workers > 1
-    if use_pool:
-        shards = plan_shards(
-            components, adjacency, evolving, serial_params, n_workers, splittable
-        )
-        use_pool = len(shards) > 1
-    if not use_pool:
-        if control is None:
-            return None
-        return _run_serial_components(
-            mode, sensors, adjacency, evolving, serial_params, components,
-            control, horizon=horizon, max_component_size=max_component_size,
-        )
-    spec = _RunSpec(
-        mode=mode,
-        params=serial_params,
-        adjacency=dict(adjacency),
-        attributes={s.sensor_id: s.attribute for s in sensors},
-        components=components,
-        store=PackedEvolvingStore.pack(evolving),
-        horizon=horizon,
-        sensors=tuple(sensors) if include_sensors else (),
-        max_component_size=max_component_size,
+    attributes = {s.sensor_id: s.attribute for s in sensors}
+    n_workers = resolve_jobs(params.n_jobs)
+    shards = (
+        plan_shards(components, adjacency, evolving, params, n_workers)
+        if n_workers > 1
+        else []
     )
-    return _run_sharded(spec, shards, n_workers, control)
-
-
-def parallel_search_all(
-    sensors: Sequence[Sensor],
-    adjacency: Mapping[str, set[str]],
-    evolving: Mapping[str, EvolvingSet],
-    params: MiningParameters,
-    control: MiningControl | None = None,
-) -> list[CAP]:
-    """Sharded tree search; identical output to serial ``search_all``.
-
-    Callers wanting only maximal patterns run
-    :func:`~repro.core.search.filter_maximal` over the returned (merged)
-    list, exactly as with the serial path — filtering per shard would
-    wrongly keep patterns subsumed across shard boundaries.
-    """
-    from .search import dedupe_strongest, search_all
-
-    serial_params = params.with_updates(n_jobs=1)
-    merged = _try_sharded(
-        "search", sensors, adjacency, evolving, serial_params,
-        resolve_jobs(params.n_jobs), control=control,
-    )
-    if merged is None:
-        return search_all(sensors, adjacency, evolving, serial_params)
-    return dedupe_strongest(merged)
-
-
-def parallel_search_delayed(
-    sensors: Sequence[Sensor],
-    adjacency: Mapping[str, set[str]],
-    evolving: Mapping[str, EvolvingSet],
-    params: MiningParameters,
-    horizon: int,
-    emit_all_assignments: bool = False,
-    control: MiningControl | None = None,
-) -> list[CAP]:
-    """Sharded delayed search; identical output to serial ``search_delayed``."""
-    from .delayed import finalize_delayed, search_delayed
-
-    serial_params = params.with_updates(n_jobs=1)
-    merged = _try_sharded(
-        "delayed", sensors, adjacency, evolving, serial_params,
-        resolve_jobs(params.n_jobs), horizon=horizon, control=control,
-    )
-    if merged is None:
-        return search_delayed(
-            sensors, adjacency, evolving, serial_params, horizon,
-            emit_all_assignments,
+    if len(shards) > 1:
+        spec = _RunSpec(
+            mode=mode,
+            params=params,
+            adjacency=dict(adjacency),
+            attributes=attributes,
+            components=components,
+            store=PackedEvolvingStore.pack(evolving),
+            horizon=horizon,
         )
-    return finalize_delayed(merged, emit_all_assignments)
-
-
-def parallel_naive_search(
-    sensors: Sequence[Sensor],
-    adjacency: Mapping[str, set[str]],
-    evolving: Mapping[str, EvolvingSet],
-    params: MiningParameters,
-    max_component_size: int = 20,
-    control: MiningControl | None = None,
-) -> list[CAP]:
-    """Component-sharded naive baseline; identical output to serial."""
-    from .baseline import naive_search
-
-    serial_params = params.with_updates(n_jobs=1)
-    merged = _try_sharded(
-        "naive", sensors, adjacency, evolving, serial_params,
-        resolve_jobs(params.n_jobs), splittable=False, include_sensors=True,
-        max_component_size=max_component_size, control=control,
-    )
-    if merged is None:
-        return naive_search(
-            sensors, adjacency, evolving, serial_params, max_component_size
+        tagged = _run_sharded(spec, shards, n_workers, control)
+    else:
+        units = [ShardUnit(ci, None, -1, 0.0) for ci in range(len(components))]
+        tagged = run_shard_units(
+            mode, adjacency, attributes, evolving, params, components, units,
+            horizon=horizon, control=control,
         )
-    merged.sort(key=lambda c: (-c.support, c.key()))
-    return merged
+    return merge_tagged(tagged)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .bitset import and_words, bits_to_indices, popcount
 from .parameters import MiningParameters
-from .spatial import connected_components
+from .parallel import MiningControl, sharded_search
 from .types import CAP, EvolvingSet, Sensor
 
 __all__ = ["search_component", "search_all", "filter_maximal", "dedupe_strongest"]
@@ -274,24 +274,19 @@ def search_all(
     adjacency: Mapping[str, set[str]],
     evolving: Mapping[str, EvolvingSet],
     params: MiningParameters,
+    control: MiningControl | None = None,
 ) -> list[CAP]:
     """CAPs across every connected component of the proximity graph.
 
-    With ``params.n_jobs != 1`` the components are sharded across a process
-    pool (:func:`repro.core.parallel.parallel_search_all`); the result is
-    identical to the serial path for any worker count.
+    Runs through step 4's one driver
+    (:func:`repro.core.parallel.sharded_search`): ``params.n_jobs`` picks
+    in-process or process-pool execution, never a different result.  An
+    optional ``control`` receives per-unit progress and is polled for
+    cancellation.
     """
-    if params.n_jobs != 1:
-        from .parallel import parallel_search_all
-
-        return parallel_search_all(sensors, adjacency, evolving, params)
-    attributes = {s.sensor_id: s.attribute for s in sensors}
-    caps: list[CAP] = []
-    for component in connected_components(adjacency):
-        if len(component) < 2:
-            continue
-        caps.extend(search_component(component, adjacency, attributes, evolving, params))
-    return dedupe_strongest(caps)
+    return dedupe_strongest(
+        sharded_search("search", sensors, adjacency, evolving, params, control=control)
+    )
 
 
 def filter_maximal(caps: Sequence[CAP]) -> list[CAP]:

@@ -16,12 +16,18 @@ each recompute exactly the same facts from the same stored inputs:
   a deterministic function of (dataset, parameters, plan_workers) and a
   crashed planner can be re-run idempotently.
 * :func:`execute_units` — runs one shard's units through
-  :func:`repro.core.parallel.run_shard_units`, the same execution core the
-  in-process pool uses, returning JSON-serialisable ``(tag, caps)`` output
-  documents (CAP round-trips are lossless).
+  :func:`repro.core.parallel.run_shard_units`, the execution core step 4's
+  one driver (:func:`repro.core.parallel.sharded_search`) runs in process
+  and on its pool, returning JSON-serialisable ``(tag, caps)`` output
+  documents (CAP round-trips are lossless).  A direction-aware delayed
+  mine raises there, as it does on every other path.
 * :func:`merge_outputs` — re-sorts every shard's tagged output into serial
-  emission order and applies the mode's post-pass, reproducing the serial
-  engine's CAP list byte-for-byte.
+  emission order (:func:`repro.core.parallel.merge_tagged`) and applies
+  the mode's post-pass, reproducing ``MiscelaMiner.mine``'s CAP list
+  byte-for-byte.
+
+So a distributed mine is the driver's plan → run units → merge with the
+three stages split across durable jobs.
 
 The stateful half — sub-job documents, leases, retries, dead-lettering —
 lives in :class:`repro.jobs.durable.DurableJobStore`; the runners that glue
@@ -119,9 +125,7 @@ def plan_mine(
         raise ValueError(f"plan_workers must be >= 1, got {plan_workers}")
     serial, evolving, adjacency, components, _attributes = prepare(dataset, params)
     mode = MODE_DELAYED if serial.max_delay > 0 else MODE_SEARCH
-    shards = plan_shards(
-        components, adjacency, evolving, serial, plan_workers, splittable=True
-    )
+    shards = plan_shards(components, adjacency, evolving, serial, plan_workers)
     return MinePlan(mode=mode, horizon=dataset.num_timestamps, shards=shards)
 
 

@@ -775,13 +775,25 @@ def parse_upload_begin(request: Request) -> tuple[list, list]:
 
 
 def parse_parameters(document: Any) -> MiningParameters:
-    """Parameters from their JSON document; 400 on anything invalid."""
+    """Parameters from their JSON document; 400 on anything invalid.
+
+    Also 400s a document no mode can mine — direction-aware delayed
+    search is not implemented — so no job is opened and nothing cached.
+    """
     try:
-        return MiningParameters.from_document(document)
+        params = MiningParameters.from_document(document)
     except (ValueError, TypeError) as exc:
         raise HTTPError(
             400, f"invalid parameters: {exc}", code="invalid_parameters"
         ) from exc
+    if params.direction_aware and params.max_delay > 0:
+        raise HTTPError(
+            400,
+            "invalid parameters: direction_aware is not supported with "
+            "max_delay > 0",
+            code="invalid_parameters",
+        )
+    return params
 
 
 def parse_mine_mode(payload: Mapping[str, Any], request: Request) -> str:

@@ -1,13 +1,14 @@
-"""The parallel engine's contract: any worker count, identical CAPs.
+"""Step 4's contract: any execution path, identical CAPs.
 
-``MiningParameters.n_jobs`` selects an execution engine, never a result:
-these tests hold :mod:`repro.core.parallel` to byte-identical CAP lists
-(same order, same supports, same evolving indices and delays) against the
-serial path for every search mode — simultaneous, direction-aware, and
-delayed — plus the degenerate shapes the sharder must survive (nothing but
-isolated sensors, and one giant component that forces the seed-split
-path).  The shard planner and the zero-copy evolving-set handoff get unit
-tests of their own.
+``MiningParameters.n_jobs`` and a ``MiningControl`` select an execution,
+never a result: these tests hold :mod:`repro.core.parallel` to
+byte-identical CAP lists (same order, same supports, same evolving indices
+and delays) across the plain, controlled, pooled and in-process
+distributed paths for every search mode — simultaneous, direction-aware,
+and delayed — plus the degenerate shapes the sharder must survive
+(nothing but isolated sensors, and one giant component that forces the
+seed-split path).  The shard planner and the zero-copy evolving-set
+handoff get unit tests of their own.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.core.parameters import MiningParameters
 from repro.core.search import search_all
 from repro.core.spatial import build_proximity_graph, connected_components
 from repro.core.types import EvolvingSet, Sensor, SensorDataset
+from repro.jobs.planner import execute_units, merge_outputs, plan_mine
 
 
 def cap_fingerprint(caps):
@@ -68,6 +70,40 @@ def random_dataset(seed: int, n_clusters: int = 3, cluster_size: int = 4,
             measurements[sid] = driver + private + rng.normal(0, 0.1, n_steps)
     timeline = [datetime(2024, 1, 1) + i * timedelta(hours=1) for i in range(n_steps)]
     return SensorDataset(f"par-{seed}", timeline, sensors, measurements)
+
+
+def engine_runs(dataset: SensorDataset, params: MiningParameters) -> dict:
+    """The same mine through every other step-4 path, keyed by path.
+
+    Controlled in-process and controlled pooled runs of ``MiscelaMiner``,
+    and the distributed path run in this process: ``plan_mine`` at two
+    planning widths, ``execute_units`` per shard in reverse order, then
+    ``merge_outputs``.
+    """
+    runs = {
+        "controlled serial": MiscelaMiner(params).mine(
+            dataset, control=MiningControl()
+        ).caps,
+        "controlled pool n_jobs=3": MiscelaMiner(
+            params.with_updates(n_jobs=3)
+        ).mine(dataset, control=MiningControl()).caps,
+    }
+    for plan_workers in (1, 3):
+        plan = plan_mine(dataset, params, plan_workers=plan_workers)
+        outputs = []
+        for shard in reversed(plan.shard_documents):
+            outputs += execute_units(
+                dataset, params, shard, plan.mode, plan.horizon
+            )
+        runs[f"distributed plan_workers={plan_workers}"] = merge_outputs(
+            plan.mode, outputs
+        )
+    return runs
+
+
+def assert_every_engine_matches(dataset, params, serial) -> None:
+    for path, caps in engine_runs(dataset, params).items():
+        assert cap_fingerprint(caps) == cap_fingerprint(serial), path
 
 
 def base_params(**overrides) -> MiningParameters:
@@ -198,16 +234,6 @@ class TestShardPlanner:
         # one unit.
         assert max(loads) <= sum(loads) / len(loads) + biggest_unit + 1e-9
 
-    def test_unsplittable_keeps_components_whole(self):
-        dataset = random_dataset(2, n_clusters=1, cluster_size=10)
-        params = base_params()
-        adjacency, evolving, components = self._inputs(dataset, params)
-        shards = plan_shards(
-            components, adjacency, evolving, params, n_workers=4, splittable=False
-        )
-        units = [unit for shard in shards for unit in shard]
-        assert len(units) == 1 and units[0].seeds is None
-
 
 class TestShardPlannerProperties:
     """Invariants the distributed job planner's correctness rests on.
@@ -291,6 +317,7 @@ class TestParallelEquivalence:
         serial = MiscelaMiner(params).mine(dataset).caps
         parallel = MiscelaMiner(params.with_updates(n_jobs=4)).mine(dataset).caps
         assert cap_fingerprint(serial) == cap_fingerprint(parallel)
+        assert_every_engine_matches(dataset, params, serial)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_direction_aware(self, seed):
@@ -299,6 +326,7 @@ class TestParallelEquivalence:
         serial = MiscelaMiner(params).mine(dataset).caps
         parallel = MiscelaMiner(params.with_updates(n_jobs=4)).mine(dataset).caps
         assert cap_fingerprint(serial) == cap_fingerprint(parallel)
+        assert_every_engine_matches(dataset, params, serial)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("delta", [1, 2])
@@ -308,8 +336,10 @@ class TestParallelEquivalence:
         serial = MiscelaMiner(params).mine(dataset).caps
         parallel = MiscelaMiner(params.with_updates(n_jobs=4)).mine(dataset).caps
         assert cap_fingerprint(serial) == cap_fingerprint(parallel)
+        assert_every_engine_matches(dataset, params, serial)
 
     def test_naive_baseline(self):
+        """The naive oracle is serial-only: its output ignores n_jobs."""
         dataset = random_dataset(5, n_clusters=3, cluster_size=4)
         params = base_params()
         evolving = extract_all_evolving(dataset, params)
@@ -442,6 +472,26 @@ class TestMiningControl:
             dataset, control=MiningControl(progress=lambda d, t: None)
         ).caps
         assert cap_fingerprint(plain) == cap_fingerprint(controlled)
+
+    def test_direction_aware_delayed_raises_under_a_control(self):
+        """The controlled path must not skip the unsupported-mode guard."""
+        dataset = random_dataset(1, n_clusters=2, cluster_size=3)
+        params = base_params(max_delay=1, direction_aware=True)
+        for n_jobs in (1, 3):
+            with pytest.raises(NotImplementedError, match="direction-aware"):
+                MiscelaMiner(params.with_updates(n_jobs=n_jobs)).mine(
+                    dataset, control=MiningControl()
+                )
+
+    def test_direction_aware_delayed_raises_in_a_shard_sub_job(self):
+        dataset = random_dataset(1, n_clusters=2, cluster_size=3)
+        params = base_params(max_delay=1)
+        plan = plan_mine(dataset, params, plan_workers=2)
+        with pytest.raises(NotImplementedError, match="direction-aware"):
+            execute_units(
+                dataset, params.with_updates(direction_aware=True),
+                plan.shard_documents[0], "delayed", plan.horizon,
+            )
 
     def test_cancellation_raises(self):
         dataset = random_dataset(3)

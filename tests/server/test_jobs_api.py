@@ -163,6 +163,21 @@ class TestSubmitPollResult:
         response = mine_v1(client, "ghost", PARAMS, mode="async")
         assert response.status == 404
 
+    def test_direction_aware_delayed_rejected_in_every_mode(self, client):
+        """Direction-aware delayed search is not implemented: every mode
+        answers 400 up front, opens no job and caches nothing — before, a
+        sync POST was a 500 while async served direction-blind CAPs."""
+        params = dict(
+            PARAMS, max_delay=1, direction_aware=True, segmentation="none"
+        )
+        for mode in ("sync", "async", "distributed", "streaming"):
+            response = mine_v1(client, "santander", params, mode=mode)
+            assert response.status == 400, (mode, response.json())
+            assert response.json()["error"]["code"] == "invalid_parameters"
+        listing = client.get(f"{API}/datasets/santander/results").json()
+        assert listing["results"] == []
+        assert client.get(f"{API}/jobs").json()["jobs"] == []
+
 
 class TestDedup:
     def test_identical_inflight_submission_reuses_job(self, client, monkeypatch):
