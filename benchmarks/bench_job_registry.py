@@ -92,7 +92,7 @@ def test_durable_transition_overhead_and_recovery(tmp_path):
     wal_root = tmp_path / "registry.json.wal"
     assert wal_root.is_dir()
     store_kb = sum(
-        p.stat().st_size for p in wal_root.glob("*.log")
+        p.stat().st_size for p in wal_root.glob("*.seg")
     ) / 1024.0
 
     per_durable_ms = durable_s / JOBS * 1000.0

@@ -13,7 +13,12 @@ transition costs the record — not the world:
   what the retired snapshot engine did for durability);
 * **compaction cost vs log length** — ``compact_collection`` on logs of
   growing record counts: the price of folding history back to live state,
-  and the bytes it reclaims.
+  and the bytes it reclaims;
+* **reopen time** — ``Database(path)`` on a ~3 MB store: replaying and
+  verifying every record.  v2 checksums with C-speed ``zlib.crc32``; the
+  same store in the v1 format (pure-Python CRC-32C) pays the one-time
+  v1 -> v2 migration on its first open, which is the old reopen cost plus
+  the rewrite.
 
 Numbers land in ``BENCH_wal_store.json`` (CI's bench lane uploads it).
 The acceptance bar is explicit: WAL per-transition cost must undercut
@@ -23,9 +28,12 @@ snapshot-per-write by ≥10x, or the engine rewrite bought nothing.
 from __future__ import annotations
 
 import json
+import shutil
+import statistics
 import time
 from pathlib import Path
 
+from repro.store import wal
 from repro.store.database import Database
 
 from .conftest import machine_info, print_table
@@ -40,6 +48,10 @@ COMPACTION_LOG_LENGTHS = (200, 800, 3200)
 
 #: The engine rewrite's reason to exist (ISSUE-6 acceptance criterion).
 MIN_COLLAPSE_X = 10.0
+
+#: Reopen store: this many ~1.5 KB result-like documents (~3 MB of log).
+REOPEN_DOCS = 3600
+REOPEN_RUNS = 5
 
 
 def _preload(database: Database):
@@ -65,6 +77,66 @@ def _transition_ms(jobs, save=None) -> float:
         if save is not None:
             save()
     return (time.perf_counter() - start) / TRANSITIONS * 1000.0
+
+
+def _as_v1(root: Path) -> None:
+    """Rewrite a v2 store directory in the v1 format (CRC-32C ``.log`` logs)."""
+    for segment in root.glob("*.seg"):
+        records, _end, torn = wal.decode_records(segment.read_bytes())
+        assert not torn
+        segment.with_suffix(".log").write_bytes(
+            b"".join(wal.encode_record(record, wal.crc32c) for record in records)
+        )
+        segment.unlink()
+    (root / wal.FORMAT_MARKER).write_text(wal.FORMAT_V1 + "\n")
+
+
+def _open_ms(path: Path) -> tuple[float, Database]:
+    start = time.perf_counter()
+    database = Database(path)
+    return (time.perf_counter() - start) * 1000.0, database
+
+
+def _reopen_and_migration(tmp_path: Path) -> dict:
+    path = tmp_path / "reopen" / "store.json"
+    caps = Database(path)["caps"]
+    caps.create_index("dataset", "hash")
+    for index in range(REOPEN_DOCS):
+        caps.insert_one({
+            "dataset": "santander",
+            "sensors": [f"sensor-{index + k}" for k in range(8)],
+            "attributes": ["temperature", "light", "noise"],
+            "support": index,
+            "series": [round(index * 0.001 + k * 0.37, 4) for k in range(80)],
+        })
+    expected = caps.find()
+    root = path.with_name(path.name + ".wal")
+    store_bytes = sum(p.stat().st_size for p in root.glob("*.seg"))
+
+    reopen = []
+    for _ in range(REOPEN_RUNS):
+        elapsed, database = _open_ms(path)
+        assert database["caps"].find() == expected
+        reopen.append(elapsed)
+
+    pristine = tmp_path / "reopen-v2"
+    shutil.copytree(root, pristine)
+    migration = []
+    for _ in range(REOPEN_RUNS):
+        shutil.rmtree(root)
+        shutil.copytree(pristine, root)
+        _as_v1(root)
+        elapsed, database = _open_ms(path)
+        assert database["caps"].find() == expected
+        assert wal.read_format(root) == wal.FORMAT_V2
+        migration.append(elapsed)
+    return {
+        "documents": REOPEN_DOCS,
+        "store_bytes": store_bytes,
+        "runs": REOPEN_RUNS,
+        "reopen_ms": statistics.median(reopen),
+        "migrate_v1_ms": statistics.median(migration),
+    }
 
 
 def test_wal_transition_collapse_and_compaction(tmp_path):
@@ -126,10 +198,22 @@ def test_wal_transition_collapse_and_compaction(tmp_path):
         })
     print_table("compaction cost vs log length", compaction_rows)
 
+    # -- reopen vs one-time v1 -> v2 migration --------------------------------
+    reopen = _reopen_and_migration(tmp_path)
+    print_table(f"open a {reopen['store_bytes'] / 1e6:.1f} MB store "
+                f"(median of {REOPEN_RUNS})", [
+        {"open": "reopen (v2, zlib.crc32)", "ms": round(reopen["reopen_ms"], 1)},
+        {"open": "first open of v1 (CRC-32C verify + rewrite)",
+         "ms": round(reopen["migrate_v1_ms"], 1)},
+    ])
+    # Reopening v2 must not pay what verifying v1 costs.
+    assert reopen["reopen_ms"] < reopen["migrate_v1_ms"]
+
     REPORT_PATH.write_text(json.dumps({
         "benchmark": "bench_wal_store",
         "machine": machine_info(),
-        "timed_region": "document transitions per engine + compaction",
+        "timed_region": "document transitions per engine + compaction + "
+                        "store reopen / v1 migration",
         "preloaded_documents": PRELOAD_DOCS,
         "transitions": TRANSITIONS,
         "memory_ms_per_transition": memory_ms,
@@ -137,4 +221,5 @@ def test_wal_transition_collapse_and_compaction(tmp_path):
         "snapshot_ms_per_transition": snapshot_ms,
         "snapshot_over_wal_collapse_x": collapse_x,
         "compaction": compaction_rows,
+        "reopen": reopen,
     }, indent=2) + "\n")

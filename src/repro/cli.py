@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
     p_sver = store_sub.add_parser(
         "verify",
-        help="offline checksum walk of every WAL log (exit 1 on a torn tail)",
+        help="offline checksum walk of every WAL segment, in the format its "
+             "suffix names (exit 1 on a torn tail or an unknown FORMAT)",
     )
     p_sver.add_argument("--store", required=True, help="store path")
     p_scomp = store_sub.add_parser(
@@ -646,18 +647,26 @@ def cmd_store(args: argparse.Namespace) -> int:
             print("nothing to compact (empty store)")
         return 0
 
-    # verify: offline checksum walk, no locks taken, nothing mutated.
+    # verify: offline checksum walk, no locks taken, nothing mutated.  Each
+    # segment is checked with the format its suffix names (a v1 store whose
+    # migration was cut short holds both).
     torn = False
     checked = 0
     if root.is_dir():
-        for log_path in sorted(root.glob("*.log")):
-            report = wal.verify_log(log_path)
-            checked += 1
-            status = "TORN" if report["torn"] else "ok"
-            print(f"{log_path.name}: {report['records']} records, "
-                  f"{report['valid_bytes']}/{report['total_bytes']} bytes valid "
-                  f"[{status}]")
-            torn = torn or report["torn"]
+        try:
+            found = wal.read_format(root)
+        except wal.UnknownFormatError as error:
+            raise SystemExit(str(error))
+        print(f"format: {found or 'none (no FORMAT marker)'}")
+        for fmt, suffix in wal.SEGMENT_SUFFIXES.items():
+            for log_path in sorted(root.glob("*" + suffix)):
+                report = wal.verify_log(log_path, wal.format_checksum(fmt))
+                checked += 1
+                status = "TORN" if report["torn"] else "ok"
+                print(f"{log_path.name}: {report['records']} records, "
+                      f"{report['valid_bytes']}/{report['total_bytes']} bytes "
+                      f"valid [{status}]")
+                torn = torn or report["torn"]
     if path.is_file():
         import json as _json
 

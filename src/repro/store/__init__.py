@@ -2,8 +2,8 @@
 
 Bound to a path it runs the crash-safe WAL engine by default: every
 mutation appends one checksummed, fsync'd record to a per-collection
-append-only log under ``<path>.wal/`` (see :mod:`repro.store.wal` and the
-"Store engine" section of DESIGN.md).
+append-only segment under ``<path>.wal/`` (see :mod:`repro.store.wal` and
+the "Store engine" section of DESIGN.md).
 
 Documents are frozen on write and shared read-only on read: ``find`` and
 ``find_one`` return the stored objects themselves, whose mutators raise
@@ -18,7 +18,7 @@ from .database import Database
 from .frozen import thaw
 from .index import HashIndex, SortedIndex
 from .query import QueryError, compile_query, matches
-from .wal import crc32c, verify_log
+from .wal import verify_log
 
 __all__ = [
     "Collection",
@@ -29,7 +29,6 @@ __all__ = [
     "SortedIndex",
     "aggregate",
     "compile_query",
-    "crc32c",
     "matches",
     "thaw",
     "verify_log",

@@ -9,11 +9,15 @@ Two engines share the :class:`Database` surface, chosen by ``path``:
 
 * ``memory`` (no path) — collections live in this process only;
 * ``wal`` (a path) — every mutation appends one checksummed record to a
-  per-collection append-only log under ``<path>.wal/`` (see
-  :mod:`repro.store.wal`); opening replays the logs, recovery truncates
-  torn tails, and several processes share the store through one
+  per-collection append-only segment under ``<path>.wal/`` (see
+  :mod:`repro.store.wal`); opening replays the segments, recovery
+  truncates torn tails, and several processes share the store through one
   ``flock`` + tail replay.  Deletions are first-class tombstone records,
   so a removal in one process is a removal everywhere.
+
+A directory still in the v1 record format (``<name>.log`` logs checksummed
+with CRC-32C) is verified and rewritten as v2 (``<name>.seg``) once, on
+open; a ``FORMAT`` marker this code does not know refuses to open.
 
 The whole-database JSON snapshot (``repro-store-v1``) survives only as
 the export format (:meth:`Database.save`) and as a one-shot import.
@@ -57,14 +61,13 @@ _COMPACTION_SECONDS = get_registry().histogram(
     ("collection",),
 )
 
-#: Marker file naming the WAL directory format (bumped on layout changes).
-_FORMAT_MARKER = "FORMAT"
-_FORMAT_VALUE = "repro-store-wal-v1"
+#: The record format this code writes (the directory's ``FORMAT`` marker).
+_FORMAT_VALUE = wal.FORMAT_V2
 #: Marker recording that the segments were migrated from a legacy snapshot
 #: (and that the snapshot must survive until the first full compaction).
 _MIGRATED_MARKER = "MIGRATED"
 _LOCK_FILE = "LOCK"
-_LOG_SUFFIX = ".log"
+_SEGMENT_SUFFIX = wal.SEGMENT_SUFFIXES[_FORMAT_VALUE]
 _TMP_SUFFIX = ".compact-tmp"
 
 
@@ -104,6 +107,29 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+def _swap_in(
+    target: Path, data: bytes, *, collection_name: str | None = None,
+    fault: bool = False,
+) -> None:
+    """Write ``data`` next to ``target`` and atomically rename it over.
+
+    The temp file is fsync'd *before* the rename and the caller fsyncs the
+    directory after — a crash at any point leaves either the old complete
+    file or the new complete one, never a mix.  ``fault=True`` arms the
+    ``mid-compaction-swap`` crash point between the two.
+    """
+    tmp = target.with_name(target.name + _TMP_SUFFIX)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    try:
+        wal.write_all(fd, data)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    if fault:
+        wal.maybe_fault("mid-compaction-swap", collection_name)
+    os.replace(tmp, target)
+
+
 def write_segment(
     target: Path,
     records: Iterable[Mapping[str, Any]],
@@ -111,25 +137,22 @@ def write_segment(
     collection_name: str | None = None,
     fault: bool = False,
 ) -> int:
-    """Write a complete segment next to ``target`` and atomically swap it in.
-
-    The temp file is fsync'd *before* the rename and the caller fsyncs the
-    directory after — a crash at any point leaves either the old complete
-    log or the new complete segment, never a mix.  ``fault=True`` arms the
-    ``mid-compaction-swap`` crash point between the two.
-    """
-    tmp = target.with_name(target.name + _TMP_SUFFIX)
+    """Write a complete v2 segment and swap it in over ``target``."""
     data = b"".join(wal.encode_record(record) for record in records)
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-    try:
-        os.write(fd, data)
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    if fault:
-        wal.maybe_fault("mid-compaction-swap", collection_name)
-    os.replace(tmp, target)
+    _swap_in(target, data, collection_name=collection_name, fault=fault)
     return len(data)
+
+
+def _quarantine_tail(path: Path, torn: bytes, valid_end: int, name: str) -> None:
+    """Preserve the bytes of a torn tail (the caller truncates them)."""
+    sidecar = path.with_name(f"{path.name}.corrupt-{int(time.time() * 1000)}")
+    sidecar.write_bytes(torn)
+    _TORN_TRUNCATIONS.inc(name)
+    _log.warning(
+        "store: truncated torn tail of %s at byte %d (%d bad byte(s) "
+        "quarantined to %s); recovered state is the fsync'd record "
+        "prefix", path, valid_end, len(torn), sidecar,
+    )
 
 
 class Database:
@@ -289,15 +312,18 @@ class Database:
             self._wal_refresh(truncate_torn=False)
 
     def _wal_open_locked(self) -> None:
-        """First-open work under the lock: migrate a legacy snapshot."""
+        """First-open work under the lock: import a legacy snapshot or
+        migrate v1 logs; an unknown ``FORMAT`` marker raises."""
         assert self.path is not None and self._wal_root is not None
-        marker = self._wal_root / _FORMAT_MARKER
-        if not marker.exists():
+        found = wal.read_format(self._wal_root)
+        if found == wal.FORMAT_V1:
+            self._migrate_v1()
+        elif found is None:
             if self.path.exists():
                 migrated = 0
                 for collection in self._read_snapshot(self.path):
                     target = self._wal_root / (
-                        _encode_name(collection.name) + _LOG_SUFFIX
+                        _encode_name(collection.name) + _SEGMENT_SUFFIX
                     )
                     write_segment(target, collection_records(collection))
                     migrated += 1
@@ -311,9 +337,57 @@ class Database:
                         "first successful compaction",
                         self.path, migrated, self._wal_root,
                     )
-            marker.write_text(_FORMAT_VALUE + "\n")
-            _fsync_dir(self._wal_root)
+            self._write_format_marker()
         self._wal_ready = True
+
+    def _write_format_marker(self) -> None:
+        assert self._wal_root is not None
+        _swap_in(
+            self._wal_root / wal.FORMAT_MARKER, (_FORMAT_VALUE + "\n").encode()
+        )
+        _fsync_dir(self._wal_root)
+
+    def _migrate_v1(self) -> None:
+        """Rewrite every v1 log as a v2 segment, then flip the marker.
+
+        Per log: verify ``<name>.log`` with CRC-32C (a torn tail is
+        quarantined and truncated exactly as replay would), swap
+        ``<name>.seg`` in through :func:`write_segment`, fsync the
+        directory, unlink the log.  A kill at any point converges: a
+        ``.seg`` beside a ``.log`` is a finished rewrite whose unlink was
+        lost, so the ``.seg`` wins; the marker flips only once no v1 log
+        is left.  The ``mid-format-migration`` crash point fires after
+        each rewrite and once more just before the flip.
+        """
+        assert self._wal_root is not None
+        root = self._wal_root
+        checksum = wal.format_checksum(wal.FORMAT_V1)
+        v1_suffix = wal.SEGMENT_SUFFIXES[wal.FORMAT_V1]
+        logs = sorted(root.glob("*" + v1_suffix))
+        for log_path in logs:
+            stem = log_path.name[: -len(v1_suffix)]
+            name = _decode_name(stem)
+            segment = root / (stem + _SEGMENT_SUFFIX)
+            if not segment.exists():
+                data = log_path.read_bytes()
+                records, valid_end, torn = wal.decode_records(
+                    data, checksum=checksum
+                )
+                if torn:
+                    _quarantine_tail(log_path, data[valid_end:], valid_end, name)
+                    os.truncate(log_path, valid_end)
+                write_segment(segment, records)
+                _fsync_dir(root)
+                wal.maybe_fault("mid-format-migration", name)
+            log_path.unlink()
+        _fsync_dir(root)
+        wal.maybe_fault("mid-format-migration")
+        self._write_format_marker()
+        if logs:
+            _log.warning(
+                "store: migrated %d WAL log(s) under %s from %s to %s",
+                len(logs), root, wal.FORMAT_V1, _FORMAT_VALUE,
+            )
 
     def _wal_refresh(self, truncate_torn: bool) -> None:
         assert self._wal_root is not None
@@ -322,8 +396,8 @@ class Database:
         except FileNotFoundError:  # pragma: no cover - root deleted underneath
             return
         for entry in entries:
-            if entry.endswith(_LOG_SUFFIX):
-                name = _decode_name(entry[: -len(_LOG_SUFFIX)])
+            if entry.endswith(_SEGMENT_SUFFIX):
+                name = _decode_name(entry[: -len(_SEGMENT_SUFFIX)])
                 if name not in self._wal_logs:
                     self._wal_logs[name] = wal.CollectionLog(
                         name, self._wal_root / entry
@@ -350,28 +424,18 @@ class Database:
                 if stat is None:  # pragma: no cover - raced a drop
                     continue
             if stat.st_size > log.applied_offset:
-                records, valid_end, torn = log.read_tail(stat.st_size)
-                for record in records:
+                tail = log.read_tail(stat.st_size)
+                valid = 0
+                for record, valid in wal.iter_records(tail):
                     collection.apply_wal_record(record)
-                log.records += len(records)
-                log.applied_offset = valid_end
-                if torn and truncate_torn:
-                    self._quarantine_tail(log, stat.st_size)
-
-    def _quarantine_tail(self, log: wal.CollectionLog, size: int) -> None:
-        """Preserve then truncate a torn tail (crash landed mid-append)."""
-        torn = os.pread(log.fd, size - log.applied_offset, log.applied_offset)
-        sidecar = log.path.with_name(
-            f"{log.path.name}.corrupt-{int(time.time() * 1000)}"
-        )
-        sidecar.write_bytes(torn)
-        log.truncate_to(log.applied_offset)
-        _TORN_TRUNCATIONS.inc(log.collection_name)
-        _log.warning(
-            "store: truncated torn tail of %s at byte %d (%d bad byte(s) "
-            "quarantined to %s); recovered state is the fsync'd record "
-            "prefix", log.path, log.applied_offset, len(torn), sidecar,
-        )
+                    log.records += 1
+                log.applied_offset += valid
+                if valid < len(tail) and truncate_torn:
+                    # A crash landed mid-append: keep then drop the tail.
+                    _quarantine_tail(
+                        log.path, tail[valid:], log.applied_offset, name
+                    )
+                    log.truncate_to(log.applied_offset)
 
     def _wal_append(self, name: str, record: Mapping[str, Any]) -> None:
         assert self.engine == "wal" and self._wal_root is not None
@@ -379,7 +443,7 @@ class Database:
         log = self._wal_logs.get(name)
         if log is None:
             log = wal.CollectionLog(
-                name, self._wal_root / (_encode_name(name) + _LOG_SUFFIX)
+                name, self._wal_root / (_encode_name(name) + _SEGMENT_SUFFIX)
             )
             self._wal_logs[name] = log
             self._wal_dir_dirty = True  # new file: directory entry to fsync

@@ -1,9 +1,9 @@
 """Write-ahead log primitives: checksummed records, torn-tail recovery.
 
 The WAL-backed store engine journals every mutation of a collection as one
-*record* in a per-collection append-only log::
+*record* in a per-collection append-only segment::
 
-    <length: u32 LE> <crc32c(payload): u32 LE> <payload: UTF-8 JSON>
+    <length: u32 LE> <checksum(payload): u32 LE> <payload: UTF-8 JSON>
 
 Appends go through an ``O_APPEND`` fd and are fsync'd before the writing
 critical section releases its lock, so an acknowledged transition is on
@@ -13,11 +13,16 @@ before that point is exactly the prefix of successfully appended records;
 everything after is a *torn tail* (a crash landed mid-append) and is
 truncated by recovery, after quarantining the bytes for post-mortems.
 
-The checksum is CRC-32C (Castagnoli) — the polynomial storage engines and
-wire protocols (ext4, iSCSI, leveldb) use — implemented table-based in
-pure Python because this repo takes no dependencies beyond the toolchain.
-``zlib.crc32`` would be CRC-32/ADLER territory and is deliberately not
-used: record checksums are a format commitment, not a convenience.
+The record format is versioned by the directory's ``FORMAT`` marker and by
+each segment's file suffix, so a file always says how to check it:
+
+* ``repro-store-wal-v2`` (``<name>.seg``, current) checksums with stdlib
+  ``zlib.crc32`` — C speed, about 1.9 GB/s, so reopening a store is
+  bounded by JSON decoding rather than by the checksum;
+* ``repro-store-wal-v1`` (``<name>.log``) checksummed with CRC-32C
+  (Castagnoli) in table-based pure Python, about 5.5 MB/s.  v1 logs are
+  only ever *read*: the store verifies them once with :func:`crc32c` and
+  rewrites them as v2 on open (see ``Database._migrate_v1``).
 
 Fault injection mirrors ``repro.jobs.durable``: ``REPRO_STORE_FAULT``
 names a crash point (:data:`FAULT_POINTS`) and the process hard-exits
@@ -33,8 +38,9 @@ import json
 import os
 import struct
 import time
+import zlib
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from ..obs.metrics import get_registry
 
@@ -42,12 +48,21 @@ __all__ = [
     "FAULT_ENV",
     "FAULT_EXIT_CODE",
     "FAULT_POINTS",
+    "FORMAT_MARKER",
+    "FORMAT_V1",
+    "FORMAT_V2",
+    "SEGMENT_SUFFIXES",
     "CollectionLog",
+    "UnknownFormatError",
     "crc32c",
     "decode_records",
     "encode_record",
+    "format_checksum",
+    "iter_records",
     "maybe_fault",
+    "read_format",
     "verify_log",
+    "write_all",
 ]
 
 #: Environment variable naming the store crash point to hard-exit at.
@@ -55,13 +70,27 @@ FAULT_ENV = "REPRO_STORE_FAULT"
 
 #: Supported crash points, in write-path order.
 FAULT_POINTS = (
-    "mid-append",           # half a record written; the tail is torn
-    "pre-fsync",            # record written, fsync never issued
-    "mid-compaction-swap",  # new segment written; old log never replaced
+    "mid-append",            # half a record written; the tail is torn
+    "pre-fsync",             # record written, fsync never issued
+    "mid-compaction-swap",   # new segment written; old log never replaced
+    "mid-format-migration",  # nth v1 log rewritten as v2, not yet unlinked;
+                             # once more (logs + 1) just before the marker flip
 )
 
 #: Exit status for store fault exits (jobs faults use 70; keep them apart).
 FAULT_EXIT_CODE = 71
+
+#: Marker file naming a WAL directory's record format.
+FORMAT_MARKER = "FORMAT"
+FORMAT_V1 = "repro-store-wal-v1"
+FORMAT_V2 = "repro-store-wal-v2"
+
+#: Segment file suffix per format, oldest first.  Each file names its own
+#: format, so a v2 segment is never replayed (let alone truncated) with the
+#: v1 checksum — and a v1 binary, which globs ``*.log``, never sees one.
+SEGMENT_SUFFIXES = {FORMAT_V1: ".log", FORMAT_V2: ".seg"}
+
+Checksum = Callable[[bytes], int]
 
 _HEADER = struct.Struct("<II")
 HEADER_SIZE = _HEADER.size
@@ -84,7 +113,48 @@ _FSYNC_SECONDS = get_registry().histogram(
 )
 
 
-# -- CRC-32C (Castagnoli), table-based -------------------------------------------
+# -- formats ----------------------------------------------------------------------
+
+
+class UnknownFormatError(ValueError):
+    """A ``FORMAT`` marker this code cannot read (e.g. from a newer version)."""
+
+
+def format_checksum(fmt: str) -> Checksum:
+    """Record checksum of a format.
+
+    Resolved per call, so a wrapper installed on :func:`crc32c` by name
+    (a tracer) sees the v1 migration reader's calls.
+    """
+    if fmt == FORMAT_V2:
+        return zlib.crc32
+    if fmt == FORMAT_V1:
+        return crc32c
+    raise UnknownFormatError(f"unknown WAL format {fmt!r}")
+
+
+def read_format(root: Path) -> str | None:
+    """The format a WAL directory's ``FORMAT`` marker names (``None`` if absent).
+
+    v1 wrote the marker in place, so an empty marker is a v1 first open
+    killed mid-write.  A value this code does not know raises: the store
+    may belong to a newer version, and replaying it with the wrong
+    checksum would truncate every segment as torn.
+    """
+    marker = Path(root) / FORMAT_MARKER
+    try:
+        fmt = marker.read_text(encoding="utf-8").strip() or FORMAT_V1
+    except FileNotFoundError:
+        return None
+    if fmt not in SEGMENT_SUFFIXES:
+        raise UnknownFormatError(
+            f"unrecognised WAL format in {marker}: {fmt!r} (this version "
+            f"reads {', '.join(SEGMENT_SUFFIXES)})"
+        )
+    return fmt
+
+
+# -- CRC-32C (Castagnoli), table-based: the v1 migration reader only -------------
 
 _CRC32C_POLY = 0x82F63B78  # reversed 0x1EDC6F41
 
@@ -158,54 +228,83 @@ def maybe_fault(point: str, collection: str | None = None) -> None:
 # -- record codec -----------------------------------------------------------------
 
 
-def encode_record(record: Mapping[str, Any]) -> bytes:
+def write_all(fd: int, data: bytes) -> None:
+    """``write(2)`` until every byte of ``data`` is down.
+
+    A regular file may take fewer bytes than asked (a disk filling up
+    midway, or more than 2 GiB in one call); a call that makes no
+    progress raises instead of spinning.
+    """
+    view = memoryview(data)
+    while view:
+        written = os.write(fd, view)
+        if written <= 0:
+            raise OSError(f"write made no progress with {len(view)} byte(s) left")
+        view = view[written:]
+
+
+def encode_record(record: Mapping[str, Any], checksum: Checksum = zlib.crc32) -> bytes:
     """One length-prefixed, checksummed record: header + JSON payload."""
     payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-    return _HEADER.pack(len(payload), crc32c(payload)) + payload
+    return _HEADER.pack(len(payload), checksum(payload)) + payload
 
 
-def decode_records(
-    buffer: bytes, start: int = 0
-) -> tuple[list[dict[str, Any]], int, bool]:
-    """Replay records from ``buffer[start:]``.
+def iter_records(
+    buffer: bytes, start: int = 0, checksum: Checksum = zlib.crc32
+) -> Iterator[tuple[dict[str, Any], int]]:
+    """Yield ``(record, end)`` for each intact record of ``buffer[start:]``.
 
-    Returns ``(records, valid_end, torn)``: the decoded records, the byte
-    offset just past the last valid record, and whether trailing bytes
-    were rejected (short header/payload, bad length, checksum mismatch,
-    or undecodable JSON).  Recovery truncates the file to ``valid_end``;
-    readers racing a live writer simply retry from it later — an
-    in-flight append looks exactly like a torn tail until it completes.
+    ``end`` is the offset just past the record.  Iteration stops at the
+    first short header/payload, bad length, ``checksum`` mismatch, or
+    undecodable JSON: everything after is a torn tail.  Records decode
+    one at a time, so replaying a log of superseded versions never holds
+    them all in memory at once.
     """
-    records: list[dict[str, Any]] = []
     offset = start
     end = len(buffer)
-    while True:
-        if offset + HEADER_SIZE > end:
-            break
-        length, checksum = _HEADER.unpack_from(buffer, offset)
+    while offset + HEADER_SIZE <= end:
+        length, stored = _HEADER.unpack_from(buffer, offset)
         if length > MAX_RECORD_BYTES:
-            break
+            return
         body_end = offset + HEADER_SIZE + length
         if body_end > end:
-            break
+            return
         payload = buffer[offset + HEADER_SIZE:body_end]
-        if crc32c(payload) != checksum:
-            break
+        if checksum(payload) != stored:
+            return
         try:
             record = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
-            break
+            return
         if not isinstance(record, dict):
-            break
-        records.append(record)
+            return
         offset = body_end
-    return records, offset, offset < end
+        yield record, offset
 
 
-def verify_log(path: str | Path) -> dict[str, Any]:
-    """Offline checksum walk of one log file (``repro store verify``)."""
+def decode_records(
+    buffer: bytes, start: int = 0, checksum: Checksum = zlib.crc32
+) -> tuple[list[dict[str, Any]], int, bool]:
+    """Replay records from ``buffer[start:]``, verifying each with ``checksum``.
+
+    Returns ``(records, valid_end, torn)``: the decoded records, the byte
+    offset just past the last valid record, and whether trailing bytes
+    were rejected (see :func:`iter_records`).  Recovery truncates the file
+    to ``valid_end``; readers racing a live writer simply retry from it
+    later — an in-flight append looks exactly like a torn tail until it
+    completes.
+    """
+    records: list[dict[str, Any]] = []
+    valid_end = start
+    for record, valid_end in iter_records(buffer, start, checksum):
+        records.append(record)
+    return records, valid_end, valid_end < len(buffer)
+
+
+def verify_log(path: str | Path, checksum: Checksum = zlib.crc32) -> dict[str, Any]:
+    """Offline checksum walk of one segment file (``repro store verify``)."""
     data = Path(path).read_bytes()
-    records, valid_end, torn = decode_records(data)
+    records, valid_end, torn = decode_records(data, checksum=checksum)
     return {
         "path": str(path),
         "records": len(records),
@@ -226,7 +325,7 @@ class CollectionLog:
     appends and truncation happen only inside its cross-process exclusive
     section; tail reads may race a live writer and must treat a torn tail
     as "not yet readable" rather than corruption (see
-    :func:`decode_records`).
+    :func:`iter_records`).
     """
 
     def __init__(self, collection_name: str, path: Path) -> None:
@@ -297,8 +396,10 @@ class CollectionLog:
     def append(self, record: Mapping[str, Any]) -> int:
         """Append one record; returns its encoded size.
 
-        The write is a single ``O_APPEND`` ``write(2)``; durability comes
-        from :meth:`sync` before the exclusive section releases.  The
+        The write goes through the ``O_APPEND`` fd (looping over short
+        writes); durability comes from :meth:`sync` before the exclusive
+        section releases.  A write that fails partway is cut back off, so
+        later appends never land behind a half record.  The
         ``mid-append`` crash point writes *half* the record and dies —
         producing the torn tail recovery must truncate.
         """
@@ -307,7 +408,11 @@ class CollectionLog:
             os.write(self.fd, data[: max(1, len(data) // 2)])
             os._exit(FAULT_EXIT_CODE)
         started = time.perf_counter()
-        os.write(self.fd, data)
+        try:
+            write_all(self.fd, data)
+        except OSError:
+            os.ftruncate(self.fd, self.applied_offset)
+            raise
         _APPEND_SECONDS.observe(
             time.perf_counter() - started, self.collection_name
         )
@@ -335,15 +440,11 @@ class CollectionLog:
 
     # -- reads -----------------------------------------------------------------
 
-    def read_tail(self, size: int) -> tuple[list[dict[str, Any]], int, bool]:
-        """Decode records between the replay cursor and ``size``.
+    def read_tail(self, size: int) -> bytes:
+        """The bytes between the replay cursor and ``size``.
 
-        Returns ``(records, valid_end, torn)``; the caller advances
-        ``applied_offset`` after applying the records.
+        The caller decodes them with :func:`iter_records` and advances
+        ``applied_offset`` past the records it applied.
         """
         length = size - self.applied_offset
-        if length <= 0:
-            return [], self.applied_offset, False
-        data = os.pread(self.fd, length, self.applied_offset)
-        records, end, torn = decode_records(data)
-        return records, self.applied_offset + end, torn
+        return os.pread(self.fd, length, self.applied_offset)

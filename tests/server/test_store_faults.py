@@ -57,7 +57,7 @@ def test_mid_append_during_submit_then_clean_restart(
         # The append died halfway; so did the server.
         assert doomed.wait_exit() == wal.FAULT_EXIT_CODE
 
-    jobs_log = tmp_path / "store.json.wal" / "jobs.log"
+    jobs_log = tmp_path / "store.json.wal" / "jobs.seg"
     assert wal.verify_log(jobs_log)["torn"]  # half a record is on disk
 
     # A clean restart recovers: torn tail truncated, nothing acknowledged

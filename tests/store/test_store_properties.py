@@ -18,6 +18,7 @@ Invariants:
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 import threading
 from bisect import bisect_right
@@ -324,13 +325,17 @@ def test_random_ops_read_back_the_model_and_stay_read_only(initial, ops):
 
 # -- WAL torn-tail recovery ----------------------------------------------------
 
+#: Every record format the store reads: v2 is written, v1 is migrated.
+FORMATS = tuple(wal.SEGMENT_SUFFIXES)
 
-def _record_stream(records):
+
+def _record_stream(records, fmt=wal.FORMAT_V2):
     """Encode ``records`` back-to-back; returns (bytes, record boundaries)."""
+    checksum = wal.format_checksum(fmt)
     buffer = b""
     boundaries = [0]
     for record in records:
-        buffer += wal.encode_record(record)
+        buffer += wal.encode_record(record, checksum)
         boundaries.append(len(buffer))
     return buffer, boundaries
 
@@ -342,36 +347,47 @@ _TAIL_RECORDS = [
 
 
 def test_truncation_at_every_byte_offset_recovers_exact_prefix():
-    """Cut the stream everywhere: replay yields exactly the whole records
-    before the cut, flags a torn tail iff the cut is mid-record."""
-    buffer, boundaries = _record_stream(_TAIL_RECORDS)
-    for cut in range(len(buffer) + 1):
-        recovered, valid_end, torn = wal.decode_records(buffer[:cut])
-        whole = bisect_right(boundaries, cut) - 1
-        assert recovered == _TAIL_RECORDS[:whole]
-        assert valid_end == boundaries[whole]
-        assert torn == (cut != boundaries[whole])
+    """Cut the stream everywhere, in every format: replay yields exactly the
+    whole records before the cut, flags a torn tail iff the cut is
+    mid-record."""
+    for fmt in FORMATS:
+        checksum = wal.format_checksum(fmt)
+        buffer, boundaries = _record_stream(_TAIL_RECORDS, fmt)
+        for cut in range(len(buffer) + 1):
+            recovered, valid_end, torn = wal.decode_records(
+                buffer[:cut], checksum=checksum
+            )
+            whole = bisect_right(boundaries, cut) - 1
+            assert recovered == _TAIL_RECORDS[:whole]
+            assert valid_end == boundaries[whole]
+            assert torn == (cut != boundaries[whole])
 
 
 def test_bit_flip_at_every_byte_offset_never_yields_a_wrong_record():
-    """Flip one byte anywhere: the checksum (or framing) must stop replay at
-    the corrupted record's boundary — corruption never decodes as data."""
-    buffer, boundaries = _record_stream(_TAIL_RECORDS)
-    for position in range(len(buffer)):
-        corrupted = bytearray(buffer)
-        corrupted[position] ^= 0xFF
-        recovered, valid_end, _torn = wal.decode_records(bytes(corrupted))
-        damaged = bisect_right(boundaries, position) - 1
-        # Replay stops at (or before) the damaged record; every record it
-        # *did* return is byte-identical to what was written.
-        assert len(recovered) <= damaged
-        assert recovered == _TAIL_RECORDS[: len(recovered)]
-        assert valid_end <= boundaries[damaged]
+    """Flip one byte anywhere, in every format: the checksum (or framing)
+    must stop replay at the corrupted record's boundary — corruption never
+    decodes as data."""
+    for fmt in FORMATS:
+        checksum = wal.format_checksum(fmt)
+        buffer, boundaries = _record_stream(_TAIL_RECORDS, fmt)
+        for position in range(len(buffer)):
+            corrupted = bytearray(buffer)
+            corrupted[position] ^= 0xFF
+            recovered, valid_end, _torn = wal.decode_records(
+                bytes(corrupted), checksum=checksum
+            )
+            damaged = bisect_right(boundaries, position) - 1
+            # Replay stops at (or before) the damaged record; every record
+            # it *did* return is byte-identical to what was written.
+            assert len(recovered) <= damaged
+            assert recovered == _TAIL_RECORDS[: len(recovered)]
+            assert valid_end <= boundaries[damaged]
 
 
 def test_database_reopen_after_truncation_at_every_offset(tmp_path):
-    """End-to-end: truncate the live log at every offset, reopen, and the
-    store must equal the replay of the surviving record prefix."""
+    """End-to-end: truncate the log at every offset, reopen, and the store
+    must equal the replay of the surviving record prefix.  A v1 log cut
+    anywhere migrates to a v2 segment holding exactly that prefix."""
     path = tmp_path / "store.json"
     database = Database(path)
     caps = database["caps"]
@@ -381,10 +397,9 @@ def test_database_reopen_after_truncation_at_every_offset(tmp_path):
     caps.delete_many({"i": 1})
     caps.update_one({"i": 2}, {"value": "updated"})
 
-    log_path = tmp_path / "store.json.wal" / "caps.log"
-    pristine = log_path.read_bytes()
-    _, boundaries = _record_stream([])  # noqa: F841 - clarity only
-    records, _end, torn = wal.decode_records(pristine)
+    records, _end, torn = wal.decode_records(
+        (tmp_path / "store.json.wal" / "caps.seg").read_bytes()
+    )
     assert not torn
 
     # The expected state after replaying records[:n], for each n.
@@ -394,25 +409,21 @@ def test_database_reopen_after_truncation_at_every_offset(tmp_path):
             collection.apply_wal_record(record)
         return collection.find()
 
-    offsets = [0]
-    for record in records:
-        offsets.append(offsets[-1] + len(wal.encode_record(record)))
-
-    for cut in range(len(pristine) + 1):
-        target = tmp_path / "cut" / "store.json.wal"
-        target.mkdir(parents=True, exist_ok=True)
-        for entry in (tmp_path / "store.json.wal").iterdir():
-            if entry.name == "caps.log":
-                (target / entry.name).write_bytes(pristine[:cut])
-            else:
-                (target / entry.name).write_bytes(entry.read_bytes())
-        reopened = Database(tmp_path / "cut" / "store.json")
-        whole = bisect_right(offsets, cut) - 1
-        assert reopened["caps"].find() == replay(records[:whole])
-        # Recovery truncated the torn tail in place.
-        assert (target / "caps.log").stat().st_size == offsets[whole]
-        for side in target.glob("*.corrupt-*"):
-            side.unlink()
-        import shutil
-
-        shutil.rmtree(tmp_path / "cut")
+    _, v2_offsets = _record_stream(records)
+    for fmt in FORMATS:
+        pristine, offsets = _record_stream(records, fmt)
+        log_name = "caps" + wal.SEGMENT_SUFFIXES[fmt]
+        for cut in range(len(pristine) + 1):
+            target = tmp_path / "cut" / "store.json.wal"
+            target.mkdir(parents=True)
+            (target / "FORMAT").write_text(fmt + "\n")
+            (target / log_name).write_bytes(pristine[:cut])
+            reopened = Database(tmp_path / "cut" / "store.json")
+            whole = bisect_right(offsets, cut) - 1
+            assert reopened["caps"].find() == replay(records[:whole])
+            # Recovery truncated the torn tail; v1 became a v2 segment.
+            assert (target / "FORMAT").read_text() == wal.FORMAT_V2 + "\n"
+            assert (target / "caps.seg").stat().st_size == v2_offsets[whole]
+            assert not (target / "caps.log").exists()
+            assert len(list(target.glob("*.corrupt-*"))) == (cut != offsets[whole])
+            shutil.rmtree(tmp_path / "cut")

@@ -2,7 +2,7 @@
 
 Complements ``test_store_properties.py`` (torn-tail exactness) and
 ``test_wal_faults.py`` (crash-point matrix): this file covers the
-deterministic contracts — the CRC-32C format commitment, what each record
+deterministic contracts — the versioned record checksums, what each record
 op replays to, how two Database instances sharing one path observe each
 other, and that legacy snapshots migrate without being destroyed.
 """
@@ -10,6 +10,8 @@ other, and that legacy snapshots migrate without being destroyed.
 from __future__ import annotations
 
 import json
+import os
+import zlib
 
 import pytest
 
@@ -24,6 +26,20 @@ from repro.store.database import Database
 def test_crc32c_reference_vector():
     # The standard CRC-32C check value: crc of b"123456789".
     assert wal.crc32c(b"123456789") == 0xE3069283
+
+
+def test_format_checksums():
+    # v2 is stdlib CRC-32 (check value 0xCBF43926); v1 is CRC-32C.
+    assert wal.format_checksum(wal.FORMAT_V2)(b"123456789") == 0xCBF43926
+    assert wal.format_checksum(wal.FORMAT_V1)(b"123456789") == 0xE3069283
+    with pytest.raises(wal.UnknownFormatError):
+        wal.format_checksum("repro-store-wal-v999")
+
+
+def test_records_only_decode_under_their_own_checksum():
+    buffer = wal.encode_record({"op": "clear"}, checksum=wal.crc32c)
+    assert wal.decode_records(buffer, checksum=wal.crc32c)[0] == [{"op": "clear"}]
+    assert wal.decode_records(buffer) == ([], 0, True)
 
 
 def test_crc32c_streaming_equals_one_shot():
@@ -49,7 +65,7 @@ def test_decode_rejects_insane_length_without_allocating():
 
 def test_decode_rejects_non_dict_payload():
     payload = json.dumps([1, 2]).encode()
-    buffer = wal._HEADER.pack(len(payload), wal.crc32c(payload)) + payload
+    buffer = wal._HEADER.pack(len(payload), zlib.crc32(payload)) + payload
     decoded, _end, torn = wal.decode_records(buffer)
     assert decoded == [] and torn
 
@@ -61,8 +77,9 @@ def test_wal_layout_and_format_marker(tmp_path):
     path = tmp_path / "store.json"
     Database(path)["caps"].insert_one({"a": 1})
     root = tmp_path / "store.json.wal"
-    assert (root / "FORMAT").read_text().strip() == "repro-store-wal-v1"
-    assert (root / "caps.log").exists()
+    assert (root / "FORMAT").read_text().strip() == "repro-store-wal-v2"
+    assert (root / "caps.seg").exists()
+    assert not list(root.glob("*.log"))
     assert not path.exists()  # no legacy snapshot is written by the WAL engine
 
 
@@ -117,7 +134,7 @@ def test_drop_collection_removes_the_log(tmp_path):
     db = Database(path)
     db["caps"].insert_one({"a": 1})
     db.drop_collection("caps")
-    assert not (tmp_path / "store.json.wal" / "caps.log").exists()
+    assert not (tmp_path / "store.json.wal" / "caps.seg").exists()
     assert "caps" not in Database(path)
 
 
@@ -241,7 +258,7 @@ def test_torn_tail_is_quarantined_and_truncated(tmp_path):
     path = tmp_path / "store.json"
     db = Database(path)
     db["caps"].insert_one({"a": 1})
-    log_path = tmp_path / "store.json.wal" / "caps.log"
+    log_path = tmp_path / "store.json.wal" / "caps.seg"
     clean = log_path.read_bytes()
     with open(log_path, "ab") as handle:
         handle.write(b"\x99garbage-tail")
@@ -249,7 +266,7 @@ def test_torn_tail_is_quarantined_and_truncated(tmp_path):
     reopened = Database(path)
     assert reopened["caps"].count() == 1
     assert log_path.read_bytes() == clean  # truncated back to the prefix
-    sidecars = list((tmp_path / "store.json.wal").glob("caps.log.corrupt-*"))
+    sidecars = list((tmp_path / "store.json.wal").glob("caps.seg.corrupt-*"))
     assert len(sidecars) == 1
     assert sidecars[0].read_bytes() == b"\x99garbage-tail"
 
@@ -257,7 +274,7 @@ def test_torn_tail_is_quarantined_and_truncated(tmp_path):
 def test_verify_log_reports_torn_bytes(tmp_path):
     path = tmp_path / "store.json"
     Database(path)["caps"].insert_one({"a": 1})
-    log_path = tmp_path / "store.json.wal" / "caps.log"
+    log_path = tmp_path / "store.json.wal" / "caps.seg"
     clean_size = log_path.stat().st_size
     with open(log_path, "ab") as handle:
         handle.write(b"xx")
@@ -266,6 +283,52 @@ def test_verify_log_reports_torn_bytes(tmp_path):
     assert report["valid_bytes"] == clean_size
     assert report["torn_bytes"] == 2
     assert report["torn"]
+
+
+# -- short writes --------------------------------------------------------------
+
+
+def test_short_writes_still_land_every_record(tmp_path, monkeypatch):
+    real_write = os.write
+    # write(2) may take fewer bytes than asked; take at most 7 per call.
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+    path = tmp_path / "store.json"
+    db = Database(path)
+    caps = db["caps"]
+    caps.create_index("i", "hash")
+    for i in range(20):
+        caps.insert_one({"i": i, "pad": "x" * i})
+    caps.delete_many({"i": {"$lt": 5}})
+    db.compact_collection("caps")  # the segment rewrite loops too
+    caps.insert_one({"i": 99})
+    monkeypatch.undo()
+
+    assert not wal.verify_log(tmp_path / "store.json.wal" / "caps.seg")["torn"]
+    assert Database(path)["caps"].find() == caps.find()
+
+
+def test_failed_append_is_cut_back_so_later_appends_replay(tmp_path, monkeypatch):
+    path = tmp_path / "store.json"
+    db = Database(path)
+    db["caps"].insert_one({"i": 0})
+    real_write = os.write
+    calls = []
+
+    def disk_fills_midway(fd, data):
+        calls.append(len(data))
+        if len(calls) == 1:
+            return real_write(fd, data[:5])  # half a header reaches the disk
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", disk_fills_midway)
+    with pytest.raises(OSError):
+        db["caps"].insert_one({"i": 1})
+    monkeypatch.undo()
+    db["caps"].insert_one({"i": 2})
+
+    # The partial record was cut back off, so the later append replays.
+    assert not wal.verify_log(tmp_path / "store.json.wal" / "caps.seg")["torn"]
+    assert [d["i"] for d in Database(path)["caps"].find()] == [0, 2]
 
 
 # -- compaction ----------------------------------------------------------------
@@ -278,7 +341,7 @@ def test_compaction_drops_dead_weight(tmp_path):
     for i in range(20):
         caps.insert_one({"i": i})
     caps.delete_many({"i": {"$lte": 14}})
-    before = (tmp_path / "store.json.wal" / "caps.log").stat().st_size
+    before = (tmp_path / "store.json.wal" / "caps.seg").stat().st_size
     result = db.compact_collection("caps")
     assert result["compacted"]
     assert result["after_bytes"] < before

@@ -58,7 +58,7 @@ def test_mid_append_crash_recovers_exact_prefix(tmp_path, nth):
     code = _run_store_script(_INSERTS, store, f"mid-append@caps:{nth}")
     assert code == wal.FAULT_EXIT_CODE
 
-    log_path = tmp_path / "store.json.wal" / "caps.log"
+    log_path = tmp_path / "store.json.wal" / "caps.seg"
     before = wal.verify_log(log_path)
     assert before["torn"]  # the half-record is really on disk
 
@@ -69,7 +69,7 @@ def test_mid_append_crash_recovers_exact_prefix(tmp_path, nth):
     after = wal.verify_log(log_path)
     assert not after["torn"]
     assert after["records"] == nth - 1
-    sidecars = list((tmp_path / "store.json.wal").glob("caps.log.corrupt-*"))
+    sidecars = list((tmp_path / "store.json.wal").glob("caps.seg.corrupt-*"))
     assert len(sidecars) == 1
     # An id burned by the torn append is never reused after recovery.
     assert reopened["caps"].insert_one({"n": 99}) == nth
@@ -86,7 +86,7 @@ def test_pre_fsync_crash_reopens_cleanly(tmp_path):
     # surviving page cache the first insert is visible — and whatever is
     # visible must be a clean prefix, never a torn record.
     assert [d["n"] for d in docs] == list(range(1, len(docs) + 1))
-    report = wal.verify_log(tmp_path / "store.json.wal" / "caps.log")
+    report = wal.verify_log(tmp_path / "store.json.wal" / "caps.seg")
     assert not report["torn"]
 
 
@@ -109,7 +109,7 @@ def test_mid_compaction_swap_crash_keeps_the_old_log(tmp_path):
 
     root = tmp_path / "store.json.wal"
     # The new segment never replaced the log: full history still there.
-    report = wal.verify_log(root / "caps.log")
+    report = wal.verify_log(root / "caps.seg")
     assert report["records"] == 11  # 10 puts + 1 tombstone
     assert not report["torn"]
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -197,18 +199,48 @@ class TestStore:
         db["caps"].delete_many({"i": {"$lte": 2}})
         return path
 
+    def _v1_store(self, tmp_path):
+        fixture = Path(__file__).resolve().parent / "store" / "fixtures" / "wal_v1"
+        shutil.copytree(fixture / "store.json.wal", tmp_path / "store.json.wal")
+        return tmp_path / "store.json"
+
     def test_verify_clean_store(self, tmp_path, capsys):
         path = self._seed_store(tmp_path)
         assert main(["store", "verify", "--store", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "caps.log" in out and "[ok]" in out
+        assert "format: repro-store-wal-v2" in out
+        assert "caps.seg" in out and "[ok]" in out
 
     def test_verify_flags_torn_tail(self, tmp_path, capsys):
         path = self._seed_store(tmp_path)
-        with open(tmp_path / "store.json.wal" / "caps.log", "ab") as handle:
+        with open(tmp_path / "store.json.wal" / "caps.seg", "ab") as handle:
             handle.write(b"\x01torn")
         assert main(["store", "verify", "--store", str(path)]) == 1
         assert "[TORN]" in capsys.readouterr().out
+
+    def test_verify_v1_store_with_its_own_checksum(self, tmp_path, capsys):
+        path = self._v1_store(tmp_path)
+        assert main(["store", "verify", "--store", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "format: repro-store-wal-v1" in out
+        assert "caps.log" in out and "[TORN]" not in out
+        # Verifying is read-only: the store is not migrated.
+        assert not list((tmp_path / "store.json.wal").glob("*.seg"))
+
+    def test_verify_flags_torn_v1_tail(self, tmp_path, capsys):
+        path = self._v1_store(tmp_path)
+        with open(tmp_path / "store.json.wal" / "jobs.log", "ab") as handle:
+            handle.write(b"\x01torn")
+        assert main(["store", "verify", "--store", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "jobs.log" in out and "[TORN]" in out
+
+    def test_verify_refuses_unknown_format(self, tmp_path):
+        path = self._seed_store(tmp_path)
+        (tmp_path / "store.json.wal" / "FORMAT").write_text("repro-store-wal-v999\n")
+        with pytest.raises(SystemExit, match="unrecognised WAL format") as raised:
+            main(["store", "verify", "--store", str(path)])
+        assert raised.value.code != 0
 
     def test_compact_rewrites_live_state(self, tmp_path, capsys):
         from repro.store.database import Database
