@@ -5,20 +5,44 @@ lines and send each divided set to our system."  This bench pushes a
 data.csv of growing size through the full three-step upload protocol and
 checks that (a) the chunk count is ceil(rows / 10,000) and (b) per-row cost
 stays flat as the dataset grows (linear scaling).
+
+The parse/finish ledger times the server side alone — ``add_chunk`` over
+every chunk, then ``finish`` — on the perfbench upload sizes (santander
+``steps=2016``, china6 ``steps=480``), and writes ``BENCH_upload_parse.json``
+with ``machine_info()`` and a SHA-256 of each assembled dataset document.
+Results are filed under a label (``REPRO_BENCH_LABEL``, default
+``change``); other labels already in the file are kept, so running the
+bench once against an older checkout's ``src`` with
+``REPRO_BENCH_LABEL=parent`` records the before numbers beside the after
+ones, and the documents' hashes must then agree::
+
+    REPRO_BENCH_LABEL=parent PYTHONPATH=<old checkout>/src \
+        python -m pytest --import-mode=importlib \
+        benchmarks/bench_upload_chunking.py -k ledger -q -s
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import os
+import statistics
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.data.csv_io import dataset_to_rows, iter_chunks
-from repro.data.synthetic import generate_santander
+from repro.data.csv_io import ChunkAssembler, dataset_to_rows, iter_chunks
+from repro.data.documents import dataset_to_document
+from repro.data.synthetic import generate_china6, generate_santander
 from repro.server.app import TestClient, create_app
 
-from .conftest import print_table
+from .conftest import machine_info, print_table
+
+REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_upload_parse.json"
+LEDGER_DATASETS = (("santander", generate_santander, 2016), ("china6", generate_china6, 480))
+LEDGER_RUNS = 5
 
 
 def upload(dataset, chunk_lines=10_000):
@@ -76,3 +100,57 @@ def test_chunk_count_and_linear_scaling(benchmark):
     # Linear shape: per-row cost within 4x across a 5x size change (slack
     # for fixed setup costs and timer noise).
     assert per_row_large < per_row_small * 4
+
+
+def _parse_and_finish(dataset) -> dict:
+    """Median ``add_chunk`` and ``finish`` wall time over the 10,000-line chunks."""
+    data_rows, locations = dataset_to_rows(dataset)
+    chunks = list(iter_chunks(data_rows))
+    parse_ms, finish_ms = [], []
+    for _ in range(LEDGER_RUNS):
+        assembler = ChunkAssembler(dataset.name)
+        start = time.perf_counter()
+        rows = sum(assembler.add_chunk(chunk) for chunk in chunks)
+        parsed = time.perf_counter()
+        rebuilt = assembler.finish(locations, list(dataset.attributes))
+        finished = time.perf_counter()
+        parse_ms.append((parsed - start) * 1000.0)
+        finish_ms.append((finished - parsed) * 1000.0)
+    assert rows == len(data_rows)
+    document = dataset_to_document(rebuilt)
+    assert document == dataset_to_document(dataset)  # lossless round trip
+    return {
+        "rows": rows,
+        "chunks": len(chunks),
+        "parse_ms": round(statistics.median(parse_ms), 1),
+        "finish_ms": round(statistics.median(finish_ms), 1),
+        "document_sha256": hashlib.sha256(
+            json.dumps(document, sort_keys=True).encode()
+        ).hexdigest(),
+    }
+
+
+def test_parse_finish_ledger():
+    label = os.environ.get("REPRO_BENCH_LABEL", "change")
+    ledger = {
+        name: _parse_and_finish(generate(seed=1, steps=steps))
+        for name, generate, steps in LEDGER_DATASETS
+    }
+    report = json.loads(REPORT_PATH.read_text()) if REPORT_PATH.exists() else {}
+    report.update({
+        "benchmark": "bench_upload_chunking.parse_finish_ledger",
+        "timed_region": "ChunkAssembler.add_chunk over every 10,000-line chunk, "
+                        f"then finish; median of {LEDGER_RUNS} runs",
+        "datasets": {name: f"seed=1, steps={steps}" for name, _g, steps in LEDGER_DATASETS},
+    })
+    report[label] = {"machine": machine_info(), **ledger}
+    print_table(f"upload parse/finish ledger ({label})", [
+        {"dataset": name, **{k: v for k, v in row.items() if k != "document_sha256"}}
+        for name, row in ledger.items()
+    ])
+    # Every recorded label assembled the same datasets, byte for byte.
+    for other in report.values():
+        if isinstance(other, dict) and "machine" in other:
+            for name, row in ledger.items():
+                assert other[name]["document_sha256"] == row["document_sha256"]
+    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")

@@ -5,20 +5,27 @@ sending it to the server (Section 3.2).  :func:`iter_chunks` reproduces the
 client side of that protocol and :class:`ChunkAssembler` the server side;
 :func:`read_dataset_dir` / :func:`write_dataset_dir` are the plain local
 paths used by examples and tests.
+
+There is one ``data.csv`` parser, the assembler's columnar one: each chunk
+goes straight into sensor id, attribute, time-code and value columns, with
+timestamps memoized on their exact text.  ``finish`` checks the columns
+with sets and integer codes and builds the dense dataset with one numpy
+scatter; the row validators run only to word the errors once a check has
+failed.  :func:`read_data_csv` and :func:`read_dataset_dir` use the same
+parser.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
+from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..core.types import Sensor, SensorDataset
-from .resample import assemble_dataset
 from .schema import (
     DATA_COLUMNS,
     DEFAULT_CHUNK_LINES,
@@ -52,31 +59,10 @@ __all__ = [
 
 def read_data_csv(source: io.TextIOBase | str | Path) -> list[DataRow]:
     """Parse ``data.csv`` rows (header required)."""
+    assembler = ChunkAssembler("data.csv")
     with _opened(source) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != DATA_COLUMNS:
-            raise DatasetValidationError(
-                [f"data.csv: expected header {','.join(DATA_COLUMNS)}, got {header}"]
-            )
-        rows: list[DataRow] = []
-        errors: list[str] = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != 4:
-                errors.append(f"data.csv line {lineno}: expected 4 fields, got {len(record)}")
-                continue
-            sensor_id, attribute, time_text, value_text = record
-            try:
-                rows.append(
-                    DataRow(sensor_id, attribute, parse_time(time_text), parse_value(value_text))
-                )
-            except ValueError as exc:
-                errors.append(f"data.csv line {lineno}: {exc}")
-        if errors:
-            raise DatasetValidationError(errors)
-        return rows
+        assembler.read(handle)
+    return assembler.rows()
 
 
 def read_location_csv(source: io.TextIOBase | str | Path) -> list[LocationRow]:
@@ -173,21 +159,16 @@ def write_dataset_dir(dataset: SensorDataset, directory: str | Path) -> Path:
 def read_dataset_dir(directory: str | Path, name: str | None = None) -> SensorDataset:
     """Load a dataset directory written by :func:`write_dataset_dir`.
 
-    Runs the full validation suite before assembly, exactly like an upload.
+    Parses and validates exactly like an upload: one :class:`ChunkAssembler`
+    reads the whole ``data.csv``.
     """
     directory = Path(directory)
     attributes = read_attribute_csv(directory / "attribute.csv")
     locations = read_location_csv(directory / "location.csv")
-    data_rows = read_data_csv(directory / "data.csv")
-    errors = (
-        validate_attributes(attributes)
-        + validate_locations(locations, attributes)
-        + validate_data_rows(data_rows, locations)
-        + validate_timeline(data_rows)
-    )
-    if errors:
-        raise DatasetValidationError(errors)
-    return assemble_dataset(name or directory.name, data_rows, locations, attributes)
+    assembler = ChunkAssembler(name or directory.name)
+    with _opened(directory / "data.csv") as handle:
+        assembler.read(handle)
+    return assembler.finish(locations, attributes)
 
 
 # -- chunked upload protocol (Section 3.2) ----------------------------------
@@ -223,13 +204,24 @@ class ChunkAssembler:
 
     Feed chunks with :meth:`add_chunk`; call :meth:`finish` with the
     location and attribute files to validate and assemble the dataset.
+
+    Rows go straight into four columns (sensor id, attribute, time code,
+    value); no per-row object is built.  Timestamp texts are memoized on
+    their exact text, so ``parse_time`` runs once per distinct text and a
+    text it rejects is rejected (with the same message) every time.
     """
 
     def __init__(self, dataset_name: str) -> None:
         if not dataset_name:
             raise ValueError("dataset_name must be non-empty")
         self.dataset_name = dataset_name
-        self._rows: list[DataRow] = []
+        self._ids: list[str] = []
+        self._attributes: list[str] = []
+        self._times: list[int] = []  # codes into self._instants
+        self._values: list[float] = []
+        self._time_memo: dict[str, int] = {}  # exact text -> code
+        self._codes: dict[datetime, int] = {}  # instant -> code
+        self._instants: list[datetime] = []  # code -> instant
         self._chunks = 0
         self._finished = False
 
@@ -239,16 +231,23 @@ class ChunkAssembler:
 
     @property
     def rows_received(self) -> int:
-        return len(self._rows)
+        return len(self._values)
 
     def add_chunk(self, chunk_text: str) -> int:
         """Parse one chunk; returns the number of data rows it contained."""
-        if self._finished:
-            raise RuntimeError("upload already finished")
-        rows = read_data_csv(io.StringIO(chunk_text))
-        self._rows.extend(rows)
+        rows = self.read(io.StringIO(chunk_text))
         self._chunks += 1
-        return len(rows)
+        return rows
+
+    def rows(self) -> list[DataRow]:
+        """Every accepted row, in arrival order."""
+        instants = self._instants
+        return [
+            DataRow(sensor_id, attribute, instants[code], value)
+            for sensor_id, attribute, code, value in zip(
+                self._ids, self._attributes, self._times, self._values
+            )
+        ]
 
     def finish(
         self, locations: Sequence[LocationRow], attributes: Sequence[str]
@@ -256,13 +255,113 @@ class ChunkAssembler:
         """Validate everything received and build the dataset."""
         if self._finished:
             raise RuntimeError("upload already finished")
-        errors = (
-            validate_attributes(attributes)
-            + validate_locations(locations, attributes)
-            + validate_data_rows(self._rows, locations)
-            + validate_timeline(self._rows)
-        )
+        errors = validate_attributes(attributes) + validate_locations(locations, attributes)
+        grid = self._grid(locations)
+        if grid is None:
+            # A column check failed: the row validators word the errors.
+            rows = self.rows()
+            errors += validate_data_rows(rows, locations) + validate_timeline(rows)
         if errors:
             raise DatasetValidationError(errors)
         self._finished = True
-        return assemble_dataset(self.dataset_name, self._rows, locations, attributes)
+        sensor_index, positions, timeline = grid
+        matrix = np.full((len(locations), len(timeline)), np.nan)
+        matrix[sensor_index, positions] = self._values
+        return SensorDataset(
+            self.dataset_name,
+            timeline,
+            [Sensor(loc.sensor_id, loc.attribute, loc.lat, loc.lon) for loc in locations],
+            {loc.sensor_id: matrix[i] for i, loc in enumerate(locations)},
+            attributes=attributes,
+        )
+
+    def read(self, handle: Iterable[str]) -> int:
+        """Append the rows of one headed ``data.csv`` text; returns their count.
+
+        All rows or none: any bad line raises, listing every bad line.
+        """
+        if self._finished:
+            raise RuntimeError("upload already finished")
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != DATA_COLUMNS:
+            raise DatasetValidationError(
+                [f"data.csv: expected header {','.join(DATA_COLUMNS)}, got {header}"]
+            )
+        ids: list[str] = []
+        attributes: list[str] = []
+        times: list[int] = []
+        values: list[float] = []
+        errors: list[str] = []
+        memo = self._time_memo
+        for lineno, record in enumerate(reader, start=2):
+            if len(record) != 4:
+                if record:
+                    errors.append(
+                        f"data.csv line {lineno}: expected 4 fields, got {len(record)}"
+                    )
+                continue
+            sensor_id, attribute, time_text, value_text = record
+            try:
+                code = memo.get(time_text)
+                if code is None:
+                    code = self._time_code(time_text)
+                try:
+                    value = float(value_text)
+                except ValueError:  # the null token, or parse_value's error
+                    value = parse_value(value_text)
+            except ValueError as exc:
+                errors.append(f"data.csv line {lineno}: {exc}")
+                continue
+            ids.append(sensor_id)
+            attributes.append(attribute)
+            times.append(code)
+            values.append(value)
+        if errors:
+            raise DatasetValidationError(errors)
+        self._ids += ids
+        self._attributes += attributes
+        self._times += times
+        self._values += values
+        return len(values)
+
+    def _time_code(self, text: str) -> int:
+        """Memo miss: parse ``text`` and code its instant."""
+        when = parse_time(text)
+        code = self._codes.get(when)
+        if code is None:
+            code = self._codes[when] = len(self._instants)
+            self._instants.append(when)
+        self._time_memo[text] = code
+        return code
+
+    def _grid(
+        self, locations: Sequence[LocationRow]
+    ) -> tuple[np.ndarray, np.ndarray, list[datetime]] | None:
+        """Each row's (location index, timeline position) and the timeline.
+
+        ``None`` unless the columns pass every check the row validators
+        make: some rows, every ``(id, attribute)`` declared, no two rows
+        on one ``(sensor, time)`` cell, and one even step between at least
+        two distinct times.
+        """
+        count = len(self._values)
+        declared = {(loc.sensor_id, loc.attribute) for loc in locations}
+        if not count or not declared.issuperset(zip(self._ids, self._attributes)):
+            return None
+        index = {loc.sensor_id: i for i, loc in enumerate(locations)}
+        sensors = np.fromiter(map(index.__getitem__, self._ids), dtype=np.intp, count=count)
+        codes = np.array(self._times, dtype=np.intp)
+        width = len(self._instants)
+        cells = np.sort(sensors * width + codes)
+        if (cells[1:] == cells[:-1]).any():
+            return None
+        present = np.zeros(width, dtype=bool)
+        present[codes] = True
+        order = sorted(np.flatnonzero(present).tolist(), key=self._instants.__getitem__)
+        timeline = [self._instants[code] for code in order]
+        if len(timeline) < 2 or len({b - a for a, b in zip(timeline, timeline[1:])}) != 1:
+            return None
+        position = np.empty(width, dtype=np.intp)
+        position[order] = np.arange(len(order))
+        return sensors, position[codes], timeline

@@ -13,7 +13,6 @@ paper's format requirements:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from datetime import datetime, timedelta
 from typing import Iterable, Sequence
 
@@ -132,10 +131,7 @@ def validate_timeline(rows: Sequence[DataRow]) -> list[str]:
         )
     if timedelta(0) in steps:
         errors.append("data.csv: zero-length interval between timestamps")
-    # Per-sensor timestamps must be a subset of the shared grid — guaranteed
-    # once the global grid is even, but sensors missing *rows* entirely (as
-    # opposed to null values) are normalised later by resample.align_rows.
-    per_sensor: dict[str, int] = defaultdict(int)
-    for row in rows:
-        per_sensor[row.sensor_id] += 1
+    # Per-sensor timestamps are a subset of the shared grid once the global
+    # grid is even; sensors missing *rows* entirely (as opposed to null
+    # values) get NaN there when the dataset is assembled.
     return errors

@@ -12,9 +12,22 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import find, settings
+from hypothesis import strategies as st
 
 from repro.core.parameters import MiningParameters
 from repro.core.types import Sensor, SensorDataset
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _hypothesis_unicode_table() -> None:
+    """Build hypothesis's unicode table once, before any test draws text.
+
+    Without a ``.hypothesis/`` directory the first ``st.text()`` draw
+    computes that table (~2.5 s), inside whichever test happens to run
+    first, which then fails hypothesis's too-slow health check.
+    """
+    find(st.text(min_size=1), bool, settings=settings(database=None, max_examples=1))
 
 
 def make_timeline(n: int, start: datetime | None = None, hours: int = 1) -> list[datetime]:
