@@ -27,7 +27,7 @@ from .analysis import (
     compare_periods,
     sweep,
 )
-from .cache import LRUPolicy, NoEviction, ResultCache, TTLPolicy, cache_key
+from .cache import ResultCache, cache_key
 from .core import (
     CAP,
     EvolvingSet,
@@ -78,21 +78,18 @@ __all__ = [
     "EvolvingSet",
     "Job",
     "JobQueue",
-    "LRUPolicy",
     "MiningCancelled",
     "MiningControl",
     "MiningParameters",
     "MiningResult",
     "MiscelaMiner",
     "NaiveMiner",
-    "NoEviction",
     "PAPER_SHAPES",
     "PeriodComparison",
     "ResultCache",
     "Sensor",
     "SensorDataset",
     "StreamingMiner",
-    "TTLPolicy",
     "TestClient",
     "attribute_pair_counts",
     "axis_correlation_report",

@@ -1,16 +1,11 @@
 """Result caching for interactive analysis (paper Section 3.3)."""
 
 from .cache import CacheStats, ResultCache
-from .eviction import EvictionPolicy, LRUPolicy, NoEviction, TTLPolicy
 from .keys import cache_key, canonical_payload, short_key
 
 __all__ = [
     "CacheStats",
-    "EvictionPolicy",
-    "LRUPolicy",
-    "NoEviction",
     "ResultCache",
-    "TTLPolicy",
     "cache_key",
     "canonical_payload",
     "short_key",

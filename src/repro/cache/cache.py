@@ -1,4 +1,4 @@
-"""The CAP result cache (Section 3.3).
+"""The CAP result cache (Section 3.3): the one owner of stored results.
 
 "Before computing CAPs by Miscela, our system searches for CAPs with the
 same parameters and the name of the dataset from the database."  This module
@@ -7,29 +7,46 @@ miner, storing :class:`~repro.core.miner.MiningResult` documents in the
 ``cap_results`` collection of a :class:`~repro.store.Database`, keyed by the
 canonical hash of (dataset name, parameters).
 
+It is the only code that reads, writes or decodes that collection.  A
+stored document is ``{"key", "payload": {"dataset", "parameters"},
+"result"}``; callers get documents through :meth:`ResultCache.document` /
+:meth:`ResultCache.documents`, their metadata through
+:meth:`ResultCache.metadata`, and the decoded result through
+:meth:`ResultCache.decode`.  Decoding is memoized per stored version: a
+memo entry holds the document it was decoded from, and stored documents are
+frozen and replaced (never edited) on every write, so the entry is current
+exactly while that document *is* the stored one — also across processes
+sharing a store.  ``get``, ``mine_cached`` hits, CAP pages and map clicks
+therefore share one decode, and the memo keeps at most
+:data:`MEMO_CAPACITY` decoded results.
+
 ``mine_cached`` is the interactive-analysis entry point: a hit replays the
 stored result (``from_cache=True``), a miss runs the miner and stores the
-outcome.  Statistics (hits/misses/evictions) feed the caching benchmark.
+outcome.  Statistics (hits/misses/evictions) feed ``/admin/stats``.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Mapping
 
 from ..core.miner import MiningResult, MiscelaMiner
-from ..core.parallel import MiningControl
 from ..core.parameters import MiningParameters
 from ..core.types import SensorDataset
 from ..obs.metrics import get_registry
 from ..store.database import Database
-from .eviction import EvictionPolicy, NoEviction
+from ..store.frozen import freeze
 from .keys import cache_key, canonical_payload
 
-__all__ = ["CacheStats", "ResultCache"]
+__all__ = ["MEMO_CAPACITY", "CacheStats", "ResultCache"]
 
 _COLLECTION = "cap_results"
+
+#: Decoded results one cache keeps in memory: a browsing session's working
+#: set, while a parameter sweep cannot pin every result in RAM.
+MEMO_CAPACITY = 32
 
 # Process-wide counters next to the per-instance CacheStats: the stats
 # object feeds /admin/stats per cache, these feed the Prometheus scrape.
@@ -40,7 +57,8 @@ _MISSES = get_registry().counter(
     "repro_cache_misses_total", "Result-cache lookups that found nothing."
 )
 _EVICTIONS = get_registry().counter(
-    "repro_cache_evictions_total", "Cached results evicted by policy."
+    "repro_cache_evictions_total",
+    "Decoded results dropped from the memo by its size bound.",
 )
 _INVALIDATIONS = get_registry().counter(
     "repro_cache_invalidations_total",
@@ -67,110 +85,154 @@ class CacheStats:
 class ResultCache:
     """Parameter-keyed cache of mining results backed by the document store."""
 
-    def __init__(self, database: Database, policy: EvictionPolicy | None = None) -> None:
+    def __init__(self, database: Database) -> None:
         self.database = database
-        self.policy: EvictionPolicy = policy if policy is not None else NoEviction()
         self.stats = CacheStats()
-        # The threaded server and the async job executor hit one cache from
-        # several threads; Collection writes are multi-step (id counter,
-        # index maintenance), so every store access serializes here.  Mining
-        # itself (``mine_cached``'s miss path) runs outside the lock.
-        self._lock = threading.RLock()
+        # Guards the stats and the decode memo; the threaded server and the
+        # job claim loops share one cache.  Store writes serialize in
+        # ``database.exclusive()``, and decoding runs outside both.
+        self._lock = threading.Lock()
+        #: key -> (stored document, its decoded result), oldest use first.
+        self._memo: OrderedDict[str, tuple[Mapping[str, Any], MiningResult]] = (
+            OrderedDict()
+        )
         collection = database.collection(_COLLECTION)
         collection.create_index("key", "hash")
         collection.create_index("payload.dataset", "hash")
 
-    # -- raw get/put ----------------------------------------------------------
+    # -- reads ----------------------------------------------------------------
+
+    def document(self, key: str) -> Mapping[str, Any] | None:
+        """The stored document for one cache key, or None."""
+        return self.database[_COLLECTION].find_one({"key": key})
+
+    def documents(self, dataset_name: str) -> list[Mapping[str, Any]]:
+        """Every stored document mined from one dataset, oldest first."""
+        return self.database[_COLLECTION].find({"payload.dataset": dataset_name})
+
+    @staticmethod
+    def metadata(document: Mapping[str, Any]) -> dict[str, Any]:
+        """Identity and shape of one stored result — never its CAP list."""
+        result = document["result"]
+        return {
+            "key": str(document["key"]),
+            "dataset": str(document["payload"]["dataset"]),
+            "parameters": document["payload"]["parameters"],
+            "num_caps": len(result["caps"]),
+            "elapsed_seconds": result.get("elapsed_seconds", 0.0),
+        }
+
+    def caps_by_dataset(self) -> dict[str, dict[str, int]]:
+        """Per dataset: the stored parameter settings and their total CAPs."""
+        collection = self.database[_COLLECTION]
+        rows = collection.aggregate(
+            [
+                {"$project": {"dataset": "$payload.dataset", "num_caps": "$result.caps"}},
+                {"$unwind": "$num_caps"},
+                {"$group": {"_id": "$dataset", "total_caps": {"$count": 1}}},
+                {"$sort": {"_id": 1}},
+            ]
+        )
+        settings = collection.aggregate(
+            [
+                {"$group": {"_id": "$payload.dataset", "settings": {"$count": 1}}},
+                {"$sort": {"_id": 1}},
+            ]
+        )
+        per_dataset = {row["_id"]: {"total_caps": row["total_caps"]} for row in rows}
+        for row in settings:
+            per_dataset.setdefault(row["_id"], {"total_caps": 0})["settings"] = row["settings"]
+        return per_dataset
+
+    def decode(self, document: Mapping[str, Any]) -> MiningResult:
+        """The result stored in ``document``, decoded once per stored version."""
+        key = str(document["key"])
+        with self._lock:
+            memo = self._memo.get(key)
+            if memo is not None and memo[0] is document:
+                self._memo.move_to_end(key)
+                return memo[1]
+        # Decode outside the lock — it can be slow for big results.
+        result = MiningResult.from_document(document["result"])
+        with self._lock:
+            self._memo[key] = (document, result)
+            self._memo.move_to_end(key)
+            while len(self._memo) > MEMO_CAPACITY:
+                self._memo.popitem(last=False)
+                self.stats.evictions += 1
+                _EVICTIONS.inc()
+        return result
 
     def get(self, dataset_name: str, params: MiningParameters) -> MiningResult | None:
         """The cached result for (dataset, params), or None."""
-        key = cache_key(dataset_name, params)
+        document = self.document(cache_key(dataset_name, params))
         with self._lock:
-            if not self.policy.on_hit(key):
-                # Policy says expired: drop the stored document too.
-                self._delete_key(key)
-                self.stats.misses += 1
-                _MISSES.inc()
-                return None
-            document = self.database[_COLLECTION].find_one({"key": key})
             if document is None:
                 self.stats.misses += 1
                 _MISSES.inc()
                 return None
             self.stats.hits += 1
             _HITS.inc()
-        return MiningResult.from_document(document["result"])
+        return self.decode(document)
+
+    # -- writes ---------------------------------------------------------------
 
     def put(self, result: MiningResult) -> str:
-        """Store a mining result; returns its cache key."""
+        """Store a mining result; returns its cache key.
+
+        The upsert is one critical section, so two processes (or two apps
+        on one store) publishing the same key never both insert.  It does
+        not seed the decode memo: most published results are never read.
+        """
         key = cache_key(result.dataset_name, result.parameters)
-        document = {
+        # Frozen before the critical section: the upsert's writes then share
+        # this tree instead of freezing the result while holding the lock.
+        document = freeze({
             "key": key,
             "payload": canonical_payload(result.dataset_name, result.parameters),
             "result": result.to_document(),
-        }
-        with self._lock:
-            collection = self.database[_COLLECTION]
+        })
+        collection = self.database[_COLLECTION]
+        with self.database.exclusive():
             if collection.replace_one({"key": key}, document) is None:
                 collection.insert_one(document)
-            for victim in self.policy.on_store(key):
-                if victim != key:
-                    self._delete_key(victim)
-                    self.stats.evictions += 1
-                    _EVICTIONS.inc()
+        with self._lock:
+            self._memo.pop(key, None)
         return key
 
     def delete_key(self, key: str) -> None:
         """Drop one cached result by key (stale-result reconciliation)."""
-        with self._lock:
-            self._delete_key(key)
-
-    def _delete_key(self, key: str) -> None:
         self.database[_COLLECTION].delete_many({"key": key})
-        self.policy.on_evict(key)
+        with self._lock:
+            self._memo.pop(key, None)
+
+    def invalidate_dataset(self, dataset_name: str) -> int:
+        """Drop every cached result for one dataset (after re-upload)."""
+        removed = self.database[_COLLECTION].delete_many({"payload.dataset": dataset_name})
+        with self._lock:
+            for key, (_, result) in list(self._memo.items()):
+                if result.dataset_name == dataset_name:
+                    del self._memo[key]
+            self.stats.invalidations += removed
+        if removed:
+            _INVALIDATIONS.inc(amount=removed)
+        return removed
 
     # -- the interactive-analysis entry point ----------------------------------
 
-    def mine_cached(
-        self,
-        dataset: SensorDataset,
-        params: MiningParameters,
-        miner_factory: Callable[[MiningParameters], MiscelaMiner] = MiscelaMiner,
-        control: MiningControl | None = None,
-    ) -> MiningResult:
+    def mine_cached(self, dataset: SensorDataset, params: MiningParameters) -> MiningResult:
         """Return cached CAPs when available, otherwise mine and cache.
 
         Note the cache key uses the *dataset name*, like the paper — callers
         re-uploading different data under the same name must call
         :meth:`invalidate_dataset` first (the upload handler does).
-
-        ``control`` is forwarded to the miner (progress + cooperative
-        cancellation, see :class:`~repro.core.parallel.MiningControl`); a
-        cancelled run stores nothing.  Only passed along when set, so custom
-        ``miner_factory`` objects without the parameter keep working.
         """
         cached = self.get(dataset.name, params)
         if cached is not None:
             return cached
-        miner = MiscelaMiner(params) if miner_factory is MiscelaMiner \
-            else miner_factory(params)
-        result = miner.mine(dataset, control=control) if control is not None \
-            else miner.mine(dataset)
+        result = MiscelaMiner(params).mine(dataset)
         self.put(result)
         return result
-
-    def invalidate_dataset(self, dataset_name: str) -> int:
-        """Drop every cached result for one dataset (after re-upload)."""
-        with self._lock:
-            collection = self.database[_COLLECTION]
-            victims = collection.find({"payload.dataset": dataset_name})
-            for document in victims:
-                self.policy.on_evict(document["key"])
-            removed = collection.delete_many({"payload.dataset": dataset_name})
-            self.stats.invalidations += removed
-            if removed:
-                _INVALIDATIONS.inc(amount=removed)
-            return removed
 
     def __len__(self) -> int:
         return len(self.database[_COLLECTION])

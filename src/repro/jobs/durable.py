@@ -64,6 +64,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping, Sequence
 
+from ..cache.cache import ResultCache
 from ..cache.keys import short_key
 from ..obs.metrics import get_registry
 from ..obs.spans import SpanStore
@@ -200,7 +201,6 @@ class DurableJobStore:
         clock=time.time,
         lease_seconds: float = 30.0,
         terminal_capacity: int = 1024,
-        results_collection: str = "cap_results",
         max_attempts: int = 5,
         backoff_base: float = 0.5,
         backoff_cap: float = 30.0,
@@ -230,7 +230,6 @@ class DurableJobStore:
         self.shared = database.path is not None
         self._clock = clock
         self._terminal_capacity = terminal_capacity
-        self._results_collection = results_collection
         self._lock = threading.RLock()
         #: job_id -> result_key for evicted succeeded jobs: insertion-ordered
         #: and bounded, oldest mappings dropped first.
@@ -1410,7 +1409,7 @@ class DurableJobStore:
           died mid-mine); live leases are left alone — another process may
           legitimately be mining them right now.
         * ``succeeded`` jobs are *republished*: their result documents are
-          checked against the results collection, so the job resource keeps
+          checked against the result cache, so the job resource keeps
           answering (and linking to its PR 4 result resource) after a
           restart; a succeeded job whose result document is gone is
           reported, not re-run (results are only deleted deliberately).
@@ -1430,8 +1429,8 @@ class DurableJobStore:
             "dead_lettered": [],
             "queued": [],
         }
+        results = ResultCache(self.database)
         with self._exclusive():
-            results = self.database.collection(self._results_collection)
             now = self._clock()
             for document in self._collection().find(sort="sequence"):
                 state = document["state"]
@@ -1450,7 +1449,7 @@ class DurableJobStore:
                             summary["dead_lettered"].append(job.job_id)
                 elif state == SUCCEEDED:
                     key = document.get("result_key")
-                    if key and results.find_one({"key": key}) is None:
+                    if key and results.document(key) is None:
                         summary["missing_results"].append(document["job_id"])
                     else:
                         summary["republished"].append(document["job_id"])

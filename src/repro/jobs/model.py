@@ -143,7 +143,7 @@ class Job:
         What is being mined (parameters as their canonical document form).
     key:
         The result cache key of (dataset, parameters) — dedup identity and,
-        on success, where the result landed in ``cap_results``.
+        on success, where the result landed in the result cache.
     state:
         One of :data:`JOB_STATES`.
     progress:

@@ -170,16 +170,9 @@ def _result_resource(state: ServerState, document: Mapping[str, Any]) -> dict[st
     The CAPs themselves are a sub-resource (``…/caps``) so a big mine's
     metadata stays a small constant-size payload.
     """
-    key = str(document["key"])
-    dataset = str(document["payload"]["dataset"])
-    return {
-        "key": key,
-        "dataset": dataset,
-        "parameters": document["payload"]["parameters"],
-        "num_caps": len(document["result"]["caps"]),
-        "elapsed_seconds": document["result"].get("elapsed_seconds", 0.0),
-        "links": _result_links(key, dataset),
-    }
+    resource = state.cache.metadata(document)
+    resource["links"] = _result_links(resource["key"], resource["dataset"])
+    return resource
 
 
 def _result_etag(state: ServerState, key: str, dataset: str, *parts: object) -> str:
@@ -584,7 +577,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         """Result metadata; conditional via ETag/If-None-Match."""
         key = request.path_params["key"]
         document = state.get_result_document(key)
-        dataset = str(document["payload"]["dataset"])
+        dataset = state.cache.metadata(document)["dataset"]
         etag = _result_etag(state, key, dataset)
         not_modified = _not_modified(request, etag)
         if not_modified is not None:
@@ -601,7 +594,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         """Evict one cached result resource."""
         key = request.path_params["key"]
         state.get_result_document(key)  # 404 when absent
-        state.forget_result(key)
+        state.cache.delete_key(key)
         return Response(status=204)
 
     @router.get(
@@ -630,7 +623,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         """
         key = request.path_params["key"]
         document = state.get_result_document(key)
-        dataset = str(document["payload"]["dataset"])
+        dataset = state.cache.metadata(document)["dataset"]
         offset = _int_param(request, "offset", 0, 0, 10**9)
         limit = _int_param(request, "limit", DEFAULT_PAGE_LIMIT, 1, MAX_PAGE_LIMIT)
         sensor = request.param("sensor")

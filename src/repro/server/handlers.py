@@ -7,6 +7,10 @@ The HTTP surface is the versioned resource API registered by
   state every handler runs against;
 * the request-parsing and payload helpers the route handlers delegate to.
 
+Stored CAP results are read, written and decoded only through
+``ServerState.cache`` (:class:`~repro.cache.ResultCache`); handlers ask it
+for documents, metadata and the memoized decoded result.
+
 Upload protocol (Section 3.2):
 
 1. ``POST .../upload/begin`` — JSON body with the contents of
@@ -72,12 +76,11 @@ from .http import HTTPError, Request, Response, json_response
 __all__ = ["ServerState"]
 
 _DATASETS = "datasets"
-_RESULTS = "cap_results"
 _GENERATIONS = "generations"
 
 
 class _Memo(NamedTuple):
-    """An object decoded from one stored document.
+    """A dataset decoded from one stored document.
 
     Stored documents are frozen and every write swaps in a new object, so
     the entry is current exactly while ``document`` *is* the stored one —
@@ -114,9 +117,9 @@ class ServerState:
 
     With the threaded WSGI server and the job claim loops, handlers run
     concurrently; ``self.lock`` guards the in-memory mutable state
-    (dataset registry caches, upload sessions, the memoized-result LRU).
-    Mining itself never holds the lock — only the bookkeeping around it
-    does.
+    (the decoded-dataset memo, upload sessions); the result cache guards
+    its own memo.  Mining itself never holds the lock — only the
+    bookkeeping around it does.
 
     The job registry is a :class:`~repro.jobs.DurableJobStore` over the
     backing database: jobs live in its ``jobs`` collection.  Bound to a
@@ -180,14 +183,9 @@ class ServerState:
         # parsing must not happen under the global ``self.lock`` — one
         # client streaming a big upload would stall every other handler.
         self._pending_locks: dict[str, threading.Lock] = {}
-        # Decoded datasets per name and mining results per cache key (see
-        # ``_Memo``), so the map-click hot path reuses each result's
-        # sensor→CAP inverted index instead of rebuilding the object (and
-        # rescanning) per request.  The result memo is LRU-bounded: a
-        # parameter sweep must not pin every result in RAM.
+        # Decoded datasets per name (see ``_Memo``); decoded results are
+        # memoized by ``self.cache``.
         self._loaded: dict[str, _Memo] = {}
-        self._results: dict[str, _Memo] = {}
-        self._results_capacity = 32
         # Dataset generations (see ``_bump_generation``) are bumped on
         # every re-upload/delete; async jobs snapshot the value when
         # claimed and refuse to publish a result mined from superseded
@@ -407,41 +405,21 @@ class ServerState:
     # -- result resources -------------------------------------------------------
 
     def get_result_document(self, key: str) -> Mapping[str, Any]:
-        """The stored ``cap_results`` document for one key; 404 when absent.
+        """The stored result document for one key; 404 when absent.
 
         Refreshes the store view first — another process may have
         published, replaced or deleted the result — so the caller can read
         the matching dataset generation from the same view.
         """
         self.jobs.store.refresh()
-        document = self.database[_RESULTS].find_one({"key": key})
+        document = self.cache.document(key)
         if document is None:
             raise HTTPError(404, f"unknown result {key!r}", code="unknown_result")
         return document
 
     def result_from_document(self, document: Mapping[str, Any]) -> MiningResult:
-        """The stored result behind one ``cap_results`` document, memoized
-        while ``document`` is the stored version (see ``_Memo``)."""
-        key = str(document["key"])
-        with self.lock:
-            memo = self._results.pop(key, None)
-            if memo is not None and memo.document is document:
-                self._results[key] = memo  # re-insert: dict order is LRU order
-                return memo.value
-        # Deserialize outside the lock — it can be slow for big results.
-        result = MiningResult.from_document(document["result"])
-        with self.lock:
-            self._results.pop(key, None)
-            self._results[key] = _Memo(document, result)
-            while len(self._results) > self._results_capacity:
-                self._results.pop(next(iter(self._results)))
-        return result
-
-    def forget_result(self, key: str) -> None:
-        """Drop one result: the stored document and its memoized object."""
-        self.cache.delete_key(key)
-        with self.lock:
-            self._results.pop(key, None)
+        """The result stored in ``document``, decoded once per stored version."""
+        return self.cache.decode(document)
 
     # -- async mining jobs ------------------------------------------------------
 
@@ -458,9 +436,8 @@ class ServerState:
         Only writes the job: a claim loop claims it and builds its runner
         with :meth:`runner_for_job`.  The runner funnels its result
         through the exact sync path — :meth:`ResultCache.mine_cached` — so
-        async-mined CAPs land in the same ``cap_results`` documents (and
-        the same memoized-deserialization path) that result reads and map
-        clicks use.
+        async-mined CAPs land in the same stored result documents (and
+        the same memoized decode) that result reads and map clicks use.
 
         ``distributed=True`` opens the job as a distributed *parent*: its
         claimed execution is the planner, which splits the mine into shard
@@ -701,7 +678,7 @@ class ServerState:
     def _merge_runner(self, job: Job):
         """The merge sub-job: reassemble shard outputs, publish the result.
 
-        Funnels through the same ``cap_results`` documents the sync path
+        Funnels through the same result-cache documents the sync path
         writes, so the published resource is byte-identical to a serial
         mine of the same (dataset, parameters).  Exactly-once across
         crashes: the cache probe makes a re-run after a post-publish crash
@@ -811,7 +788,7 @@ def parse_mine_mode(payload: Mapping[str, Any], request: Request) -> str:
 def dataset_result_documents(state: ServerState, name: str) -> list[Mapping[str, Any]]:
     """Every stored result document for one dataset (404s unknown names)."""
     state.get_dataset(name)  # 404 for unknown datasets
-    return state.database[_RESULTS].find({"payload.dataset": name})
+    return state.cache.documents(name)
 
 
 def correlated_sensors_core(
@@ -825,7 +802,7 @@ def correlated_sensors_core(
             f"unknown sensor {sensor_id!r} in dataset {name!r}",
             code="unknown_sensor",
         )
-    documents = state.database[_RESULTS].find({"payload.dataset": name})
+    documents = state.cache.documents(name)
     if not documents:
         raise HTTPError(
             409,
@@ -868,10 +845,10 @@ def render_viz_svg(state: ServerState, kind: str, name: str, request: Request):
                 raise HTTPError(404, f"unknown sensor {sid!r}", code="unknown_sensor")
         # Use the most recently cached parameters for this dataset, or a
         # neutral default, to derive evolving sets for the heatmap.
-        documents = state.database[_RESULTS].find({"payload.dataset": dataset.name})
+        documents = state.cache.documents(dataset.name)
         if documents:
             params = MiningParameters.from_document(
-                documents[-1]["payload"]["parameters"]
+                state.cache.metadata(documents[-1])["parameters"]
             )
         else:
             params = MiningParameters(
@@ -907,7 +884,7 @@ def evicted_job_response(state: ServerState, job_id: str) -> Response | None:
     result_key = state.jobs.evicted_result_key(job_id)
     if result_key is None:
         return None
-    if state.database[_RESULTS].find_one({"key": result_key}) is None:
+    if state.cache.document(result_key) is None:
         return None  # the result itself was deleted; nothing to point at
     location = f"/api/v1/results/{result_key}"
     response = json_response(
@@ -942,25 +919,4 @@ def admin_stats_payload(state: ServerState) -> dict[str, Any]:
 
 def results_by_dataset_payload(state: ServerState) -> dict[str, Any]:
     """Aggregation-pipeline summary of the cached results per dataset."""
-    rows = state.database[_RESULTS].aggregate(
-        [
-            {"$project": {
-                "dataset": "$payload.dataset",
-                "num_caps": "$result.caps",
-                "min_support": "$payload.parameters.min_support",
-            }},
-            {"$unwind": "$num_caps"},
-            {"$group": {"_id": "$dataset", "total_caps": {"$count": 1}}},
-            {"$sort": {"_id": 1}},
-        ]
-    )
-    settings = state.database[_RESULTS].aggregate(
-        [
-            {"$group": {"_id": "$payload.dataset", "settings": {"$count": 1}}},
-            {"$sort": {"_id": 1}},
-        ]
-    )
-    per_dataset = {row["_id"]: {"total_caps": row["total_caps"]} for row in rows}
-    for row in settings:
-        per_dataset.setdefault(row["_id"], {"total_caps": 0})["settings"] = row["settings"]
-    return {"results_by_dataset": per_dataset}
+    return {"results_by_dataset": state.cache.caps_by_dataset()}

@@ -2,8 +2,9 @@
 
 Plays the role MongoDB plays in the paper: one database holds the
 ``datasets`` collection (uploaded data, so "we can use the dataset without
-re-uploading by specifying the dataset name") and the ``cap_results``
-collection (cached mining results keyed by dataset + parameters).
+re-uploading by specifying the dataset name") and the result cache's
+collection (mining results keyed by dataset + parameters, owned by
+:class:`repro.cache.ResultCache`).
 
 Two engines share the :class:`Database` surface, chosen by ``path``:
 

@@ -42,6 +42,7 @@ import zlib
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
+from ..faults import CrashPoints
 from ..obs.metrics import get_registry
 
 __all__ = [
@@ -183,46 +184,9 @@ def crc32c(data: bytes, crc: int = 0) -> int:
 
 # -- fault injection --------------------------------------------------------------
 
-_fault_hits: dict[str, int] = {}
-
-
-def _fault_spec() -> tuple[str, str | None, int] | None:
-    """Parse ``REPRO_STORE_FAULT`` into (point, collection, nth)."""
-    raw = os.environ.get(FAULT_ENV)
-    if not raw:
-        return None
-    point, _, nth_part = raw.partition(":")
-    point, _, scope = point.partition("@")
-    try:
-        nth = int(nth_part) if nth_part else 1
-    except ValueError:
-        nth = 1
-    return point, (scope or None), nth
-
-
-def fault_armed(point: str, collection: str | None = None) -> bool:
-    """True when this call is the configured crash occurrence.
-
-    Counts matching hits so ``:<nth>`` specs can skip past setup writes
-    (index creation on a fresh store appends records too).
-    """
-    spec = _fault_spec()
-    if spec is None:
-        return False
-    want_point, want_scope, nth = spec
-    if want_point != point:
-        return False
-    if want_scope is not None and collection is not None and want_scope != collection:
-        return False
-    key = f"{want_point}@{want_scope or '*'}"
-    _fault_hits[key] = _fault_hits.get(key, 0) + 1
-    return _fault_hits[key] == nth
-
-
-def maybe_fault(point: str, collection: str | None = None) -> None:
-    """Hard-exit at an armed crash point — a ``kill -9`` landing here."""
-    if fault_armed(point, collection):
-        os._exit(FAULT_EXIT_CODE)
+_CRASH_POINTS = CrashPoints(FAULT_ENV, FAULT_EXIT_CODE)
+fault_armed = _CRASH_POINTS.armed
+maybe_fault = _CRASH_POINTS.maybe_fault
 
 
 # -- record codec -----------------------------------------------------------------

@@ -39,10 +39,10 @@ Invariants (checked by tests, documented in DESIGN.md):
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Mapping
 
+from ..faults import CrashPoints
 from ..obs.metrics import get_registry
 from .alerts import prune_alerts
 from .ingest import (
@@ -82,43 +82,9 @@ FAULT_POINTS = (
 #: tell *which* layer's crash point fired.
 FAULT_EXIT_CODE = 72
 
-_fault_hits: dict[str, int] = {}
-
-
-def _fault_spec() -> tuple[str, str | None, int] | None:
-    """Parse ``REPRO_STREAM_FAULT`` into (point, dataset, nth)."""
-    raw = os.environ.get(FAULT_ENV)
-    if not raw:
-        return None
-    point, _, nth_part = raw.partition(":")
-    point, _, scope = point.partition("@")
-    try:
-        nth = int(nth_part) if nth_part else 1
-    except ValueError:
-        nth = 1
-    return point, (scope or None), nth
-
-
-def fault_armed(point: str, dataset: str | None = None) -> bool:
-    """True when this call is the configured crash occurrence."""
-    spec = _fault_spec()
-    if spec is None:
-        return False
-    want_point, want_scope, nth = spec
-    if want_point != point:
-        return False
-    if want_scope is not None and dataset is not None and want_scope != dataset:
-        return False
-    key = f"{want_point}@{want_scope or '*'}"
-    _fault_hits[key] = _fault_hits.get(key, 0) + 1
-    return _fault_hits[key] == nth
-
-
-def maybe_fault(point: str, dataset: str | None = None) -> None:
-    """Hard-exit at an armed crash point — a ``kill -9`` landing here."""
-    if fault_armed(point, dataset):
-        os._exit(FAULT_EXIT_CODE)
-
+_CRASH_POINTS = CrashPoints(FAULT_ENV, FAULT_EXIT_CODE)
+fault_armed = _CRASH_POINTS.armed
+maybe_fault = _CRASH_POINTS.maybe_fault
 
 _METRICS = get_registry()
 _COMPACTIONS = _METRICS.counter(

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from repro.cache.cache import ResultCache
-from repro.cache.eviction import LRUPolicy
-from repro.core.miner import MiscelaMiner
+from repro.cache.cache import MEMO_CAPACITY, ResultCache
+from repro.core.miner import MiningResult, MiscelaMiner
 from repro.store.database import Database
 
 
@@ -86,14 +87,100 @@ class TestInvalidation:
         assert cache.get("tiny", tiny_params) is not None
 
 
-class TestWithEviction:
-    def test_lru_bounds_store(self, tiny_dataset, tiny_params):
-        cache = ResultCache(Database(), policy=LRUPolicy(2))
-        for psi in (1, 2, 3):
-            cache.put(MiscelaMiner(tiny_params.with_updates(min_support=psi)).mine(tiny_dataset))
-        assert len(cache) == 2
+def stored_results(cache, tiny_dataset, tiny_params, count: int) -> list:
+    """``count`` distinct stored results (one per min_support); their params."""
+    mined = MiscelaMiner(tiny_params).mine(tiny_dataset)
+    params = [tiny_params.with_updates(min_support=psi) for psi in range(1, count + 1)]
+    for p in params:
+        cache.put(MiningResult("tiny", p, mined.caps))
+    return params
+
+
+class TestDecodeMemo:
+    def test_reads_share_one_decode_and_put_does_not_seed(
+        self, cache, tiny_dataset, tiny_params, decodes
+    ):
+        cache.put(MiscelaMiner(tiny_params).mine(tiny_dataset))
+        assert decodes == []
+        first = cache.get("tiny", tiny_params)
+        document = cache.documents("tiny")[0]
+        assert cache.decode(document) is first
+        assert cache.mine_cached(tiny_dataset, tiny_params) is first
+        assert len(decodes) == 1
+
+    def test_replaced_document_decodes_again(
+        self, cache, tiny_dataset, tiny_params, decodes
+    ):
+        result = MiscelaMiner(tiny_params).mine(tiny_dataset)
+        cache.put(result)
+        first = cache.get("tiny", tiny_params)
+        cache.put(result)  # a new stored version of the same key
+        second = cache.get("tiny", tiny_params)
+        assert second is not first
+        assert len(decodes) == 2
+
+    def test_33rd_result_drops_oldest(self, cache, tiny_dataset, tiny_params):
+        params = stored_results(cache, tiny_dataset, tiny_params, MEMO_CAPACITY + 1)
+        decoded = [cache.get("tiny", p) for p in params[:MEMO_CAPACITY]]
+        assert cache.stats.evictions == 0
+        cache.get("tiny", params[MEMO_CAPACITY])
         assert cache.stats.evictions == 1
-        assert cache.get("tiny", tiny_params.with_updates(min_support=1)) is None
+        assert cache.get("tiny", params[1]) is decoded[1]  # still memoized
+        assert cache.get("tiny", params[0]) is not decoded[0]  # dropped
+        assert cache.stats.evictions == 2
+        assert len(cache) == MEMO_CAPACITY + 1  # the store keeps everything
+
+    def test_hit_refreshes_recency(self, cache, tiny_dataset, tiny_params):
+        params = stored_results(cache, tiny_dataset, tiny_params, MEMO_CAPACITY + 1)
+        decoded = [cache.get("tiny", p) for p in params[:MEMO_CAPACITY]]
+        assert cache.get("tiny", params[0]) is decoded[0]  # now most recent
+        cache.get("tiny", params[MEMO_CAPACITY])
+        assert cache.get("tiny", params[0]) is decoded[0]
+        assert cache.get("tiny", params[1]) is not decoded[1]
+
+    def test_delete_and_invalidate_drop_decoded_results(
+        self, cache, tiny_dataset, tiny_params
+    ):
+        params = stored_results(cache, tiny_dataset, tiny_params, 3)
+        for p in params:
+            cache.get("tiny", p)
+        cache.delete_key(cache.documents("tiny")[0]["key"])
+        assert len(cache._memo) == 2
+        assert cache.invalidate_dataset("tiny") == 2
+        assert len(cache._memo) == 0
+        assert cache.stats.evictions == 0
+
+
+class TestSharedStorePublish:
+    def test_peer_publish_between_replace_and_insert_stores_one_document(
+        self, tmp_path, tiny_dataset, tiny_params, monkeypatch
+    ):
+        """Two handles on one store publish the same key; the peer's write
+        is started exactly between this handle's replace and insert."""
+        path = tmp_path / "store.json"
+        mine, peer = ResultCache(Database(path)), ResultCache(Database(path))
+        result = MiscelaMiner(tiny_params).mine(tiny_dataset)
+        collection = mine.database.collection("cap_results")
+        original_insert = collection.insert_one
+        peers: list[threading.Thread] = []
+
+        def insert_after_peer(document):
+            # The peer blocks while this handle holds the store's critical
+            # section; the timeout only bounds how long we wait for it.
+            peer_put = threading.Thread(target=peer.put, args=(result,))
+            peer_put.start()
+            peer_put.join(timeout=1.0)
+            peers.append(peer_put)
+            return original_insert(document)
+
+        monkeypatch.setattr(collection, "insert_one", insert_after_peer)
+        mine.put(result)
+        for thread in peers:
+            thread.join()
+        assert len(peers) == 1
+        for cache in (mine, peer):
+            cache.database.refresh()
+            assert len(cache.database.collection("cap_results").find()) == 1
 
 
 class TestPersistenceAcrossRestart:

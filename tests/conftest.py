@@ -15,6 +15,7 @@ import pytest
 from hypothesis import find, settings
 from hypothesis import strategies as st
 
+from repro.core.miner import MiningResult
 from repro.core.parameters import MiningParameters
 from repro.core.types import Sensor, SensorDataset
 
@@ -64,6 +65,20 @@ def result_caps(client, key: str) -> list[dict]:
         caps += page["caps"]
         if len(caps) >= page["total"]:
             return caps
+
+
+@pytest.fixture
+def decodes(monkeypatch) -> list[str]:
+    """Records the dataset name of every ``MiningResult.from_document`` call."""
+    calls: list[str] = []
+    original = MiningResult.from_document.__func__
+
+    def counting(cls, doc):
+        calls.append(doc["dataset"])
+        return original(cls, doc)
+
+    monkeypatch.setattr(MiningResult, "from_document", classmethod(counting))
+    return calls
 
 
 @pytest.fixture
