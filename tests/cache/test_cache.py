@@ -130,6 +130,14 @@ class TestDecodeMemo:
         assert cache.stats.evictions == 2
         assert len(cache) == MEMO_CAPACITY + 1  # the store keeps everything
 
+    def test_memo_capacity_enforced(self, cache, tiny_dataset, tiny_params):
+        params = stored_results(cache, tiny_dataset, tiny_params, MEMO_CAPACITY + 3)
+        for i, p in enumerate(params):
+            cache.get("tiny", p)
+            assert len(cache._memo) == min(i + 1, MEMO_CAPACITY)
+        assert cache.stats.evictions == 3
+        assert list(cache._memo) == [d["key"] for d in cache.documents("tiny")][3:]
+
     def test_hit_refreshes_recency(self, cache, tiny_dataset, tiny_params):
         params = stored_results(cache, tiny_dataset, tiny_params, MEMO_CAPACITY + 1)
         decoded = [cache.get("tiny", p) for p in params[:MEMO_CAPACITY]]
