@@ -8,8 +8,13 @@ stays flat as the dataset grows (linear scaling).
 
 The parse/finish ledger times the server side alone — ``add_chunk`` over
 every chunk, then ``finish`` — on the perfbench upload sizes (santander
-``steps=2016``, china6 ``steps=480``), and writes ``BENCH_upload_parse.json``
-with ``machine_info()`` and a SHA-256 of each assembled dataset document.
+``steps=2016``, china6 ``steps=480``), then the stored dataset document:
+``encode_ms`` (``dataset_to_document`` plus ``json.dumps`` of the WAL put
+record), ``decode_ms`` (``json.loads`` plus ``dataset_from_document``) and
+``doc_bytes`` (the record's size).  It writes ``BENCH_upload_parse.json``
+with ``machine_info()`` and a SHA-256 of each assembled dataset, hashed in
+the legacy document layout (:func:`_legacy_document`) so that hashes
+recorded before the binary layout stay comparable.
 Results are filed under a label (``REPRO_BENCH_LABEL``, default
 ``change``); other labels already in the file are kept, so running the
 bench once against an older checkout's ``src`` with
@@ -34,7 +39,7 @@ from pathlib import Path
 import pytest
 
 from repro.data.csv_io import ChunkAssembler, dataset_to_rows, iter_chunks
-from repro.data.documents import dataset_to_document
+from repro.data.documents import dataset_from_document, dataset_to_document
 from repro.data.synthetic import generate_china6, generate_santander
 from repro.server.app import TestClient, create_app
 
@@ -102,11 +107,42 @@ def test_chunk_count_and_linear_scaling(benchmark):
     assert per_row_large < per_row_small * 4
 
 
+def _legacy_document(dataset) -> dict:
+    """The dataset in the legacy document layout: JSON floats, ``null``, ISO times."""
+    return {
+        "name": dataset.name,
+        "timeline": [t.isoformat() for t in dataset.timeline],
+        "attributes": list(dataset.attributes),
+        "sensors": [
+            {"id": s.sensor_id, "attribute": s.attribute, "lat": s.lat, "lon": s.lon}
+            for s in dataset
+        ],
+        "series": {
+            s.sensor_id: [None if math.isnan(v) else float(v) for v in dataset.values(s.sensor_id)]
+            for s in dataset
+        },
+    }
+
+
+def _encode_decode(dataset) -> tuple[float, float, int]:
+    """One dataset document write and read, as ``ServerState`` and the WAL do them."""
+    start = time.perf_counter()
+    record = {"op": "put", "doc": {
+        "name": dataset.name, "dataset": dataset_to_document(dataset), "_id": 1,
+    }}
+    payload = json.dumps(record, separators=(",", ":"))
+    encoded = time.perf_counter()
+    restored = dataset_from_document(json.loads(payload)["doc"]["dataset"])
+    decoded = time.perf_counter()
+    assert restored.sensor_ids == dataset.sensor_ids
+    return (encoded - start) * 1000.0, (decoded - encoded) * 1000.0, len(payload.encode())
+
+
 def _parse_and_finish(dataset) -> dict:
-    """Median ``add_chunk`` and ``finish`` wall time over the 10,000-line chunks."""
+    """Median parse, finish and document encode/decode wall times."""
     data_rows, locations = dataset_to_rows(dataset)
     chunks = list(iter_chunks(data_rows))
-    parse_ms, finish_ms = [], []
+    parse_ms, finish_ms, encode_ms, decode_ms = [], [], [], []
     for _ in range(LEDGER_RUNS):
         assembler = ChunkAssembler(dataset.name)
         start = time.perf_counter()
@@ -116,6 +152,9 @@ def _parse_and_finish(dataset) -> dict:
         finished = time.perf_counter()
         parse_ms.append((parsed - start) * 1000.0)
         finish_ms.append((finished - parsed) * 1000.0)
+        encode, decode, doc_bytes = _encode_decode(rebuilt)
+        encode_ms.append(encode)
+        decode_ms.append(decode)
     assert rows == len(data_rows)
     document = dataset_to_document(rebuilt)
     assert document == dataset_to_document(dataset)  # lossless round trip
@@ -124,8 +163,11 @@ def _parse_and_finish(dataset) -> dict:
         "chunks": len(chunks),
         "parse_ms": round(statistics.median(parse_ms), 1),
         "finish_ms": round(statistics.median(finish_ms), 1),
+        "encode_ms": round(statistics.median(encode_ms), 1),
+        "decode_ms": round(statistics.median(decode_ms), 1),
+        "doc_bytes": doc_bytes,
         "document_sha256": hashlib.sha256(
-            json.dumps(document, sort_keys=True).encode()
+            json.dumps(_legacy_document(rebuilt), sort_keys=True).encode()
         ).hexdigest(),
     }
 
@@ -140,7 +182,9 @@ def test_parse_finish_ledger():
     report.update({
         "benchmark": "bench_upload_chunking.parse_finish_ledger",
         "timed_region": "ChunkAssembler.add_chunk over every 10,000-line chunk, "
-                        f"then finish; median of {LEDGER_RUNS} runs",
+                        "then finish; encode_ms: dataset_to_document + json.dumps of "
+                        "the WAL put record; decode_ms: json.loads + "
+                        f"dataset_from_document; median of {LEDGER_RUNS} runs",
         "datasets": {name: f"seed=1, steps={steps}" for name, _g, steps in LEDGER_DATASETS},
     })
     report[label] = {"machine": machine_info(), **ledger}

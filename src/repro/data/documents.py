@@ -3,15 +3,29 @@
 "Each dataset is stored in databases, and thus we can use the dataset
 without re-uploading by specifying the dataset name" (Section 3.2).  These
 helpers give a dataset a JSON-serialisable document form the store can hold
-and the server can reload after a restart.  NaN is encoded as ``None``
-(JSON has no NaN), timestamps as ISO strings.
+and the server can reload after a restart.
+
+The only layout written is ``"encoding": 2``:
+
+* each sensor's series is one base64 string of its little-endian
+  ``float64`` bytes.  Every NaN is written as the standard quiet NaN, so a
+  document's bytes depend only on which readings are missing; finite
+  values, ±inf and −0.0 round-trip bit for bit;
+* the timeline is ``{"start": ISO, "step_us": int, "count": int}`` when
+  ``start + step·i`` rebuilds every timestamp with an equal value *and* an
+  equal ``isoformat()`` (so offsets survive too); any other timeline stays
+  a list of ISO strings.
+
+A document without ``"encoding"`` is the legacy layout (one JSON float or
+``null`` per reading, one ISO string per timestamp); it still decodes, so
+stores written before the binary layout open unchanged.
 """
 
 from __future__ import annotations
 
-import math
-from datetime import datetime
-from typing import Any, Mapping
+import base64
+from datetime import datetime, timedelta
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -19,18 +33,19 @@ from ..core.types import Sensor, SensorDataset
 
 __all__ = ["dataset_to_document", "dataset_from_document"]
 
+ENCODING = 2
+
+_MICROSECOND = timedelta(microseconds=1)
+#: The standard quiet NaN (0x7ff8000000000000) every missing reading is written as.
+_QUIET_NAN = np.array([0x7FF8_0000_0000_0000], dtype="<u8").view("<f8")[0]
+
 
 def dataset_to_document(dataset: SensorDataset) -> dict[str, Any]:
     """A JSON-serialisable snapshot of a full dataset."""
-    series: dict[str, list[float | None]] = {}
-    for sensor in dataset:
-        values = dataset.values(sensor.sensor_id)
-        series[sensor.sensor_id] = [
-            None if math.isnan(v) else float(v) for v in values
-        ]
     return {
+        "encoding": ENCODING,
         "name": dataset.name,
-        "timeline": [t.isoformat() for t in dataset.timeline],
+        "timeline": _encode_timeline(dataset.timeline),
         "attributes": list(dataset.attributes),
         "sensors": [
             {
@@ -41,23 +56,71 @@ def dataset_to_document(dataset: SensorDataset) -> dict[str, Any]:
             }
             for s in dataset
         ],
-        "series": series,
+        "series": {
+            sensor.sensor_id: _encode_series(dataset.values(sensor.sensor_id))
+            for sensor in dataset
+        },
     }
 
 
 def dataset_from_document(doc: Mapping[str, Any]) -> SensorDataset:
-    """Rebuild a dataset from its document form."""
-    timeline = [datetime.fromisoformat(t) for t in doc["timeline"]]
+    """Rebuild a dataset from its document form (either layout)."""
+    encoding = doc.get("encoding")
+    if encoding == ENCODING:
+        timeline = _decode_timeline(doc["timeline"])
+        measurements = {
+            sensor_id: _decode_series(text) for sensor_id, text in doc["series"].items()
+        }
+    elif encoding is None:
+        timeline = [datetime.fromisoformat(t) for t in doc["timeline"]]
+        # numpy reads the legacy ``null`` readings as NaN.
+        measurements = {
+            sensor_id: np.array(values, dtype=np.float64)
+            for sensor_id, values in doc["series"].items()
+        }
+    else:
+        raise ValueError(f"unknown dataset document encoding {encoding!r}")
     sensors = [
         Sensor(entry["id"], entry["attribute"], float(entry["lat"]), float(entry["lon"]))
         for entry in doc["sensors"]
     ]
-    measurements = {
-        sensor_id: np.array(
-            [np.nan if v is None else float(v) for v in values], dtype=np.float64
-        )
-        for sensor_id, values in doc["series"].items()
-    }
     return SensorDataset(
         str(doc["name"]), timeline, sensors, measurements, attributes=doc["attributes"]
     )
+
+
+def _encode_series(values: np.ndarray) -> str:
+    column = np.ascontiguousarray(values, dtype="<f8")
+    missing = np.isnan(column)
+    if missing.any():
+        column = column.copy()
+        column[missing] = _QUIET_NAN
+    return base64.b64encode(column.tobytes()).decode("ascii")
+
+
+def _decode_series(text: str) -> np.ndarray:
+    # astype copies: the decoded arrays are writable and own their memory.
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)
+
+
+def _encode_timeline(timeline: Sequence[datetime]) -> dict[str, Any] | list[str]:
+    compact = {
+        "start": timeline[0].isoformat(),
+        "step_us": (timeline[1] - timeline[0]) // _MICROSECOND,
+        "count": len(timeline),
+    }
+    rebuilt = _decode_timeline(compact)
+    # Every rebuilt timestamp carries the start's offset; equal values with
+    # equal UTC offsets also have equal isoformat(), at a fraction of its cost.
+    offset = rebuilt[0].utcoffset()
+    if rebuilt == list(timeline) and all(t.utcoffset() == offset for t in timeline):
+        return compact
+    return [t.isoformat() for t in timeline]
+
+
+def _decode_timeline(timeline: Mapping[str, Any] | Sequence[str]) -> list[datetime]:
+    if isinstance(timeline, Mapping):
+        start = datetime.fromisoformat(timeline["start"])
+        step = timeline["step_us"] * _MICROSECOND
+        return [start + step * i for i in range(timeline["count"])]
+    return [datetime.fromisoformat(t) for t in timeline]

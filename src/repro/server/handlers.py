@@ -279,6 +279,8 @@ class ServerState:
     # -- dataset registry -----------------------------------------------------
 
     def dataset_names(self) -> list[str]:
+        """Every stored dataset's name; refreshes first, like :meth:`get_dataset`."""
+        self.jobs.store.refresh()
         return sorted(
             doc["name"] for doc in self.database[_DATASETS].find()
         )

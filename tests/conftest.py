@@ -8,6 +8,7 @@ builds one: four sensors in two spatial clusters, with sensors ``a`` and
 
 from __future__ import annotations
 
+import math
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -65,6 +66,27 @@ def result_caps(client, key: str) -> list[dict]:
         caps += page["caps"]
         if len(caps) >= page["total"]:
             return caps
+
+
+def legacy_dataset_document(dataset: SensorDataset) -> dict:
+    """``dataset`` in the legacy store layout: JSON floats, ``null``, ISO times.
+
+    The layout every dataset document had before the binary columns; golden
+    fixtures recorded in it compare against this rendering.
+    """
+    return {
+        "name": dataset.name,
+        "timeline": [t.isoformat() for t in dataset.timeline],
+        "attributes": list(dataset.attributes),
+        "sensors": [
+            {"id": s.sensor_id, "attribute": s.attribute, "lat": s.lat, "lon": s.lon}
+            for s in dataset
+        ],
+        "series": {
+            s.sensor_id: [None if math.isnan(v) else float(v) for v in dataset.values(s.sensor_id)]
+            for s in dataset
+        },
+    }
 
 
 @pytest.fixture

@@ -56,3 +56,19 @@ def test_peer_reupload_and_remine_reach_every_memo(tmp_path):
     other = mine_v1(a, "santander", OTHER_PARAMS).json()
     assert other["from_cache"] is False
     assert result_caps(a, other["key"]) == direct_caps(OTHER_PARAMS, new)
+
+
+def test_dataset_listing_follows_peer_uploads_and_deletes(tmp_path):
+    path = tmp_path / "store.json"
+    a = TestClient(create_app(Database(path)))
+    b = TestClient(create_app(Database(path)))
+
+    def listed(client) -> list[str]:
+        return [entry["name"] for entry in client.get(f"{API}/datasets").json()["datasets"]]
+
+    assert listed(a) == []
+    dataset = generate_santander(seed=2, neighbourhoods=4, steps=240)
+    assert b.upload_dataset(dataset, chunk_lines=1000).status == 201
+    assert listed(a) == ["santander"]
+    assert b.delete(f"{API}/datasets/santander").status in (200, 204)
+    assert listed(a) == []
