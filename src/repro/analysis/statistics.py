@@ -30,7 +30,7 @@ def co_evolution_rate(a: EvolvingSet, b: EvolvingSet) -> float:
 
     1.0 means the sensors always change together; 0.0 never.  This is the
     symmetric normalisation of the paper's raw support count.  The shared
-    count is a word-wise ``AND`` + popcount over the packed bitmaps.
+    count is ``int.bit_count()`` of the ``&`` of the two int bitmaps.
     """
     if len(a) == 0 and len(b) == 0:
         return 0.0

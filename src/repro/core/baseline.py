@@ -4,7 +4,7 @@ The paper motivates MISCELA as "an efficient algorithm for CAP mining"; the
 natural comparator (and our correctness oracle) enumerates **every** subset
 of every spatially connected component, checks connectivity of the induced
 subgraph, and recomputes the co-evolution support from scratch over plain
-sorted index arrays — deliberately not through the packed bitmaps the tree
+sorted index arrays — deliberately not through the int bitmaps the tree
 search runs on, so the cross-check exercises independent code.  It produces
 exactly the same CAP set as the tree search, exponentially slower.  It
 runs serially in the calling process and shares none of step 4's execution

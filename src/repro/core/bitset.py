@@ -1,123 +1,111 @@
-"""Packed-bitmap evolving sets — the representation the search runs on.
+"""Evolving sets as Python-int bitmaps — the representation the search runs on.
 
 Every layer of the miner ultimately asks one question: *at which timestamps
-do all these sensors evolve (with consistent directions)?*  The sorted-array
-representation answers it with ``np.intersect1d`` / ``np.isin`` — O(k log k)
-and a fresh allocation per tree node.  This module packs an evolving set
-into two ``np.uint64`` word arrays over the timeline:
+do all these sensors evolve (with consistent directions)?*  This module
+holds an evolving set as two non-negative Python ints over the timeline:
 
-* ``words`` — presence: bit ``t`` is set iff the sensor evolves at
-  timestamp index ``t`` (bit ``i`` of word ``w`` is timestamp ``w*64 + i``);
-* ``dirs`` — direction: bit ``t`` is set iff that evolution is an
-  *increase* (only meaningful where the presence bit is set).
+* ``presence`` — bit ``t`` is set iff the sensor evolves at timeline index
+  ``t``;
+* ``dirs`` — bit ``t`` is set iff that evolution is an *increase* (always a
+  subset of ``presence``).
 
-Co-evolution intersection then becomes a vectorized ``AND`` + popcount over
-``timeline/64`` words, direction consistency becomes ``XOR``/``AND-NOT``,
-and the time-delayed variant's shift becomes a word-level bit shift.  Every
-search mode runs on these bitmaps; the exhaustive
+Co-evolution intersection is ``a & b`` and its support ``int.bit_count()``;
+direction consistency keeps ``common & ~differs`` or ``common & differs``
+with ``differs = dirs_a ^ dirs_b`` (``common`` is non-negative, so both
+are too); the time-delayed variant's shift is ``x >> d`` or
+``(x << d) & ((1 << horizon) - 1)``.  At paper scale a bitmap spans 8
+(china6, 480 steps) to 32 (santander, 2016 steps) machine words: CPython
+runs that word loop in C without the per-call cost of a numpy array
+operation, which at this size exceeds the work itself.  numpy appears only
+at the edges — one ``packbits`` pass builds a sensor's ints from its index
+array, and :func:`bit_indices` turns an emitted bitmap back into sorted
+indices.  Every search mode runs on these bitmaps; the exhaustive
 :func:`repro.core.baseline.naive_search` keeps the sorted arrays as an
 independent oracle.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
-__all__ = [
-    "BitsetEvolvingSet",
-    "pack_indices",
-    "popcount",
-    "bits_to_indices",
-    "and_words",
-]
+__all__ = ["BitsetEvolvingSet", "bit_indices", "decode_bitmaps", "pack_bits"]
 
-_WORD = 64
-_ONE = np.uint64(1)
-
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-
-    def popcount(words: np.ndarray) -> int:
-        """Total number of set bits across a uint64 word array."""
-        return int(np.bitwise_count(words).sum())
-
-else:  # pragma: no cover - exercised only on numpy < 2.0
-
-    def popcount(words: np.ndarray) -> int:
-        """Total number of set bits across a uint64 word array."""
-        if words.size == 0:
-            return 0
-        return int(np.unpackbits(words.view(np.uint8)).sum())
+#: Bitmaps decoded per numpy pass by :func:`decode_bitmaps`.
+_DECODE_BATCH = 4096
 
 
-def _num_words(horizon: int) -> int:
-    return (int(horizon) + _WORD - 1) // _WORD
-
-
-def pack_indices(indices: np.ndarray, horizon: int) -> np.ndarray:
-    """Pack sorted timestamp indices into a presence word array.
+def pack_bits(indices: np.ndarray, horizon: int) -> int:
+    """The int with bit ``t`` set for every sorted index ``t``.
 
     ``horizon`` bounds the timeline; indices must lie in ``[0, horizon)``.
     """
-    words = np.zeros(_num_words(horizon), dtype=np.uint64)
-    if len(indices):
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx[0] < 0 or idx[-1] >= horizon:
-            raise ValueError(
-                f"indices must lie in [0, {horizon}), got range "
-                f"[{int(idx[0])}, {int(idx[-1])}]"
-            )
-        np.bitwise_or.at(words, idx >> 6, _ONE << (idx & 63).astype(np.uint64))
-    return words
+    idx = np.asarray(indices, dtype=np.int64)
+    if not idx.size:
+        return 0
+    if idx[0] < 0 or idx[-1] >= horizon:
+        raise ValueError(
+            f"indices must lie in [0, {horizon}), got range "
+            f"[{int(idx[0])}, {int(idx[-1])}]"
+        )
+    mask = np.zeros(horizon, dtype=bool)
+    mask[idx] = True
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def bits_to_indices(words: np.ndarray) -> np.ndarray:
-    """Sorted timestamp indices of the set bits in a presence word array."""
-    if words.size == 0:
-        return np.empty(0, dtype=np.int64)
-    # Force little-endian bytes so byte k of word w covers bits 8k..8k+7.
-    as_bytes = words.astype("<u8", copy=False).view(np.uint8)
-    return np.flatnonzero(np.unpackbits(as_bytes, bitorder="little")).astype(np.int64)
+def bit_indices(bits: int) -> np.ndarray:
+    """Sorted positions of the set bits of a non-negative int."""
+    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    mask = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
-def and_words(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bitwise AND of two presence arrays, truncated to the shorter one.
+def decode_bitmaps(bitmaps: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    """Each distinct bitmap's sorted set-bit positions, as a tuple.
 
-    Word arrays may cover different horizons (each sensor's bitmap ends at
-    its last evolution); bits past the shorter array are absent by
-    definition, so truncating is exact.
+    A search emits many CAPs, often with equal bitmaps; decoding them all
+    at once — ``_DECODE_BATCH`` bitmaps per numpy pass, which bounds the
+    unpacked buffer — costs a fraction of one round trip per CAP.
     """
-    n = min(a.size, b.size)
-    return a[:n] & b[:n]
+    distinct = list(dict.fromkeys(bitmaps))
+    decoded: dict[int, tuple[int, ...]] = {}
+    for lo in range(0, len(distinct), _DECODE_BATCH):
+        batch = distinct[lo : lo + _DECODE_BATCH]
+        width = max(1, (max(bits.bit_length() for bits in batch) + 7) // 8)
+        raw = b"".join([bits.to_bytes(width, "little") for bits in batch])
+        mask = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        positions = (np.flatnonzero(mask) % (8 * width)).tolist()
+        start = 0
+        for bits in batch:
+            end = start + bits.bit_count()
+            decoded[bits] = tuple(positions[start:end])
+            start = end
+    return decoded
 
 
 class BitsetEvolvingSet:
-    """An evolving set as packed presence/direction bitmaps.
+    """An evolving set as presence/direction int bitmaps.
 
     Parameters
     ----------
-    words, dirs:
-        Equal-length ``np.uint64`` arrays; see the module docstring for the
-        bit layout.
+    presence, dirs:
+        Non-negative ints; see the module docstring for the bit layout.
     horizon:
-        Number of timeline positions the bitmaps cover (``len(words) * 64``
-        rounded down to it; bits at or past ``horizon`` are always clear).
+        Number of timeline positions the bitmaps cover; bits at or past
+        ``horizon`` are always clear.
     """
 
-    __slots__ = ("words", "dirs", "horizon")
+    __slots__ = ("presence", "dirs", "horizon")
 
-    def __init__(self, words: np.ndarray, dirs: np.ndarray, horizon: int) -> None:
-        words = np.asarray(words, dtype=np.uint64)
-        dirs = np.asarray(dirs, dtype=np.uint64)
-        if words.shape != dirs.shape or words.ndim != 1:
-            raise ValueError("words and dirs must be 1-D and equal length")
-        if words.size != _num_words(horizon):
-            raise ValueError(
-                f"horizon {horizon} needs {_num_words(horizon)} words, "
-                f"got {words.size}"
-            )
-        words.setflags(write=False)
-        dirs.setflags(write=False)
-        self.words = words
+    def __init__(self, presence: int, dirs: int, horizon: int) -> None:
+        if presence < 0 or dirs < 0:
+            raise ValueError("bitmaps must be non-negative ints")
+        if presence >> horizon:
+            raise ValueError(f"presence has bits at or past horizon {horizon}")
+        if dirs & ~presence:
+            raise ValueError("direction bits must be a subset of presence bits")
+        self.presence = presence
         self.dirs = dirs
         self.horizon = int(horizon)
 
@@ -136,50 +124,48 @@ class BitsetEvolvingSet:
         directions = np.asarray(directions)
         if horizon is None:
             horizon = int(indices[-1]) + 1 if len(indices) else 0
-        words = pack_indices(indices, horizon)
         increasing = indices[directions > 0] if len(indices) else indices
-        dirs = pack_indices(increasing, horizon)
-        return cls(words, dirs, horizon)
+        return cls(pack_bits(indices, horizon), pack_bits(increasing, horizon), horizon)
 
     def __len__(self) -> int:
-        return popcount(self.words)
+        return self.presence.bit_count()
 
     def __bool__(self) -> bool:
-        return bool(np.any(self.words))
+        return self.presence != 0
 
     def count(self) -> int:
-        """Number of evolving timestamps (popcount of the presence words)."""
-        return popcount(self.words)
+        """Number of evolving timestamps (set presence bits)."""
+        return self.presence.bit_count()
 
     def to_indices(self) -> np.ndarray:
         """Sorted timestamp indices of the evolving positions."""
-        return bits_to_indices(self.words)
+        return bit_indices(self.presence)
 
     def to_directions(self) -> np.ndarray:
         """±1 directions aligned with :meth:`to_indices`."""
         indices = self.to_indices()
-        inc = bits_to_indices(self.words & self.dirs)
         directions = np.full(indices.shape, -1, dtype=np.int8)
-        directions[np.isin(indices, inc, assume_unique=True)] = 1
+        directions[np.searchsorted(indices, bit_indices(self.dirs))] = 1
         return directions
 
     def intersect_count(self, other: "BitsetEvolvingSet") -> int:
         """Number of timestamps where both sets evolve (any direction)."""
-        return popcount(and_words(self.words, other.words))
+        return (self.presence & other.presence).bit_count()
 
     def shift(self, delay: int, horizon: int) -> "BitsetEvolvingSet":
         """Bitmap with every bit moved ``delay`` steps later, clipped.
 
-        Positive delay moves events later (``t -> t + delay``), negative earlier; bits
-        leaving ``[0, horizon)`` are dropped.  The result always covers
-        exactly ``horizon`` positions so delayed-search word arrays stay
-        aligned without truncation.
+        Positive delay moves events later (``t -> t + delay``), negative
+        earlier; bits leaving ``[0, horizon)`` are dropped and the result
+        covers exactly ``horizon`` positions.
         """
-        nwords = _num_words(horizon)
+        keep = (1 << horizon) - 1
+        if delay >= 0:
+            return BitsetEvolvingSet(
+                (self.presence << delay) & keep, (self.dirs << delay) & keep, horizon
+            )
         return BitsetEvolvingSet(
-            _shift_words(self.words, delay, nwords, horizon),
-            _shift_words(self.dirs, delay, nwords, horizon),
-            horizon,
+            (self.presence >> -delay) & keep, (self.dirs >> -delay) & keep, horizon
         )
 
     def extended(
@@ -190,64 +176,27 @@ class BitsetEvolvingSet:
     ) -> "BitsetEvolvingSet":
         """Bitmap grown to ``horizon`` with a batch of new events OR-ed in.
 
-        The streaming miner uses this for incremental word-append: the old
-        words are copied once into the wider array and only the tail batch
-        is packed, instead of re-packing the whole history.
+        The streaming miner uses this on every append: only the tail batch
+        is packed (over ``[self.horizon, horizon)``) and OR-ed in above the
+        existing bits, instead of re-packing the whole history.
         """
         if horizon < self.horizon:
             raise ValueError(
                 f"cannot shrink bitmap: horizon {horizon} < {self.horizon}"
             )
-        nwords = _num_words(horizon)
-        words = np.zeros(nwords, dtype=np.uint64)
-        dirs = np.zeros(nwords, dtype=np.uint64)
-        words[: self.words.size] = self.words
-        dirs[: self.dirs.size] = self.dirs
+        presence, dirs = self.presence, self.dirs
         new_indices = np.asarray(new_indices, dtype=np.int64)
         if len(new_indices):
             if int(new_indices[0]) < self.horizon:
                 raise ValueError(
                     "extension events must come after the existing horizon"
                 )
-            words |= pack_indices(new_indices, horizon)
-            new_directions = np.asarray(new_directions)
-            dirs |= pack_indices(new_indices[new_directions > 0], horizon)
-        return BitsetEvolvingSet(words, dirs, horizon)
+            tail = new_indices - self.horizon
+            width = horizon - self.horizon
+            increasing = tail[np.asarray(new_directions) > 0]
+            presence |= pack_bits(tail, width) << self.horizon
+            dirs |= pack_bits(increasing, width) << self.horizon
+        return BitsetEvolvingSet(presence, dirs, horizon)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BitsetEvolvingSet(n={self.count()}, horizon={self.horizon})"
-
-
-def _shift_words(
-    words: np.ndarray, delay: int, nwords_out: int, horizon: int
-) -> np.ndarray:
-    """Word-level bit shift by ``delay`` positions into an array of
-    ``nwords_out`` words, clearing bits at or past ``horizon``."""
-    out = np.zeros(nwords_out, dtype=np.uint64)
-    n = words.size
-    if delay >= 0:
-        ws, bs = divmod(delay, _WORD)
-        lo = words << np.uint64(bs) if bs else words
-        m = min(n, nwords_out - ws)
-        if m > 0:
-            out[ws : ws + m] |= lo[:m]
-        if bs:
-            hi = words >> np.uint64(_WORD - bs)
-            m = min(n, nwords_out - ws - 1)
-            if m > 0:
-                out[ws + 1 : ws + 1 + m] |= hi[:m]
-    else:
-        ws, bs = divmod(-delay, _WORD)
-        lo = words >> np.uint64(bs) if bs else words
-        m = min(n - ws, nwords_out)
-        if m > 0:
-            out[:m] |= lo[ws : ws + m]
-        if bs:
-            hi = words << np.uint64(_WORD - bs)
-            m = min(n - ws - 1, nwords_out)
-            if m > 0:
-                out[:m] |= hi[ws + 1 : ws + 1 + m]
-    excess = nwords_out * _WORD - horizon
-    if excess and nwords_out:
-        out[-1] &= np.uint64((1 << (_WORD - excess)) - 1)
-    return out

@@ -9,12 +9,12 @@ reference timestamps ``t`` every sensor evolves at ``t + d_s``.
 
 Implementation: shifting an evolving set *earlier* by ``d`` turns "evolves at
 ``t + d``" into "evolves at ``t``", so delayed co-evolution is an ordinary
-intersection of shifted sets.  The shift is a word-level bit shift of the
-packed bitmap (:mod:`repro.core.bitset`), cached per (sensor, delay), and
-the intersection a word-wise ``AND`` + popcount.  For each sensor set the
-miner reports the best delay assignment (maximum support), which is what
-the analyst wants to see; enumerating every passing assignment is
-available via ``emit_all_assignments``.
+intersection of shifted sets.  The shift is an int shift of the sensor's
+presence bitmap (:mod:`repro.core.bitset`), cached per (sensor, delay),
+and the intersection ``a & b`` with ``int.bit_count()`` as its support.
+For each sensor set the miner reports the best delay assignment (maximum
+support), which is what the analyst wants to see; enumerating every
+passing assignment is available via ``emit_all_assignments``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bitset import bits_to_indices, popcount
+from .bitset import bit_indices, decode_bitmaps
 from .parameters import MiningParameters
 from .parallel import MiningControl, sharded_search
 from .types import CAP, EvolvingSet, Sensor
@@ -37,40 +37,33 @@ def delayed_support(
     horizon: int,
 ) -> np.ndarray:
     """Reference timestamps where every sensor evolves at its delayed time."""
-    items = list(delays.items())
-    if not items:
-        return np.empty(0, dtype=np.int64)
-    first_id, first_delay = items[0]
-    common = evolving[first_id].bits.shift(-first_delay, horizon).words
-    for sid, delay in items[1:]:
-        common = common & evolving[sid].bits.shift(-delay, horizon).words
-        if not np.any(common):
-            break
-    return bits_to_indices(common)
+    common = (1 << horizon) - 1 if delays else 0
+    for sid, delay in delays.items():
+        common &= evolving[sid].bits.shift(-delay, horizon).presence
+    return bit_indices(common)
 
 
 class _DelayedState:
     """A tree node: members with chosen delays and surviving reference times.
 
-    ``words`` holds the reference timestamps as packed presence bits;
-    ``support`` caches their popcount so nodes never materialize index
-    arrays.
+    ``bits`` holds the reference timestamps as presence bits; ``support``
+    caches their count so nodes never materialize index arrays.
     """
 
-    __slots__ = ("members", "delays", "attrs", "words", "support")
+    __slots__ = ("members", "delays", "attrs", "bits", "support")
 
     def __init__(
         self,
         members: tuple[str, ...],
         delays: tuple[int, ...],
         attrs: frozenset[str],
-        words: np.ndarray,
+        bits: int,
         support: int,
     ) -> None:
         self.members = members
         self.delays = delays
         self.attrs = attrs
-        self.words = words
+        self.bits = bits
         self.support = support
 
 
@@ -96,19 +89,19 @@ def search_delayed_component(
     delta = params.max_delay
     if order is None:
         order = {sid: i for i, sid in enumerate(sorted(adjacency))}
-    results: list[CAP] = []
+    found: list[_DelayedState] = []
 
     # Shifted evolving sets are reused across the whole tree: cache the
-    # word-shifted bitmaps per (sensor, delay).
-    words_cache: dict[tuple[str, int], np.ndarray] = {}
+    # shifted presence bitmaps per (sensor, delay).
+    bits_cache: dict[tuple[str, int], int] = {}
 
-    def shifted_words(sid: str, delay: int) -> np.ndarray:
+    def shifted_bits(sid: str, delay: int) -> int:
         key = (sid, delay)
-        words = words_cache.get(key)
-        if words is None:
-            words = evolving[sid].bits.shift(-delay, horizon).words
-            words_cache[key] = words
-        return words
+        bits = bits_cache.get(key)
+        if bits is None:
+            bits = evolving[sid].bits.shift(-delay, horizon).presence
+            bits_cache[key] = bits
+        return bits
 
     def emit(state: _DelayedState) -> None:
         if len(state.members) < 2:
@@ -117,22 +110,7 @@ def search_delayed_component(
             return
         if state.support < params.min_support:
             return
-        # Canonical form: the smallest delay is zero so patterns are
-        # anchored (shifting all delays together is the same pattern).
-        min_delay = min(state.delays)
-        delays = {
-            sid: d - min_delay for sid, d in zip(state.members, state.delays)
-        }
-        indices = bits_to_indices(state.words)
-        results.append(
-            CAP(
-                sensor_ids=frozenset(state.members),
-                attributes=state.attrs,
-                support=state.support,
-                evolving_indices=tuple(indices.tolist()),
-                delays=delays,
-            )
-        )
+        found.append(state)
 
     def expand(state: _DelayedState, extension: list[str], excluded: set[str],
                seed_rank: int) -> None:
@@ -158,8 +136,8 @@ def search_delayed_component(
             for delay in range(-delta, delta + 1):
                 if max(hi, delay) - min(lo, delay) > delta:
                     continue
-                common = state.words & shifted_words(candidate, delay)
-                new_support = popcount(common)
+                common = state.bits & shifted_bits(candidate, delay)
+                new_support = common.bit_count()
                 if new_support < params.min_support:
                     continue
                 if added is None:
@@ -199,12 +177,29 @@ def search_delayed_component(
                 (seed,),
                 (0,),
                 frozenset({attributes[seed]}),
-                shifted_words(seed, 0),
+                shifted_bits(seed, 0),
                 len(seed_evolving),
             ),
             extension,
             excluded,
             seed_rank,
+        )
+    decoded = decode_bitmaps(state.bits for state in found)
+    results = []
+    for state in found:
+        # Canonical form: the smallest delay is zero so patterns are
+        # anchored (shifting all delays together is the same pattern).
+        min_delay = min(state.delays)
+        results.append(
+            CAP(
+                sensor_ids=frozenset(state.members),
+                attributes=state.attrs,
+                support=state.support,
+                evolving_indices=decoded[state.bits],
+                delays={
+                    sid: d - min_delay for sid, d in zip(state.members, state.delays)
+                },
+            )
         )
     return results
 

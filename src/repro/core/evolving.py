@@ -9,9 +9,9 @@ The extractor optionally smooths the series first with the linear
 segmentation of step 1, which removes sub-ε jitter that would otherwise
 create spurious single-step evolutions.
 
-Downstream, the search consumes evolving sets as packed bitmaps (see
-:mod:`repro.core.bitset`), which every :class:`EvolvingSet` materializes
-lazily from the sorted index arrays built here via its ``.bits`` property.
+Downstream, the search consumes evolving sets as Python-int bitmaps (see
+:mod:`repro.core.bitset`), which every :class:`EvolvingSet` builds lazily,
+once, from the sorted index arrays made here via its ``.bits`` property.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .bitset import and_words, popcount
 from .parameters import MiningParameters
 from .segmentation import smooth_series
 from .types import DECREASING, INCREASING, EvolvingSet, SensorDataset
@@ -96,15 +95,13 @@ def co_evolution_count(
     """Number of timestamps at which *all* the given sensors evolve.
 
     This is the support of the sensor set under the demo paper's
-    direction-agnostic definition of co-evolution, folded with word-wise
-    ``AND`` + popcount over the sets' packed bitmaps.
+    direction-agnostic definition of co-evolution: the ``&`` of the sets'
+    presence bitmaps, counted with ``int.bit_count()``.
     """
     if not sensor_ids:
         return 0
-    ids = list(sensor_ids)
-    words = evolving[ids[0]].bits.words
-    for sid in ids[1:]:
-        words = and_words(words, evolving[sid].bits.words)
-        if not np.any(words):
-            return 0
-    return popcount(words)
+    first, *rest = sensor_ids
+    common = evolving[first].bits.presence
+    for sid in rest:
+        common &= evolving[sid].bits.presence
+    return common.bit_count()

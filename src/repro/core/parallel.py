@@ -14,14 +14,14 @@ back into *exactly* the serial result:
   nodes from evolving density, root degree, and component size) packs units
   into balanced shards (LPT) instead of round-robin.
 
-* **Zero-copy handoff** — evolving sets cross the process boundary as one
-  flat ``uint64`` presence buffer plus one flat direction buffer
-  (:class:`PackedEvolvingStore`), not as per-sensor Python objects.  With
-  the ``fork`` start method (Linux, the default here) the buffers are
-  inherited copy-on-write — nothing is pickled at all; under ``spawn`` the
-  two flat arrays are serialized once per worker.  Workers rebuild
-  per-sensor :class:`~repro.core.types.EvolvingSet` views whose ``.bits``
-  slice straight into the shared buffer.
+* **Bitmap handoff** — evolving sets cross the process boundary as their
+  int bitmaps only (:class:`PackedEvolvingStore`: presence and direction
+  ints per sensor, about timeline/8 bytes each), not as index arrays.
+  With the ``fork`` start method (Linux, the default here) the store is
+  inherited — nothing is pickled at all; under ``spawn`` it is pickled
+  once per worker.  Workers rebuild per-sensor
+  :class:`~repro.core.types.EvolvingSet` objects whose ``.bits`` are the
+  handed-over bitmaps themselves.
 
 * **Deterministic merge** — every unit is tagged with
   ``(component_index, first_seed_rank)``; sorting the tags reproduces the
@@ -52,8 +52,6 @@ import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
-
-import numpy as np
 
 from .bitset import BitsetEvolvingSet
 from .parameters import MiningParameters
@@ -142,68 +140,33 @@ def resolve_jobs(n_jobs: int) -> int:
 
 
 class PackedEvolvingStore:
-    """All evolving sets as two flat ``uint64`` buffers + per-sensor offsets.
+    """All evolving sets as their int bitmaps, keyed by sensor id.
 
-    The bitmap twin of every evolving set (presence words + direction
-    words, see :mod:`repro.core.bitset`) is concatenated sensor-by-sensor
-    into ``words`` and ``dirs``; ``offsets[i]:offsets[i+1]`` slices sensor
-    ``i``'s words and ``horizons[i]`` records its timeline cover.  Two flat
-    arrays cross a process boundary with no per-sensor pickling — and with
-    ``fork`` they cross it with no copying at all.
+    ``bitmaps[sid]`` is the :class:`~repro.core.bitset.BitsetEvolvingSet`
+    twin of sensor ``sid``'s evolving set: two ints and a horizon, which is
+    everything the search reads.  It crosses a process boundary without
+    the sets' index arrays — and with ``fork`` without any copying at all.
     """
 
-    __slots__ = ("sensor_ids", "offsets", "horizons", "words", "dirs")
+    __slots__ = ("bitmaps",)
 
-    def __init__(
-        self,
-        sensor_ids: tuple[str, ...],
-        offsets: np.ndarray,
-        horizons: np.ndarray,
-        words: np.ndarray,
-        dirs: np.ndarray,
-    ) -> None:
-        self.sensor_ids = sensor_ids
-        self.offsets = offsets
-        self.horizons = horizons
-        self.words = words
-        self.dirs = dirs
+    def __init__(self, bitmaps: Mapping[str, BitsetEvolvingSet]) -> None:
+        self.bitmaps = dict(bitmaps)
 
     @classmethod
     def pack(cls, evolving: Mapping[str, EvolvingSet]) -> "PackedEvolvingStore":
-        """Flatten a sensor→evolving-set mapping into shared buffers."""
-        sensor_ids = tuple(sorted(evolving))
-        word_chunks: list[np.ndarray] = []
-        dir_chunks: list[np.ndarray] = []
-        sizes = np.zeros(len(sensor_ids), dtype=np.int64)
-        horizons = np.zeros(len(sensor_ids), dtype=np.int64)
-        for i, sid in enumerate(sensor_ids):
-            bits = evolving[sid].bits
-            word_chunks.append(bits.words)
-            dir_chunks.append(bits.dirs)
-            sizes[i] = bits.words.size
-            horizons[i] = bits.horizon
-        offsets = np.zeros(len(sensor_ids) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        words = (
-            np.concatenate(word_chunks) if word_chunks else np.empty(0, np.uint64)
-        )
-        dirs = np.concatenate(dir_chunks) if dir_chunks else np.empty(0, np.uint64)
-        return cls(sensor_ids, offsets, horizons, words, dirs)
+        """The bitmaps of a sensor→evolving-set mapping."""
+        return cls({sid: evolving[sid].bits for sid in sorted(evolving)})
 
     def unpack(self) -> dict[str, EvolvingSet]:
-        """Per-sensor evolving sets whose bitmaps are views into the buffers.
+        """Per-sensor evolving sets that carry the handed-over bitmaps.
 
         Index/direction arrays are materialized from the bitmaps (exact
-        round trip); the ``.bits`` twin each set carries slices the shared
-        buffer directly, so the search's word-wise inner loop runs on the
-        handed-over memory without a copy.
+        round trip); each set's ``.bits`` is the stored bitmap itself, so
+        the search never re-packs in a worker.
         """
         out: dict[str, EvolvingSet] = {}
-        for i, sid in enumerate(self.sensor_ids):
-            lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
-            bits = BitsetEvolvingSet(
-                self.words[lo:hi], self.dirs[lo:hi], int(self.horizons[i])
-            )
+        for sid, bits in self.bitmaps.items():
             evolving = EvolvingSet(bits.to_indices(), bits.to_directions())
             evolving._bits = bits
             out[sid] = evolving
@@ -498,7 +461,7 @@ def _run_sharded(
     ctx = _pool_context()
     forked = ctx.get_start_method() == "fork"
     if forked:
-        # Set before the fork so children inherit the buffers copy-on-write.
+        # Set before the fork so children inherit the bitmaps as they are.
         _install_spec(spec)
         initializer, initargs = None, ()
     else:  # pragma: no cover - spawn-only platforms

@@ -11,12 +11,14 @@ enumeration (Wernicke 2006) of connected subgraphs of the η-proximity graph:
 * attribute-count and sensor-count bounds prune expansions that could never
   return below the limits.
 
-Tree nodes carry packed ``np.uint64`` bitmaps (:mod:`repro.core.bitset`):
-co-evolution intersection is a word-wise ``AND`` + popcount, direction
-consistency is ``XOR``/``AND``, and index arrays are materialized only at
-emit time, so a node allocates O(timeline/64) words instead of O(support)
-int64s.  The exhaustive :func:`repro.core.baseline.naive_search`, written
-over plain sorted arrays, is the in-library oracle for this loop.
+Tree nodes carry Python-int bitmaps (:mod:`repro.core.bitset`):
+co-evolution intersection is ``a & b`` and support ``int.bit_count()``,
+direction consistency splits on ``dirs_seed ^ dirs_candidate``, and index
+tuples are decoded only for emitted patterns — once per distinct bitmap,
+in one batch per search — so a node costs one int of timeline/64 words
+instead of O(support) int64s.  The exhaustive
+:func:`repro.core.baseline.naive_search`, written over plain sorted
+arrays, is the in-library oracle for this loop.
 
 The ESU extension list is grown incrementally: each tree node extends the
 excluded-neighbourhood set of its parent by one sensor's adjacency (O(degree)
@@ -31,9 +33,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .bitset import and_words, bits_to_indices, popcount
+from .bitset import decode_bitmaps
 from .parameters import MiningParameters
 from .parallel import MiningControl, sharded_search
 from .types import CAP, EvolvingSet, Sensor
@@ -44,7 +44,7 @@ __all__ = ["search_component", "search_all", "filter_maximal", "dedupe_strongest
 class _SearchContext:
     """Immutable-per-run inputs shared by every tree node."""
 
-    __slots__ = ("adjacency", "attributes", "evolving", "params", "order")
+    __slots__ = ("adjacency", "attributes", "bits", "params", "order")
 
     def __init__(
         self,
@@ -55,7 +55,10 @@ class _SearchContext:
     ) -> None:
         self.adjacency = adjacency
         self.attributes = attributes
-        self.evolving = evolving
+        # Only sensors that evolve at least ψ times can join a pattern.
+        self.bits = {
+            sid: ev.bits for sid, ev in evolving.items() if len(ev) >= params.min_support
+        }
         self.params = params
         # A fixed total order on sensors makes the enumeration canonical:
         # each connected set is generated from its smallest member only.
@@ -79,15 +82,20 @@ def _grow_excluded(
     return added
 
 
+#: A pattern found in the tree, before its bitmap is decoded:
+#: ``(members, attributes, support, bits)``.
+_Found = tuple[tuple[str, ...], frozenset[str], int, int]
+
+
 def _emit(
     ctx: _SearchContext,
     members: tuple[str, ...],
     attrs: frozenset[str],
-    words: np.ndarray,
+    bits: int,
     support: int,
-    out: list[CAP],
+    out: list[_Found],
 ) -> None:
-    """Emit a CAP from a bitmap node — indices materialize only here."""
+    """Record a pattern at a bitmap node; :func:`search_component` decodes."""
     params = ctx.params
     if len(members) < 2:
         return
@@ -95,42 +103,34 @@ def _emit(
         return
     if support < params.min_support:
         return
-    indices = bits_to_indices(words)
-    out.append(
-        CAP(
-            sensor_ids=frozenset(members),
-            attributes=attrs,
-            support=support,
-            evolving_indices=tuple(indices.tolist()),
-        )
-    )
+    out.append((members, attrs, support, bits))
 
 
 def _expand(
     ctx: _SearchContext,
     members: tuple[str, ...],
     attrs: frozenset[str],
-    words: np.ndarray,
+    bits: int,
     support: int,
-    ref_dirs: np.ndarray | None,
+    ref_dirs: int,
     extension: list[str],
     excluded: set[str],
     seed_rank: int,
-    out: list[CAP],
+    out: list[_Found],
 ) -> None:
     """One node of the CAP tree.
 
-    ``members`` is the current connected sensor set, ``words`` the
+    ``members`` is the current connected sensor set, ``bits`` the
     timestamps at which it co-evolves as presence bits (``support`` their
-    popcount), ``ref_dirs`` (direction-aware mode) the seed's direction
-    bits, ``extension`` the ESU extension list (sensors that may still be
-    added in this subtree), and ``excluded`` the members' closed
-    neighbourhood, grown incrementally along the path.  Everything stays
-    packed along the whole path — intersection is ``AND``, direction
-    consistency ``XOR``/``AND-NOT``, support a popcount.
+    count), ``ref_dirs`` the seed's direction bits (read only in
+    direction-aware mode), ``extension`` the ESU extension list (sensors
+    that may still be added in this subtree), and ``excluded`` the
+    members' closed neighbourhood, grown incrementally along the path.
+    Everything stays packed along the whole path — intersection is ``&``,
+    direction consistency ``^`` and ``& ~``, support ``int.bit_count()``.
     """
     params = ctx.params
-    _emit(ctx, members, attrs, words, support, out)
+    _emit(ctx, members, attrs, bits, support, out)
     if params.max_sensors is not None and len(members) >= params.max_sensors:
         return
     order = ctx.order
@@ -143,30 +143,28 @@ def _expand(
         new_attrs = attrs | {cand_attr}
         if len(new_attrs) > params.max_attributes:
             continue
-        cand_evolving = ctx.evolving[candidate]
-        if len(cand_evolving) < params.min_support:
+        cand_bits = ctx.bits.get(candidate)
+        if cand_bits is None:
             continue
-        cand_bits = cand_evolving.bits
-        common = and_words(words, cand_bits.words)
+        common = bits & cand_bits.presence
         if params.direction_aware:
-            n = common.size
-            differs = ref_dirs[:n] ^ cand_bits.dirs[:n]  # type: ignore[index]
+            differs = ref_dirs ^ cand_bits.dirs
             added = _grow_excluded(ctx.adjacency, excluded, candidate)
             new_extension = pending + [w for w in added if order[w] > seed_rank]
             # Keep timestamps where the candidate moves with a consistent
             # relative direction to the seed.  Both relative orientations
             # (same / opposite) are explored as separate tree branches.
-            for branch_words in (common & ~differs, common & differs):
-                branch_support = popcount(branch_words)
+            for branch_bits in (common & ~differs, common & differs):
+                branch_support = branch_bits.bit_count()
                 if branch_support < params.min_support:
                     continue
                 _expand(
                     ctx,
                     members + (candidate,),
                     new_attrs,
-                    branch_words,
+                    branch_bits,
                     branch_support,
-                    ref_dirs[:n],  # type: ignore[index]
+                    ref_dirs,
                     new_extension,
                     excluded,
                     seed_rank,
@@ -174,7 +172,7 @@ def _expand(
                 )
             excluded.difference_update(added)
             continue
-        new_support = popcount(common)
+        new_support = common.bit_count()
         if new_support < params.min_support:
             continue
         added = _grow_excluded(ctx.adjacency, excluded, candidate)
@@ -185,7 +183,7 @@ def _expand(
             new_attrs,
             common,
             new_support,
-            None,
+            ref_dirs,
             new_extension,
             excluded,
             seed_rank,
@@ -223,32 +221,40 @@ def search_component(
         components into seed runs; ``None`` (default) roots at every member.
     """
     ctx = _SearchContext(adjacency, attributes, evolving, params)
-    out: list[CAP] = []
+    out: list[_Found] = []
     members = sorted(component, key=lambda sid: ctx.order[sid])
     if seeds is not None:
         wanted = set(seeds)
         members = [sid for sid in members if sid in wanted]
     for seed in members:
-        seed_rank = ctx.order[seed]
-        seed_evolving = evolving[seed]
-        if len(seed_evolving) < params.min_support:
+        seed_bits = ctx.bits.get(seed)
+        if seed_bits is None:
             continue
+        seed_rank = ctx.order[seed]
         extension = [w for w in adjacency[seed] if ctx.order[w] > seed_rank]
         excluded = {seed} | adjacency[seed]
-        seed_bits = seed_evolving.bits
         _expand(
             ctx,
             (seed,),
             frozenset({attributes[seed]}),
-            seed_bits.words,
-            len(seed_evolving),
-            seed_bits.dirs if params.direction_aware else None,
+            seed_bits.presence,
+            seed_bits.count(),
+            seed_bits.dirs,
             extension,
             excluded,
             seed_rank,
             out,
         )
-    return out
+    decoded = decode_bitmaps(bits for *_, bits in out)
+    return [
+        CAP(
+            sensor_ids=frozenset(sensors),
+            attributes=attrs,
+            support=support,
+            evolving_indices=decoded[bits],
+        )
+        for sensors, attrs, support, bits in out
+    ]
 
 
 def dedupe_strongest(caps: Iterable[CAP]) -> list[CAP]:
@@ -264,9 +270,8 @@ def dedupe_strongest(caps: Iterable[CAP]) -> list[CAP]:
         key = cap.key()
         if key not in best or cap.support > best[key].support:
             best[key] = cap
-    out = list(best.values())
-    out.sort(key=lambda c: (-c.support, c.key()))
-    return out
+    ranked = sorted(best.items(), key=lambda item: (-item[1].support, item[0]))
+    return [cap for _key, cap in ranked]
 
 
 def search_all(

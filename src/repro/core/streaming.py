@@ -12,10 +12,10 @@ The contract (checked by property tests): after any sequence of
 exactly what a batch :class:`~repro.core.miner.MiscelaMiner` returns on the
 concatenated dataset.
 
-The per-sensor packed bitmaps (:mod:`repro.core.bitset`) the search runs
-on are maintained incrementally too: each append
-copies the old words once and ORs in only the packed tail, so re-mining
-after an extend never re-packs the full history.
+The per-sensor int bitmaps (:mod:`repro.core.bitset`) the search runs on
+are maintained incrementally too: each append packs only the batch's tail
+and ORs it in above the existing bits, so re-mining after an extend never
+re-packs the full history.
 
 Limitations (by design):
 
@@ -232,9 +232,9 @@ class StreamingMiner:
             merged_indices = np.concatenate([old.indices, offset_indices])
             merged_directions = np.concatenate([old.directions, tail_evolving.directions])
             merged = EvolvingSet(merged_indices, merged_directions)
-            # Incremental word-append: copy the old bitmap once and OR in
-            # only the packed tail, instead of re-packing the whole history
-            # when the search asks for `.bits`.
+            # Incremental append: OR only the packed tail into the old
+            # bitmaps, instead of re-packing the whole history when the
+            # search asks for `.bits`.
             merged._bits = old.bits.extended(
                 offset_indices,
                 tail_evolving.directions,

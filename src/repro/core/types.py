@@ -280,9 +280,9 @@ class EvolvingSet:
     ``+1`` (increase) or ``-1`` (decrease) per index.  Both arrays are sorted
     by index and immutable.
 
-    :attr:`bits` lazily materializes (and caches) the packed-bitmap twin of
-    the set — see :mod:`repro.core.bitset` — which the search uses to turn
-    every intersection into a word-wise ``AND``.
+    :attr:`bits` lazily builds (and caches) the int-bitmap twin of the set
+    — see :mod:`repro.core.bitset` — which the search uses to turn every
+    intersection into one ``&`` of two Python ints.
     """
 
     __slots__ = ("indices", "directions", "_bits")
@@ -307,12 +307,12 @@ class EvolvingSet:
 
     @property
     def bits(self) -> "BitsetEvolvingSet":
-        """The packed-bitmap twin of this set, materialized lazily.
+        """The int-bitmap twin of this set, built lazily.
 
         The bitmap covers *at least* ``last index + 1`` positions (the
         streaming miner attaches incrementally-extended bitmaps that cover
-        the whole timeline); trailing zero words never change a result
-        because intersections truncate to the shorter operand.
+        the whole timeline); the cover never changes a result because bits
+        past the last index are clear either way.
         """
         try:
             return self._bits

@@ -2,7 +2,8 @@
 
 An environment variable names one crash point as ``point[@scope][:nth]``;
 the process hard-exits (``os._exit``) at the nth hit of that point whose
-scope matches, exactly like ``kill -9`` landing there.  The store
+scope matches, exactly like ``kill -9`` landing there.  The job registry
+(``REPRO_JOBS_FAULT``, unscoped, exit 70), the store
 (``REPRO_STORE_FAULT``, scoped by collection, exit 71) and stream retention
 (``REPRO_STREAM_FAULT``, scoped by dataset, exit 72) each own one
 :class:`CrashPoints`; unset, every check is a no-op.

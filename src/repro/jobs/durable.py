@@ -51,9 +51,11 @@ with a precise diagnosis naming the shard.
 
 **Fault injection.**  The crash points the recovery tests kill the server
 at are real code paths here, selected by the ``REPRO_JOBS_FAULT``
-environment variable (see :data:`FAULT_POINTS`): the process hard-exits
-(``os._exit``) at the named point, exactly like a ``kill -9`` landing
-there.  In production the variable is unset and the checks are no-ops.
+environment variable (see :data:`FAULT_POINTS`) through the shared
+:class:`repro.faults.CrashPoints` parser: the process hard-exits
+(``os._exit``, status 70) at the named point, exactly like a ``kill -9``
+landing there.  In production the variable is unset and the checks are
+no-ops.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from typing import Any, Iterator, Mapping, Sequence
 
 from ..cache.cache import ResultCache
 from ..cache.keys import short_key
+from ..faults import CrashPoints
 from ..obs.metrics import get_registry
 from ..obs.spans import SpanStore
 from ..store.database import Database
@@ -139,17 +142,12 @@ FAULT_POINTS = (
 #: Exit status used by fault-point exits (distinct from SIGKILL's 137).
 FAULT_EXIT_CODE = 70
 
-
-def maybe_fault(name: str) -> None:
-    """Hard-exit when ``REPRO_JOBS_FAULT`` names this point (tests only).
-
-    Module-level so runner code outside the store (shard execution, the
-    merge publish) can share the same crash-point vocabulary.  Simulates a
-    ``kill -9`` landing exactly here: no cleanup, no flushing — any flock
-    dies with the process.
-    """
-    if os.environ.get(FAULT_ENV) == name:
-        os._exit(FAULT_EXIT_CODE)
+# Module-level so runner code outside the store (shard execution, the merge
+# publish) shares the same crash-point vocabulary.  A hit simulates a
+# ``kill -9`` landing exactly there: no cleanup, no flushing — any flock
+# dies with the process.
+_CRASH_POINTS = CrashPoints(FAULT_ENV, FAULT_EXIT_CODE)
+maybe_fault = _CRASH_POINTS.maybe_fault
 
 
 class DurableJobStore:

@@ -10,7 +10,7 @@ each recompute exactly the same facts from the same stored inputs:
   :meth:`repro.core.miner.MiscelaMiner.mine` (evolving extraction,
   η-proximity graph, component list).  Share-nothing by design: a shard
   worker on another machine re-derives it from the dataset rather than
-  shipping packed buffers through the store.
+  shipping bitmaps through the store.
 * :func:`plan_mine` — drives :func:`repro.core.parallel.plan_shards` with a
   **fixed** planning width (stored on the parent job), so the shard set is
   a deterministic function of (dataset, parameters, plan_workers) and a

@@ -1,4 +1,4 @@
-"""Unit tests for the packed-bitmap evolving-set representation."""
+"""Unit tests for the Python-int bitmap evolving-set representation."""
 
 from __future__ import annotations
 
@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitset import (
-    BitsetEvolvingSet,
-    and_words,
-    bits_to_indices,
-    pack_indices,
-    popcount,
-)
+from repro.core.bitset import BitsetEvolvingSet, bit_indices, decode_bitmaps, pack_bits
 from repro.core.types import EvolvingSet
 
 
@@ -38,37 +32,69 @@ def index_sets(draw, max_index=200):
 
 class TestPackRoundtrip:
     def test_empty(self):
-        assert pack_indices(np.empty(0, dtype=np.int64), 0).size == 0
-        assert bits_to_indices(np.empty(0, dtype=np.uint64)).size == 0
+        assert pack_bits(np.empty(0, dtype=np.int64), 0) == 0
+        assert bit_indices(0).size == 0
+        assert bit_indices(0).dtype == np.int64
 
     def test_single_word(self):
-        words = pack_indices(np.array([0, 5, 63]), 64)
-        assert words.size == 1
-        assert popcount(words) == 3
-        np.testing.assert_array_equal(bits_to_indices(words), [0, 5, 63])
+        bits = pack_bits(np.array([0, 5, 63]), 64)
+        assert bits == 1 | 1 << 5 | 1 << 63
+        assert bits.bit_count() == 3
+        np.testing.assert_array_equal(bit_indices(bits), [0, 5, 63])
 
     def test_word_boundary(self):
-        # 64 and 65 exercise the first bit of the second word.
-        words = pack_indices(np.array([63, 64, 65]), 66)
-        assert words.size == 2
-        np.testing.assert_array_equal(bits_to_indices(words), [63, 64, 65])
+        # 64 and 65 sit past the first machine word.
+        bits = pack_bits(np.array([63, 64, 65]), 66)
+        assert bits.bit_length() == 66
+        np.testing.assert_array_equal(bit_indices(bits), [63, 64, 65])
 
     def test_horizon_not_multiple_of_64(self):
-        words = pack_indices(np.array([0, 99]), 100)
-        assert words.size == 2
-        np.testing.assert_array_equal(bits_to_indices(words), [0, 99])
+        bits = pack_bits(np.array([0, 99]), 100)
+        assert bits == 1 | 1 << 99
+        np.testing.assert_array_equal(bit_indices(bits), [0, 99])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="indices must lie"):
-            pack_indices(np.array([70]), 64)
+            pack_bits(np.array([70]), 64)
+        with pytest.raises(ValueError, match="indices must lie"):
+            pack_bits(np.array([-1, 3]), 64)
 
     @given(index_sets())
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_property(self, indices):
         horizon = int(indices[-1]) + 1 if len(indices) else 0
-        words = pack_indices(indices, horizon)
-        np.testing.assert_array_equal(bits_to_indices(words), indices)
-        assert popcount(words) == len(indices)
+        bits = pack_bits(indices, horizon)
+        assert bits == sum(1 << int(i) for i in indices)
+        np.testing.assert_array_equal(bit_indices(bits), indices)
+        assert bits.bit_count() == len(indices)
+
+
+class TestDecodeBitmaps:
+    def test_distinct_bitmaps_decoded_once(self):
+        wide = 1 << 3 | 1 << 70
+        decoded = decode_bitmaps([wide, 0, 1 << 5, wide])
+        assert decoded == {wide: (3, 70), 0: (), 1 << 5: (5,)}
+        assert all(isinstance(i, int) for i in decoded[wide])
+
+    def test_only_zero_bitmaps(self):
+        assert decode_bitmaps([0, 0]) == {0: ()}
+        assert decode_bitmaps([]) == {}
+
+    @given(st.lists(index_sets(max_index=300), max_size=30), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_python_sets_across_batches(self, index_lists, batch):
+        from repro.core import bitset
+
+        bitmaps = [sum(1 << int(i) for i in idx) for idx in index_lists]
+        original = bitset._DECODE_BATCH
+        bitset._DECODE_BATCH = batch
+        try:
+            decoded = decode_bitmaps(bitmaps)
+        finally:
+            bitset._DECODE_BATCH = original
+        assert set(decoded) == set(bitmaps)
+        for idx, bits in zip(index_lists, bitmaps):
+            assert decoded[bits] == tuple(int(i) for i in idx)
 
 
 class TestBitsetEvolvingSet:
@@ -76,6 +102,8 @@ class TestBitsetEvolvingSet:
         bs = BitsetEvolvingSet.from_arrays(
             np.array([1, 64, 70]), np.array([1, -1, 1], dtype=np.int8)
         )
+        assert bs.presence == 1 << 1 | 1 << 64 | 1 << 70
+        assert bs.dirs == 1 << 1 | 1 << 70
         np.testing.assert_array_equal(bs.to_indices(), [1, 64, 70])
         np.testing.assert_array_equal(bs.to_directions(), [1, -1, 1])
 
@@ -85,7 +113,9 @@ class TestBitsetEvolvingSet:
         )
         assert len(bs) == 0
         assert not bs
+        assert bs.presence == 0 and bs.dirs == 0
         assert bs.to_indices().size == 0
+        assert bs.to_directions().size == 0
 
     def test_lazy_bits_matches_arrays(self):
         ev = make_set([3, 64, 127, 128], [1, -1, -1, 1])
@@ -100,10 +130,10 @@ class TestBitsetEvolvingSet:
         assert a.bits.intersect_count(b.bits) == 1
         assert b.bits.intersect_count(a.bits) == 1
 
-    def test_and_words_truncates(self):
-        a = pack_indices(np.array([1, 100]), 128)
-        b = pack_indices(np.array([1, 2]), 64)
-        np.testing.assert_array_equal(bits_to_indices(and_words(a, b)), [1])
+    def test_and_of_differing_horizons(self):
+        a = pack_bits(np.array([1, 100]), 128)
+        b = pack_bits(np.array([1, 2]), 64)
+        np.testing.assert_array_equal(bit_indices(a & b), [1])
 
 
 class TestShift:
@@ -154,6 +184,7 @@ class TestExtended:
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), 300
         )
         np.testing.assert_array_equal(grown.to_indices(), [1])
+        assert grown.horizon == 300
 
     def test_shrink_rejected(self):
         ev = make_set([100])
@@ -165,16 +196,131 @@ class TestExtended:
         with pytest.raises(ValueError, match="after the existing horizon"):
             ev.bits.extended(np.array([99]), np.array([1], dtype=np.int8), 300)
 
+    def test_batch_past_new_horizon_rejected(self):
+        ev = make_set([10])
+        with pytest.raises(ValueError, match="indices must lie"):
+            ev.bits.extended(np.array([40]), np.array([1], dtype=np.int8), 40)
+
 
 class TestValidation:
     def test_mismatched_words_dirs(self):
-        with pytest.raises(ValueError, match="equal length"):
-            BitsetEvolvingSet(
-                np.zeros(2, dtype=np.uint64), np.zeros(1, dtype=np.uint64), 128
-            )
+        # A direction bit where the sensor does not evolve.
+        with pytest.raises(ValueError, match="subset"):
+            BitsetEvolvingSet(0b0101, 0b0010, 8)
 
     def test_horizon_word_count_mismatch(self):
-        with pytest.raises(ValueError, match="words"):
-            BitsetEvolvingSet(
-                np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64), 128
-            )
+        with pytest.raises(ValueError, match="horizon"):
+            BitsetEvolvingSet(1 << 128, 0, 128)
+
+    def test_negative_bitmaps_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            BitsetEvolvingSet(-1, 0, 8)
+        with pytest.raises(ValueError, match="non-negative"):
+            BitsetEvolvingSet(1, -2, 8)
+
+
+# ---------------------------------------------------------------------------
+# The int operations against the same questions asked of plain Python sets.
+# ---------------------------------------------------------------------------
+
+HORIZONS = (63, 64, 65, 100, 2016)
+
+
+@st.composite
+def events(draw, horizon: int) -> dict[int, int]:
+    """Evolving timestamps in ``[0, horizon)`` with a ±1 direction each."""
+    indices = draw(
+        st.sets(st.integers(min_value=0, max_value=horizon - 1), max_size=60)
+    )
+    return {i: draw(st.sampled_from((-1, 1))) for i in sorted(indices)}
+
+
+@st.composite
+def horizon_and_events(draw, count: int):
+    horizon = draw(st.sampled_from(HORIZONS))
+    return horizon, [draw(events(horizon)) for _ in range(count)]
+
+
+def as_bits(evs: dict[int, int], horizon: int | None = None) -> BitsetEvolvingSet:
+    indices = np.array(sorted(evs), dtype=np.int64)
+    directions = np.array([evs[i] for i in sorted(evs)], dtype=np.int8)
+    return BitsetEvolvingSet.from_arrays(indices, directions, horizon)
+
+
+def assert_matches(bits: BitsetEvolvingSet, evs: dict[int, int]) -> None:
+    assert bits.presence >= 0 and bits.dirs >= 0
+    assert bits.presence >> bits.horizon == 0
+    assert bits.dirs & ~bits.presence == 0
+    assert bits.to_indices().tolist() == sorted(evs)
+    assert bits.to_directions().tolist() == [evs[i] for i in sorted(evs)]
+    assert bits.count() == len(evs)
+
+
+class TestAgainstPythonSets:
+    @given(horizon_and_events(2))
+    @settings(max_examples=120, deadline=None)
+    def test_intersect_count(self, case):
+        _horizon, (a, b) = case
+        # Tight covers: the two bitmaps usually differ in length.
+        bits_a, bits_b = as_bits(a), as_bits(b)
+        common = set(a) & set(b)
+        assert bits_a.intersect_count(bits_b) == len(common)
+        assert bits_b.intersect_count(bits_a) == len(common)
+        assert bit_indices(bits_a.presence & bits_b.presence).tolist() == sorted(common)
+
+    @given(
+        horizon_and_events(1),
+        st.integers(min_value=0, max_value=2100),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shift(self, case, magnitude, earlier):
+        horizon, (evs,) = case
+        delay = -magnitude if earlier else magnitude
+        moved = {
+            t + delay: d for t, d in evs.items() if 0 <= t + delay < horizon
+        }
+        shifted = as_bits(evs).shift(delay, horizon)
+        assert shifted.horizon == horizon
+        assert_matches(shifted, moved)
+
+    @given(horizon_and_events(1), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_extended(self, case, data):
+        horizon, (evs,) = case
+        cut = data.draw(st.integers(min_value=0, max_value=horizon))
+        grown_to = data.draw(st.integers(min_value=horizon, max_value=horizon + 70))
+        old = {t: d for t, d in evs.items() if t < cut}
+        new = {t: d for t, d in evs.items() if t >= cut}
+        new_indices = np.array(sorted(new), dtype=np.int64)
+        new_directions = np.array([new[t] for t in sorted(new)], dtype=np.int8)
+        grown = as_bits(old, cut).extended(new_indices, new_directions, grown_to)
+        assert grown.horizon == grown_to
+        assert_matches(grown, evs)
+        whole = as_bits(evs, grown_to)
+        assert (grown.presence, grown.dirs) == (whole.presence, whole.dirs)
+
+    @given(horizon_and_events(1))
+    @settings(max_examples=120, deadline=None)
+    def test_directions_round_trip(self, case):
+        horizon, (evs,) = case
+        assert_matches(as_bits(evs, horizon), evs)
+        assert_matches(as_bits(evs), evs)
+
+    @given(horizon_and_events(2))
+    @settings(max_examples=120, deadline=None)
+    def test_direction_branches_never_negative(self, case):
+        """The direction-aware split keeps only non-negative ints."""
+        _horizon, (a, b) = case
+        bits_a, bits_b = as_bits(a), as_bits(b)
+        common = bits_a.presence & bits_b.presence
+        differs = bits_a.dirs ^ bits_b.dirs
+        same, opposite = common & ~differs, common & differs
+        assert common >= 0 and same >= 0 and opposite >= 0
+        assert same | opposite == common and same & opposite == 0
+        shared = set(a) & set(b)
+        assert bit_indices(same).tolist() == sorted(t for t in shared if a[t] == b[t])
+        assert bit_indices(opposite).tolist() == sorted(
+            t for t in shared if a[t] != b[t]
+        )
+        assert same.bit_count() + opposite.bit_count() == len(shared)

@@ -13,6 +13,7 @@ handoff get unit tests of their own.
 
 from __future__ import annotations
 
+import pickle
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -159,22 +160,21 @@ class TestPackedEvolvingStore:
         for sid, original in evolving.items():
             np.testing.assert_array_equal(rebuilt[sid].indices, original.indices)
             np.testing.assert_array_equal(rebuilt[sid].directions, original.directions)
-            np.testing.assert_array_equal(
-                rebuilt[sid].bits.words, original.bits.words
-            )
-            np.testing.assert_array_equal(rebuilt[sid].bits.dirs, original.bits.dirs)
+            assert rebuilt[sid].bits.presence == original.bits.presence
+            assert rebuilt[sid].bits.dirs == original.bits.dirs
+            assert rebuilt[sid].bits.horizon == original.bits.horizon
 
-    def test_bitmaps_are_views_into_flat_buffers(self):
-        """The zero-copy claim: unpacked words share memory with the store."""
+    def test_unpacked_sets_carry_the_packed_bitmaps(self):
+        """Workers search on the handed-over bitmaps, never a re-pack."""
         evolving = {
             "a": EvolvingSet(np.array([1, 5, 70]), np.array([1, -1, 1], dtype=np.int8)),
             "b": EvolvingSet(np.array([2, 64]), np.array([1, 1], dtype=np.int8)),
         }
         store = PackedEvolvingStore.pack(evolving)
+        assert pickle.loads(pickle.dumps(store)).bitmaps.keys() == evolving.keys()
         rebuilt = store.unpack()
         for sid in evolving:
-            assert np.shares_memory(rebuilt[sid].bits.words, store.words)
-            assert np.shares_memory(rebuilt[sid].bits.dirs, store.dirs)
+            assert rebuilt[sid].bits is store.bitmaps[sid]
 
 
 class TestShardPlanner:

@@ -7,7 +7,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from repro.core.bitset import and_words, bits_to_indices
+from repro.core.bitset import bit_indices
 from repro.core.types import (
     CAP,
     EvolvingSet,
@@ -215,7 +215,7 @@ class TestEvolvingSet:
     def test_intersect(self):
         a = EvolvingSet(np.array([1, 3, 5]), np.array([1, 1, 1], dtype=np.int8))
         b = EvolvingSet(np.array([3, 5, 7]), np.array([1, -1, 1], dtype=np.int8))
-        common = bits_to_indices(and_words(a.bits.words, b.bits.words))
+        common = bit_indices(a.bits.presence & b.bits.presence)
         np.testing.assert_array_equal(common, [3, 5])
 
     def test_shift_clips_to_horizon(self):
