@@ -18,10 +18,10 @@ are too); the time-delayed variant's shift is ``x >> d`` or
 runs that word loop in C without the per-call cost of a numpy array
 operation, which at this size exceeds the work itself.  numpy appears only
 at the edges — one ``packbits`` pass builds a sensor's ints from its index
-array, and :func:`bit_indices` turns an emitted bitmap back into sorted
-indices.  Every search mode runs on these bitmaps; the exhaustive
-:func:`repro.core.baseline.naive_search` keeps the sorted arrays as an
-independent oracle.
+array, and :func:`decode_bitmaps` turns a search's emitted bitmaps back
+into sorted indices in one batch.  Every search mode runs on these
+bitmaps; the exhaustive :func:`repro.core.baseline.naive_search` keeps the
+sorted arrays as an independent oracle.
 """
 
 from __future__ import annotations
