@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.data.datasets import recommended_parameters
-from repro.data.synthetic import generate_santander
+from repro.data.synthetic import generate_china6, generate_santander
 from repro.server.app import TestClient, create_app
 from repro.store import Database, thaw
 from tests.conftest import mine_v1, result_caps
@@ -225,6 +225,20 @@ class TestAdminAndMisc:
         row = payload["results_by_dataset"]["santander"]
         assert row["settings"] == 2
         assert row["total_caps"] > 0
+
+    def test_admin_results_by_dataset_body_is_pinned(self, client):
+        """Exact body over two datasets, one holding a result with no CAPs."""
+        china = generate_china6(seed=3, grid_rows=2, grid_cols=2, steps=120)
+        assert client.upload_dataset(china, chunk_lines=1000).status == 201
+        mine(client)
+        mine(client, dict(PARAMS, min_support=5))
+        empty = mine(client, dict(PARAMS, min_support=10_000), dataset="china6")
+        assert empty.json()["num_caps"] == 0
+        body = client.get(f"{API}/admin/results-by-dataset").body
+        assert body == (
+            b'{"results_by_dataset": {"china6": {"settings": 1, "total_caps": 0},'
+            b' "santander": {"settings": 2, "total_caps": 100}}}'
+        )
 
     def test_admin_results_empty(self, client):
         payload = client.get(f"{API}/admin/results-by-dataset").json()
