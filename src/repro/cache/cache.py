@@ -124,24 +124,13 @@ class ResultCache:
 
     def caps_by_dataset(self) -> dict[str, dict[str, int]]:
         """Per dataset: the stored parameter settings and their total CAPs."""
-        collection = self.database[_COLLECTION]
-        rows = collection.aggregate(
-            [
-                {"$project": {"dataset": "$payload.dataset", "num_caps": "$result.caps"}},
-                {"$unwind": "$num_caps"},
-                {"$group": {"_id": "$dataset", "total_caps": {"$count": 1}}},
-                {"$sort": {"_id": 1}},
-            ]
-        )
-        settings = collection.aggregate(
-            [
-                {"$group": {"_id": "$payload.dataset", "settings": {"$count": 1}}},
-                {"$sort": {"_id": 1}},
-            ]
-        )
-        per_dataset = {row["_id"]: {"total_caps": row["total_caps"]} for row in rows}
-        for row in settings:
-            per_dataset.setdefault(row["_id"], {"total_caps": 0})["settings"] = row["settings"]
+        per_dataset: dict[str, dict[str, int]] = {}
+        for document in self.database[_COLLECTION].find():
+            row = per_dataset.setdefault(
+                document["payload"]["dataset"], {"settings": 0, "total_caps": 0}
+            )
+            row["settings"] += 1
+            row["total_caps"] += len(document["result"]["caps"])
         return per_dataset
 
     def decode(self, document: Mapping[str, Any]) -> MiningResult:

@@ -1155,5 +1155,5 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         responses={"200": "per-dataset cached-result aggregation"},
     )
     def v1_admin_results_by_dataset(request: Request) -> Response:
-        """Aggregation-pipeline summary of the cached results per dataset."""
+        """Per-dataset summary of the cached results."""
         return json_response(results_by_dataset_payload(state))

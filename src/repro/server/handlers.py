@@ -920,5 +920,5 @@ def admin_stats_payload(state: ServerState) -> dict[str, Any]:
 
 
 def results_by_dataset_payload(state: ServerState) -> dict[str, Any]:
-    """Aggregation-pipeline summary of the cached results per dataset."""
+    """Per-dataset summary of the cached results."""
     return {"results_by_dataset": state.cache.caps_by_dataset()}

@@ -11,7 +11,6 @@ Documents are frozen on write and shared read-only on read: ``find`` and
 mutable copy.
 """
 
-from .aggregate import aggregate
 from .collection import Collection
 from .compaction import CompactionThread
 from .database import Database
@@ -27,7 +26,6 @@ __all__ = [
     "HashIndex",
     "QueryError",
     "SortedIndex",
-    "aggregate",
     "compile_query",
     "matches",
     "thaw",

@@ -2,8 +2,9 @@
 
 A :class:`Collection` owns JSON-like documents keyed by an integer id the
 store assigns (exposed as ``_id``), supports Mongo-style ``find`` /
-``insert_one`` / ``update_one`` / ``delete_many``, and consults its
-secondary indexes to avoid full scans for equality and range queries.
+``insert_one`` / ``update_one`` / ``delete_many`` over the query language
+of :mod:`repro.store.query`, and consults its secondary indexes to avoid
+full scans for equality, ``$in`` and range queries.
 
 Documents are frozen on write and shared read-only on read: every write
 stores a :class:`~repro.store.frozen.FrozenDict` (nested values frozen too,
@@ -19,12 +20,11 @@ from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
-from typing import Any, Callable, ContextManager, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, ContextManager, Iterable, Iterator, Mapping
 
 from .frozen import FrozenDict, freeze
 from .index import HashIndex, SortedIndex
-from .query import MISSING as _MISSING
-from .query import QueryError, compile_query, get_path, matches
+from .query import MISSING, QueryError, compile_query, get_path, is_operator_spec, matches
 
 __all__ = ["Collection"]
 
@@ -94,7 +94,7 @@ class Collection:
             self._replay_put(record["doc"])
         elif op == "del":
             self._replay_delete(record.get("ids", ()))
-        elif op == "clear":
+        elif op == "clear":  # written by earlier builds' Collection.clear()
             with self._write_lock:
                 self._reset_documents()
         elif op == "index":
@@ -299,14 +299,6 @@ class Collection:
                     self._journal({"op": "del", "ids": doc_ids})
                 return len(doc_ids)
 
-    def clear(self) -> None:
-        with self._engine():
-            with self._write_lock:
-                had_documents = bool(self._documents)
-                self._reset_documents()
-                if had_documents:
-                    self._journal({"op": "clear"})
-
     def _unindex(self, doc_id: int) -> None:
         for index in self._hash_indexes.values():
             index.remove(doc_id)
@@ -321,75 +313,64 @@ class Collection:
 
     # -- reads ----------------------------------------------------------------
 
+    def _term_ids(self, key: str, condition: Any) -> set[int] | None:
+        """Exactly the ids matching one equality or ``$in`` term, read off
+        the field's hash index; ``None`` when the index cannot answer it.
+
+        Equality with None matches the documents the index leaves out
+        (field missing or None).  A ``$in`` holding None, or an unhashable
+        probe, needs a scan.
+        """
+        index = self._hash_indexes.get(key)
+        if index is None:
+            return None
+        if is_operator_spec(condition):
+            if set(condition) != {"$in"} or None in condition["$in"]:
+                return None
+            values = condition["$in"]
+        elif condition is None:
+            return self._documents.keys() - index.ids()
+        else:
+            values = (condition,)
+        try:
+            return set().union(*(index.lookup(value) for value in values))
+        except TypeError:
+            return None
+
     def _candidate_ids(self, query: Mapping[str, Any]) -> Iterable[int] | None:
-        """Use an index to narrow the scan, if an equality/``$in``/range term
-        has one.
+        """Narrow the scan with the first term an index answers.
 
         Returns ``None`` when no index applies (full scan).  Index results
         are a superset-of-matches *for that term*, so the final predicate is
         always re-applied.
         """
         for key, condition in query.items():
-            if not isinstance(key, str) or key.startswith("$"):
-                continue
-            is_plain = not (
-                isinstance(condition, Mapping)
-                and any(str(k).startswith("$") for k in condition)
-            )
-            is_in = isinstance(condition, Mapping) and set(condition) == {"$in"}
-            if (is_plain or is_in) and key in self._hash_indexes:
-                index = self._hash_indexes[key]
-                values = condition["$in"] if is_in else (condition,)
-                ids = set().union(*(index.lookup(value) for value in values))
-                if len(index) == len(self._documents):
-                    return ids  # every document is indexed under this field
-                # Documents missing the field (or holding None or an
-                # unhashable value) are not in the index; scan those too.
-                uncovered = [d for d in self._documents if not index.covers(d)]
-                return list(ids) + uncovered
-            if isinstance(condition, Mapping) and key in self._sorted_indexes:
-                ops = set(condition)
-                if ops & {"$gt", "$gte", "$lt", "$lte"} and not ops - {
-                    "$gt", "$gte", "$lt", "$lte"
-                }:
-                    low = condition.get("$gte", condition.get("$gt"))
-                    high = condition.get("$lte", condition.get("$lt"))
-                    sindex = self._sorted_indexes[key]
-                    ids = list(
-                        sindex.range(
-                            low,
-                            high,
-                            include_low="$gte" in condition or "$gt" not in condition,
-                            include_high="$lte" in condition or "$lt" not in condition,
-                        )
+            ids = self._term_ids(key, condition)
+            if ids is not None:
+                return ids
+            sindex = self._sorted_indexes.get(key)
+            if sindex is not None and is_operator_spec(condition) and "$in" not in condition:
+                return list(
+                    sindex.range(
+                        condition.get("$gte", condition.get("$gt")),
+                        condition.get("$lte", condition.get("$lt")),
+                        include_low="$gte" in condition or "$gt" not in condition,
+                        include_high="$lte" in condition or "$lt" not in condition,
                     )
-                    return ids
+                )
         return None
 
     def _exact_ids(self, query: Mapping[str, Any]) -> set[int] | None:
         """The matching ids read straight off hash indexes, or ``None``.
 
-        Answers queries whose every term is an equality or ``$in`` on a
-        hash-indexed field holding no unhashable value: index membership
-        then *is* the predicate, so no document is visited.  Equality with
-        None matches exactly the documents the index leaves out.
+        Answers queries whose every term :meth:`_term_ids` answers: index
+        membership then *is* the predicate, so no document is visited.
         """
         matched: set[int] | None = None
         for key, condition in query.items():
-            index = self._hash_indexes.get(key)
-            if index is None or index.unhashable:
+            ids = self._term_ids(key, condition)
+            if ids is None:
                 return None
-            if isinstance(condition, Mapping) and any(
-                str(k).startswith("$") for k in condition
-            ):
-                values = condition.get("$in")
-                if set(condition) != {"$in"} or any(v is None for v in values):
-                    return None
-                ids = set().union(*(index.lookup(value) for value in values))
-            elif condition is None:
-                ids = self._documents.keys() - index.ids()
-            else:
-                ids = index.lookup(condition)
             matched = ids if matched is None else matched & ids
         return matched
 
@@ -431,8 +412,8 @@ class Collection:
             if doc_id in documents  # a concurrent delete may have won
         ]
         if sort is not None:
-            present = [d for d in results if get_path(d, sort) is not _MISSING]
-            absent = [d for d in results if get_path(d, sort) is _MISSING]
+            present = [d for d in results if get_path(d, sort) is not MISSING]
+            absent = [d for d in results if get_path(d, sort) is MISSING]
             present.sort(key=lambda d: get_path(d, sort), reverse=descending)
             results = present + absent
         else:
@@ -446,12 +427,6 @@ class Collection:
     def find_one(self, query: Mapping[str, Any] | None = None) -> dict[str, Any] | None:
         found = self.find(query, limit=1)
         return found[0] if found else None
-
-    def aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
-        """Run an aggregation pipeline over the collection's documents."""
-        from .aggregate import aggregate as _aggregate
-
-        return _aggregate(self.find(), pipeline)
 
     def count(self, query: Mapping[str, Any] | None = None) -> int:
         if not query:

@@ -5,13 +5,13 @@ Two index kinds, mirroring what the system actually queries:
 * :class:`HashIndex` — exact-match lookup on one dotted field path.  Used by
   the cache (lookup by parameter-hash) and by dataset-name queries.
 * :class:`SortedIndex` — order-preserving index supporting range scans
-  (``$gt``/``$lt`` style) and an O(1) maximum, used by support-ordered CAP
-  queries and the job registry's sequence counter.
+  (``$gt``/``$lt`` style) and an O(1) maximum, used by the stream feed's
+  ``seq`` cursor and the job registry's ``sequence`` counter.
 
 Indexes observe inserts/removes through the collection; they never own the
-documents.  Values that are missing or unorderable simply stay out of the
-index — queries fall back to a scan for those documents (the collection
-handles that).
+documents.  Values that are missing or None stay out of both kinds, and
+unorderable values out of the sorted one; the collection answers queries
+about those documents without the index.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from __future__ import annotations
 import bisect
 from typing import Any, Iterator, KeysView, Mapping
 
-from .query import MISSING as _MISSING
-from .query import get_path
+from .query import MISSING, get_path
 
 __all__ = ["HashIndex", "SortedIndex"]
 
@@ -33,49 +32,41 @@ class HashIndex:
             raise ValueError("index path must be non-empty")
         self.path = path
         self._buckets: dict[Any, set[int]] = {}
+        #: Every document whose field is present and not None, with its
+        #: value.  An unhashable value (an array, an object) is held here
+        #: but in no bucket: it never equals a hashable probe.
         self._indexed: dict[int, Any] = {}
-        #: Documents whose value is present but unhashable (arrays, objects).
-        #: While any exist, an equality may match outside the index (array
-        #: containment), so membership alone does not answer it.
-        self.unhashable: set[int] = set()
 
     def insert(self, doc_id: int, document: Mapping[str, Any]) -> None:
         key = get_path(document, self.path)
-        if key is _MISSING or key is None:
+        if key is MISSING or key is None:
             return
-        try:
-            bucket = self._buckets.setdefault(key, set())
-        except TypeError:
-            self.unhashable.add(doc_id)
-            return
-        bucket.add(doc_id)
         self._indexed[doc_id] = key
+        try:
+            self._buckets.setdefault(key, set()).add(doc_id)
+        except TypeError:
+            pass  # unhashable: held in _indexed only
 
     def remove(self, doc_id: int) -> None:
-        self.unhashable.discard(doc_id)
-        key = self._indexed.pop(doc_id, _MISSING)
-        if key is _MISSING:
+        key = self._indexed.pop(doc_id, MISSING)
+        if key is MISSING:
             return
-        bucket = self._buckets.get(key)
+        try:
+            bucket = self._buckets.get(key)
+        except TypeError:
+            return  # unhashable: never bucketed
         if bucket is not None:
             bucket.discard(doc_id)
             if not bucket:
                 del self._buckets[key]
 
     def lookup(self, value: Any) -> set[int]:
-        """Document ids whose indexed field equals ``value``."""
-        try:
-            hash(value)
-        except TypeError:
-            return set()
+        """Document ids whose indexed field equals ``value``; raises
+        ``TypeError`` when ``value`` is unhashable."""
         return set(self._buckets.get(value, ()))
 
-    def covers(self, doc_id: int) -> bool:
-        """Whether the document's field was indexable at insert time."""
-        return doc_id in self._indexed
-
     def ids(self) -> KeysView[int]:
-        """Every indexed document id (a live view)."""
+        """Every document whose field is present and not None (a live view)."""
         return self._indexed.keys()
 
     def __len__(self) -> int:
@@ -94,7 +85,7 @@ class SortedIndex:
 
     def insert(self, doc_id: int, document: Mapping[str, Any]) -> None:
         value = get_path(document, self.path)
-        if value is _MISSING or value is None:
+        if value is MISSING or value is None:
             return
         try:
             bisect.insort(self._entries, (value, doc_id))
@@ -103,8 +94,8 @@ class SortedIndex:
         self._indexed[doc_id] = value
 
     def remove(self, doc_id: int) -> None:
-        value = self._indexed.pop(doc_id, _MISSING)
-        if value is _MISSING:
+        value = self._indexed.pop(doc_id, MISSING)
+        if value is MISSING:
             return
         pos = bisect.bisect_left(self._entries, (value, doc_id))
         if pos < len(self._entries) and self._entries[pos] == (value, doc_id):
@@ -145,9 +136,6 @@ class SortedIndex:
     def max(self) -> Any:
         """The largest indexed value, or ``None`` when the index is empty."""
         return self._entries[-1][0] if self._entries else None
-
-    def covers(self, doc_id: int) -> bool:
-        return doc_id in self._indexed
 
     def __len__(self) -> int:
         return len(self._indexed)

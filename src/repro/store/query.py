@@ -1,31 +1,44 @@
-"""Mongo-style query language for the document store.
+"""The document store's query language: exactly what the system sends.
 
-The paper stores datasets and CAP results in MongoDB; this module implements
-the slice of its query language the system needs (and a bit more, so the
-store is genuinely reusable):
+The paper keeps datasets and CAP results in MongoDB; :mod:`repro.store`
+stands in for it and accepts only the slice of Mongo's query language the
+system's own callers use, so every accepted form has a caller:
 
-* equality on fields, with dotted paths (``"parameters.min_support"``);
-* comparison operators ``$eq $ne $gt $gte $lt $lte``;
-* membership ``$in $nin``;
-* existence ``$exists``;
-* array containment ``$all``, size ``$size``;
-* boolean combinators ``$and $or $not``;
-* regular expressions ``$regex``.
+* equality on a field, with dotted paths (``"payload.dataset"``), where a
+  missing field equals ``None`` (the job registry compares a lease that may
+  be absent against ``None``);
+* membership ``{"$in": [...]}`` (job states);
+* ranges ``$gt $gte $lt $lte`` (stream cursors over ``seq`` and
+  ``epoch``), which a collection plans on a sorted index.
+
+Equality is plain ``==``: a scalar does not match an array holding it,
+because every field the system queries holds a scalar (ids, names, states,
+sequence numbers).  Anything else — another operator, a top-level ``$``
+key, a ``$in`` without a list — raises :class:`QueryError` when the query
+is compiled, whatever the order of its terms.
 
 A query is a plain dict, e.g.::
 
-    {"dataset": "santander", "parameters.min_support": {"$gte": 10}}
+    {"dataset": "santander", "seq": {"$gt": 10}}
 
-:func:`matches` evaluates one document; :func:`compile_query` pre-validates
-a query and returns a fast predicate.
+:func:`compile_query` validates a query once and returns a document
+predicate; :func:`matches` evaluates one document.
 """
 
 from __future__ import annotations
 
-import re
+import operator
+from functools import partial
 from typing import Any, Callable, Mapping, Sequence
 
-__all__ = ["QueryError", "MISSING", "get_path", "matches", "compile_query"]
+__all__ = [
+    "QueryError",
+    "MISSING",
+    "get_path",
+    "is_operator_spec",
+    "matches",
+    "compile_query",
+]
 
 
 class _Missing:
@@ -36,7 +49,10 @@ class _Missing:
 
 
 MISSING = _Missing()
-_MISSING = MISSING
+
+_RANGE = {"$gt": operator.gt, "$gte": operator.ge, "$lt": operator.lt, "$lte": operator.le}
+
+_FieldTest = Callable[[Any], bool]
 
 
 class QueryError(ValueError):
@@ -44,142 +60,65 @@ class QueryError(ValueError):
 
 
 def get_path(document: Mapping[str, Any], path: str) -> Any:
-    """Resolve a dotted field path; returns the ``_MISSING`` sentinel if absent."""
+    """Resolve a dotted field path; returns the ``MISSING`` sentinel if absent."""
     current: Any = document
     for part in path.split("."):
         if isinstance(current, Mapping) and part in current:
             current = current[part]
         else:
-            return _MISSING
+            return MISSING
     return current
 
 
-def _compare(op: str, value: Any, operand: Any) -> bool:
-    if op == "$eq":
-        return value == operand
-    if op == "$ne":
-        return value != operand
-    if value is _MISSING:
+def is_operator_spec(condition: Any) -> bool:
+    """Whether a field's condition is an operator object, not a value."""
+    return isinstance(condition, Mapping) and any(
+        isinstance(k, str) and k.startswith("$") for k in condition
+    )
+
+
+def _in(operand: Sequence[Any], value: Any) -> bool:
+    return value is not MISSING and value in operand
+
+
+def _in_range(compare: Callable[[Any, Any], bool], operand: Any, value: Any) -> bool:
+    if value is MISSING:
         return False
     try:
-        if op == "$gt":
-            return value > operand
-        if op == "$gte":
-            return value >= operand
-        if op == "$lt":
-            return value < operand
-        if op == "$lte":
-            return value <= operand
+        return compare(value, operand)
     except TypeError:
         return False
-    raise QueryError(f"unknown comparison operator {op!r}")  # pragma: no cover
 
 
-def _match_operators(value: Any, spec: Mapping[str, Any]) -> bool:
-    for op, operand in spec.items():
-        if op in ("$eq", "$ne", "$gt", "$gte", "$lt", "$lte"):
-            if not _compare(op, value, operand):
-                return False
-        elif op == "$in":
+def _field_test(condition: Any) -> _FieldTest:
+    """Validate one field's condition and return the test its value must pass."""
+    if not is_operator_spec(condition):
+        return lambda value: condition is None if value is MISSING else value == condition
+    tests: list[_FieldTest] = []
+    for op, operand in condition.items():
+        if op == "$in":
             if not isinstance(operand, Sequence) or isinstance(operand, (str, bytes)):
                 raise QueryError("$in requires a list operand")
-            if value is _MISSING or value not in operand:
-                return False
-        elif op == "$nin":
-            if not isinstance(operand, Sequence) or isinstance(operand, (str, bytes)):
-                raise QueryError("$nin requires a list operand")
-            if value is not _MISSING and value in operand:
-                return False
-        elif op == "$exists":
-            if not isinstance(operand, bool):
-                raise QueryError("$exists requires a boolean operand")
-            if operand != (value is not _MISSING):
-                return False
-        elif op == "$all":
-            if not isinstance(operand, Sequence) or isinstance(operand, (str, bytes)):
-                raise QueryError("$all requires a list operand")
-            if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
-                return False
-            if not all(item in value for item in operand):
-                return False
-        elif op == "$size":
-            if not isinstance(operand, int):
-                raise QueryError("$size requires an integer operand")
-            if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
-                return False
-            if len(value) != operand:
-                return False
-        elif op == "$regex":
-            if not isinstance(operand, str):
-                raise QueryError("$regex requires a string pattern")
-            if not isinstance(value, str) or re.search(operand, value) is None:
-                return False
-        elif op == "$not":
-            if not isinstance(operand, Mapping):
-                raise QueryError("$not requires an operator object")
-            if _match_operators(value, operand):
-                return False
+            tests.append(partial(_in, operand))
+        elif op in _RANGE:
+            tests.append(partial(_in_range, _RANGE[op], operand))
         else:
             raise QueryError(f"unknown operator {op!r}")
-    return True
+    return lambda value: all(test(value) for test in tests)
 
 
-def _is_operator_spec(value: Any) -> bool:
-    return isinstance(value, Mapping) and any(
-        isinstance(k, str) and k.startswith("$") for k in value
-    )
+def compile_query(query: Mapping[str, Any]) -> Callable[[Mapping[str, Any]], bool]:
+    """Validate every term of a query and return a document predicate."""
+    if not isinstance(query, Mapping):
+        raise QueryError(f"query must be a mapping, got {type(query).__name__}")
+    terms: list[tuple[str, _FieldTest]] = []
+    for key, condition in query.items():
+        if not isinstance(key, str) or key.startswith("$"):
+            raise QueryError(f"top-level query keys must be field names, got {key!r}")
+        terms.append((key, _field_test(condition)))
+    return lambda document: all(test(get_path(document, key)) for key, test in terms)
 
 
 def matches(document: Mapping[str, Any], query: Mapping[str, Any]) -> bool:
     """Whether a document satisfies a query."""
-    for key, condition in query.items():
-        if key == "$and":
-            if not isinstance(condition, Sequence):
-                raise QueryError("$and requires a list of queries")
-            if not all(matches(document, sub) for sub in condition):
-                return False
-        elif key == "$or":
-            if not isinstance(condition, Sequence):
-                raise QueryError("$or requires a list of queries")
-            if not any(matches(document, sub) for sub in condition):
-                return False
-        elif key == "$not":
-            if not isinstance(condition, Mapping):
-                raise QueryError("top-level $not requires a query object")
-            if matches(document, condition):
-                return False
-        elif isinstance(key, str) and key.startswith("$"):
-            raise QueryError(f"unknown top-level operator {key!r}")
-        else:
-            value = get_path(document, key)
-            if _is_operator_spec(condition):
-                if not _match_operators(value, condition):
-                    return False
-            else:
-                # Plain equality; matching a scalar against an array field
-                # succeeds when the array contains it (Mongo semantics).
-                if value is _MISSING:
-                    if condition is not None:
-                        return False
-                elif value != condition:
-                    if not (
-                        isinstance(value, Sequence)
-                        and not isinstance(value, (str, bytes))
-                        and condition in value
-                    ):
-                        return False
-    return True
-
-
-def _validate(query: Mapping[str, Any]) -> None:
-    """Raise QueryError on malformed structure without needing a document."""
-    probe: dict[str, Any] = {}
-    matches(probe, query)
-
-
-def compile_query(query: Mapping[str, Any]) -> Callable[[Mapping[str, Any]], bool]:
-    """Validate a query once and return a document predicate."""
-    if not isinstance(query, Mapping):
-        raise QueryError(f"query must be a mapping, got {type(query).__name__}")
-    _validate(query)
-    return lambda document: matches(document, query)
+    return compile_query(query)(document)

@@ -22,24 +22,28 @@ class TestHashIndex:
         idx.insert(1, {"city": "london"})
         idx.remove(1)
         assert idx.lookup("london") == set()
-        assert not idx.covers(1)
+        assert 1 not in idx.ids()
         idx.remove(1)  # idempotent
 
     def test_missing_field_not_indexed(self):
         idx = HashIndex("city")
         idx.insert(1, {"name": "x"})
-        assert not idx.covers(1)
+        assert 1 not in idx.ids()
 
     def test_none_not_indexed(self):
         idx = HashIndex("city")
         idx.insert(1, {"city": None})
-        assert not idx.covers(1)
+        assert 1 not in idx.ids()
 
-    def test_unhashable_not_indexed(self):
+    def test_unhashable_value_is_present_but_not_bucketed(self):
         idx = HashIndex("tags")
         idx.insert(1, {"tags": ["a", "b"]})
-        assert not idx.covers(1)
-        assert idx.lookup(["a", "b"]) == set()
+        assert 1 in idx.ids()  # so equality with None excludes it
+        assert idx.lookup("a") == set()
+        with pytest.raises(TypeError):
+            idx.lookup(["a", "b"])
+        idx.remove(1)
+        assert 1 not in idx.ids()
 
     def test_dotted_path(self):
         idx = HashIndex("a.b")
@@ -86,9 +90,9 @@ class TestSortedIndex:
         idx = SortedIndex("v")
         idx.insert(1, {"v": 5})
         idx.insert(2, {"v": "string"})  # int vs str insort -> TypeError path
-        assert idx.covers(1)
+        assert list(idx.range()) == [1]
 
     def test_missing_field_skipped(self):
         idx = SortedIndex("v")
         idx.insert(1, {"other": 5})
-        assert not idx.covers(1)
+        assert len(idx) == 0

@@ -71,8 +71,8 @@ sparse_documents = st.lists(
 @given(sparse_documents, st.one_of(field_values, st.lists(field_values, max_size=2)))
 @settings(max_examples=60)
 def test_hash_index_on_a_sparse_field_equals_scan(docs, probe):
-    """``extra`` is missing, None, a scalar or an array: exact index answers,
-    the unhashable set, and the gap scan must all agree with a full scan."""
+    """``extra`` is missing, None, a scalar or an array, and so is the probe:
+    exact index answers and the declined plans must agree with a full scan."""
     plain = Collection("plain")
     indexed = Collection("indexed")
     indexed.create_index("extra", "hash")
@@ -83,7 +83,7 @@ def test_hash_index_on_a_sparse_field_equals_scan(docs, probe):
         {"extra": probe},
         {"extra": {"$in": [probe, 3]}},
         {"extra": probe, "group": "a"},
-        {"extra": probe, "group": {"$ne": "b"}},
+        {"extra": probe, "group": {"$in": ["a", "c"]}},
     ):
         assert plain.find(query) == indexed.find(query), query
         assert plain.count(query) == indexed.count(query), query
