@@ -30,9 +30,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from ..core.miner import MiningResult, MiscelaMiner
+from ..core.parallel import MiningCancelled, MiningControl
 from ..core.parameters import MiningParameters
 from ..core.types import SensorDataset
 from ..obs.metrics import get_registry
@@ -166,12 +167,18 @@ class ResultCache:
 
     # -- writes ---------------------------------------------------------------
 
-    def put(self, result: MiningResult) -> str:
+    def put(
+        self, result: MiningResult, *, current: Callable[[], bool] | None = None
+    ) -> str:
         """Store a mining result; returns its cache key.
 
         The upsert is one critical section, so two processes (or two apps
         on one store) publishing the same key never both insert.  It does
         not seed the decode memo: most published results are never read.
+
+        ``current`` (optional) checks, inside the section, that the mined
+        dataset is still the stored one; if not, nothing is written and
+        :class:`MiningCancelled` is raised.
         """
         key = cache_key(result.dataset_name, result.parameters)
         # Frozen before the critical section: the upsert's writes then share
@@ -183,6 +190,8 @@ class ResultCache:
         })
         collection = self.database[_COLLECTION]
         with self.database.exclusive():
+            if current is not None and not current():
+                raise MiningCancelled(f"dataset {result.dataset_name!r} was replaced")
             if collection.replace_one({"key": key}, document) is None:
                 collection.insert_one(document)
         with self._lock:
@@ -190,7 +199,7 @@ class ResultCache:
         return key
 
     def delete_key(self, key: str) -> None:
-        """Drop one cached result by key (stale-result reconciliation)."""
+        """Drop one cached result by key."""
         self.database[_COLLECTION].delete_many({"key": key})
         with self._lock:
             self._memo.pop(key, None)
@@ -209,18 +218,26 @@ class ResultCache:
 
     # -- the interactive-analysis entry point ----------------------------------
 
-    def mine_cached(self, dataset: SensorDataset, params: MiningParameters) -> MiningResult:
+    def mine_cached(
+        self,
+        dataset: SensorDataset,
+        params: MiningParameters,
+        *,
+        control: MiningControl | None = None,
+        current: Callable[[], bool] | None = None,
+    ) -> MiningResult:
         """Return cached CAPs when available, otherwise mine and cache.
 
         Note the cache key uses the *dataset name*, like the paper — callers
         re-uploading different data under the same name must call
-        :meth:`invalidate_dataset` first (the upload handler does).
+        :meth:`invalidate_dataset` in that critical section, and pass
+        ``current`` on to :meth:`put` (the server does both).
         """
         cached = self.get(dataset.name, params)
         if cached is not None:
             return cached
-        result = MiscelaMiner(params).mine(dataset)
-        self.put(result)
+        result = MiscelaMiner(params).mine(dataset, control=control)
+        self.put(result, current=current)
         return result
 
     def __len__(self) -> int:

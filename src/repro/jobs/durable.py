@@ -98,6 +98,9 @@ _JOBS = "jobs"
 _DEAD_LETTERS = "dead_letters"
 _SHARD_OUTPUTS = "shard_outputs"
 
+#: Upper bound, in seconds, of the exponential requeue delay.
+_BACKOFF_CAP = 30.0
+
 _METRICS = get_registry()
 _CLAIMS = _METRICS.counter(
     "repro_jobs_claims_total",
@@ -185,9 +188,9 @@ class DurableJobStore:
         ``AttemptsExhausted`` error (inputs quarantined in the
         ``dead_letters`` collection) instead of requeueing forever.
         ``0`` disables the bound.  Per-job ``max_attempts`` overrides it.
-    backoff_base, backoff_cap:
+    backoff_base:
         Exponential requeue delay: attempt *n*'s requeue sets
-        ``not_before = now + min(cap, base * 2**(n-1))``, gating
+        ``not_before = now + min(30 s, base * 2**(n-1))``, gating
         :meth:`claim_next` so a crashing job doesn't hot-loop the fleet.
     """
 
@@ -201,7 +204,6 @@ class DurableJobStore:
         terminal_capacity: int = 1024,
         max_attempts: int = 5,
         backoff_base: float = 0.5,
-        backoff_cap: float = 30.0,
     ) -> None:
         if lease_seconds <= 0:
             raise ValueError(f"lease_seconds must be > 0, got {lease_seconds}")
@@ -220,7 +222,6 @@ class DurableJobStore:
         self.lease_seconds = float(lease_seconds)
         self.max_attempts = int(max_attempts)
         self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
         #: Whether other processes may share this registry (store-backed).
         #: Governs shutdown semantics: a shared registry's jobs are
         #: *released* for takeover instead of cancelled when this process
@@ -672,7 +673,7 @@ class DurableJobStore:
                 self._quarantine_locked(document, now)
             else:
                 delay = min(
-                    self.backoff_cap,
+                    _BACKOFF_CAP,
                     self.backoff_base * (2.0 ** max(0, attempt - 1)),
                 )
                 changes = {

@@ -39,6 +39,7 @@ from typing import Any, Mapping
 from urllib.parse import urlencode
 
 from ..cache.keys import cache_key
+from ..core.parallel import MiningCancelled
 from ..obs.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE, get_registry
 from ..obs.trace import trace_tree
 from ..jobs import (
@@ -491,6 +492,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
                    "observation batches into the CAP change feed)",
             "400": "bad body/parameters/mode",
             "404": "unknown dataset",
+            "409": "dataset replaced while mining; nothing stored (dataset_replaced)",
         },
     )
     def v1_create_result(request: Request) -> Response:
@@ -504,7 +506,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
                 400, "body must contain 'parameters'", code="missing_fields"
             )
         mode = parse_mine_mode(payload, request)
-        dataset = state.get_dataset(name)
+        dataset, _, still_current = state.current_dataset(name)
         params = parse_parameters(payload["parameters"])
         if mode == "streaming":
             job, created = state.submit_stream_job(
@@ -536,7 +538,14 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
             response = json_response(body, status=202)
             response.headers["Location"] = _url(f"/jobs/{job.job_id}")
             return response
-        result = state.cache.mine_cached(dataset, params)
+        try:
+            result = state.cache.mine_cached(dataset, params, current=still_current)
+        except MiningCancelled:
+            raise HTTPError(
+                409,
+                f"dataset {name!r} was replaced while mining; mine it again",
+                code="dataset_replaced",
+            ) from None
         key = cache_key(name, params)
         body = {
             "key": key,

@@ -31,11 +31,11 @@ import io
 import os
 import threading
 import time
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from ..cache.cache import ResultCache
 from ..cache.keys import cache_key
-from ..core.miner import MiningResult, MiscelaMiner
+from ..core.miner import MiningResult
 from ..core.parameters import MiningParameters
 from ..core.types import SensorDataset
 from ..data.csv_io import ChunkAssembler, read_attribute_csv, read_location_csv
@@ -67,9 +67,8 @@ from ..stream import (
     FEED_SNAPSHOTS,
     OBSERVATIONS,
     STREAM_CONFIG,
-    STREAM_EPOCHS,
-    STREAM_STATE,
     StreamSession,
+    purge_stream,
 )
 from .http import HTTPError, Request, Response, json_response
 
@@ -77,6 +76,11 @@ __all__ = ["ServerState"]
 
 _DATASETS = "datasets"
 _GENERATIONS = "generations"
+
+# Resident-miner cadence: a drained stream job idles this long, then
+# releases its claim gated for re-claim after the poll delay.
+_STREAM_IDLE_SECONDS = 0.5
+_STREAM_POLL_SECONDS = 0.25
 
 
 class _Memo(NamedTuple):
@@ -169,12 +173,6 @@ class ServerState:
         self.stream_default_retention = (
             dict(stream_retention) if stream_retention else None
         )
-        # Resident-miner cadence: a drained stream job idles this long
-        # before releasing its claim, gated for re-claim after
-        # ``stream_poll_seconds``; a claim loop takes it back on its next
-        # beat (tests shorten all three).
-        self.stream_idle_seconds = 0.5
-        self.stream_poll_seconds = 0.25
         self.lock = threading.RLock()
         self._pending: dict[str, ChunkAssembler] = {}
         self._pending_meta: dict[str, tuple[list, list]] = {}
@@ -186,12 +184,6 @@ class ServerState:
         # Decoded datasets per name (see ``_Memo``); decoded results are
         # memoized by ``self.cache``.
         self._loaded: dict[str, _Memo] = {}
-        # Dataset generations (see ``_bump_generation``) are bumped on
-        # every re-upload/delete; async jobs snapshot the value when
-        # claimed and refuse to publish a result mined from superseded
-        # data, and v1 result ETags embed it so conditional GETs never
-        # revalidate a representation derived from replaced data.
-        #
         # Last: the claim loops start here and may build a runner at once.
         self.jobs = JobQueue(
             DurableJobStore(
@@ -305,21 +297,19 @@ class ServerState:
         return dataset
 
     def put_dataset(self, dataset: SensorDataset) -> None:
+        """Store ``dataset`` and :meth:`_supersede` the replaced one in one
+        critical section: no process sharing the store ever sees the new
+        data beside CAPs or feed events mined from the old."""
+        collection = self.database[_DATASETS]
+        document = {"name": dataset.name, "dataset": dataset_to_document(dataset)}
+        with self.database.exclusive():
+            if collection.replace_one({"name": dataset.name}, document) is None:
+                collection.insert_one(document)
+            stored = collection.find_one({"name": dataset.name})
+            self._supersede(dataset.name)
         with self.lock:
-            collection = self.database[_DATASETS]
-            document = {"name": dataset.name, "dataset": dataset_to_document(dataset)}
-            # One critical section: no refresh can swap in a peer's upload
-            # between this write and the read that memoizes it.
-            with self.database.exclusive():
-                if collection.replace_one({"name": dataset.name}, document) is None:
-                    collection.insert_one(document)
-                stored = collection.find_one({"name": dataset.name})
-            # Re-uploading under an existing name invalidates its cached CAPs.
-            self.cache.invalidate_dataset(dataset.name)
             self._loaded[dataset.name] = _Memo(stored, dataset)
-        self._bump_generation(dataset.name)
         self._cancel_dataset_jobs(dataset.name)
-        self._purge_stream(dataset.name)
 
     def delete_dataset(self, name: str) -> bool:
         """Delete a dataset; only an *actual* delete invalidates anything.
@@ -328,16 +318,24 @@ class ServerState:
         generation or cancel its jobs — a stray DELETE for a typo'd name
         would otherwise withdraw in-flight mining results for nothing.
         """
-        with self.lock:
-            removed = self.database[_DATASETS].delete_many({"name": name})
-            if not removed:
+        with self.database.exclusive():
+            if not self.database[_DATASETS].delete_many({"name": name}):
                 return False
-            self.cache.invalidate_dataset(name)
+            self._supersede(name)
+        with self.lock:
             self._loaded.pop(name, None)
-        self._bump_generation(name)
         self._cancel_dataset_jobs(name)
-        self._purge_stream(name)
         return True
+
+    def _supersede(self, name: str) -> None:
+        """Bump ``name``'s generation, drop its cached CAPs, purge its stream
+        (inside the section that replaced or deleted the dataset)."""
+        generations = self.database[_GENERATIONS]
+        changes = {"generation": self.dataset_generation(name, refresh=False) + 1}
+        if generations.update_one({"name": name}, changes) is None:
+            generations.insert_one({"name": name, **changes})
+        self.cache.invalidate_dataset(name)
+        purge_stream(self.database, name)
 
     def _cancel_dataset_jobs(self, dataset_name: str) -> None:
         """In-flight jobs for a replaced/deleted dataset are obsolete."""
@@ -349,60 +347,37 @@ class ServerState:
                 try:
                     self.jobs.cancel(job.job_id)
                 except (KeyError, JobStateError):
-                    pass  # finished in the meantime — the generation check below catches it
-
-    def _purge_stream(self, name: str) -> None:
-        """A destructive re-upload or delete resets the dataset's stream.
-
-        Observations, epochs, the miner high-water mark, the event feed,
-        and fired alerts all describe the *replaced* data, so they go;
-        alert rules survive — they express monitoring intent about the
-        name, not one generation's measurements.  The stream epoch
-        restarting at 0 is exactly what distinguishes it from the
-        ever-growing destructive generation.
-        """
-        queries = {
-            OBSERVATIONS: {"dataset": name},
-            STREAM_EPOCHS: {"name": name},
-            STREAM_STATE: {"name": name},
-            CAP_EVENTS: {"dataset": name},
-            ALERTS: {"dataset": name},
-            FEED_SNAPSHOTS: {"dataset": name},
-        }
-        for collection, query in queries.items():
-            self.database.collection(collection).delete_many(query)
-
-    def _bump_generation(self, name: str) -> None:
-        """Advance a dataset's generation in the shared store.
-
-        Runs inside the store's exclusive section so concurrent bumps from
-        several processes serialize: each one replays peers' records first,
-        then appends its own increment.  (On the memory engine
-        ``exclusive`` is the process-local lock.)
-        """
-        collection = self.database.collection(_GENERATIONS)
-        with self.database.exclusive():
-            document = collection.find_one({"name": name})
-            if document is None:
-                collection.insert_one({"name": name, "generation": 1})
-            else:
-                collection.update_one(
-                    {"name": name}, {"generation": document["generation"] + 1}
-                )
+                    pass  # finished in the meantime — its write checked the generation
 
     def dataset_generation(self, name: str, *, refresh: bool = True) -> int:
         """The current generation of ``name`` (0 until first upload).
 
-        Reads through the shared store — after a peer-visible refresh — so
-        a runner's mid-mine currency check observes a re-upload that
-        happened in another process.  ``refresh=False`` reads the store
-        view as it stands, for a caller that just refreshed it and must
-        pair the generation with documents read from that same view.
+        Refreshes the store view first, so a re-upload made by another
+        process counts; ``refresh=False`` reads the view as it stands
+        (inside ``Database.exclusive()``, or paired with documents just
+        read from the same view).
         """
         if refresh:
             self.jobs.store.refresh()
         document = self.database.collection(_GENERATIONS).find_one({"name": name})
         return int(document["generation"]) if document else 0
+
+    def current_dataset(
+        self, name: str
+    ) -> tuple[SensorDataset, int, Callable[[], bool]]:
+        """The stored dataset, its generation, and a ``still_current()`` check
+        for the writes derived from it.  The generation is read first: a
+        re-upload between the two reads fails the check instead of pairing
+        the replaced data with the new generation."""
+        generation = self.dataset_generation(name)
+        return self.get_dataset(name), generation, self._still_current(name, generation)
+
+    def _still_current(self, name: str, generation: int) -> Callable[[], bool]:
+        """A check that ``name`` is still at ``generation``, run only inside
+        ``Database.exclusive()`` (whose entry replays peers' records).  It
+        never refreshes: that takes the registry lock under the store lock,
+        the reverse of ``DurableJobStore._exclusive``."""
+        return lambda: self.dataset_generation(name, refresh=False) == generation
 
     # -- result resources -------------------------------------------------------
 
@@ -436,10 +411,11 @@ class ServerState:
         """Open (or dedup onto) the async mining job for (dataset, params).
 
         Only writes the job: a claim loop claims it and builds its runner
-        with :meth:`runner_for_job`.  The runner funnels its result
-        through the exact sync path — :meth:`ResultCache.mine_cached` — so
-        async-mined CAPs land in the same stored result documents (and
-        the same memoized decode) that result reads and map clicks use.
+        with :meth:`runner_for_job`.  The runner makes the sync route's
+        call — :meth:`ResultCache.mine_cached` with the dataset's
+        ``still_current`` check — so async-mined CAPs land in the same
+        stored result documents (and the same memoized decode) that result
+        reads and map clicks use, and never from replaced data.
 
         ``distributed=True`` opens the job as a distributed *parent*: its
         claimed execution is the planner, which splits the mine into shard
@@ -524,19 +500,19 @@ class ServerState:
             store = self.jobs.store
             attempt = job.attempt
             try:
-                dataset = self.get_dataset(job.dataset)
+                dataset, _, still_current = self.current_dataset(job.dataset)
             except HTTPError:
                 raise MiningCancelled(
                     f"dataset {job.dataset!r} is gone; stream retired"
                 ) from None
             params = MiningParameters.from_document(job.parameters)
-            generation = self.dataset_generation(job.dataset)
             session = StreamSession(
                 self.database,
                 dataset,
                 params,
                 job.key,
                 checkpoint=control.checkpoint,
+                current=still_current,
             )
 
             def on_alert(alert: Mapping[str, Any]) -> None:
@@ -572,10 +548,6 @@ class ServerState:
                         # load); the newer claim owns the stream now.
                         raise MiningCancelled("stream claim lost")
                     last_renewal = now
-                if self.dataset_generation(job.dataset) != generation:
-                    raise MiningCancelled(
-                        f"dataset {job.dataset!r} was replaced; stream superseded"
-                    )
                 pending = list(session.pending_epochs())
                 if pending:
                     for epoch in pending:
@@ -587,8 +559,8 @@ class ServerState:
                     continue
                 if idle_since is None:
                     idle_since = now
-                if now - idle_since >= self.stream_idle_seconds:
-                    store.release(job.job_id, attempt, retry_in=self.stream_poll_seconds)
+                if now - idle_since >= _STREAM_IDLE_SECONDS:
+                    store.release(job.job_id, attempt, retry_in=_STREAM_POLL_SECONDS)
                     return HANDLED
                 time.sleep(0.05)
 
@@ -598,21 +570,17 @@ class ServerState:
         """One whole mine: the dataset as of the claim, cached like a sync mine.
 
         A re-upload or delete of the dataset while the job is in flight
-        makes the loaded dataset stale: :meth:`put_dataset` /
-        :meth:`delete_dataset` bump the dataset's generation and request
-        cancellation of its jobs, and :meth:`_publish` refuses (or
-        withdraws) a result mined under an older generation, so the job
-        ends ``cancelled`` instead of serving superseded data.
+        cancels the job, and the ``still_current`` check refuses its
+        result should it finish first: the job ends ``cancelled``.
         """
-        generation = self.dataset_generation(job.dataset)
-        dataset = self.get_dataset(job.dataset)
+        dataset, _, still_current = self.current_dataset(job.dataset)
         params = MiningParameters.from_document(job.parameters)
 
         def runner(control) -> str:
             _hold(_MINE_DELAY_ENV, control)
-            if self.cache.get(job.dataset, params) is None:
-                result = MiscelaMiner(params).mine(dataset, control=control)
-                self._publish(result, job.key, generation)
+            self.cache.mine_cached(
+                dataset, params, control=control, current=still_current
+            )
             return job.key
 
         return runner
@@ -626,9 +594,8 @@ class ServerState:
         skips sub-jobs that already exist.
         """
         store = self.jobs.store
-        dataset = self.get_dataset(job.dataset)
+        dataset, generation, _ = self.current_dataset(job.dataset)
         params = MiningParameters.from_document(job.parameters)
-        generation = self.dataset_generation(job.dataset)
         plan = plan_mine(dataset, params, store.plan_workers(job.job_id))
         control.checkpoint()
         store.finish_planning(
@@ -654,7 +621,9 @@ class ServerState:
             store = self.jobs.store
             spec = store.shard_spec(job.job_id)
             _hold(_SHARD_DELAY_ENV, control)
-            self._require_generation(job.dataset, spec["generation"])
+            # Saves mining replaced data; the merge's check is the guarantee.
+            if self.dataset_generation(job.dataset) != spec["generation"]:
+                raise MiningCancelled(f"dataset {job.dataset!r} was replaced")
             dataset = self.get_dataset(job.dataset)
             params = MiningParameters.from_document(job.parameters)
             profiler = Profiler()
@@ -692,7 +661,6 @@ class ServerState:
             store = self.jobs.store
             spec = store.shard_spec(job.job_id)
             params = MiningParameters.from_document(job.parameters)
-            self._require_generation(job.dataset, spec["generation"])
             if self.cache.get(job.dataset, params) is None:
                 shard_results = store.shard_outputs(spec["parent_id"])
                 outputs = [
@@ -711,30 +679,13 @@ class ServerState:
                     ),
                 )
                 maybe_fault("before-merge-publish")
-                self._publish(result, job.key, spec["generation"])
+                self.cache.put(
+                    result,
+                    current=self._still_current(job.dataset, spec["generation"]),
+                )
             return job.key
 
         return runner
-
-    def _publish(self, result: MiningResult, key: str, generation: int) -> None:
-        """Cache a job's result unless its dataset moved past ``generation``.
-
-        Checked before the put, so CAPs mined from replaced data normally
-        never reach the cache, and once more after it: a re-upload that
-        slipped between check and put withdraws the entry.  Either way the
-        job ends ``cancelled``.
-        """
-        self._require_generation(result.dataset_name, generation)
-        self.cache.put(result)
-        try:
-            self._require_generation(result.dataset_name, generation)
-        except MiningCancelled:
-            self.cache.delete_key(key)
-            raise
-
-    def _require_generation(self, name: str, generation: int) -> None:
-        if self.dataset_generation(name) != generation:
-            raise MiningCancelled(f"dataset {name!r} was replaced while mining")
 
 
 # -- handler cores (the v1 route handlers delegate to these) -------------------

@@ -54,7 +54,6 @@ from .ingest import (
     CAP_EVENTS,
     FEED_SNAPSHOTS,
     OBSERVATIONS,
-    PURGED_COLLECTIONS,
     STREAM_CONFIG,
     STREAM_EPOCHS,
     STREAM_STATE,
@@ -62,6 +61,7 @@ from .ingest import (
     append_batch,
     batch_id,
     current_epoch,
+    purge_stream,
     update_lag,
 )
 from .retention import (
@@ -86,7 +86,6 @@ __all__ = [
     "EVENT_TYPES",
     "FEED_SNAPSHOTS",
     "OBSERVATIONS",
-    "PURGED_COLLECTIONS",
     "STREAM_CONFIG",
     "STREAM_EPOCHS",
     "STREAM_STATE",
@@ -113,6 +112,7 @@ __all__ = [
     "prune_alerts",
     "public_event",
     "public_rule",
+    "purge_stream",
     "read_events",
     "render_sse",
     "render_sse_bootstrap",

@@ -37,11 +37,11 @@ __all__ = [
     "ALERTS",
     "STREAM_CONFIG",
     "FEED_SNAPSHOTS",
-    "PURGED_COLLECTIONS",
     "BatchError",
     "append_batch",
     "batch_id",
     "current_epoch",
+    "purge_stream",
     "update_lag",
     "validate_batch",
 ]
@@ -65,17 +65,18 @@ STREAM_CONFIG = "stream_config"
 FEED_SNAPSHOTS = "feed_snapshots"
 
 #: Stream collections wiped by a destructive re-upload or delete of the
-#: dataset.  ``alert_rules`` and ``stream_config`` deliberately survive:
-#: both describe intent about a *name*, not one generation's data, so a
-#: re-uploaded dataset keeps its monitoring and retention configuration.
-PURGED_COLLECTIONS = (
-    OBSERVATIONS,
-    STREAM_EPOCHS,
-    STREAM_STATE,
-    CAP_EVENTS,
-    ALERTS,
-    FEED_SNAPSHOTS,
-)
+#: dataset, each with the field naming the dataset.  ``alert_rules`` and
+#: ``stream_config`` deliberately survive: both describe intent about a
+#: *name*, not one generation's data, so a re-uploaded dataset keeps its
+#: monitoring and retention configuration.
+PURGED_COLLECTIONS = {
+    OBSERVATIONS: "dataset",
+    STREAM_EPOCHS: "name",
+    STREAM_STATE: "name",
+    CAP_EVENTS: "dataset",
+    ALERTS: "dataset",
+    FEED_SNAPSHOTS: "dataset",
+}
 
 _METRICS = get_registry()
 _BATCHES = _METRICS.counter(
@@ -178,6 +179,13 @@ def validate_batch(
                 )
         series[sid] = values
     return [t.isoformat() for t in timeline], series
+
+
+def purge_stream(database: Any, name: str) -> None:
+    """Delete dataset ``name``'s documents from :data:`PURGED_COLLECTIONS`
+    (its stream epoch restarts at 0)."""
+    for collection, field in PURGED_COLLECTIONS.items():
+        database.collection(collection).delete_many({field: name})
 
 
 def append_batch(

@@ -39,6 +39,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..core.parallel import MiningCancelled
 from ..core.parameters import MiningParameters
 from ..core.streaming import StreamingMiner
 from ..core.types import SensorDataset
@@ -100,6 +101,10 @@ class StreamSession:
         The result cache key of (dataset, params) — the feed's address.
     checkpoint:
         Optional cancellation hook, called between replayed epochs.
+    current:
+        Optional check that ``dataset`` is still the stored one, run inside
+        each write's exclusive section; a failed check raises
+        :class:`MiningCancelled` and writes nothing.
     """
 
     def __init__(
@@ -110,12 +115,14 @@ class StreamSession:
         key: str,
         *,
         checkpoint: Callable[[], None] | None = None,
+        current: Callable[[], bool] | None = None,
         clock=time.time,
     ) -> None:
         self.database = database
         self.dataset = dataset
         self.params = params
         self.key = key
+        self.current = current
         self.clock = clock
         self.miner = StreamingMiner(params, dataset)
         state = stream_state(database, dataset.name)
@@ -135,6 +142,7 @@ class StreamSession:
                 "watermark": {"epoch": 0, **self.miner.export_state()},
             }
             with database.exclusive():
+                self._require_current()
                 existing = stream_state(database, dataset.name)
                 if existing is None:
                     database.collection(STREAM_STATE).insert_one(state)
@@ -164,6 +172,10 @@ class StreamSession:
             self.miner.extend(timeline, series)
             self.replayed_epochs += 1
 
+    def _require_current(self) -> None:
+        if self.current is not None and not self.current():
+            raise MiningCancelled(f"dataset {self.dataset.name!r} was replaced")
+
     def pending_epochs(self) -> range:
         """Appended-but-unmined epochs, oldest first."""
         appended, _ = current_epoch(self.database, self.dataset.name)
@@ -179,8 +191,9 @@ class StreamSession:
 
         Returns ``(events, alerts fired now)``.  Everything durable —
         events, alerts, and the high-water-mark advance — lands in one
-        exclusive section; ``on_alert`` runs only for alerts this call
-        actually inserted (crash-replay fires nothing twice).
+        exclusive section, or nothing does when the ``current`` check
+        fails there; ``on_alert`` runs only for alerts this call actually
+        inserted (crash-replay fires nothing twice).
         """
         if epoch != self.mined_epoch + 1:
             raise ValueError(
@@ -206,6 +219,7 @@ class StreamSession:
         fired: list[dict[str, Any]] = []
         now = self.clock()
         with self.database.exclusive():
+            self._require_current()
             events_collection = self.database.collection(CAP_EVENTS)
             for event in events:
                 if events_collection.find_one({"event_id": event["event_id"]}) is None:

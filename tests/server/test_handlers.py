@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.data.datasets import recommended_parameters
@@ -78,6 +80,38 @@ class TestUploadFlow:
         client.upload_dataset(dataset, chunk_lines=1000)
         stats = client.get(f"{API}/admin/stats").json()
         assert stats["cache"]["entries"] == 0
+
+
+    def test_replace_and_delete_are_one_critical_section(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        """On a store path, a re-upload and a delete each run in exactly one
+        outermost ``exclusive()`` section (each one ends in ``_wal_sync``),
+        so no process sharing the store sees a half-replaced dataset."""
+        app = create_app(Database(tmp_path / "db.json"))
+        try:
+            client = TestClient(app)
+            assert client.upload_dataset(dataset, chunk_lines=1000).status == 201
+            assert mine(client).status == 201
+            database = app.state.database
+            caller = threading.current_thread()
+            sections: list[str] = []
+            sync = database._wal_sync
+
+            def counting_sync() -> None:
+                if threading.current_thread() is caller:  # not the claim loops
+                    sections.append("section")
+                sync()
+
+            monkeypatch.setattr(database, "_wal_sync", counting_sync)
+            app.state.put_dataset(dataset)
+            assert len(sections) == 1
+            assert app.state.cache.documents("santander") == []
+            sections.clear()
+            assert app.state.delete_dataset("santander")
+            assert len(sections) == 1
+        finally:
+            app.close()
 
 
 class TestMining:

@@ -245,6 +245,34 @@ class TestCancellation:
         assert final["state"] == "cancelled"
         assert client.get(f"{API}/datasets/santander/results").json()["results"] == []
 
+    def test_reupload_during_sync_mine_refuses_the_result(
+        self, client, monkeypatch
+    ):
+        """A sync mine of replaced data stores nothing: the re-upload lands
+        after the mine computed, and the publish is refused with 409."""
+        replacement = generate_santander(seed=3, neighbourhoods=4, steps=240)
+        mine = MiscelaMiner.mine
+
+        def mine_then_reupload(miner, dataset, control=None):
+            result = mine(miner, dataset, control=control)
+            assert client.upload_dataset(replacement, chunk_lines=1000).status == 201
+            return result
+
+        monkeypatch.setattr(MiscelaMiner, "mine", mine_then_reupload)
+        refused = mine_v1(client, "santander", PARAMS)
+        assert refused.status == 409
+        assert refused.json()["error"]["code"] == "dataset_replaced"
+        assert client.get(f"{API}/datasets/santander/results").json()["results"] == []
+
+        monkeypatch.setattr(MiscelaMiner, "mine", mine)
+        fresh = mine_v1(client, "santander", PARAMS)
+        assert fresh.status == 201
+        assert fresh.json()["from_cache"] is False
+        direct = MiscelaMiner(MiningParameters.from_document(PARAMS)).mine(replacement)
+        assert json.dumps(result_caps(client, fresh.json()["key"]), sort_keys=True) == (
+            json.dumps([cap.to_document() for cap in direct.caps], sort_keys=True)
+        )
+
     def test_cancel_unknown_job_404(self, client):
         assert client.post(f"{API}/jobs/job-0099-missing/cancel").status == 404
 

@@ -81,8 +81,10 @@ def test_reupload_on_peer_withdraws_result_mid_mine(
     """Generation bumps are WAL records: server A's re-upload cancels the
     job server B is mining, across process boundaries."""
     store = tmp_path / "store.json"
+    # Alpha's idle beat outlasts the test, so beta's job is claimed by
+    # beta's own woken loop; alpha claims only what alpha submits.
     with ServerProcess(
-        store, worker_id="alpha", lease_seconds=5.0, worker_poll=0.1,
+        store, worker_id="alpha", lease_seconds=5.0, worker_poll=600.0,
     ) as alpha:
         upload_dataset(alpha, dataset)
         with ServerProcess(

@@ -10,6 +10,12 @@ from __future__ import annotations
 
 import time
 
+import repro.stream.runner as stream_runner
+from repro.core.parallel import MiningCancelled
+from repro.server.app import TestClient, create_app
+from repro.store.database import Database
+from repro.stream import ALERTS, CAP_EVENTS, STREAM_STATE, StreamSession
+
 from tests.jobs.harness import ServerProcess, upload_dataset
 from tests.stream.test_stream_e2e import (
     PARAMS,
@@ -114,3 +120,49 @@ def test_stream_state_purged_by_reupload(tmp_path, tiny_dataset):
         status, listing = server.get_json("/api/v1/datasets/tiny/alert-rules")
         assert status == 200
         assert [r["rule_id"] for r in listing["rules"]] == ["co-move"]
+
+
+def test_reupload_mid_epoch_commits_nothing(tmp_path, tiny_dataset, monkeypatch):
+    """A re-upload landing while the resident miner diffs an epoch: the
+    epoch commit is refused, so the new generation's feed starts empty."""
+    app = create_app(Database(tmp_path / "db.json"))
+    client = TestClient(app)
+    raised: list[BaseException] = []
+    process_epoch = StreamSession.process_epoch
+    diff_caps = stream_runner.diff_caps
+
+    def recording(session, epoch, **kwargs):
+        try:
+            return process_epoch(session, epoch, **kwargs)
+        except BaseException as exc:
+            raised.append(exc)
+            raise
+
+    def diff_then_reupload(before, after):
+        assert client.upload_dataset(tiny_dataset).status == 201
+        return diff_caps(before, after)
+
+    try:
+        assert client.upload_dataset(tiny_dataset).status == 201
+        assert client.post("/api/v1/datasets/tiny/alert-rules",
+                           json_body=RULE).status == 201
+        assert client.post("/api/v1/datasets/tiny/observations",
+                           json_body=BatchFeeder(tiny_dataset).batch({"a", "b"}),
+                           ).status == 202
+        monkeypatch.setattr(StreamSession, "process_epoch", recording)
+        monkeypatch.setattr(stream_runner, "diff_caps", diff_then_reupload)
+        opened = client.post("/api/v1/datasets/tiny/results",
+                             json_body={"parameters": PARAMS, "mode": "streaming"})
+        assert opened.status == 202
+        job_url = opened.headers["Location"]
+        deadline = time.monotonic() + 30.0
+        while client.get(job_url).json()["state"] != "cancelled":
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        assert [type(exc) for exc in raised] == [MiningCancelled]
+        database = app.state.database
+        assert database[CAP_EVENTS].find({"dataset": "tiny"}) == []
+        assert database[ALERTS].find({"dataset": "tiny"}) == []
+        assert database[STREAM_STATE].find({"name": "tiny"}) == []
+    finally:
+        app.close()
