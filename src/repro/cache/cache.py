@@ -9,14 +9,18 @@ canonical hash of (dataset name, parameters).
 
 It is the only code that reads, writes or decodes that collection.  A
 stored document is ``{"key", "payload": {"dataset", "parameters"},
-"result"}``; callers get documents through :meth:`ResultCache.document` /
-:meth:`ResultCache.documents`, their metadata through
-:meth:`ResultCache.metadata`, and the decoded result through
-:meth:`ResultCache.decode`.  Decoding is memoized per stored version: a
-memo entry holds the document it was decoded from, and stored documents are
-frozen and replaced (never edited) on every write, so the entry is current
-exactly while that document *is* the stored one — also across processes
-sharing a store.  ``get``, ``mine_cached`` hits, CAP pages and map clicks
+"result"}``, where ``result`` is the ``"encoding": 2`` columnar layout of
+:mod:`repro.core.result_columns`: plain ``dataset``, ``parameters``,
+``elapsed_seconds`` and ``num_caps`` fields beside base64 CAP columns.
+Documents written before that layout hold the ``to_document()`` CAP list
+under ``result["caps"]`` and still read.  Callers get documents through
+:meth:`ResultCache.document` / :meth:`ResultCache.documents`, their
+metadata through :meth:`ResultCache.metadata`, and the decoded result
+through :meth:`ResultCache.decode`.  Decoding is memoized per stored
+version: a memo entry holds the document it was decoded from, and stored
+documents are frozen and replaced (never edited) on every write, so the
+entry is current exactly while that document *is* the stored one — also
+across processes sharing a store.  ``get``, ``mine_cached`` hits, CAP pages and map clicks
 therefore share one decode, and the memo keeps at most
 :data:`MEMO_CAPACITY` decoded results.
 
@@ -35,6 +39,7 @@ from typing import Any, Callable, Mapping
 from ..core.miner import MiningResult, MiscelaMiner
 from ..core.parallel import MiningCancelled, MiningControl
 from ..core.parameters import MiningParameters
+from ..core.result_columns import result_to_columns
 from ..core.types import SensorDataset
 from ..obs.metrics import get_registry
 from ..store.database import Database
@@ -119,7 +124,7 @@ class ResultCache:
             "key": str(document["key"]),
             "dataset": str(document["payload"]["dataset"]),
             "parameters": document["payload"]["parameters"],
-            "num_caps": len(result["caps"]),
+            "num_caps": _num_caps(result),
             "elapsed_seconds": result.get("elapsed_seconds", 0.0),
         }
 
@@ -131,7 +136,7 @@ class ResultCache:
                 document["payload"]["dataset"], {"settings": 0, "total_caps": 0}
             )
             row["settings"] += 1
-            row["total_caps"] += len(document["result"]["caps"])
+            row["total_caps"] += _num_caps(document["result"])
         return per_dataset
 
     def decode(self, document: Mapping[str, Any]) -> MiningResult:
@@ -181,12 +186,12 @@ class ResultCache:
         :class:`MiningCancelled` is raised.
         """
         key = cache_key(result.dataset_name, result.parameters)
-        # Frozen before the critical section: the upsert's writes then share
-        # this tree instead of freezing the result while holding the lock.
+        # Encoded and frozen before the critical section: the upsert's writes
+        # then share this document instead of building it under the lock.
         document = freeze({
             "key": key,
             "payload": canonical_payload(result.dataset_name, result.parameters),
-            "result": result.to_document(),
+            "result": result_to_columns(result),
         })
         collection = self.database[_COLLECTION]
         with self.database.exclusive():
@@ -242,3 +247,8 @@ class ResultCache:
 
     def __len__(self) -> int:
         return len(self.database[_COLLECTION])
+
+
+def _num_caps(result: Mapping[str, Any]) -> int:
+    """A stored result's CAP count, read without touching its CAP columns."""
+    return result["num_caps"] if "num_caps" in result else len(result["caps"])

@@ -25,6 +25,7 @@ from .delayed import search_delayed
 from .evolving import extract_all_evolving
 from .parallel import MiningControl
 from .parameters import MiningParameters
+from .result_columns import caps_from_columns
 from .search import search_all
 from .spatial import build_proximity_graph, connected_components
 from .types import CAP, EvolvingSet, SensorDataset
@@ -99,7 +100,11 @@ class MiningResult:
         return correlated
 
     def to_document(self) -> dict[str, object]:
-        """JSON-serialisable form stored by the cache / document store."""
+        """JSON-serialisable form: the export and CAP-page shape.
+
+        The result cache stores the columnar layout of
+        :mod:`repro.core.result_columns` instead.
+        """
         return {
             "dataset": self.dataset_name,
             "parameters": self.parameters.to_document(),
@@ -109,10 +114,15 @@ class MiningResult:
 
     @classmethod
     def from_document(cls, doc: Mapping[str, object]) -> "MiningResult":
+        """Decode a stored result: the columnar layout or this legacy one."""
+        if "encoding" in doc:
+            caps = caps_from_columns(doc)
+        else:
+            caps = [CAP.from_document(d) for d in doc["caps"]]  # type: ignore[union-attr]
         return cls(
             dataset_name=str(doc["dataset"]),
             parameters=MiningParameters.from_document(doc["parameters"]),  # type: ignore[arg-type]
-            caps=[CAP.from_document(d) for d in doc["caps"]],  # type: ignore[union-attr]
+            caps=caps,
             elapsed_seconds=float(doc.get("elapsed_seconds", 0.0)),  # type: ignore[arg-type]
             from_cache=True,
         )

@@ -1,0 +1,150 @@
+"""Mining result ⇄ the columnar stored layout (``"encoding": 2``).
+
+The result cache stores every mining result (Section 3.3).  The CAP list of
+:meth:`MiningResult.to_document` is one dict per CAP holding JSON lists;
+building, freezing and serializing that tree cost a cold mine about as much
+as the mining did.  This layout stores the same CAPs as a handful of base64
+columns instead:
+
+* ``dataset``, ``parameters``, ``elapsed_seconds`` and ``num_caps`` are plain
+  fields, so metadata reads never touch a column;
+* ``sensors`` / ``attributes`` are tables of the names the CAPs use, in
+  first-use order;
+* ``sensor_counts`` + ``sensor_codes`` and ``attribute_counts`` +
+  ``attribute_codes`` list each CAP's names in ``to_document()`` (sorted)
+  order as table positions, so a document's bytes never depend on set
+  iteration order;
+* ``supports``; ``indexed`` is 1 where a CAP carries ``evolving_indices``
+  (a CAP may have a support but no indices); ``indices`` concatenates the
+  indexed CAPs' ``evolving_indices``, ``support`` of them per indexed CAP;
+* only when some CAP has delays: ``delay_counts``, ``delay_codes`` (keys in
+  the sorted order ``to_document()`` writes them, as sensor-table
+  positions) and signed ``delay_values``.
+
+A column is ``{"dtype", "data"}``: base64 of little-endian integers in the
+narrowest of ``<u1``/``<u2``/``<u4`` that holds its values (delays are
+signed: ``<i1`` to ``<i8``).  So the index column is ``<u2`` for a horizon
+of 256 to 65,536 steps and ``<u4`` past that.  Wider unsigned words are
+never needed, and the CI lint "One bitmap representation" forbids numpy's
+64-bit unsigned dtype name under ``src/``.
+
+Decoding rebuilds CAPs whose ``to_document()`` equals the original's.  A
+result document without ``"encoding"`` is the legacy layout (the
+``to_document()`` CAP list); ``MiningResult.from_document`` reads both.
+"""
+
+from __future__ import annotations
+
+import base64
+from itertools import accumulate, chain, repeat
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+
+import numpy as np
+
+from .types import CAP
+
+if TYPE_CHECKING:  # pragma: no cover - the miner imports this module
+    from .miner import MiningResult
+
+__all__ = ["caps_from_columns", "result_to_columns"]
+
+ENCODING = 2
+
+_UNSIGNED = ("<u1", "<u2", "<u4")
+_SIGNED = ("<i1", "<i2", "<i4", "<i8")
+
+
+def result_to_columns(result: "MiningResult") -> dict[str, Any]:
+    """The stored form of ``result``: plain metadata plus the CAP columns."""
+    caps = result.caps
+    sensor_names = [name for cap in caps for name in sorted(cap.sensor_ids)]
+    attribute_names = [name for cap in caps for name in sorted(cap.attributes)]
+    indices: list[int] = []
+    for cap in caps:
+        indices += cap.evolving_indices
+    delays = [sorted(cap.delays.items()) for cap in caps]
+    delay_names = [name for items in delays for name, _ in items]
+    sensors = list(dict.fromkeys(sensor_names + delay_names))
+    attributes = list(dict.fromkeys(attribute_names))
+    document: dict[str, Any] = {
+        "encoding": ENCODING,
+        "dataset": result.dataset_name,
+        "parameters": result.parameters.to_document(),
+        "elapsed_seconds": result.elapsed_seconds,
+        "num_caps": len(caps),
+        "sensors": sensors,
+        "attributes": attributes,
+        "sensor_counts": _pack([len(cap.sensor_ids) for cap in caps]),
+        "sensor_codes": _pack(_codes(sensor_names, sensors)),
+        "attribute_counts": _pack([len(cap.attributes) for cap in caps]),
+        "attribute_codes": _pack(_codes(attribute_names, attributes)),
+        "supports": _pack([cap.support for cap in caps]),
+        "indexed": _pack([1 if cap.evolving_indices else 0 for cap in caps]),
+        "indices": _pack(indices),
+    }
+    if delay_names:
+        document["delay_counts"] = _pack([len(items) for items in delays])
+        document["delay_codes"] = _pack(_codes(delay_names, sensors))
+        document["delay_values"] = _pack(
+            [delay for items in delays for _, delay in items], _SIGNED
+        )
+    return document
+
+
+def caps_from_columns(doc: Mapping[str, Any]) -> list[CAP]:
+    """The CAPs of a stored columnar result, in stored order."""
+    if doc["encoding"] != ENCODING:
+        raise ValueError(f"unknown result document encoding {doc['encoding']!r}")
+    sensors, attributes = doc["sensors"], doc["attributes"]
+    sensor_sets = _groups(
+        [sensors[code] for code in _unpack(doc["sensor_codes"])],
+        _unpack(doc["sensor_counts"]),
+        frozenset,
+    )
+    attribute_sets = _groups(
+        [attributes[code] for code in _unpack(doc["attribute_codes"])],
+        _unpack(doc["attribute_counts"]),
+        frozenset,
+    )
+    supports = _unpack(doc["supports"])
+    index_counts = [s if flag else 0 for s, flag in zip(supports, _unpack(doc["indexed"]))]
+    indices = _groups(_unpack(doc["indices"]), index_counts, tuple)
+    if "delay_counts" in doc:
+        items = zip(
+            [sensors[code] for code in _unpack(doc["delay_codes"])],
+            _unpack(doc["delay_values"]),
+        )
+        delays: Iterable[dict[str, int]] = _groups(
+            list(items), _unpack(doc["delay_counts"]), dict
+        )
+    else:
+        delays = repeat({})  # CAP copies its delays, so one empty dict serves all
+    return list(map(CAP, sensor_sets, attribute_sets, supports, indices, delays))
+
+
+def _groups(items: list, counts: list[int], kind: Callable[[list], Any]) -> list:
+    """``items`` cut into consecutive runs of ``counts`` lengths, each as ``kind``."""
+    ends = list(accumulate(counts))
+    return [kind(items[start:end]) for start, end in zip(chain((0,), ends), ends)]
+
+
+def _codes(names: list[str], table: list[str]) -> list[int]:
+    position = {name: code for code, name in enumerate(table)}
+    return list(map(position.__getitem__, names))
+
+
+def _pack(values: Sequence[int], widths: Sequence[str] = _UNSIGNED) -> dict[str, str]:
+    """``values`` as base64 in the narrowest of ``widths`` that holds them."""
+    column = np.fromiter(values, dtype=np.int64, count=len(values))
+    lo, hi = (int(column.min()), int(column.max())) if len(column) else (0, 0)
+    for dtype in widths:
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            data = column.astype(dtype).tobytes()
+            return {"dtype": dtype, "data": base64.b64encode(data).decode("ascii")}
+    raise ValueError(f"values in [{lo}, {hi}] do not fit a {widths[-1]} column")
+
+
+def _unpack(column: Mapping[str, str]) -> list[int]:
+    data = base64.b64decode(column["data"])
+    return np.frombuffer(data, dtype=np.dtype(column["dtype"])).tolist()
