@@ -91,9 +91,7 @@ def test_durable_transition_overhead_and_recovery(tmp_path):
     durable_s = _lifecycle(durable, JOBS)
     wal_root = tmp_path / "registry.json.wal"
     assert wal_root.is_dir()
-    store_kb = sum(
-        p.stat().st_size for p in wal_root.glob("*.seg")
-    ) / 1024.0
+    store_kb = (wal_root / "journal").stat().st_size / 1024.0
 
     per_durable_ms = durable_s / JOBS * 1000.0
     # Durability must actually cost something: four persisted edges per

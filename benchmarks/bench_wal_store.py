@@ -1,24 +1,33 @@
-"""WAL store engine — per-transition overhead collapse and compaction cost.
+"""WAL store engine — per-transition overhead, section commits, compaction.
 
-The ISSUE-6 claim in numbers: PR 5's durability rode snapshot-per-write —
-every persisted transition re-serialized the *whole* database (7–11 ms per
-job at the time, degrading linearly with store size).
-The WAL engine appends one checksummed, fsync'd record instead, so a
-transition costs the record — not the world:
+Snapshot-per-write durability re-serialized the *whole* database on every
+persisted transition (7–11 ms per job at the time, degrading linearly
+with store size).  The WAL engine appends one checksummed, fsync'd record
+instead, so a transition costs the record — not the world:
 
 * **per-transition overhead** — one indexed ``update_one`` on a store
   preloaded with a realistic document population, measured on the memory
   engine (floor), the WAL engine (append + fsync), and snapshot-per-write
   (a memory store exporting ``save(path)`` after every mutation — exactly
   what the retired snapshot engine did for durability);
-* **compaction cost vs log length** — ``compact_collection`` on logs of
+* **compaction cost vs log length** — ``Database.compact`` on logs of
   growing record counts: the price of folding history back to live state,
   and the bytes it reclaims;
 * **reopen time** — ``Database(path)`` on a ~3 MB store: replaying and
-  verifying every record.  v2 checksums with C-speed ``zlib.crc32``; the
-  same store in the v1 format (pure-Python CRC-32C) pays the one-time
-  v1 -> v2 migration on its first open, which is the old reopen cost plus
-  the rewrite.
+  verifying every record with C-speed ``zlib.crc32``; the same store in
+  the v1 format (pure-Python CRC-32C) pays the one-time migration on its
+  first open, which is the old reopen cost plus the rewrite;
+* **section commits** — one ``Database.exclusive()`` section updating one
+  document in each of 1, 3 and 9 collections: ``write(2)`` and ``fsync``
+  calls and milliseconds per section, and the reopen time of the store
+  those sections wrote.  These numbers are filed under a label
+  (``REPRO_BENCH_LABEL``, default ``change``) and other labels in the file
+  are kept, so running this test once against an older checkout records
+  that engine's numbers beside the current one's::
+
+      REPRO_BENCH_LABEL=parent PYTHONPATH=<old checkout>/src \
+          python -m pytest --import-mode=importlib \
+          benchmarks/bench_wal_store.py -k section -q -s
 
 Numbers land in ``BENCH_wal_store.json`` (CI's bench lane uploads it).
 The acceptance bar is explicit: WAL per-transition cost must undercut
@@ -28,6 +37,7 @@ snapshot-per-write by ≥10x, or the engine rewrite bought nothing.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import statistics
 import time
@@ -52,6 +62,10 @@ MIN_COLLAPSE_X = 10.0
 #: Reopen store: this many ~1.5 KB result-like documents (~3 MB of log).
 REOPEN_DOCS = 3600
 REOPEN_RUNS = 5
+
+#: Section commits: collections touched per section, sections timed.
+SECTION_WIDTHS = (1, 3, 9)
+SECTIONS = 100
 
 
 def _preload(database: Database):
@@ -80,15 +94,29 @@ def _transition_ms(jobs, save=None) -> float:
 
 
 def _as_v1(root: Path) -> None:
-    """Rewrite a v2 store directory in the v1 format (CRC-32C ``.log`` logs)."""
-    for segment in root.glob("*.seg"):
-        records, _end, torn = wal.decode_records(segment.read_bytes())
-        assert not torn
-        segment.with_suffix(".log").write_bytes(
-            b"".join(wal.encode_record(record, wal.crc32c) for record in records)
-        )
-        segment.unlink()
+    """Rewrite a v3 store directory of index definitions and inserts in the
+    v1 format (CRC-32C ``.log`` logs, one record per op)."""
+    journal = root / wal.LOG_NAME
+    commits, _end, torn = wal.decode_records(journal.read_bytes())
+    assert not torn
+    logs: dict[str, list[bytes]] = {}
+    for commit in commits:
+        for name, ops in commit.items():
+            for op in ops:
+                if isinstance(op, dict):
+                    record = {"op": "put", "doc": op}
+                else:
+                    assert op[0] == "index"
+                    record = {"op": "index", "path": op[1], "kind": op[2]}
+                logs.setdefault(name, []).append(wal.encode_record(record, wal.crc32c))
+    for name, records in logs.items():
+        (root / f"{name}.log").write_bytes(b"".join(records))
+    journal.unlink()
     (root / wal.FORMAT_MARKER).write_text(wal.FORMAT_V1 + "\n")
+
+
+def _report() -> dict:
+    return json.loads(REPORT_PATH.read_text()) if REPORT_PATH.exists() else {}
 
 
 def _open_ms(path: Path) -> tuple[float, Database]:
@@ -111,7 +139,7 @@ def _reopen_and_migration(tmp_path: Path) -> dict:
         })
     expected = caps.find()
     root = path.with_name(path.name + ".wal")
-    store_bytes = sum(p.stat().st_size for p in root.glob("*.seg"))
+    store_bytes = (root / wal.LOG_NAME).stat().st_size
 
     reopen = []
     for _ in range(REOPEN_RUNS):
@@ -119,7 +147,7 @@ def _reopen_and_migration(tmp_path: Path) -> dict:
         assert database["caps"].find() == expected
         reopen.append(elapsed)
 
-    pristine = tmp_path / "reopen-v2"
+    pristine = tmp_path / "reopen-v3"
     shutil.copytree(root, pristine)
     migration = []
     for _ in range(REOPEN_RUNS):
@@ -128,7 +156,7 @@ def _reopen_and_migration(tmp_path: Path) -> dict:
         _as_v1(root)
         elapsed, database = _open_ms(path)
         assert database["caps"].find() == expected
-        assert wal.read_format(root) == wal.FORMAT_V2
+        assert wal.read_format(root) == wal.FORMAT_V3
         migration.append(elapsed)
     return {
         "documents": REOPEN_DOCS,
@@ -182,7 +210,7 @@ def test_wal_transition_collapse_and_compaction(tmp_path):
         live_state = collection.find()
 
         start = time.perf_counter()
-        result = database.compact_collection("jobs")
+        result = database.compact()
         compact_ms = (time.perf_counter() - start) * 1000.0
 
         assert result["compacted"]
@@ -198,18 +226,19 @@ def test_wal_transition_collapse_and_compaction(tmp_path):
         })
     print_table("compaction cost vs log length", compaction_rows)
 
-    # -- reopen vs one-time v1 -> v2 migration --------------------------------
+    # -- reopen vs one-time v1 -> v3 migration --------------------------------
     reopen = _reopen_and_migration(tmp_path)
     print_table(f"open a {reopen['store_bytes'] / 1e6:.1f} MB store "
                 f"(median of {REOPEN_RUNS})", [
-        {"open": "reopen (v2, zlib.crc32)", "ms": round(reopen["reopen_ms"], 1)},
+        {"open": "reopen (v3, zlib.crc32)", "ms": round(reopen["reopen_ms"], 1)},
         {"open": "first open of v1 (CRC-32C verify + rewrite)",
          "ms": round(reopen["migrate_v1_ms"], 1)},
     ])
-    # Reopening v2 must not pay what verifying v1 costs.
+    # Reopening v3 must not pay what verifying v1 costs.
     assert reopen["reopen_ms"] < reopen["migrate_v1_ms"]
 
-    REPORT_PATH.write_text(json.dumps({
+    report = _report()
+    report.update({
         "benchmark": "bench_wal_store",
         "machine": machine_info(),
         "timed_region": "document transitions per engine + compaction + "
@@ -222,4 +251,71 @@ def test_wal_transition_collapse_and_compaction(tmp_path):
         "snapshot_over_wal_collapse_x": collapse_x,
         "compaction": compaction_rows,
         "reopen": reopen,
-    }, indent=2) + "\n")
+    })
+    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+
+
+def _section_costs(tmp_path: Path, width: int) -> dict:
+    """Time SECTIONS sections, each updating one document in ``width``
+    collections, counting the write(2)/fsync calls they make."""
+    path = tmp_path / f"sections-{width}" / "store.json"
+    database = Database(path)
+    names = [f"c{index}" for index in range(width)]
+    for name in names:
+        database[name].create_index("key", "hash")
+        database[name].insert_one({"key": 0, "state": "queued", "pad": "x" * 200})
+    calls = {"write": 0, "fsync": 0}
+    real_write, real_fsync = os.write, os.fsync
+
+    def counted_write(fd, data):
+        calls["write"] += 1
+        return real_write(fd, data)
+
+    def counted_fsync(fd):
+        calls["fsync"] += 1
+        return real_fsync(fd)
+
+    elapsed = []
+    os.write, os.fsync = counted_write, counted_fsync
+    try:
+        for step in range(SECTIONS):
+            start = time.perf_counter()
+            with database.exclusive():
+                for name in names:
+                    database[name].update_one({"key": 0}, {"state": f"s{step}"})
+            elapsed.append((time.perf_counter() - start) * 1000.0)
+    finally:
+        os.write, os.fsync = real_write, real_fsync
+    reopen = []
+    for _ in range(REOPEN_RUNS):
+        start = time.perf_counter()
+        reopened = Database(path)
+        reopen.append((time.perf_counter() - start) * 1000.0)
+        assert reopened[names[-1]].find_one({"key": 0})["state"] == f"s{SECTIONS - 1}"
+    return {
+        "collections": width,
+        "writes_per_section": calls["write"] / SECTIONS,
+        "fsyncs_per_section": calls["fsync"] / SECTIONS,
+        "ms_per_section": round(statistics.median(elapsed), 4),
+        "reopen_ms": round(statistics.median(reopen), 3),
+    }
+
+
+def test_section_commit_cost(tmp_path):
+    label = os.environ.get("REPRO_BENCH_LABEL", "change")
+    rows = [_section_costs(tmp_path, width) for width in SECTION_WIDTHS]
+    fmt = wal.read_format(tmp_path / "sections-1" / "store.json.wal")
+    print_table(f"one section over 1/3/9 collections ({label}, {fmt})", rows)
+    if fmt == getattr(wal, "FORMAT_V3", None):
+        # The commit rule: one record, one fsync, whatever the width.
+        assert all(row["writes_per_section"] == 1 for row in rows)
+        assert all(row["fsyncs_per_section"] == 1 for row in rows)
+    report = _report()
+    section = report.setdefault("section_commit", {})
+    section["timed_region"] = (
+        f"median of {SECTIONS} exclusive() sections, each one update_one per "
+        f"collection; write(2)/fsync calls counted per section; reopen_ms: "
+        f"median of {REOPEN_RUNS} Database(path) opens of the store they wrote"
+    )
+    section[label] = {"machine": machine_info(), "format": fmt, "sections": rows}
+    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")

@@ -193,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--port", type=int, default=8000,
                        help="TCP port (0 = pick a free one; the chosen port "
                             "is announced on the MISCELA_READY line)")
-    p_srv.add_argument("--store", help="store path for persistence (WAL logs "
-                       "under <path>.wal/); the job registry persists there "
+    p_srv.add_argument("--store", help="store path for persistence (the WAL "
+                       "log under <path>.wal/); the job registry persists there "
                        "too (jobs survive restarts, several processes may "
                        "share one store)")
     p_srv.add_argument("--preload", action="store_true",
@@ -228,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "claimed jobs (default: pid-derived)")
     p_srv.add_argument("--compact-seconds", dest="compact_seconds", type=float,
                        metavar="SECONDS",
-                       help="background compaction sweep interval: WAL "
-                            "segment folds (with --store) plus the stream "
+                       help="background compaction sweep interval: store "
+                            "log rewrites (with --store) plus the stream "
                             "retention pass (default: disabled)")
     p_srv.add_argument("--stream-retention", dest="stream_retention", type=int,
                        metavar="N",
@@ -279,13 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
     p_sver = store_sub.add_parser(
         "verify",
-        help="offline checksum walk of every WAL segment, in the format its "
-             "suffix names (exit 1 on a torn tail or an unknown FORMAT)",
+        help="offline checksum walk of the store log (and of an older "
+             "store's per-collection logs, each in its own format); exit 1 "
+             "on a torn tail or an unknown FORMAT",
     )
     p_sver.add_argument("--store", required=True, help="store path")
     p_scomp = store_sub.add_parser(
         "compact",
-        help="rewrite every collection log to its live state (and archive a "
+        help="rewrite the store log to its live state (and archive a "
              "migrated legacy snapshot)",
     )
     p_scomp.add_argument("--store", required=True, help="store path")
@@ -637,19 +638,15 @@ def cmd_store(args: argparse.Namespace) -> int:
 
         if not path.exists() and not root.exists():
             raise SystemExit(f"no store at {path}")
-        database = Database(path)
-        results = database.compact()
-        for entry in results:
-            marker = "compacted" if entry["compacted"] else "kept"
-            print(f"{entry['collection']}: {entry['before_bytes']} -> "
-                  f"{entry['after_bytes']} bytes ({marker})")
-        if not results:
-            print("nothing to compact (empty store)")
+        result = Database(path).compact()
+        print(f"{wal.LOG_NAME}: {result['before_bytes']} -> "
+              f"{result['after_bytes']} bytes (compacted)")
         return 0
 
     # verify: offline checksum walk, no locks taken, nothing mutated.  Each
-    # segment is checked with the format its suffix names (a v1 store whose
-    # migration was cut short holds both).
+    # file is checked with the format it belongs to: the v3 log, and the
+    # per-collection logs of an older store not yet migrated (a v1 store
+    # whose v2 rewrite was cut short holds both suffixes).
     torn = False
     checked = 0
     if root.is_dir():
@@ -658,15 +655,17 @@ def cmd_store(args: argparse.Namespace) -> int:
         except wal.UnknownFormatError as error:
             raise SystemExit(str(error))
         print(f"format: {found or 'none (no FORMAT marker)'}")
+        logs = [(root / wal.LOG_NAME, wal.FORMAT_V3)] if found == wal.FORMAT_V3 else []
         for fmt, suffix in wal.SEGMENT_SUFFIXES.items():
-            for log_path in sorted(root.glob("*" + suffix)):
-                report = wal.verify_log(log_path, wal.format_checksum(fmt))
-                checked += 1
-                status = "TORN" if report["torn"] else "ok"
-                print(f"{log_path.name}: {report['records']} records, "
-                      f"{report['valid_bytes']}/{report['total_bytes']} bytes "
-                      f"valid [{status}]")
-                torn = torn or report["torn"]
+            logs += [(log_path, fmt) for log_path in sorted(root.glob("*" + suffix))]
+        for log_path, fmt in logs:
+            report = wal.verify_log(log_path, wal.format_checksum(fmt))
+            checked += 1
+            status = "TORN" if report["torn"] else "ok"
+            print(f"{log_path.name}: {report['records']} records, "
+                  f"{report['valid_bytes']}/{report['total_bytes']} bytes "
+                  f"valid [{status}]")
+            torn = torn or report["torn"]
     if path.is_file():
         import json as _json
 

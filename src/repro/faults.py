@@ -4,14 +4,15 @@ An environment variable names one crash point as ``point[@scope][:nth]``;
 the process hard-exits (``os._exit``) at the nth hit of that point whose
 scope matches, exactly like ``kill -9`` landing there.  The job registry
 (``REPRO_JOBS_FAULT``, unscoped, exit 70), the store
-(``REPRO_STORE_FAULT``, scoped by collection, exit 71) and stream retention
-(``REPRO_STREAM_FAULT``, scoped by dataset, exit 72) each own one
-:class:`CrashPoints`; unset, every check is a no-op.
+(``REPRO_STORE_FAULT``, scoped by the collections a commit carries, exit
+71) and stream retention (``REPRO_STREAM_FAULT``, scoped by dataset, exit
+72) each own one :class:`CrashPoints`; unset, every check is a no-op.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Iterable
 
 __all__ = ["CrashPoints"]
 
@@ -37,11 +38,15 @@ class CrashPoints:
             nth = 1
         return point, (scope or None), nth
 
-    def armed(self, point: str, scope: str | None = None) -> bool:
+    def armed(
+        self, point: str, scope: str | Iterable[str] | None = None
+    ) -> bool:
         """True when this call is the configured crash occurrence.
 
-        Counts matching hits so ``:<nth>`` specs can skip past setup writes
-        (index creation on a fresh store appends records too).
+        ``scope`` is one name or several (a store commit carries records
+        of several collections); a scoped spec matches a hit whose scopes
+        include it.  Counts matching hits so ``:<nth>`` specs can skip
+        past setup writes (index creation on a fresh store commits too).
         """
         spec = self._spec()
         if spec is None:
@@ -49,13 +54,16 @@ class CrashPoints:
         want_point, want_scope, nth = spec
         if want_point != point:
             return False
-        if want_scope is not None and scope is not None and want_scope != scope:
-            return False
+        if want_scope is not None and scope is not None:
+            if want_scope not in ((scope,) if isinstance(scope, str) else scope):
+                return False
         key = f"{want_point}@{want_scope or '*'}"
         self._hits[key] = self._hits.get(key, 0) + 1
         return self._hits[key] == nth
 
-    def maybe_fault(self, point: str, scope: str | None = None) -> None:
+    def maybe_fault(
+        self, point: str, scope: str | Iterable[str] | None = None
+    ) -> None:
         """Hard-exit at an armed crash point — a ``kill -9`` landing here."""
         if self.armed(point, scope):
             os._exit(self.exit_code)

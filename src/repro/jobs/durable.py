@@ -271,10 +271,10 @@ class DurableJobStore:
     def refresh(self, max_age: float | None = None) -> None:
         """Adopt records other processes appended since the last look.
 
-        Cheap when nothing changed (one ``stat`` per log).  Readers call
-        this; the mutating paths refresh inside :meth:`_exclusive`
-        automatically.  ``max_age`` throttles how often a hot poll even
-        stats.
+        Cheap when nothing changed (one ``stat`` of the store log).
+        Readers call this; the mutating paths refresh inside
+        :meth:`_exclusive` automatically.  ``max_age`` throttles how often
+        a hot poll even stats.
         """
         with self._lock:
             now = time.monotonic()
@@ -284,7 +284,9 @@ class DurableJobStore:
             self.database.refresh()
 
     def _fault_point(self, name: str) -> None:
-        maybe_fault(name)
+        """An ``after-*`` crash point: it fires once the open section's
+        commit (the transition it is named after) is durable."""
+        self.database.after_commit(lambda: maybe_fault(name))
 
     # -- document helpers -------------------------------------------------------
 
@@ -973,9 +975,9 @@ class DurableJobStore:
             "lease_expires_at": None,
         }
         if fault_before is not None:
-            # Crash *before* the transition reaches disk: the CAS itself
-            # writes through, so "before persist" means before the update.
-            self._fault_point(fault_before)
+            # Crash *before* the transition reaches disk: the section
+            # commits at its exit, so this drops the update with it.
+            maybe_fault(fault_before)
         matched = self._collection().update_if(
             {"job_id": document["job_id"]}, expected, changes
         )

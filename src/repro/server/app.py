@@ -120,8 +120,8 @@ def create_app(
     auto_compact_seconds:
         Interval of the background compaction sweep (see
         :class:`repro.store.compaction.CompactionThread`).  ``None``
-        (default) disables it.  On the WAL engine the sweep folds log
-        segments; on every engine it additionally runs the stream
+        (default) disables it.  On the WAL engine the sweep rewrites the
+        store log; on every engine it additionally runs the stream
         retention pass (:func:`repro.stream.sweep_retention`) for
         datasets with retention configured.
     stream_retention:
@@ -153,7 +153,7 @@ def create_app(
     handler = request_id_middleware(handler)
     app = App(state, handler, router)
     if auto_compact_seconds is not None:
-        # The sweep thread carries two folds: WAL segment compaction
+        # The sweep thread carries two folds: WAL log compaction
         # (engine-gated inside sweep()) and the stream retention pass,
         # which applies on any engine — the feed horizon is a document
         # model property, not a storage-engine one.

@@ -1,9 +1,9 @@
 """Embedded document store — the MongoDB substitute (see DESIGN.md).
 
-Bound to a path it runs the crash-safe WAL engine by default: every
-mutation appends one checksummed, fsync'd record to a per-collection
-append-only segment under ``<path>.wal/`` (see :mod:`repro.store.wal` and
-the "Store engine" section of DESIGN.md).
+Bound to a path it runs the crash-safe WAL engine: every
+``Database.exclusive()`` section commits its mutations as one checksummed,
+fsync'd record of the store's one append-only log under ``<path>.wal/``
+(see :mod:`repro.store.wal` and the "Store engine" section of DESIGN.md).
 
 Documents are frozen on write and shared read-only on read: ``find`` and
 ``find_one`` return the stored objects themselves, whose mutators raise

@@ -49,23 +49,24 @@ class Collection:
         self._write_lock = threading.RLock()
         # Engine hooks (see :meth:`bind_engine`): a WAL-backed database
         # wraps every mutation in its cross-process critical section and
-        # journals the resulting record; unbound collections (unit tests,
+        # journals the resulting op; unbound collections (unit tests,
         # the in-memory engine) mutate locally with no extra cost.
         self._engine_guard: Callable[[], ContextManager[None]] | None = None
-        self._engine_journal: Callable[[Mapping[str, Any]], None] | None = None
+        self._engine_journal: Callable[[Any], None] | None = None
 
     # -- store-engine integration --------------------------------------------
 
     def bind_engine(
         self,
         guard: Callable[[], ContextManager[None]],
-        journal: Callable[[Mapping[str, Any]], None],
+        journal: Callable[[Any], None],
     ) -> None:
         """Attach this collection to a journaling store engine.
 
         ``guard()`` brackets every mutation (the database's exclusive
-        section: lock + refresh on entry, fsync on exit); ``journal(rec)``
-        appends one WAL record describing a mutation that just happened.
+        section: lock + refresh on entry, commit on exit); ``journal(op)``
+        stages one WAL op (see :meth:`apply_wal_record`) describing a
+        mutation that just happened.
         """
         self._engine_guard = guard
         self._engine_journal = journal
@@ -73,36 +74,42 @@ class Collection:
     def _engine(self) -> ContextManager[None]:
         return self._engine_guard() if self._engine_guard is not None else nullcontext()
 
-    def _journal(self, record: Mapping[str, Any]) -> None:
+    def _journal(self, op: Any) -> None:
         if self._engine_journal is not None:
-            self._engine_journal(record)
+            self._engine_journal(op)
 
     def _journal_put(self, doc_id: int) -> None:
         """Journal the current stored version of one document (upsert)."""
-        self._journal({"op": "put", "doc": self._documents[doc_id]})
+        self._journal(self._documents[doc_id])
 
     # -- WAL replay (engine-internal; never journals) -------------------------
 
-    def apply_wal_record(self, record: Mapping[str, Any]) -> None:
-        """Apply one replayed log record to the in-memory state.
+    def apply_wal_record(self, op: Any) -> None:
+        """Apply one replayed WAL op to the in-memory state.
 
-        Unknown ops are skipped, not fatal — an older binary replaying a
-        newer log must not corrupt what it *can* understand.
+        A put is the stored document itself (it carries its ``_id``); every
+        other op is a list naming its kind: ``["del", ids]``, ``["index",
+        path, kind]``, ``["next", id_floor]`` and ``["clear"]`` (only in
+        logs of earlier builds).  Puts dominate a log, so they cost no
+        bytes beyond the document.  Unknown kinds are skipped, not fatal —
+        an older binary replaying a newer log must not corrupt what it
+        *can* understand.
         """
-        op = record.get("op")
-        if op == "put":
-            self._replay_put(record["doc"])
-        elif op == "del":
-            self._replay_delete(record.get("ids", ()))
-        elif op == "clear":  # written by earlier builds' Collection.clear()
+        if isinstance(op, Mapping):
+            self._replay_put(op)
+            return
+        kind = op[0]
+        if kind == "del":
+            self._replay_delete(op[1])
+        elif kind == "clear":
             with self._write_lock:
                 self._reset_documents()
-        elif op == "index":
+        elif kind == "index":
             with self._write_lock:
-                self._create_index(str(record["path"]), str(record["kind"]))
-        elif op == "next":
+                self._create_index(str(op[1]), str(op[2]))
+        elif kind == "next":
             with self._write_lock:
-                self._next_id = max(self._next_id, int(record["value"]))
+                self._next_id = max(self._next_id, int(op[1]))
 
     def _replay_put(self, document: Mapping[str, Any]) -> None:
         doc = freeze(document)
@@ -135,10 +142,10 @@ class Collection:
             self._sorted_indexes[path] = SortedIndex(path)
 
     def reset_state(self) -> None:
-        """Forget all replayed state ahead of a from-zero segment replay
-        (a peer compacted this collection's log).  Index *definitions*
-        survive — the fresh segment re-declares them anyway and local
-        callers may hold queries planned against them."""
+        """Forget all replayed state ahead of a from-zero log replay (a
+        peer compacted the store log).  Index *definitions* survive — the
+        fresh log re-declares them anyway and local callers may hold
+        queries planned against them."""
         with self._write_lock:
             self._reset_documents()
             self._next_id = 1
@@ -175,7 +182,7 @@ class Collection:
         with self._engine():
             with self._write_lock:
                 if self._create_index(path, kind):
-                    self._journal({"op": "index", "path": path, "kind": kind})
+                    self._journal(["index", path, kind])
 
     def indexes(self) -> dict[str, list[str]]:
         return {
@@ -284,7 +291,7 @@ class Collection:
     def delete_many(self, query: Mapping[str, Any]) -> int:
         """Delete all matching documents; returns the count.
 
-        Journaled as one tombstone record listing the dead ids — replayed
+        Journaled as one tombstone op listing the dead ids — replayed
         by every process sharing the log, which is what makes deletion a
         first-class multi-writer operation rather than a race against
         peers' refreshes.
@@ -296,7 +303,7 @@ class Collection:
                     self._unindex(doc_id)
                     del self._documents[doc_id]
                 if doc_ids:
-                    self._journal({"op": "del", "ids": doc_ids})
+                    self._journal(["del", doc_ids])
                 return len(doc_ids)
 
     def _unindex(self, doc_id: int) -> None:

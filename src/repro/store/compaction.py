@@ -1,19 +1,17 @@
 """Background compaction for the WAL store engine.
 
 A long-lived store accretes log records: every progress tick, lease
-renewal, and requeue appends one, while the *live* state stays small.
-Compaction rewrites a collection's current state to a fresh segment and
-atomically swaps it in (see :meth:`Database.compact_collection` for the
-crash-safety argument: the new segment is fsync'd before the ``rename``,
-so a crash at any point leaves either the old complete log or the new
-complete segment).
+renewal, and requeue commits one, while the *live* state stays small.
+Compaction rewrites the store's one log to its current state and
+atomically swaps it in (see :meth:`Database.compact` for the crash-safety
+argument: the new log is fsync'd before the ``rename``, so a crash at any
+point leaves either the old complete log or the new complete one).
 
 :class:`CompactionThread` runs that sweep on a timer.  It compacts lazily
-— only collections whose log carries substantially more records than live
-documents — so a quiet store costs one ``stats`` walk per interval and
-zero writes.  The server wires one up per process behind
-``--compact-seconds``; ``repro store compact`` does the same sweep once,
-offline.
+— only when the log carries substantially more ops than the store has
+live documents — so a quiet store costs one ``stats`` look per interval
+and zero writes.  The server wires one up per process behind
+``--compact-seconds``; ``repro store compact`` compacts once, offline.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ def needs_compaction(
 
 
 class CompactionThread:
-    """Periodically compact over-grown collection logs of one database.
+    """Periodically compact one database's over-grown store log.
 
     Daemonised and event-driven: :meth:`stop` wakes the timer immediately,
     so shutdown never waits out the interval.  Compaction errors are
@@ -74,7 +72,7 @@ class CompactionThread:
         self.records_per_doc = records_per_doc
         #: Optional piggybacked sweep (e.g. the stream retention pass) run
         #: on the same cadence; its results join the sweep report, its
-        #: failures are logged and swallowed like segment-compaction ones.
+        #: failures are logged and swallowed like log-compaction ones.
         self.extra_sweep = extra_sweep
         self.sweeps = 0
         self.compacted = 0
@@ -99,7 +97,7 @@ class CompactionThread:
                 _log.exception("store compaction sweep failed")
 
     def sweep(self) -> list[dict[str, object]]:
-        """One pass: compact every collection past the threshold."""
+        """One pass: compact the store log if it is past the threshold."""
         self.sweeps += 1
         results: list[dict[str, object]] = []
         if self.extra_sweep is not None:
@@ -107,23 +105,19 @@ class CompactionThread:
                 results.extend(self.extra_sweep())
             except Exception:  # pragma: no cover - defensive
                 _log.exception("piggybacked compaction sweep failed")
-        wal_stats = self.database.stats().get("wal", {})
-        for name, entry in wal_stats.items():
-            if not needs_compaction(
-                entry["records"],
-                entry["live_documents"],
-                min_records=self.min_records,
-                records_per_doc=self.records_per_doc,
-            ):
-                continue
-            result = self.database.compact_collection(name)
-            if result.get("compacted"):
-                self.compacted += 1
-                _log.info(
-                    "compacted collection %r: %d -> %d bytes",
-                    name,
-                    result["before_bytes"],
-                    result["after_bytes"],
-                )
+        wal_stats = self.database.stats().get("wal")
+        if wal_stats and needs_compaction(
+            wal_stats["records"],
+            wal_stats["live_documents"],
+            min_records=self.min_records,
+            records_per_doc=self.records_per_doc,
+        ):
+            result = self.database.compact()
+            self.compacted += 1
+            _log.info(
+                "compacted the store log: %d -> %d bytes",
+                result["before_bytes"],
+                result["after_bytes"],
+            )
             results.append(result)
         return results

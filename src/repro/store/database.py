@@ -9,25 +9,27 @@ collection (mining results keyed by dataset + parameters, owned by
 Two engines share the :class:`Database` surface, chosen by ``path``:
 
 * ``memory`` (no path) — collections live in this process only;
-* ``wal`` (a path) — every mutation appends one checksummed record to a
-  per-collection append-only segment under ``<path>.wal/`` (see
-  :mod:`repro.store.wal`); opening replays the segments, recovery
-  truncates torn tails, and several processes share the store through one
-  ``flock`` + tail replay.  Deletions are first-class tombstone records,
-  so a removal in one process is a removal everywhere.
+* ``wal`` (a path) — the store is one append-only log,
+  ``<path>.wal/journal`` (see :mod:`repro.store.wal`).  Mutations stage
+  their ops; the outermost :meth:`Database.exclusive` section commits
+  them as one checksummed record with one ``write(2)`` and one fsync
+  before its ``flock`` is released.  Opening replays the log, recovery
+  truncates a torn tail, and several processes share the store through
+  the ``flock`` plus tail replay.  A commit replays whole or not at all,
+  so a crash never leaves part of a section behind.  Deletions are
+  first-class tombstone ops, so a removal in one process is a removal
+  everywhere.
 
-A directory still in the v1 record format (``<name>.log`` logs checksummed
-with CRC-32C) is verified and rewritten as v2 (``<name>.seg``) once, on
-open; a ``FORMAT`` marker this code does not know refuses to open.
-
-The whole-database JSON snapshot (``repro-store-v1``) survives only as
-the export format (:meth:`Database.save`) and as a one-shot import.
-A legacy ``repro-store-v1`` snapshot at ``path`` is migrated to WAL
-segments on first open; the original file is left byte-untouched until
-the first successful full compaction archives it (``<path>.pre-wal``).
-A snapshot or log that fails to parse is quarantined
-(``<name>.corrupt-<ts>``) with a structured warning instead of refusing
-to start — the store comes up with exactly the last good state.
+Older layouts migrate once, on open, in one step
+(:meth:`Database._migrate`): v2 per-collection segments (``<name>.seg``),
+v1 logs (``<name>.log``, CRC-32C) and a legacy ``repro-store-v1`` JSON
+snapshot are read into memory and written as the v3 log before the
+``FORMAT`` marker flips.  A marker this code does not know refuses to
+open.  The snapshot file is left byte-untouched until the first
+compaction archives it (``<path>.pre-wal``); the snapshot format survives
+otherwise only as the export format (:meth:`Database.save`).  A snapshot
+that fails to parse is quarantined (``<name>.corrupt-<ts>``) with a
+structured warning instead of refusing to start.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
-from urllib.parse import quote, unquote
+from typing import Any, Callable, Iterable, Iterator, Mapping
+from urllib.parse import unquote
 
 from ..obs.metrics import get_registry
 from . import wal
@@ -53,51 +55,67 @@ _log = logging.getLogger("repro.store")
 
 _TORN_TRUNCATIONS = get_registry().counter(
     "repro_wal_torn_truncations_total",
-    "Torn WAL tails truncated during recovery, by collection.",
-    ("collection",),
+    "Torn WAL tails truncated during recovery.",
 )
 _COMPACTION_SECONDS = get_registry().histogram(
     "repro_wal_compaction_seconds",
-    "Duration of one collection-log compaction rewrite.",
-    ("collection",),
+    "Duration of one store-log compaction rewrite.",
 )
 
-#: The record format this code writes (the directory's ``FORMAT`` marker).
-_FORMAT_VALUE = wal.FORMAT_V2
-#: Marker recording that the segments were migrated from a legacy snapshot
-#: (and that the snapshot must survive until the first full compaction).
+#: Marker recording that the log was migrated from a legacy snapshot (and
+#: that the snapshot must survive until the first compaction).
 _MIGRATED_MARKER = "MIGRATED"
 _LOCK_FILE = "LOCK"
-_SEGMENT_SUFFIX = wal.SEGMENT_SUFFIXES[_FORMAT_VALUE]
 _TMP_SUFFIX = ".compact-tmp"
+#: Compaction and migration cut each collection's live state into records
+#: of about this many payload bytes, far below ``wal.MAX_RECORD_BYTES``.
+_STATE_RECORD_BYTES = 1 << 20
 
 
-def _encode_name(name: str) -> str:
-    """Collection name -> log file stem (filesystem-safe, reversible)."""
-    return quote(name, safe="abcdefghijklmnopqrstuvwxyz"
-                            "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
-
-
-def _decode_name(stem: str) -> str:
-    return unquote(stem)
-
-
-def collection_records(collection: Collection) -> Iterator[dict[str, Any]]:
-    """The live state of one collection as a minimal record stream.
+def collection_records(collection: Collection) -> Iterator[Any]:
+    """The live state of one collection as a minimal op stream.
 
     What migration and compaction write: index definitions first (so
     replay backfills into ready indexes), one ``put`` per live document,
-    and a final ``next`` record pinning the id counter — tombstones and
+    and a final ``next`` op pinning the id counter — tombstones and
     superseded versions are gone, which is the whole point.
     """
     dump = collection.dump()
-    for path in dump["indexes"]["hash"]:
-        yield {"op": "index", "path": path, "kind": "hash"}
-    for path in dump["indexes"]["sorted"]:
-        yield {"op": "index", "path": path, "kind": "sorted"}
-    for document in dump["documents"]:
-        yield {"op": "put", "doc": document}
-    yield {"op": "next", "value": dump["next_id"]}
+    for kind in ("hash", "sorted"):
+        for path in dump["indexes"][kind]:
+            yield ["index", path, kind]
+    yield from dump["documents"]
+    yield ["next", dump["next_id"]]
+
+
+def _encode_state(collections: Iterable[Collection]) -> tuple[bytes, int]:
+    """Live state as v3 log bytes, plus the number of ops they hold.
+
+    Each collection becomes a run of records, cut every
+    ``_STATE_RECORD_BYTES`` of ops.  The payload is assembled from the
+    ops' own JSON texts, byte-identical to :func:`wal.encode_record` of
+    ``{name: ops}``.  A collection that never held anything (no
+    document, index or burned id) is left out.
+    """
+    frames: list[bytes] = []
+    count = 0
+    for collection in collections:
+        records = list(collection_records(collection))
+        if records == [["next", 1]]:
+            continue
+        head = b"{" + json.dumps(collection.name).encode() + b":["
+        ops: list[bytes] = []
+        size = 0
+        for op in records:
+            ops.append(json.dumps(op, separators=(",", ":")).encode("utf-8"))
+            size += len(ops[-1])
+            if size >= _STATE_RECORD_BYTES:
+                frames.append(wal.frame(head + b",".join(ops) + b"]}"))
+                ops, size = [], 0
+        if ops:
+            frames.append(wal.frame(head + b",".join(ops) + b"]}"))
+        count += len(records)
+    return b"".join(frames), count
 
 
 def _fsync_dir(path: Path) -> None:
@@ -108,16 +126,14 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def _swap_in(
-    target: Path, data: bytes, *, collection_name: str | None = None,
-    fault: bool = False,
-) -> None:
-    """Write ``data`` next to ``target`` and atomically rename it over.
+def _swap_in(target: Path, data: bytes, *, fault: bool = False) -> None:
+    """Write ``data`` next to ``target``, atomically rename it over, and
+    fsync the directory.
 
-    The temp file is fsync'd *before* the rename and the caller fsyncs the
-    directory after — a crash at any point leaves either the old complete
-    file or the new complete one, never a mix.  ``fault=True`` arms the
-    ``mid-compaction-swap`` crash point between the two.
+    The temp file is fsync'd *before* the rename — a crash at any point
+    leaves either the old complete file or the new complete one, never a
+    mix.  ``fault=True`` arms the ``mid-compaction-swap`` crash point
+    between the two.
     """
     tmp = target.with_name(target.name + _TMP_SUFFIX)
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
@@ -127,33 +143,53 @@ def _swap_in(
     finally:
         os.close(fd)
     if fault:
-        wal.maybe_fault("mid-compaction-swap", collection_name)
+        wal.maybe_fault("mid-compaction-swap")
     os.replace(tmp, target)
+    _fsync_dir(target.parent)
 
 
-def write_segment(
-    target: Path,
-    records: Iterable[Mapping[str, Any]],
-    *,
-    collection_name: str | None = None,
-    fault: bool = False,
-) -> int:
-    """Write a complete v2 segment and swap it in over ``target``."""
-    data = b"".join(wal.encode_record(record) for record in records)
-    _swap_in(target, data, collection_name=collection_name, fault=fault)
-    return len(data)
-
-
-def _quarantine_tail(path: Path, torn: bytes, valid_end: int, name: str) -> None:
+def _quarantine_tail(path: Path, torn: bytes, valid_end: int) -> None:
     """Preserve the bytes of a torn tail (the caller truncates them)."""
     sidecar = path.with_name(f"{path.name}.corrupt-{int(time.time() * 1000)}")
     sidecar.write_bytes(torn)
-    _TORN_TRUNCATIONS.inc(name)
+    _TORN_TRUNCATIONS.inc()
     _log.warning(
         "store: truncated torn tail of %s at byte %d (%d bad byte(s) "
         "quarantined to %s); recovered state is the fsync'd record "
         "prefix", path, valid_end, len(torn), sidecar,
     )
+
+
+def _v2_op(record: Mapping[str, Any]) -> Any:
+    """A v1/v2 record (``{"op": ..., ...}``) as a v3 op (migration only)."""
+    op = record.get("op")
+    if op == "put":
+        return record["doc"]
+    if op == "del":
+        return ["del", record.get("ids", [])]
+    if op == "index":
+        return ["index", record["path"], record["kind"]]
+    if op == "next":
+        return ["next", record["value"]]
+    return [op]  # "clear", or an op this code skips
+
+
+def _read_segment(path: Path, fmt: str) -> Collection:
+    """One v1 log or v2 segment replayed into a collection (migration only).
+
+    A torn tail is quarantined and truncated exactly as replay does.
+    """
+    data = path.read_bytes()
+    records, valid_end, torn = wal.decode_records(
+        data, checksum=wal.format_checksum(fmt)
+    )
+    if torn:
+        _quarantine_tail(path, data[valid_end:], valid_end)
+        os.truncate(path, valid_end)
+    collection = Collection(unquote(path.name[: -len(wal.SEGMENT_SUFFIXES[fmt])]))
+    for record in records:
+        collection.apply_wal_record(_v2_op(record))
+    return collection
 
 
 class Database:
@@ -164,19 +200,21 @@ class Database:
         self.path = Path(path) if path is not None else None
         self._tlock = threading.RLock()
         self._lock_depth = 0
-        self._wal_logs: dict[str, wal.CollectionLog] = {}
+        self._log: wal.CollectionLog | None = None
         self._wal_root: Path | None = None
-        self._wal_ready = False
-        self._wal_dir_dirty = False
+        #: Ops the open section journaled, grouped by collection in
+        #: first-write order: the section's commit record.
+        self._staged: dict[str, list[Any]] = {}
+        self._after_commit: list[Callable[[], None]] = []
         if self.path is None:
             self.engine = "memory"
             return
         self.engine = "wal"
         self._wal_root = self.path.with_name(self.path.name + ".wal")
         self._wal_root.mkdir(parents=True, exist_ok=True)
-        # Open under the store lock: migrate a legacy snapshot if one is
-        # present, clean compaction leftovers, replay the logs, and
-        # truncate any torn tail a previous crash left behind.
+        # Open under the store lock: migrate an older layout if one is
+        # present, clean leftovers, replay the log, and truncate any torn
+        # tail a previous crash left behind.
         with self.exclusive():
             pass
 
@@ -187,7 +225,7 @@ class Database:
         if self.engine == "wal":
             collection.bind_engine(
                 guard=self.exclusive,
-                journal=lambda record, _name=name: self._wal_append(_name, record),
+                journal=lambda op, _name=name: self._wal_append(_name, op),
             )
         return collection
 
@@ -210,22 +248,19 @@ class Database:
         return sorted(self._collections)
 
     def drop_collection(self, name: str) -> bool:
-        """Remove a collection entirely; returns whether it existed."""
-        if self.engine != "wal":
-            return self._collections.pop(name, None) is not None
+        """Remove a collection entirely; returns whether it existed.
+
+        Journaled as a ``["drop"]`` op, so every peer's replay drops it too.
+        """
         with self.exclusive():
             existed = self._collections.pop(name, None) is not None
-            log = self._wal_logs.pop(name, None)
-            if log is not None:
-                log.close()
-                log.path.unlink(missing_ok=True)
-                self._wal_dir_dirty = True
-                existed = True
+            if existed and self.engine == "wal":
+                self._wal_append(name, ["drop"])
             return existed
 
     def stats(self) -> dict[str, Any]:
         """Document counts per collection (the admin endpoint's payload),
-        plus per-segment WAL counters when this store journals."""
+        plus the store log's counters when this store journals."""
         payload: dict[str, Any] = {
             "collections": {
                 name: len(collection)
@@ -235,35 +270,36 @@ class Database:
             "engine": self.engine,
         }
         if self.engine == "wal":
-            segments: dict[str, Any] = {}
-            for name, log in sorted(self._wal_logs.items()):
-                stat = log.stat()
-                segments[name] = {
-                    "segment_bytes": stat.st_size if stat else 0,
-                    "records": log.records,
-                    "live_documents": len(self._collections.get(name, ())),
-                    "compactions": log.compactions,
-                }
-            payload["wal"] = segments
+            log = self._log
+            assert log is not None
+            payload["wal"] = {
+                "log_bytes": os.fstat(log.fd).st_size,
+                "records": log.records,
+                "live_documents": sum(payload["collections"].values()),
+                "compactions": log.compactions,
+            }
         return payload
 
-    # -- WAL engine: locking, replay, recovery ----------------------------------
+    # -- WAL engine: locking, commit, replay, recovery ---------------------------
 
     @contextmanager
     def exclusive(self) -> Iterator[None]:
-        """The store's cross-process critical section.
+        """The store's cross-process critical section and its one commit.
 
         WAL engine: process-local reentrant lock + ``flock`` on
-        ``<root>/LOCK``; entry replays peers' log tails (so a mutation
+        ``<root>/LOCK``; entry replays peers' commits (so a mutation
         always starts from the shared present — id assignment and
-        ``update_if`` CAS decisions are then correct across processes)
-        and exit fsyncs every dirty log *before* the lock releases, so an
-        acknowledged mutation is durable.  Memory engine: the process
-        lock only.
+        ``update_if`` CAS decisions are then correct across processes),
+        and exit writes every op the section staged as one record and
+        fsyncs it before the lock releases — so an acknowledged section is
+        durable whole.  A section that raises still commits what it
+        already applied in memory; only a crash drops it.  After a section
+        that completes, its :meth:`after_commit` callbacks run.  Memory
+        engine: the process lock only.
 
         Reentrant: nested sections piggyback on the outer one (``flock``
         self-deadlocks across fds of one process otherwise) and share its
-        single exit fsync.
+        single commit.
         """
         with self._tlock:
             if self.engine != "wal":
@@ -287,7 +323,7 @@ class Database:
                     pass
                 self._lock_depth = 1
                 try:
-                    if not self._wal_ready:
+                    if self._log is None:
                         self._wal_open_locked()
                     self._wal_refresh(truncate_torn=True)
                     yield
@@ -296,12 +332,29 @@ class Database:
                     self._wal_sync()
             finally:
                 handle.close()  # closing the fd releases the flock
+                callbacks, self._after_commit = self._after_commit, []
+            for callback in callbacks:
+                callback()
+
+    def after_commit(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` once the open section has committed and
+        released the lock (not at all if the section raises).
+
+        Outside a WAL section (or on the memory engine) it runs at once.
+        The job registry's ``after-*`` crash points use it: a kill named
+        after a persisted transition lands after that transition's commit.
+        """
+        with self._tlock:
+            if self._lock_depth == 0:
+                callback()
+            else:
+                self._after_commit.append(callback)
 
     def refresh(self) -> None:
-        """Adopt changes other processes appended since the last look.
+        """Adopt commits other processes appended since the last look.
 
-        Cheap when nothing changed (one ``stat`` per log).  Lock-free:
-        a tail being appended right now simply decodes short and is
+        Cheap when nothing changed (one ``stat`` of the log).  Lock-free:
+        a commit being written right now simply decodes short and is
         retried on the next refresh — torn-tail truncation only happens
         inside :meth:`exclusive`, where no live writer can exist.
         """
@@ -313,193 +366,159 @@ class Database:
             self._wal_refresh(truncate_torn=False)
 
     def _wal_open_locked(self) -> None:
-        """First-open work under the lock: import a legacy snapshot or
-        migrate v1 logs; an unknown ``FORMAT`` marker raises."""
-        assert self.path is not None and self._wal_root is not None
-        found = wal.read_format(self._wal_root)
-        if found == wal.FORMAT_V1:
-            self._migrate_v1()
-        elif found is None:
-            if self.path.exists():
-                migrated = 0
-                for collection in self._read_snapshot(self.path):
-                    target = self._wal_root / (
-                        _encode_name(collection.name) + _SEGMENT_SUFFIX
-                    )
-                    write_segment(target, collection_records(collection))
-                    migrated += 1
-                if migrated:
-                    (self._wal_root / _MIGRATED_MARKER).write_text(
-                        self.path.name + "\n"
-                    )
-                    _log.warning(
-                        "store: migrated legacy snapshot %s to %d WAL "
-                        "segment(s) under %s; original kept until the "
-                        "first successful compaction",
-                        self.path, migrated, self._wal_root,
-                    )
-            self._write_format_marker()
-        self._wal_ready = True
-
-    def _write_format_marker(self) -> None:
-        assert self._wal_root is not None
-        _swap_in(
-            self._wal_root / wal.FORMAT_MARKER, (_FORMAT_VALUE + "\n").encode()
-        )
-        _fsync_dir(self._wal_root)
-
-    def _migrate_v1(self) -> None:
-        """Rewrite every v1 log as a v2 segment, then flip the marker.
-
-        Per log: verify ``<name>.log`` with CRC-32C (a torn tail is
-        quarantined and truncated exactly as replay would), swap
-        ``<name>.seg`` in through :func:`write_segment`, fsync the
-        directory, unlink the log.  A kill at any point converges: a
-        ``.seg`` beside a ``.log`` is a finished rewrite whose unlink was
-        lost, so the ``.seg`` wins; the marker flips only once no v1 log
-        is left.  The ``mid-format-migration`` crash point fires after
-        each rewrite and once more just before the flip.
-        """
-        assert self._wal_root is not None
+        """First-open work under the lock: migrate an older layout, drop
+        leftovers, open the log; an unknown ``FORMAT`` marker raises."""
         root = self._wal_root
-        checksum = wal.format_checksum(wal.FORMAT_V1)
-        v1_suffix = wal.SEGMENT_SUFFIXES[wal.FORMAT_V1]
-        logs = sorted(root.glob("*" + v1_suffix))
-        for log_path in logs:
-            stem = log_path.name[: -len(v1_suffix)]
-            name = _decode_name(stem)
-            segment = root / (stem + _SEGMENT_SUFFIX)
-            if not segment.exists():
-                data = log_path.read_bytes()
-                records, valid_end, torn = wal.decode_records(
-                    data, checksum=checksum
-                )
-                if torn:
-                    _quarantine_tail(log_path, data[valid_end:], valid_end, name)
-                    os.truncate(log_path, valid_end)
-                write_segment(segment, records)
-                _fsync_dir(root)
-                wal.maybe_fault("mid-format-migration", name)
-            log_path.unlink()
-        _fsync_dir(root)
+        assert root is not None
+        found = wal.read_format(root)
+        if found != wal.FORMAT_V3:
+            self._migrate(found)
+        # Files a killed migration never unlinked, and the temp file of a
+        # killed compaction: the log they would have replaced is complete.
+        for entry in os.listdir(root):
+            if entry.endswith((*wal.SEGMENT_SUFFIXES.values(), _TMP_SUFFIX)):
+                (root / entry).unlink()
+        self._log = wal.CollectionLog(root / wal.LOG_NAME)
+
+    def _migrate(self, found: str | None) -> None:
+        """Rewrite an older store as the v3 log, once (under the flock).
+
+        Reads everything the older layouts hold, in one step: v2 segments
+        (``<name>.seg``), v1 logs (``<name>.log``, verified with CRC-32C;
+        a segment beside its v1 log is a finished v1 → v2 rewrite whose
+        unlink was lost, so the segment wins), and, only when there is no
+        ``FORMAT`` marker at all, the legacy snapshot at ``path``, whose
+        collections replace same-named segments as the v2 import did.
+        Then: swap the v3 log in, write ``MIGRATED`` if a snapshot was
+        imported, flip the marker, unlink the old files.  A kill before
+        the flip leaves every source and the old marker intact, so the
+        next open migrates again; a kill after it leaves old files that
+        every v3 open deletes.  ``mid-format-migration`` fires just before
+        the flip and before each old file's unlink.
+        """
+        root = self._wal_root
+        assert root is not None and self.path is not None
+        collections: dict[str, Collection] = {}
+        sources: list[Path] = []
+        for fmt in (wal.FORMAT_V2, wal.FORMAT_V1):
+            suffix = wal.SEGMENT_SUFFIXES[fmt]
+            for source in sorted(root.glob("*" + suffix)):
+                sources.append(source)
+                if unquote(source.name[: -len(suffix)]) not in collections:
+                    collection = _read_segment(source, fmt)
+                    collections[collection.name] = collection
+        imported = 0
+        if found is None and self.path.exists():
+            for collection in self._read_snapshot(self.path):
+                collections[collection.name] = collection
+                imported += 1
+        data, _ = _encode_state(collections[name] for name in sorted(collections))
+        if data:
+            _swap_in(root / wal.LOG_NAME, data)
+        else:  # nothing to carry over: the marker's swap makes the file durable
+            (root / wal.LOG_NAME).write_bytes(b"")
+        if imported:
+            (root / _MIGRATED_MARKER).write_text(self.path.name + "\n")
         wal.maybe_fault("mid-format-migration")
-        self._write_format_marker()
-        if logs:
+        _swap_in(root / wal.FORMAT_MARKER, (wal.FORMAT_V3 + "\n").encode())
+        for source in sources:
+            wal.maybe_fault("mid-format-migration")
+            source.unlink()
+        if sources or imported:
+            _fsync_dir(root)
             _log.warning(
-                "store: migrated %d WAL log(s) under %s from %s to %s",
-                len(logs), root, wal.FORMAT_V1, _FORMAT_VALUE,
+                "store: migrated %s under %s to %s (%d collection(s)%s)",
+                found or "a legacy snapshot", root, wal.FORMAT_V3,
+                len(collections),
+                "; snapshot kept until the first compaction" if imported else "",
             )
+
+    def _apply(self, record: Mapping[str, Any]) -> int:
+        """Apply one commit record whole; returns how many ops it held."""
+        applied = 0
+        for name, ops in record.items():
+            for op in ops:
+                if op == ["drop"]:
+                    self._collections.pop(name, None)
+                else:
+                    self.collection(name).apply_wal_record(op)
+            applied += len(ops)
+        return applied
 
     def _wal_refresh(self, truncate_torn: bool) -> None:
-        assert self._wal_root is not None
+        log = self._log
+        assert log is not None
         try:
-            entries = os.listdir(self._wal_root)
+            stat = os.stat(log.path)
         except FileNotFoundError:  # pragma: no cover - root deleted underneath
             return
-        for entry in entries:
-            if entry.endswith(_SEGMENT_SUFFIX):
-                name = _decode_name(entry[: -len(_SEGMENT_SUFFIX)])
-                if name not in self._wal_logs:
-                    self._wal_logs[name] = wal.CollectionLog(
-                        name, self._wal_root / entry
-                    )
-                    self.collection(name)  # materialize for replay
-            elif entry.endswith(_TMP_SUFFIX) and truncate_torn:
-                # Leftover of a compaction killed before its atomic swap:
-                # the old log is still complete; the half-segment is noise.
-                (self._wal_root / entry).unlink(missing_ok=True)
-        for name, log in list(self._wal_logs.items()):
-            collection = self.collection(name)
-            stat = log.stat()
-            if stat is None:
-                # A peer dropped the collection (tombstoned wholesale).
-                log.close()
-                del self._wal_logs[name]
-                self._collections.pop(name, None)
-                continue
-            if log.inode_changed(stat) or stat.st_size < log.applied_offset:
-                # A peer compacted: new segment, replay it from zero.
-                log.reopen()
+        if stat.st_ino != log.inode or stat.st_size < log.applied_offset:
+            # A peer compacted: replay the fresh log from zero.
+            log.reopen()
+            for collection in self._collections.values():
                 collection.reset_state()
-                stat = log.stat()
-                if stat is None:  # pragma: no cover - raced a drop
-                    continue
-            if stat.st_size > log.applied_offset:
-                tail = log.read_tail(stat.st_size)
-                valid = 0
-                for record, valid in wal.iter_records(tail):
-                    collection.apply_wal_record(record)
-                    log.records += 1
-                log.applied_offset += valid
-                if valid < len(tail) and truncate_torn:
-                    # A crash landed mid-append: keep then drop the tail.
-                    _quarantine_tail(
-                        log.path, tail[valid:], log.applied_offset, name
-                    )
-                    log.truncate_to(log.applied_offset)
+            stat = os.fstat(log.fd)
+        if stat.st_size > log.applied_offset:
+            tail = log.read_tail(stat.st_size)
+            valid = 0
+            for record, valid in wal.iter_records(tail):
+                log.records += self._apply(record)
+            log.applied_offset += valid
+            if valid < len(tail) and truncate_torn:
+                # A crash landed mid-commit: keep then drop the tail.
+                _quarantine_tail(log.path, tail[valid:], log.applied_offset)
+                log.truncate_to(log.applied_offset)
 
-    def _wal_append(self, name: str, record: Mapping[str, Any]) -> None:
-        assert self.engine == "wal" and self._wal_root is not None
+    def _wal_append(self, name: str, op: Any) -> None:
+        """Stage one op for the open section's commit.
+
+        The ``mid-section`` crash point, scoped by those two collections,
+        fires when a section first stages ops for a second collection,
+        before anything of it is written.
+        """
+        assert self.engine == "wal"
         assert self._lock_depth > 0, "WAL appends require Database.exclusive()"
-        log = self._wal_logs.get(name)
-        if log is None:
-            log = wal.CollectionLog(
-                name, self._wal_root / (_encode_name(name) + _SEGMENT_SUFFIX)
-            )
-            self._wal_logs[name] = log
-            self._wal_dir_dirty = True  # new file: directory entry to fsync
-        log.append(record)
+        ops = self._staged.get(name)
+        if ops is None:
+            ops = self._staged[name] = []
+            if len(self._staged) == 2:
+                wal.maybe_fault("mid-section", tuple(self._staged))
+        ops.append(op)
 
     def _wal_sync(self) -> None:
-        for log in self._wal_logs.values():
-            log.sync()
-        if self._wal_dir_dirty:
-            assert self._wal_root is not None
-            _fsync_dir(self._wal_root)
-            self._wal_dir_dirty = False
+        """Write the staged ops as one record and fsync it."""
+        staged, self._staged = self._staged, {}
+        if staged:
+            assert self._log is not None
+            self._log.append(staged)
+            self._log.sync()
 
-    def compact_collection(self, name: str) -> dict[str, Any]:
-        """Rewrite one collection's log to its live state, atomically.
+    def compact(self) -> dict[str, Any]:
+        """Rewrite the store log to its live state, atomically.
 
-        Crash-safe at any point: the new segment is complete and fsync'd
+        Crash-safe at any point: the new log is complete and fsync'd
         before the rename, the old log stays intact until it, and peers
-        detect the inode change and replay the fresh segment.  Returns
+        detect the inode change and replay the fresh log.  The first
+        compaction after a snapshot import archives the snapshot: it is
+        renamed to ``<path>.pre-wal`` (never deleted).  Returns the
         before/after byte counts.
         """
-        with self.exclusive():
-            log = self._wal_logs.get(name)
-            if log is None:
-                return {"collection": name, "before_bytes": 0,
-                        "after_bytes": 0, "compacted": False}
-            stat = log.stat()
-            before = stat.st_size if stat else 0
-            started = time.perf_counter()
-            collection = self.collection(name)
-            records = list(collection_records(collection))
-            after = write_segment(
-                log.path, records, collection_name=name, fault=True
-            )
-            _fsync_dir(log.path.parent)
-            log.adopt_segment(after, len(records))
-            _COMPACTION_SECONDS.observe(time.perf_counter() - started, name)
-            return {"collection": name, "before_bytes": before,
-                    "after_bytes": after, "compacted": True}
-
-    def compact(self) -> list[dict[str, Any]]:
-        """Compact every collection; archives a migrated legacy snapshot.
-
-        The first successful *full* compaction is the point after which
-        the pre-WAL snapshot file is no longer the fallback of record —
-        it is renamed to ``<path>.pre-wal`` (never deleted).
-        """
         if self.engine != "wal":
-            return []
+            return {"before_bytes": 0, "after_bytes": 0, "compacted": False}
         with self.exclusive():
-            results = [
-                self.compact_collection(name)
-                for name in sorted(self._wal_logs)
-            ]
-            assert self._wal_root is not None and self.path is not None
+            log = self._log
+            assert log is not None and self._wal_root is not None
+            assert self.path is not None
+            before = os.fstat(log.fd).st_size
+            started = time.perf_counter()
+            data, records = _encode_state(
+                self._collections[name] for name in sorted(self._collections)
+            )
+            _swap_in(log.path, data, fault=True)
+            # The new log already holds whatever this section staged.
+            self._staged.clear()
+            log.adopt(len(data), records)
+            _COMPACTION_SECONDS.observe(time.perf_counter() - started)
             marker = self._wal_root / _MIGRATED_MARKER
             if marker.exists():
                 if self.path.exists():
@@ -507,11 +526,12 @@ class Database:
                     os.replace(self.path, archived)
                     _log.warning(
                         "store: archived migrated legacy snapshot to %s "
-                        "after first full compaction", archived,
+                        "after the first compaction", archived,
                     )
-                marker.unlink(missing_ok=True)
-                self._wal_dir_dirty = True
-            return results
+                marker.unlink()
+                _fsync_dir(self._wal_root)
+            return {"before_bytes": before, "after_bytes": len(data),
+                    "compacted": True}
 
     # -- persistence (legacy snapshot format; export + migration) ---------------
 
@@ -519,11 +539,11 @@ class Database:
         """Export a JSON snapshot atomically *and durably*; returns the path.
 
         A pure export: the WAL engine needs no snapshot for durability
-        (appends are fsync'd per transition), and saving a memory database
-        does not bind it to ``path``.  A snapshot at a store path is
-        imported into WAL segments on first open.  The temp file is
-        fsync'd before the rename and the directory after it, so the
-        snapshot survives power loss, not just process death.
+        (every section's commit is fsync'd), and saving a memory database
+        does not bind it to ``path``.  A snapshot at a store path with no
+        WAL beside it is imported on first open.  The temp file is fsync'd
+        before the rename and the directory after it, so the snapshot
+        survives power loss, not just process death.
         """
         target = Path(path) if path is not None else self.path
         if target is None:

@@ -75,7 +75,8 @@ def freeze(value: Any) -> Any:
         if _SCALARS.issuperset(map(type, value)):
             return FrozenList(value)
         return FrozenList([freeze(item) for item in value])
-    if isinstance(value, Mapping):
+    # ``type(...) is dict`` first: the ``Mapping`` ABC check is far slower.
+    if kind is dict or isinstance(value, Mapping):
         if _SCALARS.issuperset(map(type, value.values())):
             return FrozenDict(value)
         return FrozenDict({key: freeze(item) for key, item in value.items()})
@@ -91,7 +92,7 @@ def thaw(value: Any) -> Any:
         if _SCALARS.issuperset(map(type, value)):
             return list(value)
         return [thaw(item) for item in value]
-    if isinstance(value, Mapping):
+    if isinstance(value, dict) or isinstance(value, Mapping):
         return {key: thaw(item) for key, item in value.items()}
     if isinstance(value, tuple):
         return tuple(thaw(item) for item in value)

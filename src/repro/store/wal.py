@@ -1,35 +1,43 @@
-"""Write-ahead log primitives: checksummed records, torn-tail recovery.
+"""Write-ahead log primitives: the store's one log, commit records, recovery.
 
-The WAL-backed store engine journals every mutation of a collection as one
-*record* in a per-collection append-only segment::
+The WAL-backed store engine journals into **one** append-only log per
+store, ``<path>.wal/journal``.  Every ``Database.exclusive()`` section
+commits as one *record*::
 
-    <length: u32 LE> <checksum(payload): u32 LE> <payload: UTF-8 JSON>
+    <length: u32 LE> <zlib.crc32(payload): u32 LE> <payload: UTF-8 JSON>
 
-Appends go through an ``O_APPEND`` fd and are fsync'd before the writing
-critical section releases its lock, so an acknowledged transition is on
-disk.  Replay walks records from the front and stops at the first bad
-length, short payload, checksum mismatch, or unparseable JSON — everything
-before that point is exactly the prefix of successfully appended records;
-everything after is a *torn tail* (a crash landed mid-append) and is
-truncated by recovery, after quarantining the bytes for post-mortems.
+whose payload groups the section's mutation ops under their collection
+names, each name written once: ``{"jobs": [op, ...], "spans": [...]}``.
+A put op is the document itself; other ops are short lists such as
+``["del", ids]`` (see ``Collection.apply_wal_record``).
+The commit is one ``write(2)`` through an ``O_APPEND`` fd and one fsync,
+both before the section releases its lock, so an acknowledged section is
+on disk whole.  Replay walks records from the front and stops at the
+first bad length, short payload, checksum mismatch, or unparseable JSON.
+Everything before that point is exactly the prefix of completed commits;
+everything after is a *torn tail* (a crash landed mid-commit), which
+recovery quarantines and truncates.  A record is applied whole or not at
+all, so neither a restart nor a peer's lock-free refresh ever sees part
+of a section.
 
-The record format is versioned by the directory's ``FORMAT`` marker and by
-each segment's file suffix, so a file always says how to check it:
+The ``FORMAT`` marker names the directory's format:
 
-* ``repro-store-wal-v2`` (``<name>.seg``, current) checksums with stdlib
-  ``zlib.crc32`` — C speed, about 1.9 GB/s, so reopening a store is
-  bounded by JSON decoding rather than by the checksum;
-* ``repro-store-wal-v1`` (``<name>.log``) checksummed with CRC-32C
-  (Castagnoli) in table-based pure Python, about 5.5 MB/s.  v1 logs are
-  only ever *read*: the store verifies them once with :func:`crc32c` and
-  rewrites them as v2 on open (see ``Database._migrate_v1``).
+* ``repro-store-wal-v3`` (current): the one log of commit records above;
+* ``repro-store-wal-v2``: one log per collection, ``<name>.seg``, one
+  record per op, checksummed with ``zlib.crc32``;
+* ``repro-store-wal-v1``: the same per-collection layout as ``<name>.log``,
+  checksummed with CRC-32C (Castagnoli) in table-based pure Python.
+
+v1 and v2 files are only ever *read*, by the one-time migration on open
+(``Database._migrate``), each with the checksum its suffix names.
 
 Fault injection mirrors ``repro.jobs.durable``: ``REPRO_STORE_FAULT``
 names a crash point (:data:`FAULT_POINTS`) and the process hard-exits
 (``os._exit``) there, exactly like ``kill -9`` landing mid-write.  The
-spec grammar is ``<point>[@<collection>][:<nth>]`` — e.g.
-``mid-append@jobs:2`` kills the process halfway through the second append
-to the ``jobs`` collection's log.
+spec grammar is ``<point>[@<collection>][:<nth>]``.  A collection scope
+counts the commits that carry a record of that collection, so
+``mid-append@jobs:2`` kills the process halfway through writing the
+second commit that touches ``jobs``.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ __all__ = [
     "FORMAT_MARKER",
     "FORMAT_V1",
     "FORMAT_V2",
+    "FORMAT_V3",
+    "LOG_NAME",
     "SEGMENT_SUFFIXES",
     "CollectionLog",
     "UnknownFormatError",
@@ -71,11 +81,12 @@ FAULT_ENV = "REPRO_STORE_FAULT"
 
 #: Supported crash points, in write-path order.
 FAULT_POINTS = (
-    "mid-append",            # half a record written; the tail is torn
-    "pre-fsync",             # record written, fsync never issued
-    "mid-compaction-swap",   # new segment written; old log never replaced
-    "mid-format-migration",  # nth v1 log rewritten as v2, not yet unlinked;
-                             # once more (logs + 1) just before the marker flip
+    "mid-section",           # records staged for two collections, no commit
+    "mid-append",            # half a commit written; the tail is torn
+    "pre-fsync",             # commit written, fsync never issued
+    "mid-compaction-swap",   # new log written; old log never replaced
+    "mid-format-migration",  # v3 log written, marker not yet flipped; then
+                             # before each old file's unlink after the flip
 )
 
 #: Exit status for store fault exits (jobs faults use 70; keep them apart).
@@ -85,10 +96,14 @@ FAULT_EXIT_CODE = 71
 FORMAT_MARKER = "FORMAT"
 FORMAT_V1 = "repro-store-wal-v1"
 FORMAT_V2 = "repro-store-wal-v2"
+FORMAT_V3 = "repro-store-wal-v3"
+_FORMATS = (FORMAT_V1, FORMAT_V2, FORMAT_V3)
 
-#: Segment file suffix per format, oldest first.  Each file names its own
-#: format, so a v2 segment is never replayed (let alone truncated) with the
-#: v1 checksum — and a v1 binary, which globs ``*.log``, never sees one.
+#: The v3 store log's file name under ``<path>.wal/``.
+LOG_NAME = "journal"
+
+#: Per-collection log suffix of the formats before v3, oldest first.  Only
+#: the migration reader opens these files.
 SEGMENT_SUFFIXES = {FORMAT_V1: ".log", FORMAT_V2: ".seg"}
 
 Checksum = Callable[[bytes], int]
@@ -100,17 +115,15 @@ HEADER_SIZE = _HEADER.size
 #: gigabyte allocation during replay.
 MAX_RECORD_BYTES = 256 * 1024 * 1024
 
-# WAL write-path metrics, labelled by collection.  One perf_counter pair
-# per append/fsync — noise next to the write(2)/fsync(2) they bracket.
+# WAL write-path metrics.  One perf_counter pair per commit/fsync — noise
+# next to the write(2)/fsync(2) they bracket.
 _APPEND_SECONDS = get_registry().histogram(
     "repro_wal_append_seconds",
-    "Latency of one WAL record append (write(2) only, not fsync).",
-    ("collection",),
+    "Latency of one WAL commit append (write(2) only, not fsync).",
 )
 _FSYNC_SECONDS = get_registry().histogram(
     "repro_wal_fsync_seconds",
     "Latency of one WAL fsync barrier.",
-    ("collection",),
 )
 
 
@@ -127,7 +140,7 @@ def format_checksum(fmt: str) -> Checksum:
     Resolved per call, so a wrapper installed on :func:`crc32c` by name
     (a tracer) sees the v1 migration reader's calls.
     """
-    if fmt == FORMAT_V2:
+    if fmt in (FORMAT_V2, FORMAT_V3):
         return zlib.crc32
     if fmt == FORMAT_V1:
         return crc32c
@@ -140,17 +153,17 @@ def read_format(root: Path) -> str | None:
     v1 wrote the marker in place, so an empty marker is a v1 first open
     killed mid-write.  A value this code does not know raises: the store
     may belong to a newer version, and replaying it with the wrong
-    checksum would truncate every segment as torn.
+    checksum would truncate its log as torn.
     """
     marker = Path(root) / FORMAT_MARKER
     try:
         fmt = marker.read_text(encoding="utf-8").strip() or FORMAT_V1
     except FileNotFoundError:
         return None
-    if fmt not in SEGMENT_SUFFIXES:
+    if fmt not in _FORMATS:
         raise UnknownFormatError(
             f"unrecognised WAL format in {marker}: {fmt!r} (this version "
-            f"reads {', '.join(SEGMENT_SUFFIXES)})"
+            f"reads {', '.join(_FORMATS)})"
         )
     return fmt
 
@@ -207,10 +220,14 @@ def write_all(fd: int, data: bytes) -> None:
         view = view[written:]
 
 
+def frame(payload: bytes, checksum: Checksum = zlib.crc32) -> bytes:
+    """Length-prefix and checksum one encoded payload."""
+    return _HEADER.pack(len(payload), checksum(payload)) + payload
+
+
 def encode_record(record: Mapping[str, Any], checksum: Checksum = zlib.crc32) -> bytes:
     """One length-prefixed, checksummed record: header + JSON payload."""
-    payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-    return _HEADER.pack(len(payload), checksum(payload)) + payload
+    return frame(json.dumps(record, separators=(",", ":")).encode("utf-8"), checksum)
 
 
 def iter_records(
@@ -221,8 +238,7 @@ def iter_records(
     ``end`` is the offset just past the record.  Iteration stops at the
     first short header/payload, bad length, ``checksum`` mismatch, or
     undecodable JSON: everything after is a torn tail.  Records decode
-    one at a time, so replaying a log of superseded versions never holds
-    them all in memory at once.
+    one at a time, so replaying a long log never holds it all decoded.
     """
     offset = start
     end = len(buffer)
@@ -255,7 +271,7 @@ def decode_records(
     offset just past the last valid record, and whether trailing bytes
     were rejected (see :func:`iter_records`).  Recovery truncates the file
     to ``valid_end``; readers racing a live writer simply retry from it
-    later — an in-flight append looks exactly like a torn tail until it
+    later — an in-flight commit looks exactly like a torn tail until it
     completes.
     """
     records: list[dict[str, Any]] = []
@@ -266,7 +282,10 @@ def decode_records(
 
 
 def verify_log(path: str | Path, checksum: Checksum = zlib.crc32) -> dict[str, Any]:
-    """Offline checksum walk of one segment file (``repro store verify``)."""
+    """Offline checksum walk of one log file (``repro store verify``).
+
+    ``records`` counts frames: commits in a v3 log, ops in a v1/v2 one.
+    """
     data = Path(path).read_bytes()
     records, valid_end, torn = decode_records(data, checksum=checksum)
     return {
@@ -279,37 +298,44 @@ def verify_log(path: str | Path, checksum: Checksum = zlib.crc32) -> dict[str, A
     }
 
 
-# -- one collection's log ---------------------------------------------------------
+# -- the store log ----------------------------------------------------------------
 
 
 class CollectionLog:
-    """The append fd + replay cursor for one collection's log file.
+    """The append fd + replay cursor of the store's one log.
+
+    The class keeps the name it had when every collection had its own log
+    (``perfbench/layers.py`` wraps :meth:`append` and :meth:`sync` by
+    name, and reads ``collection_name``, which is now the log's name).
 
     The owning :class:`~repro.store.database.Database` serializes access:
-    appends and truncation happen only inside its cross-process exclusive
+    commits and truncation happen only inside its cross-process exclusive
     section; tail reads may race a live writer and must treat a torn tail
     as "not yet readable" rather than corruption (see
     :func:`iter_records`).
     """
 
-    def __init__(self, collection_name: str, path: Path) -> None:
-        self.collection_name = collection_name
+    def __init__(self, path: Path) -> None:
         self.path = Path(path)
+        self.collection_name = self.path.name
         self._fd: int | None = None
-        #: Bytes of this file already applied to the in-memory collection.
+        self.inode = 0
+        #: Bytes of this file already applied to the in-memory collections.
         self.applied_offset = 0
-        #: Records seen (replayed + appended) since open/rebuild — the
+        #: Ops seen (replayed + committed) since open/rebuild — the
         #: compaction trigger compares this against the live document count.
         self.records = 0
         self.compactions = 0
         self.dirty = False
+        #: The collections of the last commit, the scope of ``pre-fsync``.
+        self._scopes: tuple[str, ...] = ()
         self._open_fd()
 
     def _open_fd(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fd = os.open(
             self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644
         )
+        self.inode = os.fstat(self._fd).st_ino
 
     @property
     def fd(self) -> int:
@@ -321,19 +347,6 @@ class CollectionLog:
             os.close(self._fd)
             self._fd = None
 
-    # -- identity / size -------------------------------------------------------
-
-    def stat(self) -> os.stat_result | None:
-        try:
-            return os.stat(self.path)
-        except FileNotFoundError:
-            return None
-
-    def inode_changed(self, stat: os.stat_result) -> bool:
-        """True when ``path`` now names a different file than our fd (a
-        peer's compaction swapped a fresh segment in)."""
-        return stat.st_ino != os.fstat(self.fd).st_ino
-
     def reopen(self) -> None:
         """Re-point at the current file and reset the replay cursor."""
         self.close()
@@ -342,33 +355,33 @@ class CollectionLog:
         self.records = 0
         self.dirty = False
 
-    def adopt_segment(self, size: int, records: int) -> None:
-        """Switch to a freshly written compacted segment of known content.
+    def adopt(self, size: int, records: int) -> None:
+        """Switch to a freshly written log of known content.
 
-        The writer just produced the segment from the in-memory state, so
-        nothing needs replaying — the cursor jumps straight to its end.
+        The writer just produced it from the in-memory state, so nothing
+        needs replaying — the cursor jumps straight to its end.
         """
-        self.close()
-        self._open_fd()
+        self.reopen()
         self.applied_offset = size
         self.records = records
         self.compactions += 1
-        self.dirty = False
 
     # -- writes ----------------------------------------------------------------
 
     def append(self, record: Mapping[str, Any]) -> int:
-        """Append one record; returns its encoded size.
+        """Append one commit record (collection name → ops); returns its
+        encoded size.
 
         The write goes through the ``O_APPEND`` fd (looping over short
         writes); durability comes from :meth:`sync` before the exclusive
         section releases.  A write that fails partway is cut back off, so
-        later appends never land behind a half record.  The
+        later commits never land behind a half record.  The
         ``mid-append`` crash point writes *half* the record and dies —
         producing the torn tail recovery must truncate.
         """
         data = encode_record(record)
-        if fault_armed("mid-append", self.collection_name):
+        self._scopes = tuple(record)
+        if fault_armed("mid-append", self._scopes):
             os.write(self.fd, data[: max(1, len(data) // 2)])
             os._exit(FAULT_EXIT_CODE)
         started = time.perf_counter()
@@ -377,24 +390,20 @@ class CollectionLog:
         except OSError:
             os.ftruncate(self.fd, self.applied_offset)
             raise
-        _APPEND_SECONDS.observe(
-            time.perf_counter() - started, self.collection_name
-        )
+        _APPEND_SECONDS.observe(time.perf_counter() - started)
         self.applied_offset += len(data)
-        self.records += 1
+        self.records += sum(len(ops) for ops in record.values())
         self.dirty = True
         return len(data)
 
     def sync(self) -> None:
-        """fsync pending appends (the ``pre-fsync`` crash point)."""
+        """fsync the pending commit (the ``pre-fsync`` crash point)."""
         if not self.dirty:
             return
-        maybe_fault("pre-fsync", self.collection_name)
+        maybe_fault("pre-fsync", self._scopes)
         started = time.perf_counter()
         os.fsync(self.fd)
-        _FSYNC_SECONDS.observe(
-            time.perf_counter() - started, self.collection_name
-        )
+        _FSYNC_SECONDS.observe(time.perf_counter() - started)
         self.dirty = False
 
     def truncate_to(self, offset: int) -> None:

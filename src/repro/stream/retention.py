@@ -258,10 +258,11 @@ def compact_feed(
     2. trim events and alerts with ``seq`` below it;
     3. bump ``stream_state.horizon_seq``, the completed-trim marker.
 
-    A crash after step 1 leaves untrimmed-but-retired events (harmless,
-    never served, re-trimmed next sweep); after step 2, a stale marker
-    the bump-only rerun converges.  Both re-runs are idempotent because
-    the horizon is recomputed from the same monotone inputs.
+    The section commits as one store record, so a crash anywhere inside
+    it drops the whole fold and the next sweep redoes it; the order keeps
+    lock-free readers of this process from ever seeing a trimmed range
+    without its snapshot.  Re-runs are idempotent because the horizon is
+    recomputed from the same monotone inputs.
     """
     now = clock()
     with database.exclusive():

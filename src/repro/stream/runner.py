@@ -20,10 +20,12 @@ Recovery contract (the kill -9 test's ground truth):
   replay is what lets the retention sweep
   (:mod:`repro.stream.retention`) drop batches at or below the
   watermark epoch without ever breaking a rebuild;
-* re-processing an epoch whose events were written but whose state
-  advance was lost is harmless: deltas and event ids are deterministic,
-  and events/alerts are inserted if-missing — no lost and no duplicated
-  ``cap_events``.
+* the commit is a compare-and-set on ``mined_epoch == epoch - 1``
+  inside that same section, and a section commits whole or not at all:
+  an epoch's events and alerts exist exactly when its state advance
+  does, so a resumed session re-mines only epochs that never committed,
+  and a stale session racing a newer claim commits nothing — no lost
+  and no duplicated ``cap_events``.
 
 Re-mining is component-pruned: a batch that adds evolving timestamps to
 no sensor leaves every η-graph component's CAP list provably unchanged
@@ -191,9 +193,10 @@ class StreamSession:
 
         Returns ``(events, alerts fired now)``.  Everything durable —
         events, alerts, and the high-water-mark advance — lands in one
-        exclusive section, or nothing does when the ``current`` check
-        fails there; ``on_alert`` runs only for alerts this call actually
-        inserted (crash-replay fires nothing twice).
+        exclusive section, or nothing does: when the ``current`` check
+        fails there, or when another session already committed this
+        epoch (the compare-and-set on ``mined_epoch``), the call raises
+        :class:`MiningCancelled` and writes nothing.
         """
         if epoch != self.mined_epoch + 1:
             raise ValueError(
@@ -216,21 +219,12 @@ class StreamSession:
             )
         ]
         alerts = evaluate_rules(rules, events)
-        fired: list[dict[str, Any]] = []
         now = self.clock()
         with self.database.exclusive():
             self._require_current()
-            events_collection = self.database.collection(CAP_EVENTS)
-            for event in events:
-                if events_collection.find_one({"event_id": event["event_id"]}) is None:
-                    events_collection.insert_one(event)
-            alerts_collection = self.database.collection(ALERTS)
-            for alert in alerts:
-                if alerts_collection.find_one({"alert_id": alert["alert_id"]}) is None:
-                    alerts_collection.insert_one({**alert, "fired_at": now})
-                    fired.append(alert)
-            self.database.collection(STREAM_STATE).update_one(
+            advanced = self.database.collection(STREAM_STATE).update_if(
                 {"name": self.dataset.name},
+                {"mined_epoch": epoch - 1},
                 {
                     "mined_epoch": epoch,
                     "caps": caps_after,
@@ -244,12 +238,21 @@ class StreamSession:
                     "watermark": {"epoch": epoch, **self.miner.export_state()},
                 },
             )
+            if advanced is None:
+                raise MiningCancelled(
+                    f"epoch {epoch} of {self.dataset.name!r} was already "
+                    f"committed by another session"
+                )
+            self.database.collection(CAP_EVENTS).insert_many(events)
+            self.database.collection(ALERTS).insert_many(
+                [{**alert, "fired_at": now} for alert in alerts]
+            )
         self.caps = caps_after
         self.mined_epoch = epoch
         self.next_seq += len(events)
-        for alert in fired:
+        for alert in alerts:
             record_fired(alert["rule_id"])
             if on_alert is not None:
                 on_alert(alert)
         update_lag(self.database, self.dataset)
-        return events, fired
+        return events, alerts

@@ -13,7 +13,8 @@ Invariants:
   read-only all the way down;
 * WAL torn-tail recovery is *exact*: a log cut or bit-flipped at any byte
   offset replays to precisely the prefix of intact records — never one
-  record short, never a corrupt record adopted.
+  record short, never a corrupt record adopted — and a record is one
+  section, applied to every collection it touches or to none.
 """
 
 from __future__ import annotations
@@ -314,7 +315,7 @@ def test_random_ops_read_back_the_model_and_stay_read_only(initial, ops):
                 for doc_id in removed:
                     del model[doc_id]
             elif kind == "compact":
-                database.compact_collection("docs")
+                database.compact()
             else:
                 database = Database(path)
                 collection = database.collection("docs")
@@ -325,8 +326,8 @@ def test_random_ops_read_back_the_model_and_stay_read_only(initial, ops):
 
 # -- WAL torn-tail recovery ----------------------------------------------------
 
-#: Every record format the store reads: v2 is written, v1 is migrated.
-FORMATS = tuple(wal.SEGMENT_SUFFIXES)
+#: Every record format the store reads: v3 is written, v1 and v2 migrate.
+FORMATS = (wal.FORMAT_V1, wal.FORMAT_V2, wal.FORMAT_V3)
 
 
 def _record_stream(records, fmt=wal.FORMAT_V2):
@@ -386,44 +387,85 @@ def test_bit_flip_at_every_byte_offset_never_yields_a_wrong_record():
 
 def test_database_reopen_after_truncation_at_every_offset(tmp_path):
     """End-to-end: truncate the log at every offset, reopen, and the store
-    must equal the replay of the surviving record prefix.  A v1 log cut
-    anywhere migrates to a v2 segment holding exactly that prefix."""
+    must equal the replay of the surviving prefix of whole sections — a
+    section spanning two collections lands in both or in neither.  A v1
+    or v2 per-collection log cut anywhere migrates to a v3 log holding
+    exactly that log's surviving prefix."""
     path = tmp_path / "store.json"
     database = Database(path)
     caps = database["caps"]
     caps.create_index("i", "hash")
     for i in range(4):
         caps.insert_one({"i": i})
-    caps.delete_many({"i": 1})
-    caps.update_one({"i": 2}, {"value": "updated"})
+    with database.exclusive():
+        caps.delete_many({"i": 1})
+        database["other"].insert_one({"j": 1})
+        caps.update_one({"i": 2}, {"value": "updated"})
 
-    records, _end, torn = wal.decode_records(
-        (tmp_path / "store.json.wal" / "caps.seg").read_bytes()
+    commits, _end, torn = wal.decode_records(
+        (tmp_path / "store.json.wal" / "journal").read_bytes()
     )
-    assert not torn
+    assert not torn and len(commits) == 6
+    assert list(commits[-1]) == ["caps", "other"]
 
-    # The expected state after replaying records[:n], for each n.
+    # The expected state after replaying commits[:n], for each n.
     def replay(prefix):
-        collection = Collection("caps")
-        for record in prefix:
-            collection.apply_wal_record(record)
-        return collection.find()
+        collections: dict[str, Collection] = {}
+        for commit in prefix:
+            for name, ops in commit.items():
+                for op in ops:
+                    collections.setdefault(name, Collection(name)).apply_wal_record(op)
+        return {name: c.find() for name, c in collections.items()}
 
-    _, v2_offsets = _record_stream(records)
-    for fmt in FORMATS:
-        pristine, offsets = _record_stream(records, fmt)
+    def state(reopened):
+        return {
+            name: reopened[name].find()
+            for name in reopened.collection_names()
+            if reopened[name].find() or reopened[name].indexes() != {"hash": [], "sorted": []}
+        }
+
+    def cut_root():
+        target = tmp_path / "cut" / "store.json.wal"
+        target.mkdir(parents=True)
+        return target
+
+    pristine, offsets = _record_stream(commits, wal.FORMAT_V3)
+    for cut in range(len(pristine) + 1):
+        target = cut_root()
+        (target / "FORMAT").write_text(wal.FORMAT_V3 + "\n")
+        (target / "journal").write_bytes(pristine[:cut])
+        reopened = Database(tmp_path / "cut" / "store.json")
+        whole = bisect_right(offsets, cut) - 1
+        assert state(reopened) == replay(commits[:whole])
+        assert ("other" in reopened and reopened["other"].count() == 1) == (whole == 6)
+        # Recovery truncated the torn tail, quarantining its bytes.
+        assert (target / "journal").stat().st_size == offsets[whole]
+        assert len(list(target.glob("*.corrupt-*"))) == (cut != offsets[whole])
+        shutil.rmtree(tmp_path / "cut")
+
+    ops = [op for commit in commits for op in commit.get("caps", [])]
+    v2_records = [
+        {"op": "put", "doc": op} if isinstance(op, dict)
+        else {"op": "del", "ids": op[1]} if op[0] == "del"
+        else {"op": "index", "path": op[1], "kind": op[2]}
+        for op in ops
+    ]
+    for fmt in (wal.FORMAT_V1, wal.FORMAT_V2):
+        pristine, offsets = _record_stream(v2_records, fmt)
         log_name = "caps" + wal.SEGMENT_SUFFIXES[fmt]
         for cut in range(len(pristine) + 1):
-            target = tmp_path / "cut" / "store.json.wal"
-            target.mkdir(parents=True)
+            target = cut_root()
             (target / "FORMAT").write_text(fmt + "\n")
             (target / log_name).write_bytes(pristine[:cut])
             reopened = Database(tmp_path / "cut" / "store.json")
             whole = bisect_right(offsets, cut) - 1
-            assert reopened["caps"].find() == replay(records[:whole])
-            # Recovery truncated the torn tail; v1 became a v2 segment.
-            assert (target / "FORMAT").read_text() == wal.FORMAT_V2 + "\n"
-            assert (target / "caps.seg").stat().st_size == v2_offsets[whole]
-            assert not (target / "caps.log").exists()
+            expected = Collection("caps")
+            for op in ops[:whole]:
+                expected.apply_wal_record(op)
+            assert reopened["caps"].find() == expected.find()
+            # Recovery truncated the torn tail; the log became v3.
+            assert (target / "FORMAT").read_text() == wal.FORMAT_V3 + "\n"
+            assert not (target / log_name).exists()
+            assert not wal.verify_log(target / "journal")["torn"]
             assert len(list(target.glob("*.corrupt-*"))) == (cut != offsets[whole])
             shutil.rmtree(tmp_path / "cut")

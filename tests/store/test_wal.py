@@ -1,10 +1,11 @@
-"""The WAL store engine: record codec, replay, tombstones, migration.
+"""The WAL store engine: record codec, commits, replay, tombstones, migration.
 
 Complements ``test_store_properties.py`` (torn-tail exactness) and
 ``test_wal_faults.py`` (crash-point matrix): this file covers the
-deterministic contracts — the versioned record checksums, what each record
-op replays to, how two Database instances sharing one path observe each
-other, and that legacy snapshots migrate without being destroyed.
+deterministic contracts — the versioned record checksums, one commit
+record per critical section, what each op replays to, how two Database
+instances sharing one path observe each other, and that legacy snapshots
+migrate without being destroyed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ def test_crc32c_reference_vector():
 
 
 def test_format_checksums():
-    # v2 is stdlib CRC-32 (check value 0xCBF43926); v1 is CRC-32C.
+    # v2 and v3 are stdlib CRC-32 (check value 0xCBF43926); v1 is CRC-32C.
+    assert wal.format_checksum(wal.FORMAT_V3)(b"123456789") == 0xCBF43926
     assert wal.format_checksum(wal.FORMAT_V2)(b"123456789") == 0xCBF43926
     assert wal.format_checksum(wal.FORMAT_V1)(b"123456789") == 0xE3069283
     with pytest.raises(wal.UnknownFormatError):
@@ -77,9 +79,8 @@ def test_wal_layout_and_format_marker(tmp_path):
     path = tmp_path / "store.json"
     Database(path)["caps"].insert_one({"a": 1})
     root = tmp_path / "store.json.wal"
-    assert (root / "FORMAT").read_text().strip() == "repro-store-wal-v2"
-    assert (root / "caps.seg").exists()
-    assert not list(root.glob("*.log"))
+    assert (root / "FORMAT").read_text().strip() == "repro-store-wal-v3"
+    assert sorted(p.name for p in root.iterdir()) == ["FORMAT", "LOCK", "journal"]
     assert not path.exists()  # no legacy snapshot is written by the WAL engine
 
 
@@ -112,17 +113,18 @@ def test_tombstones_pin_the_id_space(tmp_path):
 
 
 def test_clear_is_one_record(tmp_path):
-    """Logs written by earlier builds may hold a ``clear`` record; replay
-    still empties the collection (and keeps its ids burned)."""
-    path = tmp_path / "store.json"
-    db = Database(path)
-    for i in range(5):
-        db["caps"].insert_one({"i": i})
-    with db.exclusive():
-        db._wal_append("caps", {"op": "clear"})
-    reopened = Database(path)
+    """Logs written by earlier builds may hold a ``clear`` record; the
+    migration still empties the collection (and keeps its ids burned)."""
+    root = tmp_path / "store.json.wal"
+    root.mkdir()
+    records = [{"op": "put", "doc": {"_id": i, "i": i}} for i in range(1, 6)]
+    records.append({"op": "clear"})
+    (root / "caps.seg").write_bytes(b"".join(map(wal.encode_record, records)))
+    (root / "FORMAT").write_text(wal.FORMAT_V2 + "\n")
+    reopened = Database(tmp_path / "store.json")
     assert reopened["caps"].find() == []
-    assert reopened["caps"].insert_one({"i": 5}) == 6
+    assert reopened["caps"].insert_one({"i": 6}) == 6
+    assert Database(tmp_path / "store.json")["caps"].count() == 1
 
 
 def test_collection_names_needing_escaping(tmp_path):
@@ -134,12 +136,19 @@ def test_collection_names_needing_escaping(tmp_path):
 
 
 def test_drop_collection_removes_the_log(tmp_path):
+    """A drop is a journaled op: peers and reopens lose the collection."""
     path = tmp_path / "store.json"
     db = Database(path)
+    peer = Database(path)
     db["caps"].insert_one({"a": 1})
-    db.drop_collection("caps")
-    assert not (tmp_path / "store.json.wal" / "caps.seg").exists()
+    peer.refresh()
+    assert "caps" in peer
+    assert db.drop_collection("caps")
+    peer.refresh()
+    assert "caps" not in peer
     assert "caps" not in Database(path)
+    db["caps"].insert_one({"a": 2})  # recreated after the drop, in order
+    assert [d["a"] for d in Database(path)["caps"].find()] == [2]
 
 
 # -- cross-instance visibility -------------------------------------------------
@@ -179,6 +188,22 @@ def test_refresh_survives_peer_compaction(tmp_path):
     assert reader["caps"].find() == writer["caps"].find()
 
 
+def test_refresh_is_one_stat_of_the_log(tmp_path, monkeypatch):
+    path = tmp_path / "store.json"
+    writer = Database(path)
+    reader = Database(path)
+    writer["caps"].insert_one({"a": 1})
+    stats = []
+    real_stat = os.stat
+    monkeypatch.setattr(os, "stat", lambda p, *a, **k: stats.append(p) or real_stat(p, *a, **k))
+    monkeypatch.setattr(os, "listdir", lambda *a: pytest.fail("refresh listed the root"))
+    reader.refresh()
+    reader.refresh()
+    monkeypatch.undo()
+    assert stats == [tmp_path / "store.json.wal" / "journal"] * 2
+    assert reader["caps"].count() == 1
+
+
 def test_exclusive_serializes_two_instances(tmp_path):
     path = tmp_path / "store.json"
     a = Database(path)
@@ -190,6 +215,83 @@ def test_exclusive_serializes_two_instances(tmp_path):
         b["caps"].insert_one({"from": "b"})
     with a.exclusive():
         assert a["caps"].count() == 2
+
+
+# -- one commit per section ---------------------------------------------------
+
+
+def _count_commits(monkeypatch):
+    """Count CollectionLog.append / effective sync calls."""
+    calls = {"append": 0, "sync": 0}
+    append, sync = wal.CollectionLog.append, wal.CollectionLog.sync
+
+    def counting_append(log, record):
+        calls["append"] += 1
+        return append(log, record)
+
+    def counting_sync(log):
+        calls["sync"] += log.dirty
+        return sync(log)
+
+    monkeypatch.setattr(wal.CollectionLog, "append", counting_append)
+    monkeypatch.setattr(wal.CollectionLog, "sync", counting_sync)
+    return calls
+
+
+def test_a_section_is_one_record_and_one_fsync(tmp_path, monkeypatch):
+    path = tmp_path / "store.json"
+    db = Database(path)
+    calls = _count_commits(monkeypatch)
+    with db.exclusive():
+        for name in ("a", "b", "c"):
+            db[name].create_index("k", "hash")
+            db[name].insert_many([{"k": i} for i in range(3)])
+        db["a"].update_one({"k": 0}, {"v": 1})
+        db["b"].delete_many({"k": 1})
+    assert calls == {"append": 1, "sync": 1}
+    monkeypatch.undo()
+    (record,) = wal.decode_records(
+        (tmp_path / "store.json.wal" / "journal").read_bytes()
+    )[0]
+    # Ops grouped under their collection, in first-write order; a put is
+    # the document itself, every other op a list naming its kind.
+    assert list(record) == ["a", "b", "c"]
+    kinds = {
+        name: [op[0] if isinstance(op, list) else "put" for op in ops]
+        for name, ops in record.items()
+    }
+    assert kinds["a"] == ["index", "put", "put", "put", "put"]
+    assert kinds["b"] == ["index", "put", "put", "put", "del"]
+    assert record["b"][-1] == ["del", [2]]
+    reopened = Database(path)
+    for name in ("a", "b", "c"):
+        assert reopened[name].find() == db[name].find()
+
+
+def test_a_section_that_raises_still_commits_what_it_applied(tmp_path):
+    path = tmp_path / "store.json"
+    db = Database(path)
+    with pytest.raises(RuntimeError):
+        with db.exclusive():
+            db["a"].insert_one({"i": 1})
+            db["b"].insert_one({"i": 2})
+            raise RuntimeError("caller failed mid-section")
+    reopened = Database(path)
+    assert [d["i"] for d in reopened["a"].find()] == [1]
+    assert [d["i"] for d in reopened["b"].find()] == [2]
+
+
+def test_after_commit_runs_once_the_section_is_durable(tmp_path):
+    path = tmp_path / "store.json"
+    db = Database(path)
+    seen = []
+    with db.exclusive():
+        db["a"].insert_one({"i": 1})
+        db.after_commit(lambda: seen.append(Database(path)["a"].count()))
+        assert seen == []
+    assert seen == [1]  # a fresh reader already replays the commit
+    db.after_commit(lambda: seen.append("now"))  # outside a section: at once
+    assert seen == [1, "now"]
 
 
 # -- migration -----------------------------------------------------------------
@@ -262,7 +364,7 @@ def test_torn_tail_is_quarantined_and_truncated(tmp_path):
     path = tmp_path / "store.json"
     db = Database(path)
     db["caps"].insert_one({"a": 1})
-    log_path = tmp_path / "store.json.wal" / "caps.seg"
+    log_path = tmp_path / "store.json.wal" / "journal"
     clean = log_path.read_bytes()
     with open(log_path, "ab") as handle:
         handle.write(b"\x99garbage-tail")
@@ -270,7 +372,7 @@ def test_torn_tail_is_quarantined_and_truncated(tmp_path):
     reopened = Database(path)
     assert reopened["caps"].count() == 1
     assert log_path.read_bytes() == clean  # truncated back to the prefix
-    sidecars = list((tmp_path / "store.json.wal").glob("caps.seg.corrupt-*"))
+    sidecars = list((tmp_path / "store.json.wal").glob("journal.corrupt-*"))
     assert len(sidecars) == 1
     assert sidecars[0].read_bytes() == b"\x99garbage-tail"
 
@@ -278,7 +380,7 @@ def test_torn_tail_is_quarantined_and_truncated(tmp_path):
 def test_verify_log_reports_torn_bytes(tmp_path):
     path = tmp_path / "store.json"
     Database(path)["caps"].insert_one({"a": 1})
-    log_path = tmp_path / "store.json.wal" / "caps.seg"
+    log_path = tmp_path / "store.json.wal" / "journal"
     clean_size = log_path.stat().st_size
     with open(log_path, "ab") as handle:
         handle.write(b"xx")
@@ -303,11 +405,11 @@ def test_short_writes_still_land_every_record(tmp_path, monkeypatch):
     for i in range(20):
         caps.insert_one({"i": i, "pad": "x" * i})
     caps.delete_many({"i": {"$lt": 5}})
-    db.compact_collection("caps")  # the segment rewrite loops too
+    db.compact()  # the log rewrite loops too
     caps.insert_one({"i": 99})
     monkeypatch.undo()
 
-    assert not wal.verify_log(tmp_path / "store.json.wal" / "caps.seg")["torn"]
+    assert not wal.verify_log(tmp_path / "store.json.wal" / "journal")["torn"]
     assert Database(path)["caps"].find() == caps.find()
 
 
@@ -331,7 +433,7 @@ def test_failed_append_is_cut_back_so_later_appends_replay(tmp_path, monkeypatch
     db["caps"].insert_one({"i": 2})
 
     # The partial record was cut back off, so the later append replays.
-    assert not wal.verify_log(tmp_path / "store.json.wal" / "caps.seg")["torn"]
+    assert not wal.verify_log(tmp_path / "store.json.wal" / "journal")["torn"]
     assert [d["i"] for d in Database(path)["caps"].find()] == [0, 2]
 
 
@@ -345,11 +447,17 @@ def test_compaction_drops_dead_weight(tmp_path):
     for i in range(20):
         caps.insert_one({"i": i})
     caps.delete_many({"i": {"$lte": 14}})
-    before = (tmp_path / "store.json.wal" / "caps.seg").stat().st_size
-    result = db.compact_collection("caps")
+    db["other"].insert_one({"j": 1})
+    before = (tmp_path / "store.json.wal" / "journal").stat().st_size
+    result = db.compact()
     assert result["compacted"]
+    assert result["before_bytes"] == before
     assert result["after_bytes"] < before
-    assert Database(path)["caps"].find() == caps.find()
+    reopened = Database(path)
+    assert reopened["caps"].find() == caps.find()
+    assert reopened["other"].find() == db["other"].find()
+    # Burned ids stay burned across the rewrite.
+    assert reopened["caps"].insert_one({"i": 99}) == 21
 
 
 def test_needs_compaction_thresholds():
@@ -366,8 +474,9 @@ def test_compaction_thread_sweeps(tmp_path):
     db["caps"].delete_many({"i": {"$lte": 97}})
     compactor = CompactionThread(db, interval_seconds=3600, min_records=10)
     results = compactor.sweep()  # run one pass synchronously
-    assert [r["collection"] for r in results if r["compacted"]] == ["caps"]
-    assert db.stats()["wal"]["caps"]["compactions"] == 1
+    assert [r["compacted"] for r in results] == [True]
+    assert db.stats()["wal"]["compactions"] == 1
+    assert compactor.sweep() == []  # the rewritten log is all live state
     compactor.stop()
 
 
@@ -377,7 +486,7 @@ def test_stats_expose_wal_counters(tmp_path):
     db["caps"].insert_one({"a": 1})
     stats = db.stats()
     assert stats["engine"] == "wal"
-    entry = stats["wal"]["caps"]
+    entry = stats["wal"]
     assert entry["records"] == 1
     assert entry["live_documents"] == 1
-    assert entry["segment_bytes"] > 0
+    assert entry["log_bytes"] > 0

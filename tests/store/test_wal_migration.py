@@ -1,17 +1,27 @@
-"""WAL format v1 -> v2: the one-time migration on open.
+"""Older store layouts -> WAL format v3: the one-time migration on open.
 
-``fixtures/wal_v1/`` is a store directory written by the last v1 release
-(CRC-32C checksums, ``<name>.log`` segments): four collections with hash
-and sorted indexes, updates, tombstones, a ``clear`` and an escaped
-collection name.  ``expected.json`` holds what that release read back
-from it.  Contracts:
+Three older layouts open as the v3 store log, each through the same step:
 
-* the fixture opens to exactly those documents, indexes and id counters,
-  and every record payload survives the rewrite byte for byte;
-* a ``kill -9`` at every ``mid-format-migration`` crash point (after each
-  rewritten log, and just before the marker flip) converges to the same
-  state, and no file is ever checked with the other format's checksum;
-* only the migration reader runs CRC-32C — v2 stores never call it;
+* ``fixtures/wal_v1/`` is a store directory written by the last v1 release
+  (CRC-32C checksums, ``<name>.log`` logs): four collections with hash
+  and sorted indexes, updates, tombstones, a ``clear`` and an escaped
+  collection name;
+* ``fixtures/wal_v2/`` is a store directory written by the last v2 release
+  (``zlib.crc32``, ``<name>.seg`` segments): hash and sorted indexes,
+  updates, a compare-and-set, tombstones, a compacted segment, a
+  two-collection section and an escaped collection name;
+* a legacy ``repro-store-v1`` JSON snapshot, built in the test from the v2
+  fixture's expected contents.
+
+Each fixture's ``expected.json`` holds what its release read back from it.
+Contracts:
+
+* every layout opens to exactly those documents, indexes and id counters,
+  and every live document survives the rewrite byte for byte;
+* a ``kill -9`` at every ``mid-format-migration`` crash point (before the
+  marker flip, then before each old file's unlink) converges to the same
+  state, and no file is ever checked with another format's checksum;
+* only the migration reader runs CRC-32C — v3 stores never call it;
 * a ``FORMAT`` marker this code does not know refuses to open.
 """
 
@@ -29,10 +39,16 @@ import pytest
 from repro.store import thaw, wal
 from repro.store.database import Database
 
-FIXTURE = Path(__file__).resolve().parent / "fixtures" / "wal_v1"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+FIXTURE = FIXTURES / "wal_v1"
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 EXPECTED = json.loads((FIXTURE / "expected.json").read_text())
+EXPECTED_V2 = json.loads((FIXTURES / "wal_v2" / "expected.json").read_text())
 V1_LOGS = sorted(p.name for p in (FIXTURE / "store.json.wal").glob("*.log"))
+V2_SEGMENTS = sorted(
+    p.name for p in (FIXTURES / "wal_v2" / "store.json.wal").glob("*.seg")
+)
+LAYOUTS = ("wal_v1", "wal_v2", "snapshot")
 
 
 @pytest.fixture
@@ -40,6 +56,23 @@ def v1_store(tmp_path) -> Path:
     """A private copy of the v1 fixture; returns its store path."""
     shutil.copytree(FIXTURE / "store.json.wal", tmp_path / "store.json.wal")
     return tmp_path / "store.json"
+
+
+def _older_store(tmp_path: Path, layout: str) -> tuple[Path, dict]:
+    """A private copy of one older layout: (store path, expected state)."""
+    if layout == "snapshot":
+        snapshot = {
+            "format": "repro-store-v1",
+            "collections": [
+                {"name": name, **entry} for name, entry in EXPECTED_V2.items()
+            ],
+        }
+        (tmp_path / "store.json").write_text(json.dumps(snapshot))
+        return tmp_path / "store.json", EXPECTED_V2
+    shutil.copytree(
+        FIXTURES / layout / "store.json.wal", tmp_path / "store.json.wal"
+    )
+    return tmp_path / "store.json", EXPECTED if layout == "wal_v1" else EXPECTED_V2
 
 
 def _state(database: Database) -> dict:
@@ -53,25 +86,13 @@ def _state(database: Database) -> dict:
     }
 
 
-def _payloads(buffer: bytes) -> list[bytes]:
-    """The raw JSON payload of every record frame in ``buffer``."""
-    payloads, offset = [], 0
-    while offset < len(buffer):
-        length, _checksum = wal._HEADER.unpack_from(buffer, offset)
-        start = offset + wal.HEADER_SIZE
-        payloads.append(buffer[start:start + length])
-        offset = start + length
-    return payloads
-
-
 def _assert_migrated(root: Path) -> None:
-    assert wal.read_format(root) == wal.FORMAT_V2
-    assert not list(root.glob("*.log"))
-    for segment in root.glob("*.seg"):
-        assert not wal.verify_log(segment)["torn"]
+    assert wal.read_format(root) == wal.FORMAT_V3
+    assert not list(root.glob("*.log")) and not list(root.glob("*.seg"))
+    assert not wal.verify_log(root / wal.LOG_NAME)["torn"]
 
 
-# -- the fixture ---------------------------------------------------------------
+# -- the fixtures --------------------------------------------------------------
 
 
 def test_fixture_is_a_v1_store():
@@ -83,6 +104,15 @@ def test_fixture_is_a_v1_store():
         assert not report["torn"] and report["records"] > 0
 
 
+def test_fixture_is_a_v2_store():
+    root = FIXTURES / "wal_v2" / "store.json.wal"
+    assert wal.read_format(root) == wal.FORMAT_V2
+    assert len(V2_SEGMENTS) == 4
+    for name in V2_SEGMENTS:
+        report = wal.verify_log(root / name, wal.format_checksum(wal.FORMAT_V2))
+        assert not report["torn"] and report["records"] > 0
+
+
 def test_v1_fixture_opens_and_reads_identically(v1_store):
     root = v1_store.parent / "store.json.wal"
     database = Database(v1_store)
@@ -91,11 +121,18 @@ def test_v1_fixture_opens_and_reads_identically(v1_store):
     # Same documents down to key order: the JSON texts are identical.
     assert json.dumps(state) == json.dumps(EXPECTED)
     _assert_migrated(root)
-    # One v2 record per v1 record, each payload byte-identical.
-    for name in V1_LOGS:
-        v1 = (FIXTURE / "store.json.wal" / name).read_bytes()
-        v2 = (root / name.replace(".log", ".seg")).read_bytes()
-        assert _payloads(v2) == _payloads(v1)
+    # Every live document is one put op in the v3 log, byte-identical.
+    puts: dict[str, list[str]] = {}
+    for record in wal.decode_records((root / wal.LOG_NAME).read_bytes())[0]:
+        for name, ops in record.items():
+            puts.setdefault(name, []).extend(
+                json.dumps(op) for op in ops if isinstance(op, dict)
+            )
+    assert puts == {
+        name: [json.dumps(doc) for doc in entry["documents"]]
+        for name, entry in EXPECTED.items()
+        if entry["documents"]
+    }
     # Reopening the migrated store reads the same again; writes continue.
     reopened = Database(v1_store)
     assert _state(reopened) == EXPECTED
@@ -103,12 +140,24 @@ def test_v1_fixture_opens_and_reads_identically(v1_store):
     assert Database(v1_store)["caps"].count() == len(EXPECTED["caps"]["documents"]) + 1
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_each_older_layout_opens_as_v3_with_identical_contents(tmp_path, layout):
+    store, expected = _older_store(tmp_path, layout)
+    root = tmp_path / "store.json.wal"
+    assert json.dumps(_state(Database(store))) == json.dumps(expected)
+    _assert_migrated(root)
+    assert json.dumps(_state(Database(store))) == json.dumps(expected)
+    # A legacy snapshot is kept until the first compaction archives it.
+    assert (root / "MIGRATED").exists() == (layout == "snapshot")
+    assert store.exists() == (layout == "snapshot")
+
+
 def test_migration_happens_once(v1_store):
     root = v1_store.parent / "store.json.wal"
     Database(v1_store)
-    inodes = {p.name: p.stat().st_ino for p in root.glob("*.seg")}
+    inode = (root / wal.LOG_NAME).stat().st_ino
     Database(v1_store)
-    assert {p.name: p.stat().st_ino for p in root.glob("*.seg")} == inodes
+    assert (root / wal.LOG_NAME).stat().st_ino == inode
 
 
 def test_only_the_migration_reader_runs_crc32c(v1_store, monkeypatch, tmp_path):
@@ -118,10 +167,10 @@ def test_only_the_migration_reader_runs_crc32c(v1_store, monkeypatch, tmp_path):
     Database(v1_store)
     migrated = len(calls)
     assert migrated > 0
-    # A v2 store opens, appends, compacts and reopens without CRC-32C.
+    # A v3 store opens, commits, compacts and reopens without CRC-32C.
     database = Database(tmp_path / "fresh.json")
     database["caps"].insert_one({"a": 1})
-    database.compact_collection("caps")
+    database.compact()
     Database(tmp_path / "fresh.json")
     Database(v1_store)["caps"].insert_one({"a": 2})
     assert len(calls) == migrated
@@ -138,21 +187,27 @@ def test_torn_v1_tail_is_quarantined_then_migrated(v1_store):
 
 
 def test_leftover_segment_wins_over_its_log(v1_store):
-    """A ``.seg`` next to a ``.log`` is a finished rewrite whose unlink was
-    lost: the segment is kept, the log deleted, never re-read."""
+    """A ``.seg`` next to a ``.log`` is a finished v1 -> v2 rewrite whose
+    unlink was lost: the segment is read, the log never is, and both go."""
     root = v1_store.parent / "store.json.wal"
-    database = Database(v1_store)
+    records = wal.decode_records(
+        (root / "caps.log").read_bytes(),
+        checksum=wal.format_checksum(wal.FORMAT_V1),
+    )[0]
+    (root / "caps.seg").write_bytes(
+        b"".join(wal.encode_record(record) for record in records)
+    )
     (root / "caps.log").write_bytes(b"not a v1 log any more")
-    (root / wal.FORMAT_MARKER).write_text(wal.FORMAT_V1 + "\n")
     (root / "caps.seg.compact-tmp").write_bytes(b"half a segment")
-    assert _state(Database(v1_store)) == _state(database) == EXPECTED
+    assert _state(Database(v1_store)) == EXPECTED
     _assert_migrated(root)
     assert not list(root.glob("*.compact-tmp"))
+    assert not list(root.glob("*.corrupt-*"))  # the stale log was never read
 
 
 def test_empty_marker_is_a_v1_first_open(tmp_path):
     """v1 wrote ``FORMAT`` in place: an empty one is a v1 first open killed
-    mid-write, with no v2 segment behind it."""
+    mid-write, with nothing behind it."""
     root = tmp_path / "store.json.wal"
     root.mkdir()
     (root / wal.FORMAT_MARKER).write_text("")
@@ -199,16 +254,18 @@ def _assert_each_file_checks_in_its_own_format(root: Path) -> None:
     for fmt, suffix in wal.SEGMENT_SUFFIXES.items():
         for path in root.glob("*" + suffix):
             assert not wal.verify_log(path, wal.format_checksum(fmt))["torn"]
+    if (root / wal.LOG_NAME).exists():
+        assert not wal.verify_log(root / wal.LOG_NAME)["torn"]
 
 
 @pytest.mark.parametrize("nth", range(1, len(V1_LOGS) + 2))
 def test_kill_mid_migration_converges(v1_store, nth):
-    """Crash after the nth rewritten log (nth = logs + 1: just before the
-    marker flip), crash again on the retry, then open for real."""
+    """Crash before the marker flip (nth = 1) or before the (nth - 1)th old
+    log's unlink, crash again on the retry, then open for real."""
     root = v1_store.parent / "store.json.wal"
     assert _open_with_fault(v1_store, f"mid-format-migration:{nth}") == wal.FAULT_EXIT_CODE
-    assert wal.read_format(root) == wal.FORMAT_V1  # the flip never happened
-    assert len(list(root.glob("*.seg"))) == nth - (nth > len(V1_LOGS))
+    assert wal.read_format(root) == (wal.FORMAT_V1 if nth == 1 else wal.FORMAT_V3)
+    assert len(list(root.glob("*.log"))) == len(V1_LOGS) - max(0, nth - 2)
     _assert_each_file_checks_in_its_own_format(root)
 
     code = _open_with_fault(v1_store, "mid-format-migration:1")
@@ -218,3 +275,19 @@ def test_kill_mid_migration_converges(v1_store, nth):
     assert _state(Database(v1_store)) == EXPECTED
     _assert_migrated(root)
     assert not list(root.glob("*.corrupt-*"))  # nothing was ever read as torn
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("nth", [1, 2])
+def test_kill_mid_migration_of_each_layout_converges(tmp_path, layout, nth):
+    store, expected = _older_store(tmp_path, layout)
+    root = tmp_path / "store.json.wal"
+    code = _open_with_fault(store, f"mid-format-migration:{nth}")
+    # A snapshot has no old file to unlink: only the pre-flip point exists.
+    assert code == (0 if layout == "snapshot" and nth == 2 else wal.FAULT_EXIT_CODE)
+    _assert_each_file_checks_in_its_own_format(root)
+    if layout == "snapshot":
+        assert store.exists()  # the snapshot is never touched by migration
+    assert json.dumps(_state(Database(store))) == json.dumps(expected)
+    _assert_migrated(root)
+    assert not list(root.glob("*.corrupt-*"))

@@ -8,11 +8,13 @@ server (`test_stream_e2e.py`) and the kill -9 matrix
 
 from __future__ import annotations
 
+import threading
 from datetime import datetime
 
 import pytest
 
 from repro.cache.keys import cache_key
+from repro.core.parallel import MiningCancelled
 from repro.core.parameters import MiningParameters
 from repro.stream import (
     ALERT_RULES,
@@ -280,7 +282,14 @@ class TestStreamSession:
             session.process_epoch(2)
 
     def test_crash_replay_duplicates_nothing(self, tiny_dataset):
-        """Replaying an epoch re-inserts neither events nor alerts."""
+        """Replaying an epoch re-inserts neither events nor alerts.
+
+        An epoch's events, alerts and state advance commit as one section,
+        so a session that resumes after a crash starts past every epoch
+        that committed, and a stale session that re-processes one (it was
+        built before the commit, e.g. on a worker that lost its claim)
+        loses the compare-and-set on ``mined_epoch`` and writes nothing.
+        """
         db = Database()
         params = make_params()
         db.collection(ALERT_RULES).insert_one(
@@ -290,23 +299,64 @@ class TestStreamSession:
             })
         )
         session = self.session(db, tiny_dataset, params)
-        baseline = [dict(c) for c in session.caps]
+        stale = self.session(db, tiny_dataset, params)
         levels = start_levels(tiny_dataset)
         append_batch(db, tiny_dataset, next_batch(tiny_dataset, db, levels, {"a", "b"}))
         events, fired = session.process_epoch(1)
         assert len(events) == 1 and len(fired) == 1
-        # Roll the high-water mark back as if the worker died immediately
-        # after the events landed but the session state was lost.
-        db.collection(STREAM_STATE).update_one(
-            {"name": "tiny"},
-            {"mined_epoch": 0, "caps": baseline, "next_seq": 1},
-        )
-        replayed = self.session(db, tiny_dataset, params)
-        events2, fired2 = replayed.process_epoch(1)
-        assert [e["event_id"] for e in events2] == [e["event_id"] for e in events]
-        assert fired2 == []  # the alert fired exactly once, ever
+        with pytest.raises(MiningCancelled, match="already committed"):
+            stale.process_epoch(1)
+        resumed = self.session(db, tiny_dataset, params)
+        assert resumed.mined_epoch == 1 and list(resumed.pending_epochs()) == []
         assert len(db.collection(CAP_EVENTS).find({"dataset": "tiny"})) == 1
         assert len(db.collection("alerts").find({"dataset": "tiny"})) == 1
+
+    def test_two_sessions_commit_an_epoch_exactly_once(self, tiny_dataset, tmp_path):
+        """Two sessions on two handles of one WAL store race every epoch:
+        exactly one commits each, the loser raises and writes nothing, and
+        the feed stays gap-free and exactly-once."""
+        path = tmp_path / "db.json"
+        dbs = [Database(path), Database(path)]
+        params = make_params()
+        dbs[0].collection(ALERT_RULES).insert_one(
+            validate_rule("tiny", {
+                "rule_id": "pair",
+                "levels": [{"min_sensors": 2, "severity": "warning"}],
+            })
+        )
+        levels = start_levels(tiny_dataset)
+        for epoch, jumps in enumerate(({"a", "b"}, {"c", "d"}, set()), start=1):
+            sessions = [self.session(db, tiny_dataset, params) for db in dbs]
+            append_batch(dbs[0], tiny_dataset,
+                         next_batch(tiny_dataset, dbs[0], levels, jumps))
+            dbs[1].refresh()
+            barrier = threading.Barrier(2)
+            outcomes: list = [None, None]
+
+            def race(index: int) -> None:
+                barrier.wait()
+                try:
+                    outcomes[index] = sessions[index].process_epoch(epoch)
+                except MiningCancelled as error:
+                    outcomes[index] = error
+
+            threads = [threading.Thread(target=race, args=(i,)) for i in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            won = [o for o in outcomes if not isinstance(o, MiningCancelled)]
+            assert len(won) == 1, outcomes
+            for db in dbs:
+                db.refresh()
+                assert db.collection(STREAM_STATE).find_one({"name": "tiny"})[
+                    "mined_epoch"] == epoch
+        for db in (*dbs, Database(path)):
+            db.refresh()
+            feed = read_events(db, "tiny")
+            assert [e["seq"] for e in feed] == [1, 2]
+            assert len({e["event_id"] for e in feed}) == 2
+            assert len(db.collection("alerts").find({"dataset": "tiny"})) == 2
 
     def test_new_session_resumes_from_high_water_mark(self, tiny_dataset):
         db = Database()

@@ -208,12 +208,13 @@ class TestStore:
         path = self._seed_store(tmp_path)
         assert main(["store", "verify", "--store", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "format: repro-store-wal-v2" in out
-        assert "caps.seg" in out and "[ok]" in out
+        assert "format: repro-store-wal-v3" in out
+        # One log, one record per commit: 5 inserts + 1 tombstone.
+        assert "journal: 6 records" in out and "[ok]" in out
 
     def test_verify_flags_torn_tail(self, tmp_path, capsys):
         path = self._seed_store(tmp_path)
-        with open(tmp_path / "store.json.wal" / "caps.seg", "ab") as handle:
+        with open(tmp_path / "store.json.wal" / "journal", "ab") as handle:
             handle.write(b"\x01torn")
         assert main(["store", "verify", "--store", str(path)]) == 1
         assert "[TORN]" in capsys.readouterr().out
@@ -225,7 +226,7 @@ class TestStore:
         assert "format: repro-store-wal-v1" in out
         assert "caps.log" in out and "[TORN]" not in out
         # Verifying is read-only: the store is not migrated.
-        assert not list((tmp_path / "store.json.wal").glob("*.seg"))
+        assert not (tmp_path / "store.json.wal" / "journal").exists()
 
     def test_verify_flags_torn_v1_tail(self, tmp_path, capsys):
         path = self._v1_store(tmp_path)
@@ -248,7 +249,7 @@ class TestStore:
         path = self._seed_store(tmp_path)
         assert main(["store", "compact", "--store", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "caps" in out and "compacted" in out
+        assert "journal" in out and "compacted" in out
         assert [d["i"] for d in Database(path)["caps"].find()] == [3, 4]
 
     def test_missing_store_exits(self, tmp_path):
