@@ -20,14 +20,12 @@ instead, so a transition costs the record — not the world:
 * **section commits** — one ``Database.exclusive()`` section updating one
   document in each of 1, 3 and 9 collections: ``write(2)`` and ``fsync``
   calls and milliseconds per section, and the reopen time of the store
-  those sections wrote.  These numbers are filed under a label
-  (``REPRO_BENCH_LABEL``, default ``change``) and other labels in the file
-  are kept, so running this test once against an older checkout records
-  that engine's numbers beside the current one's::
-
-      REPRO_BENCH_LABEL=parent PYTHONPATH=<old checkout>/src \
-          python -m pytest --import-mode=importlib \
-          benchmarks/bench_wal_store.py -k section -q -s
+  those sections wrote;
+* **compaction of a server-shaped store** — three uploaded datasets, a
+  china6 parameter sweep's cached results and a few hundred job
+  lifecycles: how long ``Database.compact`` runs, the bytes it rewrites,
+  how long a writer's sections take meanwhile on a second handle, and
+  what replaying the rewritten log costs a peer.
 
 Numbers land in ``BENCH_wal_store.json`` (CI's bench lane uploads it).
 The acceptance bar is explicit: WAL per-transition cost must undercut
@@ -40,9 +38,14 @@ import json
 import os
 import shutil
 import statistics
+import threading
 import time
 from pathlib import Path
 
+from repro.data.datasets import recommended_parameters
+from repro.data.synthetic import generate_china6, generate_covid19, generate_santander
+from repro.jobs.durable import DurableJobStore
+from repro.server.app import create_app
 from repro.store import wal
 from repro.store.database import Database
 
@@ -66,6 +69,11 @@ REOPEN_RUNS = 5
 #: Section commits: collections touched per section, sections timed.
 SECTION_WIDTHS = (1, 3, 9)
 SECTIONS = 100
+
+#: Server-shaped store: job lifecycles (claim, 10 progress ticks, finish)
+#: churned on top of the datasets and cached results, and compactions timed.
+CHURN_JOBS = 200
+COMPACTION_RUNS = 5
 
 
 def _preload(database: Database):
@@ -113,10 +121,6 @@ def _as_v1(root: Path) -> None:
         (root / f"{name}.log").write_bytes(b"".join(records))
     journal.unlink()
     (root / wal.FORMAT_MARKER).write_text(wal.FORMAT_V1 + "\n")
-
-
-def _report() -> dict:
-    return json.loads(REPORT_PATH.read_text()) if REPORT_PATH.exists() else {}
 
 
 def _open_ms(path: Path) -> tuple[float, Database]:
@@ -237,12 +241,24 @@ def test_wal_transition_collapse_and_compaction(tmp_path):
     # Reopening v3 must not pay what verifying v1 costs.
     assert reopen["reopen_ms"] < reopen["migrate_v1_ms"]
 
-    report = _report()
-    report.update({
+    # -- section commits ------------------------------------------------------
+    sections = [_section_costs(tmp_path, width) for width in SECTION_WIDTHS]
+    print_table("one section over 1/3/9 collections", sections)
+    # The commit rule: one record, one fsync, whatever the width.
+    assert all(row["writes_per_section"] == 1 for row in sections)
+    assert all(row["fsyncs_per_section"] == 1 for row in sections)
+
+    # -- compaction of a server-shaped store ------------------------------------
+    server_store = _server_store_compaction(tmp_path)
+    print_table(f"compact a server-shaped store (median of {COMPACTION_RUNS})",
+                [server_store])
+
+    REPORT_PATH.write_text(json.dumps({
         "benchmark": "bench_wal_store",
         "machine": machine_info(),
         "timed_region": "document transitions per engine + compaction + "
-                        "store reopen / v1 migration",
+                        "store reopen / v1 migration + section commits + "
+                        "server-shaped store compaction",
         "preloaded_documents": PRELOAD_DOCS,
         "transitions": TRANSITIONS,
         "memory_ms_per_transition": memory_ms,
@@ -251,8 +267,16 @@ def test_wal_transition_collapse_and_compaction(tmp_path):
         "snapshot_over_wal_collapse_x": collapse_x,
         "compaction": compaction_rows,
         "reopen": reopen,
-    })
-    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+        "section_commit": {
+            "timed_region": f"median of {SECTIONS} exclusive() sections, each "
+                            f"one update_one per collection; write(2)/fsync "
+                            f"calls counted per section; reopen_ms: median of "
+                            f"{REOPEN_RUNS} Database(path) opens of the store "
+                            f"they wrote",
+            "sections": sections,
+        },
+        "server_store_compaction": server_store,
+    }, indent=2) + "\n")
 
 
 def _section_costs(tmp_path: Path, width: int) -> dict:
@@ -301,21 +325,84 @@ def _section_costs(tmp_path: Path, width: int) -> dict:
     }
 
 
-def test_section_commit_cost(tmp_path):
-    label = os.environ.get("REPRO_BENCH_LABEL", "change")
-    rows = [_section_costs(tmp_path, width) for width in SECTION_WIDTHS]
-    fmt = wal.read_format(tmp_path / "sections-1" / "store.json.wal")
-    print_table(f"one section over 1/3/9 collections ({label}, {fmt})", rows)
-    if fmt == getattr(wal, "FORMAT_V3", None):
-        # The commit rule: one record, one fsync, whatever the width.
-        assert all(row["writes_per_section"] == 1 for row in rows)
-        assert all(row["fsyncs_per_section"] == 1 for row in rows)
-    report = _report()
-    section = report.setdefault("section_commit", {})
-    section["timed_region"] = (
-        f"median of {SECTIONS} exclusive() sections, each one update_one per "
-        f"collection; write(2)/fsync calls counted per section; reopen_ms: "
-        f"median of {REOPEN_RUNS} Database(path) opens of the store they wrote"
-    )
-    section[label] = {"machine": machine_info(), "format": fmt, "sections": rows}
-    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+def _server_store(path: Path) -> None:
+    """Fill a store the way a serving process does: uploads, a cached
+    parameter sweep, then job churn."""
+    app = create_app(Database(path))
+    china6 = generate_china6(seed=1, steps=480)
+    app.state.put_dataset(china6)
+    app.state.put_dataset(generate_santander(seed=1, steps=2016))
+    app.state.put_dataset(generate_covid19(seed=1))
+    base = recommended_parameters("china6")
+    for support in (8, 10, 12, 14):
+        for factor in (0.9, 1.0, 1.1):
+            app.state.cache.mine_cached(china6, base.with_updates(
+                min_support=support,
+                distance_threshold=base.distance_threshold * factor,
+            ))
+    app.close()
+    jobs = DurableJobStore(Database(path), worker_id="bench")
+    for index in range(CHURN_JOBS):
+        jobs.open_job("china6", {"min_support": index}, f"key-{index}")
+        claimed = jobs.claim_next()
+        for tick in range(1, 11):
+            jobs.set_progress(claimed.job_id, tick, 11)
+        jobs.mark_succeeded(claimed.job_id, result_key=f"key-{index}")
+
+
+def _server_store_compaction(tmp_path: Path) -> dict:
+    """Median compaction of the server-shaped store, from the same log each
+    run, while a writer on a second handle commits one small section per
+    millisecond.  ``writer_max_section_ms`` includes that handle's replay
+    of the rewritten log, which ``peer_replay_ms`` times alone on a third
+    handle."""
+    path = tmp_path / "server" / "store.json"
+    root = path.with_name(path.name + ".wal")
+    _server_store(path)
+    pristine = tmp_path / "server-pristine"
+    shutil.copytree(root, pristine)
+    runs = []
+    for _ in range(COMPACTION_RUNS):
+        shutil.rmtree(root)
+        shutil.copytree(pristine, root)
+        database, writer, reader = Database(path), Database(path), Database(path)
+        expected = {name: database[name].find() for name in database}
+        sections: list[float] = []
+        stop = threading.Event()
+
+        def write() -> None:
+            probe = writer["probe"]
+            while not stop.is_set():
+                start = time.perf_counter()
+                with writer.exclusive():
+                    probe.insert_one({"at": start})
+                sections.append((time.perf_counter() - start) * 1000.0)
+                time.sleep(0.001)
+
+        thread = threading.Thread(target=write)
+        thread.start()
+        time.sleep(0.05)
+        start = time.perf_counter()
+        result = database.compact()
+        compact_ms = (time.perf_counter() - start) * 1000.0
+        time.sleep(0.05)
+        stop.set()
+        thread.join()
+        start = time.perf_counter()
+        reader.refresh()
+        replay_ms = (time.perf_counter() - start) * 1000.0
+        assert result["compacted"]
+        reopened = Database(path)
+        assert {name: reopened[name].find() for name in expected} == expected
+        assert len(reopened["probe"]) == len(sections) == len(reader["probe"])
+        runs.append({
+            "compact_ms": compact_ms,
+            "before_bytes": result["before_bytes"],
+            "rewritten_bytes": result["after_bytes"],
+            "writer_max_section_ms": max(sections),
+            "writer_p50_section_ms": statistics.median(sections),
+            "peer_replay_ms": replay_ms,
+        })
+    summary = {key: round(statistics.median(run[key] for run in runs), 3)
+               for key in runs[0]}
+    return {"churned_jobs": CHURN_JOBS, **summary}

@@ -639,6 +639,9 @@ def cmd_store(args: argparse.Namespace) -> int:
         if not path.exists() and not root.exists():
             raise SystemExit(f"no store at {path}")
         result = Database(path).compact()
+        if not result["compacted"]:
+            print(f"{wal.LOG_NAME}: not compacted (another process rewrote it first)")
+            return 0
         print(f"{wal.LOG_NAME}: {result['before_bytes']} -> "
               f"{result['after_bytes']} bytes (compacted)")
         return 0

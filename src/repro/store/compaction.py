@@ -7,10 +7,12 @@ atomically swaps it in (see :meth:`Database.compact` for the crash-safety
 argument: the new log is fsync'd before the ``rename``, so a crash at any
 point leaves either the old complete log or the new complete one).
 
-:class:`CompactionThread` runs that sweep on a timer.  It compacts lazily
-— only when the log carries substantially more ops than the store has
-live documents — so a quiet store costs one ``stats`` look per interval
-and zero writes.  The server wires one up per process behind
+The rewrite costs the whole live state, datasets and cached results
+included, whatever churned.  So :class:`CompactionThread` runs it only
+when the dead bytes have caught up with the live ones — the log is at
+least :data:`GROWTH` times its live state — and every byte rewritten
+pays for at least one dead byte dropped.  Between rewrites a sweep is
+one ``stat`` of the log.  The server wires one up per process behind
 ``--compact-seconds``; ``repro store compact`` compacts once, offline.
 """
 
@@ -26,26 +28,27 @@ __all__ = ["CompactionThread", "needs_compaction"]
 
 _log = logging.getLogger("repro.store")
 
-#: Never compact a log shorter than this many records — the rewrite would
-#: cost more than the replay it saves.
-MIN_RECORDS = 64
+#: Never compact a log shorter than this — the rewrite would cost more
+#: than the replay it saves.
+MIN_BYTES = 1 << 20
 
-#: Compact when the log holds more than this many records per live
-#: document (dead weight from updates, tombstones, and progress ticks).
-RECORDS_PER_DOC = 4.0
+#: Compact when the log is at least this many times its live state: the
+#: dead bytes then at least match the live bytes the rewrite copies.
+GROWTH = 2.0
 
 
 def needs_compaction(
-    records: int,
-    live_documents: int,
+    log_bytes: int,
+    live_bytes: int,
     *,
-    min_records: int = MIN_RECORDS,
-    records_per_doc: float = RECORDS_PER_DOC,
+    min_bytes: int = MIN_BYTES,
 ) -> bool:
-    """The lazy trigger: enough records, mostly dead weight."""
-    if records < min_records:
-        return False
-    return records > max(min_records, records_per_doc * max(live_documents, 1))
+    """The lazy trigger: a long log, mostly dead weight.
+
+    ``live_bytes`` is the live state's size as last measured (0 when
+    unknown: a long enough log then gets measured by a rewrite attempt).
+    """
+    return log_bytes >= max(min_bytes, GROWTH * live_bytes)
 
 
 class CompactionThread:
@@ -62,14 +65,14 @@ class CompactionThread:
         database: Database,
         interval_seconds: float = 30.0,
         *,
-        min_records: int = MIN_RECORDS,
-        records_per_doc: float = RECORDS_PER_DOC,
+        min_bytes: int = MIN_BYTES,
         extra_sweep: Callable[[], Sequence[dict[str, object]]] | None = None,
     ) -> None:
         self.database = database
         self.interval_seconds = interval_seconds
-        self.min_records = min_records
-        self.records_per_doc = records_per_doc
+        self.min_bytes = min_bytes
+        #: The live state's size at the last rewrite attempt.
+        self.live_bytes = 0
         #: Optional piggybacked sweep (e.g. the stream retention pass) run
         #: on the same cadence; its results join the sweep report, its
         #: failures are logged and swallowed like log-compaction ones.
@@ -107,17 +110,16 @@ class CompactionThread:
                 _log.exception("piggybacked compaction sweep failed")
         wal_stats = self.database.stats().get("wal")
         if wal_stats and needs_compaction(
-            wal_stats["records"],
-            wal_stats["live_documents"],
-            min_records=self.min_records,
-            records_per_doc=self.records_per_doc,
+            wal_stats["log_bytes"], self.live_bytes, min_bytes=self.min_bytes
         ):
-            result = self.database.compact()
-            self.compacted += 1
-            _log.info(
-                "compacted the store log: %d -> %d bytes",
-                result["before_bytes"],
-                result["after_bytes"],
-            )
-            results.append(result)
+            result = self.database.compact(min_ratio=GROWTH)
+            self.live_bytes = result["after_bytes"]
+            if result["compacted"]:
+                self.compacted += 1
+                _log.info(
+                    "compacted the store log: %d -> %d bytes",
+                    result["before_bytes"],
+                    result["after_bytes"],
+                )
+                results.append(result)
         return results

@@ -72,15 +72,15 @@ _TMP_SUFFIX = ".compact-tmp"
 _STATE_RECORD_BYTES = 1 << 20
 
 
-def collection_records(collection: Collection) -> Iterator[Any]:
-    """The live state of one collection as a minimal op stream.
+def collection_records(dump: Mapping[str, Any]) -> Iterator[Any]:
+    """The live state of one collection (its :meth:`Collection.dump`) as a
+    minimal op stream.
 
     What migration and compaction write: index definitions first (so
     replay backfills into ready indexes), one ``put`` per live document,
     and a final ``next`` op pinning the id counter — tombstones and
     superseded versions are gone, which is the whole point.
     """
-    dump = collection.dump()
     for kind in ("hash", "sorted"):
         for path in dump["indexes"][kind]:
             yield ["index", path, kind]
@@ -88,8 +88,9 @@ def collection_records(collection: Collection) -> Iterator[Any]:
     yield ["next", dump["next_id"]]
 
 
-def _encode_state(collections: Iterable[Collection]) -> tuple[bytes, int]:
-    """Live state as v3 log bytes, plus the number of ops they hold.
+def _encode_state(dumps: Iterable[Mapping[str, Any]]) -> tuple[bytes, int]:
+    """Live state (collection dumps) as v3 log bytes, plus the number of
+    ops they hold.
 
     Each collection becomes a run of records, cut every
     ``_STATE_RECORD_BYTES`` of ops.  The payload is assembled from the
@@ -99,11 +100,11 @@ def _encode_state(collections: Iterable[Collection]) -> tuple[bytes, int]:
     """
     frames: list[bytes] = []
     count = 0
-    for collection in collections:
-        records = list(collection_records(collection))
+    for dump in dumps:
+        records = list(collection_records(dump))
         if records == [["next", 1]]:
             continue
-        head = b"{" + json.dumps(collection.name).encode() + b":["
+        head = b"{" + json.dumps(dump["name"]).encode() + b":["
         ops: list[bytes] = []
         size = 0
         for op in records:
@@ -126,14 +127,13 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def _swap_in(target: Path, data: bytes, *, fault: bool = False) -> None:
+def _swap_in(target: Path, data: bytes) -> None:
     """Write ``data`` next to ``target``, atomically rename it over, and
     fsync the directory.
 
     The temp file is fsync'd *before* the rename — a crash at any point
     leaves either the old complete file or the new complete one, never a
-    mix.  ``fault=True`` arms the ``mid-compaction-swap`` crash point
-    between the two.
+    mix.
     """
     tmp = target.with_name(target.name + _TMP_SUFFIX)
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
@@ -142,8 +142,6 @@ def _swap_in(target: Path, data: bytes, *, fault: bool = False) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
-    if fault:
-        wal.maybe_fault("mid-compaction-swap")
     os.replace(tmp, target)
     _fsync_dir(target.parent)
 
@@ -273,7 +271,9 @@ class Database:
             log = self._log
             assert log is not None
             payload["wal"] = {
-                "log_bytes": os.fstat(log.fd).st_size,
+                # By path, not fd: this runs without the lock, while a
+                # compaction may be swapping the fd.
+                "log_bytes": os.stat(log.path).st_size,
                 "records": log.records,
                 "live_documents": sum(payload["collections"].values()),
                 "compactions": log.compactions,
@@ -412,7 +412,9 @@ class Database:
             for collection in self._read_snapshot(self.path):
                 collections[collection.name] = collection
                 imported += 1
-        data, _ = _encode_state(collections[name] for name in sorted(collections))
+        data, _ = _encode_state(
+            collections[name].dump() for name in sorted(collections)
+        )
         if data:
             _swap_in(root / wal.LOG_NAME, data)
         else:  # nothing to carry over: the marker's swap makes the file durable
@@ -452,22 +454,31 @@ class Database:
             stat = os.stat(log.path)
         except FileNotFoundError:  # pragma: no cover - root deleted underneath
             return
+        replayed: set[str] | None = None
         if stat.st_ino != log.inode or stat.st_size < log.applied_offset:
             # A peer compacted: replay the fresh log from zero.
             log.reopen()
             for collection in self._collections.values():
                 collection.reset_state()
+            replayed = set()
             stat = os.fstat(log.fd)
         if stat.st_size > log.applied_offset:
             tail = log.read_tail(stat.st_size)
             valid = 0
             for record, valid in wal.iter_records(tail):
                 log.records += self._apply(record)
+                if replayed is not None:
+                    replayed.update(record)
             log.applied_offset += valid
             if valid < len(tail) and truncate_torn:
                 # A crash landed mid-commit: keep then drop the tail.
                 _quarantine_tail(log.path, tail[valid:], log.applied_offset)
                 log.truncate_to(log.applied_offset)
+        if replayed is not None:
+            # A collection the fresh log never names was dropped (or never
+            # held anything): a fresh open would not have it either.
+            for name in set(self._collections) - replayed:
+                del self._collections[name]
 
     def _wal_append(self, name: str, op: Any) -> None:
         """Stage one op for the open section's commit.
@@ -493,45 +504,89 @@ class Database:
             self._log.append(staged)
             self._log.sync()
 
-    def compact(self) -> dict[str, Any]:
+    def compact(self, min_ratio: float = 0.0) -> dict[str, Any]:
         """Rewrite the store log to its live state, atomically.
 
-        Crash-safe at any point: the new log is complete and fsync'd
-        before the rename, the old log stays intact until it, and peers
-        detect the inode change and replay the fresh log.  The first
-        compaction after a snapshot import archives the snapshot: it is
-        renamed to ``<path>.pre-wal`` (never deleted).  Returns the
-        before/after byte counts.
+        Writers wait only for the swap, not the rewrite.  Under the lock,
+        the live state is snapshotted (frozen documents, so a shallow
+        dump) at the log's current end.  Outside it, the snapshot is
+        encoded into a temp file, which is fsync'd.  Under the lock again,
+        the commits made meanwhile are copied byte for byte onto the temp
+        file, which is fsync'd and renamed over the log.  Crash-safe at
+        any point: the old log stays intact until the rename (the
+        ``mid-compaction-swap`` crash point fires just before it), and
+        peers detect the inode change and replay the fresh log.  A peer
+        compacting in between abandons this rewrite.
+
+        With ``min_ratio`` the rewrite is kept only when the log is at
+        least that many times the size of the live state it encodes, so
+        a caller can ask "compact if it pays".  The first compaction after
+        a snapshot import archives the snapshot: it is renamed to
+        ``<path>.pre-wal`` (never deleted).  Returns the log's size before
+        and the encoded live state's size, swapped in or not.
         """
         if self.engine != "wal":
             return {"before_bytes": 0, "after_bytes": 0, "compacted": False}
+        started = time.perf_counter()
         with self.exclusive():
             log = self._log
             assert log is not None and self._wal_root is not None
-            assert self.path is not None
             before = os.fstat(log.fd).st_size
-            started = time.perf_counter()
-            data, records = _encode_state(
-                self._collections[name] for name in sorted(self._collections)
-            )
-            _swap_in(log.path, data, fault=True)
-            # The new log already holds whatever this section staged.
-            self._staged.clear()
-            log.adopt(len(data), records)
-            _COMPACTION_SECONDS.observe(time.perf_counter() - started)
-            marker = self._wal_root / _MIGRATED_MARKER
-            if marker.exists():
-                if self.path.exists():
-                    archived = self.path.with_name(self.path.name + ".pre-wal")
-                    os.replace(self.path, archived)
-                    _log.warning(
-                        "store: archived migrated legacy snapshot to %s "
-                        "after the first compaction", archived,
-                    )
-                marker.unlink()
+            inode, offset, ops = log.inode, log.applied_offset, log.records
+            dumps = [self._collections[name].dump()
+                     for name in sorted(self._collections)]
+        data, records = _encode_state(dumps)
+        result = {"before_bytes": before, "after_bytes": len(data),
+                  "compacted": False}
+        if before < min_ratio * len(data):
+            return result
+        tmp = log.path.with_name(
+            f"{log.path.name}.{os.getpid()}-{os.urandom(4).hex()}{_TMP_SUFFIX}"
+        )
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+        try:
+            wal.write_all(fd, data)
+            os.fsync(fd)
+            with self.exclusive():
+                # A peer swapped in its own rewrite, or a peer's first open
+                # swept this temp file as a leftover: abandon this one.
+                if log.inode != inode or os.fstat(fd).st_nlink == 0:
+                    return result
+                tail = os.pread(log.fd, log.applied_offset - offset, offset)
+                wal.write_all(fd, tail)
+                os.fsync(fd)
+                wal.maybe_fault("mid-compaction-swap")
+                os.replace(tmp, log.path)
+                result["compacted"] = True
                 _fsync_dir(self._wal_root)
-            return {"before_bytes": before, "after_bytes": len(data),
-                    "compacted": True}
+                # Nested in a section: the snapshot already holds what it
+                # staged.
+                self._staged.clear()
+                log.adopt(len(data) + len(tail), records + log.records - ops)
+                self._archive_snapshot()
+        finally:
+            os.close(fd)
+            if not result["compacted"]:
+                tmp.unlink(missing_ok=True)
+        _COMPACTION_SECONDS.observe(time.perf_counter() - started)
+        return result
+
+    def _archive_snapshot(self) -> None:
+        """Rename an imported legacy snapshot to ``<path>.pre-wal`` once
+        the first compaction made the log self-sufficient."""
+        assert self._wal_root is not None and self.path is not None
+        marker = self._wal_root / _MIGRATED_MARKER
+        if not marker.exists():
+            return
+        if self.path.exists():
+            archived = self.path.with_name(self.path.name + ".pre-wal")
+            os.replace(self.path, archived)
+            _log.warning(
+                "store: archived migrated legacy snapshot to %s after the "
+                "first compaction", archived,
+            )
+        marker.unlink()
+        _fsync_dir(self._wal_root)
 
     # -- persistence (legacy snapshot format; export + migration) ---------------
 

@@ -71,11 +71,14 @@ __all__ = [
 #: Crash-point env var: ``point[@dataset][:nth]``.
 FAULT_ENV = "REPRO_STREAM_FAULT"
 
-#: The named points of the compaction protocol a test can crash at.
+#: The named points of the compaction protocol a test can crash at.  Each
+#: is reached inside its fold's section and fires once that section's one
+#: commit is durable (``Database.after_commit``): the fold landed whole,
+#: then the process died.
 FAULT_POINTS = (
-    "after-snapshot-insert",   # snapshot durable, events not yet trimmed
-    "after-event-trim",        # events gone, horizon marker not yet bumped
-    "after-observation-trim",  # batches gone, compacted_epoch not yet bumped
+    "after-snapshot-insert",   # feed fold: snapshot inserted
+    "after-event-trim",        # feed fold: events and alerts trimmed
+    "after-observation-trim",  # observation fold: batches trimmed
 )
 
 #: Distinct from the store's 71 and the job registry's 70, so a test can
@@ -93,6 +96,11 @@ _COMPACTIONS = _METRICS.counter(
     "(feed = cap_events/alerts, observations = replay window).",
     labels=("dataset", "target"),
 )
+
+
+def _fault_point(database: Any, point: str, name: str) -> None:
+    """Arm a crash point to fire once the open section has committed."""
+    database.after_commit(lambda: maybe_fault(point, name))
 
 
 class RetentionError(ValueError):
@@ -292,12 +300,12 @@ def compact_feed(
         snapshots = database.collection(FEED_SNAPSHOTS)
         if snapshots.replace_one({"dataset": name}, snapshot) is None:
             snapshots.insert_one(snapshot)
-        maybe_fault("after-snapshot-insert", name)
+        _fault_point(database, "after-snapshot-insert", name)
         trimmed = database.collection(CAP_EVENTS).delete_many(
             {"seq": {"$lt": target}, "dataset": name}
         )
         pruned = prune_alerts(database, name, target)
-        maybe_fault("after-event-trim", name)
+        _fault_point(database, "after-event-trim", name)
         database.collection(STREAM_STATE).update_one(
             {"name": name}, {"horizon_seq": target}
         )
@@ -357,7 +365,7 @@ def compact_observations(
         trimmed = database.collection(OBSERVATIONS).delete_many(
             {"dataset": name, "epoch": {"$lte": target}}
         )
-        maybe_fault("after-observation-trim", name)
+        _fault_point(database, "after-observation-trim", name)
         database.collection(STREAM_STATE).update_one(
             {"name": name}, {"compacted_epoch": target}
         )

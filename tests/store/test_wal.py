@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import zlib
 
 import pytest
@@ -149,6 +150,24 @@ def test_drop_collection_removes_the_log(tmp_path):
     assert "caps" not in Database(path)
     db["caps"].insert_one({"a": 2})  # recreated after the drop, in order
     assert [d["a"] for d in Database(path)["caps"].find()] == [2]
+
+
+def test_a_drop_folded_away_by_a_peer_compaction_still_drops(tmp_path):
+    """The rewritten log holds neither the dropped collection nor its drop
+    op; a peer that refreshes across the rewrite loses it all the same."""
+    path = tmp_path / "store.json"
+    db = Database(path)
+    peer = Database(path)
+    db["caps"].insert_one({"a": 1})
+    db["kept"].insert_one({"b": 1})
+    peer.refresh()
+    assert db.drop_collection("caps")
+    db.compact()
+    peer.refresh()
+    fresh = Database(path)
+    assert "caps" not in peer and "caps" not in fresh
+    assert peer.collection_names() == fresh.collection_names() == ["kept"]
+    assert peer.stats()["collections"] == fresh.stats()["collections"]
 
 
 # -- cross-instance visibility -------------------------------------------------
@@ -461,9 +480,12 @@ def test_compaction_drops_dead_weight(tmp_path):
 
 
 def test_needs_compaction_thresholds():
-    assert not needs_compaction(10, 1)  # too short to bother
-    assert not needs_compaction(100, 50)  # mostly live
-    assert needs_compaction(500, 10)  # dead weight dominates
+    mib = 1 << 20
+    assert not needs_compaction(mib // 2, 0)  # too short to bother
+    assert needs_compaction(mib, 0)  # long, live size unknown: measure it
+    assert not needs_compaction(3 * mib, 2 * mib)  # mostly live
+    assert needs_compaction(4 * mib, 2 * mib)  # dead bytes match live ones
+    assert needs_compaction(500, 10, min_bytes=100)
 
 
 def test_compaction_thread_sweeps(tmp_path):
@@ -472,12 +494,145 @@ def test_compaction_thread_sweeps(tmp_path):
     for i in range(100):
         db["caps"].insert_one({"i": i})
     db["caps"].delete_many({"i": {"$lte": 97}})
-    compactor = CompactionThread(db, interval_seconds=3600, min_records=10)
+    compactor = CompactionThread(db, interval_seconds=3600, min_bytes=10)
     results = compactor.sweep()  # run one pass synchronously
     assert [r["compacted"] for r in results] == [True]
     assert db.stats()["wal"]["compactions"] == 1
+    assert compactor.live_bytes == results[0]["after_bytes"]
     assert compactor.sweep() == []  # the rewritten log is all live state
     compactor.stop()
+
+
+def test_compaction_thread_waits_for_dead_bytes_to_match_live(tmp_path):
+    """Churn on a small collection does not rewrite a large live state
+    until the churn has written as many bytes as that state holds."""
+    path = tmp_path / "store.json"
+    db = Database(path)
+    db["datasets"].insert_one({"blob": "x" * 20_000})
+    job = db["jobs"].insert_one({"state": "queued", "tick": 0})
+    compactor = CompactionThread(db, interval_seconds=3600, min_bytes=1000)
+    assert compactor.sweep() == []  # measured: the log is all live state
+    assert compactor.live_bytes > 20_000
+    assert db.stats()["wal"]["compactions"] == 0
+    tick = 0
+    while db.stats()["wal"]["log_bytes"] < 2 * compactor.live_bytes - 100:
+        tick += 1
+        db["jobs"].update_one({"_id": job}, {"tick": tick})
+        assert compactor.sweep() == []
+    while not compactor.sweep():
+        tick += 1
+        db["jobs"].update_one({"_id": job}, {"tick": tick})
+    assert db.stats()["wal"]["compactions"] == 1
+    assert Database(path)["jobs"].find_one({"_id": job})["tick"] == tick
+
+
+def test_compact_min_ratio_keeps_a_log_that_would_not_shrink_enough(tmp_path):
+    path = tmp_path / "store.json"
+    db = Database(path)
+    db["caps"].insert_one({"a": 1})
+    journal = tmp_path / "store.json.wal" / "journal"
+    before = journal.read_bytes()
+    result = db.compact(min_ratio=2.0)
+    assert not result["compacted"]
+    assert result["after_bytes"] > 0
+    assert journal.read_bytes() == before
+    assert db.stats()["wal"]["compactions"] == 0
+    assert list(journal.parent.glob("*.compact-tmp")) == []
+
+
+def test_compaction_keeps_commits_made_while_it_rewrites(tmp_path, monkeypatch):
+    """The rewrite runs outside the lock; commits landing meanwhile (here a
+    peer's, made while the snapshot is being encoded) follow it into the
+    new log."""
+    from repro.store import database as database_module
+
+    path = tmp_path / "store.json"
+    db = Database(path)
+    peer = Database(path)
+    for i in range(10):
+        db["caps"].insert_one({"i": i})
+    db["caps"].delete_many({"i": {"$lte": 4}})
+    real_encode = database_module._encode_state
+
+    def encode_while_a_peer_commits(dumps):
+        encoded = real_encode(dumps)
+        with peer.exclusive():
+            peer["caps"].insert_one({"i": 100})
+            peer["jobs"].insert_one({"j": 1})
+        return encoded
+
+    monkeypatch.setattr(database_module, "_encode_state", encode_while_a_peer_commits)
+    assert db.compact()["compacted"]
+    monkeypatch.undo()
+    assert [d["i"] for d in db["caps"].find()] == [5, 6, 7, 8, 9, 100]
+    fresh = Database(path)
+    assert fresh["caps"].find() == db["caps"].find()
+    assert fresh["jobs"].find() == db["jobs"].find() == peer["jobs"].find()
+    assert db["caps"].insert_one({"i": 101}) == 12  # ids keep counting
+    assert fresh.stats()["wal"]["records"] == db.stats()["wal"]["records"] - 1
+
+
+def test_a_rewrite_a_peer_overtook_is_abandoned(tmp_path, monkeypatch):
+    from repro.store import database as database_module
+
+    path = tmp_path / "store.json"
+    db = Database(path)
+    peer = Database(path)
+    for i in range(10):
+        db["caps"].insert_one({"i": i})
+    db["caps"].delete_many({"i": {"$lte": 4}})
+    real_encode = database_module._encode_state
+
+    def encode_while_a_peer_compacts(dumps):
+        encoded = real_encode(dumps)
+        monkeypatch.setattr(database_module, "_encode_state", real_encode)
+        assert peer.compact()["compacted"]
+        return encoded
+
+    monkeypatch.setattr(database_module, "_encode_state", encode_while_a_peer_compacts)
+    result = db.compact()
+    assert not result["compacted"]
+    assert db.stats()["wal"]["compactions"] == 0
+    assert list((tmp_path / "store.json.wal").glob("*.compact-tmp")) == []
+    db.refresh()
+    assert db["caps"].find() == Database(path)["caps"].find()
+
+
+def test_stats_poll_safely_while_compaction_swaps_the_log(tmp_path, monkeypatch):
+    """``stats()`` (the admin endpoint, the compaction trigger) takes no
+    lock.  A poll from another thread landing while a compaction has the
+    old log's fd closed and the new one not yet open must still answer."""
+    path = tmp_path / "store.json"
+    db = Database(path)
+    for i in range(50):
+        db["caps"].insert_one({"i": i, "pad": "x" * 100})
+    db["caps"].delete_many({"i": {"$lt": 40}})
+    polls: list[int] = []
+    errors: list[BaseException] = []
+    pollers: list[threading.Thread] = []
+    real_open = wal.CollectionLog._open_fd
+
+    def poll() -> None:
+        try:
+            polls.append(db.stats()["wal"]["log_bytes"])
+        except BaseException as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    def open_after_a_poll(self) -> None:
+        poller = threading.Thread(target=poll)
+        poller.start()
+        poller.join(timeout=1.0)
+        pollers.append(poller)
+        real_open(self)
+
+    monkeypatch.setattr(wal.CollectionLog, "_open_fd", open_after_a_poll)
+    for _ in range(3):
+        assert db.compact()["compacted"]
+    monkeypatch.undo()
+    for poller in pollers:
+        poller.join()
+    assert errors == []
+    assert len(polls) == 3 and all(size > 0 for size in polls)
 
 
 def test_stats_expose_wal_counters(tmp_path):

@@ -515,6 +515,14 @@ def test_kill9_during_fold_converges(tmp_path, tiny_dataset, fault_point):
     finally:
         server.kill()
 
+    # Each point fires once its fold's one commit is durable: the crash
+    # lands after a whole fold, never inside one.
+    state = Database(store)["stream_state"].find_one({"name": "tiny"})
+    if fault_point == "after-observation-trim":
+        assert state.get("compacted_epoch", 0) > 0
+    else:
+        assert state.get("horizon_seq") == 3
+
     # Whatever the crash left behind, the restarted sweep converges to
     # the same bounded feed, and the horizon cursor contract holds.
     converge_and_verify(store, tiny_dataset, feeder, expect_seqs=[3, 4])
