@@ -200,6 +200,26 @@ class TestDedup:
         fresh, created = store.open_job("santander", PARAMS, KEY)
         assert created
 
+    def test_open_rules_of_mine_and_stream_jobs(self, store):
+        """A mine dedups on its cache key; a stream job on its dataset name
+        (different parameters still return the live stream job); and a mine
+        and a stream job with the same key coexist."""
+        mine, created = store.open_job("santander", PARAMS, KEY)
+        again, created2 = store.open_job("santander", PARAMS, KEY)
+        assert created and not created2 and again.job_id == mine.job_id
+
+        stream, created3 = store.open_stream_job("santander", PARAMS, KEY)
+        assert created3 and stream.job_id != mine.job_id
+        other_params = {"min_support": 9}
+        resubmitted, created4 = store.open_stream_job(
+            "santander", other_params, OTHER_KEY
+        )
+        assert not created4 and resubmitted.job_id == stream.job_id
+
+        assert store.get(mine.job_id).state == QUEUED
+        assert store.get(stream.job_id).state == QUEUED
+        assert store.open_job("santander", PARAMS, KEY)[0].job_id == mine.job_id
+
 
 class TestCancellation:
     def test_cancel_queued_is_immediate(self, store):
