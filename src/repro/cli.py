@@ -412,7 +412,7 @@ def _mine_async(dataset: SensorDataset, params: MiningParameters,
     last_line = ""
     try:
         while True:
-            snapshot = queue.get(job.job_id)
+            snapshot = queue.store.get(job.job_id)
             assert snapshot is not None
             if args.watch:
                 line = (f"[{snapshot.job_id}] {snapshot.state} "
@@ -428,15 +428,15 @@ def _mine_async(dataset: SensorDataset, params: MiningParameters,
         from .jobs import JobStateError
 
         try:
-            queue.cancel(job.job_id)
+            queue.store.request_cancel(job.job_id)
             print(f"cancel requested for {job.job_id}; waiting for the checkpoint...")
         except JobStateError:
             pass  # finished between the last poll and the interrupt
         queue.shutdown(wait=True)
-        print(f"{job.job_id} {queue.get(job.job_id).state}")
+        print(f"{job.job_id} {queue.store.get(job.job_id).state}")
         return 130
     queue.shutdown(wait=True)
-    final = queue.get(job.job_id)
+    final = queue.store.get(job.job_id)
     if final.state == FAILED:
         raise SystemExit(f"job {final.job_id} failed: "
                          f"{final.error.type}: {final.error.message}")

@@ -11,12 +11,16 @@ runner from the stored document, so mines, distributed sub-jobs and
 resident stream jobs run the same whether this process or another one
 enqueued them.  With a store bound to a path jobs survive restarts and
 several processes share one registry through lease-based claiming; a
-path-less database keeps the same registry in memory.  See ``DESIGN.md``
-("Async job queue", "Durable jobs") for the state machine, lease
-protocol, and recovery rules.
+path-less database keeps the same registry in memory.
+
+The registry keeps the lifecycle every kind shares.  Each kind's own
+rules and runner live in that kind's module: :mod:`repro.jobs.distributed`
+for ``mine`` and its ``shard``/``merge`` sub-jobs, :mod:`repro.stream.runner`
+for ``stream``.  See ``DESIGN.md`` ("Async job queue", "Durable jobs") for
+the state machine, lease protocol, and recovery rules.
 """
 
-from .durable import DurableJobStore, maybe_fault
+from .durable import DurableJobStore
 from .executor import HANDLED, ClaimLoop, run_job
 from .model import (
     ATTEMPTS_EXHAUSTED,
@@ -36,13 +40,6 @@ from .model import (
     JobError,
     JobStateError,
 )
-from .planner import (
-    PLAN_WORKERS_DEFAULT,
-    MinePlan,
-    execute_units,
-    merge_outputs,
-    plan_mine,
-)
 from .queue import JobQueue
 
 __all__ = [
@@ -56,7 +53,6 @@ __all__ = [
     "KIND_MINE",
     "KIND_SHARD",
     "KIND_STREAM",
-    "PLAN_WORKERS_DEFAULT",
     "SUCCEEDED",
     "QUEUED",
     "RUNNING",
@@ -67,10 +63,5 @@ __all__ = [
     "JobError",
     "JobQueue",
     "JobStateError",
-    "MinePlan",
-    "execute_units",
-    "maybe_fault",
-    "merge_outputs",
-    "plan_mine",
     "run_job",
 ]

@@ -27,18 +27,12 @@ decides every claim exactly once across processes:
   worker that lost its lease (and whose job was reclaimed and re-run
   elsewhere) cannot clobber the newer attempt's outcome.
 
-**Distributed sub-jobs (PR 7).**  A ``mine`` job submitted with
-``distributed=True`` is a *parent*: a planner step (claimed like any job)
-splits it into ``shard`` sub-jobs plus one ``merge`` sub-job — documents in
-the same ``jobs`` collection, moving through the same state machine under
-their own leases — via :meth:`finish_planning`.  Workers claim shards with
-the ordinary CAS (:meth:`claim_next` gates on readiness: a shard needs a
-planned, live parent; the merge needs every shard ``succeeded``), persist
-their tagged CAP output atomically with the success transition
-(:meth:`complete_shard`), and a planned parent is completed, failed, or
-cancelled *by rules over its children* (:meth:`reclaim_expired` /
-:meth:`recover` run the resolution pass) rather than by a lease — crashing
-a worker loses one shard, not the mine.
+**Job kinds.**  The registry names no kind but the default ``mine``.
+Where a kind has rules of its own, it calls that kind's module at the
+point the rule applies: the distributed mine's claim gate, claim crash
+point, parent resolution, retention and redrive lineage are functions in
+:mod:`repro.jobs.distributed`; a stream job's open rule is the keywords
+:data:`repro.stream.STREAM_OPEN_RULE` passes to :meth:`open_job`.
 
 **Bounded retries and dead-lettering.**  Every lease-expiry requeue now
 backs off exponentially (``not_before`` gates the next claim) and counts
@@ -51,11 +45,10 @@ with a precise diagnosis naming the shard.
 
 **Fault injection.**  The crash points the recovery tests kill the server
 at are real code paths here, selected by the ``REPRO_JOBS_FAULT``
-environment variable (see :data:`FAULT_POINTS`) through the shared
-:class:`repro.faults.CrashPoints` parser: the process hard-exits
-(``os._exit``, status 70) at the named point, exactly like a ``kill -9``
-landing there.  In production the variable is unset and the checks are
-no-ops.
+environment variable (:data:`repro.faults.JOB_FAULT_POINTS`): the process
+hard-exits (``os._exit``, status 70) at the named point, exactly like a
+``kill -9`` landing there.  In production the variable is unset and the
+checks are no-ops.
 """
 
 from __future__ import annotations
@@ -68,19 +61,17 @@ from typing import Any, Iterator, Mapping, Sequence
 
 from ..cache.cache import ResultCache
 from ..cache.keys import short_key
-from ..faults import CrashPoints
+from ..faults import JOB_FAULTS
 from ..obs.metrics import get_registry
 from ..obs.spans import SpanStore
 from ..store.database import Database
+from . import distributed
 from .model import (
     ATTEMPTS_EXHAUSTED,
     CANCELLED,
     FAILED,
     JOB_STATES,
-    KIND_MERGE,
     KIND_MINE,
-    KIND_SHARD,
-    KIND_STREAM,
     QUEUED,
     RUNNING,
     SUCCEEDED,
@@ -92,11 +83,10 @@ from .model import (
 )
 from .planner import PLAN_WORKERS_DEFAULT
 
-__all__ = ["DurableJobStore", "FAULT_ENV", "FAULT_POINTS", "maybe_fault"]
+__all__ = ["DurableJobStore"]
 
 _JOBS = "jobs"
 _DEAD_LETTERS = "dead_letters"
-_SHARD_OUTPUTS = "shard_outputs"
 
 #: Upper bound, in seconds, of the exponential requeue delay.
 _BACKOFF_CAP = 30.0
@@ -128,29 +118,29 @@ _CAS_CONFLICTS = _METRICS.counter(
     "Compare-and-set losses: stale workers refused a transition or renewal.",
 )
 
-#: Environment variable naming the crash point to hard-exit at (tests only).
-FAULT_ENV = "REPRO_JOBS_FAULT"
+def _cancelled(now: float) -> dict[str, Any]:
+    """A claim ending ``cancelled`` outside the worker (reclaim, release)."""
+    return {
+        "state": CANCELLED,
+        "worker_id": None,
+        "lease_expires_at": None,
+        "finished_at": now,
+    }
 
-#: The supported crash points, in lifecycle order.
-FAULT_POINTS = (
-    "after-enqueue",           # queued job persisted; submitter never answered
-    "after-claim",             # running + lease persisted; worker dies pre-mine
-    "after-shard-claim",       # shard sub-job claimed; worker dies pre-execution
-    "mid-shard",               # shard computed; success/output never hit disk
-    "before-merge-publish",    # all shards done; merge dies pre-result-publish
-    "before-succeed-persist",  # mine finished; success/result never hit disk
-    "after-succeed-persist",   # success + result durable; process dies after
-)
 
-#: Exit status used by fault-point exits (distinct from SIGKILL's 137).
-FAULT_EXIT_CODE = 70
-
-# Module-level so runner code outside the store (shard execution, the merge
-# publish) shares the same crash-point vocabulary.  A hit simulates a
-# ``kill -9`` landing exactly there: no cleanup, no flushing — any flock
-# dies with the process.
-_CRASH_POINTS = CrashPoints(FAULT_ENV, FAULT_EXIT_CODE)
-maybe_fault = _CRASH_POINTS.maybe_fault
+def _requeued(not_before: float | None) -> dict[str, Any]:
+    """The reset of a job going back to ``queued``: claim, lease and
+    progress cleared, claimable from ``not_before`` on."""
+    return {
+        "state": QUEUED,
+        "worker_id": None,
+        "lease_expires_at": None,
+        "started_at": None,
+        "not_before": not_before,
+        "progress": 0.0,
+        "shards_done": 0,
+        "shards_total": 0,
+    }
 
 
 class DurableJobStore:
@@ -286,7 +276,7 @@ class DurableJobStore:
     def _fault_point(self, name: str) -> None:
         """An ``after-*`` crash point: it fires once the open section's
         commit (the transition it is named after) is durable."""
-        self.database.after_commit(lambda: maybe_fault(name))
+        self.database.after_commit(lambda: JOB_FAULTS.maybe_fault(name))
 
     # -- document helpers -------------------------------------------------------
 
@@ -319,36 +309,46 @@ class DurableJobStore:
         parameters: Mapping[str, Any],
         key: str,
         *,
+        kind: str = KIND_MINE,
+        dedup_on: str = "key",
+        id_prefix: str = "job",
         distributed: bool = False,
         plan_workers: int | None = None,
         max_attempts: int | None = None,
         trace_id: str | None = None,
     ) -> tuple[Job, bool]:
-        """The active job for ``key``, or a new queued one — atomically.
+        """The live job of ``kind`` for this submission, or a new queued one
+        — atomically.
 
         The decision is made against the *shared* registry: a job another
-        process opened for the same key dedups here too.  Dedup considers
-        top-level jobs only — shard/merge sub-jobs share their parent's key
-        and never absorb a submission.  ``distributed=True`` marks the new
-        job for shard-level
-        execution (the planner splits it when a worker claims it);
-        ``plan_workers`` fixes the planning width the split uses;
-        ``trace_id`` (the request's ``X-Request-Id``) is stamped on the job
-        and inherited by its sub-jobs, correlating every span of one
-        distributed mine.  Dedup keeps the *existing* job's trace.
+        process opened dedups here too.  A live (queued or running) job of
+        the same ``kind`` whose ``dedup_on`` field — ``"key"`` or
+        ``"dataset"`` — matches is returned instead of a new one; sub-jobs
+        are of other kinds and never absorb a submission.  The defaults are
+        the ``mine`` kind's rule (dedup on the cache key, ids
+        ``job-NNNN-…``); a kind with its own rule passes it in (see
+        :data:`repro.stream.STREAM_OPEN_RULE`).  ``distributed=True`` marks
+        a new mine for shard-level execution (the planner splits it when a
+        worker claims it); ``plan_workers`` fixes the planning width the
+        split uses; ``trace_id`` (the request's ``X-Request-Id``) is
+        stamped on the job and inherited by its sub-jobs, correlating every
+        span of one distributed mine.  Dedup keeps the *existing* job's
+        trace.
         """
         with self._exclusive():
-            live = {"key": key, "state": {"$in": [QUEUED, RUNNING]}}
+            match = key if dedup_on == "key" else dataset
+            live = {dedup_on: match, "state": {"$in": [QUEUED, RUNNING]}}
             for document in self._collection().find(live):
-                if document.get("kind", KIND_MINE) == KIND_MINE:
+                if document.get("kind", KIND_MINE) == kind:
                     return self._job(document), False
             sequence = self._next_sequence()
             job = Job(
-                job_id=f"job-{sequence:04d}-{short_key(key)}",
+                job_id=f"{id_prefix}-{sequence:04d}-{short_key(key)}",
                 dataset=dataset,
                 parameters=dict(parameters),
                 key=key,
                 created_at=self._clock(),
+                kind=kind,
                 distributed=distributed,
                 max_attempts=max_attempts,
                 trace_id=trace_id,
@@ -362,46 +362,6 @@ class DurableJobStore:
             self._fault_point("after-enqueue")
             return job, True
 
-    def open_stream_job(
-        self,
-        dataset: str,
-        parameters: Mapping[str, Any],
-        key: str,
-        *,
-        trace_id: str | None = None,
-    ) -> tuple[Job, bool]:
-        """The resident stream job for ``dataset``, or a new queued one.
-
-        One live stream job per dataset: dedup matches any non-terminal
-        ``stream`` job on the dataset *name* (not the key — re-submitting
-        with different parameters keeps the running miner rather than
-        racing a second one against the same feed).  Stream jobs are
-        created with ``max_attempts=0`` (unlimited): every idle release
-        and lease-expiry requeue grows ``attempt``, and a long-lived
-        resident job must never dead-letter itself by simply living.
-        """
-        with self._exclusive():
-            live = {"dataset": dataset, "state": {"$in": [QUEUED, RUNNING]}}
-            for document in self._collection().find(live):
-                if document.get("kind", KIND_MINE) == KIND_STREAM:
-                    return self._job(document), False
-            sequence = self._next_sequence()
-            job = Job(
-                job_id=f"stream-{sequence:04d}-{short_key(key)}",
-                dataset=dataset,
-                parameters=dict(parameters),
-                key=key,
-                created_at=self._clock(),
-                kind=KIND_STREAM,
-                max_attempts=0,
-                trace_id=trace_id,
-                sequence=sequence,
-            )
-            self._collection().insert_one(self._store_document(job))
-            self._prune_terminal_locked()
-            self._fault_point("after-enqueue")
-            return job, True
-
     # -- lookup -----------------------------------------------------------------
 
     def get(self, job_id: str) -> Job | None:
@@ -411,44 +371,35 @@ class DurableJobStore:
             return self._job(document) if document is not None else None
 
     def list(
-        self, status: str | None = None, kind: str | None = KIND_MINE
+        self,
+        status: str | None = None,
+        kind: str | None = KIND_MINE,
+        parent_id: str | None = None,
     ) -> list[Job]:
-        """Jobs in submission order, optionally filtered by state.
+        """Jobs in submission order, optionally filtered by state and parent.
 
-        Defaults to *top-level* jobs (``kind="mine"``) so listings, local
+        Defaults to mines (``kind="mine"``) so listings, local
         re-scheduling, and shutdown sweeps see parents, not their shard and
-        merge sub-jobs; pass ``kind=None`` for everything, or a specific
-        kind.  Use :meth:`children` for one parent's sub-job tree.
+        merge sub-jobs; pass ``kind=None`` for every kind, or a specific
+        kind, and ``parent_id`` for one parent's sub-jobs.
         """
         if status is not None and status not in JOB_STATES:
             raise JobStateError(
                 f"unknown job status {status!r}; expected one of {JOB_STATES}"
             )
+        query: dict[str, Any] = {}
+        if status is not None:
+            query["state"] = status
+        if parent_id is not None:
+            query["parent_id"] = parent_id
         with self._lock:
             self.refresh()
-            query = {"state": status} if status is not None else None
-            documents = self._collection().find(query, sort="sequence")
+            documents = self._collection().find(query or None, sort="sequence")
             return [
                 self._job(document)
                 for document in documents
                 if kind is None or document.get("kind", KIND_MINE) == kind
             ]
-
-    def children(self, parent_id: str) -> list[Job]:
-        """A distributed parent's sub-jobs: shards (by index), then merge."""
-        with self._lock:
-            self.refresh()
-            documents = self._collection().find(
-                {"parent_id": parent_id}, sort="sequence"
-            )
-            jobs = [self._job(document) for document in documents]
-            jobs.sort(
-                key=lambda job: (
-                    job.kind == KIND_MERGE,
-                    job.shard_index if job.shard_index is not None else 0,
-                )
-            )
-            return jobs
 
     def counters(self) -> dict[str, Any]:
         """Per-state job counts plus lease health (``/admin/stats``)."""
@@ -519,32 +470,13 @@ class DurableJobStore:
     def _claimable_locked(self, document: Mapping[str, Any], now: float) -> bool:
         """Readiness gate of :meth:`claim_next`.
 
-        A requeued job backs off until its ``not_before``; a shard needs
-        its parent planned and live; the merge additionally needs every
-        shard ``succeeded``.
+        A requeued job backs off until its ``not_before``; past that, the
+        distributed mine gates its sub-jobs (:func:`distributed.ready`).
         """
         not_before = document.get("not_before")
         if not_before is not None and now < not_before:
             return False
-        kind = document.get("kind", KIND_MINE)
-        if kind in (KIND_MINE, KIND_STREAM):
-            return True
-        parent = self._doc(document.get("parent_id") or "")
-        if (
-            parent is None
-            or parent["state"] != RUNNING
-            or not parent.get("planned")
-            or parent.get("cancel_requested")
-        ):
-            return False
-        if kind == KIND_SHARD:
-            return True
-        # Merge: every shard must have succeeded.
-        for shard_id in parent.get("shard_ids", []):
-            shard = self._doc(shard_id)
-            if shard is None or shard["state"] != SUCCEEDED:
-                return False
-        return True
+        return distributed.ready(self, document)
 
     def _claim_locked(self, document: Mapping[str, Any]) -> Job | None:
         if document["state"] != QUEUED:
@@ -564,10 +496,7 @@ class DurableJobStore:
         if matched is None:  # pragma: no cover - CAS races need no lock here
             return None
         _CLAIMS.inc(document.get("kind", KIND_MINE))
-        if document.get("kind", KIND_MINE) == KIND_SHARD:
-            self._fault_point("after-shard-claim")
-        else:
-            self._fault_point("after-claim")
+        self._fault_point(distributed.claim_point(document))
         return self._job(self._require_doc(document["job_id"]))
 
     def renew_lease(self, job_id: str, attempt: int | None = None) -> None:
@@ -611,7 +540,7 @@ class DurableJobStore:
                 job = self._requeue_locked(document, now)
                 if job.state == QUEUED:
                     reclaimed.append(job)
-            self._resolve_parents_locked(now)
+            distributed.resolve_parents(self, now)
             return reclaimed
 
     def _attempt_limit(self, document: Mapping[str, Any]) -> int:
@@ -645,12 +574,7 @@ class DurableJobStore:
             "lease_expires_at": document.get("lease_expires_at"),
         }
         if document.get("cancel_requested"):
-            changes: dict[str, Any] = {
-                "state": CANCELLED,
-                "worker_id": None,
-                "lease_expires_at": None,
-                "finished_at": now,
-            }
+            changes = _cancelled(now)
         else:
             attempt = int(document.get("attempt", 0))
             limit = self._attempt_limit(document)
@@ -678,16 +602,7 @@ class DurableJobStore:
                     _BACKOFF_CAP,
                     self.backoff_base * (2.0 ** max(0, attempt - 1)),
                 )
-                changes = {
-                    "state": QUEUED,
-                    "worker_id": None,
-                    "lease_expires_at": None,
-                    "started_at": None,
-                    "not_before": now + delay,
-                    "progress": 0.0,
-                    "shards_done": 0,
-                    "shards_total": 0,
-                }
+                changes = _requeued(now + delay)
                 _REQUEUES.inc()
         self._collection().update_if({"job_id": job_id}, expected, changes)
         return self._job(self._require_doc(job_id))
@@ -712,136 +627,6 @@ class DurableJobStore:
                 "quarantined_at": now,
             }
         )
-
-    def _resolve_parents_locked(self, now: float) -> None:
-        """Drive planned parents from their children's states.
-
-        A planned parent is lease-less: its lifecycle is a pure function of
-        its sub-jobs, applied here (under the registry's critical section)
-        by whichever process runs reclamation or recovery first —
-
-        * any child ``failed`` → parent ``failed`` with a diagnosis naming
-          the shard, and the remaining children are cancelled;
-        * cancellation (requested on the parent, or a child ended
-          ``cancelled``) propagates and completes once children stop;
-        * the merge ``succeeded`` → parent ``succeeded``, publishing the
-          merge's result key;
-        * otherwise the parent's progress tracks its shard completions.
-        """
-        parents = [
-            document
-            for document in self._collection().find({"state": RUNNING})
-            if document.get("kind", KIND_MINE) == KIND_MINE
-            and document.get("planned")
-        ]
-        for parent in parents:
-            children = self._collection().find(
-                {"parent_id": parent["job_id"]}, sort="sequence"
-            )
-            shards = [
-                c for c in children if c.get("kind") == KIND_SHARD
-            ]
-            merge = next(
-                (c for c in children if c.get("kind") == KIND_MERGE), None
-            )
-            failed = next(
-                (c for c in children if c["state"] == FAILED), None
-            )
-            if failed is not None:
-                error = failed.get("error") or {}
-                if failed.get("kind") == KIND_SHARD:
-                    where = (
-                        f"shard {failed.get('shard_index')}/"
-                        f"{len(shards)} ({failed['job_id']})"
-                    )
-                else:
-                    where = f"merge step ({failed['job_id']})"
-                diagnosis = JobError(
-                    type=str(error.get("type", "ShardFailed")),
-                    message=(
-                        f"{where} failed after "
-                        f"{int(failed.get('attempt', 0))} attempt(s) "
-                        f"[{error.get('type', 'unknown')}]: "
-                        f"{error.get('message', 'no message recorded')}"
-                    ),
-                )
-                self._collection().update_if(
-                    {"job_id": parent["job_id"]},
-                    {"state": RUNNING},
-                    {
-                        "state": FAILED,
-                        "finished_at": now,
-                        "error": diagnosis.to_document(),
-                    },
-                )
-                self._cancel_children_locked(parent["job_id"], children, now)
-                continue
-            cancelling = parent.get("cancel_requested") or any(
-                c["state"] == CANCELLED for c in children
-            )
-            if cancelling:
-                self._cancel_children_locked(parent["job_id"], children, now)
-                if all(c["state"] in TERMINAL_STATES for c in children):
-                    self._collection().update_if(
-                        {"job_id": parent["job_id"]},
-                        {"state": RUNNING},
-                        {"state": CANCELLED, "finished_at": now},
-                    )
-                continue
-            if merge is not None and merge["state"] == SUCCEEDED:
-                self._collection().update_if(
-                    {"job_id": parent["job_id"]},
-                    {"state": RUNNING},
-                    {
-                        "state": SUCCEEDED,
-                        "finished_at": now,
-                        "progress": 1.0,
-                        "shards_done": len(shards),
-                        "shards_total": len(shards),
-                        "result_key": merge.get("result_key") or parent["key"],
-                    },
-                )
-                continue
-            done = sum(1 for c in shards if c["state"] == SUCCEEDED)
-            fraction = min(done / len(shards), 0.99) if shards else 0.0
-            if (
-                fraction > parent.get("progress", 0.0)
-                or done != parent.get("shards_done", 0)
-            ):
-                self._collection().update_if(
-                    {"job_id": parent["job_id"]},
-                    {"state": RUNNING},
-                    {
-                        "progress": max(fraction, parent.get("progress", 0.0)),
-                        "shards_done": done,
-                        "shards_total": len(shards),
-                    },
-                )
-
-    def _cancel_children_locked(
-        self, parent_id: str, children: list[dict[str, Any]], now: float
-    ) -> None:
-        """Stop a failing/cancelling parent's remaining children.
-
-        Queued children cancel immediately; running ones get the
-        cooperative flag (their worker aborts at the next checkpoint, or
-        lease reclamation finishes the cancellation for a dead one).
-        """
-        for child in children:
-            if child["state"] == QUEUED:
-                self._collection().update_if(
-                    {"job_id": child["job_id"]},
-                    {"state": QUEUED},
-                    {
-                        "state": CANCELLED,
-                        "cancel_requested": True,
-                        "finished_at": now,
-                    },
-                )
-            elif child["state"] == RUNNING and not child.get("cancel_requested"):
-                self._collection().update_one(
-                    {"job_id": child["job_id"]}, {"cancel_requested": True}
-                )
 
     # -- progress ---------------------------------------------------------------
 
@@ -977,7 +762,7 @@ class DurableJobStore:
         if fault_before is not None:
             # Crash *before* the transition reaches disk: the section
             # commits at its exit, so this drops the update with it.
-            maybe_fault(fault_before)
+            JOB_FAULTS.maybe_fault(fault_before)
         matched = self._collection().update_if(
             {"job_id": document["job_id"]}, expected, changes
         )
@@ -1020,240 +805,9 @@ class DurableJobStore:
                     {"state": CANCELLED, "finished_at": now},
                 )
             elif document.get("planned"):
-                children = self._collection().find(
-                    {"parent_id": job_id}, sort="sequence"
-                )
-                self._cancel_children_locked(job_id, children, now)
-                self._resolve_parents_locked(now)
+                # The resolution pass propagates the flag to the children.
+                distributed.resolve_parents(self, now)
             return self._job(self._require_doc(job_id))
-
-    # -- distributed sub-jobs ---------------------------------------------------
-
-    def plan_workers(self, job_id: str) -> int:
-        """The planning width a distributed parent was submitted with."""
-        with self._lock:
-            self.refresh()
-            document = self._require_doc(job_id)
-            return int(document.get("plan_workers", PLAN_WORKERS_DEFAULT))
-
-    def finish_planning(
-        self,
-        job_id: str,
-        attempt: int,
-        *,
-        shard_units: list[list[Mapping[str, Any]]],
-        mode: str,
-        horizon: int,
-        generation: int = 0,
-    ) -> Job:
-        """Persist a distributed parent's plan: shard + merge sub-jobs.
-
-        Runs under the planner's claim on the parent; the parent's
-        transition to *planned* (running, lease-less, child-driven) is a
-        CAS on ``{worker_id, attempt}``, so a planner that lost its lease
-        mid-plan cannot clobber a newer planning attempt.  Sub-job ids are
-        deterministic (``<parent>-s<index>``, ``<parent>-merge``) and
-        insertion skips ids that already exist, which makes a re-run after
-        a planner crash idempotent — the plan itself is a pure function of
-        the stored submission (see :mod:`repro.jobs.planner`).
-
-        ``generation`` is the *dataset* generation the planner observed;
-        it is stamped on every sub-job so shard/merge runners can refuse
-        to compute (or publish) against replaced data.
-        """
-        with self._exclusive():
-            parent = self._require_doc(job_id)
-            if parent["state"] != RUNNING:
-                raise JobStateError(
-                    f"cannot plan job {job_id} in state {parent['state']!r}"
-                )
-            now = self._clock()
-            generation = int(generation)
-            shard_ids = [
-                f"{job_id}-s{index:03d}" for index in range(len(shard_units))
-            ]
-            merge_id = f"{job_id}-merge"
-            sequence = self._next_sequence()
-            for index, units in enumerate(shard_units):
-                if self._doc(shard_ids[index]) is not None:
-                    continue
-                child = Job(
-                    job_id=shard_ids[index],
-                    dataset=parent["dataset"],
-                    parameters=dict(parent["parameters"]),
-                    key=parent["key"],
-                    created_at=now,
-                    kind=KIND_SHARD,
-                    parent_id=job_id,
-                    shard_index=index,
-                    max_attempts=parent.get("max_attempts"),
-                    trace_id=parent.get("trace_id"),
-                    sequence=sequence,
-                )
-                sequence += 1
-                stored = self._store_document(child)
-                stored.update(
-                    {
-                        "units": [dict(unit) for unit in units],
-                        "mode": mode,
-                        "horizon": int(horizon),
-                        "generation": generation,
-                    }
-                )
-                self._collection().insert_one(stored)
-            if self._doc(merge_id) is None:
-                merge = Job(
-                    job_id=merge_id,
-                    dataset=parent["dataset"],
-                    parameters=dict(parent["parameters"]),
-                    key=parent["key"],
-                    created_at=now,
-                    kind=KIND_MERGE,
-                    parent_id=job_id,
-                    max_attempts=parent.get("max_attempts"),
-                    trace_id=parent.get("trace_id"),
-                    sequence=sequence,
-                )
-                stored = self._store_document(merge)
-                stored.update(
-                    {"mode": mode, "horizon": int(horizon),
-                     "generation": generation}
-                )
-                self._collection().insert_one(stored)
-            matched = self._collection().update_if(
-                {"job_id": job_id},
-                {
-                    "state": RUNNING,
-                    "worker_id": self.worker_id,
-                    "attempt": int(attempt),
-                },
-                {
-                    "planned": True,
-                    "worker_id": None,
-                    "lease_expires_at": None,
-                    "shards_total": len(shard_units),
-                    "shards_done": 0,
-                    "shard_ids": shard_ids,
-                    "merge_id": merge_id,
-                    "generation": generation,
-                    "mode": mode,
-                    "horizon": int(horizon),
-                },
-            )
-            if matched is None:
-                raise JobStateError(
-                    f"job {job_id} is no longer owned by {self.worker_id!r} "
-                    f"(lease lost); refusing to finish planning"
-                )
-            return self._job(self._require_doc(job_id))
-
-    def shard_spec(self, job_id: str) -> dict[str, Any]:
-        """A sub-job's execution inputs, as persisted by the planner."""
-        with self._lock:
-            self.refresh()
-            document = self._require_doc(job_id)
-            return {
-                "units": document.get("units", []),
-                "mode": document.get("mode"),
-                "horizon": int(document.get("horizon", 0)),
-                "generation": document.get("generation"),
-                "parent_id": document.get("parent_id"),
-            }
-
-    def complete_shard(
-        self,
-        job_id: str,
-        attempt: int,
-        output: list[Mapping[str, Any]],
-        elapsed_seconds: float = 0.0,
-        timings: Mapping[str, Any] | None = None,
-    ) -> Job:
-        """A shard's success — tagged CAP output lands *with* the transition.
-
-        One CAS writes the terminal state and the output atomically, so a
-        crash leaves either a queued/running shard (re-runnable) or a
-        succeeded one with durable output — never a success without its
-        caps (the ``mid-shard`` crash point fires just before this call).
-
-        ``timings`` is the shard runner's profiler document (per-phase and
-        per-unit wall times); persisted alongside ``elapsed_seconds`` it is
-        the measured ground truth ``estimate_seed_cost`` calibration reads.
-        """
-        with self._exclusive():
-            document = self._require_doc(job_id)
-            ensure_transition(document["state"], SUCCEEDED)
-            # The CAP documents spill into their own collection instead of
-            # bloating the job registry (every registry refresh re-parses
-            # every job document; shard outputs can dwarf the jobs).  The
-            # spill lands *before* the success CAS in the same exclusive
-            # (fsynced) section: a crash between the two leaves an orphan
-            # output document for a still-runnable shard, which the re-run
-            # simply replaces — never a success without its caps.
-            spilled = {
-                "shard_id": job_id,
-                "parent_id": document.get("parent_id"),
-                "output": [dict(entry) for entry in output],
-                "elapsed_seconds": float(elapsed_seconds),
-            }
-            outputs = self.database.collection(_SHARD_OUTPUTS)
-            if outputs.replace_one({"shard_id": job_id}, spilled) is None:
-                outputs.insert_one(spilled)
-            changes: dict[str, Any] = {
-                "progress": 1.0,
-                "elapsed_seconds": float(elapsed_seconds),
-            }
-            if timings is not None:
-                changes["timings"] = dict(timings)
-            self._finish_locked(
-                document,
-                SUCCEEDED,
-                changes,
-                expected_attempt=attempt,
-            )
-            return self._job(self._require_doc(job_id))
-
-    def shard_outputs(self, parent_id: str) -> list[dict[str, Any]]:
-        """Every shard's tagged output (+ timings) once all have succeeded.
-
-        Raises :class:`JobStateError` while any shard is unfinished — the
-        merge step's claim gate should prevent that, but a merge runner
-        racing a late reclamation must fail loudly, not merge a partial
-        CAP list.
-        """
-        with self._lock:
-            self.refresh()
-            parent = self._require_doc(parent_id)
-            spills = self.database.collection(_SHARD_OUTPUTS)
-            outputs: list[dict[str, Any]] = []
-            for shard_id in parent.get("shard_ids", []):
-                shard = self._require_doc(shard_id)
-                if shard["state"] != SUCCEEDED:
-                    raise JobStateError(
-                        f"shard {shard_id} is {shard['state']!r}; the merge "
-                        f"needs every shard succeeded"
-                    )
-                spilled = spills.find_one({"shard_id": shard_id})
-                if spilled is not None:
-                    output = spilled.get("output", [])
-                # Pre-spill registries stored the output inline on the job
-                # document; keep reading that form so old stores merge.
-                elif "output" in shard:
-                    output = shard.get("output", [])
-                else:
-                    raise JobStateError(
-                        f"shard {shard_id} succeeded but its spilled output "
-                        f"document is missing"
-                    )
-                outputs.append(
-                    {
-                        "shard_id": shard_id,
-                        "output": output,
-                        "elapsed_seconds": float(
-                            shard.get("elapsed_seconds", 0.0)
-                        ),
-                    }
-                )
-            return outputs
 
     def release(
         self,
@@ -1286,25 +840,11 @@ class DurableJobStore:
             if document is None:
                 return False
             if document.get("cancel_requested"):
-                changes: dict[str, Any] = {
-                    "state": CANCELLED,
-                    "worker_id": None,
-                    "lease_expires_at": None,
-                    "finished_at": self._clock(),
-                }
+                changes = _cancelled(self._clock())
             else:
-                changes = {
-                    "state": QUEUED,
-                    "worker_id": None,
-                    "lease_expires_at": None,
-                    "started_at": None,
-                    "not_before": (
-                        self._clock() + retry_in if retry_in is not None else None
-                    ),
-                    "progress": 0.0,
-                    "shards_done": 0,
-                    "shards_total": 0,
-                }
+                changes = _requeued(
+                    self._clock() + retry_in if retry_in is not None else None
+                )
             matched = self._collection().update_if(
                 {"job_id": job_id}, expected, changes
             )
@@ -1335,18 +875,11 @@ class DurableJobStore:
         critical section with CAS guards so a concurrently revived or
         re-failed job is never clobbered.  Returns the revived job ids.
         """
-        fresh: dict[str, Any] = {
-            "state": QUEUED,
+        fresh = {
+            **_requeued(None),
             "attempt": 0,
-            "worker_id": None,
-            "lease_expires_at": None,
-            "started_at": None,
             "finished_at": None,
-            "not_before": None,
             "error": None,
-            "progress": 0.0,
-            "shards_done": 0,
-            "shards_total": 0,
             "cancel_requested": False,
         }
         wanted = set(job_ids) if job_ids is not None else None
@@ -1372,31 +905,7 @@ class DurableJobStore:
                     is None
                 ):
                     continue
-                parent_id = document.get("parent_id")
-                if parent_id:
-                    self._collection().update_if(
-                        {"job_id": parent_id},
-                        {"state": FAILED},
-                        {
-                            "state": RUNNING,
-                            "worker_id": None,
-                            "lease_expires_at": None,
-                            "finished_at": None,
-                            "error": None,
-                            "cancel_requested": False,
-                        },
-                    )
-                    for sibling in self._collection().find(
-                        {"parent_id": parent_id}
-                    ):
-                        if sibling["job_id"] == job_id:
-                            continue
-                        if sibling["state"] == CANCELLED:
-                            self._collection().update_if(
-                                {"job_id": sibling["job_id"]},
-                                {"state": CANCELLED},
-                                dict(fresh),
-                            )
+                distributed.restore_lineage(self, document, fresh)
                 letters.delete_many({"job_id": job_id})
                 redriven.append(job_id)
         return redriven
@@ -1436,10 +945,7 @@ class DurableJobStore:
             for document in self._collection().find(sort="sequence"):
                 state = document["state"]
                 if state == RUNNING:
-                    if (
-                        document.get("kind", KIND_MINE) == KIND_MINE
-                        and document.get("planned")
-                    ):
+                    if document.get("planned"):
                         continue  # child-driven; resolved below
                     lease = document.get("lease_expires_at")
                     if lease is None or lease < now:
@@ -1454,7 +960,7 @@ class DurableJobStore:
                         summary["missing_results"].append(document["job_id"])
                     else:
                         summary["republished"].append(document["job_id"])
-            self._resolve_parents_locked(now)
+            distributed.resolve_parents(self, now)
             for document in self._collection().find(
                 {"state": QUEUED}, sort="sequence"
             ):
@@ -1467,10 +973,10 @@ class DurableJobStore:
         """Evict the oldest finished top-level jobs beyond the retention bound.
 
         Capacity counts top-level jobs of every kind (no ``parent_id``).  A
-        pruned job takes its spans, sub-job documents and spilled shard
-        outputs with it, so sub-jobs can never outlive — or evict — the
-        parents they feed.  Counting copies no document; only the overflow
-        is fetched.
+        pruned job takes its spans with it, and a distributed parent its
+        sub-jobs (:func:`distributed.prune`), so sub-jobs can never outlive
+        — or evict — the parents they feed.  Counting copies no document;
+        only the overflow is fetched.
         """
         jobs = self._collection()
         finished = {"state": {"$in": sorted(TERMINAL_STATES)}, "parent_id": None}
@@ -1478,7 +984,6 @@ class DurableJobStore:
         if overflow <= 0:
             return
         spans = self.database.collection("spans")
-        spills = self.database.collection(_SHARD_OUTPUTS)
         for document in jobs.find(finished, sort="sequence", limit=overflow):
             job_id = document["job_id"]
             if document["state"] == SUCCEEDED and document.get("result_key"):
@@ -1486,13 +991,7 @@ class DurableJobStore:
             spans.delete_many({"job_id": job_id})
             # Sub-job spans and a stream job's alert spans point back here.
             spans.delete_many({"parent_job_id": job_id})
-            spills.delete_many({"parent_id": job_id})
             jobs.delete_many({"job_id": job_id})
-            jobs.delete_many({"parent_id": job_id})
+            distributed.prune(self, job_id)
         while len(self._evicted_results) > self._evicted_capacity:
             self._evicted_results.pop(next(iter(self._evicted_results)))
-
-    def __len__(self) -> int:
-        with self._lock:
-            self.refresh()
-            return len(self._collection())

@@ -30,9 +30,10 @@ it through this module's global, so instrumentation that rebinds
 ``repro.jobs.executor.run_job`` sees every execution.
 
 When ``REPRO_JOBS_EXEC_LOG`` names a file, every execution appends one
-``job_id worker attempt=N`` line to it (``O_APPEND``-atomic).  The
-fault-injection harness uses this to assert exactly-once execution across
-processes; in production the variable is unset and nothing is written.
+``job_id worker attempt=N`` line to it (:func:`repro.faults.log_execution`).
+The fault-injection harness uses this to assert exactly-once execution
+across processes; in production the variable is unset and nothing is
+written.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ import time
 from typing import Callable
 
 from ..core.parallel import MiningCancelled, MiningControl
+from ..faults import log_execution
 from ..obs.logging import log_context
-from .model import KIND_MINE, Job, JobStateError
+from .model import Job, JobStateError
 
 __all__ = ["HANDLED", "ClaimLoop", "JobRunner", "RunnerFactory", "run_job"]
 
@@ -82,23 +84,16 @@ class _Handled:
 HANDLED = _Handled()
 
 #: ``runner(control) -> result_key | None | HANDLED`` — one job's work.
+#: Its trace span is named after the job's kind unless the runner carries a
+#: ``span_name`` (the distributed planner's is ``"planner"``).
 JobRunner = Callable[[MiningControl], "str | None"]
 
-#: Builds the executable work for a claimed job from its stored document
-#: (``ServerState.runner_for_job``: load dataset, parse parameters, mine).
+#: Builds the executable work for a claimed job from its stored document.
+#: The server's (``ServerState.runner_for_job``) looks the job's kind up
+#: and calls that kind's builder: :mod:`repro.jobs.distributed` for
+#: ``mine``, ``shard`` and ``merge``, :mod:`repro.stream.runner` for
+#: ``stream``.
 RunnerFactory = Callable[[Job], JobRunner]
-
-#: Environment variable naming the execution audit log (tests only).
-EXEC_LOG_ENV = "REPRO_JOBS_EXEC_LOG"
-
-
-def _log_execution(store, job: Job) -> None:
-    path = os.environ.get(EXEC_LOG_ENV)
-    if not path:
-        return
-    line = f"{job.job_id} {store.worker_id} attempt={job.attempt}\n"
-    with open(path, "a") as handle:  # single short write: O_APPEND-atomic
-        handle.write(line)
 
 
 def run_job(store, job: Job, runner: JobRunner, should_abort=None) -> None:
@@ -121,15 +116,13 @@ def run_job(store, job: Job, runner: JobRunner, should_abort=None) -> None:
     a CAS, so this thread finishing late cannot overwrite a reclaimer's
     verdict.
     """
-    _log_execution(store, job)
+    log_execution(store.worker_id, job)
     job_id, attempt, trace_id = job.job_id, job.attempt, job.trace_id
-    # A claimed distributed parent is always the planning step — once
-    # planned it stays running lease-less and is never claimed again.
     sid = store.spans.begin(
         job_id=job_id,
         attempt=attempt,
         worker_id=store.worker_id,
-        name="planner" if job.kind == KIND_MINE and job.distributed else job.kind,
+        name=getattr(runner, "span_name", job.kind),
         kind=job.kind,
         trace_id=trace_id,
         parent_job_id=job.parent_id,

@@ -29,9 +29,10 @@ each recompute exactly the same facts from the same stored inputs:
 So a distributed mine is the driver's plan → run units → merge with the
 three stages split across durable jobs.
 
-The stateful half — sub-job documents, leases, retries, dead-lettering —
-lives in :class:`repro.jobs.durable.DurableJobStore`; the runners that glue
-both to the server are in :mod:`repro.server.handlers`.
+The stateful half — sub-job documents, readiness, parent resolution, and
+the planner, shard and merge runners that glue both to the server — lives
+in :mod:`repro.jobs.distributed`; leases, retries and dead-lettering are
+the registry's (:class:`repro.jobs.durable.DurableJobStore`).
 """
 
 from __future__ import annotations

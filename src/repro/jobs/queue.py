@@ -1,14 +1,16 @@
-"""The job queue facade: submit, cancel, observe.
+"""The job queue: submit, then claim loops run what was submitted.
 
-:class:`JobQueue` is what the server and CLI talk to — it composes the
-registry (:class:`~repro.jobs.durable.DurableJobStore`) with the claim
-loop (:class:`~repro.jobs.executor.ClaimLoop`) and owns the dedup rule:
-submissions are identified by the *result cache key* of their
-(dataset, parameters) pair, the same canonical hash Section 3.3 caches
-results under, so "identical job already in flight" and "result already
-cached" are decided by one piece of machinery.  Submitting only writes
-the job and wakes an idle loop; the loop claims it and builds its runner
-from the stored document like any other job.
+:class:`JobQueue` is what the server and CLI submit through — it composes
+the registry (:class:`~repro.jobs.durable.DurableJobStore`) with the claim
+loop (:class:`~repro.jobs.executor.ClaimLoop`).  A mine submission is
+identified by the *result cache key* of its (dataset, parameters) pair,
+the same canonical hash Section 3.3 caches results under, so "identical
+job already in flight" and "result already cached" are decided by one
+piece of machinery.  Submitting only writes the job (the registry's
+``open_job`` applies the kind's dedup rule) and wakes an idle loop; the
+loop claims it and builds its runner from the stored document like any
+other job.  Everything else — lookups, cancellation, listings — is the
+registry's, at ``queue.store``.
 """
 
 from __future__ import annotations
@@ -49,46 +51,19 @@ class JobQueue:
         key: str,
         **open_kwargs: Any,
     ) -> tuple[Job, bool]:
-        """Submit a mining run; returns ``(job, created)``.
+        """Submit a job; returns ``(job, created)``.
 
-        ``created=False`` means an identical job (same cache ``key``) was
-        already queued or running and is returned instead.  Extra keyword
-        arguments (``distributed=``, ``plan_workers=``, ``max_attempts=``,
-        ``trace_id=``) pass through to the store's ``open_job``.
+        ``created=False`` means a live job the open rule matches (for a
+        mine, the same cache ``key``) was already queued or running and is
+        returned instead.  Extra keyword arguments (``distributed=``,
+        ``plan_workers=``, ``max_attempts=``, ``trace_id=``, or a kind's
+        open rule such as :data:`repro.stream.STREAM_OPEN_RULE`) pass
+        through to the store's ``open_job``.
         """
         job, created = self.store.open_job(dataset, parameters, key, **open_kwargs)
         if created:
             self.loop.wake()
         return job, created
-
-    def open_stream_job(
-        self, dataset: str, parameters: Mapping[str, Any], key: str, **kwargs: Any
-    ) -> tuple[Job, bool]:
-        """Open (or dedup onto) the dataset's resident stream job."""
-        job, created = self.store.open_stream_job(dataset, parameters, key, **kwargs)
-        if created:
-            self.loop.wake()
-        return job, created
-
-    def cancel(self, job_id: str) -> Job:
-        """Request cancellation (immediate when queued, cooperative when
-        running); raises ``KeyError`` for unknown ids and
-        :class:`~repro.jobs.model.JobStateError` for finished jobs."""
-        return self.store.request_cancel(job_id)
-
-    def get(self, job_id: str) -> Job | None:
-        return self.store.get(job_id)
-
-    def list(self, status: str | None = None) -> list[Job]:
-        return self.store.list(status)
-
-    def children(self, parent_id: str) -> list[Job]:
-        """A distributed parent's sub-jobs: shards, then merge."""
-        return self.store.children(parent_id)
-
-    def evicted_result_key(self, job_id: str) -> str | None:
-        """Result key left behind by an evicted succeeded job, if any."""
-        return self.store.evicted_result_key(job_id)
 
     def counters(self) -> dict[str, int]:
         counts: dict[str, Any] = self.store.counters()

@@ -7,7 +7,7 @@ control, so an un-profiled mine pays exactly nothing; a profiled shard
 pays two ``perf_counter`` calls per phase.
 
 The resulting document is persisted onto shard sub-job records by
-``DurableJobStore.complete_shard`` — the measured ground truth the
+``repro.jobs.distributed.complete_shard`` — the measured ground truth the
 ROADMAP wants for calibrating ``estimate_seed_cost``.
 """
 

@@ -34,7 +34,7 @@ def trace_tree(store: Any, job_id: str) -> dict[str, Any]:
     """The span tree of one job (and its shard/merge sub-jobs).
 
     ``store`` is a :class:`~repro.jobs.durable.DurableJobStore` (anything
-    with ``get``/``children`` and a ``spans`` :class:`SpanStore`).
+    with ``get``/``list`` and a ``spans`` :class:`SpanStore`).
     Raises ``KeyError`` for an unknown job.
     """
     job = store.get(job_id)
@@ -43,7 +43,7 @@ def trace_tree(store: Any, job_id: str) -> dict[str, Any]:
     spans = store.spans.for_job(job_id)
     tree = _node(job, spans)
     if getattr(job, "distributed", False):
-        for child in store.children(job_id):
+        for child in store.list(kind=None, parent_id=job_id):
             tree["children"].append(_node(child, store.spans.for_job(child.job_id)))
         tree["children"].sort(
             key=lambda node: (

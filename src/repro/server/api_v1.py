@@ -1026,7 +1026,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         """List mining jobs as linked resources."""
         status = request.param("status")
         try:
-            jobs = state.jobs.list(status)
+            jobs = state.jobs.store.list(status)
         except JobStateError as exc:
             raise HTTPError(400, str(exc), code="invalid_status") from exc
         return json_response({"jobs": [_job_resource(job) for job in jobs]})
@@ -1044,13 +1044,17 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
     def v1_job_status(request: Request) -> Response:
         """One job's status/progress; links to the result resource on success."""
         job_id = request.path_params["job_id"]
-        job = state.jobs.get(job_id)
+        store = state.jobs.store
+        job = store.get(job_id)
         if job is None:
             evicted = evicted_job_response(state, job_id)
             if evicted is not None:
                 return evicted
             raise HTTPError(404, f"unknown job {job_id!r}", code="unknown_job")
-        children = state.jobs.children(job_id) if job.distributed else None
+        # Shards by index, then the merge: the order they were planned in.
+        children = (
+            store.list(kind=None, parent_id=job_id) if job.distributed else None
+        )
         response = json_response(_job_resource(job, children))
         if job.state == SUCCEEDED and job.result_key is not None:
             response.headers["Link"] = (
@@ -1088,7 +1092,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         """Request cooperative cancellation of a queued/running job."""
         job_id = request.path_params["job_id"]
         try:
-            job = state.jobs.cancel(job_id)
+            job = state.jobs.store.request_cancel(job_id)
         except KeyError as exc:
             raise HTTPError(404, f"unknown job {job_id!r}", code="unknown_job") from exc
         except JobStateError as exc:

@@ -7,6 +7,10 @@ The HTTP surface is the versioned resource API registered by
   state every handler runs against;
 * the request-parsing and payload helpers the route handlers delegate to.
 
+Job runners are not built here: :meth:`ServerState.runner_for_job` looks
+a claimed job's kind up and calls that kind's builder
+(:mod:`repro.jobs.distributed`, :mod:`repro.stream.runner`).
+
 Stored CAP results are read, written and decoded only through
 ``ServerState.cache`` (:class:`~repro.cache.ResultCache`); handlers ask it
 for documents, metadata and the memoized decoded result.
@@ -28,9 +32,7 @@ session (e.g. after a rejected chunk).
 from __future__ import annotations
 
 import io
-import os
 import threading
-import time
 from typing import Any, Callable, Mapping, NamedTuple
 
 from ..cache.cache import ResultCache
@@ -40,25 +42,19 @@ from ..core.parameters import MiningParameters
 from ..core.types import SensorDataset
 from ..data.csv_io import ChunkAssembler, read_attribute_csv, read_location_csv
 from ..data.documents import dataset_from_document, dataset_to_document
-from ..core.parallel import MiningCancelled
 from ..jobs import (
-    HANDLED,
     KIND_MERGE,
+    KIND_MINE,
     KIND_SHARD,
     KIND_STREAM,
-    RUNNING,
     TERMINAL_STATES,
     DurableJobStore,
     Job,
     JobQueue,
     JobStateError,
-    execute_units,
-    maybe_fault,
-    merge_outputs,
-    plan_mine,
+    distributed,
 )
 from ..obs.metrics import get_registry
-from ..obs.profiler import Profiler
 from ..store.database import Database
 from ..stream import (
     ALERT_RULES,
@@ -67,8 +63,9 @@ from ..stream import (
     FEED_SNAPSHOTS,
     OBSERVATIONS,
     STREAM_CONFIG,
-    StreamSession,
+    STREAM_OPEN_RULE,
     purge_stream,
+    stream_runner,
 )
 from .http import HTTPError, Request, Response, json_response
 
@@ -77,10 +74,14 @@ __all__ = ["ServerState"]
 _DATASETS = "datasets"
 _GENERATIONS = "generations"
 
-# Resident-miner cadence: a drained stream job idles this long, then
-# releases its claim gated for re-claim after the poll delay.
-_STREAM_IDLE_SECONDS = 0.5
-_STREAM_POLL_SECONDS = 0.25
+#: Each job kind's runner builder, ``builder(state, job) -> runner``, from
+#: the kind's own module.
+_RUNNERS = {
+    KIND_MINE: distributed.mine_runner,
+    KIND_SHARD: distributed.shard_runner,
+    KIND_MERGE: distributed.merge_runner,
+    KIND_STREAM: stream_runner,
+}
 
 
 class _Memo(NamedTuple):
@@ -93,27 +94,6 @@ class _Memo(NamedTuple):
 
     document: Mapping[str, Any]
     value: Any
-
-
-#: Test hook: seconds to sleep inside the mining runner before the engine
-#: starts.  The fault-injection harness sets it to hold a job mid-mine long
-#: enough to ``kill -9`` the server at a chosen moment; unset in production.
-_MINE_DELAY_ENV = "REPRO_JOBS_MINE_DELAY"
-
-#: Test hook: seconds to sleep inside the *shard* runner before executing
-#: its units — holds a shard sub-job mid-flight so the two-server matrix
-#: can ``kill -9`` the process that claimed it.  Unset in production.
-_SHARD_DELAY_ENV = "REPRO_JOBS_SHARD_DELAY"
-
-
-def _hold(env: str, control) -> None:
-    """Sleep for the seconds ``env`` names, honouring cancellation (the
-    fault-injection hold of :data:`_MINE_DELAY_ENV` / :data:`_SHARD_DELAY_ENV`)."""
-    delay = float(os.environ.get(env, 0) or 0)
-    deadline = time.monotonic() + delay
-    while time.monotonic() < deadline:
-        control.checkpoint()
-        time.sleep(min(0.05, max(0.0, deadline - time.monotonic())))
 
 
 class ServerState:
@@ -338,14 +318,18 @@ class ServerState:
         purge_stream(self.database, name)
 
     def _cancel_dataset_jobs(self, dataset_name: str) -> None:
-        """In-flight jobs for a replaced/deleted dataset are obsolete."""
-        jobs = self.jobs.list()
-        # Resident stream jobs are not in the default (mine) listing.
-        jobs += self.jobs.store.list(kind=KIND_STREAM)
-        for job in jobs:
-            if job.dataset == dataset_name and job.state not in TERMINAL_STATES:
+        """In-flight top-level jobs (mines, the stream job) for a
+        replaced/deleted dataset are obsolete; a distributed parent's
+        cancellation reaches its sub-jobs."""
+        store = self.jobs.store
+        for job in store.list(kind=None):
+            if (
+                job.parent_id is None
+                and job.dataset == dataset_name
+                and job.state not in TERMINAL_STATES
+            ):
                 try:
-                    self.jobs.cancel(job.job_id)
+                    store.request_cancel(job.job_id)
                 except (KeyError, JobStateError):
                     pass  # finished in the meantime — its write checked the generation
 
@@ -370,9 +354,9 @@ class ServerState:
         re-upload between the two reads fails the check instead of pairing
         the replaced data with the new generation."""
         generation = self.dataset_generation(name)
-        return self.get_dataset(name), generation, self._still_current(name, generation)
+        return self.get_dataset(name), generation, self.still_current(name, generation)
 
-    def _still_current(self, name: str, generation: int) -> Callable[[], bool]:
+    def still_current(self, name: str, generation: int) -> Callable[[], bool]:
         """A check that ``name`` is still at ``generation``, run only inside
         ``Database.exclusive()`` (whose entry replays peers' records).  It
         never refreshes: that takes the registry lock under the store lock,
@@ -455,9 +439,12 @@ class ServerState:
                 "whole-series operation and cannot be maintained incrementally",
                 code="invalid_parameters",
             )
-        key = cache_key(dataset.name, params)
-        return self.jobs.open_stream_job(
-            dataset.name, params.to_document(), key, trace_id=trace_id
+        return self.jobs.submit(
+            dataset.name,
+            params.to_document(),
+            cache_key(dataset.name, params),
+            trace_id=trace_id,
+            **STREAM_OPEN_RULE,
         )
 
     def runner_for_job(self, job: Job):
@@ -465,227 +452,11 @@ class ServerState:
 
         The claim loop's runner factory: every job — whichever process
         enqueued it — is rebuilt from its stored kind, dataset name and
-        canonical parameters.  Shard and merge sub-jobs get their
-        distributed runners, a stream job its resident miner, an unplanned
-        distributed parent the planner, and everything else is a whole
-        mine.  Raising here (e.g. the dataset document is gone) fails the
-        job with the structured error.
+        canonical parameters by its kind's builder (:data:`_RUNNERS`).
+        Raising here (e.g. the dataset document is gone) fails the job
+        with the structured error.
         """
-        if job.kind == KIND_SHARD:
-            return self._shard_runner(job)
-        if job.kind == KIND_MERGE:
-            return self._merge_runner(job)
-        if job.kind == KIND_STREAM:
-            return self._stream_runner(job)
-        if job.distributed and not job.planned:
-            return lambda control: self._run_planner(job, control)
-        return self._mine_runner(job)
-
-    def _stream_runner(self, job: Job):
-        """The resident streaming miner's claimed execution (one drain).
-
-        Replays the observation log to the persisted high-water mark,
-        drains every pending epoch (extend → component-pruned re-mine →
-        event diff → alert evaluation, each persisted atomically), renews
-        its lease on a lease/3 beat while working, and once drained-and-
-        idle *releases* the claim with a short retry gate and returns
-        ``HANDLED`` — a claim loop re-claims it on its next beat, so
-        residency never depends on this thread surviving.  A ``kill -9``
-        leaves a lapsed lease; the reclaimer's session resumes from the
-        high-water mark with deterministic, insert-if-missing events — no
-        losses, no duplicates.
-        """
-
-        def runner(control):
-            store = self.jobs.store
-            attempt = job.attempt
-            try:
-                dataset, _, still_current = self.current_dataset(job.dataset)
-            except HTTPError:
-                raise MiningCancelled(
-                    f"dataset {job.dataset!r} is gone; stream retired"
-                ) from None
-            params = MiningParameters.from_document(job.parameters)
-            session = StreamSession(
-                self.database,
-                dataset,
-                params,
-                job.key,
-                checkpoint=control.checkpoint,
-                current=still_current,
-            )
-
-            def on_alert(alert: Mapping[str, Any]) -> None:
-                # Every fired alert gets its own span under the stream
-                # job, so `repro trace <stream-job>` shows the alert
-                # timeline inside the drain that produced it.
-                sid = store.spans.begin(
-                    job_id=alert["alert_id"],
-                    attempt=attempt,
-                    worker_id=store.worker_id or "local",
-                    name=f"alert:{alert['rule_id']}",
-                    kind="alert",
-                    trace_id=job.trace_id,
-                    parent_job_id=job.job_id,
-                )
-                store.spans.finish(sid, "ok")
-
-            lease = max(float(store.lease_seconds), 0.1)
-            last_renewal = time.monotonic()
-            idle_since: float | None = None
-            while True:
-                control.checkpoint()
-                now = time.monotonic()
-                if now - last_renewal >= lease / 3.0:
-                    store.renew_lease(job.job_id, attempt=attempt)
-                    current = store.get(job.job_id)
-                    if (
-                        current is None
-                        or current.state != RUNNING
-                        or current.attempt != attempt
-                    ):
-                        # Reclaimed from under us (lease lapsed under
-                        # load); the newer claim owns the stream now.
-                        raise MiningCancelled("stream claim lost")
-                    last_renewal = now
-                pending = list(session.pending_epochs())
-                if pending:
-                    for epoch in pending:
-                        control.checkpoint()
-                        session.process_epoch(epoch, on_alert=on_alert)
-                        store.renew_lease(job.job_id, attempt=attempt)
-                        last_renewal = time.monotonic()
-                    idle_since = None
-                    continue
-                if idle_since is None:
-                    idle_since = now
-                if now - idle_since >= _STREAM_IDLE_SECONDS:
-                    store.release(job.job_id, attempt, retry_in=_STREAM_POLL_SECONDS)
-                    return HANDLED
-                time.sleep(0.05)
-
-        return runner
-
-    def _mine_runner(self, job: Job):
-        """One whole mine: the dataset as of the claim, cached like a sync mine.
-
-        A re-upload or delete of the dataset while the job is in flight
-        cancels the job, and the ``still_current`` check refuses its
-        result should it finish first: the job ends ``cancelled``.
-        """
-        dataset, _, still_current = self.current_dataset(job.dataset)
-        params = MiningParameters.from_document(job.parameters)
-
-        def runner(control) -> str:
-            _hold(_MINE_DELAY_ENV, control)
-            self.cache.mine_cached(
-                dataset, params, control=control, current=still_current
-            )
-            return job.key
-
-        return runner
-
-    def _run_planner(self, job: Job, control):
-        """The distributed parent's planning step (claimed like any job).
-
-        Pure planning + one idempotent store write: re-running after a
-        planner crash regenerates the identical plan (``plan_mine`` is
-        deterministic in the stored submission), and ``finish_planning``
-        skips sub-jobs that already exist.
-        """
-        store = self.jobs.store
-        dataset, generation, _ = self.current_dataset(job.dataset)
-        params = MiningParameters.from_document(job.parameters)
-        plan = plan_mine(dataset, params, store.plan_workers(job.job_id))
-        control.checkpoint()
-        store.finish_planning(
-            job.job_id,
-            job.attempt,
-            shard_units=plan.shard_documents,
-            mode=plan.mode,
-            horizon=plan.horizon,
-            generation=generation,
-        )
-        return HANDLED
-
-    def _shard_runner(self, job: Job):
-        """One shard sub-job: execute its persisted units, persist output.
-
-        The ``mid-shard`` crash point fires after the compute but before
-        ``complete_shard`` — work done but never recorded, the hardest
-        takeover case (the shard re-runs elsewhere; the audit log proves
-        only the lost shard does).
-        """
-
-        def runner(control):
-            store = self.jobs.store
-            spec = store.shard_spec(job.job_id)
-            _hold(_SHARD_DELAY_ENV, control)
-            # Saves mining replaced data; the merge's check is the guarantee.
-            if self.dataset_generation(job.dataset) != spec["generation"]:
-                raise MiningCancelled(f"dataset {job.dataset!r} was replaced")
-            dataset = self.get_dataset(job.dataset)
-            params = MiningParameters.from_document(job.parameters)
-            profiler = Profiler()
-            control.profiler = profiler
-            started = time.monotonic()
-            output = execute_units(
-                dataset, params, spec["units"], spec["mode"], spec["horizon"],
-                control=control,
-            )
-            elapsed = time.monotonic() - started
-            maybe_fault("mid-shard")
-            # The measured wall time + phase breakdown land on the shard
-            # sub-job document — the ground truth estimate_seed_cost
-            # calibration reads back.
-            store.complete_shard(
-                job.job_id, job.attempt, output, elapsed,
-                timings=profiler.to_document(),
-            )
-            return HANDLED
-
-        return runner
-
-    def _merge_runner(self, job: Job):
-        """The merge sub-job: reassemble shard outputs, publish the result.
-
-        Funnels through the same result-cache documents the sync path
-        writes, so the published resource is byte-identical to a serial
-        mine of the same (dataset, parameters).  Exactly-once across
-        crashes: the cache probe makes a re-run after a post-publish crash
-        a no-op, and the ``before-merge-publish`` crash point proves a
-        pre-publish crash just re-merges from the durable shard outputs.
-        """
-
-        def runner(control):
-            store = self.jobs.store
-            spec = store.shard_spec(job.job_id)
-            params = MiningParameters.from_document(job.parameters)
-            if self.cache.get(job.dataset, params) is None:
-                shard_results = store.shard_outputs(spec["parent_id"])
-                outputs = [
-                    entry
-                    for shard in shard_results
-                    for entry in shard["output"]
-                ]
-                control.checkpoint()
-                caps = merge_outputs(spec["mode"], outputs)
-                result = MiningResult(
-                    dataset_name=job.dataset,
-                    parameters=params,
-                    caps=caps,
-                    elapsed_seconds=sum(
-                        shard["elapsed_seconds"] for shard in shard_results
-                    ),
-                )
-                maybe_fault("before-merge-publish")
-                self.cache.put(
-                    result,
-                    current=self._still_current(job.dataset, spec["generation"]),
-                )
-            return job.key
-
-        return runner
+        return _RUNNERS[job.kind](self, job)
 
 
 # -- handler cores (the v1 route handlers delegate to these) -------------------
@@ -834,7 +605,7 @@ def evicted_job_response(state: ServerState, job_id: str) -> Response | None:
     mapping, and this renders it as a permanent redirect.  ``None`` when
     the id is simply unknown (the caller 404s as before).
     """
-    result_key = state.jobs.evicted_result_key(job_id)
+    result_key = state.jobs.store.evicted_result_key(job_id)
     if result_key is None:
         return None
     if state.cache.document(result_key) is None:

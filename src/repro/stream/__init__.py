@@ -10,11 +10,12 @@ into a served subsystem:
   append; each accepted batch bumps the dataset's **stream epoch** (a
   monotone append counter, distinct from the destructive re-upload
   *generation*).
-* :mod:`~repro.stream.runner` — the working state of the resident
-  streaming-miner job (``mode=streaming``, job kind ``stream``): replay
-  the observation log to the persisted high-water mark, drain new
-  epochs through :meth:`StreamingMiner.extend`, and re-mine only when an
-  η-graph component was actually touched.
+* :mod:`~repro.stream.runner` — the ``stream`` job kind
+  (``mode=streaming``): its open rule, its resident drain runner, and the
+  working state that replays the observation log to the persisted
+  high-water mark, drains new epochs through
+  :meth:`StreamingMiner.extend`, and re-mines only when an η-graph
+  component was actually touched.
 * :mod:`~repro.stream.feed` — per-epoch CAP diffs persisted as a
   monotone ``cap_events`` sequence (``new`` / ``extended`` / ``retired``),
   consumed through cursor long-poll and SSE endpoints.
@@ -74,7 +75,13 @@ from .retention import (
     set_retention,
     sweep_retention,
 )
-from .runner import StreamSession, load_batch, stream_state
+from .runner import (
+    STREAM_OPEN_RULE,
+    StreamSession,
+    load_batch,
+    stream_runner,
+    stream_state,
+)
 
 __all__ = [
     "ALERT_RULES",
@@ -88,6 +95,7 @@ __all__ = [
     "OBSERVATIONS",
     "STREAM_CONFIG",
     "STREAM_EPOCHS",
+    "STREAM_OPEN_RULE",
     "STREAM_STATE",
     "BatchError",
     "RetentionError",
@@ -117,6 +125,7 @@ __all__ = [
     "render_sse",
     "render_sse_bootstrap",
     "set_retention",
+    "stream_runner",
     "stream_state",
     "sweep_retention",
     "update_lag",

@@ -31,6 +31,9 @@ Re-mining is component-pruned: a batch that adds evolving timestamps to
 no sensor leaves every η-graph component's CAP list provably unchanged
 (:meth:`StreamingMiner.affected_components`), so the session skips the
 search entirely and diffs against an unchanged snapshot.
+
+The kind's registry rule is its open rule (:data:`STREAM_OPEN_RULE`); its
+claimed execution is :func:`stream_runner`, one drain of a session.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from ..core.parallel import MiningCancelled
 from ..core.parameters import MiningParameters
 from ..core.streaming import StreamingMiner
 from ..core.types import SensorDataset
+from ..jobs import HANDLED, KIND_STREAM, RUNNING, Job
 from .alerts import evaluate_rules, public_rule, record_fired
 from .feed import build_events, diff_caps
 from .ingest import (
@@ -58,7 +62,32 @@ from .ingest import (
     update_lag,
 )
 
-__all__ = ["StreamSession", "load_batch", "stream_state"]
+__all__ = [
+    "STREAM_OPEN_RULE",
+    "StreamSession",
+    "load_batch",
+    "stream_runner",
+    "stream_state",
+]
+
+#: The stream kind's open rule, as ``DurableJobStore.open_job`` keywords:
+#: one live job per dataset *name* (re-submitting with different
+#: parameters keeps the running miner rather than racing a second one
+#: against the same feed), ids ``stream-NNNN-…``, and ``max_attempts=0``
+#: (unlimited) — every idle release and lease-expiry requeue grows
+#: ``attempt``, and a resident job must never dead-letter itself by simply
+#: living.
+STREAM_OPEN_RULE = {
+    "kind": KIND_STREAM,
+    "dedup_on": "dataset",
+    "id_prefix": "stream",
+    "max_attempts": 0,
+}
+
+# Resident-miner cadence: a drained stream job idles this long, then
+# releases its claim gated for re-claim after the poll delay.
+_IDLE_SECONDS = 0.5
+_POLL_SECONDS = 0.25
 
 
 def stream_state(database: Any, name: str) -> dict[str, Any] | None:
@@ -256,3 +285,90 @@ class StreamSession:
                 on_alert(alert)
         update_lag(self.database, self.dataset)
         return events, alerts
+
+
+def stream_runner(state: Any, job: Job):
+    """The resident streaming miner's claimed execution (one drain).
+
+    ``state`` is the server's ``ServerState``.  Replays the observation log
+    to the persisted high-water mark, drains every pending epoch (extend →
+    component-pruned re-mine → event diff → alert evaluation, each
+    persisted atomically), renews its lease on a lease/3 beat while
+    working, and once drained-and-idle *releases* the claim with a short
+    retry gate and returns ``HANDLED`` — a claim loop re-claims it on its
+    next beat, so residency never depends on this thread surviving.  A
+    ``kill -9`` leaves a lapsed lease; the reclaimer's session resumes from
+    the high-water mark with deterministic, insert-if-missing events — no
+    losses, no duplicates.
+    """
+
+    def runner(control):
+        from ..server.http import HTTPError  # repro.server imports this module
+
+        store = state.jobs.store
+        attempt = job.attempt
+        try:
+            dataset, _, still_current = state.current_dataset(job.dataset)
+        except HTTPError:
+            raise MiningCancelled(
+                f"dataset {job.dataset!r} is gone; stream retired"
+            ) from None
+        session = StreamSession(
+            state.database,
+            dataset,
+            MiningParameters.from_document(job.parameters),
+            job.key,
+            checkpoint=control.checkpoint,
+            current=still_current,
+        )
+
+        def on_alert(alert: dict[str, Any]) -> None:
+            # Every fired alert gets its own span under the stream job, so
+            # `repro trace <stream-job>` shows the alert timeline inside
+            # the drain that produced it.
+            sid = store.spans.begin(
+                job_id=alert["alert_id"],
+                attempt=attempt,
+                worker_id=store.worker_id or "local",
+                name=f"alert:{alert['rule_id']}",
+                kind="alert",
+                trace_id=job.trace_id,
+                parent_job_id=job.job_id,
+            )
+            store.spans.finish(sid, "ok")
+
+        lease = max(float(store.lease_seconds), 0.1)
+        last_renewal = time.monotonic()
+        idle_since: float | None = None
+        while True:
+            control.checkpoint()
+            now = time.monotonic()
+            if now - last_renewal >= lease / 3.0:
+                store.renew_lease(job.job_id, attempt=attempt)
+                current = store.get(job.job_id)
+                if (
+                    current is None
+                    or current.state != RUNNING
+                    or current.attempt != attempt
+                ):
+                    # Reclaimed from under us (lease lapsed under load);
+                    # the newer claim owns the stream now.
+                    raise MiningCancelled("stream claim lost")
+                last_renewal = now
+            pending = list(session.pending_epochs())
+            if pending:
+                for epoch in pending:
+                    control.checkpoint()
+                    session.process_epoch(epoch, on_alert=on_alert)
+                    store.renew_lease(job.job_id, attempt=attempt)
+                    last_renewal = time.monotonic()
+                idle_since = None
+                continue
+            if idle_since is None:
+                idle_since = now
+            if now - idle_since >= _IDLE_SECONDS:
+                store.release(job.job_id, attempt, retry_in=_POLL_SECONDS)
+                return HANDLED
+            time.sleep(0.05)
+
+    return runner

@@ -242,7 +242,7 @@ class TestShardPlannerProperties:
     corrupts a distributed mine (dropped CAPs or double-counted ones that
     only dedup hides), and a plan that differs between the planning attempt
     and a post-crash replanning attempt breaks
-    ``DurableJobStore.finish_planning``'s idempotent-replan contract.  So:
+    ``repro.jobs.distributed.finish_planning``'s idempotent-replan contract.  So:
     for any input, planning is a pure function and the units partition
     every component's seed set exactly once.
     """

@@ -24,6 +24,7 @@ from repro.jobs import (
     SUCCEEDED,
     DurableJobStore,
     JobStateError,
+    distributed,
 )
 from repro.store.database import Database
 
@@ -81,8 +82,8 @@ def plan(store, *, units=UNITS, generation=0):
     assert created
     claimed = store.claim_next()
     assert claimed.job_id == job.job_id
-    store.finish_planning(
-        job.job_id, claimed.attempt, shard_units=units, mode="search",
+    distributed.finish_planning(
+        store, job.job_id, claimed.attempt, shard_units=units, mode="search",
         horizon=4, generation=generation,
     )
     return job.job_id
@@ -99,7 +100,7 @@ class TestPlanning:
 
     def test_children_are_deterministic_and_ordered(self, store):
         parent_id = plan(store)
-        children = store.children(parent_id)
+        children = store.list(kind=None, parent_id=parent_id)
         assert [c.job_id for c in children] == [
             f"{parent_id}-s000", f"{parent_id}-s001", f"{parent_id}-merge",
         ]
@@ -126,11 +127,11 @@ class TestPlanning:
         clock.advance(1.0)  # past the requeue backoff window
         retry = beta.claim_next()
         assert retry.job_id == job.job_id and retry.attempt == 2
-        beta.finish_planning(
-            job.job_id, retry.attempt, shard_units=UNITS, mode="search",
+        distributed.finish_planning(
+            beta, job.job_id, retry.attempt, shard_units=UNITS, mode="search",
             horizon=4,
         )
-        assert len(beta.children(job.job_id)) == 3  # no duplicates
+        assert len(beta.list(kind=None, parent_id=job.job_id)) == 3  # no duplicates
 
     def test_stale_planner_cannot_finish(self, store, clock):
         job, _ = store.open_job("ds", PARAMS, KEY, distributed=True)
@@ -141,15 +142,15 @@ class TestPlanning:
         second = store.claim_next()
         assert second.attempt == 2
         with pytest.raises(JobStateError):
-            store.finish_planning(
-                job.job_id, first.attempt, shard_units=UNITS, mode="search",
+            distributed.finish_planning(
+                store, job.job_id, first.attempt, shard_units=UNITS, mode="search",
                 horizon=4,
             )
 
     def test_plan_workers_round_trips(self, store):
         job, _ = store.open_job("ds", PARAMS, KEY, distributed=True,
                                 plan_workers=7)
-        assert store.plan_workers(job.job_id) == 7
+        assert distributed.plan_workers(store, job.job_id) == 7
 
 
 class TestShardLifecycle:
@@ -160,9 +161,9 @@ class TestShardLifecycle:
         second = store.claim_next()
         assert second.job_id == f"{parent_id}-s001"
         assert store.claim_next() is None  # merge not claimable yet
-        store.complete_shard(first.job_id, first.attempt, OUTPUT)
+        distributed.complete_shard(store, first.job_id, first.attempt, OUTPUT)
         assert store.claim_next() is None  # one shard still running
-        store.complete_shard(second.job_id, second.attempt, OUTPUT)
+        distributed.complete_shard(store, second.job_id, second.attempt, OUTPUT)
         merge = store.claim_next()
         assert merge.job_id == f"{parent_id}-merge"
 
@@ -170,7 +171,7 @@ class TestShardLifecycle:
         parent_id = plan(store)
         for _ in range(2):
             shard = store.claim_next()
-            store.complete_shard(shard.job_id, shard.attempt, OUTPUT)
+            distributed.complete_shard(store, shard.job_id, shard.attempt, OUTPUT)
         merge = store.claim_next()
         store.mark_succeeded(merge.job_id, KEY, attempt=merge.attempt)
         store.reclaim_expired()  # resolution pass
@@ -181,16 +182,16 @@ class TestShardLifecycle:
     def test_shard_spec_and_outputs_round_trip(self, store):
         parent_id = plan(store, generation=3)
         shard = store.claim_next()
-        spec = store.shard_spec(shard.job_id)
+        spec = distributed.shard_spec(store, shard.job_id)
         assert spec["units"] == UNITS[0]
         assert spec["generation"] == 3
         assert spec["parent_id"] == parent_id
         with pytest.raises(JobStateError):
-            store.shard_outputs(parent_id)  # not all shards succeeded
-        store.complete_shard(shard.job_id, shard.attempt, OUTPUT)
+            distributed.shard_outputs(store, parent_id)  # not all shards succeeded
+        distributed.complete_shard(store, shard.job_id, shard.attempt, OUTPUT)
         other = store.claim_next()
-        store.complete_shard(other.job_id, other.attempt, OUTPUT, 0.5)
-        outputs = store.shard_outputs(parent_id)
+        distributed.complete_shard(store, other.job_id, other.attempt, OUTPUT, 0.5)
+        outputs = distributed.shard_outputs(store, parent_id)
         assert [o["shard_id"] for o in outputs] == [
             f"{parent_id}-s000", f"{parent_id}-s001",
         ]
@@ -276,7 +277,7 @@ class TestRetriesAndDeadLetter:
         for expected_attempt in range(1, 8):
             shard = store.claim_next()
             if shard.job_id.endswith("-s001"):
-                store.complete_shard(shard.job_id, shard.attempt, OUTPUT)
+                distributed.complete_shard(store, shard.job_id, shard.attempt, OUTPUT)
                 shard = store.claim_next()
             assert shard.attempt is not None
             clock.advance(11.0)
@@ -317,7 +318,7 @@ class TestCancellation:
         parent_id = plan(store)
         for _ in range(2):
             shard = store.claim_next()
-            store.complete_shard(shard.job_id, shard.attempt, OUTPUT)
+            distributed.complete_shard(store, shard.job_id, shard.attempt, OUTPUT)
         merge = store.claim_next()
         store.mark_failed(merge.job_id, RuntimeError("boom"),
                           attempt=merge.attempt)
@@ -339,8 +340,8 @@ class TestCrossProcess:
             f"{parent_id}-s000", f"{parent_id}-s001",
         }
         assert beta.claim_next() is None  # nothing left but the gated merge
-        alpha.complete_shard(first.job_id, first.attempt, OUTPUT)
-        beta.complete_shard(second.job_id, second.attempt, OUTPUT)
+        distributed.complete_shard(alpha, first.job_id, first.attempt, OUTPUT)
+        distributed.complete_shard(beta, second.job_id, second.attempt, OUTPUT)
         merge = beta.claim_next()
         assert merge is not None and merge.kind == KIND_MERGE
 

@@ -39,8 +39,8 @@ def wait_until(predicate, timeout: float = TIMEOUT) -> None:
 
 
 def wait_terminal(queue: JobQueue, job_id: str):
-    wait_until(lambda: queue.get(job_id).state in TERMINAL_STATES)
-    return queue.get(job_id)
+    wait_until(lambda: queue.store.get(job_id).state in TERMINAL_STATES)
+    return queue.store.get(job_id)
 
 
 class Queue(JobQueue):
@@ -101,8 +101,8 @@ class TestExecution:
             return KEY
 
         job, _ = queue.submit("santander", PARAMS, KEY, runner)
-        wait_until(lambda: queue.get(job.job_id).progress > 0)
-        snapshot = queue.get(job.job_id)
+        wait_until(lambda: queue.store.get(job.job_id).progress > 0)
+        snapshot = queue.store.get(job.job_id)
         assert snapshot.progress == pytest.approx(0.25)
         assert (snapshot.shards_done, snapshot.shards_total) == (1, 4)
         gate.set()
@@ -146,7 +146,7 @@ class TestCancellation:
 
         job, _ = queue.submit("santander", PARAMS, KEY, runner)
         assert started.wait(TIMEOUT)
-        queue.cancel(job.job_id)
+        queue.store.request_cancel(job.job_id)
         final = wait_terminal(queue, job.job_id)
         assert final.state == CANCELLED
         assert final.progress < 1.0
@@ -167,7 +167,7 @@ class TestCancellation:
         # width=1: the blocker occupies the only worker, the victim queues.
         blocking, _ = queue.submit("santander", PARAMS, "g" * 64, blocker)
         queued, _ = queue.submit("santander", PARAMS, KEY, victim)
-        cancelled = queue.cancel(queued.job_id)
+        cancelled = queue.store.request_cancel(queued.job_id)
         assert cancelled.state == CANCELLED
         gate.set()
         wait_terminal(queue, blocking.job_id)
@@ -176,7 +176,7 @@ class TestCancellation:
 
     def test_cancel_unknown_job(self, queue):
         with pytest.raises(KeyError):
-            queue.cancel("job-0042-missing")
+            queue.store.request_cancel("job-0042-missing")
 
     def test_mining_cancelled_maps_to_cancelled_state(self, queue):
         def runner(control: MiningControl) -> str:
@@ -205,7 +205,7 @@ class TestShutdown:
         begun = time.monotonic()
         queue.shutdown(wait=True)
         assert time.monotonic() - begun < TIMEOUT / 2  # not the full 50 s loop
-        assert queue.get(job.job_id).state == CANCELLED
+        assert queue.store.get(job.job_id).state == CANCELLED
 
 
 class TestClaimLoop:

@@ -18,6 +18,7 @@ from repro.jobs import (
     RUNNING,
     DurableJobStore,
     JobStateError,
+    distributed,
 )
 from repro.store import Database, thaw
 
@@ -74,8 +75,8 @@ def plan(store, *, units=UNITS):
     job, created = store.open_job("ds", PARAMS, KEY, distributed=True)
     assert created
     claimed = store.claim_next()
-    store.finish_planning(
-        job.job_id, claimed.attempt, shard_units=units, mode="search",
+    distributed.finish_planning(
+        store, job.job_id, claimed.attempt, shard_units=units, mode="search",
         horizon=4, generation=0,
     )
     return job.job_id
@@ -85,7 +86,7 @@ class TestShardOutputSpill:
     def test_output_lands_in_dedicated_collection(self, store):
         parent_id = plan(store)
         shard = store.claim_next()
-        store.complete_shard(shard.job_id, shard.attempt, OUTPUT, 0.25)
+        distributed.complete_shard(store, shard.job_id, shard.attempt, OUTPUT, 0.25)
         spilled = store.database.collection("shard_outputs").find_one(
             {"shard_id": shard.job_id}
         )
@@ -103,8 +104,8 @@ class TestShardOutputSpill:
         parent_id = plan(store)
         for _ in range(2):
             shard = store.claim_next()
-            store.complete_shard(shard.job_id, shard.attempt, OUTPUT)
-        outputs = store.shard_outputs(parent_id)
+            distributed.complete_shard(store, shard.job_id, shard.attempt, OUTPUT)
+        outputs = distributed.shard_outputs(store, parent_id)
         assert [entry["output"] for entry in outputs] == [OUTPUT, OUTPUT]
 
     def test_legacy_inline_output_still_readable(self, store):
@@ -112,7 +113,7 @@ class TestShardOutputSpill:
         parent_id = plan(store)
         for _ in range(2):
             shard = store.claim_next()
-            store.complete_shard(shard.job_id, shard.attempt, OUTPUT)
+            distributed.complete_shard(store, shard.job_id, shard.attempt, OUTPUT)
         # Rewrite one shard to the pre-spill layout.
         spills = store.database.collection("shard_outputs")
         jobs = store.database.collection("jobs")
@@ -121,7 +122,7 @@ class TestShardOutputSpill:
         document = thaw(jobs.find_one({"job_id": legacy_id}))
         document["output"] = [{"tag": [9, 9], "caps": []}]
         jobs.replace_one({"job_id": legacy_id}, document)
-        outputs = store.shard_outputs(parent_id)
+        outputs = distributed.shard_outputs(store, parent_id)
         assert outputs[0]["output"] == [{"tag": [9, 9], "caps": []}]
         assert outputs[1]["output"] == OUTPUT
 
@@ -129,22 +130,22 @@ class TestShardOutputSpill:
         parent_id = plan(store)
         for _ in range(2):
             shard = store.claim_next()
-            store.complete_shard(shard.job_id, shard.attempt, OUTPUT)
+            distributed.complete_shard(store, shard.job_id, shard.attempt, OUTPUT)
         store.database.collection("shard_outputs").delete_many(
             {"shard_id": f"{parent_id}-s000"}
         )
         with pytest.raises(JobStateError, match="output"):
-            store.shard_outputs(parent_id)
+            distributed.shard_outputs(store, parent_id)
 
     def test_replayed_completion_overwrites_spill_idempotently(self, store):
         plan(store)
         shard = store.claim_next()
-        store.complete_shard(shard.job_id, shard.attempt, OUTPUT, 0.1)
+        distributed.complete_shard(store, shard.job_id, shard.attempt, OUTPUT, 0.1)
         # A crash-replayed worker re-reports the same completion; CAS on
         # the job blocks the state change, but the spill write must not
         # have duplicated the document.
         with pytest.raises(JobStateError):
-            store.complete_shard(shard.job_id, shard.attempt, OUTPUT, 0.2)
+            distributed.complete_shard(store, shard.job_id, shard.attempt, OUTPUT, 0.2)
         spills = store.database.collection("shard_outputs").find(
             {"shard_id": shard.job_id}
         )
@@ -206,7 +207,7 @@ class TestRedrive:
         assert store.get(dead_id).state == FAILED
         assert store.get(parent_id).state == FAILED
         sibling_id = next(
-            child.job_id for child in store.children(parent_id)
+            child.job_id for child in store.list(kind=None, parent_id=parent_id)
             if child.job_id != dead_id and child.kind == "shard"
         )
         assert store.get(sibling_id).state == CANCELLED
@@ -219,7 +220,7 @@ class TestRedrive:
         # The revived tree runs to completion like a first-time plan.
         for _ in range(2):
             claimed = store.claim_next()
-            store.complete_shard(claimed.job_id, claimed.attempt, OUTPUT)
+            distributed.complete_shard(store, claimed.job_id, claimed.attempt, OUTPUT)
         merge = store.claim_next()
         assert merge.kind == "merge"
 

@@ -21,6 +21,7 @@ from repro.jobs import (
 )
 from repro.jobs.model import ensure_transition
 from repro.store.database import Database
+from repro.stream import STREAM_OPEN_RULE
 
 KEY = "a" * 64
 OTHER_KEY = "b" * 64
@@ -208,11 +209,11 @@ class TestDedup:
         again, created2 = store.open_job("santander", PARAMS, KEY)
         assert created and not created2 and again.job_id == mine.job_id
 
-        stream, created3 = store.open_stream_job("santander", PARAMS, KEY)
+        stream, created3 = store.open_job("santander", PARAMS, KEY, **STREAM_OPEN_RULE)
         assert created3 and stream.job_id != mine.job_id
         other_params = {"min_support": 9}
-        resubmitted, created4 = store.open_stream_job(
-            "santander", other_params, OTHER_KEY
+        resubmitted, created4 = store.open_job(
+            "santander", other_params, OTHER_KEY, **STREAM_OPEN_RULE
         )
         assert not created4 and resubmitted.job_id == stream.job_id
 
@@ -349,7 +350,7 @@ class TestTerminalRetention:
         a new one opens; the cancelled ones must be pruned like mines."""
         store = make_store(terminal_capacity=2)
         for _ in range(6):
-            job, created = store.open_stream_job("santander", PARAMS, KEY)
+            job, created = store.open_job("santander", PARAMS, KEY, **STREAM_OPEN_RULE)
             assert created
             store.spans.begin(
                 job_id=job.job_id, attempt=1, worker_id=store.worker_id,

@@ -41,7 +41,7 @@ class FakeRegistry:
     def get(self, job_id: str) -> FakeJob | None:
         return self.jobs.get(job_id)
 
-    def children(self, parent_id: str) -> list[FakeJob]:
+    def list(self, kind: str | None, parent_id: str) -> list[FakeJob]:
         return self.child_map.get(parent_id, [])
 
 
