@@ -21,6 +21,10 @@ labels::
     REPRO_BENCH_LABEL=parent PYTHONPATH=<old checkout>/src \\
         python -m pytest --import-mode=importlib \\
         benchmarks/bench_bitmap_kernels.py -q -s
+
+Step 4 is ``search_all`` in every mode.  Checkouts from before the delayed
+search was folded into it mined δ > 0 through ``search_delayed`` instead;
+record those with that checkout's own copy of this bench.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import statistics
 import time
 from pathlib import Path
 
-from repro.core.delayed import search_delayed
 from repro.core.evolving import extract_all_evolving
 from repro.core.search import search_all
 from repro.core.spatial import build_proximity_graph
@@ -78,12 +81,7 @@ def _mine_steps(dataset, params) -> tuple[dict[str, float], list]:
     t1 = time.perf_counter()
     adjacency = build_proximity_graph(sensors, params.distance_threshold)
     t2 = time.perf_counter()
-    if params.max_delay > 0:
-        caps = search_delayed(
-            sensors, adjacency, evolving, params, horizon=dataset.num_timestamps
-        )
-    else:
-        caps = search_all(sensors, adjacency, evolving, params)
+    caps = search_all(sensors, adjacency, evolving, params)
     t3 = time.perf_counter()
     return {"evolving": t1 - t0, "graph": t2 - t1, "search": t3 - t2}, caps
 
@@ -118,7 +116,7 @@ def test_bitmap_kernel_ledger():
     report.update({
         "benchmark": "bench_bitmap_kernels.bitmap_kernel_ledger",
         "timed_region": "extract_all_evolving (evolving_ms), build_proximity_graph "
-                        "(graph_ms), search_all / search_delayed including the "
+                        "(graph_ms), search_all including the "
                         "lazy bitmap build (search_ms); summed over the run's "
                         f"parameter grid, median of {LEDGER_RUNS} passes",
         "runs": {

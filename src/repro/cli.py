@@ -53,6 +53,7 @@ from .analysis.comparison import compare_periods
 from .analysis.sensitivity import SWEEPABLE_PARAMETERS, sweep
 from .core.miner import MiscelaMiner
 from .core.parameters import MiningParameters
+from .core.search import check_supported
 from .core.types import SensorDataset
 from .data.csv_io import read_dataset_dir, write_dataset_dir
 from .data.datasets import DATASET_NAMES, dataset_table, generate, recommended_parameters
@@ -86,7 +87,11 @@ def _load_dataset(args: argparse.Namespace) -> SensorDataset:
 
 
 def _params_from_args(args: argparse.Namespace, dataset_name: str) -> MiningParameters:
-    """Start from the dataset's recommended parameters, apply flag overrides."""
+    """Start from the dataset's recommended parameters, apply flag overrides.
+
+    Exits with ``invalid parameters: …`` when the overrides are invalid or
+    name a combination the search does not mine.
+    """
     if dataset_name in DATASET_NAMES:
         params = recommended_parameters(dataset_name)
     else:
@@ -110,7 +115,12 @@ def _params_from_args(args: argparse.Namespace, dataset_name: str) -> MiningPara
             overrides[field] = value
     if getattr(args, "direction_aware", False):
         overrides["direction_aware"] = True
-    return params.with_updates(**overrides) if overrides else params
+    try:
+        params = params.with_updates(**overrides)
+        check_supported(params)
+    except (ValueError, NotImplementedError) as exc:
+        raise SystemExit(f"invalid parameters: {exc}")
+    return params
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:

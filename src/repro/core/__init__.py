@@ -2,7 +2,7 @@
 
 from .baseline import naive_search
 from .bitset import BitsetEvolvingSet
-from .delayed import delayed_support, search_delayed
+from .delayed import delayed_support
 from .evolving import co_evolution_count, extract_all_evolving, extract_evolving
 from .miner import MiningResult, MiscelaMiner, NaiveMiner
 from .parallel import (
@@ -73,7 +73,6 @@ __all__ = [
     "resolve_jobs",
     "search_all",
     "search_component",
-    "search_delayed",
     "segment_series",
     "sliding_window_segmentation",
     "smooth_series",

@@ -12,15 +12,18 @@ holds an evolving set as two non-negative Python ints over the timeline:
 Co-evolution intersection is ``a & b`` and its support ``int.bit_count()``;
 direction consistency keeps ``common & ~differs`` or ``common & differs``
 with ``differs = dirs_a ^ dirs_b`` (``common`` is non-negative, so both
-are too); the time-delayed variant's shift is ``x >> d`` or
-``(x << d) & ((1 << horizon) - 1)``.  At paper scale a bitmap spans 8
+are too); the search shifts a sensor ``d`` steps earlier with ``x >> d``
+or ``x << -d`` and needs no clip, because it only ever ANDs the result
+with bits that descend from the seed's unshifted presence
+(:meth:`BitsetEvolvingSet.shift` clips, for a shifted set on its own).
+At paper scale a bitmap spans 8
 (china6, 480 steps) to 32 (santander, 2016 steps) machine words: CPython
 runs that word loop in C without the per-call cost of a numpy array
 operation, which at this size exceeds the work itself.  numpy appears only
 at the edges — one ``packbits`` pass builds a sensor's ints from its index
 array, and :func:`decode_bitmaps` turns a search's emitted bitmaps back
-into sorted indices in one batch.  Every search mode runs on these
-bitmaps; the exhaustive :func:`repro.core.baseline.naive_search` keeps the
+into sorted indices in one batch.  The one search loop runs every mode on
+these bitmaps; the exhaustive :func:`repro.core.baseline.naive_search` keeps the
 sorted arrays as an independent oracle.
 """
 

@@ -5,7 +5,7 @@
 1. linear segmentation (inside evolving extraction, per the parameters),
 2. evolving-timestamp extraction,
 3. proximity graph + connected components,
-4. tree-structured CAP search (or the delayed variant when δ > 0).
+4. tree-structured CAP search (time-delayed when δ > 0).
 
 :class:`NaiveMiner` runs the exhaustive baseline over the same steps 1–3 so
 the two are comparable input-for-input.  Both return
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .baseline import naive_search
-from .delayed import search_delayed
 from .evolving import extract_all_evolving
 from .parallel import MiningControl
 from .parameters import MiningParameters
@@ -154,8 +153,8 @@ class MiscelaMiner:
         cancellation, raising :class:`~repro.core.parallel.MiningCancelled`
         at the next checkpoint when requested.  The mined CAPs are identical
         with or without one.  ``search_all`` is looked up through this
-        module's globals on every call, so wrapping it here instruments the
-        simultaneous search.
+        module's globals on every call, so wrapping it here instruments
+        step 4 in every mode.
         """
         start = time.perf_counter()
         if control is not None:
@@ -164,16 +163,9 @@ class MiscelaMiner:
         if control is not None:
             control.checkpoint()
         adjacency = build_proximity_graph(list(dataset), self.params.distance_threshold)
-        sensors = list(dataset)
-        if self.params.max_delay > 0:
-            caps = search_delayed(
-                sensors, adjacency, evolving, self.params,
-                horizon=dataset.num_timestamps, control=control,
-            )
-        else:
-            caps = search_all(
-                sensors, adjacency, evolving, self.params, control=control
-            )
+        caps = search_all(
+            list(dataset), adjacency, evolving, self.params, control=control
+        )
         elapsed = time.perf_counter() - start
         return MiningResult(
             dataset_name=dataset.name,

@@ -26,15 +26,15 @@ back into *exactly* the serial result:
 * **Deterministic merge** — every unit is tagged with
   ``(component_index, first_seed_rank)``; sorting the tags reproduces the
   serial emission order (components largest-first, seeds in canonical rank
-  order), after which the caller's post-pass runs once over the merged
-  stream: :func:`~repro.core.search.dedupe_strongest` for the tree search,
-  :func:`~repro.core.delayed.finalize_delayed` for the delayed variant.
-  Callers that only want maximal patterns run
+  order), after which the caller's post-pass,
+  :func:`~repro.core.search.dedupe_strongest`, runs once over the merged
+  stream.  Callers that only want maximal patterns run
   :func:`~repro.core.search.filter_maximal` once over the merged set,
   never per shard.
 
-* **One driver** — :func:`sharded_search` is step 4 for every caller:
-  plan units, run them through :func:`run_shard_units`, merge.  With
+* **One driver** — :func:`sharded_search` is step 4 for every caller and
+  every mode (δ and direction awareness come from the parameters): plan
+  units, run them through :func:`run_shard_units`, merge.  With
   ``MiningParameters.n_jobs`` resolving to more than one worker and more
   than one planned shard the units run on a process pool; otherwise each
   component is one whole unit run in this process.  The distributed shard
@@ -289,13 +289,11 @@ def plan_shards(
 class _RunSpec:
     """Everything a worker needs, shared once per run (fork: zero-copy)."""
 
-    mode: str  # "search" | "delayed"
     params: MiningParameters
     adjacency: dict[str, set[str]]
     attributes: dict[str, str]
     components: list[list[str]]
     store: PackedEvolvingStore
-    horizon: int = 0
 
 
 #: Parent-set state inherited by forked workers (or installed by the spawn
@@ -332,14 +330,12 @@ def _worker_order() -> dict[str, int]:
 
 
 def run_shard_units(
-    mode: str,
     adjacency: Mapping[str, set[str]],
     attributes: Mapping[str, str],
     evolving: Mapping[str, EvolvingSet],
     params: MiningParameters,
     components: Sequence[Sequence[str]],
     units: Sequence[ShardUnit],
-    horizon: int = 0,
     order: Mapping[str, int] | None = None,
     control: MiningControl | None = None,
 ) -> list[tuple[tuple[int, int], list[CAP]]]:
@@ -349,26 +345,21 @@ def run_shard_units(
     :func:`sharded_search`, its pool workers (:func:`_run_shard`) and the
     distributed shard sub-jobs (:mod:`repro.jobs.planner`) all run
     *exactly* this, so a unit produces the same caps wherever it executes —
-    the precondition for every merge being byte-identical.  ``mode`` is
-    ``"search"`` or ``"delayed"``.  With a ``control``, progress is
-    reported and cancellation polled between units.
+    the precondition for every merge being byte-identical.  ``order`` is
+    the canonical rank map, computed once here when ``None`` and handed to
+    every unit's search.  With a ``control``, progress is reported and
+    cancellation polled between units.
 
     Raises
     ------
     NotImplementedError
-        For ``mode="delayed"`` with ``params.direction_aware`` — checked
-        here so that no execution path can mine that combination.
+        For direction-aware delayed mining
+        (:func:`repro.core.search.check_supported`) — checked here so that
+        no execution path can mine that combination.
     """
-    from .delayed import search_delayed_component
-    from .search import search_component
+    from .search import check_supported, search_component
 
-    if mode == "delayed" and params.direction_aware:
-        raise NotImplementedError(
-            "direction-aware delayed mining is not part of the reproduction; "
-            "use direction_aware=False with max_delay > 0"
-        )
-    if mode not in ("search", "delayed"):
-        raise ValueError(f"mode must be 'search' or 'delayed', got {mode!r}")
+    check_supported(params)
     if order is None:
         order = {sid: i for i, sid in enumerate(sorted(adjacency))}
     profiler = getattr(control, "profiler", None) if control is not None else None
@@ -378,16 +369,10 @@ def run_shard_units(
             control.checkpoint()
         component = components[unit.component_index]
         unit_started = time.perf_counter() if profiler is not None else 0.0
-        if mode == "search":
-            caps = search_component(
-                component, adjacency, attributes, evolving,
-                params, seeds=unit.seeds,
-            )
-        else:
-            caps = search_delayed_component(
-                component, adjacency, attributes, evolving,
-                params, horizon, seeds=unit.seeds, order=order,
-            )
+        caps = search_component(
+            component, adjacency, attributes, evolving,
+            params, seeds=unit.seeds, order=order,
+        )
         if profiler is not None:
             # Measured next to the planner's cost estimate — the pair is
             # what calibrating estimate_seed_cost needs.
@@ -410,8 +395,8 @@ def merge_tagged(
 ) -> list[CAP]:
     """Sort unit outputs by merge tag and concatenate: serial emission order.
 
-    The merge half of the shard protocol — callers then apply their mode's
-    post-pass (``dedupe_strongest`` / ``finalize_delayed``).
+    The merge half of the shard protocol — callers then apply the
+    post-pass, ``dedupe_strongest``.
     """
     tagged = sorted(tagged, key=lambda pair: pair[0])
     return [cap for _tag, caps in tagged for cap in caps]
@@ -422,14 +407,12 @@ def _run_shard(shard: list[ShardUnit]) -> list[tuple[tuple[int, int], list[CAP]]
     spec = _SPEC
     assert spec is not None
     return run_shard_units(
-        spec.mode,
         spec.adjacency,
         spec.attributes,
         _worker_evolving(),
         spec.params,
         spec.components,
         shard,
-        horizon=spec.horizon,
         order=_worker_order(),
     )
 
@@ -498,23 +481,20 @@ def _mining_components(adjacency: Mapping[str, set[str]]) -> list[list[str]]:
 
 
 def sharded_search(
-    mode: str,
     sensors: Sequence[Sensor],
     adjacency: Mapping[str, set[str]],
     evolving: Mapping[str, EvolvingSet],
     params: MiningParameters,
-    horizon: int = 0,
     control: MiningControl | None = None,
 ) -> list[CAP]:
     """Step 4's one driver: plan units, run them, merge by tag.
 
     Returns the merged raw CAP stream in serial emission order; the caller
-    applies its mode's post-pass (``search_all`` → ``dedupe_strongest``,
-    ``search_delayed`` → ``finalize_delayed``).  When ``params.n_jobs``
-    resolves to more than one worker and :func:`plan_shards` yields more
-    than one shard, the shards run on a process pool; otherwise each
-    component is one whole unit run in this process.  The output is the
-    same either way.
+    (``search_all``) applies the post-pass, ``dedupe_strongest``.  When
+    ``params.n_jobs`` resolves to more than one worker and
+    :func:`plan_shards` yields more than one shard, the shards run on a
+    process pool; otherwise each component is one whole unit run in this
+    process.  The output is the same either way.
     """
     components = _mining_components(adjacency)
     attributes = {s.sensor_id: s.attribute for s in sensors}
@@ -526,19 +506,17 @@ def sharded_search(
     )
     if len(shards) > 1:
         spec = _RunSpec(
-            mode=mode,
             params=params,
             adjacency=dict(adjacency),
             attributes=attributes,
             components=components,
             store=PackedEvolvingStore.pack(evolving),
-            horizon=horizon,
         )
         tagged = _run_sharded(spec, shards, n_workers, control)
     else:
         units = [ShardUnit(ci, None, -1, 0.0) for ci in range(len(components))]
         tagged = run_shard_units(
-            mode, adjacency, attributes, evolving, params, components, units,
-            horizon=horizon, control=control,
+            adjacency, attributes, evolving, params, components, units,
+            control=control,
         )
     return merge_tagged(tagged)

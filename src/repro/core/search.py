@@ -1,4 +1,4 @@
-"""CAP search (MISCELA step 4).
+"""CAP search (MISCELA step 4), simultaneous and time-delayed.
 
 MISCELA searches each spatially connected sensor set for CAPs by "recursively
 conducting the CAP search with gradually expanding spatially close sensors
@@ -11,14 +11,22 @@ enumeration (Wernicke 2006) of connected subgraphs of the η-proximity graph:
 * attribute-count and sensor-count bounds prune expansions that could never
   return below the limits.
 
+The time-delayed CAPs of the journal extension (DPD 2020) are the same tree
+with one more choice per added sensor: its delay ``d ∈ [-δ, δ]`` relative
+to the seed, kept only while the path's delays span at most δ.  Shifting a
+sensor's evolving set earlier by ``d`` turns "evolves at ``t + d``" into
+"evolves at ``t``", so delayed co-evolution is an ordinary intersection of
+shifted sets; with δ = 0 every delay is 0 and the tree is the simultaneous
+one.  In direction-aware mode each delay splits further into the two
+relative orientations (same / opposite) to the seed.
+
 Tree nodes carry Python-int bitmaps (:mod:`repro.core.bitset`):
 co-evolution intersection is ``a & b`` and support ``int.bit_count()``,
-direction consistency splits on ``dirs_seed ^ dirs_candidate``, and index
-tuples are decoded only for emitted patterns — once per distinct bitmap,
-in one batch per search — so a node costs one int of timeline/64 words
-instead of O(support) int64s.  The exhaustive
-:func:`repro.core.baseline.naive_search`, written over plain sorted
-arrays, is the in-library oracle for this loop.
+direction consistency splits on ``dirs_seed ^ dirs_candidate``, the delay
+shift is ``x >> d`` or ``x << -d`` (cached per sensor), and index tuples
+are decoded only for emitted patterns — once per distinct bitmap, in one
+batch per search.  The exhaustive :func:`repro.core.baseline.naive_search`,
+written over plain sorted arrays, is the in-library oracle for this loop.
 
 The ESU extension list is grown incrementally: each tree node extends the
 excluded-neighbourhood set of its parent by one sensor's adjacency (O(degree)
@@ -38,158 +46,32 @@ from .parameters import MiningParameters
 from .parallel import MiningControl, sharded_search
 from .types import CAP, EvolvingSet, Sensor
 
-__all__ = ["search_component", "search_all", "filter_maximal", "dedupe_strongest"]
+__all__ = [
+    "check_supported",
+    "search_component",
+    "search_all",
+    "filter_maximal",
+    "dedupe_strongest",
+]
 
 
-class _SearchContext:
-    """Immutable-per-run inputs shared by every tree node."""
+def check_supported(params: MiningParameters) -> None:
+    """Refuse the one parameter combination the search does not mine.
 
-    __slots__ = ("adjacency", "attributes", "bits", "params", "order")
+    Direction-aware delayed mining is not part of the reproduction.  Step
+    4's execution core (:func:`repro.core.parallel.run_shard_units`), the
+    HTTP parameter parser and the CLI all call this, so no path mines it.
 
-    def __init__(
-        self,
-        adjacency: Mapping[str, set[str]],
-        attributes: Mapping[str, str],
-        evolving: Mapping[str, EvolvingSet],
-        params: MiningParameters,
-    ) -> None:
-        self.adjacency = adjacency
-        self.attributes = attributes
-        # Only sensors that evolve at least ψ times can join a pattern.
-        self.bits = {
-            sid: ev.bits for sid, ev in evolving.items() if len(ev) >= params.min_support
-        }
-        self.params = params
-        # A fixed total order on sensors makes the enumeration canonical:
-        # each connected set is generated from its smallest member only.
-        self.order = {sid: i for i, sid in enumerate(sorted(adjacency))}
-
-
-def _grow_excluded(
-    adjacency: Mapping[str, set[str]], excluded: set[str], candidate: str
-) -> list[str]:
-    """Extend the path's excluded-neighbourhood set by one sensor's adjacency.
-
-    Returns the sensors actually added so the caller can undo them when
-    backtracking past ``candidate`` — the set is shared (mutated in place)
-    along one DFS path, which keeps each expansion O(degree) instead of
-    re-uniting every member's adjacency per tree node.  Exclusivity against
-    this set is what guarantees exactly-once enumeration: a sensor adjacent
-    to any current member can never re-enter a later extension list.
+    Raises
+    ------
+    NotImplementedError
+        With ``params.direction_aware`` and ``params.max_delay > 0``.
     """
-    added = [w for w in adjacency[candidate] if w not in excluded]
-    excluded.update(added)
-    return added
-
-
-#: A pattern found in the tree, before its bitmap is decoded:
-#: ``(members, attributes, support, bits)``.
-_Found = tuple[tuple[str, ...], frozenset[str], int, int]
-
-
-def _emit(
-    ctx: _SearchContext,
-    members: tuple[str, ...],
-    attrs: frozenset[str],
-    bits: int,
-    support: int,
-    out: list[_Found],
-) -> None:
-    """Record a pattern at a bitmap node; :func:`search_component` decodes."""
-    params = ctx.params
-    if len(members) < 2:
-        return
-    if params.require_multi_attribute and len(attrs) < 2:
-        return
-    if support < params.min_support:
-        return
-    out.append((members, attrs, support, bits))
-
-
-def _expand(
-    ctx: _SearchContext,
-    members: tuple[str, ...],
-    attrs: frozenset[str],
-    bits: int,
-    support: int,
-    ref_dirs: int,
-    extension: list[str],
-    excluded: set[str],
-    seed_rank: int,
-    out: list[_Found],
-) -> None:
-    """One node of the CAP tree.
-
-    ``members`` is the current connected sensor set, ``bits`` the
-    timestamps at which it co-evolves as presence bits (``support`` their
-    count), ``ref_dirs`` the seed's direction bits (read only in
-    direction-aware mode), ``extension`` the ESU extension list (sensors
-    that may still be added in this subtree), and ``excluded`` the
-    members' closed neighbourhood, grown incrementally along the path.
-    Everything stays packed along the whole path — intersection is ``&``,
-    direction consistency ``^`` and ``& ~``, support ``int.bit_count()``.
-    """
-    params = ctx.params
-    _emit(ctx, members, attrs, bits, support, out)
-    if params.max_sensors is not None and len(members) >= params.max_sensors:
-        return
-    order = ctx.order
-    # Work on a copy we can consume: ESU removes each candidate before
-    # recursing so no connected set is generated twice.
-    pending = list(extension)
-    while pending:
-        candidate = pending.pop()
-        cand_attr = ctx.attributes[candidate]
-        new_attrs = attrs | {cand_attr}
-        if len(new_attrs) > params.max_attributes:
-            continue
-        cand_bits = ctx.bits.get(candidate)
-        if cand_bits is None:
-            continue
-        common = bits & cand_bits.presence
-        if params.direction_aware:
-            differs = ref_dirs ^ cand_bits.dirs
-            added = _grow_excluded(ctx.adjacency, excluded, candidate)
-            new_extension = pending + [w for w in added if order[w] > seed_rank]
-            # Keep timestamps where the candidate moves with a consistent
-            # relative direction to the seed.  Both relative orientations
-            # (same / opposite) are explored as separate tree branches.
-            for branch_bits in (common & ~differs, common & differs):
-                branch_support = branch_bits.bit_count()
-                if branch_support < params.min_support:
-                    continue
-                _expand(
-                    ctx,
-                    members + (candidate,),
-                    new_attrs,
-                    branch_bits,
-                    branch_support,
-                    ref_dirs,
-                    new_extension,
-                    excluded,
-                    seed_rank,
-                    out,
-                )
-            excluded.difference_update(added)
-            continue
-        new_support = common.bit_count()
-        if new_support < params.min_support:
-            continue
-        added = _grow_excluded(ctx.adjacency, excluded, candidate)
-        new_extension = pending + [w for w in added if order[w] > seed_rank]
-        _expand(
-            ctx,
-            members + (candidate,),
-            new_attrs,
-            common,
-            new_support,
-            ref_dirs,
-            new_extension,
-            excluded,
-            seed_rank,
-            out,
+    if params.direction_aware and params.max_delay > 0:
+        raise NotImplementedError(
+            "direction-aware delayed mining is not part of the reproduction; "
+            "use direction_aware=False with max_delay > 0"
         )
-        excluded.difference_update(added)
 
 
 def search_component(
@@ -199,8 +81,13 @@ def search_component(
     evolving: Mapping[str, EvolvingSet],
     params: MiningParameters,
     seeds: Iterable[str] | None = None,
+    order: Mapping[str, int] | None = None,
 ) -> list[CAP]:
-    """All CAPs inside one spatially connected sensor set.
+    """All CAPs rooted inside one spatially connected sensor set.
+
+    Returns the raw pattern stream in emission order — candidates in pop
+    order, then delays ``-δ … δ``, then orientations — so the caller's
+    :func:`dedupe_strongest` keeps the first-seen pattern on support ties.
 
     Parameters
     ----------
@@ -213,57 +100,168 @@ def search_component(
     evolving:
         Sensor id → evolving set (step-2 output).
     params:
-        Mining parameters.
+        Mining parameters; ``params.max_delay`` is δ.
     seeds:
         Optional subset of the component to use as tree roots.  Each seed's
         root-level ESU branch is independent of every other seed's, so the
         parallel engine (:mod:`repro.core.parallel`) splits oversized
         components into seed runs; ``None`` (default) roots at every member.
+    order:
+        The canonical rank map (sensor id → position in sorted order);
+        computed from ``adjacency`` when ``None``.  A fixed total order
+        makes the enumeration canonical: each connected set is generated
+        from its smallest member only.
     """
-    ctx = _SearchContext(adjacency, attributes, evolving, params)
-    out: list[_Found] = []
-    members = sorted(component, key=lambda sid: ctx.order[sid])
+    if order is None:
+        order = {sid: i for i, sid in enumerate(sorted(adjacency))}
+    delta = params.max_delay
+    min_support = params.min_support
+    max_attributes = params.max_attributes
+    max_sensors = params.max_sensors
+    multi_attribute = params.require_multi_attribute
+    direction_aware = params.direction_aware
+    members = sorted(component, key=lambda sid: order[sid])
+    # Per member: (delay, presence shifted earlier by delay) for every
+    # allowed delay, or None when it evolves fewer than ψ times and so can
+    # join no pattern.  A shift needs no clip to the timeline: every node's
+    # bits descend from the seed's unshifted presence, so a bit shifted
+    # past the horizon is AND-ed away.
+    shifted: dict[str, list[tuple[int, int]] | None] = {}
+    dirs: dict[str, int] = {}
+    for sid in members:
+        ev = evolving.get(sid)
+        if ev is None or len(ev) < min_support:
+            shifted[sid] = None
+            continue
+        presence = ev.bits.presence
+        shifted[sid] = [
+            (d, presence >> d if d >= 0 else presence << -d)
+            for d in range(-delta, delta + 1)
+        ]
+        dirs[sid] = ev.bits.dirs
+
+    #: Patterns before their bitmaps are decoded:
+    #: ``(members, delays, attributes, support, bits)``.
+    found: list[tuple[tuple[str, ...], tuple[int, ...], frozenset[str], int, int]] = []
+    # Per-seed state shared along one DFS path.  ``excluded`` is the path
+    # members' closed neighbourhood, mutated in place and undone on
+    # backtrack; exclusivity against it is what guarantees exactly-once
+    # enumeration: a sensor adjacent to any current member can never
+    # re-enter a later extension list.
+    excluded: set[str] = set()
+    seed_rank = 0
+    seed_dirs = 0
+
+    def expand(
+        members: tuple[str, ...],
+        delays: tuple[int, ...],
+        attrs: frozenset[str],
+        bits: int,
+        support: int,
+        extension: list[str],
+    ) -> None:
+        """One node of the CAP tree.
+
+        ``bits`` holds the reference timestamps (the seed's times) at which
+        ``members``, each at its delay in ``delays``, co-evolve;
+        ``support`` is their count and ``extension`` the ESU extension list
+        (sensors that may still be added in this subtree).
+        """
+        if len(members) >= 2 and (len(attrs) >= 2 or not multi_attribute):
+            found.append((members, delays, attrs, support, bits))
+        if max_sensors is not None and len(members) >= max_sensors:
+            return
+        if delta:  # a candidate's delay must keep the span within δ
+            lo = min(delays)
+            hi = max(delays)
+        # Work on a copy we can consume: ESU removes each candidate before
+        # recursing so no connected set is generated twice.
+        pending = list(extension)
+        while pending:
+            candidate = pending.pop()
+            new_attrs = attrs | {attributes[candidate]}
+            if len(new_attrs) > max_attributes:
+                continue
+            branches = shifted[candidate]
+            if branches is None:
+                continue
+            if direction_aware:
+                # Split on the candidate's direction relative to the seed's:
+                # same, then opposite.  δ = 0 here (see check_supported),
+                # so the one branch is the unshifted presence.
+                differs = seed_dirs ^ dirs[candidate]
+                presence = branches[0][1]
+                branches = [(0, presence & ~differs), (0, presence & differs)]
+            added: list[str] | None = None
+            for delay, branch_bits in branches:
+                if delta and (delay - lo > delta or hi - delay > delta):
+                    continue
+                common = bits & branch_bits
+                new_support = common.bit_count()
+                if new_support < min_support:
+                    continue
+                if added is None:
+                    added = [w for w in adjacency[candidate] if w not in excluded]
+                    excluded.update(added)
+                    new_extension = pending + [w for w in added if order[w] > seed_rank]
+                    new_members = members + (candidate,)
+                expand(
+                    new_members,
+                    delays + (delay,),
+                    new_attrs,
+                    common,
+                    new_support,
+                    new_extension,
+                )
+            if added is not None:
+                excluded.difference_update(added)
+
     if seeds is not None:
         wanted = set(seeds)
         members = [sid for sid in members if sid in wanted]
     for seed in members:
-        seed_bits = ctx.bits.get(seed)
-        if seed_bits is None:
+        seed_shifts = shifted[seed]
+        if seed_shifts is None:
             continue
-        seed_rank = ctx.order[seed]
-        extension = [w for w in adjacency[seed] if ctx.order[w] > seed_rank]
+        seed_bits = seed_shifts[delta][1]  # the delay-0 entry
+        seed_dirs = dirs[seed]
+        seed_rank = order[seed]
         excluded = {seed} | adjacency[seed]
-        _expand(
-            ctx,
+        expand(
             (seed,),
+            (0,),
             frozenset({attributes[seed]}),
-            seed_bits.presence,
-            seed_bits.count(),
-            seed_bits.dirs,
-            extension,
-            excluded,
-            seed_rank,
-            out,
+            seed_bits,
+            seed_bits.bit_count(),
+            [w for w in adjacency[seed] if order[w] > seed_rank],
         )
-    decoded = decode_bitmaps(bits for *_, bits in out)
+    decoded = decode_bitmaps(bits for *_, bits in found)
     return [
         CAP(
             sensor_ids=frozenset(sensors),
             attributes=attrs,
             support=support,
             evolving_indices=decoded[bits],
+            # Anchored so the smallest delay is 0: shifting every delay
+            # together is the same pattern.
+            delays=(
+                {sid: d - min(delays) for sid, d in zip(sensors, delays)}
+                if delta
+                else {}
+            ),
         )
-        for sensors, attrs, support, bits in out
+        for sensors, delays, attrs, support, bits in found
     ]
 
 
 def dedupe_strongest(caps: Iterable[CAP]) -> list[CAP]:
     """Strongest pattern per sensor set, sorted by (-support, key).
 
-    Direction-aware search can reach one sensor set through both relative
-    orientations; first-seen wins ties, so callers must present CAPs in the
-    serial emission order (components largest-first, seeds in rank order) —
-    the parallel engine's deterministic merge preserves exactly that.
+    The tree can reach one sensor set through several delay assignments
+    and both relative orientations; the strongest is kept and first-seen
+    wins ties, so callers must present CAPs in the serial emission order
+    (components largest-first, seeds in rank order) — the parallel
+    engine's deterministic merge preserves exactly that.
     """
     best: dict[tuple[str, ...], CAP] = {}
     for cap in caps:
@@ -283,14 +281,21 @@ def search_all(
 ) -> list[CAP]:
     """CAPs across every connected component of the proximity graph.
 
-    Runs through step 4's one driver
+    Serves every mode — simultaneous, direction-aware and delayed (δ =
+    ``params.max_delay``) — through step 4's one driver
     (:func:`repro.core.parallel.sharded_search`): ``params.n_jobs`` picks
     in-process or process-pool execution, never a different result.  An
     optional ``control`` receives per-unit progress and is polled for
-    cancellation.
+    cancellation.  Each sensor set keeps its strongest pattern
+    (:func:`dedupe_strongest`).
+
+    Raises
+    ------
+    NotImplementedError
+        For direction-aware delayed mining (:func:`check_supported`).
     """
     return dedupe_strongest(
-        sharded_search("search", sensors, adjacency, evolving, params, control=control)
+        sharded_search(sensors, adjacency, evolving, params, control=control)
     )
 
 

@@ -36,7 +36,6 @@ from .evolving import extract_evolving
 from .miner import MiningResult
 from .parameters import MiningParameters
 from .search import search_all
-from .delayed import search_delayed
 from .spatial import build_proximity_graph
 from .types import EvolvingSet, Sensor, SensorDataset
 
@@ -281,13 +280,7 @@ class StreamingMiner:
         import time
 
         start = time.perf_counter()
-        if self.params.max_delay > 0:
-            caps = search_delayed(
-                self._sensors, self._adjacency, self._evolving, self.params,
-                horizon=len(self._timeline),
-            )
-        else:
-            caps = search_all(self._sensors, self._adjacency, self._evolving, self.params)
+        caps = search_all(self._sensors, self._adjacency, self._evolving, self.params)
         elapsed = time.perf_counter() - start
         return MiningResult(
             dataset_name=self._name,

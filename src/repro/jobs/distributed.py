@@ -252,8 +252,6 @@ def finish_planning(
     attempt: int,
     *,
     shard_units: list[list[Mapping[str, Any]]],
-    mode: str,
-    horizon: int,
     generation: int = 0,
 ) -> Job:
     """Persist a distributed parent's plan: shard + merge sub-jobs.
@@ -285,7 +283,6 @@ def finish_planning(
         generation = int(generation)
         shard_ids = [f"{job_id}-s{index:03d}" for index in range(len(shard_units))]
         merge_id = f"{job_id}-merge"
-        plan = {"mode": mode, "horizon": int(horizon), "generation": generation}
         sequence = store._next_sequence()
         sub_jobs = [
             (shard_id, KIND_SHARD, index, {"units": [dict(u) for u in units]})
@@ -310,7 +307,7 @@ def finish_planning(
             )
             sequence += 1
             store._collection().insert_one(
-                {**store._store_document(child), **extra, **plan}
+                {**store._store_document(child), **extra, "generation": generation}
             )
         matched = store._collection().update_if(
             {"job_id": job_id},
@@ -324,8 +321,6 @@ def finish_planning(
                 "shard_ids": shard_ids,
                 "merge_id": merge_id,
                 "generation": generation,
-                "mode": mode,
-                "horizon": int(horizon),
             },
         )
         if matched is None:
@@ -337,14 +332,17 @@ def finish_planning(
 
 
 def shard_spec(store, job_id: str) -> dict[str, Any]:
-    """A sub-job's execution inputs, as persisted by the planner."""
+    """A sub-job's execution inputs, as persisted by the planner.
+
+    Sub-jobs planned by older releases also carry ``mode`` and ``horizon``
+    fields; the search derives both from the parameters, so they are
+    ignored.
+    """
     with store._lock:
         store.refresh()
         document = store._require_doc(job_id)
         return {
             "units": document.get("units", []),
-            "mode": document.get("mode"),
-            "horizon": int(document.get("horizon", 0)),
             "generation": document.get("generation"),
             "parent_id": document.get("parent_id"),
         }
@@ -482,8 +480,6 @@ def _planner(state, job: Job):
             job.job_id,
             job.attempt,
             shard_units=plan.shard_documents,
-            mode=plan.mode,
-            horizon=plan.horizon,
             generation=generation,
         )
         return HANDLED
@@ -518,10 +514,7 @@ def shard_runner(state, job: Job):
         profiler = Profiler()
         control.profiler = profiler
         started = time.monotonic()
-        output = execute_units(
-            dataset, params, spec["units"], spec["mode"], spec["horizon"],
-            control=control,
-        )
+        output = execute_units(dataset, params, spec["units"], control=control)
         elapsed = time.monotonic() - started
         JOB_FAULTS.maybe_fault("mid-shard")
         # The measured wall time + phase breakdown land on the shard sub-job
@@ -557,7 +550,7 @@ def merge_runner(state, job: Job):
             result = MiningResult(
                 dataset_name=job.dataset,
                 parameters=params,
-                caps=merge_outputs(spec["mode"], outputs),
+                caps=merge_outputs(outputs),
                 elapsed_seconds=sum(s["elapsed_seconds"] for s in shard_results),
             )
             JOB_FAULTS.maybe_fault("before-merge-publish")

@@ -23,8 +23,12 @@ each recompute exactly the same facts from the same stored inputs:
   mine raises there, as it does on every other path.
 * :func:`merge_outputs` — re-sorts every shard's tagged output into serial
   emission order (:func:`repro.core.parallel.merge_tagged`) and applies
-  the mode's post-pass, reproducing ``MiscelaMiner.mine``'s CAP list
+  the engine's one post-pass, reproducing ``MiscelaMiner.mine``'s CAP list
   byte-for-byte.
+
+A shard or merge needs only the stored parameters and units: the search
+mode (δ, direction awareness) is read from the parameters, never stored
+beside them.
 
 So a distributed mine is the driver's plan → run units → merge with the
 three stages split across durable jobs.
@@ -41,7 +45,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from ..core.delayed import finalize_delayed
 from ..core.evolving import extract_all_evolving
 from ..core.parallel import (
     MiningControl,
@@ -58,8 +61,6 @@ from ..core.types import CAP, SensorDataset
 
 __all__ = [
     "PLAN_WORKERS_DEFAULT",
-    "MODE_SEARCH",
-    "MODE_DELAYED",
     "MinePlan",
     "prepare",
     "plan_mine",
@@ -77,16 +78,11 @@ PLAN_WORKERS_DEFAULT = 4
 #: Maximum accepted planning width (a submission knob; bounds fan-out).
 PLAN_WORKERS_MAX = 64
 
-MODE_SEARCH = "search"
-MODE_DELAYED = "delayed"
-
 
 @dataclass
 class MinePlan:
     """A deterministic split of one mine into shard unit-lists."""
 
-    mode: str
-    horizon: int
     shards: list[list[ShardUnit]]
 
     @property
@@ -125,9 +121,7 @@ def plan_mine(
     if plan_workers < 1:
         raise ValueError(f"plan_workers must be >= 1, got {plan_workers}")
     serial, evolving, adjacency, components, _attributes = prepare(dataset, params)
-    mode = MODE_DELAYED if serial.max_delay > 0 else MODE_SEARCH
-    shards = plan_shards(components, adjacency, evolving, serial, plan_workers)
-    return MinePlan(mode=mode, horizon=dataset.num_timestamps, shards=shards)
+    return MinePlan(plan_shards(components, adjacency, evolving, serial, plan_workers))
 
 
 def unit_to_document(unit: ShardUnit) -> dict[str, Any]:
@@ -153,8 +147,6 @@ def execute_units(
     dataset: SensorDataset,
     params: MiningParameters,
     unit_documents: Sequence[Mapping[str, Any]],
-    mode: str,
-    horizon: int,
     control: MiningControl | None = None,
 ) -> list[dict[str, Any]]:
     """Run one shard sub-job's units; returns tagged output documents.
@@ -182,8 +174,8 @@ def execute_units(
                 f"plan no longer matches its inputs"
             )
     tagged = run_shard_units(
-        mode, adjacency, attributes, evolving, serial, components, units,
-        horizon=horizon, control=control,
+        adjacency, attributes, evolving, serial, components, units,
+        control=control,
     )
     emit_started = time.perf_counter() if profiler is not None else 0.0
     out = [
@@ -195,15 +187,14 @@ def execute_units(
     return out
 
 
-def merge_outputs(
-    mode: str, outputs: Sequence[Mapping[str, Any]]
-) -> list[CAP]:
+def merge_outputs(outputs: Sequence[Mapping[str, Any]]) -> list[CAP]:
     """Reassemble every shard's tagged output into the serial CAP list.
 
     ``outputs`` is the concatenation of all shards' output documents, in any
-    order — the merge tag restores serial emission order, and the mode's
-    post-pass (the same one the serial engine ends with) runs once over the
-    merged stream.  Byte-identical to a serial mine of the same inputs.
+    order — the merge tag restores serial emission order, and the post-pass
+    the serial engine ends with (:func:`repro.core.search.dedupe_strongest`)
+    runs once over the merged stream.  Byte-identical to a serial mine of
+    the same inputs.
     """
     tagged = [
         (
@@ -212,7 +203,4 @@ def merge_outputs(
         )
         for entry in outputs
     ]
-    merged = merge_tagged(tagged)
-    if mode == MODE_DELAYED:
-        return finalize_delayed(merged, emit_all_assignments=False)
-    return dedupe_strongest(merged)
+    return dedupe_strongest(merge_tagged(tagged))

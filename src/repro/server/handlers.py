@@ -39,6 +39,7 @@ from ..cache.cache import ResultCache
 from ..cache.keys import cache_key
 from ..core.miner import MiningResult
 from ..core.parameters import MiningParameters
+from ..core.search import check_supported
 from ..core.types import SensorDataset
 from ..data.csv_io import ChunkAssembler, read_attribute_csv, read_location_csv
 from ..data.documents import dataset_from_document, dataset_to_document
@@ -478,22 +479,17 @@ def parse_upload_begin(request: Request) -> tuple[list, list]:
 def parse_parameters(document: Any) -> MiningParameters:
     """Parameters from their JSON document; 400 on anything invalid.
 
-    Also 400s a document no mode can mine — direction-aware delayed
-    search is not implemented — so no job is opened and nothing cached.
+    Also 400s a document no mode can mine (the search's
+    :func:`~repro.core.search.check_supported`), so no job is opened and
+    nothing cached.
     """
     try:
         params = MiningParameters.from_document(document)
-    except (ValueError, TypeError) as exc:
+        check_supported(params)
+    except (ValueError, TypeError, NotImplementedError) as exc:
         raise HTTPError(
             400, f"invalid parameters: {exc}", code="invalid_parameters"
         ) from exc
-    if params.direction_aware and params.max_delay > 0:
-        raise HTTPError(
-            400,
-            "invalid parameters: direction_aware is not supported with "
-            "max_delay > 0",
-            code="invalid_parameters",
-        )
     return params
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.delayed import delayed_support, search_delayed
+from repro.core.delayed import delayed_support
 from repro.core.evolving import extract_all_evolving
 from repro.core.miner import MiscelaMiner
 from repro.core.parameters import MiningParameters
@@ -31,13 +31,10 @@ def lagged_dataset(lag: int, n: int = 20) -> SensorDataset:
     return SensorDataset("lagged", timeline, sensors, measurements)
 
 
-def run_delayed(dataset, params, **kwargs):
+def run_delayed(dataset, params):
     evolving = extract_all_evolving(dataset, params)
     adjacency = build_proximity_graph(list(dataset), params.distance_threshold)
-    return search_delayed(
-        list(dataset), adjacency, evolving, params,
-        horizon=dataset.num_timestamps, **kwargs,
-    )
+    return search_all(list(dataset), adjacency, evolving, params)
 
 
 def params_with_delay(delta: int, psi: int = 3) -> MiningParameters:
@@ -109,22 +106,13 @@ class TestSearchDelayed:
         evolving = extract_all_evolving(tiny_dataset, tiny_params)
         adjacency = build_proximity_graph(list(tiny_dataset), tiny_params.distance_threshold)
         simultaneous = search_all(list(tiny_dataset), adjacency, evolving, tiny_params)
-        delayed = search_delayed(
+        delayed = search_all(
             list(tiny_dataset), adjacency, evolving,
             tiny_params.with_updates(max_delay=0),
-            horizon=tiny_dataset.num_timestamps,
         )
         assert {(c.key(), c.support) for c in simultaneous} == {
             (c.key(), c.support) for c in delayed
         }
-
-    def test_emit_all_assignments_superset(self):
-        ds = lagged_dataset(lag=0)  # simultaneous jumps: several delays may pass
-        best = run_delayed(ds, params_with_delay(2, psi=1))
-        every = run_delayed(ds, params_with_delay(2, psi=1), emit_all_assignments=True)
-        assert len(every) >= len(best)
-        best_keys = {c.key() for c in best}
-        assert best_keys <= {c.key() for c in every}
 
     def test_direction_aware_rejected(self):
         params = MiningParameters(

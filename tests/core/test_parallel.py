@@ -93,12 +93,8 @@ def engine_runs(dataset: SensorDataset, params: MiningParameters) -> dict:
         plan = plan_mine(dataset, params, plan_workers=plan_workers)
         outputs = []
         for shard in reversed(plan.shard_documents):
-            outputs += execute_units(
-                dataset, params, shard, plan.mode, plan.horizon
-            )
-        runs[f"distributed plan_workers={plan_workers}"] = merge_outputs(
-            plan.mode, outputs
-        )
+            outputs += execute_units(dataset, params, shard)
+        runs[f"distributed plan_workers={plan_workers}"] = merge_outputs(outputs)
     return runs
 
 
@@ -490,7 +486,7 @@ class TestMiningControl:
         with pytest.raises(NotImplementedError, match="direction-aware"):
             execute_units(
                 dataset, params.with_updates(direction_aware=True),
-                plan.shard_documents[0], "delayed", plan.horizon,
+                plan.shard_documents[0],
             )
 
     def test_cancellation_raises(self):

@@ -1,7 +1,7 @@
 """Every search mode against a plain-Python ``set`` reference.
 
-The tree search (simultaneous and direction-aware) and the delayed search
-run on packed bitmaps; :mod:`tests.core.set_reference` restates each CAP
+The one tree search (simultaneous, direction-aware and delayed) runs on
+packed bitmaps; :mod:`tests.core.set_reference` restates each CAP
 definition over Python sets, and the exhaustive ``naive_search`` works on
 sorted index arrays.  Over randomized synthetic datasets these must agree:
 
@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.statistics import co_evolution_rate
 from repro.core.baseline import naive_search
-from repro.core.delayed import delayed_support, search_delayed
+from repro.core.delayed import delayed_support
 from repro.core.evolving import co_evolution_count, extract_all_evolving
 from repro.core.miner import MiscelaMiner
 from repro.core.parameters import MiningParameters
@@ -166,7 +166,7 @@ class TestSearchReference:
         for delta in (1, 2, 3):
             params = base.with_updates(max_delay=delta)
             evolving, adjacency, events, attributes = prepare(dataset, params)
-            caps = search_delayed(list(dataset), adjacency, evolving, params, horizon)
+            caps = search_all(list(dataset), adjacency, evolving, params)
             expected = ref.delayed(events, adjacency, attributes, params, horizon)
             assert supports(caps) == expected
             for cap in caps:

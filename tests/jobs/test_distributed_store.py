@@ -26,6 +26,10 @@ from repro.jobs import (
     JobStateError,
     distributed,
 )
+from repro.core.miner import MiscelaMiner
+from repro.data.datasets import recommended_parameters
+from repro.data.synthetic import generate_china6
+from repro.jobs.planner import execute_units, merge_outputs, plan_mine
 from repro.store.database import Database
 
 KEY = "a" * 64
@@ -83,8 +87,8 @@ def plan(store, *, units=UNITS, generation=0):
     claimed = store.claim_next()
     assert claimed.job_id == job.job_id
     distributed.finish_planning(
-        store, job.job_id, claimed.attempt, shard_units=units, mode="search",
-        horizon=4, generation=generation,
+        store, job.job_id, claimed.attempt, shard_units=units,
+        generation=generation,
     )
     return job.job_id
 
@@ -128,8 +132,7 @@ class TestPlanning:
         retry = beta.claim_next()
         assert retry.job_id == job.job_id and retry.attempt == 2
         distributed.finish_planning(
-            beta, job.job_id, retry.attempt, shard_units=UNITS, mode="search",
-            horizon=4,
+            beta, job.job_id, retry.attempt, shard_units=UNITS,
         )
         assert len(beta.list(kind=None, parent_id=job.job_id)) == 3  # no duplicates
 
@@ -143,14 +146,59 @@ class TestPlanning:
         assert second.attempt == 2
         with pytest.raises(JobStateError):
             distributed.finish_planning(
-                store, job.job_id, first.attempt, shard_units=UNITS, mode="search",
-                horizon=4,
+                store, job.job_id, first.attempt, shard_units=UNITS,
             )
 
     def test_plan_workers_round_trips(self, store):
         job, _ = store.open_job("ds", PARAMS, KEY, distributed=True,
                                 plan_workers=7)
         assert distributed.plan_workers(store, job.job_id) == 7
+
+
+class TestStoredPlanCompatibility:
+    def test_sub_jobs_stored_with_mode_and_horizon_still_run_and_merge(self, store):
+        """Older releases stored the search mode and timeline horizon on a
+        distributed parent and each of its sub-jobs.  The search now reads
+        both off the parameters; a plan stored the old way must still
+        execute and merge to the CAP pages of a direct mine."""
+        dataset = generate_china6(seed=1, steps=120)
+        params = recommended_parameters("china6").with_updates(max_delay=2)
+        job, _ = store.open_job(
+            dataset.name, params.to_document(), KEY, distributed=True
+        )
+        claimed = store.claim_next()
+        plan = plan_mine(dataset, params, plan_workers=3)
+        assert len(plan.shards) > 1
+        distributed.finish_planning(
+            store, job.job_id, claimed.attempt, shard_units=plan.shard_documents
+        )
+        legacy = {"mode": "delayed", "horizon": dataset.num_timestamps}
+        jobs = store.database.collection("jobs")
+        for document in [jobs.find_one({"job_id": job.job_id})] + jobs.find(
+            {"parent_id": job.job_id}
+        ):
+            jobs.update_one({"job_id": document["job_id"]}, legacy)
+        assert store._doc(f"{job.job_id}-merge")["mode"] == "delayed"
+
+        for _ in plan.shards:
+            shard = store.claim_next()
+            assert shard.kind == KIND_SHARD
+            spec = distributed.shard_spec(store, shard.job_id)
+            output = execute_units(dataset, params, spec["units"])
+            distributed.complete_shard(store, shard.job_id, shard.attempt, output)
+        merge = store.claim_next()
+        assert merge.kind == KIND_MERGE
+        spec = distributed.shard_spec(store, merge.job_id)
+        outputs = [
+            entry
+            for shard in distributed.shard_outputs(store, spec["parent_id"])
+            for entry in shard["output"]
+        ]
+        merged = [cap.to_document() for cap in merge_outputs(outputs)]
+        direct = [cap.to_document() for cap in MiscelaMiner(params).mine(dataset).caps]
+        assert direct and all(doc["delays"] for doc in direct)  # a delayed mine
+        pages = range(0, len(direct), 20)
+        assert [merged[i : i + 20] for i in pages] == [direct[i : i + 20] for i in pages]
 
 
 class TestShardLifecycle:

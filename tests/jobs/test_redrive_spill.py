@@ -76,8 +76,7 @@ def plan(store, *, units=UNITS):
     assert created
     claimed = store.claim_next()
     distributed.finish_planning(
-        store, job.job_id, claimed.attempt, shard_units=units, mode="search",
-        horizon=4, generation=0,
+        store, job.job_id, claimed.attempt, shard_units=units, generation=0,
     )
     return job.job_id
 

@@ -141,6 +141,29 @@ class TestMine:
         assert out.startswith("0 CAPs")
 
 
+class TestInvalidParameters:
+    """Bad mining flags exit with a message, never a traceback."""
+
+    COMMANDS = {
+        "mine": ["mine"],
+        "report": ["report", "--out", "unused.html"],
+        "sweep": ["sweep", "--parameter", "min_support", "--values", "2,8"],
+        "compare": ["compare", "--split", "2020-01-23"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_negative_max_delay_exits(self, command):
+        with pytest.raises(SystemExit, match="invalid parameters: max_delay"):
+            main(self.COMMANDS[command] + ["--dataset", "covid19", "--max-delay", "-1"])
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_direction_aware_delayed_exits(self, command):
+        with pytest.raises(SystemExit, match="invalid parameters: direction-aware"):
+            main(self.COMMANDS[command] + [
+                "--dataset", "covid19", "--direction-aware", "--max-delay", "2",
+            ])
+
+
 class TestReport:
     def test_writes_html(self, tmp_path, capsys):
         path = tmp_path / "r.html"
