@@ -263,7 +263,8 @@ def finish_planning(
     deterministic (``<parent>-s<index>``, ``<parent>-merge``) and insertion
     skips ids that already exist, which makes a re-run after a planner
     crash idempotent — the plan itself is a pure function of the stored
-    submission (see :mod:`repro.jobs.planner`).
+    submission (see :mod:`repro.jobs.planner`).  The same update closes the
+    planner's trace span ``ok``.
 
     ``generation`` is the *dataset* generation the planner observed; it is
     stamped on every sub-job so shard/merge runners can refuse to compute
@@ -321,6 +322,7 @@ def finish_planning(
                 "shard_ids": shard_ids,
                 "merge_id": merge_id,
                 "generation": generation,
+                **store._close_span(parent, "ok"),
             },
         )
         if matched is None:
@@ -484,7 +486,6 @@ def _planner(state, job: Job):
         )
         return HANDLED
 
-    runner.span_name = "planner"
     return runner
 
 

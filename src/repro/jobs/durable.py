@@ -43,6 +43,12 @@ its inputs are quarantined in the ``dead_letters`` collection instead of
 crash-looping the fleet forever.  A dead-lettered shard fails its parent
 with a precise diagnosis naming the shard.
 
+**Trace spans.**  A job document keeps the spans of its last
+:data:`SPAN_LIMIT` claims, written by the transitions above and nothing
+else: the claim opens one, the transition that ends the claim closes it
+(:meth:`DurableJobStore._close_span`).  ``Job.to_document`` leaves them
+out; :func:`repro.obs.trace.trace_tree` reads them through :meth:`spans`.
+
 **Fault injection.**  The crash points the recovery tests kill the server
 at are real code paths here, selected by the ``REPRO_JOBS_FAULT``
 environment variable (:data:`repro.faults.JOB_FAULT_POINTS`): the process
@@ -63,7 +69,6 @@ from ..cache.cache import ResultCache
 from ..cache.keys import short_key
 from ..faults import JOB_FAULTS
 from ..obs.metrics import get_registry
-from ..obs.spans import SpanStore
 from ..store.database import Database
 from . import distributed
 from .model import (
@@ -87,6 +92,14 @@ __all__ = ["DurableJobStore"]
 
 _JOBS = "jobs"
 _DEAD_LETTERS = "dead_letters"
+#: Where releases before spans rode the job document kept them; dropped on open.
+_LEGACY_SPANS = "spans"
+
+#: Trace spans a job document keeps: one per claim, oldest dropped first.
+SPAN_LIMIT = 8
+#: A span's status while its claim runs, and once a terminal state ends it.
+_OPEN = "running"
+_SPAN_STATUS = {SUCCEEDED: "ok", FAILED: "error", CANCELLED: "cancelled"}
 
 #: Upper bound, in seconds, of the exponential requeue delay.
 _BACKOFF_CAP = 30.0
@@ -224,9 +237,6 @@ class DurableJobStore:
         #: and bounded, oldest mappings dropped first.
         self._evicted_results: dict[str, str] = {}
         self._evicted_capacity = max(1024, 4 * terminal_capacity)
-        #: Trace spans ride the same store (and therefore the same
-        #: durability and cross-process visibility) as the jobs they time.
-        self.spans = SpanStore(database)
         #: Minimum age between tail replays on the *cancellation poll* (the
         #: engine checkpoints between every work unit; stat-ing every log
         #: each time would tax the hot mining path).  Bounds cancel
@@ -234,6 +244,8 @@ class DurableJobStore:
         self.poll_refresh_seconds = 0.2
         self._last_refresh_mono = float("-inf")
         self._ensure_indexes()
+        if _LEGACY_SPANS in database:
+            database.drop_collection(_LEGACY_SPANS)
 
     # -- locking / refresh ----------------------------------------------------
 
@@ -300,6 +312,21 @@ class DurableJobStore:
 
     def _next_sequence(self) -> int:
         return 1 + (self._collection().max("sequence") or 0)
+
+    def _close_span(
+        self, document: Mapping[str, Any], status: str, error: str | None = None
+    ) -> dict[str, Any]:
+        """The ``spans`` change that closes a document's open span, or
+        nothing when no span is open.  Written in the transition's own
+        update, so a span closes exactly when — and only if — the claim it
+        times ends."""
+        spans = list(document.get("spans") or ())
+        if not spans or spans[-1]["status"] != _OPEN:
+            return {}
+        spans[-1] = {
+            **spans[-1], "end": self._clock(), "status": status, "error": error,
+        }
+        return {"spans": spans}
 
     # -- creation / dedup -------------------------------------------------------
 
@@ -369,6 +396,15 @@ class DurableJobStore:
             self.refresh()
             document = self._doc(job_id)
             return self._job(document) if document is not None else None
+
+    def spans(self, job_id: str) -> list[dict[str, Any]]:
+        """The trace spans kept on one job's document, oldest first: one
+        ``{attempt, worker_id, start, end, status, error}`` per claim, the
+        newest :data:`SPAN_LIMIT` of them."""
+        with self._lock:
+            self.refresh()
+            document = self._doc(job_id)
+            return list(document.get("spans") or ()) if document else []
 
     def list(
         self,
@@ -479,9 +515,21 @@ class DurableJobStore:
         return distributed.ready(self, document)
 
     def _claim_locked(self, document: Mapping[str, Any]) -> Job | None:
+        """Claim one queued job; the claim opens its attempt's trace span
+        in the same update, so a ``kill -9`` mid-run leaves it open."""
         if document["state"] != QUEUED:
             return None
         now = self._clock()
+        attempt = int(document.get("attempt", 0)) + 1
+        span = {
+            "attempt": attempt,
+            "worker_id": self.worker_id,
+            "start": now,
+            "end": None,
+            "status": _OPEN,
+            "error": None,
+        }
+        spans = [*(document.get("spans") or ()), span][-SPAN_LIMIT:]
         matched = self._collection().update_if(
             {"job_id": document["job_id"]},
             {"state": QUEUED},
@@ -490,7 +538,8 @@ class DurableJobStore:
                 "worker_id": self.worker_id,
                 "lease_expires_at": now + self.lease_seconds,
                 "started_at": now,
-                "attempt": int(document.get("attempt", 0)) + 1,
+                "attempt": attempt,
+                "spans": spans,
             },
         )
         if matched is None:  # pragma: no cover - CAS races need no lock here
@@ -558,11 +607,11 @@ class DurableJobStore:
         """
         job_id = document["job_id"]
         _LEASE_EXPIRIES.inc()
-        # The dead worker's open spans become forensic evidence: the
-        # reclaimer stamps them ``interrupted`` so the trace timeline shows
-        # exactly which attempt was lost (and a late finisher's CAS loses).
-        self.spans.close_open_spans(
-            job_id,
+        # The dead worker's open span becomes forensic evidence: the
+        # reclaimer stamps it ``interrupted`` so the trace timeline shows
+        # exactly which attempt was lost.
+        interrupted = self._close_span(
+            document,
             "interrupted",
             error=(
                 f"lease expired at attempt {int(document.get('attempt', 0))}; "
@@ -604,7 +653,9 @@ class DurableJobStore:
                 )
                 changes = _requeued(now + delay)
                 _REQUEUES.inc()
-        self._collection().update_if({"job_id": job_id}, expected, changes)
+        self._collection().update_if(
+            {"job_id": job_id}, expected, {**changes, **interrupted}
+        )
         return self._job(self._require_doc(job_id))
 
     def _quarantine_locked(self, document: Mapping[str, Any], now: float) -> None:
@@ -746,18 +797,25 @@ class DurableJobStore:
         counter: a worker whose lease lapsed and whose job was requeued and
         re-claimed gets a :class:`JobStateError` instead of clobbering the
         newer attempt.  The attempt check matters within one process too,
-        where every claim-loop thread shares one ``worker_id``.
+        where every claim-loop thread shares one ``worker_id``.  The same
+        update closes the claim's span ``ok``, ``error`` or ``cancelled``.
         """
         expected: dict[str, Any] = {"state": document["state"]}
         if document["state"] == RUNNING:
             expected["worker_id"] = self.worker_id
             if expected_attempt is not None:
                 expected["attempt"] = expected_attempt
+        error = extra.get("error")
         changes = {
             **extra,
             "state": state,
             "finished_at": self._clock(),
             "lease_expires_at": None,
+            **self._close_span(
+                document,
+                _SPAN_STATUS[state],
+                f"{error['type']}: {error['message']}" if error else None,
+            ),
         }
         if fault_before is not None:
             # Crash *before* the transition reaches disk: the section
@@ -845,15 +903,13 @@ class DurableJobStore:
                 changes = _requeued(
                     self._clock() + retry_in if retry_in is not None else None
                 )
+            changes.update(
+                self._close_span(document, "released", error="claim released")
+            )
             matched = self._collection().update_if(
                 {"job_id": job_id}, expected, changes
             )
-            if matched is None:
-                return False
-            self.spans.close_open_spans(
-                job_id, "released", error="claim released"
-            )
-            return True
+            return matched is not None
 
     def redrive(self, job_ids: Sequence[str] | None = None) -> list[str]:
         """Replay quarantined dead-letter entries as fresh work.
@@ -973,8 +1029,8 @@ class DurableJobStore:
         """Evict the oldest finished top-level jobs beyond the retention bound.
 
         Capacity counts top-level jobs of every kind (no ``parent_id``).  A
-        pruned job takes its spans with it, and a distributed parent its
-        sub-jobs (:func:`distributed.prune`), so sub-jobs can never outlive
+        pruned distributed parent takes its sub-jobs with it
+        (:func:`distributed.prune`), so sub-jobs can never outlive
         — or evict — the parents they feed.  Counting copies no document;
         only the overflow is fetched.
         """
@@ -983,14 +1039,10 @@ class DurableJobStore:
         overflow = jobs.count(finished) - self._terminal_capacity
         if overflow <= 0:
             return
-        spans = self.database.collection("spans")
         for document in jobs.find(finished, sort="sequence", limit=overflow):
             job_id = document["job_id"]
             if document["state"] == SUCCEEDED and document.get("result_key"):
                 self._evicted_results[job_id] = document["result_key"]
-            spans.delete_many({"job_id": job_id})
-            # Sub-job spans and a stream job's alert spans point back here.
-            spans.delete_many({"parent_job_id": job_id})
             jobs.delete_many({"job_id": job_id})
             distributed.prune(self, job_id)
         while len(self._evicted_results) > self._evicted_capacity:

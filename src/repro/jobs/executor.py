@@ -84,8 +84,6 @@ class _Handled:
 HANDLED = _Handled()
 
 #: ``runner(control) -> result_key | None | HANDLED`` — one job's work.
-#: Its trace span is named after the job's kind unless the runner carries a
-#: ``span_name`` (the distributed planner's is ``"planner"``).
 JobRunner = Callable[[MiningControl], "str | None"]
 
 #: Builds the executable work for a claimed job from its stored document.
@@ -110,27 +108,13 @@ def run_job(store, job: Job, runner: JobRunner, should_abort=None) -> None:
     back to queued for immediate takeover by a surviving process — rather
     than cancelled.
 
-    Every execution opens a trace span *before* the work starts so a
-    ``kill -9`` mid-run leaves the open span behind as evidence; whoever
-    reclaims the lease marks it ``interrupted``.  The span closes through
-    a CAS, so this thread finishing late cannot overwrite a reclaimer's
-    verdict.
+    The claim opened this attempt's trace span; the transition that ends
+    the claim closes it in the same update (see
+    :meth:`DurableJobStore._close_span`), so this thread finishing late
+    cannot overwrite a reclaimer's ``interrupted`` verdict.
     """
     log_execution(store.worker_id, job)
     job_id, attempt, trace_id = job.job_id, job.attempt, job.trace_id
-    sid = store.spans.begin(
-        job_id=job_id,
-        attempt=attempt,
-        worker_id=store.worker_id,
-        name=getattr(runner, "span_name", job.kind),
-        kind=job.kind,
-        trace_id=trace_id,
-        parent_job_id=job.parent_id,
-        shard_index=job.shard_index,
-    )
-
-    def _close_span(status: str, error: str | None = None) -> None:
-        store.spans.finish(sid, status, error=error)
 
     def _should_cancel() -> bool:
         if should_abort is not None and should_abort():
@@ -149,19 +133,15 @@ def run_job(store, job: Job, runner: JobRunner, should_abort=None) -> None:
             result_key = runner(control)
         except MiningCancelled:
             if should_abort is not None and should_abort():
-                # release() marks still-open spans "released" itself.
                 store.release(job_id, attempt)
             else:
-                _close_span("cancelled")
                 _finish(store.mark_cancelled, job_id, attempt=attempt)
         except BaseException as exc:  # noqa: BLE001 - capture, never kill the worker
             _log.warning(
                 "job %s attempt %d failed: %s", job_id, attempt, exc
             )
-            _close_span("error", error=f"{type(exc).__name__}: {exc}")
             _finish(store.mark_failed, job_id, exc, attempt=attempt)
         else:
-            _close_span("ok")
             if result_key is not HANDLED:
                 _finish(
                     store.mark_succeeded,

@@ -5,15 +5,14 @@ A dependency-free telemetry layer threaded through every subsystem:
 * :mod:`repro.obs.metrics` — a process-local registry of counters, gauges,
   and fixed-bucket histograms, rendered as Prometheus text
   (``GET /api/v1/metrics``) and folded into ``/api/v1/admin/stats``;
-* :mod:`repro.obs.spans` — cross-process trace spans persisted in a
-  ``spans`` collection through the existing store, so a distributed
-  mine's timeline survives crashes exactly like the jobs themselves;
 * :mod:`repro.obs.profiler` — per-phase/per-unit wall-time capture
   threaded through ``MiningControl`` (zero cost when absent);
 * :mod:`repro.obs.logging` — stdlib-logging JSON formatter plus a
   context holder that stamps ``trace_id``/``job_id`` onto log lines;
-* :mod:`repro.obs.trace` — reassembles persisted spans into the
-  ``repro trace <job_id>`` ASCII waterfall and the
+* :mod:`repro.obs.trace` — reassembles the trace spans each job document
+  keeps (one per claim, written by the registry's own transitions, so a
+  distributed mine's timeline survives crashes exactly like the jobs
+  themselves) into the ``repro trace <job_id>`` ASCII waterfall and the
   ``GET /api/v1/jobs/{id}/trace`` JSON tree.
 """
 
@@ -27,7 +26,6 @@ from .metrics import (
     render_prometheus,
 )
 from .profiler import Profiler
-from .spans import SpanStore
 from .trace import render_waterfall, trace_tree
 
 __all__ = [
@@ -37,7 +35,6 @@ __all__ = [
     "JSONLogFormatter",
     "MetricsRegistry",
     "Profiler",
-    "SpanStore",
     "configure_logging",
     "get_registry",
     "log_context",

@@ -1,7 +1,7 @@
 """Trace reassembly: the JSON span tree and the ASCII waterfall.
 
-Both consumers read the same persisted artifacts: job documents from the
-durable registry and span documents from the ``spans`` collection.
+Both consumers read the same persisted artifact: the job documents of the
+durable registry, each carrying the spans of its last few claims.
 ``GET /api/v1/jobs/{id}/trace`` serves :func:`trace_tree` verbatim;
 ``repro trace <job_id>`` renders it through :func:`render_waterfall`.
 
@@ -14,8 +14,6 @@ as the whitespace between a job's bars.
 from __future__ import annotations
 
 from typing import Any
-
-from .spans import public_view
 
 __all__ = ["trace_tree", "render_waterfall"]
 
@@ -34,17 +32,16 @@ def trace_tree(store: Any, job_id: str) -> dict[str, Any]:
     """The span tree of one job (and its shard/merge sub-jobs).
 
     ``store`` is a :class:`~repro.jobs.durable.DurableJobStore` (anything
-    with ``get``/``list`` and a ``spans`` :class:`SpanStore`).
-    Raises ``KeyError`` for an unknown job.
+    with ``get``/``list``/``spans``).  Raises ``KeyError`` for an unknown
+    job.
     """
     job = store.get(job_id)
     if job is None:
         raise KeyError(job_id)
-    spans = store.spans.for_job(job_id)
-    tree = _node(job, spans)
-    if getattr(job, "distributed", False):
+    tree = _node(job, store.spans(job_id))
+    if job.distributed:
         for child in store.list(kind=None, parent_id=job_id):
-            tree["children"].append(_node(child, store.spans.for_job(child.job_id)))
+            tree["children"].append(_node(child, store.spans(child.job_id)))
         tree["children"].sort(
             key=lambda node: (
                 node["kind"] == "merge",  # merge renders last
@@ -57,16 +54,36 @@ def trace_tree(store: Any, job_id: str) -> dict[str, Any]:
 def _node(job: Any, spans: list[dict[str, Any]]) -> dict[str, Any]:
     return {
         "job_id": job.job_id,
-        "trace_id": getattr(job, "trace_id", None),
+        "trace_id": job.trace_id,
         "kind": job.kind,
         "shard_index": job.shard_index,
         "state": job.state,
         "attempt": job.attempt,
         "worker_id": job.worker_id,
-        "elapsed_seconds": getattr(job, "elapsed_seconds", None),
-        "timings": getattr(job, "timings", None),
-        "spans": [public_view(span) for span in spans],
+        "elapsed_seconds": job.elapsed_seconds,
+        "timings": job.timings,
+        "spans": [_public_span(job, span) for span in spans],
         "children": [],
+    }
+
+
+def _public_span(job: Any, span: dict[str, Any]) -> dict[str, Any]:
+    """One kept span as the trace serves it: the claim's own fields plus
+    the identity every span of the job shares, taken from the job."""
+    return {
+        "span_id": f"{job.job_id}#a{span['attempt']}@{span['worker_id']}",
+        "trace_id": job.trace_id,
+        "job_id": job.job_id,
+        "parent_job_id": job.parent_id,
+        "name": "planner" if job.distributed else job.kind,
+        "kind": job.kind,
+        "shard_index": job.shard_index,
+        "worker_id": span["worker_id"],
+        "attempt": span["attempt"],
+        "start": span["start"],
+        "end": span["end"],
+        "status": span["status"],
+        "error": span["error"],
     }
 
 

@@ -1074,7 +1074,8 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         """The persisted trace of one job as a JSON span tree.
 
         The same tree ``repro trace <job_id>`` renders as an ASCII
-        waterfall; spans live in the store's ``spans`` collection.
+        waterfall; each job document keeps the spans of its last few
+        claims.
         """
         job_id = request.path_params["job_id"]
         try:

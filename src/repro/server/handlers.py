@@ -110,7 +110,7 @@ class ServerState:
     backing database: jobs live in its ``jobs`` collection.  Bound to a
     store path, every transition is a WAL append and any number of server
     processes sharing the store claim work through leases; an in-memory
-    database keeps the same registry, spans, sub-jobs and stream jobs
+    database keeps the same registry, sub-jobs and stream jobs
     process-local.  Submissions only open jobs; ``job_workers`` claim-loop
     threads claim every job — whichever process enqueued it — and run the
     work :meth:`runner_for_job` builds from its stored document, looking

@@ -7,7 +7,7 @@ commits as one *record*::
     <length: u32 LE> <zlib.crc32(payload): u32 LE> <payload: UTF-8 JSON>
 
 whose payload groups the section's mutation ops under their collection
-names, each name written once: ``{"jobs": [op, ...], "spans": [...]}``.
+names, each name written once: ``{"jobs": [op, ...], "alerts": [...]}``.
 A put op is the document itself; other ops are short lists such as
 ``["del", ids]`` (see ``Collection.apply_wal_record``).
 The commit is one ``write(2)`` through an ``O_APPEND`` fd and one fsync,

@@ -213,10 +213,7 @@ class StreamSession:
         return range(self.mined_epoch + 1, appended + 1)
 
     def process_epoch(
-        self,
-        epoch: int,
-        *,
-        on_alert: Callable[[dict[str, Any]], None] | None = None,
+        self, epoch: int
     ) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
         """Absorb one epoch: extend, (maybe) re-mine, diff, persist, alert.
 
@@ -281,8 +278,6 @@ class StreamSession:
         self.next_seq += len(events)
         for alert in alerts:
             record_fired(alert["rule_id"])
-            if on_alert is not None:
-                on_alert(alert)
         update_lag(self.database, self.dataset)
         return events, alerts
 
@@ -322,21 +317,6 @@ def stream_runner(state: Any, job: Job):
             current=still_current,
         )
 
-        def on_alert(alert: dict[str, Any]) -> None:
-            # Every fired alert gets its own span under the stream job, so
-            # `repro trace <stream-job>` shows the alert timeline inside
-            # the drain that produced it.
-            sid = store.spans.begin(
-                job_id=alert["alert_id"],
-                attempt=attempt,
-                worker_id=store.worker_id or "local",
-                name=f"alert:{alert['rule_id']}",
-                kind="alert",
-                trace_id=job.trace_id,
-                parent_job_id=job.job_id,
-            )
-            store.spans.finish(sid, "ok")
-
         lease = max(float(store.lease_seconds), 0.1)
         last_renewal = time.monotonic()
         idle_since: float | None = None
@@ -359,7 +339,7 @@ def stream_runner(state: Any, job: Job):
             if pending:
                 for epoch in pending:
                     control.checkpoint()
-                    session.process_epoch(epoch, on_alert=on_alert)
+                    session.process_epoch(epoch)
                     store.renew_lease(job.job_id, attempt=attempt)
                     last_renewal = time.monotonic()
                 idle_since = None

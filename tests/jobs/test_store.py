@@ -352,14 +352,18 @@ class TestTerminalRetention:
         for _ in range(6):
             job, created = store.open_job("santander", PARAMS, KEY, **STREAM_OPEN_RULE)
             assert created
-            store.spans.begin(
-                job_id=job.job_id, attempt=1, worker_id=store.worker_id,
-                name="stream", kind=KIND_STREAM,
-            )
+            claimed = claim(store, job)
             store.request_cancel(job.job_id)
+            store.mark_cancelled(job.job_id, attempt=claimed.attempt)
         store.open_job("santander", PARAMS, OTHER_KEY)
         remaining = store.list(kind=KIND_STREAM)
         assert len(remaining) == 2
         assert all(job.state == CANCELLED for job in remaining)
-        # The pruned jobs' spans went with them.
-        assert len(store.database.collection("spans")) == 2
+        # The spans rode the job documents: the pruned jobs' went with
+        # them, the kept jobs' read closed, and no span store exists.
+        assert len(store.database.collection("jobs")) == 3
+        assert [
+            [span["status"] for span in store.spans(job.job_id)]
+            for job in remaining
+        ] == [["cancelled"], ["cancelled"]]
+        assert "spans" not in store.database

@@ -27,6 +27,7 @@ from repro.jobs import TERMINAL_STATES
 from repro.obs.metrics import CONTENT_TYPE
 from repro.server.app import TestClient, create_app
 from repro.store.database import Database
+from repro.store.wal import decode_records
 
 from tests.obs.test_metrics import parse_page
 
@@ -245,3 +246,73 @@ class TestTraceEndpoint:
         assert span["status"] == "ok"
         assert span["name"] == "mine"
         assert span["end"] >= span["start"]
+
+
+# -- spans ride the job document ---------------------------------------------------
+
+
+class TestSpansOnTheJobDocument:
+    def test_idle_stream_job_keeps_a_bounded_trace(self, dataset, monkeypatch):
+        """A resident stream job is re-claimed after every idle release;
+        each claim adds a span, and the job keeps only the newest few."""
+        from repro.jobs.durable import SPAN_LIMIT
+        from repro.stream import runner
+
+        # Shorten the idle beat so the job cycles many claims quickly.
+        monkeypatch.setattr(runner, "_IDLE_SECONDS", 0.01)
+        monkeypatch.setattr(runner, "_POLL_SECONDS", 0.01)
+        app = create_app(job_workers=1, worker_poll=0.05)
+        try:
+            client = TestClient(app)
+            assert client.upload_dataset(dataset, chunk_lines=1000).status == 201
+            submitted = client.post(
+                "/api/v1/datasets/santander/results",
+                json_body={"parameters": PARAMS, "mode": "streaming"},
+            )
+            assert submitted.status == 202, submitted.json()
+            job_id = submitted.json()["job_id"]
+            deadline = time.monotonic() + TIMEOUT
+            job = client.get(f"/api/v1/jobs/{job_id}").json()
+            while job["attempt"] <= 3 * SPAN_LIMIT:
+                assert time.monotonic() < deadline, job
+                time.sleep(0.05)
+                job = client.get(f"/api/v1/jobs/{job_id}").json()
+            assert "spans" not in job
+            spans = client.get(f"/api/v1/jobs/{job_id}/trace").json()["spans"]
+            assert len(spans) <= SPAN_LIMIT
+            assert {span["name"] for span in spans} == {"stream"}
+            assert spans[-1]["attempt"] > 2 * SPAN_LIMIT
+            assert "spans" not in app.state.database
+        finally:
+            app.close()
+
+    def test_async_mine_commits_no_span_records(self, durable_client, tmp_path):
+        """One async mine on a store path commits its lifecycle and its
+        result, and nothing else: enqueue, claim, progress ticks, the
+        result, the success."""
+        database = durable_client.app.state.database
+        journal = tmp_path / "store.json.wal" / "journal"
+        before = database.stats()["wal"]["records"]
+        offset = journal.stat().st_size
+        submitted = durable_client.post(
+            "/api/v1/datasets/santander/results",
+            json_body={"parameters": PARAMS, "mode": "async"},
+        )
+        assert submitted.status == 202, submitted.json()
+        job_id = submitted.json()["job_id"]
+        assert poll_until_terminal(durable_client, job_id)["state"] == "succeeded"
+        records, _, torn = decode_records(journal.read_bytes(), offset)
+        assert not torn
+        assert database.stats()["wal"]["records"] - before == len(records)
+        steps = [
+            (name, ops[-1].get("state") if name == "jobs" else None)
+            for record in records
+            for name, ops in record.items()
+        ]
+        assert len(steps) == len(records)  # one collection per commit
+        ticks = len(records) - 4
+        assert steps == (
+            [("jobs", "queued"), ("jobs", "running")]
+            + [("jobs", "running")] * ticks
+            + [("cap_results", None), ("jobs", "succeeded")]
+        )

@@ -196,14 +196,13 @@ def test_live_stream_end_to_end(tmp_path, tiny_dataset):
     assert alerts_cli.returncode == 0, alerts_cli.stderr
     assert "co-move" in alerts_cli.stdout and "warning" in alerts_cli.stdout
 
-    # Alert firings were span-instrumented under the stream job.
+    # Alerts live in their own log alone: no span store rides beside it.
     from repro.store.database import Database
 
-    spans = Database(store).collection("spans").find()
-    alert_spans = [s for s in spans if s.get("kind") == "alert"]
-    assert len(alert_spans) == 2
-    assert all(s["name"] == "alert:co-move" for s in alert_spans)
-    assert all(s.get("parent_job_id") for s in alert_spans)
+    database = Database(store)
+    fired = database.collection("alerts").find()
+    assert [a["rule_id"] for a in fired] == ["co-move", "co-move"]
+    assert "spans" not in database
 
 
 def test_stream_rejects_bad_batches_and_rules(tmp_path, tiny_dataset):
