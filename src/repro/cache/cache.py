@@ -20,9 +20,12 @@ through :meth:`ResultCache.decode`.  Decoding is memoized per stored
 version: a memo entry holds the document it was decoded from, and stored
 documents are frozen and replaced (never edited) on every write, so the
 entry is current exactly while that document *is* the stored one — also
-across processes sharing a store.  ``get``, ``mine_cached`` hits, CAP pages and map clicks
-therefore share one decode, and the memo keeps at most
-:data:`MEMO_CAPACITY` decoded results.
+across processes sharing a store.  ``get``, ``mine_cached`` hits, CAP pages
+and map clicks therefore share one decode, and the memo keeps at most
+:data:`MEMO_CAPACITY` decoded results.  :meth:`ResultCache.put` seeds the
+memo with the result it stored, so a sync mine's pages decode nothing;
+:meth:`ResultCache.put_encoded` stores a result a worker process mined and
+encoded with :meth:`ResultCache.encode`, which decodes on its first read.
 
 ``mine_cached`` is the interactive-analysis entry point: a hit replays the
 stored result (``from_cache=True``), a miss runs the miner and stores the
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from ..core.miner import MiningResult, MiscelaMiner
-from ..core.parallel import MiningCancelled, MiningControl
+from ..core.parallel import MiningCancelled
 from ..core.parameters import MiningParameters
 from ..core.result_columns import result_to_columns
 from ..core.types import SensorDataset
@@ -150,13 +153,19 @@ class ResultCache:
         # Decode outside the lock — it can be slow for big results.
         result = MiningResult.from_document(document["result"])
         with self._lock:
-            self._memo[key] = (document, result)
-            self._memo.move_to_end(key)
-            while len(self._memo) > MEMO_CAPACITY:
-                self._memo.popitem(last=False)
-                self.stats.evictions += 1
-                _EVICTIONS.inc()
+            self._remember(key, document, result)
         return result
+
+    def _remember(
+        self, key: str, document: Mapping[str, Any], result: MiningResult
+    ) -> None:
+        """Memoize ``result`` as the decode of ``document`` (under the lock)."""
+        self._memo[key] = (document, result)
+        self._memo.move_to_end(key)
+        while len(self._memo) > MEMO_CAPACITY:
+            self._memo.popitem(last=False)
+            self.stats.evictions += 1
+            _EVICTIONS.inc()
 
     def get(self, dataset_name: str, params: MiningParameters) -> MiningResult | None:
         """The cached result for (dataset, params), or None."""
@@ -177,31 +186,70 @@ class ResultCache:
     ) -> str:
         """Store a mining result; returns its cache key.
 
-        The upsert is one critical section, so two processes (or two apps
-        on one store) publishing the same key never both insert.  It does
-        not seed the decode memo: most published results are never read.
+        Encodes the result, stores it as :meth:`put_encoded` does, and seeds
+        the decode memo with what :meth:`decode` would return for the
+        stored document: a result sharing these CAPs, ``from_cache=True``,
+        without evolving sets or the proximity graph.  So the first CAP
+        page after a mine in this process decodes nothing.
+        """
+        key, params, document = self._store(self.encode(result), current)
+        replay = MiningResult(
+            dataset_name=result.dataset_name,
+            parameters=params,
+            caps=result.caps,
+            elapsed_seconds=result.elapsed_seconds,
+            from_cache=True,
+        )
+        with self._lock:
+            self._remember(key, document, replay)
+        return key
 
+    @staticmethod
+    def encode(result: MiningResult) -> dict[str, Any]:
+        """``result`` in the stored ``"encoding": 2`` layout, as
+        :meth:`put_encoded` takes it (a worker process encodes with this)."""
+        return result_to_columns(result)
+
+    def put_encoded(
+        self, columns: Mapping[str, Any], *, current: Callable[[], bool] | None = None
+    ) -> str:
+        """Store a result :meth:`encode` produced (in a worker process, say);
+        returns its cache key.  Nothing decoded is at hand, so the memo
+        entry for the key is dropped."""
+        key, _, _ = self._store(columns, current)
+        with self._lock:
+            self._memo.pop(key, None)
+        return key
+
+    def _store(
+        self, columns: Mapping[str, Any], current: Callable[[], bool] | None
+    ) -> tuple[str, MiningParameters, Mapping[str, Any]]:
+        """Upsert one encoded result; returns its key, its parameters as
+        :meth:`decode` reads them, and the stored document.
+
+        The upsert is one critical section, so two processes (or two apps
+        on one store) publishing the same key never both insert.
         ``current`` (optional) checks, inside the section, that the mined
         dataset is still the stored one; if not, nothing is written and
         :class:`MiningCancelled` is raised.
         """
-        key = cache_key(result.dataset_name, result.parameters)
-        # Encoded and frozen before the critical section: the upsert's writes
-        # then share this document instead of building it under the lock.
+        dataset_name = str(columns["dataset"])
+        params = MiningParameters.from_document(columns["parameters"])
+        key = cache_key(dataset_name, params)
+        # Frozen before the critical section: the upsert's writes then share
+        # this document instead of building it under the lock.
         document = freeze({
             "key": key,
-            "payload": canonical_payload(result.dataset_name, result.parameters),
-            "result": result_to_columns(result),
+            "payload": canonical_payload(dataset_name, params),
+            "result": columns,
         })
         collection = self.database[_COLLECTION]
         with self.database.exclusive():
             if current is not None and not current():
-                raise MiningCancelled(f"dataset {result.dataset_name!r} was replaced")
+                raise MiningCancelled(f"dataset {dataset_name!r} was replaced")
             if collection.replace_one({"key": key}, document) is None:
                 collection.insert_one(document)
-        with self._lock:
-            self._memo.pop(key, None)
-        return key
+            return key, params, collection.find_one({"key": key})
 
     def delete_key(self, key: str) -> None:
         """Drop one cached result by key."""
@@ -228,7 +276,6 @@ class ResultCache:
         dataset: SensorDataset,
         params: MiningParameters,
         *,
-        control: MiningControl | None = None,
         current: Callable[[], bool] | None = None,
     ) -> MiningResult:
         """Return cached CAPs when available, otherwise mine and cache.
@@ -241,7 +288,7 @@ class ResultCache:
         cached = self.get(dataset.name, params)
         if cached is not None:
             return cached
-        result = MiscelaMiner(params).mine(dataset, control=control)
+        result = MiscelaMiner(params).mine(dataset)
         self.put(result, current=current)
         return result
 

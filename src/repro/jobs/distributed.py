@@ -445,6 +445,10 @@ def mine_runner(state, job: Job):
     parent, otherwise one whole mine of the dataset as of the claim, cached
     like a sync mine.
 
+    The whole mine runs in the loop thread's worker process
+    (``control.worker``, a :class:`~repro.jobs.mine_process.MineProcess`);
+    the cache probe, the mine-delay hold and the result write stay in
+    this thread.
     A re-upload or delete of the dataset while the whole mine is in flight
     cancels the job, and the ``still_current`` check refuses its result
     should it finish first: the job ends ``cancelled``.
@@ -456,7 +460,9 @@ def mine_runner(state, job: Job):
 
     def runner(control) -> str:
         hold(MINE_DELAY_ENV, control)
-        state.cache.mine_cached(dataset, params, control=control, current=still_current)
+        if state.cache.get(dataset.name, params) is None:
+            columns = control.worker.mine(dataset, params, control)
+            state.cache.put_encoded(columns, current=still_current)
         return job.key
 
     return runner

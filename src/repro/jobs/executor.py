@@ -6,11 +6,17 @@ threads, each repeating ``claim_next()`` → ``runner_factory(job)`` →
 Claims are compare-and-set, so any number of loops — in this process or
 in others sharing the store — execute each job exactly once, and the
 runner is always rebuilt from the stored job document, so a job runs the
-same wherever it was enqueued.  Threads, not processes: the heavy lifting
-already happens in the engine's process pool (:mod:`repro.core.parallel`);
-a loop thread only drives that pool, spending its life waiting on shard
-completions, so a handful of threads oversees many cores without
-oversubscription.
+same wherever it was enqueued.
+
+Each loop thread owns one worker process (:class:`~repro.jobs.mine_process
+.MineProcess`), started on the thread's first whole mine and stopped when
+its loop ends (:meth:`ClaimLoop.shutdown`).  A whole mine's CPU body runs
+there, so two loop threads mine on two cores instead of taking turns at
+one GIL, and request handling no longer waits behind them; the thread
+keeps everything that touches the store (the claim, progress and lease
+renewal, cancellation polls, the crash points, the result write).
+Everything else a loop claims (shards, merges, planning, stream epochs)
+runs in the thread itself.
 
 An idle loop sleeps until :meth:`ClaimLoop.wake` (a local submission,
 which returns once an idle loop has looked, so the job is already claimed
@@ -22,8 +28,9 @@ jobs whose worker died and resolves distributed parents from their
 sub-jobs.
 
 :func:`run_job` is the tail around one claimed execution: it wires a
-:class:`~repro.core.parallel.MiningControl` to the store (progress ticks
-in, cancellation polls out) and maps the outcome onto the state machine —
+:class:`JobControl` to the store (progress ticks in, cancellation polls
+out) and to the loop thread's worker process, and maps the outcome onto
+the state machine —
 return value → ``succeeded``, :class:`MiningCancelled` → ``cancelled``,
 any other exception → ``failed`` with structured capture.  The loop calls
 it through this module's global, so instrumentation that rebinds
@@ -42,14 +49,23 @@ import logging
 import os
 import threading
 import time
+from dataclasses import dataclass
 from typing import Callable
 
 from ..core.parallel import MiningCancelled, MiningControl
 from ..faults import log_execution
 from ..obs.logging import log_context
+from .mine_process import MineProcess
 from .model import Job, JobStateError
 
-__all__ = ["HANDLED", "ClaimLoop", "JobRunner", "RunnerFactory", "run_job"]
+__all__ = [
+    "HANDLED",
+    "ClaimLoop",
+    "JobControl",
+    "JobRunner",
+    "RunnerFactory",
+    "run_job",
+]
 
 _log = logging.getLogger("repro.jobs")
 
@@ -83,8 +99,18 @@ class _Handled:
 #: applies no transition of its own.
 HANDLED = _Handled()
 
+
+@dataclass
+class JobControl(MiningControl):
+    """A claimed job's :class:`MiningControl`, plus the worker process its
+    loop thread mines whole mines in (``worker.mine(dataset, params,
+    control)``)."""
+
+    worker: MineProcess | None = None
+
+
 #: ``runner(control) -> result_key | None | HANDLED`` — one job's work.
-JobRunner = Callable[[MiningControl], "str | None"]
+JobRunner = Callable[[JobControl], "str | None"]
 
 #: Builds the executable work for a claimed job from its stored document.
 #: The server's (``ServerState.runner_for_job``) looks the job's kind up
@@ -94,7 +120,13 @@ JobRunner = Callable[[MiningControl], "str | None"]
 RunnerFactory = Callable[[Job], JobRunner]
 
 
-def run_job(store, job: Job, runner: JobRunner, should_abort=None) -> None:
+def run_job(
+    store,
+    job: Job,
+    runner: JobRunner,
+    should_abort=None,
+    worker: MineProcess | None = None,
+) -> None:
     """Execute a job this worker claimed (holds the lease on).
 
     Every store write carries the claim's ``attempt``, so if the lease
@@ -107,6 +139,9 @@ def run_job(store, job: Job, runner: JobRunner, should_abort=None) -> None:
     aborts at the next checkpoint and the claim is **released** — CAS'd
     back to queued for immediate takeover by a surviving process — rather
     than cancelled.
+
+    ``worker`` is the loop thread's :class:`MineProcess`, handed to the
+    runner on its control.
 
     The claim opened this attempt's trace span; the transition that ends
     the claim closes it in the same update (see
@@ -121,11 +156,12 @@ def run_job(store, job: Job, runner: JobRunner, should_abort=None) -> None:
             return True
         return store.cancel_requested(job_id)
 
-    control = MiningControl(
+    control = JobControl(
         progress=lambda done, total: store.set_progress(
             job_id, done, total, attempt=attempt
         ),
         should_cancel=_should_cancel,
+        worker=worker,
     )
     started = time.monotonic()
     with log_context(trace_id=trace_id, job_id=job_id):
@@ -209,13 +245,19 @@ class ClaimLoop:
         self._next_reclaim = 0.0
         #: ``(job_id, attempt)`` of every claim being executed right now.
         self._claims: set[tuple[str, int]] = set()
+        #: One whole-mine worker process per loop thread, started lazily.
+        self.workers = [
+            MineProcess(name=f"job-mine-{store.worker_id}-{index}")
+            for index in range(width)
+        ]
         self._threads = [
             threading.Thread(
                 target=self._run,
+                args=(worker,),
                 name=f"job-loop-{store.worker_id}-{index}",
                 daemon=True,
             )
-            for index in range(width)
+            for index, worker in enumerate(self.workers)
         ]
         for thread in self._threads:
             thread.start()
@@ -242,6 +284,9 @@ class ClaimLoop:
     def shutdown(self, wait: bool = False) -> None:
         """Stop claiming; ``wait=True`` joins the loop threads.
 
+        Each thread stops its worker process as its loop ends, so after
+        ``wait=True`` no worker is left running.
+
         On a shared registry the claims being executed are *released*
         immediately (CAS back to queued), so a surviving process takes
         them over now instead of waiting out the lease; the runners abort
@@ -264,7 +309,13 @@ class ClaimLoop:
                 if thread is not threading.current_thread():
                     thread.join()
 
-    def _run(self) -> None:
+    def _run(self, worker: MineProcess) -> None:
+        try:
+            self._loop(worker)
+        finally:
+            worker.stop()
+
+    def _loop(self, worker: MineProcess) -> None:
         while not self._stopping.is_set():
             with self._lock:
                 seen = self._wakes
@@ -281,7 +332,7 @@ class ClaimLoop:
                 claim = (job.job_id, job.attempt)
                 self._claims.add(claim)
             try:
-                self._execute(job)
+                self._execute(job, worker)
             except Exception:  # a store error mid-run must not kill the loop
                 _log.exception("claim loop: job %s attempt %d", *claim)
             finally:
@@ -308,10 +359,12 @@ class ClaimLoop:
             _log.warning("claim loop: store error; retrying", exc_info=True)
             return None
 
-    def _execute(self, job: Job) -> None:
+    def _execute(self, job: Job, worker: MineProcess) -> None:
         try:
             runner = self.runner_factory(job)
         except Exception as exc:  # the job must not stay leased
             _finish(self.store.mark_failed, job.job_id, exc, attempt=job.attempt)
             return
-        run_job(self.store, job, runner, should_abort=self._stopping.is_set)
+        run_job(
+            self.store, job, runner, should_abort=self._stopping.is_set, worker=worker
+        )

@@ -396,11 +396,11 @@ class ServerState:
         """Open (or dedup onto) the async mining job for (dataset, params).
 
         Only writes the job: a claim loop claims it and builds its runner
-        with :meth:`runner_for_job`.  The runner makes the sync route's
-        call — :meth:`ResultCache.mine_cached` with the dataset's
-        ``still_current`` check — so async-mined CAPs land in the same
-        stored result documents (and the same memoized decode) that result
-        reads and map clicks use, and never from replaced data.
+        with :meth:`runner_for_job`.  The runner mines in its loop thread's
+        worker process and stores through the same :class:`ResultCache`
+        with the dataset's ``still_current`` check, so async-mined CAPs
+        land in the same stored result documents that result reads and map
+        clicks use, and never from replaced data.
 
         ``distributed=True`` opens the job as a distributed *parent*: its
         claimed execution is the planner, which splits the mine into shard

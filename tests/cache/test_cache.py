@@ -8,6 +8,7 @@ import pytest
 
 from repro.cache.cache import MEMO_CAPACITY, ResultCache
 from repro.core.miner import MiningResult, MiscelaMiner
+from repro.core.result_columns import result_to_columns
 from repro.store.database import Database
 
 
@@ -92,15 +93,16 @@ def stored_results(cache, tiny_dataset, tiny_params, count: int) -> list:
     mined = MiscelaMiner(tiny_params).mine(tiny_dataset)
     params = [tiny_params.with_updates(min_support=psi) for psi in range(1, count + 1)]
     for p in params:
-        cache.put(MiningResult("tiny", p, mined.caps))
+        cache.put_encoded(result_to_columns(MiningResult("tiny", p, mined.caps)))
     return params
 
 
 class TestDecodeMemo:
-    def test_reads_share_one_decode_and_put_does_not_seed(
+    def test_reads_share_one_decode_and_put_encoded_does_not_seed(
         self, cache, tiny_dataset, tiny_params, decodes
     ):
-        cache.put(MiscelaMiner(tiny_params).mine(tiny_dataset))
+        result = MiscelaMiner(tiny_params).mine(tiny_dataset)
+        cache.put_encoded(result_to_columns(result))
         assert decodes == []
         first = cache.get("tiny", tiny_params)
         document = cache.documents("tiny")[0]
@@ -111,13 +113,33 @@ class TestDecodeMemo:
     def test_replaced_document_decodes_again(
         self, cache, tiny_dataset, tiny_params, decodes
     ):
-        result = MiscelaMiner(tiny_params).mine(tiny_dataset)
-        cache.put(result)
+        columns = result_to_columns(MiscelaMiner(tiny_params).mine(tiny_dataset))
+        cache.put_encoded(columns)
         first = cache.get("tiny", tiny_params)
-        cache.put(result)  # a new stored version of the same key
+        cache.put_encoded(columns)  # a new stored version of the same key
         second = cache.get("tiny", tiny_params)
         assert second is not first
         assert len(decodes) == 2
+
+    def test_put_seeds_what_decode_returns(
+        self, cache, tiny_dataset, tiny_params, decodes
+    ):
+        """A seeded read cannot be told from a decoded one."""
+        result = MiscelaMiner(tiny_params.with_updates(n_jobs=2)).mine(tiny_dataset)
+        key = cache.put(result)
+        seeded = cache.get("tiny", tiny_params)
+        assert decodes == []
+        decoded = MiningResult.from_document(cache.document(key)["result"])
+        assert seeded is not result and seeded.caps is result.caps
+        for field in ("dataset_name", "parameters", "caps", "evolving",
+                      "adjacency", "elapsed_seconds", "from_cache"):
+            assert getattr(seeded, field) == getattr(decoded, field), field
+        assert seeded.from_cache and not result.from_cache
+        assert result.evolving and seeded.evolving == {}
+        # The next put of the key seeds the new stored version.
+        cache.put(result)
+        assert cache.get("tiny", tiny_params) is not seeded
+        assert decodes == ["tiny"]
 
     def test_33rd_result_drops_oldest(self, cache, tiny_dataset, tiny_params):
         params = stored_results(cache, tiny_dataset, tiny_params, MEMO_CAPACITY + 1)

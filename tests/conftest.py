@@ -8,6 +8,7 @@ builds one: four sensors in two spatial clusters, with sensors ``a`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from datetime import datetime, timedelta
 
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 from repro.core.miner import MiningResult
 from repro.core.parameters import MiningParameters
 from repro.core.types import Sensor, SensorDataset
+from repro.jobs import mine_process
+from tests.jobs.harness import scripted_mine
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -101,6 +104,19 @@ def decodes(monkeypatch) -> list[str]:
 
     monkeypatch.setattr(MiningResult, "from_document", classmethod(counting))
     return calls
+
+
+@pytest.fixture
+def worker_mine(monkeypatch):
+    """``worker_mine(steps=, delay=, gate=)`` makes async whole mines run
+    :func:`tests.jobs.harness.scripted_mine` in their worker process
+    instead of the miner."""
+
+    def install(**script) -> None:
+        body = functools.partial(scripted_mine, **script)
+        monkeypatch.setattr(mine_process, "mine_columns", body)
+
+    return install
 
 
 @pytest.fixture

@@ -38,6 +38,8 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
+from repro.core.miner import MiningResult
+from repro.core.result_columns import result_to_columns
 from repro.data.csv_io import dataset_to_rows, iter_chunks
 from repro.data.schema import LOCATION_COLUMNS
 
@@ -404,3 +406,26 @@ def reference_caps_bytes(dataset, params_doc: dict, limit: int = 1000) -> bytes:
         return page.body
     finally:
         app.close()
+
+
+def scripted_mine(dataset, params, control, *, steps=0, delay=0.0, gate=None):
+    """A whole-mine body that async jobs run in their worker process.
+
+    Lives in this plain module, which the worker imports by name to
+    unpickle it (a conftest's module name is pytest's own).
+
+    Reports ``steps`` progress ticks, each after a checkpoint and before a
+    ``delay``-second pause; with ``gate`` (a file path) it then waits,
+    checkpointing, until that file exists.  The result has no CAPs.
+    """
+    for step in range(1, steps + 1):
+        control.checkpoint()
+        control.report(step, steps)
+        time.sleep(delay)
+    while gate is not None and not os.path.exists(gate):
+        control.checkpoint()
+        time.sleep(0.01)
+    control.checkpoint()
+    return result_to_columns(
+        MiningResult(dataset_name=dataset.name, parameters=params, caps=[])
+    )

@@ -456,31 +456,25 @@ class TestDeleteDatasetInvalidation:
         assert app.state.dataset_generation("santander") == generation
         assert client.get(f"/api/v1/results/{key}").status == 200
 
-    def test_delete_of_unknown_dataset_leaves_jobs_alone(self, app, client, monkeypatch):
-        from repro.core.miner import MiningResult, MiscelaMiner
-
-        started = threading.Event()
-        release = threading.Event()
-
-        def slow_mine(self, dataset, control=None):
-            started.set()
-            release.wait(TIMEOUT)
-            if control is not None:
-                control.checkpoint()
-            return MiningResult(dataset_name=dataset.name, parameters=self.params, caps=[])
-
-        monkeypatch.setattr(MiscelaMiner, "mine", slow_mine)
+    def test_delete_of_unknown_dataset_leaves_jobs_alone(
+        self, app, client, worker_mine, tmp_path
+    ):
+        release = tmp_path / "release"
+        worker_mine(steps=1, gate=str(release))
         submitted = client.post(
             "/api/v1/datasets/santander/results",
             json_body={"parameters": PARAMS, "mode": "async"},
         )
         job_url = submitted.headers["Location"]
-        assert started.wait(TIMEOUT)
+        deadline = time.monotonic() + TIMEOUT
+        while client.get(job_url).json()["progress"] == 0:  # the worker started
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
         assert client.delete("/api/v1/datasets/ghost").status == 404
         doc = client.get(job_url).json()
         assert doc["state"] == "running"
         assert doc["cancel_requested"] is False
-        release.set()
+        release.touch()
         deadline = time.monotonic() + TIMEOUT
         while time.monotonic() < deadline:
             doc = client.get(job_url).json()

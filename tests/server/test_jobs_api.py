@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.core.miner import MiningResult, MiscelaMiner
+from repro.core.miner import MiscelaMiner
 from repro.core.parameters import MiningParameters
 from repro.data.datasets import recommended_parameters
 from repro.data.synthetic import generate_santander
@@ -61,29 +61,15 @@ def poll_until_terminal(client, job_id: str, timeout: float = TIMEOUT) -> dict:
     raise AssertionError(f"job {job_id} still {doc['state']} after {timeout}s")
 
 
-class SlowMine:
-    """A monkeypatched ``MiscelaMiner.mine``: cooperative, step-by-step.
-
-    Reports ``steps`` progress ticks through the control and pauses at a
-    checkpoint between each, so tests can observe a mid-flight job and
-    cancel it deterministically.
-    """
-
-    def __init__(self, steps: int = 50, delay: float = 0.05):
-        self.steps = steps
-        self.delay = delay
-        self.started = threading.Event()
-
-    def __call__(self, miner, dataset, control=None):
-        self.started.set()
-        for step in range(1, self.steps + 1):
-            if control is not None:
-                control.checkpoint()
-                control.report(step, self.steps)
-            time.sleep(self.delay)
-        return MiningResult(
-            dataset_name=dataset.name, parameters=miner.params, caps=[]
-        )
+def wait_until_mining(client, job_id: str, timeout: float = TIMEOUT) -> dict:
+    """The job once its worker reported a first progress tick."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        doc = client.get(f"{API}/jobs/{job_id}").json()
+        if doc["state"] == "running" and doc["progress"] > 0:
+            return doc
+        time.sleep(0.01)
+    raise AssertionError(f"job {job_id} never reported progress: {doc}")
 
 
 class TestSubmitPollResult:
@@ -116,9 +102,8 @@ class TestSubmitPollResult:
         assert clicked.status == 200
         assert clicked.json()["correlated"]
 
-    def test_progress_is_monotone_and_completes(self, client, monkeypatch):
-        slow = SlowMine(steps=12, delay=0.01)
-        monkeypatch.setattr(MiscelaMiner, "mine", lambda s, d, control=None: slow(s, d, control))
+    def test_progress_is_monotone_and_completes(self, client, worker_mine):
+        worker_mine(steps=12, delay=0.01)
         job_id = submit_async(client)
         seen: list[float] = []
         deadline = time.monotonic() + TIMEOUT
@@ -133,9 +118,8 @@ class TestSubmitPollResult:
         assert seen[-1] == 1.0
         assert len(set(seen)) > 2  # actually observed intermediate fractions
 
-    def test_submit_returns_before_mining_finishes(self, client, monkeypatch):
-        slow = SlowMine(steps=200, delay=0.05)
-        monkeypatch.setattr(MiscelaMiner, "mine", lambda s, d, control=None: slow(s, d, control))
+    def test_submit_returns_before_mining_finishes(self, client, worker_mine):
+        worker_mine(steps=200, delay=0.05)
         started = time.perf_counter()
         job_id = submit_async(client)
         submit_latency = time.perf_counter() - started
@@ -180,9 +164,8 @@ class TestSubmitPollResult:
 
 
 class TestDedup:
-    def test_identical_inflight_submission_reuses_job(self, client, monkeypatch):
-        slow = SlowMine(steps=200, delay=0.05)
-        monkeypatch.setattr(MiscelaMiner, "mine", lambda s, d, control=None: slow(s, d, control))
+    def test_identical_inflight_submission_reuses_job(self, client, worker_mine):
+        worker_mine(steps=200, delay=0.05)
         first = submit_async(client)
         response = mine_v1(client, "santander", PARAMS, mode="async")
         assert response.status == 202
@@ -214,11 +197,10 @@ class TestDedup:
 
 
 class TestCancellation:
-    def test_cancel_mid_run(self, client, monkeypatch):
-        slow = SlowMine(steps=400, delay=0.05)
-        monkeypatch.setattr(MiscelaMiner, "mine", lambda s, d, control=None: slow(s, d, control))
+    def test_cancel_mid_run(self, client, worker_mine):
+        worker_mine(steps=400, delay=0.05)
         job_id = submit_async(client)
-        assert slow.started.wait(TIMEOUT)
+        wait_until_mining(client, job_id)
         response = client.post(f"{API}/jobs/{job_id}/cancel")
         assert response.status == 200
         assert response.json()["cancel_requested"] is True
@@ -232,14 +214,13 @@ class TestCancellation:
         assert client.get(f"{API}/datasets/santander/results").json()["results"] == []
 
     def test_reupload_during_inflight_job_withdraws_the_result(
-        self, client, dataset, monkeypatch
+        self, client, dataset, worker_mine
     ):
         """A job mining replaced data must not publish: the re-upload
         cancels it, and even a photo-finish result is withdrawn."""
-        slow = SlowMine(steps=400, delay=0.05)
-        monkeypatch.setattr(MiscelaMiner, "mine", lambda s, d, control=None: slow(s, d, control))
+        worker_mine(steps=400, delay=0.05)
         job_id = submit_async(client)
-        assert slow.started.wait(TIMEOUT)
+        wait_until_mining(client, job_id)
         assert client.upload_dataset(dataset, chunk_lines=1000).status == 201
         final = poll_until_terminal(client, job_id)
         assert final["state"] == "cancelled"
@@ -311,7 +292,7 @@ class TestJobListing:
 class TestThreadedServer:
     """Over real sockets: the ThreadingMixIn server answers during a mine."""
 
-    def test_polls_served_while_async_mine_runs(self, dataset, monkeypatch):
+    def test_polls_served_while_async_mine_runs(self, dataset, worker_mine):
         import urllib.request
 
         from repro.server.app import create_app
@@ -320,8 +301,7 @@ class TestThreadedServer:
         app = create_app()
         client = TestClient(app)
         assert client.upload_dataset(dataset, chunk_lines=1000).status == 201
-        slow = SlowMine(steps=400, delay=0.05)
-        monkeypatch.setattr(MiscelaMiner, "mine", lambda s, d, control=None: slow(s, d, control))
+        worker_mine(steps=400, delay=0.05)
 
         server = make_threaded_server("127.0.0.1", 0, wsgi_adapter(app))
         port = server.server_address[1]
@@ -345,7 +325,7 @@ class TestThreadedServer:
             )
             assert status == 202
             job_id = payload["job_id"]
-            assert slow.started.wait(TIMEOUT)
+            wait_until_mining(client, job_id)
             # While the mine runs, polls and admin calls are served promptly.
             for _ in range(3):
                 t0 = time.perf_counter()

@@ -2,7 +2,8 @@
 
 ``ResultCache`` owns the decoded-result memo: a sync mine's cached replay,
 CAP pages and map clicks share one ``MiningResult.from_document`` per
-stored document, and a peer's newer document is never answered from the
+stored document (none at all after a sync mine in the same process, which
+seeds the memo), and a peer's newer document is never answered from the
 memo of the older one.
 """
 
@@ -26,7 +27,8 @@ def direct_caps(dataset) -> list[dict]:
 
 
 def test_fig2_sequence_decodes_the_result_once(decodes):
-    """Sync mine, 20 CAP pages, 4 map clicks, 4 revalidations, cached re-mine."""
+    """Sync mine, 20 CAP pages, 4 map clicks, 4 revalidations, cached re-mine:
+    the sync mine seeded the memo, so not even once."""
     client = TestClient(create_app())
     dataset = generate_santander(seed=2, neighbourhoods=4, steps=240)
     assert client.upload_dataset(dataset, chunk_lines=1000).status == 201
@@ -50,7 +52,24 @@ def test_fig2_sequence_decodes_the_result_once(decodes):
     cached = mine_v1(client, "santander", PARAMS)
     assert cached.json()["from_cache"] is True
 
+    assert decodes == []
+
+
+def test_first_page_after_a_sync_mine_decodes_nothing(decodes):
+    """The seeded page answers the bytes a decoded page answers."""
+    app = create_app()
+    client = TestClient(app)
+    dataset = generate_santander(seed=2, neighbourhoods=4, steps=240)
+    assert client.upload_dataset(dataset, chunk_lines=1000).status == 201
+    key = mine_v1(client, "santander", PARAMS).json()["key"]
+    url = f"{API}/results/{key}/caps?offset=0&limit=1000"
+    seeded = client.get(url)
+    assert seeded.status == 200 and decodes == []
+    app.state.cache._memo.clear()
+    decoded = client.get(url)
     assert decodes == ["santander"]
+    assert seeded.body == decoded.body
+    assert seeded.headers["ETag"] == decoded.headers["ETag"]
 
 
 def test_two_apps_answer_the_peers_newer_result(decodes):
