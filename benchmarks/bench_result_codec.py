@@ -11,7 +11,9 @@ per layout:
 * ``put`` ms, split into building the stored form (``encode``), ``freeze``
   and ``wal.encode_record`` (the JSON the store writes under its lock);
 * stored bytes (the WAL record);
-* full-decode ms (``MiningResult.from_document`` of the stored document);
+* full-decode ms of the stored document (``MiningResult.from_document``
+  for the columns; ``CAP.from_document`` per entry for the legacy list,
+  which only ``repro store upgrade`` still reads);
 * store reopen ms (``Database(path)`` replaying a store holding it).
 
 Numbers land in ``BENCH_result_codec.json``.  Run with::
@@ -30,6 +32,7 @@ from pathlib import Path
 from repro.cache.keys import cache_key, canonical_payload
 from repro.core.miner import MiningResult, MiscelaMiner
 from repro.core.result_columns import result_to_columns
+from repro.core.types import CAP
 from repro.data.datasets import recommended_parameters
 from repro.data.synthetic import generate_china6
 from repro.store import wal
@@ -41,9 +44,16 @@ from .conftest import machine_info, print_table
 REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_result_codec.json"
 
 RUNS = 7
+#: Per layout: (encode a result, decode its stored form to CAPs).
 LAYOUTS = {
-    "legacy (to_document CAP list)": MiningResult.to_document,
-    "encoding 2 (columns)": result_to_columns,
+    "legacy (to_document CAP list)": (
+        MiningResult.to_document,
+        lambda doc: [CAP.from_document(cap) for cap in doc["caps"]],
+    ),
+    "encoding 2 (columns)": (
+        result_to_columns,
+        lambda doc: MiningResult.from_document(doc).caps,
+    ),
 }
 
 
@@ -57,7 +67,7 @@ def _median_ms(run) -> tuple[float, object]:
     return statistics.median(times), value
 
 
-def _measure(result: MiningResult, encode, store_path: Path) -> dict:
+def _measure(result: MiningResult, encode, decode, store_path: Path) -> dict:
     key = cache_key(result.dataset_name, result.parameters)
     payload = canonical_payload(result.dataset_name, result.parameters)
     encode_ms, stored = _median_ms(lambda: encode(result))
@@ -68,8 +78,8 @@ def _measure(result: MiningResult, encode, store_path: Path) -> dict:
     Database(store_path)["cap_results"].insert_one(frozen)
     reopen_ms, reopened = _median_ms(lambda: Database(store_path))
     read_back = reopened["cap_results"].find_one({"key": key})
-    decode_ms, decoded = _median_ms(lambda: MiningResult.from_document(read_back["result"]))
-    assert [cap.to_document() for cap in decoded.caps] == [
+    decode_ms, decoded = _median_ms(lambda: decode(read_back["result"]))
+    assert [cap.to_document() for cap in decoded] == [
         cap.to_document() for cap in result.caps
     ]
     return {
@@ -87,8 +97,8 @@ def test_result_codec_legacy_vs_columns(tmp_path):
     dataset = generate_china6(seed=1, steps=480)
     result = MiscelaMiner(recommended_parameters("china6")).mine(dataset)
     layouts = {
-        name: _measure(result, encode, tmp_path / f"store-{index}.json")
-        for index, (name, encode) in enumerate(LAYOUTS.items())
+        name: _measure(result, encode, decode, tmp_path / f"store-{index}.json")
+        for index, (name, (encode, decode)) in enumerate(LAYOUTS.items())
     }
     print_table(
         f"stored result codec, china6 480 steps seed 1, {len(result.caps)} CAPs "

@@ -11,9 +11,9 @@ It is the only code that reads, writes or decodes that collection.  A
 stored document is ``{"key", "payload": {"dataset", "parameters"},
 "result"}``, where ``result`` is the ``"encoding": 2`` columnar layout of
 :mod:`repro.core.result_columns`: plain ``dataset``, ``parameters``,
-``elapsed_seconds`` and ``num_caps`` fields beside base64 CAP columns.
-Documents written before that layout hold the ``to_document()`` CAP list
-under ``result["caps"]`` and still read.  Callers get documents through
+``elapsed_seconds`` and ``num_caps`` fields beside base64 CAP columns; any
+other result raises a ``ValueError`` naming ``repro store upgrade``, which
+rewrites older ones (:mod:`repro.store.upgrade`).  Callers get documents through
 :meth:`ResultCache.document` / :meth:`ResultCache.documents`, their
 metadata through :meth:`ResultCache.metadata`, and the decoded result
 through :meth:`ResultCache.decode`.  Decoding is memoized per stored
@@ -42,7 +42,7 @@ from typing import Any, Callable, Mapping
 from ..core.miner import MiningResult, MiscelaMiner
 from ..core.parallel import MiningCancelled
 from ..core.parameters import MiningParameters
-from ..core.result_columns import result_to_columns
+from ..core.result_columns import require_encoding, result_to_columns
 from ..core.types import SensorDataset
 from ..obs.metrics import get_registry
 from ..store.database import Database
@@ -94,6 +94,9 @@ class CacheStats:
 class ResultCache:
     """Parameter-keyed cache of mining results backed by the document store."""
 
+    #: The store collection every result lives in.
+    COLLECTION = _COLLECTION
+
     def __init__(self, database: Database) -> None:
         self.database = database
         self.stats = CacheStats()
@@ -115,9 +118,10 @@ class ResultCache:
         """The stored document for one cache key, or None."""
         return self.database[_COLLECTION].find_one({"key": key})
 
-    def documents(self, dataset_name: str) -> list[Mapping[str, Any]]:
-        """Every stored document mined from one dataset, oldest first."""
-        return self.database[_COLLECTION].find({"payload.dataset": dataset_name})
+    def documents(self, dataset_name: str | None = None) -> list[Mapping[str, Any]]:
+        """Every stored document (mined from one dataset, if named), oldest first."""
+        query = {} if dataset_name is None else {"payload.dataset": dataset_name}
+        return self.database[_COLLECTION].find(query)
 
     @staticmethod
     def metadata(document: Mapping[str, Any]) -> dict[str, Any]:
@@ -134,7 +138,7 @@ class ResultCache:
     def caps_by_dataset(self) -> dict[str, dict[str, int]]:
         """Per dataset: the stored parameter settings and their total CAPs."""
         per_dataset: dict[str, dict[str, int]] = {}
-        for document in self.database[_COLLECTION].find():
+        for document in self.documents():
             row = per_dataset.setdefault(
                 document["payload"]["dataset"], {"settings": 0, "total_caps": 0}
             )
@@ -298,4 +302,5 @@ class ResultCache:
 
 def _num_caps(result: Mapping[str, Any]) -> int:
     """A stored result's CAP count, read without touching its CAP columns."""
-    return result["num_caps"] if "num_caps" in result else len(result["caps"])
+    require_encoding(result)
+    return result["num_caps"]

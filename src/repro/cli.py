@@ -15,6 +15,8 @@ Everything the demo's web UI drives is reachable from a terminal:
   store claim work through leases;
 * ``jobs``      — inspect (``list``) or recover (``recover``) the durable
   job registry of a store without starting a server;
+* ``store``     — verify or compact a store's log, or ``upgrade`` an older
+  store to the one layout this version opens;
 * ``trace``     — reconstruct one job's timeline (an ASCII waterfall of its
   persisted spans — for a distributed mine: planner, every shard attempt,
   merge) straight from a store, no server needed;
@@ -284,22 +286,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_store = sub.add_parser(
-        "store", help="inspect / maintain a store (WAL verify, compaction)"
+        "store", help="inspect / maintain a store (WAL verify, compaction, upgrade)"
     )
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
     p_sver = store_sub.add_parser(
         "verify",
-        help="offline checksum walk of the store log (and of an older "
-             "store's per-collection logs, each in its own format); exit 1 "
-             "on a torn tail or an unknown FORMAT",
+        help="offline checksum walk of the store log; exit 1 on a torn "
+             "tail or an older layout (see upgrade)",
     )
     p_sver.add_argument("--store", required=True, help="store path")
     p_scomp = store_sub.add_parser(
-        "compact",
-        help="rewrite the store log to its live state (and archive a "
-             "migrated legacy snapshot)",
+        "compact", help="rewrite the store log to its live state",
     )
     p_scomp.add_argument("--store", required=True, help="store path")
+    p_supg = store_sub.add_parser(
+        "upgrade",
+        help="rewrite an older store (v1/v2 logs, a legacy snapshot, "
+             "pre-binary documents) as the layout this version opens",
+    )
+    p_supg.add_argument("--store", required=True, help="store path")
 
     p_trace = sub.add_parser(
         "trace",
@@ -591,13 +596,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_jobs(args: argparse.Namespace) -> int:
     from .jobs import DurableJobStore
-    from .store.database import Database
 
-    path = Path(args.store)
-    if not path.exists() and not _wal_root(path).exists():
-        raise SystemExit(f"no store at {path}")
     store = DurableJobStore(
-        Database(path),
+        _open_store_database(args.store),
         lease_seconds=getattr(args, "lease_seconds", 30.0),
         worker_id="cli-recover",
     )
@@ -644,11 +645,7 @@ def cmd_store(args: argparse.Namespace) -> int:
     root = _wal_root(path)
 
     if args.store_command == "compact":
-        from .store.database import Database
-
-        if not path.exists() and not root.exists():
-            raise SystemExit(f"no store at {path}")
-        result = Database(path).compact()
+        result = _open_store_database(args.store).compact()
         if not result["compacted"]:
             print(f"{wal.LOG_NAME}: not compacted (another process rewrote it first)")
             return 0
@@ -656,58 +653,39 @@ def cmd_store(args: argparse.Namespace) -> int:
               f"{result['after_bytes']} bytes (compacted)")
         return 0
 
-    # verify: offline checksum walk, no locks taken, nothing mutated.  Each
-    # file is checked with the format it belongs to: the v3 log, and the
-    # per-collection logs of an older store not yet migrated (a v1 store
-    # whose v2 rewrite was cut short holds both suffixes).
-    torn = False
-    checked = 0
-    if root.is_dir():
-        try:
-            found = wal.read_format(root)
-        except wal.UnknownFormatError as error:
-            raise SystemExit(str(error))
-        print(f"format: {found or 'none (no FORMAT marker)'}")
-        logs = [(root / wal.LOG_NAME, wal.FORMAT_V3)] if found == wal.FORMAT_V3 else []
-        for fmt, suffix in wal.SEGMENT_SUFFIXES.items():
-            logs += [(log_path, fmt) for log_path in sorted(root.glob("*" + suffix))]
-        for log_path, fmt in logs:
-            report = wal.verify_log(log_path, wal.format_checksum(fmt))
-            checked += 1
-            status = "TORN" if report["torn"] else "ok"
-            print(f"{log_path.name}: {report['records']} records, "
-                  f"{report['valid_bytes']}/{report['total_bytes']} bytes "
-                  f"valid [{status}]")
-            torn = torn or report["torn"]
-    if path.is_file():
-        import json as _json
+    if args.store_command == "upgrade":
+        from .store import upgrade
 
         try:
-            _json.loads(path.read_text(encoding="utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            print(f"{path.name}: legacy snapshot UNPARSEABLE")
-            torn = True
-        else:
-            print(f"{path.name}: legacy snapshot ok")
-        checked += 1
-    if checked == 0:
+            report = upgrade.upgrade(path)
+        except FileNotFoundError as error:
+            raise SystemExit(str(error))
+        print(f"format: {report['format'] or 'legacy snapshot'} -> {wal.FORMAT_V3}")
+        print(f"rewritten: {report['datasets']} dataset(s), {report['results']} "
+              f"result(s), {report['jobs']} job(s); dropped {report['spans']} span(s)")
+        return 0
+
+    # verify: offline checksum walk of the v3 log, no locks taken, nothing
+    # mutated.
+    if not wal.check_format(root, path):
         raise SystemExit(f"no store at {path}")
-    return 1 if torn else 0
+    print(f"format: {wal.FORMAT_V3}")
+    report = wal.verify_log(root / wal.LOG_NAME)
+    status = "TORN" if report["torn"] else "ok"
+    print(f"{wal.LOG_NAME}: {report['records']} records, "
+          f"{report['valid_bytes']}/{report['total_bytes']} bytes valid [{status}]")
+    return 1 if report["torn"] else 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from .jobs import DurableJobStore
     from .obs.trace import render_waterfall, trace_tree
-    from .store.database import Database
 
-    path = Path(args.store)
-    if not path.exists() and not _wal_root(path).exists():
-        raise SystemExit(f"no store at {path}")
-    store = DurableJobStore(Database(path), worker_id="cli-trace")
+    store = DurableJobStore(_open_store_database(args.store), worker_id="cli-trace")
     try:
         tree = trace_tree(store, args.job_id)
     except KeyError:
-        raise SystemExit(f"unknown job {args.job_id!r} in {path}")
+        raise SystemExit(f"unknown job {args.job_id!r} in {args.store}")
     if args.as_json:
         print(json.dumps(tree, indent=2, sort_keys=True))
     else:
@@ -825,8 +803,13 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    from .store.wal import UnknownFormatError
+
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except UnknownFormatError as error:  # an older store: the message names the upgrade
+        raise SystemExit(str(error))
 
 
 if __name__ == "__main__":

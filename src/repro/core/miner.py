@@ -113,11 +113,8 @@ class MiningResult:
 
     @classmethod
     def from_document(cls, doc: Mapping[str, object]) -> "MiningResult":
-        """Decode a stored result: the columnar layout or this legacy one."""
-        if "encoding" in doc:
-            caps = caps_from_columns(doc)
-        else:
-            caps = [CAP.from_document(d) for d in doc["caps"]]  # type: ignore[union-attr]
+        """Decode a stored ``"encoding": 2`` result (:mod:`.result_columns`)."""
+        caps = caps_from_columns(doc)
         return cls(
             dataset_name=str(doc["dataset"]),
             parameters=MiningParameters.from_document(doc["parameters"]),  # type: ignore[arg-type]

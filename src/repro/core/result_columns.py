@@ -28,9 +28,10 @@ of 256 to 65,536 steps and ``<u4`` past that.  Wider unsigned words are
 never needed, and the CI lint "One bitmap representation" forbids numpy's
 64-bit unsigned dtype name under ``src/``.
 
-Decoding rebuilds CAPs whose ``to_document()`` equals the original's.  A
-result document without ``"encoding"`` is the legacy layout (the
-``to_document()`` CAP list); ``MiningResult.from_document`` reads both.
+Decoding rebuilds CAPs whose ``to_document()`` equals the original's.  It
+reads this layout only: any other document (the legacy ``to_document()``
+CAP list has no ``"encoding"``) raises a ``ValueError`` naming
+``repro store upgrade``, which rewrites it.
 """
 
 from __future__ import annotations
@@ -91,10 +92,16 @@ def result_to_columns(result: "MiningResult") -> dict[str, Any]:
     return document
 
 
+def require_encoding(doc: Mapping[str, Any]) -> None:
+    """Raise unless ``doc`` is a result in this layout."""
+    if doc.get("encoding") != ENCODING:
+        raise ValueError(f"result document encoding {doc.get('encoding')!r} is not "
+                         f"{ENCODING}; run `repro store upgrade --store <path>`")
+
+
 def caps_from_columns(doc: Mapping[str, Any]) -> list[CAP]:
     """The CAPs of a stored columnar result, in stored order."""
-    if doc["encoding"] != ENCODING:
-        raise ValueError(f"unknown result document encoding {doc['encoding']!r}")
+    require_encoding(doc)
     sensors, attributes = doc["sensors"], doc["attributes"]
     sensor_sets = _groups(
         [sensors[code] for code in _unpack(doc["sensor_codes"])],

@@ -16,9 +16,10 @@ The only layout written is ``"encoding": 2``:
   equal ``isoformat()`` (so offsets survive too); any other timeline stays
   a list of ISO strings.
 
-A document without ``"encoding"`` is the legacy layout (one JSON float or
-``null`` per reading, one ISO string per timestamp); it still decodes, so
-stores written before the binary layout open unchanged.
+It is also the only layout read: any other document raises a
+``ValueError`` naming ``repro store upgrade``, which rewrites the legacy
+layout (one JSON float or ``null`` per reading, one ISO string per
+timestamp, no ``"encoding"``).
 """
 
 from __future__ import annotations
@@ -64,22 +65,14 @@ def dataset_to_document(dataset: SensorDataset) -> dict[str, Any]:
 
 
 def dataset_from_document(doc: Mapping[str, Any]) -> SensorDataset:
-    """Rebuild a dataset from its document form (either layout)."""
-    encoding = doc.get("encoding")
-    if encoding == ENCODING:
-        timeline = _decode_timeline(doc["timeline"])
-        measurements = {
-            sensor_id: _decode_series(text) for sensor_id, text in doc["series"].items()
-        }
-    elif encoding is None:
-        timeline = [datetime.fromisoformat(t) for t in doc["timeline"]]
-        # numpy reads the legacy ``null`` readings as NaN.
-        measurements = {
-            sensor_id: np.array(values, dtype=np.float64)
-            for sensor_id, values in doc["series"].items()
-        }
-    else:
-        raise ValueError(f"unknown dataset document encoding {encoding!r}")
+    """Rebuild a dataset from its ``"encoding": 2`` document form."""
+    if doc.get("encoding") != ENCODING:
+        raise ValueError(f"dataset document encoding {doc.get('encoding')!r} is not "
+                         f"{ENCODING}; run `repro store upgrade --store <path>`")
+    timeline = _decode_timeline(doc["timeline"])
+    measurements = {
+        sensor_id: _decode_series(text) for sensor_id, text in doc["series"].items()
+    }
     sensors = [
         Sensor(entry["id"], entry["attribute"], float(entry["lat"]), float(entry["lon"]))
         for entry in doc["sensors"]

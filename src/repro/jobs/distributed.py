@@ -334,12 +334,7 @@ def finish_planning(
 
 
 def shard_spec(store, job_id: str) -> dict[str, Any]:
-    """A sub-job's execution inputs, as persisted by the planner.
-
-    Sub-jobs planned by older releases also carry ``mode`` and ``horizon``
-    fields; the search derives both from the parameters, so they are
-    ignored.
-    """
+    """A sub-job's execution inputs, as persisted by the planner."""
     with store._lock:
         store.refresh()
         document = store._require_doc(job_id)

@@ -92,8 +92,6 @@ __all__ = ["DurableJobStore"]
 
 _JOBS = "jobs"
 _DEAD_LETTERS = "dead_letters"
-#: Where releases before spans rode the job document kept them; dropped on open.
-_LEGACY_SPANS = "spans"
 
 #: Trace spans a job document keeps: one per claim, oldest dropped first.
 SPAN_LIMIT = 8
@@ -244,8 +242,6 @@ class DurableJobStore:
         self.poll_refresh_seconds = 0.2
         self._last_refresh_mono = float("-inf")
         self._ensure_indexes()
-        if _LEGACY_SPANS in database:
-            database.drop_collection(_LEGACY_SPANS)
 
     # -- locking / refresh ----------------------------------------------------
 

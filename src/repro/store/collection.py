@@ -89,11 +89,10 @@ class Collection:
 
         A put is the stored document itself (it carries its ``_id``); every
         other op is a list naming its kind: ``["del", ids]``, ``["index",
-        path, kind]``, ``["next", id_floor]`` and ``["clear"]`` (only in
-        logs of earlier builds).  Puts dominate a log, so they cost no
-        bytes beyond the document.  Unknown kinds are skipped, not fatal —
-        an older binary replaying a newer log must not corrupt what it
-        *can* understand.
+        path, kind]`` and ``["next", id_floor]``.  Puts dominate a log, so
+        they cost no bytes beyond the document.  Unknown kinds are skipped,
+        not fatal — an older binary replaying a newer log must not corrupt
+        what it *can* understand.
         """
         if isinstance(op, Mapping):
             self._replay_put(op)
@@ -101,9 +100,6 @@ class Collection:
         kind = op[0]
         if kind == "del":
             self._replay_delete(op[1])
-        elif kind == "clear":
-            with self._write_lock:
-                self._reset_documents()
         elif kind == "index":
             with self._write_lock:
                 self._create_index(str(op[1]), str(op[2]))
@@ -471,18 +467,10 @@ class Collection:
     @classmethod
     def load(cls, snapshot: Mapping[str, Any]) -> "Collection":
         collection = cls(str(snapshot["name"]))
-        for path in snapshot.get("indexes", {}).get("hash", []):
-            collection.create_index(path, "hash")
-        for path in snapshot.get("indexes", {}).get("sorted", []):
-            collection.create_index(path, "sorted")
+        for kind in ("hash", "sorted"):
+            for path in snapshot.get("indexes", {}).get(kind, []):
+                collection.create_index(path, kind)
         for document in snapshot.get("documents", []):
-            doc = freeze(document)
-            doc_id = int(doc["_id"])
-            collection._documents[doc_id] = doc
-            collection._index(doc_id, doc)
-        collection._next_id = int(snapshot.get("next_id", 1))
-        if collection._documents:
-            collection._next_id = max(
-                collection._next_id, max(collection._documents) + 1
-            )
+            collection._replay_put(document)
+        collection._next_id = max(collection._next_id, int(snapshot.get("next_id", 1)))
         return collection

@@ -20,16 +20,10 @@ Two engines share the :class:`Database` surface, chosen by ``path``:
   first-class tombstone ops, so a removal in one process is a removal
   everywhere.
 
-Older layouts migrate once, on open, in one step
-(:meth:`Database._migrate`): v2 per-collection segments (``<name>.seg``),
-v1 logs (``<name>.log``, CRC-32C) and a legacy ``repro-store-v1`` JSON
-snapshot are read into memory and written as the v3 log before the
-``FORMAT`` marker flips.  A marker this code does not know refuses to
-open.  The snapshot file is left byte-untouched until the first
-compaction archives it (``<path>.pre-wal``); the snapshot format survives
-otherwise only as the export format (:meth:`Database.save`).  A snapshot
-that fails to parse is quarantined (``<name>.corrupt-<ts>``) with a
-structured warning instead of refusing to start.
+A path opens only a v3 store, or creates one where there is none; any
+other layout is refused untouched (:func:`repro.store.wal.check_format`)
+until ``repro store upgrade`` rewrites it.  The older snapshot format
+survives as the export format (:meth:`Database.save`).
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
-from urllib.parse import unquote
 
 from ..obs.metrics import get_registry
 from . import wal
@@ -62,12 +55,9 @@ _COMPACTION_SECONDS = get_registry().histogram(
     "Duration of one store-log compaction rewrite.",
 )
 
-#: Marker recording that the log was migrated from a legacy snapshot (and
-#: that the snapshot must survive until the first compaction).
-_MIGRATED_MARKER = "MIGRATED"
 _LOCK_FILE = "LOCK"
 _TMP_SUFFIX = ".compact-tmp"
-#: Compaction and migration cut each collection's live state into records
+#: Compaction and upgrades cut each collection's live state into records
 #: of about this many payload bytes, far below ``wal.MAX_RECORD_BYTES``.
 _STATE_RECORD_BYTES = 1 << 20
 
@@ -76,10 +66,10 @@ def collection_records(dump: Mapping[str, Any]) -> Iterator[Any]:
     """The live state of one collection (its :meth:`Collection.dump`) as a
     minimal op stream.
 
-    What migration and compaction write: index definitions first (so
-    replay backfills into ready indexes), one ``put`` per live document,
-    and a final ``next`` op pinning the id counter — tombstones and
-    superseded versions are gone, which is the whole point.
+    What compaction and ``repro store upgrade`` write: index definitions
+    first (so replay backfills into ready indexes), one ``put`` per live
+    document, and a final ``next`` op pinning the id counter — tombstones
+    and superseded versions are gone, which is the whole point.
     """
     for kind in ("hash", "sorted"):
         for path in dump["indexes"][kind]:
@@ -117,6 +107,19 @@ def _encode_state(dumps: Iterable[Mapping[str, Any]]) -> tuple[bytes, int]:
             frames.append(wal.frame(head + b",".join(ops) + b"]}"))
         count += len(records)
     return b"".join(frames), count
+
+
+@contextmanager
+def store_lock(root: Path) -> Iterator[None]:
+    """The store's cross-process ``flock`` on ``<root>/LOCK``."""
+    with open(root / _LOCK_FILE, "a+") as handle:
+        try:
+            import fcntl
+
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+        except ImportError:  # pragma: no cover - non-POSIX fallback
+            pass
+        yield  # closing the fd releases the flock
 
 
 def _fsync_dir(path: Path) -> None:
@@ -158,38 +161,6 @@ def _quarantine_tail(path: Path, torn: bytes, valid_end: int) -> None:
     )
 
 
-def _v2_op(record: Mapping[str, Any]) -> Any:
-    """A v1/v2 record (``{"op": ..., ...}``) as a v3 op (migration only)."""
-    op = record.get("op")
-    if op == "put":
-        return record["doc"]
-    if op == "del":
-        return ["del", record.get("ids", [])]
-    if op == "index":
-        return ["index", record["path"], record["kind"]]
-    if op == "next":
-        return ["next", record["value"]]
-    return [op]  # "clear", or an op this code skips
-
-
-def _read_segment(path: Path, fmt: str) -> Collection:
-    """One v1 log or v2 segment replayed into a collection (migration only).
-
-    A torn tail is quarantined and truncated exactly as replay does.
-    """
-    data = path.read_bytes()
-    records, valid_end, torn = wal.decode_records(
-        data, checksum=wal.format_checksum(fmt)
-    )
-    if torn:
-        _quarantine_tail(path, data[valid_end:], valid_end)
-        os.truncate(path, valid_end)
-    collection = Collection(unquote(path.name[: -len(wal.SEGMENT_SUFFIXES[fmt])]))
-    for record in records:
-        collection.apply_wal_record(_v2_op(record))
-    return collection
-
-
 class Database:
     """A set of named collections, optionally bound to durable storage."""
 
@@ -209,10 +180,12 @@ class Database:
             return
         self.engine = "wal"
         self._wal_root = self.path.with_name(self.path.name + ".wal")
+        # Refuse an older layout before creating anything.
+        wal.check_format(self._wal_root, self.path)
         self._wal_root.mkdir(parents=True, exist_ok=True)
-        # Open under the store lock: migrate an older layout if one is
-        # present, clean leftovers, replay the log, and truncate any torn
-        # tail a previous crash left behind.
+        # Open under the store lock: create a fresh store or clean
+        # leftovers, replay the log, and truncate any torn tail a previous
+        # crash left behind.
         with self.exclusive():
             pass
 
@@ -313,25 +286,18 @@ class Database:
                     self._lock_depth -= 1
                 return
             assert self._wal_root is not None
-            handle = open(self._wal_root / _LOCK_FILE, "a+")
             try:
-                try:
-                    import fcntl
-
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-                except ImportError:  # pragma: no cover - non-POSIX fallback
-                    pass
-                self._lock_depth = 1
-                try:
-                    if self._log is None:
-                        self._wal_open_locked()
-                    self._wal_refresh(truncate_torn=True)
-                    yield
-                finally:
-                    self._lock_depth = 0
-                    self._wal_sync()
+                with store_lock(self._wal_root):
+                    self._lock_depth = 1
+                    try:
+                        if self._log is None:
+                            self._wal_open_locked()
+                        self._wal_refresh(truncate_torn=True)
+                        yield
+                    finally:
+                        self._lock_depth = 0
+                        self._wal_sync()
             finally:
-                handle.close()  # closing the fd releases the flock
                 callbacks, self._after_commit = self._after_commit, []
             for callback in callbacks:
                 callback()
@@ -366,74 +332,20 @@ class Database:
             self._wal_refresh(truncate_torn=False)
 
     def _wal_open_locked(self) -> None:
-        """First-open work under the lock: migrate an older layout, drop
-        leftovers, open the log; an unknown ``FORMAT`` marker raises."""
-        root = self._wal_root
-        assert root is not None
-        found = wal.read_format(root)
-        if found != wal.FORMAT_V3:
-            self._migrate(found)
-        # Files a killed migration never unlinked, and the temp file of a
-        # killed compaction: the log they would have replaced is complete.
-        for entry in os.listdir(root):
-            if entry.endswith((*wal.SEGMENT_SUFFIXES.values(), _TMP_SUFFIX)):
-                (root / entry).unlink()
-        self._log = wal.CollectionLog(root / wal.LOG_NAME)
-
-    def _migrate(self, found: str | None) -> None:
-        """Rewrite an older store as the v3 log, once (under the flock).
-
-        Reads everything the older layouts hold, in one step: v2 segments
-        (``<name>.seg``), v1 logs (``<name>.log``, verified with CRC-32C;
-        a segment beside its v1 log is a finished v1 → v2 rewrite whose
-        unlink was lost, so the segment wins), and, only when there is no
-        ``FORMAT`` marker at all, the legacy snapshot at ``path``, whose
-        collections replace same-named segments as the v2 import did.
-        Then: swap the v3 log in, write ``MIGRATED`` if a snapshot was
-        imported, flip the marker, unlink the old files.  A kill before
-        the flip leaves every source and the old marker intact, so the
-        next open migrates again; a kill after it leaves old files that
-        every v3 open deletes.  ``mid-format-migration`` fires just before
-        the flip and before each old file's unlink.
-        """
+        """First-open work under the lock: create the store if there is
+        none, drop leftovers, open the log; any other layout raises."""
         root = self._wal_root
         assert root is not None and self.path is not None
-        collections: dict[str, Collection] = {}
-        sources: list[Path] = []
-        for fmt in (wal.FORMAT_V2, wal.FORMAT_V1):
-            suffix = wal.SEGMENT_SUFFIXES[fmt]
-            for source in sorted(root.glob("*" + suffix)):
-                sources.append(source)
-                if unquote(source.name[: -len(suffix)]) not in collections:
-                    collection = _read_segment(source, fmt)
-                    collections[collection.name] = collection
-        imported = 0
-        if found is None and self.path.exists():
-            for collection in self._read_snapshot(self.path):
-                collections[collection.name] = collection
-                imported += 1
-        data, _ = _encode_state(
-            collections[name].dump() for name in sorted(collections)
-        )
-        if data:
-            _swap_in(root / wal.LOG_NAME, data)
-        else:  # nothing to carry over: the marker's swap makes the file durable
+        if not wal.check_format(root, self.path):
+            # The marker's swap makes the empty log durable too.
             (root / wal.LOG_NAME).write_bytes(b"")
-        if imported:
-            (root / _MIGRATED_MARKER).write_text(self.path.name + "\n")
-        wal.maybe_fault("mid-format-migration")
-        _swap_in(root / wal.FORMAT_MARKER, (wal.FORMAT_V3 + "\n").encode())
-        for source in sources:
-            wal.maybe_fault("mid-format-migration")
-            source.unlink()
-        if sources or imported:
-            _fsync_dir(root)
-            _log.warning(
-                "store: migrated %s under %s to %s (%d collection(s)%s)",
-                found or "a legacy snapshot", root, wal.FORMAT_V3,
-                len(collections),
-                "; snapshot kept until the first compaction" if imported else "",
-            )
+            _swap_in(root / wal.FORMAT_MARKER, (wal.FORMAT_V3 + "\n").encode())
+        # The temp file of a killed compaction: the log it would have
+        # replaced is complete.
+        for entry in os.listdir(root):
+            if entry.endswith(_TMP_SUFFIX):
+                (root / entry).unlink()
+        self._log = wal.CollectionLog(root / wal.LOG_NAME)
 
     def _apply(self, record: Mapping[str, Any]) -> int:
         """Apply one commit record whole; returns how many ops it held."""
@@ -520,10 +432,8 @@ class Database:
 
         With ``min_ratio`` the rewrite is kept only when the log is at
         least that many times the size of the live state it encodes, so
-        a caller can ask "compact if it pays".  The first compaction after
-        a snapshot import archives the snapshot: it is renamed to
-        ``<path>.pre-wal`` (never deleted).  Returns the log's size before
-        and the encoded live state's size, swapped in or not.
+        a caller can ask "compact if it pays".  Returns the log's size
+        before and the encoded live state's size, swapped in or not.
         """
         if self.engine != "wal":
             return {"before_bytes": 0, "after_bytes": 0, "compacted": False}
@@ -563,7 +473,6 @@ class Database:
                 # staged.
                 self._staged.clear()
                 log.adopt(len(data) + len(tail), records + log.records - ops)
-                self._archive_snapshot()
         finally:
             os.close(fd)
             if not result["compacted"]:
@@ -571,24 +480,7 @@ class Database:
         _COMPACTION_SECONDS.observe(time.perf_counter() - started)
         return result
 
-    def _archive_snapshot(self) -> None:
-        """Rename an imported legacy snapshot to ``<path>.pre-wal`` once
-        the first compaction made the log self-sufficient."""
-        assert self._wal_root is not None and self.path is not None
-        marker = self._wal_root / _MIGRATED_MARKER
-        if not marker.exists():
-            return
-        if self.path.exists():
-            archived = self.path.with_name(self.path.name + ".pre-wal")
-            os.replace(self.path, archived)
-            _log.warning(
-                "store: archived migrated legacy snapshot to %s after the "
-                "first compaction", archived,
-            )
-        marker.unlink()
-        _fsync_dir(self._wal_root)
-
-    # -- persistence (legacy snapshot format; export + migration) ---------------
+    # -- persistence (the legacy snapshot format, as an export) -----------------
 
     def save(self, path: str | Path | None = None) -> Path:
         """Export a JSON snapshot atomically *and durably*; returns the path.
@@ -596,7 +488,8 @@ class Database:
         A pure export: the WAL engine needs no snapshot for durability
         (every section's commit is fsync'd), and saving a memory database
         does not bind it to ``path``.  A snapshot at a store path with no
-        WAL beside it is imported on first open.  The temp file is fsync'd
+        WAL beside it opens only after ``repro store upgrade`` imports it.
+        The temp file is fsync'd
         before the rename and the directory after it, so the snapshot
         survives power loss, not just process death.
         """
@@ -625,39 +518,6 @@ class Database:
                 pass
             raise
         return target
-
-    def _read_snapshot(self, path: Path) -> list[Collection]:
-        """Load a legacy snapshot's collections, quarantining parse failures.
-
-        A snapshot that cannot be *parsed* is moved aside
-        (``<name>.corrupt-<ts>``) with a warning and the store starts from
-        scratch — a corrupt file must not brick startup.  A snapshot that
-        parses but declares an unknown format still raises: it may belong
-        to a newer version and silently quarantining it would destroy data
-        a newer binary could read.
-        """
-        try:
-            with open(path) as handle:
-                snapshot = json.load(handle)
-            if not isinstance(snapshot, dict):
-                raise json.JSONDecodeError("not an object", "", 0)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            quarantined = path.with_name(
-                f"{path.name}.corrupt-{int(time.time() * 1000)}"
-            )
-            os.replace(path, quarantined)
-            _log.warning(
-                "store: snapshot %s failed to parse; quarantined to %s and "
-                "starting from the last good state", path, quarantined,
-            )
-            return []
-        if snapshot.get("format") != "repro-store-v1":
-            raise ValueError(
-                f"unrecognised snapshot format in {path}: {snapshot.get('format')!r}"
-            )
-        return [
-            Collection.load(dump) for dump in snapshot.get("collections", [])
-        ]
 
     @classmethod
     def open(cls, path: str | Path) -> "Database":

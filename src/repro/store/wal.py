@@ -20,16 +20,10 @@ recovery quarantines and truncates.  A record is applied whole or not at
 all, so neither a restart nor a peer's lock-free refresh ever sees part
 of a section.
 
-The ``FORMAT`` marker names the directory's format:
-
-* ``repro-store-wal-v3`` (current): the one log of commit records above;
-* ``repro-store-wal-v2``: one log per collection, ``<name>.seg``, one
-  record per op, checksummed with ``zlib.crc32``;
-* ``repro-store-wal-v1``: the same per-collection layout as ``<name>.log``,
-  checksummed with CRC-32C (Castagnoli) in table-based pure Python.
-
-v1 and v2 files are only ever *read*, by the one-time migration on open
-(``Database._migrate``), each with the checksum its suffix names.
+The ``FORMAT`` marker names the directory's format; the runtime reads only
+``repro-store-wal-v3`` (:func:`check_format`), and ``repro store upgrade``
+(:mod:`repro.store.upgrade`, the one reader of v1's :func:`crc32c`)
+rewrites any other layout.
 
 Fault injection mirrors ``repro.jobs.durable``: ``REPRO_STORE_FAULT``
 names a crash point (:data:`FAULT_POINTS`) and the process hard-exits
@@ -58,17 +52,14 @@ __all__ = [
     "FAULT_EXIT_CODE",
     "FAULT_POINTS",
     "FORMAT_MARKER",
-    "FORMAT_V1",
-    "FORMAT_V2",
     "FORMAT_V3",
     "LOG_NAME",
-    "SEGMENT_SUFFIXES",
     "CollectionLog",
     "UnknownFormatError",
+    "check_format",
     "crc32c",
     "decode_records",
     "encode_record",
-    "format_checksum",
     "iter_records",
     "maybe_fault",
     "read_format",
@@ -85,8 +76,9 @@ FAULT_POINTS = (
     "mid-append",            # half a commit written; the tail is torn
     "pre-fsync",             # commit written, fsync never issued
     "mid-compaction-swap",   # new log written; old log never replaced
-    "mid-format-migration",  # v3 log written, marker not yet flipped; then
-                             # before each old file's unlink after the flip
+    "mid-format-migration",  # `repro store upgrade`: v3 log written, marker
+                             # not yet flipped; then before each old file's
+                             # unlink after the flip
 )
 
 #: Exit status for store fault exits (jobs faults use 70; keep them apart).
@@ -94,17 +86,10 @@ FAULT_EXIT_CODE = 71
 
 #: Marker file naming a WAL directory's record format.
 FORMAT_MARKER = "FORMAT"
-FORMAT_V1 = "repro-store-wal-v1"
-FORMAT_V2 = "repro-store-wal-v2"
 FORMAT_V3 = "repro-store-wal-v3"
-_FORMATS = (FORMAT_V1, FORMAT_V2, FORMAT_V3)
 
 #: The v3 store log's file name under ``<path>.wal/``.
 LOG_NAME = "journal"
-
-#: Per-collection log suffix of the formats before v3, oldest first.  Only
-#: the migration reader opens these files.
-SEGMENT_SUFFIXES = {FORMAT_V1: ".log", FORMAT_V2: ".seg"}
 
 Checksum = Callable[[bytes], int]
 
@@ -131,44 +116,33 @@ _FSYNC_SECONDS = get_registry().histogram(
 
 
 class UnknownFormatError(ValueError):
-    """A ``FORMAT`` marker this code cannot read (e.g. from a newer version)."""
-
-
-def format_checksum(fmt: str) -> Checksum:
-    """Record checksum of a format.
-
-    Resolved per call, so a wrapper installed on :func:`crc32c` by name
-    (a tracer) sees the v1 migration reader's calls.
-    """
-    if fmt in (FORMAT_V2, FORMAT_V3):
-        return zlib.crc32
-    if fmt == FORMAT_V1:
-        return crc32c
-    raise UnknownFormatError(f"unknown WAL format {fmt!r}")
+    """A store layout the runtime does not open: an older one (rewrite it
+    with ``repro store upgrade``) or a newer one."""
 
 
 def read_format(root: Path) -> str | None:
-    """The format a WAL directory's ``FORMAT`` marker names (``None`` if absent).
-
-    v1 wrote the marker in place, so an empty marker is a v1 first open
-    killed mid-write.  A value this code does not know raises: the store
-    may belong to a newer version, and replaying it with the wrong
-    checksum would truncate its log as torn.
-    """
-    marker = Path(root) / FORMAT_MARKER
+    """The text of a WAL directory's ``FORMAT`` marker (``None`` if absent)."""
     try:
-        fmt = marker.read_text(encoding="utf-8").strip() or FORMAT_V1
+        return (Path(root) / FORMAT_MARKER).read_text(encoding="utf-8").strip()
     except FileNotFoundError:
         return None
-    if fmt not in _FORMATS:
-        raise UnknownFormatError(
-            f"unrecognised WAL format in {marker}: {fmt!r} (this version "
-            f"reads {', '.join(_FORMATS)})"
-        )
-    return fmt
 
 
-# -- CRC-32C (Castagnoli), table-based: the v1 migration reader only -------------
+def check_format(root: Path, path: Path) -> bool:
+    """Whether a v3 store exists at ``path`` (``False``: none yet, neither a
+    marker in ``root`` nor a file at ``path``).  Any other layout raises
+    :class:`UnknownFormatError` naming ``repro store upgrade``; reads only."""
+    found = read_format(root)
+    if found == FORMAT_V3 or (found is None and not Path(path).exists()):
+        return found is not None
+    layout = f"marker {found!r}" if found is not None else f"a file at {path} and no marker"
+    raise UnknownFormatError(
+        f"unrecognised WAL format in {root}: {layout}; this version opens "
+        f"only {FORMAT_V3} (run `repro store upgrade --store {path}`)"
+    )
+
+
+# -- CRC-32C (Castagnoli), table-based: the v1 records `repro store upgrade` reads
 
 _CRC32C_POLY = 0x82F63B78  # reversed 0x1EDC6F41
 
@@ -284,7 +258,7 @@ def decode_records(
 def verify_log(path: str | Path, checksum: Checksum = zlib.crc32) -> dict[str, Any]:
     """Offline checksum walk of one log file (``repro store verify``).
 
-    ``records`` counts frames: commits in a v3 log, ops in a v1/v2 one.
+    ``records`` counts frames: commits in a v3 log, ops in an older one.
     """
     data = Path(path).read_bytes()
     records, valid_end, torn = decode_records(data, checksum=checksum)

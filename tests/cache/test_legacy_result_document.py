@@ -1,11 +1,13 @@
-"""A store holding a result in the legacy layout serves like a fresh mine.
+"""A store holding a result in the legacy layout, once upgraded, serves
+like a fresh mine.
 
 Stored results used to hold the ``to_document()`` CAP list; the cache now
-writes the columnar layout only.  ``fixtures/result_document_v1.json`` is a
+writes and reads the columnar layout only, and ``repro store upgrade``
+rewrites the old one.  ``fixtures/result_document_v1.json`` is a
 ``cap_results`` document as the last list-writing release stored it (its
 ``elapsed_seconds`` fixed).  Beside a freshly written columnar result, after
-a reopen, it must answer the same pages, CAP counts, ETags and admin body
-as a store where both results were mined fresh.
+the upgrade and a reopen, it must answer the same pages, CAP counts, ETags
+and admin body as a store where both results were mined fresh.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
+from repro.cache import ResultCache
 from repro.cache.keys import cache_key
 from repro.core.miner import MiscelaMiner
 from repro.core.parameters import MiningParameters
@@ -20,6 +25,7 @@ from repro.data.datasets import recommended_parameters
 from repro.data.synthetic import generate_santander
 from repro.server.app import TestClient, create_app
 from repro.store import Database
+from repro.store.upgrade import upgrade
 from tests.conftest import mine_v1, result_caps
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "result_document_v1.json"
@@ -50,10 +56,19 @@ def test_legacy_result_serves_beside_a_columnar_one_after_reopen(tmp_path):
     assert writer.upload_dataset(dataset(), chunk_lines=1000).status == 201
     writer_db.collection("cap_results").insert_one(legacy)
     assert mine_v1(writer, "santander", PARAMS).status == 201
+    # The runtime refuses the legacy layout, naming the command that rewrites it.
+    stored = Database(path).collection("cap_results").find()
+    assert [document["result"].get("encoding") for document in stored] == [None, 2]
+    with pytest.raises(ValueError, match="repro store upgrade --store"):
+        ResultCache.metadata(stored[0])
+    assert upgrade(path)["results"] == 1
 
     reader_db = Database(path)
     stored = reader_db.collection("cap_results").find()
-    assert [document["result"].get("encoding") for document in stored] == [None, 2]
+    assert [document["result"].get("encoding") for document in stored] == [2, 2]
+    assert [document["key"] for document in stored] == [
+        legacy["key"], cache_key("santander", MiningParameters.from_document(PARAMS))
+    ]
     reopened = TestClient(create_app(database=reader_db))
     fresh = TestClient(create_app())
     assert fresh.upload_dataset(dataset(), chunk_lines=1000).status == 201

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.miner import MiningResult, MiscelaMiner, NaiveMiner
 from repro.core.parameters import MiningParameters
+from repro.core.result_columns import result_to_columns
 
 
 class TestMiscelaMiner:
@@ -43,7 +44,7 @@ class TestMiningResult:
         assert result.correlated_sensors("c") == {"d"}
 
     def test_document_round_trip(self, result):
-        doc = result.to_document()
+        doc = result_to_columns(result)  # the stored layout
         restored = MiningResult.from_document(doc)
         assert restored.dataset_name == result.dataset_name
         assert restored.parameters == result.parameters

@@ -32,6 +32,7 @@ from repro.core.parallel import (
     resolve_jobs,
 )
 from repro.core.parameters import MiningParameters
+from repro.core.result_columns import result_to_columns
 from repro.core.search import search_all
 from repro.core.spatial import build_proximity_graph, connected_components
 from repro.core.types import EvolvingSet, Sensor, SensorDataset
@@ -425,7 +426,7 @@ class TestMiningResultIndex:
     def test_index_survives_document_round_trip(self):
         dataset = random_dataset(1)
         result = MiscelaMiner(base_params()).mine(dataset)
-        replayed = MiningResult.from_document(result.to_document())
+        replayed = MiningResult.from_document(result_to_columns(result))
         sid = next(iter(result.caps[0].sensor_ids))
         assert cap_fingerprint(replayed.caps_containing(sid)) == cap_fingerprint(
             result.caps_containing(sid)

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from repro.core.types import Sensor, SensorDataset
 from repro.data.documents import dataset_from_document, dataset_to_document
 from repro.data.synthetic import generate_covid19
+from repro.store import Database
+from repro.store.upgrade import upgrade
 from tests.conftest import legacy_dataset_document
 
 LEGACY_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "dataset_document_v1.json"
@@ -191,27 +193,50 @@ def test_offset_change_within_one_zone_keeps_its_iso_list():
 # -- the legacy layout -----------------------------------------------------------
 
 
-class TestLegacyLayout:
-    """Documents written before the binary layout still open unchanged."""
+def _upgraded(legacy: dict, tmp_path: Path) -> dict:
+    """``legacy`` stored as a dataset, then rewritten by ``repro store
+    upgrade``: the dataset document the store holds afterwards."""
+    path = tmp_path / "store.json"
+    Database(path).collection("datasets").insert_one(
+        {"name": legacy["name"], "dataset": legacy}
+    )
+    upgrade(path)
+    return _json_round_trip(
+        Database(path)["datasets"].find_one({"name": legacy["name"]})["dataset"]
+    )
 
-    def test_fixture_decodes_like_its_v2_re_encode(self):
+
+class TestLegacyLayout:
+    """Documents written before the binary layout are refused at runtime and
+    open unchanged after ``repro store upgrade``."""
+
+    def test_fixture_decodes_like_its_v2_re_encode(self, tmp_path):
         legacy = json.loads(LEGACY_FIXTURE.read_text())
         assert "encoding" not in legacy
-        dataset = dataset_from_document(legacy)
-        reencoded = _json_round_trip(dataset_to_document(dataset))
+        with pytest.raises(ValueError, match="repro store upgrade --store"):
+            dataset_from_document(legacy)
+        reencoded = _upgraded(legacy, tmp_path)
         assert reencoded["encoding"] == 2
-        assert_bit_identical(dataset_from_document(reencoded), dataset)
+        dataset = dataset_from_document(reencoded)
+        assert reencoded == _json_round_trip(dataset_to_document(dataset))
+        assert_bit_identical(
+            dataset_from_document(_json_round_trip(dataset_to_document(dataset))), dataset
+        )
         assert legacy_dataset_document(dataset) == legacy
 
-    def test_fixture_keeps_its_special_values(self):
-        dataset = dataset_from_document(json.loads(LEGACY_FIXTURE.read_text()))
+    def test_fixture_keeps_its_special_values(self, tmp_path):
+        dataset = dataset_from_document(
+            _upgraded(json.loads(LEGACY_FIXTURE.read_text()), tmp_path)
+        )
         assert np.signbit(dataset.values("s0")[4]) and dataset.values("s0")[4] == 0.0
         assert dataset.values("s1")[1] == np.inf and dataset.values("s2")[3] == -np.inf
         assert np.isnan(dataset.values("s1")[3:5]).all()
         assert dataset.attributes == ("temperature", "traffic_volume", "humidity", "noise")
 
-    def test_generated_dataset_opens_from_either_layout(self):
+    def test_generated_dataset_opens_from_either_layout(self, tmp_path):
         ds = generate_covid19(seed=0, steps=50)
-        legacy = dataset_from_document(_json_round_trip(legacy_dataset_document(ds)))
+        legacy = dataset_from_document(
+            _upgraded(_json_round_trip(legacy_dataset_document(ds)), tmp_path)
+        )
         binary = dataset_from_document(_json_round_trip(dataset_to_document(ds)))
         assert_bit_identical(binary, legacy)

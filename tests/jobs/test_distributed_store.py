@@ -31,6 +31,7 @@ from repro.data.datasets import recommended_parameters
 from repro.data.synthetic import generate_china6
 from repro.jobs.planner import execute_units, merge_outputs, plan_mine
 from repro.store.database import Database
+from repro.store.upgrade import upgrade
 
 KEY = "a" * 64
 PARAMS = {"min_support": 5}
@@ -156,11 +157,14 @@ class TestPlanning:
 
 
 class TestStoredPlanCompatibility:
-    def test_sub_jobs_stored_with_mode_and_horizon_still_run_and_merge(self, store):
+    def test_sub_jobs_stored_with_mode_and_horizon_still_run_and_merge(
+        self, store, store_path
+    ):
         """Older releases stored the search mode and timeline horizon on a
         distributed parent and each of its sub-jobs.  The search now reads
-        both off the parameters; a plan stored the old way must still
-        execute and merge to the CAP pages of a direct mine."""
+        both off the parameters; ``repro store upgrade`` strips them, and a
+        plan stored the old way must still execute and merge to the CAP
+        pages of a direct mine."""
         dataset = generate_china6(seed=1, steps=120)
         params = recommended_parameters("china6").with_updates(max_delay=2)
         job, _ = store.open_job(
@@ -179,6 +183,9 @@ class TestStoredPlanCompatibility:
         ):
             jobs.update_one({"job_id": document["job_id"]}, legacy)
         assert store._doc(f"{job.job_id}-merge")["mode"] == "delayed"
+        assert upgrade(store_path)["jobs"] == len(plan.shards) + 2
+        store.refresh()
+        assert not [doc for doc in jobs.find() if "mode" in doc or "horizon" in doc]
 
         for _ in plan.shards:
             shard = store.claim_next()

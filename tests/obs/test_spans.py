@@ -18,6 +18,7 @@ from repro.jobs.durable import SPAN_LIMIT
 from repro.obs.trace import trace_tree
 from repro.store import thaw
 from repro.store.database import Database
+from repro.store.upgrade import upgrade
 
 KEY = "a" * 64
 PUBLIC_KEYS = {
@@ -261,7 +262,7 @@ def test_a_job_keeps_only_its_newest_spans(store):
 # -- stores written before spans rode the job document ----------------------------
 
 
-def test_legacy_spans_collection_is_dropped_on_open(tmp_path, clock):
+def test_legacy_spans_collection_is_dropped_by_upgrade(tmp_path, clock):
     path = tmp_path / "store.json"
     store = make_store(clock, Database(path))
     job = submit(store, trace_id="t1")
@@ -286,6 +287,11 @@ def test_legacy_spans_collection_is_dropped_on_open(tmp_path, clock):
     database = Database(path)
     assert "spans" in database
     before = database.stats()["wal"]["records"]
+    # The registry no longer looks for it: opening one writes nothing.
+    make_store(clock, database)
+    assert database.stats()["wal"]["records"] == before
+    assert upgrade(path)["spans"] == 1
+    database = Database(path)
     reopened = make_store(clock, database)
     assert database.stats()["wal"]["records"] == before + 1  # one ["drop"]
     assert "spans" not in database

@@ -1,10 +1,11 @@
-"""A store written in the legacy dataset layout serves like a fresh upload.
+"""A store written in the legacy dataset layout, once upgraded, serves like
+a fresh upload.
 
 Dataset documents used to hold one JSON float or ``null`` per reading and
-one ISO string per timestamp.  The server now writes the binary layout
-only, but a store holding the old layout must open unchanged: its dataset
-reads and mines answer byte for byte what a fresh upload of the same
-dataset answers.
+one ISO string per timestamp.  The server now writes and reads the binary
+layout only, and ``repro store upgrade`` rewrites the old one: after it,
+the store's dataset reads and mines answer byte for byte what a fresh
+upload of the same dataset answers.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from repro.data.datasets import recommended_parameters
 from repro.data.synthetic import generate_santander
 from repro.server.app import TestClient, create_app
 from repro.store import Database
+from repro.store.upgrade import upgrade
 from tests.conftest import legacy_dataset_document, mine_v1
 
 API = "/api/v1"
@@ -27,6 +29,7 @@ def test_legacy_store_reads_and_mines_like_a_fresh_upload(tmp_path):
     Database(path).collection("datasets").insert_one(
         {"name": dataset.name, "dataset": legacy_dataset_document(dataset)}
     )
+    assert upgrade(path)["datasets"] == 1
 
     legacy = TestClient(create_app(Database(path)))
     fresh = TestClient(create_app())

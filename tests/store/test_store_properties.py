@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.store import thaw, wal
+from repro.store import thaw, upgrade, wal
 from repro.store.collection import Collection
 from repro.store.database import Database
 
@@ -326,13 +326,14 @@ def test_random_ops_read_back_the_model_and_stay_read_only(initial, ops):
 
 # -- WAL torn-tail recovery ----------------------------------------------------
 
-#: Every record format the store reads: v3 is written, v1 and v2 migrate.
-FORMATS = (wal.FORMAT_V1, wal.FORMAT_V2, wal.FORMAT_V3)
+#: Every record format: v3 is written and read, v1 and v2 are read by
+#: ``repro store upgrade``.
+FORMATS = (upgrade.FORMAT_V1, upgrade.FORMAT_V2, wal.FORMAT_V3)
 
 
-def _record_stream(records, fmt=wal.FORMAT_V2):
+def _record_stream(records, fmt=upgrade.FORMAT_V2):
     """Encode ``records`` back-to-back; returns (bytes, record boundaries)."""
-    checksum = wal.format_checksum(fmt)
+    checksum = upgrade.format_checksum(fmt)
     buffer = b""
     boundaries = [0]
     for record in records:
@@ -352,7 +353,7 @@ def test_truncation_at_every_byte_offset_recovers_exact_prefix():
     whole records before the cut, flags a torn tail iff the cut is
     mid-record."""
     for fmt in FORMATS:
-        checksum = wal.format_checksum(fmt)
+        checksum = upgrade.format_checksum(fmt)
         buffer, boundaries = _record_stream(_TAIL_RECORDS, fmt)
         for cut in range(len(buffer) + 1):
             recovered, valid_end, torn = wal.decode_records(
@@ -369,7 +370,7 @@ def test_bit_flip_at_every_byte_offset_never_yields_a_wrong_record():
     must stop replay at the corrupted record's boundary — corruption never
     decodes as data."""
     for fmt in FORMATS:
-        checksum = wal.format_checksum(fmt)
+        checksum = upgrade.format_checksum(fmt)
         buffer, boundaries = _record_stream(_TAIL_RECORDS, fmt)
         for position in range(len(buffer)):
             corrupted = bytearray(buffer)
@@ -389,7 +390,7 @@ def test_database_reopen_after_truncation_at_every_offset(tmp_path):
     """End-to-end: truncate the log at every offset, reopen, and the store
     must equal the replay of the surviving prefix of whole sections — a
     section spanning two collections lands in both or in neither.  A v1
-    or v2 per-collection log cut anywhere migrates to a v3 log holding
+    or v2 per-collection log cut anywhere upgrades to a v3 log holding
     exactly that log's surviving prefix."""
     path = tmp_path / "store.json"
     database = Database(path)
@@ -450,13 +451,14 @@ def test_database_reopen_after_truncation_at_every_offset(tmp_path):
         else {"op": "index", "path": op[1], "kind": op[2]}
         for op in ops
     ]
-    for fmt in (wal.FORMAT_V1, wal.FORMAT_V2):
+    for fmt in (upgrade.FORMAT_V1, upgrade.FORMAT_V2):
         pristine, offsets = _record_stream(v2_records, fmt)
-        log_name = "caps" + wal.SEGMENT_SUFFIXES[fmt]
+        log_name = "caps" + upgrade.SEGMENT_SUFFIXES[fmt]
         for cut in range(len(pristine) + 1):
             target = cut_root()
             (target / "FORMAT").write_text(fmt + "\n")
             (target / log_name).write_bytes(pristine[:cut])
+            upgrade.upgrade(tmp_path / "cut" / "store.json")
             reopened = Database(tmp_path / "cut" / "store.json")
             whole = bisect_right(offsets, cut) - 1
             expected = Collection("caps")

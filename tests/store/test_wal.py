@@ -4,8 +4,8 @@ Complements ``test_store_properties.py`` (torn-tail exactness) and
 ``test_wal_faults.py`` (crash-point matrix): this file covers the
 deterministic contracts — the versioned record checksums, one commit
 record per critical section, what each op replays to, how two Database
-instances sharing one path observe each other, and that legacy snapshots
-migrate without being destroyed.
+instances sharing one path observe each other, and that ``repro store
+upgrade`` imports a legacy snapshot without destroying it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import zlib
 
 import pytest
 
-from repro.store import wal
+from repro.store import upgrade, wal
 from repro.store.compaction import CompactionThread, needs_compaction
 from repro.store.database import Database
 
@@ -32,11 +32,11 @@ def test_crc32c_reference_vector():
 
 def test_format_checksums():
     # v2 and v3 are stdlib CRC-32 (check value 0xCBF43926); v1 is CRC-32C.
-    assert wal.format_checksum(wal.FORMAT_V3)(b"123456789") == 0xCBF43926
-    assert wal.format_checksum(wal.FORMAT_V2)(b"123456789") == 0xCBF43926
-    assert wal.format_checksum(wal.FORMAT_V1)(b"123456789") == 0xE3069283
+    assert upgrade.format_checksum(wal.FORMAT_V3)(b"123456789") == 0xCBF43926
+    assert upgrade.format_checksum(upgrade.FORMAT_V2)(b"123456789") == 0xCBF43926
+    assert upgrade.format_checksum(upgrade.FORMAT_V1)(b"123456789") == 0xE3069283
     with pytest.raises(wal.UnknownFormatError):
-        wal.format_checksum("repro-store-wal-v999")
+        upgrade.format_checksum("repro-store-wal-v999")
 
 
 def test_records_only_decode_under_their_own_checksum():
@@ -115,13 +115,14 @@ def test_tombstones_pin_the_id_space(tmp_path):
 
 def test_clear_is_one_record(tmp_path):
     """Logs written by earlier builds may hold a ``clear`` record; the
-    migration still empties the collection (and keeps its ids burned)."""
+    upgrade still empties the collection (and keeps its ids burned)."""
     root = tmp_path / "store.json.wal"
     root.mkdir()
     records = [{"op": "put", "doc": {"_id": i, "i": i}} for i in range(1, 6)]
     records.append({"op": "clear"})
     (root / "caps.seg").write_bytes(b"".join(map(wal.encode_record, records)))
-    (root / "FORMAT").write_text(wal.FORMAT_V2 + "\n")
+    (root / "FORMAT").write_text(upgrade.FORMAT_V2 + "\n")
+    upgrade.upgrade(tmp_path / "store.json")
     reopened = Database(tmp_path / "store.json")
     assert reopened["caps"].find() == []
     assert reopened["caps"].insert_one({"i": 6}) == 6
@@ -313,7 +314,7 @@ def test_after_commit_runs_once_the_section_is_durable(tmp_path):
     assert seen == [1, "now"]
 
 
-# -- migration -----------------------------------------------------------------
+# -- snapshot import (repro store upgrade) -------------------------------------
 
 
 def _legacy_store(tmp_path, documents):
@@ -331,37 +332,45 @@ def test_migration_round_trip_preserves_contents(tmp_path):
     path, legacy = _legacy_store(tmp_path, documents)
     original = path.read_bytes()
 
-    migrated = Database(path)  # migrates on first open
+    upgrade.upgrade(path)
+    migrated = Database(path)
     assert migrated["caps"].find() == legacy["caps"].find()
     assert migrated["caps"].find({"i": 2}) == legacy["caps"].find({"i": 2})
-    # Satellite: the original snapshot is byte-untouched until compaction.
-    assert path.read_bytes() == original
-    assert (tmp_path / "store.json.wal" / "MIGRATED").exists()
+    # The original snapshot survives byte for byte, archived.
+    assert (tmp_path / "store.json.pre-wal").read_bytes() == original
+    assert not (tmp_path / "store.json.wal" / "MIGRATED").exists()
 
 
 def test_migration_happens_once(tmp_path):
     path, _legacy = _legacy_store(tmp_path, [{"i": 1}])
+    upgrade.upgrade(path)
     Database(path)["caps"].insert_one({"i": 2})
-    # A second open must replay the WAL, not re-import the snapshot
-    # (which would resurrect pre-WAL state and duplicate documents).
+    # A second upgrade and open must replay the WAL, not re-import the
+    # snapshot (which would resurrect pre-WAL state and duplicate documents).
+    upgrade.upgrade(path)
     reopened = Database(path)
     assert reopened["caps"].count() == 2
 
 
-def test_first_compaction_archives_the_snapshot(tmp_path):
+def test_upgrade_archives_the_snapshot(tmp_path):
     path, _legacy = _legacy_store(tmp_path, [{"i": 1}])
-    db = Database(path)
     original = path.read_bytes()
-    db.compact()
+    upgrade.upgrade(path)
     assert not path.exists()
     assert (tmp_path / "store.json.pre-wal").read_bytes() == original
-    # The store reopens from WAL segments alone.
+    # The store reopens, and compacts, from the WAL alone.
+    db = Database(path)
+    db.compact()
     assert Database(path)["caps"].count() == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "store.json.pre-wal", "store.json.wal",
+    ]
 
 
 def test_corrupt_snapshot_is_quarantined_not_fatal(tmp_path):
     path = tmp_path / "store.json"
     path.write_text("{not json", encoding="utf-8")
+    upgrade.upgrade(path)
     db = Database(path)
     assert db["caps"].count() == 0
     quarantined = list(tmp_path.glob("store.json.corrupt-*"))
@@ -374,6 +383,8 @@ def test_unrecognised_format_still_raises(tmp_path):
     path.write_text(json.dumps({"format": "repro-store-v999", "collections": {}}))
     with pytest.raises(ValueError, match="unrecognised"):
         Database(path)
+    with pytest.raises(ValueError, match="unrecognised snapshot format"):
+        upgrade.upgrade(path)
 
 
 # -- torn-tail quarantine ------------------------------------------------------

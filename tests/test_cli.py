@@ -242,22 +242,41 @@ class TestStore:
         assert main(["store", "verify", "--store", str(path)]) == 1
         assert "[TORN]" in capsys.readouterr().out
 
-    def test_verify_v1_store_with_its_own_checksum(self, tmp_path, capsys):
+    def test_verify_refuses_an_older_layout_naming_upgrade(self, tmp_path, capsys):
         path = self._v1_store(tmp_path)
+        with pytest.raises(SystemExit, match="repro-store-wal-v1") as raised:
+            main(["store", "verify", "--store", str(path)])
+        assert raised.value.code != 0
+        assert "repro store upgrade --store" in str(raised.value.code)
+        # Verifying is read-only: the store is not upgraded.
+        assert not (tmp_path / "store.json.wal" / "journal").exists()
+        assert main(["store", "upgrade", "--store", str(path)]) == 0
+        capsys.readouterr()
         assert main(["store", "verify", "--store", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "format: repro-store-wal-v1" in out
-        assert "caps.log" in out and "[TORN]" not in out
-        # Verifying is read-only: the store is not migrated.
-        assert not (tmp_path / "store.json.wal" / "journal").exists()
+        assert "format: repro-store-wal-v3" in out and "[ok]" in out
 
-    def test_verify_flags_torn_v1_tail(self, tmp_path, capsys):
+    def test_upgrade_quarantines_a_torn_v1_tail(self, tmp_path, capsys):
         path = self._v1_store(tmp_path)
         with open(tmp_path / "store.json.wal" / "jobs.log", "ab") as handle:
             handle.write(b"\x01torn")
-        assert main(["store", "verify", "--store", str(path)]) == 1
+        assert main(["store", "upgrade", "--store", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "jobs.log" in out and "[TORN]" in out
+        assert "repro-store-wal-v1 -> repro-store-wal-v3" in out
+        sidecars = list((tmp_path / "store.json.wal").glob("jobs.log.corrupt-*"))
+        assert [p.read_bytes() for p in sidecars] == [b"\x01torn"]
+        assert main(["store", "verify", "--store", str(path)]) == 0
+        assert "[TORN]" not in capsys.readouterr().out
+
+    def test_upgrade_of_a_current_store_changes_nothing(self, tmp_path, capsys):
+        path = self._seed_store(tmp_path)
+        root = tmp_path / "store.json.wal"
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        assert main(["store", "upgrade", "--store", str(path)]) == 0
+        assert "0 dataset(s), 0 result(s), 0 job(s); dropped 0 span(s)" in (
+            capsys.readouterr().out
+        )
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
 
     def test_verify_refuses_unknown_format(self, tmp_path):
         path = self._seed_store(tmp_path)
@@ -276,5 +295,7 @@ class TestStore:
         assert [d["i"] for d in Database(path)["caps"].find()] == [3, 4]
 
     def test_missing_store_exits(self, tmp_path):
-        with pytest.raises(SystemExit, match="no store"):
-            main(["store", "verify", "--store", str(tmp_path / "absent.json")])
+        for command in ("verify", "upgrade"):
+            with pytest.raises(SystemExit, match="no store"):
+                main(["store", command, "--store", str(tmp_path / "absent.json")])
+        assert list(tmp_path.iterdir()) == []

@@ -21,6 +21,7 @@ from repro.data.datasets import recommended_parameters
 from repro.data.synthetic import generate_santander
 from repro.server.app import TestClient, create_app
 from repro.store.database import Database
+from repro.store.upgrade import upgrade
 from tests.conftest import make_timeline, step_series
 
 
@@ -33,8 +34,9 @@ class TestStoreCorruption:
         # Truncate the file mid-JSON.
         raw = path.read_text()
         path.write_text(raw[: len(raw) // 2])
-        # Graceful degradation: the first-open import quarantines the bad
+        # Graceful degradation: the upgrade's import quarantines the bad
         # file instead of refusing to start.
+        upgrade(path)
         reopened = Database.open(path)
         assert reopened["x"].count() == 0
         quarantined = [p for p in tmp_path.iterdir() if ".corrupt-" in p.name]
