@@ -591,46 +591,48 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # Wait for the workers: running jobs cancel at their next checkpoint
         # (every acknowledged write is already fsync'd to the WAL).
         app.close(wait=True)
+        app.state.database.close()
     return 0
 
 
 def cmd_jobs(args: argparse.Namespace) -> int:
     from .jobs import DurableJobStore
 
-    store = DurableJobStore(
-        _open_store_database(args.store),
-        lease_seconds=getattr(args, "lease_seconds", 30.0),
-        worker_id="cli-recover",
-    )
-    if args.jobs_command == "recover":
-        summary = store.recover()
-        for field in ("requeued", "republished", "missing_results",
-                      "dead_lettered", "queued"):
-            print(f"{field}: {len(summary[field])}"
-                  + (f" ({', '.join(summary[field])})" if summary[field] else ""))
+    with _open_store_database(args.store) as database:
+        store = DurableJobStore(
+            database,
+            lease_seconds=getattr(args, "lease_seconds", 30.0),
+            worker_id="cli-recover",
+        )
+        if args.jobs_command == "recover":
+            summary = store.recover()
+            for field in ("requeued", "republished", "missing_results",
+                          "dead_lettered", "queued"):
+                print(f"{field}: {len(summary[field])}"
+                      + (f" ({', '.join(summary[field])})" if summary[field] else ""))
+            return 0
+        if args.jobs_command == "redrive":
+            revived = store.redrive(args.job_ids or None)
+            if not revived:
+                print("nothing to redrive (no matching dead letters)")
+            for job_id in revived:
+                print(f"redriven: {job_id}")
+            return 0
+        jobs = store.list(args.status)
+        _print_table(
+            [
+                {
+                    "job_id": job.job_id,
+                    "state": job.state,
+                    "dataset": job.dataset,
+                    "progress": f"{job.progress:.0%}",
+                    "attempt": job.attempt,
+                    "worker": job.worker_id or "-",
+                }
+                for job in jobs
+            ]
+        )
         return 0
-    if args.jobs_command == "redrive":
-        revived = store.redrive(args.job_ids or None)
-        if not revived:
-            print("nothing to redrive (no matching dead letters)")
-        for job_id in revived:
-            print(f"redriven: {job_id}")
-        return 0
-    jobs = store.list(args.status)
-    _print_table(
-        [
-            {
-                "job_id": job.job_id,
-                "state": job.state,
-                "dataset": job.dataset,
-                "progress": f"{job.progress:.0%}",
-                "attempt": job.attempt,
-                "worker": job.worker_id or "-",
-            }
-            for job in jobs
-        ]
-    )
-    return 0
 
 
 def _wal_root(path: Path) -> Path:
@@ -645,7 +647,8 @@ def cmd_store(args: argparse.Namespace) -> int:
     root = _wal_root(path)
 
     if args.store_command == "compact":
-        result = _open_store_database(args.store).compact()
+        with _open_store_database(args.store) as database:
+            result = database.compact()
         if not result["compacted"]:
             print(f"{wal.LOG_NAME}: not compacted (another process rewrote it first)")
             return 0
@@ -663,6 +666,8 @@ def cmd_store(args: argparse.Namespace) -> int:
         print(f"format: {report['format'] or 'legacy snapshot'} -> {wal.FORMAT_V3}")
         print(f"rewritten: {report['datasets']} dataset(s), {report['results']} "
               f"result(s), {report['jobs']} job(s); dropped {report['spans']} span(s)")
+        print(f"rewritten: {report['shard_outputs']} shard output(s), "
+              f"{report['watermarks']} stream checkpoint(s), {report['alerts']} alert(s)")
         return 0
 
     # verify: offline checksum walk of the v3 log, no locks taken, nothing
@@ -681,16 +686,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .jobs import DurableJobStore
     from .obs.trace import render_waterfall, trace_tree
 
-    store = DurableJobStore(_open_store_database(args.store), worker_id="cli-trace")
-    try:
-        tree = trace_tree(store, args.job_id)
-    except KeyError:
-        raise SystemExit(f"unknown job {args.job_id!r} in {args.store}")
-    if args.as_json:
-        print(json.dumps(tree, indent=2, sort_keys=True))
-    else:
-        print(render_waterfall(tree, width=max(20, args.width)))
-    return 0
+    with _open_store_database(args.store) as database:
+        store = DurableJobStore(database, worker_id="cli-trace")
+        try:
+            tree = trace_tree(store, args.job_id)
+        except KeyError:
+            raise SystemExit(f"unknown job {args.job_id!r} in {args.store}")
+        if args.as_json:
+            print(json.dumps(tree, indent=2, sort_keys=True))
+        else:
+            print(render_waterfall(tree, width=max(20, args.width)))
+        return 0
 
 
 def _open_store_database(store: str):
@@ -705,52 +711,54 @@ def _open_store_database(store: str):
 def cmd_stream(args: argparse.Namespace) -> int:
     from .stream import first_live_seq, latest_seq, read_events
 
-    database = _open_store_database(args.store)
-    limit = max(1, args.limit)
-    newest = latest_seq(database, args.dataset)
-    cursor = args.cursor if args.cursor is not None else max(0, newest - limit)
-    first_live = first_live_seq(database, args.dataset)
-    if cursor < first_live - 1:
-        # Offline equivalent of the API's 410: the prefix was folded into
-        # the feed snapshot, so resume from the horizon instead of
-        # printing a silently-incomplete tail.
-        print(f"cursor {cursor} predates the retention horizon; events below "
-              f"seq {first_live} are folded into the feed snapshot "
-              f"(GET /api/v1/datasets/{args.dataset}/events/snapshot) — "
-              f"resuming from {first_live - 1}")
-        cursor = first_live - 1
-    events = read_events(database, args.dataset, cursor=cursor, limit=limit)
-    if args.as_json:
-        for event in events:
-            print(json.dumps(event, sort_keys=True))
+    with _open_store_database(args.store) as database:
+        limit = max(1, args.limit)
+        newest = latest_seq(database, args.dataset)
+        cursor = args.cursor if args.cursor is not None else max(0, newest - limit)
+        first_live = first_live_seq(database, args.dataset)
+        if cursor < first_live - 1:
+            # Offline equivalent of the API's 410: the prefix was folded into
+            # the feed snapshot, so resume from the horizon instead of
+            # printing a silently-incomplete tail.
+            print(f"cursor {cursor} predates the retention horizon; events below "
+                  f"seq {first_live} are folded into the feed snapshot "
+                  f"(GET /api/v1/datasets/{args.dataset}/events/snapshot) — "
+                  f"resuming from {first_live - 1}")
+            cursor = first_live - 1
+        events = read_events(database, args.dataset, cursor=cursor, limit=limit)
+        if args.as_json:
+            for event in events:
+                print(json.dumps(event, sort_keys=True))
+            return 0
+        if not events:
+            print(f"no events after cursor {cursor} "
+                  f"(feed for {args.dataset!r} is at seq {newest})")
+            return 0
+        _print_table(
+            [
+                {
+                    "seq": event["seq"],
+                    "epoch": event["epoch"],
+                    "type": event["type"],
+                    "sensors": ",".join(event["cap"].get("sensors", [])),
+                    "attributes": ",".join(event["cap"].get("attributes", [])),
+                    "support": event["cap"].get("support", "-"),
+                }
+                for event in events
+            ]
+        )
+        print(f"cursor: {events[-1]['seq']} (pass --cursor to resume)")
         return 0
-    if not events:
-        print(f"no events after cursor {cursor} "
-              f"(feed for {args.dataset!r} is at seq {newest})")
-        return 0
-    _print_table(
-        [
-            {
-                "seq": event["seq"],
-                "epoch": event["epoch"],
-                "type": event["type"],
-                "sensors": ",".join(event["cap"].get("sensors", [])),
-                "attributes": ",".join(event["cap"].get("attributes", [])),
-                "support": event["cap"].get("support", "-"),
-            }
-            for event in events
-        ]
-    )
-    print(f"cursor: {events[-1]['seq']} (pass --cursor to resume)")
-    return 0
 
 
 def cmd_alerts(args: argparse.Namespace) -> int:
-    database = _open_store_database(args.store)
-    rows = database.collection("alerts").find({"dataset": args.dataset}, sort="seq")
-    if args.rule:
-        rows = [row for row in rows if row.get("rule_id") == args.rule]
-    documents = [{k: v for k, v in row.items() if k != "_id"} for row in rows]
+    from .stream import ALERTS, render_alerts
+
+    with _open_store_database(args.store) as database:
+        rows = database.collection(ALERTS).find({"dataset": args.dataset}, sort="seq")
+        if args.rule:
+            rows = [row for row in rows if row.get("rule_id") == args.rule]
+        documents = render_alerts(database, args.dataset, rows)
     if args.as_json:
         for document in documents:
             print(json.dumps(document, sort_keys=True))

@@ -28,6 +28,12 @@ of 256 to 65,536 steps and ``<u4`` past that.  Wider unsigned words are
 never needed, and the CI lint "One bitmap representation" forbids numpy's
 64-bit unsigned dtype name under ``src/``.
 
+The column helpers are shared: :func:`pack_column`/:func:`unpack_column`
+also write the stream miner's checkpoint
+(:func:`repro.core.streaming.pack_checkpoint`), and
+:func:`encode_floats`/:func:`decode_floats` its last values and every
+stored dataset series (:mod:`repro.data.documents`).
+
 Decoding rebuilds CAPs whose ``to_document()`` equals the original's.  It
 reads this layout only: any other document (the legacy ``to_document()``
 CAP list has no ``"encoding"``) raises a ``ValueError`` naming
@@ -47,7 +53,14 @@ from .types import CAP
 if TYPE_CHECKING:  # pragma: no cover - the miner imports this module
     from .miner import MiningResult
 
-__all__ = ["caps_from_columns", "result_to_columns"]
+__all__ = [
+    "caps_from_columns",
+    "decode_floats",
+    "encode_floats",
+    "pack_column",
+    "result_to_columns",
+    "unpack_column",
+]
 
 ENCODING = 2
 
@@ -75,18 +88,18 @@ def result_to_columns(result: "MiningResult") -> dict[str, Any]:
         "num_caps": len(caps),
         "sensors": sensors,
         "attributes": attributes,
-        "sensor_counts": _pack([len(cap.sensor_ids) for cap in caps]),
-        "sensor_codes": _pack(_codes(sensor_names, sensors)),
-        "attribute_counts": _pack([len(cap.attributes) for cap in caps]),
-        "attribute_codes": _pack(_codes(attribute_names, attributes)),
-        "supports": _pack([cap.support for cap in caps]),
-        "indexed": _pack([1 if cap.evolving_indices else 0 for cap in caps]),
-        "indices": _pack(indices),
+        "sensor_counts": pack_column([len(cap.sensor_ids) for cap in caps]),
+        "sensor_codes": pack_column(_codes(sensor_names, sensors)),
+        "attribute_counts": pack_column([len(cap.attributes) for cap in caps]),
+        "attribute_codes": pack_column(_codes(attribute_names, attributes)),
+        "supports": pack_column([cap.support for cap in caps]),
+        "indexed": pack_column([1 if cap.evolving_indices else 0 for cap in caps]),
+        "indices": pack_column(indices),
     }
     if delay_names:
-        document["delay_counts"] = _pack([len(items) for items in delays])
-        document["delay_codes"] = _pack(_codes(delay_names, sensors))
-        document["delay_values"] = _pack(
+        document["delay_counts"] = pack_column([len(items) for items in delays])
+        document["delay_codes"] = pack_column(_codes(delay_names, sensors))
+        document["delay_values"] = pack_column(
             [delay for items in delays for _, delay in items], _SIGNED
         )
     return document
@@ -104,25 +117,25 @@ def caps_from_columns(doc: Mapping[str, Any]) -> list[CAP]:
     require_encoding(doc)
     sensors, attributes = doc["sensors"], doc["attributes"]
     sensor_sets = _groups(
-        [sensors[code] for code in _unpack(doc["sensor_codes"])],
-        _unpack(doc["sensor_counts"]),
+        [sensors[code] for code in unpack_column(doc["sensor_codes"])],
+        unpack_column(doc["sensor_counts"]),
         frozenset,
     )
     attribute_sets = _groups(
-        [attributes[code] for code in _unpack(doc["attribute_codes"])],
-        _unpack(doc["attribute_counts"]),
+        [attributes[code] for code in unpack_column(doc["attribute_codes"])],
+        unpack_column(doc["attribute_counts"]),
         frozenset,
     )
-    supports = _unpack(doc["supports"])
-    index_counts = [s if flag else 0 for s, flag in zip(supports, _unpack(doc["indexed"]))]
-    indices = _groups(_unpack(doc["indices"]), index_counts, tuple)
+    supports = unpack_column(doc["supports"])
+    index_counts = [s if flag else 0 for s, flag in zip(supports, unpack_column(doc["indexed"]))]
+    indices = _groups(unpack_column(doc["indices"]), index_counts, tuple)
     if "delay_counts" in doc:
         items = zip(
-            [sensors[code] for code in _unpack(doc["delay_codes"])],
-            _unpack(doc["delay_values"]),
+            [sensors[code] for code in unpack_column(doc["delay_codes"])],
+            unpack_column(doc["delay_values"]),
         )
         delays: Iterable[dict[str, int]] = _groups(
-            list(items), _unpack(doc["delay_counts"]), dict
+            list(items), unpack_column(doc["delay_counts"]), dict
         )
     else:
         delays = repeat({})  # CAP copies its delays, so one empty dict serves all
@@ -140,9 +153,12 @@ def _codes(names: list[str], table: list[str]) -> list[int]:
     return list(map(position.__getitem__, names))
 
 
-def _pack(values: Sequence[int], widths: Sequence[str] = _UNSIGNED) -> dict[str, str]:
+def pack_column(values: Sequence[int], widths: Sequence[str] = _UNSIGNED) -> dict[str, str]:
     """``values`` as base64 in the narrowest of ``widths`` that holds them."""
-    column = np.fromiter(values, dtype=np.int64, count=len(values))
+    if isinstance(values, np.ndarray):
+        column = values.astype(np.int64, copy=False)
+    else:  # fromiter beats asarray on a list of ints
+        column = np.fromiter(values, dtype=np.int64, count=len(values))
     lo, hi = (int(column.min()), int(column.max())) if len(column) else (0, 0)
     for dtype in widths:
         info = np.iinfo(dtype)
@@ -152,6 +168,32 @@ def _pack(values: Sequence[int], widths: Sequence[str] = _UNSIGNED) -> dict[str,
     raise ValueError(f"values in [{lo}, {hi}] do not fit a {widths[-1]} column")
 
 
-def _unpack(column: Mapping[str, str]) -> list[int]:
+def unpack_column(column: Mapping[str, str]) -> list[int]:
+    """The integers of a :func:`pack_column` column."""
     data = base64.b64decode(column["data"])
     return np.frombuffer(data, dtype=np.dtype(column["dtype"])).tolist()
+
+
+#: The standard quiet NaN (0x7ff8000000000000) every NaN is written as.
+_QUIET_NAN = np.array([0x7FF8_0000_0000_0000], dtype="<u8").view("<f8")[0]
+
+
+def encode_floats(values: np.ndarray) -> str:
+    """Base64 of ``values`` as little-endian ``float64``.
+
+    Every NaN is written as the standard quiet NaN, so the bytes depend only
+    on which values are missing; finite values, ±inf and −0.0 round-trip
+    bit for bit.
+    """
+    column = np.ascontiguousarray(values, dtype="<f8")
+    missing = np.isnan(column)
+    if missing.any():
+        column = column.copy()
+        column[missing] = _QUIET_NAN
+    return base64.b64encode(column.tobytes()).decode("ascii")
+
+
+def decode_floats(text: str) -> np.ndarray:
+    """The writable ``float64`` array :func:`encode_floats` wrote."""
+    # astype copies: the decoded array is writable and owns its memory.
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)

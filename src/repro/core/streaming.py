@@ -27,6 +27,7 @@ Limitations (by design):
 
 from __future__ import annotations
 
+import base64
 from datetime import datetime
 from typing import Mapping, Sequence
 
@@ -35,11 +36,12 @@ import numpy as np
 from .evolving import extract_evolving
 from .miner import MiningResult
 from .parameters import MiningParameters
+from .result_columns import decode_floats, encode_floats, pack_column, unpack_column
 from .search import search_all
 from .spatial import build_proximity_graph
 from .types import EvolvingSet, Sensor, SensorDataset
 
-__all__ = ["StreamingMiner"]
+__all__ = ["CHECKPOINT_ENCODING", "StreamingMiner", "pack_checkpoint", "unpack_checkpoint"]
 
 
 class StreamingMiner:
@@ -112,23 +114,21 @@ class StreamingMiner:
         pieces, which is what makes *windowed replay* sound: a fresh
         miner built on the base dataset plus :meth:`adopt_state` mines
         byte-identically without the observation history in between.
+
+        The layout is packed columns (:func:`pack_checkpoint`):
+        ``encoding`` (2), ``num_timestamps``, ``last_timestamp``, the
+        fleet's ``sensors`` in order, ``last_values`` as one base64
+        ``<f8`` column (NaN = missing), and the evolving sets as
+        per-sensor ``counts`` plus the concatenated ``indices`` (both
+        narrowest-width int columns) and ``increasing``, the base64 of
+        one packed bit per event (1 = +1, 0 = −1).
         """
-        last_values: dict[str, float | None] = {}
-        for sensor in self._sensors:
-            value = float(self._values[sensor.sensor_id][-1])
-            last_values[sensor.sensor_id] = None if np.isnan(value) else value
-        return {
-            "num_timestamps": len(self._timeline),
-            "last_timestamp": self._timeline[-1].isoformat(),
-            "last_values": last_values,
-            "evolving": {
-                sid: {
-                    "indices": [int(i) for i in ev.indices],
-                    "directions": [int(d) for d in ev.directions],
-                }
-                for sid, ev in self._evolving.items()
-            },
-        }
+        return pack_checkpoint(
+            len(self._timeline),
+            self._timeline[-1].isoformat(),
+            [self._values[sensor.sensor_id][-1] for sensor in self._sensors],
+            self._evolving,
+        )
 
     def adopt_state(self, state: Mapping) -> None:
         """Fast-forward a freshly-built miner to an exported checkpoint.
@@ -141,8 +141,11 @@ class StreamingMiner:
         further back than one step (``extract_evolving`` differences
         adjacent positions only).  After adoption :meth:`dataset`
         reflects the padded window, not the full history.
+
+        Only the packed layout of :meth:`export_state` is read; any other
+        raises a ``ValueError`` naming ``repro store upgrade``.
         """
-        target = int(state["num_timestamps"])
+        target, last_values, evolving = unpack_checkpoint(state)
         old_n = len(self._timeline)
         if target < old_n:
             raise ValueError(
@@ -151,27 +154,22 @@ class StreamingMiner:
             )
         if self._appends:
             raise ValueError("adopt_state must precede any extend()")
+        if set(evolving) != set(self._evolving):
+            raise ValueError("checkpoint names a different sensor fleet")
         if target > old_n:
             interval = self._timeline[1] - self._timeline[0]
             last = self._timeline[-1]
             self._timeline.extend(
                 last + interval * step for step in range(1, target - old_n + 1)
             )
-        last_values = state.get("last_values", {})
-        evolving = state.get("evolving", {})
         for sensor in self._sensors:
             sid = sensor.sensor_id
             if target > old_n:
                 padded = np.full(target, np.nan, dtype=np.float64)
                 padded[:old_n] = self._values[sid]
-                final = last_values.get(sid)
-                padded[-1] = np.nan if final is None else float(final)
+                padded[-1] = last_values[sid]
                 self._values[sid] = padded
-            checkpoint = evolving.get(sid) or {"indices": [], "directions": []}
-            self._evolving[sid] = EvolvingSet(
-                np.asarray(checkpoint["indices"], dtype=np.int64),
-                np.asarray(checkpoint["directions"], dtype=np.int8),
-            )
+            self._evolving[sid] = evolving[sid]
         self.last_changed_sensors = set()
 
     # -- appends ----------------------------------------------------------------
@@ -226,20 +224,11 @@ class StreamingMiner:
             # boundary transition (old last value -> first new value).
             tail = self._values[sid][old_n - 1 :]
             tail_evolving = extract_evolving(tail, self.params.rate_for(sensor.attribute))
-            offset_indices = tail_evolving.indices + (old_n - 1)
-            old = self._evolving[sid]
-            merged_indices = np.concatenate([old.indices, offset_indices])
-            merged_directions = np.concatenate([old.directions, tail_evolving.directions])
-            merged = EvolvingSet(merged_indices, merged_directions)
-            # Incremental append: OR only the packed tail into the old
-            # bitmaps, instead of re-packing the whole history when the
-            # search asks for `.bits`.
-            merged._bits = old.bits.extended(
-                offset_indices,
-                tail_evolving.directions,
-                len(self._timeline),
+            # Only the tail is validated and packed: the merge checks the
+            # seam and ORs the tail's bits in above the old bitmaps.
+            self._evolving[sid] = self._evolving[sid].append(
+                tail_evolving, old_n - 1, len(self._timeline)
             )
-            self._evolving[sid] = merged
             if len(tail_evolving):
                 changed.add(sid)
             new_events += len(tail_evolving)
@@ -290,3 +279,67 @@ class StreamingMiner:
             adjacency=self._adjacency,
             elapsed_seconds=elapsed,
         )
+
+
+#: ``"encoding"`` of the packed checkpoint :func:`pack_checkpoint` writes.
+CHECKPOINT_ENCODING = 2
+
+
+def pack_checkpoint(
+    num_timestamps: int,
+    last_timestamp: str,
+    last_values: Sequence[float | None],
+    evolving: Mapping[str, EvolvingSet],
+) -> dict:
+    """The packed miner checkpoint (layout: :meth:`StreamingMiner.export_state`).
+
+    ``evolving`` maps the fleet's sensor ids, in order, to their sets;
+    ``last_values`` follows that order, ``None`` or NaN for missing.
+    """
+    sets = list(evolving.values())
+    directions = np.concatenate([ev.directions for ev in sets]) if sets else np.empty(0)
+    return {
+        "encoding": CHECKPOINT_ENCODING,
+        "num_timestamps": int(num_timestamps),
+        "last_timestamp": last_timestamp,
+        "sensors": list(evolving),
+        "last_values": encode_floats(
+            np.array([np.nan if v is None else v for v in last_values], dtype=np.float64)
+        ),
+        "counts": pack_column([len(ev) for ev in sets]),
+        "indices": pack_column(
+            np.concatenate([ev.indices for ev in sets]) if sets else []
+        ),
+        "increasing": base64.b64encode(np.packbits(directions > 0).tobytes()).decode("ascii"),
+    }
+
+
+def unpack_checkpoint(
+    state: Mapping,
+) -> tuple[int, dict[str, float], dict[str, EvolvingSet]]:
+    """``(num_timestamps, last value by sensor, evolving set by sensor)``
+    of a :func:`pack_checkpoint` document; NaN marks a missing last value."""
+    if state.get("encoding") != CHECKPOINT_ENCODING:
+        raise ValueError(
+            f"stream checkpoint encoding {state.get('encoding')!r} is not "
+            f"{CHECKPOINT_ENCODING}; run `repro store upgrade --store <path>`"
+        )
+    sensors = list(state["sensors"])
+    counts = unpack_column(state["counts"])
+    indices = np.asarray(unpack_column(state["indices"]), dtype=np.int64)
+    increasing = np.unpackbits(
+        np.frombuffer(base64.b64decode(state["increasing"]), dtype=np.uint8),
+        count=len(indices),
+    )
+    directions = np.where(increasing == 1, 1, -1).astype(np.int8)
+    if len(counts) != len(sensors) or sum(counts) != len(indices):
+        raise ValueError("stream checkpoint columns disagree on their lengths")
+    cuts = np.cumsum(counts)[:-1]
+    evolving = {
+        sid: EvolvingSet(idx, dirs)
+        for sid, idx, dirs in zip(
+            sensors, np.split(indices, cuts), np.split(directions, cuts)
+        )
+    }
+    last_values = dict(zip(sensors, decode_floats(state["last_values"]).tolist()))
+    return int(state["num_timestamps"]), last_values, evolving

@@ -292,9 +292,10 @@ class EvolvingSet:
         directions = np.asarray(directions, dtype=np.int8)
         if indices.shape != directions.shape or indices.ndim != 1:
             raise ValueError("indices and directions must be 1-D and equal length")
-        if indices.size and np.any(np.diff(indices) <= 0):
+        if not (indices[1:] > indices[:-1]).all():
             raise ValueError("indices must be strictly increasing")
-        if directions.size and not np.all(np.isin(directions, (INCREASING, DECREASING))):
+        # int8 abs(-128) wraps to -128, so only +1 and -1 pass.
+        if not (np.abs(directions) == 1).all():
             raise ValueError("directions must be +1 or -1")
         indices.setflags(write=False)
         directions.setflags(write=False)
@@ -304,6 +305,34 @@ class EvolvingSet:
     @classmethod
     def empty(cls) -> "EvolvingSet":
         return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))
+
+    def append(self, tail: "EvolvingSet", offset: int, horizon: int) -> "EvolvingSet":
+        """This set followed by ``tail`` shifted ``offset`` positions on.
+
+        ``tail`` was validated when it was built, so only the seam is
+        checked: its first shifted index must lie past this set's last.
+        When this set's bitmap is built, the result's is that bitmap grown
+        to ``horizon`` positions with only the tail packed in
+        (:meth:`BitsetEvolvingSet.extended`), never the whole history
+        re-packed.
+        """
+        shifted = tail.indices + offset
+        if shifted.size and self.indices.size and shifted[0] <= self.indices[-1]:
+            raise ValueError(
+                f"appended indices start at {int(shifted[0])}, not past this "
+                f"set's last index {int(self.indices[-1])}"
+            )
+        merged = EvolvingSet.__new__(EvolvingSet)
+        merged.indices = np.concatenate([self.indices, shifted])
+        merged.directions = np.concatenate([self.directions, tail.directions])
+        merged.indices.setflags(write=False)
+        merged.directions.setflags(write=False)
+        try:
+            bits = self._bits
+        except AttributeError:
+            return merged
+        merged._bits = bits.extended(shifted, tail.directions, horizon)
+        return merged
 
     @property
     def bits(self) -> "BitsetEvolvingSet":

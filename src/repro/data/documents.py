@@ -24,12 +24,11 @@ timestamp, no ``"encoding"``).
 
 from __future__ import annotations
 
-import base64
 from datetime import datetime, timedelta
 from typing import Any, Mapping, Sequence
 
-import numpy as np
 
+from ..core.result_columns import decode_floats, encode_floats
 from ..core.types import Sensor, SensorDataset
 
 __all__ = ["dataset_to_document", "dataset_from_document"]
@@ -37,8 +36,6 @@ __all__ = ["dataset_to_document", "dataset_from_document"]
 ENCODING = 2
 
 _MICROSECOND = timedelta(microseconds=1)
-#: The standard quiet NaN (0x7ff8000000000000) every missing reading is written as.
-_QUIET_NAN = np.array([0x7FF8_0000_0000_0000], dtype="<u8").view("<f8")[0]
 
 
 def dataset_to_document(dataset: SensorDataset) -> dict[str, Any]:
@@ -58,7 +55,7 @@ def dataset_to_document(dataset: SensorDataset) -> dict[str, Any]:
             for s in dataset
         ],
         "series": {
-            sensor.sensor_id: _encode_series(dataset.values(sensor.sensor_id))
+            sensor.sensor_id: encode_floats(dataset.values(sensor.sensor_id))
             for sensor in dataset
         },
     }
@@ -71,7 +68,7 @@ def dataset_from_document(doc: Mapping[str, Any]) -> SensorDataset:
                          f"{ENCODING}; run `repro store upgrade --store <path>`")
     timeline = _decode_timeline(doc["timeline"])
     measurements = {
-        sensor_id: _decode_series(text) for sensor_id, text in doc["series"].items()
+        sensor_id: decode_floats(text) for sensor_id, text in doc["series"].items()
     }
     sensors = [
         Sensor(entry["id"], entry["attribute"], float(entry["lat"]), float(entry["lon"]))
@@ -80,20 +77,6 @@ def dataset_from_document(doc: Mapping[str, Any]) -> SensorDataset:
     return SensorDataset(
         str(doc["name"]), timeline, sensors, measurements, attributes=doc["attributes"]
     )
-
-
-def _encode_series(values: np.ndarray) -> str:
-    column = np.ascontiguousarray(values, dtype="<f8")
-    missing = np.isnan(column)
-    if missing.any():
-        column = column.copy()
-        column[missing] = _QUIET_NAN
-    return base64.b64encode(column.tobytes()).decode("ascii")
-
-
-def _decode_series(text: str) -> np.ndarray:
-    # astype copies: the decoded arrays are writable and own their memory.
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").astype(np.float64)
 
 
 def _encode_timeline(timeline: Sequence[datetime]) -> dict[str, Any] | list[str]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from ..core.miner import MiningResult
 from ..core.parallel import MiningCancelled
@@ -63,6 +63,7 @@ __all__ = [
     "shard_outputs",
     "shard_runner",
     "shard_spec",
+    "spill_output",
 ]
 
 _SHARD_OUTPUTS = "shard_outputs"
@@ -367,20 +368,10 @@ def complete_shard(
     with store._exclusive():
         document = store._require_doc(job_id)
         ensure_transition(document["state"], SUCCEEDED)
-        # The CAP documents spill into their own collection instead of
-        # bloating the job registry (every registry refresh re-parses every
-        # job document; shard outputs can dwarf the jobs).  A crash between
-        # the spill and the success CAS leaves an orphan output document for
-        # a still-runnable shard, which the re-run simply replaces.
-        spilled = {
-            "shard_id": job_id,
-            "parent_id": document.get("parent_id"),
-            "output": [dict(entry) for entry in output],
-            "elapsed_seconds": float(elapsed_seconds),
-        }
-        outputs = store.database.collection(_SHARD_OUTPUTS)
-        if outputs.replace_one({"shard_id": job_id}, spilled) is None:
-            outputs.insert_one(spilled)
+        # A crash between the spill and the success CAS leaves an orphan
+        # output document for a still-runnable shard, which the re-run
+        # simply replaces.
+        spill_output(store.database, document, output, elapsed_seconds)
         changes: dict[str, Any] = {
             "progress": 1.0,
             "elapsed_seconds": float(elapsed_seconds),
@@ -389,6 +380,27 @@ def complete_shard(
             changes["timings"] = dict(timings)
         store._finish_locked(document, SUCCEEDED, changes, expected_attempt=attempt)
         return store._job(store._require_doc(job_id))
+
+
+def spill_output(
+    database: Any, shard: Mapping[str, Any], output: Sequence[Mapping[str, Any]],
+    elapsed_seconds: float,
+) -> None:
+    """Write a shard job's output to ``shard_outputs``, replacing any earlier one.
+
+    The CAP documents spill into their own collection instead of bloating
+    the job registry (every registry refresh re-parses every job document;
+    shard outputs can dwarf the jobs).
+    """
+    spilled = {
+        "shard_id": shard["job_id"],
+        "parent_id": shard.get("parent_id"),
+        "output": [dict(entry) for entry in output],
+        "elapsed_seconds": float(elapsed_seconds),
+    }
+    outputs = database.collection(_SHARD_OUTPUTS)
+    if outputs.replace_one({"shard_id": shard["job_id"]}, spilled) is None:
+        outputs.insert_one(spilled)
 
 
 def shard_outputs(store, parent_id: str) -> list[dict[str, Any]]:
@@ -411,21 +423,16 @@ def shard_outputs(store, parent_id: str) -> list[dict[str, Any]]:
                     f"needs every shard succeeded"
                 )
             spilled = spills.find_one({"shard_id": shard_id})
-            if spilled is not None:
-                output = spilled.get("output", [])
-            # Pre-spill registries stored the output inline on the job
-            # document; keep reading that form so old stores merge.
-            elif "output" in shard:
-                output = shard.get("output", [])
-            else:
+            if spilled is None:
                 raise JobStateError(
                     f"shard {shard_id} succeeded but its spilled output "
-                    f"document is missing"
+                    f"document is missing (a store whose shards kept their "
+                    f"output inline needs `repro store upgrade --store <path>`)"
                 )
             outputs.append(
                 {
                     "shard_id": shard_id,
-                    "output": output,
+                    "output": spilled.get("output", []),
                     "elapsed_seconds": float(shard.get("elapsed_seconds", 0.0)),
                 }
             )

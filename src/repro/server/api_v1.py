@@ -61,9 +61,9 @@ from ..stream import (
     first_live_seq,
     get_retention,
     latest_seq,
-    public_event,
     public_rule,
     read_events,
+    render_alerts,
     render_sse,
     render_sse_bootstrap,
     set_retention,
@@ -1008,7 +1008,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         return json_response(
             {
                 "dataset": name,
-                "alerts": [public_event(row) for row in rows[:limit]],
+                "alerts": render_alerts(state.database, name, rows[:limit]),
             }
         )
 

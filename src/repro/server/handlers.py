@@ -59,7 +59,6 @@ from ..obs.metrics import get_registry
 from ..store.database import Database
 from ..stream import (
     ALERT_RULES,
-    ALERTS,
     CAP_EVENTS,
     FEED_SNAPSHOTS,
     OBSERVATIONS,
@@ -144,7 +143,6 @@ class ServerState:
         # instead of a full collection scan.
         self.database.collection(CAP_EVENTS).create_index("seq", "sorted")
         self.database.collection(ALERT_RULES).create_index("rule_id", "hash")
-        self.database.collection(ALERTS).create_index("alert_id", "hash")
         self.database.collection(FEED_SNAPSHOTS).create_index("dataset", "hash")
         self.database.collection(STREAM_CONFIG).create_index("name", "hash")
         #: Server-wide retention default (``--stream-retention``); merged

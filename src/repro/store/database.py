@@ -189,6 +189,26 @@ class Database:
         with self.exclusive():
             pass
 
+    def close(self) -> None:
+        """Close the store log's file descriptor; idempotent.
+
+        Whoever opens a store path for itself (a CLI command, ``repro store
+        upgrade``, ``repro serve`` on exit) closes it, so reopening a store
+        does not leak a descriptor per open.  The collections stay readable
+        in memory; a later :meth:`exclusive` section reopens the log and
+        replays it.
+        """
+        with self._tlock:
+            if self._log is not None:
+                self._log.close()
+                self._log = None
+
+    def __enter__(self) -> "Database":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     # -- collection management ------------------------------------------------
 
     def _new_collection(self, name: str) -> Collection:
@@ -327,8 +347,8 @@ class Database:
         if self.engine != "wal":
             return
         with self._tlock:
-            if self._lock_depth > 0:
-                return  # inside exclusive: entry already refreshed
+            if self._lock_depth > 0 or self._log is None:
+                return  # inside exclusive: entry already refreshed; or closed
             self._wal_refresh(truncate_torn=False)
 
     def _wal_open_locked(self) -> None:

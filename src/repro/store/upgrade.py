@@ -7,7 +7,9 @@ the snapshot becomes ``<path>.pre-wal`` (``MIGRATED`` marks one awaiting
 that), so a re-run after a kill at any ``mid-format-migration`` point
 converges.  Then one section re-encodes encoding-less datasets and
 results, drops the ``mode``/``horizon`` of older planners' jobs and the
-``spans`` collection.  A current store is left byte for byte.
+``spans`` collection, spills shard output kept inline on a job into
+``shard_outputs``, packs list-form stream watermarks and cuts full alert
+documents down to references.  A current store is left byte for byte.
 """
 
 from __future__ import annotations
@@ -27,8 +29,12 @@ import numpy as np
 from ..cache.cache import ResultCache
 from ..core.miner import MiningResult
 from ..core.parameters import MiningParameters
-from ..core.types import CAP, Sensor, SensorDataset
+from ..core.streaming import pack_checkpoint
+from ..core.types import CAP, EvolvingSet, Sensor, SensorDataset
 from ..data.documents import dataset_to_document
+from ..jobs.distributed import spill_output
+from ..stream.alerts import STORED_FIELDS, stored_alert
+from ..stream.ingest import ALERTS, STREAM_STATE
 from . import wal
 from .collection import Collection
 from .database import (
@@ -45,7 +51,9 @@ FORMAT_V2 = "repro-store-wal-v2"
 SEGMENT_SUFFIXES = {FORMAT_V1: ".log", FORMAT_V2: ".seg"}
 _SNAPSHOT_FORMAT = "repro-store-v1"
 _MIGRATED_MARKER = "MIGRATED"
-_RETIRED_JOB_FIELDS = ("mode", "horizon")
+#: Job fields older registries wrote: planners' ``mode``/``horizon``, and a
+#: pre-spill shard's inline ``output`` (spilled to ``shard_outputs`` first).
+_RETIRED_JOB_FIELDS = ("mode", "horizon", "output")
 _LEGACY_SPANS = "spans"
 
 #: A v1/v2 record (``{"op": ..., ...}``) as a v3 op; ``clear`` (which no v3
@@ -99,8 +107,7 @@ def upgrade(path: str | Path) -> dict[str, Any]:
             (root / _MIGRATED_MARKER).unlink(missing_ok=True)
             _fsync_dir(root)
             _fsync_dir(path.parent)
-    database = Database(path)
-    with database.exclusive():
+    with Database(path) as database, database.exclusive():
         return {"format": found, **_rewrite_documents(database)}
 
 
@@ -160,7 +167,8 @@ def _rewrite_layout(path: Path, root: Path, found: str | None,
 
 def _rewrite_documents(database: Database) -> dict[str, int]:
     """Rewrite a v3 store's older documents; returns how many of each changed."""
-    report = {"datasets": 0, "results": 0, "jobs": 0, "spans": 0}
+    report = {"datasets": 0, "results": 0, "jobs": 0, "spans": 0,
+              "shard_outputs": 0, "watermarks": 0, "alerts": 0}
     datasets = database["datasets"]
     for document in datasets.find():
         doc = document["dataset"]
@@ -188,11 +196,49 @@ def _rewrite_documents(database: Database) -> dict[str, int]:
             report["results"] += 1
     jobs = database["jobs"]
     for document in jobs.find():
+        if "output" in document:  # a pre-spill shard: move its output out
+            spill_output(database, document, document["output"],
+                         document.get("elapsed_seconds", 0.0))
+            report["shard_outputs"] += 1
         if any(field in document for field in _RETIRED_JOB_FIELDS):
             kept = {k: v for k, v in document.items() if k not in _RETIRED_JOB_FIELDS}
             jobs.replace_one({"_id": document["_id"]}, kept)
             report["jobs"] += 1
+    states = database[STREAM_STATE]
+    for document in states.find():
+        watermark = document.get("watermark")
+        if watermark and watermark.get("encoding") is None:  # per-sensor int lists
+            states.replace_one({"_id": document["_id"]},
+                               {**document, "watermark": _pack_watermark(watermark)})
+            report["watermarks"] += 1
+    alerts = database[ALERTS]
+    for document in alerts.find():
+        if set(document) - {"_id", *STORED_FIELDS}:  # the full public body
+            alerts.replace_one({"_id": document["_id"]}, stored_alert(document))
+            report["alerts"] += 1
     if _LEGACY_SPANS in database:
         report["spans"] = len(database[_LEGACY_SPANS])
         database.drop_collection(_LEGACY_SPANS)
     return report
+
+
+def _pack_watermark(watermark: Mapping[str, Any]) -> dict[str, Any]:
+    """A list-form miner checkpoint (one int list per sensor) packed."""
+    last_values = watermark.get("last_values", {})
+    lists = watermark.get("evolving", {})
+    evolving = {}
+    for sid in dict.fromkeys([*last_values, *lists]):
+        entry = lists.get(sid) or {}
+        evolving[sid] = EvolvingSet(
+            np.asarray(entry.get("indices", []), dtype=np.int64),
+            np.asarray(entry.get("directions", []), dtype=np.int8),
+        )
+    return {
+        "epoch": int(watermark.get("epoch", 0)),
+        **pack_checkpoint(
+            int(watermark["num_timestamps"]),
+            str(watermark["last_timestamp"]),
+            [last_values.get(sid) for sid in evolving],
+            evolving,
+        ),
+    }

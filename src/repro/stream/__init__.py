@@ -32,6 +32,7 @@ from .alerts import (
     match_level,
     prune_alerts,
     public_rule,
+    render_alerts,
     validate_rule,
 )
 from .feed import (
@@ -122,6 +123,7 @@ __all__ = [
     "public_rule",
     "purge_stream",
     "read_events",
+    "render_alerts",
     "render_sse",
     "render_sse_bootstrap",
     "set_retention",

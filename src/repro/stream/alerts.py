@@ -21,9 +21,19 @@ Rule grammar (stored as ``alert_rules`` documents, validated on POST)::
 
 Evaluation happens in the resident miner as each epoch's events are
 persisted: a matching (rule, event) pair fires **exactly once**, ever —
-the alert's id is ``{rule_id}:{event_id}``, inserted if-missing in the
-same exclusive section as the events themselves, so a crash-replayed
-epoch regenerates the same ids and re-fires nothing.
+the alert's id is ``{rule_id}:{event_id}``, and it is inserted in the
+same exclusive section as the events themselves, behind that section's
+compare-and-set on the epoch, so a crash-replayed epoch regenerates the
+same ids and re-fires nothing.
+
+A fired alert is stored as a reference to its event
+(:data:`STORED_FIELDS`: rule, severity, ``event_id``/``seq``,
+``fired_at``); :func:`render_alerts` rebuilds the public body — adding
+``alert_id``, ``event_type``, ``epoch``, ``num_sensors`` and ``sensors``
+from the event — for both ``GET …/alerts`` and ``repro alerts``.  The
+event is live whenever its alert is: the retention fold trims both below
+one horizon in one section, and a purge drops both.  ``rule_name`` is
+stored because a rule may be deleted after it fired.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from typing import Any, Mapping, Sequence
 
 from ..obs.metrics import get_registry
 from .feed import EVENT_TYPES
-from .ingest import ALERTS
+from .ingest import ALERTS, CAP_EVENTS
 
 __all__ = [
     "RuleError",
@@ -41,6 +51,8 @@ __all__ = [
     "match_level",
     "prune_alerts",
     "public_rule",
+    "render_alerts",
+    "stored_alert",
     "validate_rule",
 ]
 
@@ -167,6 +179,57 @@ def evaluate_rules(
                 }
             )
     return alerts
+
+
+#: The fields a fired alert is stored with; the rest of its public body
+#: is its event's (:func:`render_alerts`).
+STORED_FIELDS = (
+    "rule_id", "rule_name", "dataset", "event_id", "seq", "severity",
+    "min_sensors", "fired_at",
+)
+
+
+def stored_alert(alert: Mapping[str, Any]) -> dict[str, Any]:
+    """The stored reference form of a fired alert's public body."""
+    return {field: alert[field] for field in STORED_FIELDS}
+
+
+def render_alerts(
+    database: Any, dataset: str, rows: Sequence[Mapping[str, Any]]
+) -> list[dict[str, Any]]:
+    """The public bodies of stored alerts of ``dataset``, in ``rows`` order.
+
+    Reads the events the alerts reference with one range query over their
+    ``seq`` span.  A missing event breaks the alerts-with-events invariant
+    and raises ``LookupError``.
+    """
+    if not rows:
+        return []
+    seqs = [int(row["seq"]) for row in rows]
+    events = {
+        event["event_id"]: event
+        for event in database.collection(CAP_EVENTS).find(
+            {"seq": {"$gte": min(seqs), "$lte": max(seqs)}, "dataset": dataset}
+        )
+    }
+    bodies: list[dict[str, Any]] = []
+    for row in rows:
+        event = events.get(row["event_id"])
+        if event is None:
+            raise LookupError(
+                f"alert of rule {row['rule_id']!r} references event "
+                f"{row['event_id']!r}, which is not in the feed"
+            )
+        sensors = [str(s) for s in event["cap"].get("sensors", ())]
+        bodies.append({
+            "alert_id": f"{row['rule_id']}:{row['event_id']}",
+            **{field: row[field] for field in STORED_FIELDS},
+            "event_type": str(event["type"]),
+            "epoch": int(event["epoch"]),
+            "num_sensors": len(sensors),
+            "sensors": sensors,
+        })
+    return bodies
 
 
 def record_fired(rule_id: str) -> None:

@@ -9,16 +9,19 @@ history behind a per-dataset **retention horizon**:
   into one durable :data:`~repro.stream.ingest.FEED_SNAPSHOTS` document
   carrying the CAP state at the fold point and ``first_live_seq``, the
   oldest seq still served live.  The fold is a three-step exclusive
-  section — insert snapshot, trim events (and the alerts they fired),
-  bump the completed-horizon marker on ``stream_state`` — ordered so a
+  section — insert snapshot, trim events (and the alerts they fired, which
+  are rendered from those events and so retire with them), bump the
+  completed-horizon marker on ``stream_state`` — ordered so a
   crash at *any* point leaves a state the next sweep converges from:
   the snapshot's ``first_live_seq`` is authoritative the instant it is
   written, so readers never see a silently-empty trimmed range.
 * **Observation windowing** — the resident miner checkpoints its
-  incremental state (:meth:`StreamingMiner.export_state`) into
-  ``stream_state.watermark`` with every epoch commit; the sweep may then
-  drop observation batches up to the watermark epoch and record how far
-  it got in ``stream_state.compacted_epoch``.  A later claim adopts the
+  incremental state (:meth:`StreamingMiner.export_state`: the evolving
+  sets as per-sensor counts plus packed index and direction columns, the
+  last values as a ``<f8`` column) into ``stream_state.watermark`` with
+  every epoch commit; the sweep may then drop observation batches up to
+  the watermark epoch and record how far it got in
+  ``stream_state.compacted_epoch``.  A later claim adopts the
   watermark and replays only epochs past it — byte-identical mining
   without the trimmed prefix (proven by the retention test matrix).
 

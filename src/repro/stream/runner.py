@@ -14,10 +14,11 @@ Recovery contract (the kill -9 test's ground truth):
   (fsynced) section, so it can never run ahead of the feed;
 * a new session adopts the persisted **watermark** — the miner's
   incremental state checkpointed with every commit
-  (:meth:`StreamingMiner.export_state`) — then replays only the
-  observation log *past* it through :meth:`StreamingMiner.extend`
-  (cheap — no mining) and resumes at ``mined_epoch + 1``.  Windowed
-  replay is what lets the retention sweep
+  (:meth:`StreamingMiner.export_state`: packed columns of the evolving
+  sets and last values, built before the section opens) — then
+  replays only the observation log *past* it through
+  :meth:`StreamingMiner.extend` (cheap — no mining) and resumes at
+  ``mined_epoch + 1``.  Windowed replay is what lets the retention sweep
   (:mod:`repro.stream.retention`) drop batches at or below the
   watermark epoch without ever breaking a rebuild;
 * the commit is a compare-and-set on ``mined_epoch == epoch - 1``
@@ -25,7 +26,8 @@ Recovery contract (the kill -9 test's ground truth):
   an epoch's events and alerts exist exactly when its state advance
   does, so a resumed session re-mines only epochs that never committed,
   and a stale session racing a newer claim commits nothing — no lost
-  and no duplicated ``cap_events``.
+  and no duplicated ``cap_events``.  Alerts are stored as references to
+  their events (:func:`repro.stream.alerts.stored_alert`).
 
 Re-mining is component-pruned: a batch that adds evolving timestamps to
 no sensor leaves every η-graph component's CAP list provably unchanged
@@ -49,7 +51,7 @@ from ..core.parameters import MiningParameters
 from ..core.streaming import StreamingMiner
 from ..core.types import SensorDataset
 from ..jobs import HANDLED, KIND_STREAM, RUNNING, Job
-from .alerts import evaluate_rules, public_rule, record_fired
+from .alerts import evaluate_rules, public_rule, record_fired, stored_alert
 from .feed import build_events, diff_caps
 from .ingest import (
     ALERT_RULES,
@@ -246,6 +248,9 @@ class StreamSession:
         ]
         alerts = evaluate_rules(rules, events)
         now = self.clock()
+        # Built outside the lock: the section only stages them.
+        watermark = {"epoch": epoch, **self.miner.export_state()}
+        stored_alerts = [stored_alert({**alert, "fired_at": now}) for alert in alerts]
         with self.database.exclusive():
             self._require_current()
             advanced = self.database.collection(STREAM_STATE).update_if(
@@ -261,7 +266,7 @@ class StreamSession:
                     # so the watermark can never run ahead of (or lag) the
                     # high-water mark — the retention sweep may drop every
                     # batch at or below it the moment this section lands.
-                    "watermark": {"epoch": epoch, **self.miner.export_state()},
+                    "watermark": watermark,
                 },
             )
             if advanced is None:
@@ -270,9 +275,7 @@ class StreamSession:
                     f"committed by another session"
                 )
             self.database.collection(CAP_EVENTS).insert_many(events)
-            self.database.collection(ALERTS).insert_many(
-                [{**alert, "fired_at": now} for alert in alerts]
-            )
+            self.database.collection(ALERTS).insert_many(stored_alerts)
         self.caps = caps_after
         self.mined_epoch = epoch
         self.next_seq += len(events)

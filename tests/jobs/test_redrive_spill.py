@@ -21,6 +21,7 @@ from repro.jobs import (
     distributed,
 )
 from repro.store import Database, thaw
+from repro.store.upgrade import upgrade
 
 KEY = "a" * 64
 OTHER_KEY = "b" * 64
@@ -107,8 +108,9 @@ class TestShardOutputSpill:
         outputs = distributed.shard_outputs(store, parent_id)
         assert [entry["output"] for entry in outputs] == [OUTPUT, OUTPUT]
 
-    def test_legacy_inline_output_still_readable(self, store):
-        """Stores written before the spill keep their inline outputs."""
+    def test_legacy_inline_output_merges_after_upgrade(self, store, store_path):
+        """Stores written before the spill kept outputs inline on the job;
+        the runtime refuses them until ``repro store upgrade`` spills them."""
         parent_id = plan(store)
         for _ in range(2):
             shard = store.claim_next()
@@ -121,6 +123,12 @@ class TestShardOutputSpill:
         document = thaw(jobs.find_one({"job_id": legacy_id}))
         document["output"] = [{"tag": [9, 9], "caps": []}]
         jobs.replace_one({"job_id": legacy_id}, document)
+        with pytest.raises(JobStateError, match="repro store upgrade"):
+            distributed.shard_outputs(store, parent_id)
+        report = upgrade(store_path)
+        assert (report["shard_outputs"], report["jobs"]) == (1, 1)
+        store.database.refresh()
+        assert "output" not in jobs.find_one({"job_id": legacy_id})
         outputs = distributed.shard_outputs(store, parent_id)
         assert outputs[0]["output"] == [{"tag": [9, 9], "caps": []}]
         assert outputs[1]["output"] == OUTPUT

@@ -100,3 +100,50 @@ class TestPersistence:
         db.save()
         reopened = Database.open(path)
         assert reopened["x"].insert_one({"n": 3}) == 3
+
+
+class TestClose:
+    def test_open_close_cycles_leak_no_descriptor(self, tmp_path):
+        import gc
+        import os
+
+        def store_fds() -> list[str]:
+            """This process's open descriptors on files of the store."""
+            targets = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    targets.append(os.readlink(f"/proc/self/fd/{fd}"))
+                except OSError:  # closed since the listing
+                    pass
+            return [t for t in targets if t.startswith(str(tmp_path))]
+
+        path = tmp_path / "db.json"
+        with Database(path) as database:
+            database["a"].insert_one({"i": 1})
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(200):
+            with Database(path) as database:
+                assert database["a"].find_one({"i": 1}) is not None
+        gc.collect()
+        assert store_fds() == []
+        # Flat, up to descriptors other threads of the test process hold.
+        assert len(os.listdir("/proc/self/fd")) - before < 10
+
+    def test_close_is_idempotent_and_a_section_reopens(self, tmp_path):
+        path = tmp_path / "db.json"
+        database = Database(path)
+        database["a"].insert_one({"i": 1})
+        database.close()
+        database.close()
+        database.refresh()  # a closed store serves what it holds
+        database["a"].insert_one({"i": 2})  # the section reopens the log
+        database.close()
+        with Database(path) as reopened:
+            assert [d["i"] for d in reopened["a"].find(sort="i")] == [1, 2]
+
+    def test_memory_database_closes_as_a_no_op(self):
+        database = Database()
+        database["a"].insert_one({"i": 1})
+        database.close()
+        assert len(database["a"]) == 1

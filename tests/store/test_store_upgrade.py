@@ -101,6 +101,7 @@ def test_a_second_upgrade_changes_no_byte(tmp_path, layout):
     after_one = _digests(tmp_path)
     assert upgrade(path) == {
         "format": wal.FORMAT_V3, "datasets": 0, "results": 0, "jobs": 0, "spans": 0,
+        "shard_outputs": 0, "watermarks": 0, "alerts": 0,
     }
     assert _digests(tmp_path) == after_one
 
