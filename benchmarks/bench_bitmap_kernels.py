@@ -24,7 +24,10 @@ labels::
 
 Step 4 is ``search_all`` in every mode.  Checkouts from before the delayed
 search was folded into it mined δ > 0 through ``search_delayed`` instead;
-record those with that checkout's own copy of this bench.
+record those with that checkout's own copy of this bench.  ``search_all``
+returns ranked pattern rows (decoded ``CAP`` objects in older checkouts,
+whose ``search_ms`` therefore includes the decode); the CAP documents
+hashed for the cross-label check are built outside the timed region.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import statistics
 import time
 from pathlib import Path
 
+from repro.core import result_columns
 from repro.core.evolving import extract_all_evolving
 from repro.core.search import search_all
 from repro.core.spatial import build_proximity_graph
@@ -86,6 +90,14 @@ def _mine_steps(dataset, params) -> tuple[dict[str, float], list]:
     return {"evolving": t1 - t0, "graph": t2 - t1, "search": t3 - t2}, caps
 
 
+def _documents(found, params) -> list[dict]:
+    """CAP documents of ``search_all``'s output, rows or (older) CAPs."""
+    table = getattr(result_columns, "ResultTable", None)
+    if table is not None:
+        return table.from_rows(found, delayed=params.max_delay > 0).documents()
+    return [cap.to_document() for cap in found]
+
+
 def _ledger_row(dataset, grid) -> dict:
     passes = []
     documents = []
@@ -96,7 +108,7 @@ def _ledger_row(dataset, grid) -> dict:
             for step, value in seconds.items():
                 totals[step] += value
             if run == 0:
-                documents.append([cap.to_document() for cap in caps])
+                documents.append(_documents(caps, params))
         passes.append(totals)
     row = {
         f"{step}_ms": round(1000 * statistics.median(p[step] for p in passes), 2)

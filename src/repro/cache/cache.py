@@ -16,16 +16,21 @@ other result raises a ``ValueError`` naming ``repro store upgrade``, which
 rewrites older ones (:mod:`repro.store.upgrade`).  Callers get documents through
 :meth:`ResultCache.document` / :meth:`ResultCache.documents`, their
 metadata through :meth:`ResultCache.metadata`, and the decoded result
-through :meth:`ResultCache.decode`.  Decoding is memoized per stored
-version: a memo entry holds the document it was decoded from, and stored
-documents are frozen and replaced (never edited) on every write, so the
-entry is current exactly while that document *is* the stored one — also
-across processes sharing a store.  ``get``, ``mine_cached`` hits, CAP pages
-and map clicks therefore share one decode, and the memo keeps at most
-:data:`MEMO_CAPACITY` decoded results.  :meth:`ResultCache.put` seeds the
-memo with the result it stored, so a sync mine's pages decode nothing;
-:meth:`ResultCache.put_encoded` stores a result a worker process mined and
-encoded with :meth:`ResultCache.encode`, which decodes on its first read.
+through :meth:`ResultCache.decode`.  A decoded result's CAPs are a
+:class:`~repro.core.result_columns.ResultTable` over the stored columns:
+each column is unpacked on its first use, and a page, a sensor filter or a
+map click builds CAP documents (or CAPs) for the rows it returns only.
+Decoding is memoized per stored version: a memo entry holds the document
+it was decoded from, and stored documents are frozen and replaced (never
+edited) on every write, so the entry is current exactly while that
+document *is* the stored one — also across processes sharing a store.
+``get``, ``mine_cached`` hits, CAP pages and map clicks therefore share one
+table, and the memo keeps at most :data:`MEMO_CAPACITY` decoded results.
+Both writes seed the memo, so no read of a result this process stored
+decodes: :meth:`ResultCache.put` packs the mined table's columns and seeds
+the memo with that table, and :meth:`ResultCache.put_encoded`, which
+stores a result a worker process mined and encoded with
+:meth:`ResultCache.encode`, seeds it with a table over the stored columns.
 
 ``mine_cached`` is the interactive-analysis entry point: a hit replays the
 stored result (``from_cache=True``), a miss runs the miner and stores the
@@ -42,7 +47,7 @@ from typing import Any, Callable, Mapping
 from ..core.miner import MiningResult, MiscelaMiner
 from ..core.parallel import MiningCancelled
 from ..core.parameters import MiningParameters
-from ..core.result_columns import require_encoding, result_to_columns
+from ..core.result_columns import ResultTable, require_encoding, result_to_columns
 from ..core.types import SensorDataset
 from ..obs.metrics import get_registry
 from ..store.database import Database
@@ -190,22 +195,14 @@ class ResultCache:
     ) -> str:
         """Store a mining result; returns its cache key.
 
-        Encodes the result, stores it as :meth:`put_encoded` does, and seeds
-        the decode memo with what :meth:`decode` would return for the
-        stored document: a result sharing these CAPs, ``from_cache=True``,
-        without evolving sets or the proximity graph.  So the first CAP
-        page after a mine in this process decodes nothing.
+        Packs the result's table, stores it as :meth:`put_encoded` does,
+        and seeds the decode memo with what :meth:`decode` would return for
+        the stored document: a result sharing this table,
+        ``from_cache=True``, without evolving sets or the proximity graph.
+        So the first CAP page after a mine in this process decodes nothing.
         """
         key, params, document = self._store(self.encode(result), current)
-        replay = MiningResult(
-            dataset_name=result.dataset_name,
-            parameters=params,
-            caps=result.caps,
-            elapsed_seconds=result.elapsed_seconds,
-            from_cache=True,
-        )
-        with self._lock:
-            self._remember(key, document, replay)
+        self._seed(key, document, params, result.caps)
         return key
 
     @staticmethod
@@ -218,12 +215,30 @@ class ResultCache:
         self, columns: Mapping[str, Any], *, current: Callable[[], bool] | None = None
     ) -> str:
         """Store a result :meth:`encode` produced (in a worker process, say);
-        returns its cache key.  Nothing decoded is at hand, so the memo
-        entry for the key is dropped."""
-        key, _, _ = self._store(columns, current)
-        with self._lock:
-            self._memo.pop(key, None)
+        returns its cache key.  Seeds the decode memo with a table over the
+        stored columns, which unpacks each column on its first read."""
+        key, params, document = self._store(columns, current)
+        self._seed(key, document, params, ResultTable.from_columns(document["result"]))
         return key
+
+    def _seed(
+        self,
+        key: str,
+        document: Mapping[str, Any],
+        params: MiningParameters,
+        caps: ResultTable,
+    ) -> None:
+        """Memoize ``caps`` as the decode of the just-stored ``document``."""
+        columns = document["result"]
+        replay = MiningResult(
+            dataset_name=str(columns["dataset"]),
+            parameters=params,
+            caps=caps,
+            elapsed_seconds=float(columns.get("elapsed_seconds", 0.0)),
+            from_cache=True,
+        )
+        with self._lock:
+            self._remember(key, document, replay)
 
     def _store(
         self, columns: Mapping[str, Any], current: Callable[[], bool] | None

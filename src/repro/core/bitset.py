@@ -21,21 +21,21 @@ At paper scale a bitmap spans 8
 runs that word loop in C without the per-call cost of a numpy array
 operation, which at this size exceeds the work itself.  numpy appears only
 at the edges — one ``packbits`` pass builds a sensor's ints from its index
-array, and :func:`decode_bitmaps` turns a search's emitted bitmaps back
-into sorted indices in one batch.  The one search loop runs every mode on
+array, and :func:`bitmap_positions` turns a result's bitmaps into its
+stored index column in one batch, with no per-pattern tuples.  The one search loop runs every mode on
 these bitmaps; the exhaustive :func:`repro.core.baseline.naive_search` keeps the
 sorted arrays as an independent oracle.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["BitsetEvolvingSet", "bit_indices", "decode_bitmaps", "pack_bits"]
+__all__ = ["BitsetEvolvingSet", "bit_indices", "bitmap_positions", "pack_bits"]
 
-#: Bitmaps decoded per numpy pass by :func:`decode_bitmaps`.
+#: Bitmaps unpacked per numpy pass by :func:`bitmap_positions`.
 _DECODE_BATCH = 4096
 
 
@@ -64,27 +64,23 @@ def bit_indices(bits: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
-def decode_bitmaps(bitmaps: Iterable[int]) -> dict[int, tuple[int, ...]]:
-    """Each distinct bitmap's sorted set-bit positions, as a tuple.
+def bitmap_positions(bitmaps: Sequence[int]) -> np.ndarray:
+    """The sorted set-bit positions of each bitmap, concatenated in order.
 
-    A search emits many CAPs, often with equal bitmaps; decoding them all
-    at once — ``_DECODE_BATCH`` bitmaps per numpy pass, which bounds the
-    unpacked buffer — costs a fraction of one round trip per CAP.
+    This is a result's ``indices`` column straight from its patterns'
+    bitmaps: one numpy unpack per ``_DECODE_BATCH`` bitmaps (which bounds
+    the unpacked buffer), row-major so each bitmap's positions stay
+    together and ascending.  A zero bitmap contributes nothing.
     """
-    distinct = list(dict.fromkeys(bitmaps))
-    decoded: dict[int, tuple[int, ...]] = {}
-    for lo in range(0, len(distinct), _DECODE_BATCH):
-        batch = distinct[lo : lo + _DECODE_BATCH]
+    parts = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, len(bitmaps), _DECODE_BATCH):
+        batch = bitmaps[lo : lo + _DECODE_BATCH]
         width = max(1, (max(bits.bit_length() for bits in batch) + 7) // 8)
         raw = b"".join([bits.to_bytes(width, "little") for bits in batch])
         mask = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        positions = (np.flatnonzero(mask) % (8 * width)).tolist()
-        start = 0
-        for bits in batch:
-            end = start + bits.bit_count()
-            decoded[bits] = tuple(positions[start:end])
-            start = end
-    return decoded
+        # A bool view scans several times faster than the uint8 bytes.
+        parts.append(np.flatnonzero(mask.view(bool)) % (8 * width))
+    return np.concatenate(parts)
 
 
 class BitsetEvolvingSet:

@@ -12,6 +12,12 @@ the two are comparable input-for-input.  Both return
 :class:`MiningResult`, which carries the CAPs plus the intermediate products
 the visualization layer needs (evolving sets, proximity graph) and basic
 timing for the caching/efficiency benchmarks.
+
+A result's CAPs are a :class:`~repro.core.result_columns.ResultTable`:
+:class:`MiscelaMiner` builds it straight from the search's ranked pattern
+rows, so a cold mine constructs no ``CAP`` object — the cache packs the
+table's columns, and pages, filters and map clicks build CAPs (or CAP
+documents) for the rows they return only.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .baseline import naive_search
 from .evolving import extract_all_evolving
 from .parallel import MiningControl
 from .parameters import MiningParameters
-from .result_columns import caps_from_columns
+from .result_columns import ResultTable
 from .search import search_all
 from .spatial import build_proximity_graph, connected_components
 from .types import CAP, EvolvingSet, SensorDataset
@@ -45,7 +51,10 @@ class MiningResult:
     dataset_name, parameters:
         Identify the run (together they form the cache key).
     caps:
-        The discovered patterns, strongest support first.
+        The discovered patterns, strongest support first: a
+        :class:`~repro.core.result_columns.ResultTable`, a read-only
+        sequence of :class:`~repro.core.types.CAP` that builds a CAP only
+        when one is read (a plain CAP list passed in is converted).
     evolving:
         Per-sensor evolving sets (kept so charts can mark evolution points).
     adjacency:
@@ -58,37 +67,28 @@ class MiningResult:
 
     dataset_name: str
     parameters: MiningParameters
-    caps: list[CAP]
+    caps: ResultTable
     evolving: Mapping[str, EvolvingSet] = field(default_factory=dict)
     adjacency: Mapping[str, set[str]] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
     from_cache: bool = False
-    # Lazy sensor → CAP-position inverted index serving the map-click hot
-    # path; built on first lookup, assumes ``caps`` is not mutated after.
-    _sensor_index: dict[str, list[int]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.caps, ResultTable):
+            self.caps = ResultTable.from_caps(self.caps)
 
     @property
     def num_caps(self) -> int:
         return len(self.caps)
 
-    def _index(self) -> dict[str, list[int]]:
-        if self._sensor_index is None:
-            index: dict[str, list[int]] = {}
-            for position, cap in enumerate(self.caps):
-                for sid in cap.sensor_ids:
-                    index.setdefault(sid, []).append(position)
-            self._sensor_index = index
-        return self._sensor_index
-
     def caps_containing(self, sensor_id: str) -> list[CAP]:
         """Patterns that include one sensor — the map's click interaction.
 
-        Served from the inverted index (positions stay in caps order), so a
-        click costs O(patterns containing the sensor), not O(all patterns).
+        Served from the table's inverted index (positions stay in caps
+        order), so a click costs O(patterns containing the sensor), not
+        O(all patterns).
         """
-        return [self.caps[i] for i in self._index().get(sensor_id, ())]
+        return self.caps.caps(self.caps.sensor_rows(sensor_id))
 
     def correlated_sensors(self, sensor_id: str) -> set[str]:
         """Sensors correlated with the given one via any CAP (highlighting)."""
@@ -107,18 +107,18 @@ class MiningResult:
         return {
             "dataset": self.dataset_name,
             "parameters": self.parameters.to_document(),
-            "caps": [cap.to_document() for cap in self.caps],
+            "caps": self.caps.documents(),
             "elapsed_seconds": self.elapsed_seconds,
         }
 
     @classmethod
     def from_document(cls, doc: Mapping[str, object]) -> "MiningResult":
-        """Decode a stored ``"encoding": 2`` result (:mod:`.result_columns`)."""
-        caps = caps_from_columns(doc)
+        """A stored ``"encoding": 2`` result (:mod:`.result_columns`); its
+        CAP columns are decoded as reads first need them."""
         return cls(
             dataset_name=str(doc["dataset"]),
             parameters=MiningParameters.from_document(doc["parameters"]),  # type: ignore[arg-type]
-            caps=caps,
+            caps=ResultTable.from_columns(doc),
             elapsed_seconds=float(doc.get("elapsed_seconds", 0.0)),  # type: ignore[arg-type]
             from_cache=True,
         )
@@ -160,9 +160,10 @@ class MiscelaMiner:
         if control is not None:
             control.checkpoint()
         adjacency = build_proximity_graph(list(dataset), self.params.distance_threshold)
-        caps = search_all(
+        rows = search_all(
             list(dataset), adjacency, evolving, self.params, control=control
         )
+        caps = ResultTable.from_rows(rows, delayed=self.params.max_delay > 0)
         elapsed = time.perf_counter() - start
         return MiningResult(
             dataset_name=dataset.name,

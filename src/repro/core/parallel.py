@@ -23,7 +23,9 @@ back into *exactly* the serial result:
   :class:`~repro.core.types.EvolvingSet` objects whose ``.bits`` are the
   handed-over bitmaps themselves.
 
-* **Deterministic merge** — every unit is tagged with
+* **Deterministic merge** — every unit returns its pattern rows
+  (:data:`~repro.core.types.PatternRow`: bitmaps, not index tuples or
+  CAPs, so a pool worker ships back ints) tagged with
   ``(component_index, first_seed_rank)``; sorting the tags reproduces the
   serial emission order (components largest-first, seeds in canonical rank
   order), after which the caller's post-pass,
@@ -56,7 +58,7 @@ from typing import Any, Callable, Mapping, Sequence
 from .bitset import BitsetEvolvingSet
 from .parameters import MiningParameters
 from .spatial import connected_components
-from .types import CAP, EvolvingSet, Sensor
+from .types import EvolvingSet, PatternRow, Sensor
 
 __all__ = [
     "resolve_jobs",
@@ -338,13 +340,14 @@ def run_shard_units(
     units: Sequence[ShardUnit],
     order: Mapping[str, int] | None = None,
     control: MiningControl | None = None,
-) -> list[tuple[tuple[int, int], list[CAP]]]:
-    """Execute shard units against prepared inputs; ``(merge_tag, caps)`` pairs.
+) -> list[tuple[tuple[int, int], list[PatternRow]]]:
+    """Execute shard units against prepared inputs; ``(merge_tag, rows)`` pairs.
 
     The single execution core of step 4: the in-process run of
     :func:`sharded_search`, its pool workers (:func:`_run_shard`) and the
     distributed shard sub-jobs (:mod:`repro.jobs.planner`) all run
-    *exactly* this, so a unit produces the same caps wherever it executes —
+    *exactly* this, so a unit produces the same pattern rows
+    (:data:`~repro.core.types.PatternRow`) wherever it executes —
     the precondition for every merge being byte-identical.  ``order`` is
     the canonical rank map, computed once here when ``None`` and handed to
     every unit's search.  With a ``control``, progress is reported and
@@ -363,13 +366,13 @@ def run_shard_units(
     if order is None:
         order = {sid: i for i, sid in enumerate(sorted(adjacency))}
     profiler = getattr(control, "profiler", None) if control is not None else None
-    out: list[tuple[tuple[int, int], list[CAP]]] = []
+    out: list[tuple[tuple[int, int], list[PatternRow]]] = []
     for done, unit in enumerate(units, start=1):
         if control is not None:
             control.checkpoint()
         component = components[unit.component_index]
         unit_started = time.perf_counter() if profiler is not None else 0.0
-        caps = search_component(
+        rows = search_component(
             component, adjacency, attributes, evolving,
             params, seeds=unit.seeds, order=order,
         )
@@ -382,27 +385,27 @@ def run_shard_units(
                 f"c{unit.component_index}:r{unit.first_rank}",
                 seconds,
                 cost=unit.cost,
-                caps=len(caps),
+                caps=len(rows),
             )
-        out.append((unit.tag, caps))
+        out.append((unit.tag, rows))
         if control is not None:
             control.report(done, len(units))
     return out
 
 
 def merge_tagged(
-    tagged: list[tuple[tuple[int, int], list[CAP]]]
-) -> list[CAP]:
+    tagged: list[tuple[tuple[int, int], list[PatternRow]]]
+) -> list[PatternRow]:
     """Sort unit outputs by merge tag and concatenate: serial emission order.
 
     The merge half of the shard protocol — callers then apply the
     post-pass, ``dedupe_strongest``.
     """
     tagged = sorted(tagged, key=lambda pair: pair[0])
-    return [cap for _tag, caps in tagged for cap in caps]
+    return [row for _tag, rows in tagged for row in rows]
 
 
-def _run_shard(shard: list[ShardUnit]) -> list[tuple[tuple[int, int], list[CAP]]]:
+def _run_shard(shard: list[ShardUnit]) -> list[tuple[tuple[int, int], list[PatternRow]]]:
     """Execute one shard's units in a pool worker (spec via fork/initializer)."""
     spec = _SPEC
     assert spec is not None
@@ -432,7 +435,7 @@ def _run_sharded(
     shards: list[list[ShardUnit]],
     n_workers: int,
     control: MiningControl | None = None,
-) -> list[tuple[tuple[int, int], list[CAP]]]:
+) -> list[tuple[tuple[int, int], list[PatternRow]]]:
     """Run shards on a pool; the tagged unit outputs, in completion order.
 
     Shards stream back as they finish (``imap_unordered`` — the merge
@@ -450,7 +453,7 @@ def _run_sharded(
     else:  # pragma: no cover - spawn-only platforms
         initializer, initargs = _install_spec, (spec,)
     processes = max(1, min(n_workers, len(shards)))
-    tagged: list[tuple[tuple[int, int], list[CAP]]] = []
+    tagged: list[tuple[tuple[int, int], list[PatternRow]]] = []
     try:
         with ctx.Pool(
             processes=processes, initializer=initializer, initargs=initargs
@@ -486,10 +489,10 @@ def sharded_search(
     evolving: Mapping[str, EvolvingSet],
     params: MiningParameters,
     control: MiningControl | None = None,
-) -> list[CAP]:
+) -> list[PatternRow]:
     """Step 4's one driver: plan units, run them, merge by tag.
 
-    Returns the merged raw CAP stream in serial emission order; the caller
+    Returns the merged raw pattern rows in serial emission order; the caller
     (``search_all``) applies the post-pass, ``dedupe_strongest``.  When
     ``params.n_jobs`` resolves to more than one worker and
     :func:`plan_shards` yields more than one shard, the shards run on a

@@ -22,11 +22,16 @@ relative orientations (same / opposite) to the seed.
 
 Tree nodes carry Python-int bitmaps (:mod:`repro.core.bitset`):
 co-evolution intersection is ``a & b`` and support ``int.bit_count()``,
-direction consistency splits on ``dirs_seed ^ dirs_candidate``, the delay
-shift is ``x >> d`` or ``x << -d`` (cached per sensor), and index tuples
-are decoded only for emitted patterns — once per distinct bitmap, in one
-batch per search.  The exhaustive :func:`repro.core.baseline.naive_search`,
-written over plain sorted arrays, is the in-library oracle for this loop.
+direction consistency splits on ``dirs_seed ^ dirs_candidate``, and the
+delay shift is ``x >> d`` or ``x << -d`` (cached per sensor).  The search
+emits each pattern as a :data:`~repro.core.types.PatternRow` — its members,
+delays, attributes, support and bitmap, exactly as the tree holds them —
+and builds no :class:`~repro.core.types.CAP`: ranking
+(:func:`dedupe_strongest`) and storage
+(:class:`repro.core.result_columns.ResultTable`) work on the rows, and a
+CAP is built only for a row a caller reads (CI lint "CAPs on request").
+The exhaustive :func:`repro.core.baseline.naive_search`, written over plain
+sorted arrays, is the in-library oracle for this loop.
 
 The ESU extension list is grown incrementally: each tree node extends the
 excluded-neighbourhood set of its parent by one sensor's adjacency (O(degree)
@@ -41,10 +46,9 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .bitset import decode_bitmaps
 from .parameters import MiningParameters
 from .parallel import MiningControl, sharded_search
-from .types import CAP, EvolvingSet, Sensor
+from .types import CAP, EvolvingSet, PatternRow, Sensor
 
 __all__ = [
     "check_supported",
@@ -82,12 +86,13 @@ def search_component(
     params: MiningParameters,
     seeds: Iterable[str] | None = None,
     order: Mapping[str, int] | None = None,
-) -> list[CAP]:
-    """All CAPs rooted inside one spatially connected sensor set.
+) -> list[PatternRow]:
+    """All patterns rooted inside one spatially connected sensor set.
 
-    Returns the raw pattern stream in emission order — candidates in pop
+    Returns the raw pattern rows in emission order — candidates in pop
     order, then delays ``-δ … δ``, then orientations — so the caller's
     :func:`dedupe_strongest` keeps the first-seen pattern on support ties.
+    A row's delays are relative to its seed, not yet anchored.
 
     Parameters
     ----------
@@ -140,9 +145,7 @@ def search_component(
         ]
         dirs[sid] = ev.bits.dirs
 
-    #: Patterns before their bitmaps are decoded:
-    #: ``(members, delays, attributes, support, bits)``.
-    found: list[tuple[tuple[str, ...], tuple[int, ...], frozenset[str], int, int]] = []
+    found: list[PatternRow] = []
     # Per-seed state shared along one DFS path.  ``excluded`` is the path
     # members' closed neighbourhood, mutated in place and undone on
     # backtrack; exclusivity against it is what guarantees exactly-once
@@ -235,41 +238,27 @@ def search_component(
             seed_bits.bit_count(),
             [w for w in adjacency[seed] if order[w] > seed_rank],
         )
-    decoded = decode_bitmaps(bits for *_, bits in found)
-    return [
-        CAP(
-            sensor_ids=frozenset(sensors),
-            attributes=attrs,
-            support=support,
-            evolving_indices=decoded[bits],
-            # Anchored so the smallest delay is 0: shifting every delay
-            # together is the same pattern.
-            delays=(
-                {sid: d - min(delays) for sid, d in zip(sensors, delays)}
-                if delta
-                else {}
-            ),
-        )
-        for sensors, delays, attrs, support, bits in found
-    ]
+    return found
 
 
-def dedupe_strongest(caps: Iterable[CAP]) -> list[CAP]:
-    """Strongest pattern per sensor set, sorted by (-support, key).
+def dedupe_strongest(rows: Iterable[PatternRow]) -> list[PatternRow]:
+    """Strongest pattern row per sensor set, sorted by (-support, key).
 
-    The tree can reach one sensor set through several delay assignments
-    and both relative orientations; the strongest is kept and first-seen
-    wins ties, so callers must present CAPs in the serial emission order
-    (components largest-first, seeds in rank order) — the parallel
-    engine's deterministic merge preserves exactly that.
+    ``key`` is the sorted sensor ids.  The tree can reach one sensor set
+    through several delay assignments and both relative orientations; the
+    strongest is kept and first-seen wins ties, so callers must present
+    rows in the serial emission order (components largest-first, seeds in
+    rank order) — the parallel engine's deterministic merge preserves
+    exactly that.
     """
-    best: dict[tuple[str, ...], CAP] = {}
-    for cap in caps:
-        key = cap.key()
-        if key not in best or cap.support > best[key].support:
-            best[key] = cap
-    ranked = sorted(best.items(), key=lambda item: (-item[1].support, item[0]))
-    return [cap for _key, cap in ranked]
+    best: dict[tuple[str, ...], PatternRow] = {}
+    for row in rows:
+        key = tuple(sorted(row[0]))
+        kept = best.get(key)
+        if kept is None or row[3] > kept[3]:
+            best[key] = row
+    ranked = sorted(best.items(), key=lambda item: (-item[1][3], item[0]))
+    return [row for _key, row in ranked]
 
 
 def search_all(
@@ -278,8 +267,8 @@ def search_all(
     evolving: Mapping[str, EvolvingSet],
     params: MiningParameters,
     control: MiningControl | None = None,
-) -> list[CAP]:
-    """CAPs across every connected component of the proximity graph.
+) -> list[PatternRow]:
+    """Ranked pattern rows across every connected component of the graph.
 
     Serves every mode — simultaneous, direction-aware and delayed (δ =
     ``params.max_delay``) — through step 4's one driver
@@ -287,7 +276,9 @@ def search_all(
     in-process or process-pool execution, never a different result.  An
     optional ``control`` receives per-unit progress and is polled for
     cancellation.  Each sensor set keeps its strongest pattern
-    (:func:`dedupe_strongest`).
+    (:func:`dedupe_strongest`); :meth:`ResultTable.from_rows
+    <repro.core.result_columns.ResultTable.from_rows>` turns the rows into
+    a result.
 
     Raises
     ------

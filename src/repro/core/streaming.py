@@ -36,7 +36,13 @@ import numpy as np
 from .evolving import extract_evolving
 from .miner import MiningResult
 from .parameters import MiningParameters
-from .result_columns import decode_floats, encode_floats, pack_column, unpack_column
+from .result_columns import (
+    ResultTable,
+    decode_floats,
+    encode_floats,
+    pack_column,
+    unpack_column,
+)
 from .search import search_all
 from .spatial import build_proximity_graph
 from .types import EvolvingSet, Sensor, SensorDataset
@@ -269,7 +275,8 @@ class StreamingMiner:
         import time
 
         start = time.perf_counter()
-        caps = search_all(self._sensors, self._adjacency, self._evolving, self.params)
+        rows = search_all(self._sensors, self._adjacency, self._evolving, self.params)
+        caps = ResultTable.from_rows(rows, delayed=self.params.max_delay > 0)
         elapsed = time.perf_counter() - start
         return MiningResult(
             dataset_name=self._name,

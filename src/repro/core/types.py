@@ -11,6 +11,8 @@ This module defines the vocabulary shared by the whole library:
   changed by at least the evolving rate, together with the change direction.
 * :class:`CAP` — a correlated attribute pattern: a spatially connected set of
   sensors covering at least two attributes that co-evolve frequently.
+* :data:`PatternRow` — one CAP as the search emits it, before any ``CAP``
+  object exists.
 
 Datasets keep their measurements as dense ``numpy`` arrays indexed by the
 shared timeline, which is what makes the mining passes cheap.
@@ -31,6 +33,7 @@ __all__ = [
     "SensorDataset",
     "EvolvingSet",
     "CAP",
+    "PatternRow",
     "EARTH_RADIUS_KM",
     "haversine_km",
 ]
@@ -370,6 +373,16 @@ class EvolvingSet:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EvolvingSet(n={len(self)})"
+
+
+#: One pattern as the CAP search emits it: ``(members, delays, attributes,
+#: support, bits)``.  ``members`` is in tree order, ``delays[i]`` is
+#: ``members[i]``'s delay relative to the seed (all 0 when δ = 0) and
+#: ``bits`` the co-evolution bitmap, whose popcount is ``support``.  Rows
+#: travel through ranking and storage as they are
+#: (:class:`repro.core.result_columns.ResultTable`); a :class:`CAP` is built
+#: only for a row a caller reads.
+PatternRow = tuple[tuple[str, ...], tuple[int, ...], frozenset[str], int, int]
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,14 @@ each recompute exactly the same facts from the same stored inputs:
   :func:`repro.core.parallel.run_shard_units`, the execution core step 4's
   one driver (:func:`repro.core.parallel.sharded_search`) runs in process
   and on its pool, returning JSON-serialisable ``(tag, caps)`` output
-  documents (CAP round-trips are lossless).  A direction-aware delayed
+  documents: each unit's pattern rows as CAP documents
+  (:meth:`repro.core.result_columns.ResultTable.documents`), which
+  round-trip losslessly.  A direction-aware delayed
   mine raises there, as it does on every other path.
-* :func:`merge_outputs` — re-sorts every shard's tagged output into serial
-  emission order (:func:`repro.core.parallel.merge_tagged`) and applies
-  the engine's one post-pass, reproducing ``MiscelaMiner.mine``'s CAP list
+* :func:`merge_outputs` — turns the documents back into pattern rows,
+  re-sorts every shard's tagged output into serial emission order
+  (:func:`repro.core.parallel.merge_tagged`) and applies the engine's one
+  post-pass, reproducing ``MiscelaMiner.mine``'s result table
   byte-for-byte.
 
 A shard or merge needs only the stored parameters and units: the search
@@ -45,6 +48,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+from ..core.bitset import pack_bits
 from ..core.evolving import extract_all_evolving
 from ..core.parallel import (
     MiningControl,
@@ -55,9 +59,10 @@ from ..core.parallel import (
     run_shard_units,
 )
 from ..core.parameters import MiningParameters
+from ..core.result_columns import ResultTable
 from ..core.search import dedupe_strongest
 from ..core.spatial import build_proximity_graph
-from ..core.types import CAP, SensorDataset
+from ..core.types import PatternRow, SensorDataset
 
 __all__ = [
     "PLAN_WORKERS_DEFAULT",
@@ -178,29 +183,44 @@ def execute_units(
         control=control,
     )
     emit_started = time.perf_counter() if profiler is not None else 0.0
+    delayed = serial.max_delay > 0
     out = [
-        {"tag": [tag[0], tag[1]], "caps": [cap.to_document() for cap in caps]}
-        for tag, caps in tagged
+        {"tag": [tag[0], tag[1]], "caps": ResultTable.from_rows(rows, delayed).documents()}
+        for tag, rows in tagged
     ]
     if profiler is not None:
         profiler.record("emit", time.perf_counter() - emit_started)
     return out
 
 
-def merge_outputs(outputs: Sequence[Mapping[str, Any]]) -> list[CAP]:
-    """Reassemble every shard's tagged output into the serial CAP list.
+def merge_outputs(outputs: Sequence[Mapping[str, Any]]) -> ResultTable:
+    """Reassemble every shard's tagged output into the serial result table.
 
     ``outputs`` is the concatenation of all shards' output documents, in any
     order — the merge tag restores serial emission order, and the post-pass
     the serial engine ends with (:func:`repro.core.search.dedupe_strongest`)
-    runs once over the merged stream.  Byte-identical to a serial mine of
+    runs once over the merged rows.  Byte-identical to a serial mine of
     the same inputs.
     """
     tagged = [
-        (
-            (int(entry["tag"][0]), int(entry["tag"][1])),
-            [CAP.from_document(doc) for doc in entry["caps"]],
-        )
+        ((int(entry["tag"][0]), int(entry["tag"][1])), [_row(doc) for doc in entry["caps"]])
         for entry in outputs
     ]
-    return dedupe_strongest(merge_tagged(tagged))
+    # Every CAP of a delayed mine carries its delays, and no other does.
+    delayed = any(doc["delays"] for entry in outputs for doc in entry["caps"])
+    return ResultTable.from_rows(dedupe_strongest(merge_tagged(tagged)), delayed)
+
+
+def _row(doc: Mapping[str, Any]) -> PatternRow:
+    """The pattern row of a CAP document (delays already anchored)."""
+    members = tuple(doc["sensors"])
+    delays = doc["delays"]
+    indices = doc["evolving_indices"]
+    bits = pack_bits(indices, indices[-1] + 1) if indices else 0
+    return (
+        members,
+        tuple(delays[sid] for sid in members) if delays else (0,) * len(members),
+        frozenset(doc["attributes"]),
+        int(doc["support"]),
+        bits,
+    )

@@ -35,7 +35,7 @@ Every error (on any path) uses the uniform envelope
 from __future__ import annotations
 
 import time
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 from urllib.parse import urlencode
 
 from ..cache.keys import cache_key
@@ -643,12 +643,13 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         if not_modified is not None:
             return not_modified
 
-        result = state.result_from_document(document)
-        caps = result.caps_containing(sensor) if sensor else result.caps
+        # Only the returned rows become CAP documents.
+        table = state.result_from_document(document).caps
+        rows: Sequence[int] = table.sensor_rows(sensor) if sensor else range(len(table))
         if attribute:
-            caps = [cap for cap in caps if attribute in cap.attributes]
-        total = len(caps)
-        page = caps[offset : offset + limit]
+            rows = [row for row in rows if attribute in table.attributes_of(row)]
+        total = len(rows)
+        page = rows[offset : offset + limit]
         filters: dict[str, str] = {}
         if sensor:
             filters["sensor"] = sensor
@@ -661,7 +662,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
                 "total": total,
                 "offset": offset,
                 "limit": limit,
-                "caps": [cap.to_document() for cap in page],
+                "caps": table.documents(page),
                 "links": _result_links(key, dataset),
             }
         )

@@ -529,11 +529,13 @@ def correlated_sensors_core(
         )
     correlated: dict[str, set[str]] = {}
     for doc in documents:
-        result = state.result_from_document(doc)
-        for cap in result.caps_containing(sensor_id):
-            for other in cap.sensor_ids:
+        # Names only, from the rows that contain the sensor: no CAP is built.
+        table = state.result_from_document(doc).caps
+        for row in table.sensor_rows(sensor_id):
+            attributes = table.attributes_of(row)
+            for other in table.sensors_of(row):
                 if other != sensor_id:
-                    correlated.setdefault(other, set()).update(cap.attributes)
+                    correlated.setdefault(other, set()).update(attributes)
     return {sid: sorted(attrs) for sid, attrs in sorted(correlated.items())}
 
 

@@ -14,6 +14,9 @@ change stored state behind the store's back — a mutation attempt raises
 ``TypeError`` — and a caller that needs to edit a document works on
 ``thaw(document)``.  Updates are copy-on-write: they swap in a new frozen
 document, so a reader holding the old one keeps a consistent snapshot.
+A document (or change set) the caller froze before its critical section is
+stored as it is, so the section only stages it; ``insert_many`` freezes its
+batch before entering the section itself.
 """
 
 from __future__ import annotations
@@ -27,6 +30,11 @@ from .index import HashIndex, SortedIndex
 from .query import MISSING, QueryError, compile_query, get_path, is_operator_spec, matches
 
 __all__ = ["Collection"]
+
+
+def _frozen(document: Mapping[str, Any]) -> FrozenDict:
+    """``document`` frozen; one that already is costs no freeze call."""
+    return document if type(document) is FrozenDict else freeze(document)
 
 
 class Collection:
@@ -197,7 +205,7 @@ class Collection:
         """
         if not isinstance(document, Mapping):
             raise TypeError(f"document must be a mapping, got {type(document).__name__}")
-        frozen = freeze(document)
+        frozen = _frozen(document)
         with self._engine():
             with self._write_lock:
                 doc_id = self._next_id
@@ -212,8 +220,10 @@ class Collection:
         return doc_id
 
     def insert_many(self, documents: Iterable[Mapping[str, Any]]) -> list[int]:
+        # Frozen before the section, which then only stages the batch.
+        frozen = [_frozen(doc) for doc in documents]
         with self._engine():  # one critical section (and one fsync) for the batch
-            return [self.insert_one(doc) for doc in documents]
+            return [self.insert_one(doc) for doc in frozen]
 
     def replace_one(self, query: Mapping[str, Any], document: Mapping[str, Any]) -> int | None:
         """Replace the first matching document (keeping its ``_id``).
@@ -221,7 +231,7 @@ class Collection:
         Returns the ``_id`` of the replaced document, or ``None`` if no
         document matched.
         """
-        frozen = freeze(document)
+        frozen = _frozen(document)
         with self._engine():
             with self._write_lock:
                 found = self.find_one(query)
@@ -277,8 +287,7 @@ class Collection:
         """Copy-on-write: swap in a new frozen document with ``changes`` set."""
         if "_id" in changes:
             raise QueryError("_id is immutable")
-        changed = {key: freeze(value) for key, value in changes.items()}
-        doc = FrozenDict({**self._documents[doc_id], **changed})
+        doc = FrozenDict({**self._documents[doc_id], **_frozen(changes)})
         self._unindex(doc_id)
         self._documents[doc_id] = doc
         self._index(doc_id, doc)

@@ -45,6 +45,7 @@ __all__ = [
     "EVENT_TYPES",
     "build_events",
     "cap_identity",
+    "caps_by_identity",
     "diff_caps",
     "event_id",
     "latest_seq",
@@ -69,28 +70,38 @@ def cap_identity(cap: Mapping[str, Any]) -> tuple:
     )
 
 
-def diff_caps(
-    previous: Sequence[Mapping[str, Any]],
-    current: Sequence[Mapping[str, Any]],
-) -> list[tuple[str, dict[str, Any]]]:
-    """Ordered ``(type, cap document)`` deltas between two epochs' CAP lists.
+def caps_by_identity(caps: Sequence[Mapping[str, Any]]) -> dict[tuple, Mapping[str, Any]]:
+    """One epoch's CAP documents keyed by :func:`cap_identity`.
 
+    The resident miner keeps this beside its CAP list, so each epoch's
+    identities are computed once, when that epoch is mined.
+    """
+    return {cap_identity(cap): cap for cap in caps}
+
+
+def diff_caps(
+    previous: Sequence[Mapping[str, Any]] | Mapping[tuple, Mapping[str, Any]],
+    current: Sequence[Mapping[str, Any]] | Mapping[tuple, Mapping[str, Any]],
+) -> list[tuple[str, Mapping[str, Any]]]:
+    """Ordered ``(type, cap document)`` deltas between two epochs' CAPs.
+
+    Each side is a CAP document list or its :func:`caps_by_identity` map.
     Deterministic: new first, then extended, then retired, each group
     sorted by identity — replaying the same epoch yields the same deltas
     in the same order, which makes ``seq`` assignment reproducible.
     """
-    before = {cap_identity(cap): dict(cap) for cap in previous}
-    after = {cap_identity(cap): dict(cap) for cap in current}
-    new = sorted(set(after) - set(before))
-    retired = sorted(set(before) - set(after))
+    before = previous if isinstance(previous, Mapping) else caps_by_identity(previous)
+    after = current if isinstance(current, Mapping) else caps_by_identity(current)
+    new = sorted(after.keys() - before.keys())
+    retired = sorted(before.keys() - after.keys())
     extended = sorted(
         identity
-        for identity in set(after) & set(before)
+        for identity in after.keys() & before.keys()
         if int(after[identity].get("support", 0)) != int(before[identity].get("support", 0))
         or list(after[identity].get("evolving_indices", ()))
         != list(before[identity].get("evolving_indices", ()))
     )
-    deltas: list[tuple[str, dict[str, Any]]] = []
+    deltas: list[tuple[str, Mapping[str, Any]]] = []
     deltas += [(EVENT_NEW, after[identity]) for identity in new]
     deltas += [(EVENT_EXTENDED, after[identity]) for identity in extended]
     deltas += [(EVENT_RETIRED, before[identity]) for identity in retired]

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time
 from datetime import datetime
-from typing import Any, Callable
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,8 +51,9 @@ from ..core.parameters import MiningParameters
 from ..core.streaming import StreamingMiner
 from ..core.types import SensorDataset
 from ..jobs import HANDLED, KIND_STREAM, RUNNING, Job
+from ..store.frozen import freeze
 from .alerts import evaluate_rules, public_rule, record_fired, stored_alert
-from .feed import build_events, diff_caps
+from .feed import build_events, caps_by_identity, diff_caps
 from .ingest import (
     ALERT_RULES,
     ALERTS,
@@ -163,7 +164,7 @@ class StreamSession:
             # First claim ever: the epoch-0 baseline is a mine of the base
             # dataset.  No events — the feed describes *changes*, and the
             # base result is what the batch endpoints already serve.
-            baseline = [cap.to_document() for cap in self.miner.mine().caps]
+            baseline = self.miner.mine().caps.documents()
             state = {
                 "name": dataset.name,
                 "key": key,
@@ -181,7 +182,10 @@ class StreamSession:
                     database.collection(STREAM_STATE).insert_one(state)
                 else:  # lost the init race to a peer; adopt its baseline
                     state = existing
-        self.caps: list[dict[str, Any]] = [dict(cap) for cap in state["caps"]]
+        # Frozen, so an unaffected epoch's commit stages them as they are;
+        # their identities ride along so no epoch recomputes the last one's.
+        self.caps: Sequence[Mapping[str, Any]] = freeze(state["caps"])
+        self.identities = caps_by_identity(self.caps)
         self.mined_epoch = int(state["mined_epoch"])
         self.next_seq = int(state["next_seq"])
         # Windowed replay: adopt the persisted miner checkpoint, then
@@ -233,10 +237,11 @@ class StreamSession:
         timeline, series = load_batch(self.database, self.dataset.name, epoch)
         self.miner.extend(timeline, series)
         if self.miner.affected_components():
-            caps_after = [cap.to_document() for cap in self.miner.mine().caps]
-        else:
-            caps_after = self.caps
-        deltas = diff_caps(self.caps, caps_after)
+            caps_after = freeze(self.miner.mine().caps.documents())
+            identities_after = caps_by_identity(caps_after)
+            deltas = diff_caps(self.identities, identities_after)
+        else:  # nothing re-mined, so nothing changed
+            caps_after, identities_after, deltas = self.caps, self.identities, []
         events = build_events(
             self.dataset.name, self.key, epoch, deltas, self.next_seq, clock=self.clock
         )
@@ -248,35 +253,38 @@ class StreamSession:
         ]
         alerts = evaluate_rules(rules, events)
         now = self.clock()
-        # Built outside the lock: the section only stages them.
+        # Built and frozen outside the lock: the section only stages them.
         watermark = {"epoch": epoch, **self.miner.export_state()}
-        stored_alerts = [stored_alert({**alert, "fired_at": now}) for alert in alerts]
+        stored_alerts = freeze(
+            [stored_alert({**alert, "fired_at": now}) for alert in alerts]
+        )
+        stored_events = freeze(events)
+        changes = freeze({
+            "mined_epoch": epoch,
+            "caps": caps_after,
+            "next_seq": self.next_seq + len(events),
+            "last_timestamp": timeline[-1].isoformat(),
+            "updated_at": now,
+            # The miner checkpoint rides the same atomic commit, so the
+            # watermark can never run ahead of (or lag) the high-water
+            # mark — the retention sweep may drop every batch at or below
+            # it the moment this section lands.
+            "watermark": watermark,
+        })
         with self.database.exclusive():
             self._require_current()
             advanced = self.database.collection(STREAM_STATE).update_if(
-                {"name": self.dataset.name},
-                {"mined_epoch": epoch - 1},
-                {
-                    "mined_epoch": epoch,
-                    "caps": caps_after,
-                    "next_seq": self.next_seq + len(events),
-                    "last_timestamp": timeline[-1].isoformat(),
-                    "updated_at": now,
-                    # The miner checkpoint rides the same atomic commit,
-                    # so the watermark can never run ahead of (or lag) the
-                    # high-water mark — the retention sweep may drop every
-                    # batch at or below it the moment this section lands.
-                    "watermark": watermark,
-                },
+                {"name": self.dataset.name}, {"mined_epoch": epoch - 1}, changes
             )
             if advanced is None:
                 raise MiningCancelled(
                     f"epoch {epoch} of {self.dataset.name!r} was already "
                     f"committed by another session"
                 )
-            self.database.collection(CAP_EVENTS).insert_many(events)
+            self.database.collection(CAP_EVENTS).insert_many(stored_events)
             self.database.collection(ALERTS).insert_many(stored_alerts)
         self.caps = caps_after
+        self.identities = identities_after
         self.mined_epoch = epoch
         self.next_seq += len(events)
         for alert in alerts:

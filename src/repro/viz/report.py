@@ -70,7 +70,7 @@ class CapReport:
         caps: Sequence[CAP] = result.caps
         if maximal_only:
             caps = filter_maximal(caps)
-        self.caps = list(caps)[:max_caps]
+        self.caps = list(caps[:max_caps])
 
     # -- fragments -------------------------------------------------------------
 

@@ -89,25 +89,33 @@ class TestInvalidation:
 
 
 def stored_results(cache, tiny_dataset, tiny_params, count: int) -> list:
-    """``count`` distinct stored results (one per min_support); their params."""
+    """``count`` distinct results (one per min_support) stored by a peer
+    handle on ``cache``'s store, so ``cache`` has decoded none; their params."""
     mined = MiscelaMiner(tiny_params).mine(tiny_dataset)
     params = [tiny_params.with_updates(min_support=psi) for psi in range(1, count + 1)]
+    peer = ResultCache(cache.database)
     for p in params:
-        cache.put_encoded(result_to_columns(MiningResult("tiny", p, mined.caps)))
+        peer.put_encoded(result_to_columns(MiningResult("tiny", p, mined.caps)))
     return params
 
 
 class TestDecodeMemo:
-    def test_reads_share_one_decode_and_put_encoded_does_not_seed(
+    def test_reads_share_one_decode_and_put_encoded_seeds(
         self, cache, tiny_dataset, tiny_params, decodes
     ):
         result = MiscelaMiner(tiny_params).mine(tiny_dataset)
-        cache.put_encoded(result_to_columns(result))
+        ResultCache(cache.database).put_encoded(result_to_columns(result))  # a peer
         assert decodes == []
         first = cache.get("tiny", tiny_params)
         document = cache.documents("tiny")[0]
         assert cache.decode(document) is first
         assert cache.mine_cached(tiny_dataset, tiny_params) is first
+        assert len(decodes) == 1
+        # This handle's own put_encoded seeds its memo: no decode at all.
+        cache.put_encoded(result_to_columns(result))
+        seeded = cache.get("tiny", tiny_params)
+        assert seeded is not first and seeded.from_cache
+        assert seeded.caps == result.caps and seeded.parameters == first.parameters
         assert len(decodes) == 1
 
     def test_replaced_document_decodes_again(
@@ -116,10 +124,11 @@ class TestDecodeMemo:
         columns = result_to_columns(MiscelaMiner(tiny_params).mine(tiny_dataset))
         cache.put_encoded(columns)
         first = cache.get("tiny", tiny_params)
-        cache.put_encoded(columns)  # a new stored version of the same key
+        # A peer stores a new version of the same key.
+        ResultCache(cache.database).put_encoded(columns)
         second = cache.get("tiny", tiny_params)
         assert second is not first
-        assert len(decodes) == 2
+        assert len(decodes) == 1
 
     def test_put_seeds_what_decode_returns(
         self, cache, tiny_dataset, tiny_params, decodes

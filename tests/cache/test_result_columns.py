@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.cache.cache import ResultCache
 from repro.cache.keys import cache_key
 from repro.core.miner import MiningResult, MiscelaMiner
-from repro.core.result_columns import caps_from_columns, result_to_columns
+from repro.core.result_columns import ResultTable, result_to_columns
 from repro.core.types import CAP
 from repro.data.datasets import recommended_parameters
 from repro.store import Database
@@ -110,7 +110,7 @@ class TestCases:
     def test_unknown_encoding_is_refused(self):
         stored = {**result_to_columns(result_of()), "encoding": 3}
         with pytest.raises(ValueError, match="encoding 3"):
-            caps_from_columns(stored)
+            ResultTable.from_columns(stored)
 
     def test_stored_bytes_do_not_depend_on_the_hash_seed(self):
         """Names are coded in sorted order, not in set iteration order."""

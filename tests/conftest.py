@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from repro.core.miner import MiningResult
 from repro.core.parameters import MiningParameters
-from repro.core.types import Sensor, SensorDataset
+from repro.core.result_columns import ResultTable
+from repro.core.search import search_all
+from repro.core.types import CAP, Sensor, SensorDataset
 from repro.jobs import mine_process
 from tests.jobs.harness import scripted_mine
 
@@ -33,6 +35,12 @@ def _hypothesis_unicode_table() -> None:
     first, which then fails hypothesis's too-slow health check.
     """
     find(st.text(min_size=1), bool, settings=settings(database=None, max_examples=1))
+
+
+def search_caps(sensors, adjacency, evolving, params: MiningParameters) -> list[CAP]:
+    """``search_all``'s ranked pattern rows as CAPs, through a result table."""
+    rows = search_all(sensors, adjacency, evolving, params)
+    return list(ResultTable.from_rows(rows, delayed=params.max_delay > 0))
 
 
 def make_timeline(n: int, start: datetime | None = None, hours: int = 1) -> list[datetime]:

@@ -14,7 +14,7 @@ from repro.core.baseline import naive_search
 from repro.core.evolving import extract_all_evolving
 from repro.core.miner import MiscelaMiner, NaiveMiner
 from repro.core.parameters import MiningParameters
-from repro.core.search import search_all
+from tests.conftest import search_caps
 from repro.core.spatial import build_proximity_graph
 from repro.core.types import Sensor, SensorDataset
 from tests.conftest import make_timeline
@@ -52,7 +52,7 @@ def test_equivalence_random_datasets(seed):
     )
     evolving = extract_all_evolving(ds, params)
     adjacency = build_proximity_graph(list(ds), params.distance_threshold)
-    fast = search_all(list(ds), adjacency, evolving, params)
+    fast = search_caps(list(ds), adjacency, evolving, params)
     slow = naive_search(list(ds), adjacency, evolving, params)
     assert caps_signature(fast) == caps_signature(slow)
 
@@ -66,7 +66,7 @@ def test_equivalence_direction_aware(seed):
     )
     evolving = extract_all_evolving(ds, params)
     adjacency = build_proximity_graph(list(ds), params.distance_threshold)
-    fast = {(c.key(), c.support) for c in search_all(list(ds), adjacency, evolving, params)}
+    fast = {(c.key(), c.support) for c in search_caps(list(ds), adjacency, evolving, params)}
     slow = {(c.key(), c.support) for c in naive_search(list(ds), adjacency, evolving, params)}
     assert fast == slow
 
@@ -79,7 +79,7 @@ def test_equivalence_across_min_support(psi):
     )
     evolving = extract_all_evolving(ds, params)
     adjacency = build_proximity_graph(list(ds), params.distance_threshold)
-    fast = caps_signature(search_all(list(ds), adjacency, evolving, params))
+    fast = caps_signature(search_caps(list(ds), adjacency, evolving, params))
     slow = caps_signature(naive_search(list(ds), adjacency, evolving, params))
     assert fast == slow
 
@@ -92,7 +92,7 @@ def test_equivalence_with_max_sensors():
     )
     evolving = extract_all_evolving(ds, params)
     adjacency = build_proximity_graph(list(ds), params.distance_threshold)
-    fast = caps_signature(search_all(list(ds), adjacency, evolving, params))
+    fast = caps_signature(search_caps(list(ds), adjacency, evolving, params))
     slow = caps_signature(naive_search(list(ds), adjacency, evolving, params))
     assert fast == slow
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitset import BitsetEvolvingSet, bit_indices, decode_bitmaps, pack_bits
+from repro.core.bitset import BitsetEvolvingSet, bit_indices, bitmap_positions, pack_bits
 from repro.core.types import EvolvingSet
 
 
@@ -69,16 +69,16 @@ class TestPackRoundtrip:
         assert bits.bit_count() == len(indices)
 
 
-class TestDecodeBitmaps:
-    def test_distinct_bitmaps_decoded_once(self):
+class TestBitmapPositions:
+    def test_positions_concatenate_in_bitmap_order(self):
         wide = 1 << 3 | 1 << 70
-        decoded = decode_bitmaps([wide, 0, 1 << 5, wide])
-        assert decoded == {wide: (3, 70), 0: (), 1 << 5: (5,)}
-        assert all(isinstance(i, int) for i in decoded[wide])
+        positions = bitmap_positions([wide, 0, 1 << 5, wide])
+        assert positions.tolist() == [3, 70, 5, 3, 70]
+        assert all(isinstance(i, int) for i in positions.tolist())
 
     def test_only_zero_bitmaps(self):
-        assert decode_bitmaps([0, 0]) == {0: ()}
-        assert decode_bitmaps([]) == {}
+        assert bitmap_positions([0, 0]).tolist() == []
+        assert bitmap_positions([]).tolist() == []
 
     @given(st.lists(index_sets(max_index=300), max_size=30), st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
@@ -89,12 +89,10 @@ class TestDecodeBitmaps:
         original = bitset._DECODE_BATCH
         bitset._DECODE_BATCH = batch
         try:
-            decoded = decode_bitmaps(bitmaps)
+            positions = bitmap_positions(bitmaps)
         finally:
             bitset._DECODE_BATCH = original
-        assert set(decoded) == set(bitmaps)
-        for idx, bits in zip(index_lists, bitmaps):
-            assert decoded[bits] == tuple(int(i) for i in idx)
+        assert positions.tolist() == [int(i) for idx in index_lists for i in idx]
 
 
 class TestBitsetEvolvingSet:

@@ -9,7 +9,7 @@ from repro.core.delayed import delayed_support
 from repro.core.evolving import extract_all_evolving
 from repro.core.miner import MiscelaMiner
 from repro.core.parameters import MiningParameters
-from repro.core.search import search_all
+from tests.conftest import search_caps
 from repro.core.spatial import build_proximity_graph
 from repro.core.types import EvolvingSet, Sensor, SensorDataset
 from tests.conftest import make_timeline, step_series
@@ -34,7 +34,7 @@ def lagged_dataset(lag: int, n: int = 20) -> SensorDataset:
 def run_delayed(dataset, params):
     evolving = extract_all_evolving(dataset, params)
     adjacency = build_proximity_graph(list(dataset), params.distance_threshold)
-    return search_all(list(dataset), adjacency, evolving, params)
+    return search_caps(list(dataset), adjacency, evolving, params)
 
 
 def params_with_delay(delta: int, psi: int = 3) -> MiningParameters:
@@ -105,8 +105,8 @@ class TestSearchDelayed:
     def test_zero_delta_equals_simultaneous_search(self, tiny_dataset, tiny_params):
         evolving = extract_all_evolving(tiny_dataset, tiny_params)
         adjacency = build_proximity_graph(list(tiny_dataset), tiny_params.distance_threshold)
-        simultaneous = search_all(list(tiny_dataset), adjacency, evolving, tiny_params)
-        delayed = search_all(
+        simultaneous = search_caps(list(tiny_dataset), adjacency, evolving, tiny_params)
+        delayed = search_caps(
             list(tiny_dataset), adjacency, evolving,
             tiny_params.with_updates(max_delay=0),
         )

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.baseline import naive_search
 from repro.core.evolving import extract_evolving
 from repro.core.parameters import MiningParameters
-from repro.core.search import search_all
+from tests.conftest import search_caps
 from repro.core.segmentation import (
     bottom_up_segmentation,
     reconstruct,
@@ -145,7 +145,7 @@ def test_tree_search_equals_oracle(instance):
 
     evolving = extract_all_evolving(dataset, params)
     adjacency = build_proximity_graph(list(dataset), params.distance_threshold)
-    fast = {(c.key(), c.support) for c in search_all(list(dataset), adjacency, evolving, params)}
+    fast = {(c.key(), c.support) for c in search_caps(list(dataset), adjacency, evolving, params)}
     slow = {(c.key(), c.support) for c in naive_search(list(dataset), adjacency, evolving, params)}
     assert fast == slow
 
@@ -158,7 +158,7 @@ def test_support_anti_monotone(instance):
 
     evolving = extract_all_evolving(dataset, params)
     adjacency = build_proximity_graph(list(dataset), params.distance_threshold)
-    caps = search_all(list(dataset), adjacency, evolving, params)
+    caps = search_caps(list(dataset), adjacency, evolving, params)
     by_key = {c.key(): c for c in caps}
     for cap in caps:
         for other in caps:
@@ -176,7 +176,7 @@ def test_caps_satisfy_definition(instance):
 
     evolving = extract_all_evolving(dataset, params)
     adjacency = build_proximity_graph(list(dataset), params.distance_threshold)
-    for cap in search_all(list(dataset), adjacency, evolving, params):
+    for cap in search_caps(list(dataset), adjacency, evolving, params):
         assert is_connected(adjacency, cap.sensor_ids)          # (1) spatially close
         assert cap.support >= params.min_support                 # (2) co-evolve often
         assert 2 <= cap.num_attributes <= params.max_attributes  # (3) multi-attribute

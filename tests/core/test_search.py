@@ -7,16 +7,16 @@ import pytest
 
 from repro.core.evolving import extract_all_evolving
 from repro.core.parameters import MiningParameters
-from repro.core.search import filter_maximal, search_all, search_component
+from repro.core.search import filter_maximal, search_component
 from repro.core.spatial import build_proximity_graph
 from repro.core.types import CAP, EvolvingSet, Sensor, SensorDataset
-from tests.conftest import make_timeline, step_series
+from tests.conftest import make_timeline, search_caps, step_series
 
 
 def mine(dataset, params):
     evolving = extract_all_evolving(dataset, params)
     adjacency = build_proximity_graph(list(dataset), params.distance_threshold)
-    return search_all(list(dataset), adjacency, evolving, params)
+    return search_caps(list(dataset), adjacency, evolving, params)
 
 
 class TestTinyGroundTruth:

@@ -37,7 +37,7 @@ from repro.core.delayed import delayed_support
 from repro.core.evolving import co_evolution_count, extract_all_evolving
 from repro.core.miner import MiscelaMiner
 from repro.core.parameters import MiningParameters
-from repro.core.search import search_all
+from tests.conftest import search_caps
 from repro.core.spatial import build_proximity_graph
 from repro.core.streaming import StreamingMiner
 from repro.core.types import EvolvingSet, Sensor, SensorDataset
@@ -134,7 +134,7 @@ class TestSearchReference:
     def test_simultaneous(self, instance):
         dataset, params = instance
         evolving, adjacency, events, attributes = prepare(dataset, params)
-        caps = search_all(list(dataset), adjacency, evolving, params)
+        caps = search_caps(list(dataset), adjacency, evolving, params)
         naive = naive_search(list(dataset), adjacency, evolving, params)
         expected = reference_fingerprint(
             ref.simultaneous(events, adjacency, attributes, params), attributes
@@ -147,7 +147,7 @@ class TestSearchReference:
         dataset, params = instance
         params = params.with_updates(direction_aware=True)
         evolving, adjacency, events, attributes = prepare(dataset, params)
-        caps = search_all(list(dataset), adjacency, evolving, params)
+        caps = search_caps(list(dataset), adjacency, evolving, params)
         naive = naive_search(list(dataset), adjacency, evolving, params)
         expected = ref.direction_aware(events, adjacency, attributes, params)
         assert supports(caps) == supports(naive) == expected
@@ -166,7 +166,7 @@ class TestSearchReference:
         for delta in (1, 2, 3):
             params = base.with_updates(max_delay=delta)
             evolving, adjacency, events, attributes = prepare(dataset, params)
-            caps = search_all(list(dataset), adjacency, evolving, params)
+            caps = search_caps(list(dataset), adjacency, evolving, params)
             expected = ref.delayed(events, adjacency, attributes, params, horizon)
             assert supports(caps) == expected
             for cap in caps:
