@@ -8,8 +8,9 @@ instead, so a transition costs the record — not the world:
 * **per-transition overhead** — one indexed ``update_one`` on a store
   preloaded with a realistic document population, measured on the memory
   engine (floor), the WAL engine (append + fsync), and snapshot-per-write
-  (a memory store exporting ``save(path)`` after every mutation — exactly
-  what the retired snapshot engine did for durability);
+  (a memory store rewriting its ``repro-store-v1`` snapshot after every
+  mutation with :func:`_save_snapshot` — exactly what the retired snapshot
+  engine did for durability);
 * **compaction cost vs log length** — ``Database.compact`` on logs of
   growing record counts: the price of folding history back to live state,
   and the bytes it reclaims;
@@ -38,6 +39,7 @@ import json
 import os
 import shutil
 import statistics
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -90,6 +92,33 @@ def _preload(database: Database):
             "progress": 1.0,
         })
     return jobs
+
+
+def _save_snapshot(database: Database, target: Path) -> None:
+    """Write ``database`` as a ``repro-store-v1`` snapshot, atomically and
+    durably: ``json.dump`` to a temp file, fsync, ``os.replace``, then fsync
+    the directory — the retired snapshot engine's write per transition."""
+    snapshot = {
+        "format": "repro-store-v1",
+        "collections": [database[name].dump() for name in database],
+    }
+    fd, temp_name = tempfile.mkstemp(
+        dir=str(target.parent), prefix=target.name, suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(snapshot, handle, separators=(",", ":"))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp_name, target)
+    except BaseException:
+        os.unlink(temp_name)
+        raise
+    directory = os.open(target.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def _transition_ms(jobs, save=None) -> float:
@@ -180,10 +209,10 @@ def test_wal_transition_collapse_and_compaction(tmp_path):
     snapshot_db = Database()
     snapshot_jobs = _preload(snapshot_db)
     snapshot_path = tmp_path / "snap.json"
-    snapshot_db.save(snapshot_path)
+    _save_snapshot(snapshot_db, snapshot_path)
     # Snapshot-per-write: every persisted transition rewrites the snapshot.
     snapshot_ms = _transition_ms(
-        snapshot_jobs, save=lambda: snapshot_db.save(snapshot_path)
+        snapshot_jobs, save=lambda: _save_snapshot(snapshot_db, snapshot_path)
     )
 
     wal_db = Database(tmp_path / "wal.json")

@@ -8,7 +8,6 @@ from .miner import MiningResult, MiscelaMiner, NaiveMiner
 from .parallel import (
     MiningCancelled,
     MiningControl,
-    PackedEvolvingStore,
     ShardUnit,
     estimate_seed_cost,
     plan_shards,
@@ -47,7 +46,6 @@ __all__ = [
     "MiningResult",
     "MiscelaMiner",
     "NaiveMiner",
-    "PackedEvolvingStore",
     "SEGMENTATION_METHODS",
     "Segment",
     "Sensor",

@@ -14,14 +14,14 @@ back into *exactly* the serial result:
   nodes from evolving density, root degree, and component size) packs units
   into balanced shards (LPT) instead of round-robin.
 
-* **Bitmap handoff** — evolving sets cross the process boundary as their
-  int bitmaps only (:class:`PackedEvolvingStore`: presence and direction
-  ints per sensor, about timeline/8 bytes each), not as index arrays.
-  With the ``fork`` start method (Linux, the default here) the store is
-  inherited — nothing is pickled at all; under ``spawn`` it is pickled
-  once per worker.  Workers rebuild per-sensor
-  :class:`~repro.core.types.EvolvingSet` objects whose ``.bits`` are the
-  handed-over bitmaps themselves.
+* **Shared inputs** — :func:`sharded_search` builds every evolving set's
+  int bitmap (:attr:`~repro.core.types.EvolvingSet.bits`) before the pool
+  starts.  With the ``fork`` start method (Linux, the default here) workers inherit
+  the parent's sets, bitmaps included — nothing is pickled at all; under
+  ``spawn`` the run's inputs are pickled once per worker, and an
+  :class:`~repro.core.types.EvolvingSet` pickles as its bitmap alone
+  (about timeline/8 bytes per sensor), so the worker's copy searches on
+  the carried bitmap without re-packing.
 
 * **Deterministic merge** — every unit returns its pattern rows
   (:data:`~repro.core.types.PatternRow`: bitmaps, not index tuples or
@@ -55,7 +55,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
-from .bitset import BitsetEvolvingSet
 from .parameters import MiningParameters
 from .spatial import connected_components
 from .types import EvolvingSet, PatternRow, Sensor
@@ -64,7 +63,6 @@ __all__ = [
     "resolve_jobs",
     "MiningCancelled",
     "MiningControl",
-    "PackedEvolvingStore",
     "ShardUnit",
     "estimate_seed_cost",
     "plan_shards",
@@ -139,40 +137,6 @@ def resolve_jobs(n_jobs: int) -> int:
         except AttributeError:  # pragma: no cover - non-Linux fallback
             return os.cpu_count() or 1
     return n_jobs
-
-
-class PackedEvolvingStore:
-    """All evolving sets as their int bitmaps, keyed by sensor id.
-
-    ``bitmaps[sid]`` is the :class:`~repro.core.bitset.BitsetEvolvingSet`
-    twin of sensor ``sid``'s evolving set: two ints and a horizon, which is
-    everything the search reads.  It crosses a process boundary without
-    the sets' index arrays — and with ``fork`` without any copying at all.
-    """
-
-    __slots__ = ("bitmaps",)
-
-    def __init__(self, bitmaps: Mapping[str, BitsetEvolvingSet]) -> None:
-        self.bitmaps = dict(bitmaps)
-
-    @classmethod
-    def pack(cls, evolving: Mapping[str, EvolvingSet]) -> "PackedEvolvingStore":
-        """The bitmaps of a sensor→evolving-set mapping."""
-        return cls({sid: evolving[sid].bits for sid in sorted(evolving)})
-
-    def unpack(self) -> dict[str, EvolvingSet]:
-        """Per-sensor evolving sets that carry the handed-over bitmaps.
-
-        Index/direction arrays are materialized from the bitmaps (exact
-        round trip); each set's ``.bits`` is the stored bitmap itself, so
-        the search never re-packs in a worker.
-        """
-        out: dict[str, EvolvingSet] = {}
-        for sid, bits in self.bitmaps.items():
-            evolving = EvolvingSet(bits.to_indices(), bits.to_directions())
-            evolving._bits = bits
-            out[sid] = evolving
-        return out
 
 
 @dataclass(frozen=True)
@@ -295,40 +259,18 @@ class _RunSpec:
     adjacency: dict[str, set[str]]
     attributes: dict[str, str]
     components: list[list[str]]
-    store: PackedEvolvingStore
+    evolving: Mapping[str, EvolvingSet]
+    order: dict[str, int]
 
 
-#: Parent-set state inherited by forked workers (or installed by the spawn
-#: initializer); the unpacked evolving views and the canonical rank map are
-#: cached per worker process.
+#: The run's inputs, inherited by forked workers (or installed by the spawn
+#: initializer).
 _SPEC: _RunSpec | None = None
-_WORKER_EVOLVING: dict[str, EvolvingSet] | None = None
-_WORKER_ORDER: dict[str, int] | None = None
 
 
-def _install_spec(spec: _RunSpec) -> None:
-    global _SPEC, _WORKER_EVOLVING, _WORKER_ORDER
+def _install_spec(spec: _RunSpec | None) -> None:
+    global _SPEC
     _SPEC = spec
-    _WORKER_EVOLVING = None
-    _WORKER_ORDER = None
-
-
-def _worker_evolving() -> dict[str, EvolvingSet]:
-    global _WORKER_EVOLVING
-    if _WORKER_EVOLVING is None:
-        assert _SPEC is not None
-        _WORKER_EVOLVING = _SPEC.store.unpack()
-    return _WORKER_EVOLVING
-
-
-def _worker_order() -> dict[str, int]:
-    global _WORKER_ORDER
-    if _WORKER_ORDER is None:
-        assert _SPEC is not None
-        _WORKER_ORDER = {
-            sid: i for i, sid in enumerate(sorted(_SPEC.adjacency))
-        }
-    return _WORKER_ORDER
 
 
 def run_shard_units(
@@ -412,11 +354,11 @@ def _run_shard(shard: list[ShardUnit]) -> list[tuple[tuple[int, int], list[Patte
     return run_shard_units(
         spec.adjacency,
         spec.attributes,
-        _worker_evolving(),
+        spec.evolving,
         spec.params,
         spec.components,
         shard,
-        order=_worker_order(),
+        order=spec.order,
     )
 
 
@@ -447,7 +389,7 @@ def _run_sharded(
     ctx = _pool_context()
     forked = ctx.get_start_method() == "fork"
     if forked:
-        # Set before the fork so children inherit the bitmaps as they are.
+        # Set before the fork so children inherit the sets as they are.
         _install_spec(spec)
         initializer, initargs = None, ()
     else:  # pragma: no cover - spawn-only platforms
@@ -469,7 +411,7 @@ def _run_sharded(
                     control.checkpoint()
     finally:
         if forked:
-            _install_spec(None)  # type: ignore[arg-type]
+            _install_spec(None)
     return tagged
 
 
@@ -508,12 +450,15 @@ def sharded_search(
         else []
     )
     if len(shards) > 1:
+        for evolving_set in evolving.values():
+            evolving_set.bits  # built once here, not once per worker
         spec = _RunSpec(
             params=params,
             adjacency=dict(adjacency),
             attributes=attributes,
             components=components,
-            store=PackedEvolvingStore.pack(evolving),
+            evolving=evolving,
+            order={sid: i for i, sid in enumerate(sorted(adjacency))},
         )
         tagged = _run_sharded(spec, shards, n_workers, control)
     else:

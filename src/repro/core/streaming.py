@@ -44,7 +44,7 @@ from .result_columns import (
     unpack_column,
 )
 from .search import search_all
-from .spatial import build_proximity_graph
+from .spatial import build_proximity_graph, component_of
 from .types import EvolvingSet, Sensor, SensorDataset
 
 __all__ = ["CHECKPOINT_ENCODING", "StreamingMiner", "pack_checkpoint", "unpack_checkpoint"]
@@ -254,18 +254,10 @@ class StreamingMiner:
         components: list[set[str]] = []
         seen: set[str] = set()
         for sid in sorted(self.last_changed_sensors):
-            if sid in seen:
-                continue
-            component = {sid}
-            frontier = [sid]
-            while frontier:
-                node = frontier.pop()
-                for neighbour in self._adjacency.get(node, ()):
-                    if neighbour not in component:
-                        component.add(neighbour)
-                        frontier.append(neighbour)
-            seen |= component
-            components.append(component)
+            if sid not in seen:
+                component = component_of(self._adjacency, sid)
+                seen |= component
+                components.append(component)
         return components
 
     # -- mining -----------------------------------------------------------------

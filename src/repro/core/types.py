@@ -355,6 +355,12 @@ class EvolvingSet:
             self._bits = bits
             return bits
 
+    def __reduce__(self):
+        """Pickle as the bitmap alone (about timeline/8 bytes), not the
+        index arrays: a spawned pool worker rebuilds the arrays from it and
+        searches on the carried bitmap without re-packing."""
+        return (_evolving_from_bits, (self.bits,))
+
     def __len__(self) -> int:
         return int(self.indices.size)
 
@@ -373,6 +379,14 @@ class EvolvingSet:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EvolvingSet(n={len(self)})"
+
+
+def _evolving_from_bits(bits: "BitsetEvolvingSet") -> EvolvingSet:
+    """The evolving set a bitmap packs, carrying that bitmap as ``.bits``
+    (the unpickler of :meth:`EvolvingSet.__reduce__`)."""
+    evolving = EvolvingSet(bits.to_indices(), bits.to_directions())
+    evolving._bits = bits
+    return evolving
 
 
 #: One pattern as the CAP search emits it: ``(members, delays, attributes,

@@ -34,12 +34,16 @@ Every error (on any path) uses the uniform envelope
 
 from __future__ import annotations
 
+import io
 import time
 from typing import Any, Mapping, Sequence
 from urllib.parse import urlencode
 
 from ..cache.keys import cache_key
 from ..core.parallel import MiningCancelled
+from ..core.parameters import MiningParameters
+from ..core.search import check_supported
+from ..data.csv_io import read_attribute_csv, read_location_csv
 from ..obs.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE, get_registry
 from ..obs.trace import trace_tree
 from ..jobs import (
@@ -50,6 +54,7 @@ from ..jobs import (
     Job,
     JobStateError,
 )
+from ..jobs.planner import PLAN_WORKERS_MAX
 from ..stream import (
     ALERT_RULES,
     ALERTS,
@@ -69,18 +74,7 @@ from ..stream import (
     set_retention,
     validate_rule,
 )
-from .handlers import (
-    ServerState,
-    admin_stats_payload,
-    correlated_sensors_core,
-    dataset_result_documents,
-    evicted_job_response,
-    parse_mine_mode,
-    parse_parameters,
-    parse_upload_begin,
-    render_viz_svg,
-    results_by_dataset_payload,
-)
+from .handlers import ServerState
 from .http import (
     HTTPError,
     Request,
@@ -418,7 +412,14 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
     def v1_upload_begin(request: Request) -> Response:
         """Open a chunked-upload session (location + attribute CSVs)."""
         name = request.path_params["name"]
-        locations, attributes = parse_upload_begin(request)
+        payload = request.json()
+        if not isinstance(payload, dict):
+            raise HTTPError(400, "expected a JSON object")
+        missing = {"location_csv", "attribute_csv"} - set(payload)
+        if missing:
+            raise HTTPError(400, f"missing fields: {sorted(missing)}", code="missing_fields")
+        locations = read_location_csv(io.StringIO(payload["location_csv"]))
+        attributes = read_attribute_csv(io.StringIO(payload["attribute_csv"]))
         state.begin_upload(name, locations, attributes)
         return json_response(
             {
@@ -471,12 +472,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
     def v1_upload_abort(request: Request) -> Response:
         """Discard an open upload session (e.g. after a rejected chunk)."""
         name = request.path_params["name"]
-        if not state.abort_upload(name):
-            raise HTTPError(
-                409,
-                f"no upload in progress for dataset {name!r}",
-                code="no_upload_in_progress",
-            )
+        state.abort_upload(name)
         return json_response({"dataset": name, "status": "upload aborted"})
 
     # -- results --------------------------------------------------------------
@@ -505,9 +501,24 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
             raise HTTPError(
                 400, "body must contain 'parameters'", code="missing_fields"
             )
-        mode = parse_mine_mode(payload, request)
+        mode = str(payload.get("mode") or request.param("mode") or "sync")
+        if mode not in ("sync", "async", "distributed", "streaming"):
+            raise HTTPError(
+                400,
+                f"mode must be 'sync', 'async', 'distributed', or 'streaming', "
+                f"got {mode!r}",
+                code="invalid_mode",
+            )
         dataset, _, still_current = state.current_dataset(name)
-        params = parse_parameters(payload["parameters"])
+        # A document no mode can mine (check_supported) is a 400 too, so no
+        # job is opened and nothing cached.
+        try:
+            params = MiningParameters.from_document(payload["parameters"])
+            check_supported(params)
+        except (ValueError, TypeError, NotImplementedError) as exc:
+            raise HTTPError(
+                400, f"invalid parameters: {exc}", code="invalid_parameters"
+            ) from exc
         if mode == "streaming":
             job, created = state.submit_stream_job(
                 dataset, params, trace_id=request.trace_id
@@ -519,11 +530,14 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
             return response
         if mode in ("async", "distributed"):
             plan_workers = payload.get("plan_workers")
+            # bool is an int subclass: JSON true must not plan one worker.
             if plan_workers is not None and (
-                not isinstance(plan_workers, int) or plan_workers < 1
+                type(plan_workers) is not int
+                or not 1 <= plan_workers <= PLAN_WORKERS_MAX
             ):
                 raise HTTPError(
-                    400, "'plan_workers' must be a positive integer",
+                    400,
+                    f"'plan_workers' must be an integer from 1 to {PLAN_WORKERS_MAX}",
                     code="bad_plan_workers",
                 )
             job, created = state.submit_mine_job(
@@ -569,7 +583,8 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
     def v1_list_results(request: Request) -> Response:
         """List the result resources mined from one dataset."""
         name = request.path_params["name"]
-        documents = dataset_result_documents(state, name)
+        state.get_dataset(name)  # 404 for unknown datasets
+        documents = state.cache.documents(name)
         return json_response(
             {
                 "dataset": name,
@@ -683,12 +698,36 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         """The map's click interaction: who is correlated with this sensor?"""
         name = request.path_params["name"]
         sensor_id = request.path_params["sensor_id"]
-        correlated = correlated_sensors_core(state, name, sensor_id)
+        dataset = state.get_dataset(name)
+        if sensor_id not in dataset:
+            raise HTTPError(
+                404,
+                f"unknown sensor {sensor_id!r} in dataset {name!r}",
+                code="unknown_sensor",
+            )
+        documents = state.cache.documents(name)
+        if not documents:
+            raise HTTPError(
+                409,
+                f"no mined results for dataset {name!r}; mine first",
+                code="no_results",
+            )
+        correlated: dict[str, set[str]] = {}
+        for doc in documents:
+            # Names only, from the rows that contain the sensor: no CAP is built.
+            table = state.result_from_document(doc).caps
+            for row in table.sensor_rows(sensor_id):
+                attributes = table.attributes_of(row)
+                for other in table.sensors_of(row):
+                    if other != sensor_id:
+                        correlated.setdefault(other, set()).update(attributes)
         return json_response(
             {
                 "dataset": name,
                 "sensor": sensor_id,
-                "correlated": correlated,
+                "correlated": {
+                    sid: sorted(attrs) for sid, attrs in sorted(correlated.items())
+                },
                 "links": {"dataset": _url(f"/datasets/{name}")},
             }
         )
@@ -1048,10 +1087,25 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         store = state.jobs.store
         job = store.get(job_id)
         if job is None:
-            evicted = evicted_job_response(state, job_id)
-            if evicted is not None:
-                return evicted
-            raise HTTPError(404, f"unknown job {job_id!r}", code="unknown_job")
+            # Terminal-job retention evicts old job metadata, but the
+            # registry keeps an evicted succeeded job's result key: a
+            # ``Location: …/jobs/{id}`` link handed out earlier answers a
+            # permanent redirect to the result while that result survives.
+            result_key = store.evicted_result_key(job_id)
+            if result_key is None or state.cache.document(result_key) is None:
+                raise HTTPError(404, f"unknown job {job_id!r}", code="unknown_job")
+            location = _url(f"/results/{result_key}")
+            response = json_response(
+                {
+                    "job_id": job_id,
+                    "result_key": result_key,
+                    "detail": "job metadata evicted; its result resource survives",
+                    "links": {"result": location},
+                },
+                status=301,
+            )
+            response.headers["Location"] = location
+            return response
         # Shards by index, then the merge: the order they were planned in.
         children = (
             store.list(kind=None, parent_id=job_id) if job.distributed else None
@@ -1107,7 +1161,53 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         def handler(request: Request) -> Response:
             name = request.path_params["name"]
             media = negotiate_media_type(request, ("text/html", "image/svg+xml"))
-            svg, title = render_viz_svg(state, kind, name, request)
+            dataset = state.get_dataset(name)
+            # Renderers import at call time: viz is optional at runtime.
+            if kind == "map":
+                from ..viz.map_view import render_map
+
+                highlight = request.param("highlight")
+                highlighted = set(highlight.split(",")) if highlight else set()
+                svg = render_map(dataset, highlighted_sensors=highlighted)
+                title = f"{dataset.name} sensors"
+            elif kind == "heatmap":
+                from ..core.evolving import extract_all_evolving
+                from ..viz.heatmap import render_coevolution_heatmap
+
+                sensors_param = request.param("sensors")
+                sensor_ids = sensors_param.split(",") if sensors_param else list(
+                    dataset.sensor_ids[:20]
+                )
+                for sid in sensor_ids:
+                    if sid not in dataset:
+                        raise HTTPError(404, f"unknown sensor {sid!r}", code="unknown_sensor")
+                # The most recently cached parameters for this dataset, or a
+                # neutral default, derive the heatmap's evolving sets.
+                documents = state.cache.documents(dataset.name)
+                if documents:
+                    params = MiningParameters.from_document(
+                        state.cache.metadata(documents[-1])["parameters"]
+                    )
+                else:
+                    params = MiningParameters(
+                        evolving_rate=1.0, distance_threshold=1.0,
+                        max_attributes=2, min_support=1,
+                    )
+                evolving = extract_all_evolving(dataset, params)
+                svg = render_coevolution_heatmap(dataset, evolving, sensor_ids)
+                title = f"{dataset.name} co-evolution"
+            else:
+                from ..viz.timeseries_view import render_timeseries
+
+                sensors_param = request.param("sensors")
+                if not sensors_param:
+                    raise HTTPError(400, "pass ?sensors=id1,id2,...", code="missing_sensors")
+                sensor_ids = sensors_param.split(",")
+                for sid in sensor_ids:
+                    if sid not in dataset:
+                        raise HTTPError(404, f"unknown sensor {sid!r}", code="unknown_sensor")
+                svg = render_timeseries(dataset, sensor_ids)
+                title = f"{dataset.name} measurements"
             if media == "image/svg+xml":
                 return svg_response(svg.to_string())
             return html_response(svg.to_html_page(title=title))
@@ -1148,7 +1248,22 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
     )
     def v1_admin_stats(request: Request) -> Response:
         """Store, cache, and job-queue counters."""
-        return json_response(admin_stats_payload(state))
+        return json_response(
+            {
+                "store": state.database.stats(),
+                "cache": {
+                    "entries": len(state.cache),
+                    "hits": state.cache.stats.hits,
+                    "misses": state.cache.stats.misses,
+                    "evictions": state.cache.stats.evictions,
+                    "hit_rate": state.cache.stats.hit_rate,
+                },
+                "jobs": state.jobs.counters(),
+                # Family -> aggregate value; the full labelled series live at
+                # GET /api/v1/metrics in Prometheus text form.
+                "metrics": get_registry().summary(),
+            }
+        )
 
     @router.get(
         "/api/v1/metrics",
@@ -1171,4 +1286,4 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
     )
     def v1_admin_results_by_dataset(request: Request) -> Response:
         """Per-dataset summary of the cached results."""
-        return json_response(results_by_dataset_payload(state))
+        return json_response({"results_by_dataset": state.cache.caps_by_dataset()})

@@ -60,11 +60,9 @@ class App:
 
         ``wait=True`` blocks until the loop threads exit — bounded, because
         shutdown cancels (path-less store) or releases (store path) running
-        jobs first and they abort at their next checkpoint.  Required
-        before a ``Database.save`` export: a snapshot taken while a loop is
-        still writing a result would iterate a mutating collection.  On a
-        store path, queued jobs survive anyway — whichever process next
-        opens the store picks them up.
+        jobs first and they abort at their next checkpoint.  On a store
+        path, queued jobs survive anyway — whichever process next opens the
+        store picks them up.
         """
         if self.compactor is not None:
             self.compactor.stop(wait=wait)

@@ -1,11 +1,9 @@
-"""Server state and the handler cores behind the ``/api/v1`` routes.
+"""The server state behind the ``/api/v1`` routes.
 
 The HTTP surface is the versioned resource API registered by
-:mod:`repro.server.api_v1`.  This module keeps what its handlers share:
-
-* :class:`ServerState` — store, cache, upload sessions, job queue: the
-  state every handler runs against;
-* the request-parsing and payload helpers the route handlers delegate to.
+:mod:`repro.server.api_v1`, whose route handlers parse their requests and
+build their bodies themselves.  This module keeps the one thing they
+share: :class:`ServerState` — store, cache, upload sessions, job queue.
 
 Job runners are not built here: :meth:`ServerState.runner_for_job` looks
 a claimed job's kind up and calls that kind's builder
@@ -31,7 +29,6 @@ session (e.g. after a rejected chunk).
 
 from __future__ import annotations
 
-import io
 import threading
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -39,9 +36,8 @@ from ..cache.cache import ResultCache
 from ..cache.keys import cache_key
 from ..core.miner import MiningResult
 from ..core.parameters import MiningParameters
-from ..core.search import check_supported
 from ..core.types import SensorDataset
-from ..data.csv_io import ChunkAssembler, read_attribute_csv, read_location_csv
+from ..data.csv_io import ChunkAssembler
 from ..data.documents import dataset_from_document, dataset_to_document
 from ..jobs import (
     KIND_MERGE,
@@ -55,7 +51,6 @@ from ..jobs import (
     JobStateError,
     distributed,
 )
-from ..obs.metrics import get_registry
 from ..store.database import Database
 from ..stream import (
     ALERT_RULES,
@@ -67,7 +62,7 @@ from ..stream import (
     purge_stream,
     stream_runner,
 )
-from .http import HTTPError, Request, Response, json_response
+from .http import HTTPError
 
 __all__ = ["ServerState"]
 
@@ -84,6 +79,12 @@ _RUNNERS = {
 }
 
 
+def _no_upload(name: str) -> HTTPError:
+    return HTTPError(
+        409, f"no upload in progress for dataset {name!r}", code="no_upload_in_progress"
+    )
+
+
 class _Memo(NamedTuple):
     """A dataset decoded from one stored document.
 
@@ -94,6 +95,22 @@ class _Memo(NamedTuple):
 
     document: Mapping[str, Any]
     value: Any
+
+
+class _UploadSession(NamedTuple):
+    """One open chunked upload: its assembler, the parsed ``location.csv``
+    and ``attribute.csv``, and the lock its chunks serialize on.
+
+    Chunks of one session must serialize (the assembler's row stream would
+    interleave), but CSV parsing must not happen under the global
+    ``ServerState.lock`` — one client streaming a big upload would stall
+    every other handler.
+    """
+
+    assembler: ChunkAssembler
+    locations: list
+    attributes: list
+    lock: threading.Lock
 
 
 class ServerState:
@@ -153,13 +170,7 @@ class ServerState:
             dict(stream_retention) if stream_retention else None
         )
         self.lock = threading.RLock()
-        self._pending: dict[str, ChunkAssembler] = {}
-        self._pending_meta: dict[str, tuple[list, list]] = {}
-        # One lock per open upload session: chunks of the same session must
-        # serialize (the assembler's row stream would interleave), but CSV
-        # parsing must not happen under the global ``self.lock`` — one
-        # client streaming a big upload would stall every other handler.
-        self._pending_locks: dict[str, threading.Lock] = {}
+        self._uploads: dict[str, _UploadSession] = {}
         # Decoded datasets per name (see ``_Memo``); decoded results are
         # memoized by ``self.cache``.
         self._loaded: dict[str, _Memo] = {}
@@ -186,16 +197,16 @@ class ServerState:
         chunk stream).  Sessions end at ``finish`` or ``abort``.
         """
         with self.lock:
-            if name in self._pending:
+            if name in self._uploads:
                 raise HTTPError(
                     409,
                     f"an upload for dataset {name!r} is already in progress; "
                     f"finish or abort it first",
                     code="upload_in_progress",
                 )
-            self._pending[name] = ChunkAssembler(name)
-            self._pending_meta[name] = (locations, attributes)
-            self._pending_locks[name] = threading.Lock()
+            self._uploads[name] = _UploadSession(
+                ChunkAssembler(name), locations, attributes, threading.Lock()
+            )
 
     def append_upload_chunk(self, name: str, text: str) -> tuple[int, int, int]:
         """Add one data.csv chunk; returns (chunks, rows_in_chunk, rows_total).
@@ -205,47 +216,35 @@ class ServerState:
         blocks handlers for other datasets.
         """
         with self.lock:
-            assembler = self._pending.get(name)
-            session_lock = self._pending_locks.get(name)
-            if assembler is None or session_lock is None:
-                raise HTTPError(
-                    409,
-                    f"no upload in progress for dataset {name!r}",
-                    code="no_upload_in_progress",
-                )
-        with session_lock:
+            session = self._uploads.get(name)
+        if session is None:
+            raise _no_upload(name)
+        assembler = session.assembler
+        with session.lock:
             rows = assembler.add_chunk(text)
             return assembler.chunks_received, rows, assembler.rows_received
 
     def finish_upload(self, name: str) -> SensorDataset:
         """Close the session, validate and store the assembled dataset."""
         with self.lock:
-            assembler = self._pending.pop(name, None)
-            meta = self._pending_meta.pop(name, None)
-            session_lock = self._pending_locks.pop(name, None)
-        if assembler is None or meta is None or session_lock is None:
-            raise HTTPError(
-                409,
-                f"no upload in progress for dataset {name!r}",
-                code="no_upload_in_progress",
-            )
-        locations, attributes = meta
+            session = self._uploads.pop(name, None)
+        if session is None:
+            raise _no_upload(name)
         # Assembly runs outside the global lock — it scales with the
         # dataset, and the session is already detached from the registry.
         # Taking the session lock first lets an in-flight chunk parse
         # complete before the rows are assembled.
-        with session_lock:
-            dataset = assembler.finish(locations, attributes)
+        with session.lock:
+            dataset = session.assembler.finish(session.locations, session.attributes)
         self.put_dataset(dataset)
         return dataset
 
-    def abort_upload(self, name: str) -> bool:
-        """Discard an open session; True when one existed."""
+    def abort_upload(self, name: str) -> None:
+        """Discard the open session for ``name``; 409 when there is none."""
         with self.lock:
-            assembler = self._pending.pop(name, None)
-            self._pending_meta.pop(name, None)
-            self._pending_locks.pop(name, None)
-            return assembler is not None
+            session = self._uploads.pop(name, None)
+        if session is None:
+            raise _no_upload(name)
 
     # -- dataset registry -----------------------------------------------------
 
@@ -456,187 +455,3 @@ class ServerState:
         with the structured error.
         """
         return _RUNNERS[job.kind](self, job)
-
-
-# -- handler cores (the v1 route handlers delegate to these) -------------------
-
-
-def parse_upload_begin(request: Request) -> tuple[list, list]:
-    """Parse an upload/begin body into (locations, attributes)."""
-    payload = request.json()
-    if not isinstance(payload, dict):
-        raise HTTPError(400, "expected a JSON object")
-    missing = {"location_csv", "attribute_csv"} - set(payload)
-    if missing:
-        raise HTTPError(400, f"missing fields: {sorted(missing)}", code="missing_fields")
-    locations = read_location_csv(io.StringIO(payload["location_csv"]))
-    attributes = read_attribute_csv(io.StringIO(payload["attribute_csv"]))
-    return locations, attributes
-
-
-def parse_parameters(document: Any) -> MiningParameters:
-    """Parameters from their JSON document; 400 on anything invalid.
-
-    Also 400s a document no mode can mine (the search's
-    :func:`~repro.core.search.check_supported`), so no job is opened and
-    nothing cached.
-    """
-    try:
-        params = MiningParameters.from_document(document)
-        check_supported(params)
-    except (ValueError, TypeError, NotImplementedError) as exc:
-        raise HTTPError(
-            400, f"invalid parameters: {exc}", code="invalid_parameters"
-        ) from exc
-    return params
-
-
-def parse_mine_mode(payload: Mapping[str, Any], request: Request) -> str:
-    mode = str(payload.get("mode") or request.param("mode") or "sync")
-    if mode not in ("sync", "async", "distributed", "streaming"):
-        raise HTTPError(
-            400,
-            f"mode must be 'sync', 'async', 'distributed', or 'streaming', "
-            f"got {mode!r}",
-            code="invalid_mode",
-        )
-    return mode
-
-
-def dataset_result_documents(state: ServerState, name: str) -> list[Mapping[str, Any]]:
-    """Every stored result document for one dataset (404s unknown names)."""
-    state.get_dataset(name)  # 404 for unknown datasets
-    return state.cache.documents(name)
-
-
-def correlated_sensors_core(
-    state: ServerState, name: str, sensor_id: str
-) -> dict[str, list[str]]:
-    """The map's click interaction: who is correlated with this sensor?"""
-    dataset = state.get_dataset(name)
-    if sensor_id not in dataset:
-        raise HTTPError(
-            404,
-            f"unknown sensor {sensor_id!r} in dataset {name!r}",
-            code="unknown_sensor",
-        )
-    documents = state.cache.documents(name)
-    if not documents:
-        raise HTTPError(
-            409,
-            f"no mined results for dataset {name!r}; mine first",
-            code="no_results",
-        )
-    correlated: dict[str, set[str]] = {}
-    for doc in documents:
-        # Names only, from the rows that contain the sensor: no CAP is built.
-        table = state.result_from_document(doc).caps
-        for row in table.sensor_rows(sensor_id):
-            attributes = table.attributes_of(row)
-            for other in table.sensors_of(row):
-                if other != sensor_id:
-                    correlated.setdefault(other, set()).update(attributes)
-    return {sid: sorted(attrs) for sid, attrs in sorted(correlated.items())}
-
-
-def render_viz_svg(state: ServerState, kind: str, name: str, request: Request):
-    """Render one visualization; returns ``(svg, title)``.
-
-    The content-negotiating v1 endpoints wrap it as an HTML page or
-    serve the raw SVG.
-    """
-    dataset = state.get_dataset(name)
-    if kind == "map":
-        from ..viz.map_view import render_map  # local import: viz is optional at runtime
-
-        highlight = request.param("highlight")
-        highlighted = set(highlight.split(",")) if highlight else set()
-        return render_map(dataset, highlighted_sensors=highlighted), f"{dataset.name} sensors"
-    if kind == "heatmap":
-        from ..core.evolving import extract_all_evolving
-        from ..viz.heatmap import render_coevolution_heatmap
-
-        sensors_param = request.param("sensors")
-        sensor_ids = sensors_param.split(",") if sensors_param else list(
-            dataset.sensor_ids[:20]
-        )
-        for sid in sensor_ids:
-            if sid not in dataset:
-                raise HTTPError(404, f"unknown sensor {sid!r}", code="unknown_sensor")
-        # Use the most recently cached parameters for this dataset, or a
-        # neutral default, to derive evolving sets for the heatmap.
-        documents = state.cache.documents(dataset.name)
-        if documents:
-            params = MiningParameters.from_document(
-                state.cache.metadata(documents[-1])["parameters"]
-            )
-        else:
-            params = MiningParameters(
-                evolving_rate=1.0, distance_threshold=1.0,
-                max_attributes=2, min_support=1,
-            )
-        evolving = extract_all_evolving(dataset, params)
-        svg = render_coevolution_heatmap(dataset, evolving, sensor_ids)
-        return svg, f"{dataset.name} co-evolution"
-    if kind == "timeseries":
-        from ..viz.timeseries_view import render_timeseries
-
-        sensors_param = request.param("sensors")
-        if not sensors_param:
-            raise HTTPError(400, "pass ?sensors=id1,id2,...", code="missing_sensors")
-        sensor_ids = sensors_param.split(",")
-        for sid in sensor_ids:
-            if sid not in dataset:
-                raise HTTPError(404, f"unknown sensor {sid!r}", code="unknown_sensor")
-        return render_timeseries(dataset, sensor_ids), f"{dataset.name} measurements"
-    raise HTTPError(404, f"unknown visualization {kind!r}")  # pragma: no cover
-
-
-def evicted_job_response(state: ServerState, job_id: str) -> Response | None:
-    """A 301 at the surviving result resource for an evicted succeeded job.
-
-    Terminal-job retention evicts old job *metadata*, but a ``Location:
-    …/jobs/{id}`` link handed out this process lifetime must keep leading
-    to the result it produced: the registry retains the job's result-key
-    mapping, and this renders it as a permanent redirect.  ``None`` when
-    the id is simply unknown (the caller 404s as before).
-    """
-    result_key = state.jobs.store.evicted_result_key(job_id)
-    if result_key is None:
-        return None
-    if state.cache.document(result_key) is None:
-        return None  # the result itself was deleted; nothing to point at
-    location = f"/api/v1/results/{result_key}"
-    response = json_response(
-        {
-            "job_id": job_id,
-            "result_key": result_key,
-            "detail": "job metadata evicted; its result resource survives",
-            "links": {"result": location},
-        },
-        status=301,
-    )
-    response.headers["Location"] = location
-    return response
-
-
-def admin_stats_payload(state: ServerState) -> dict[str, Any]:
-    return {
-        "store": state.database.stats(),
-        "cache": {
-            "entries": len(state.cache),
-            "hits": state.cache.stats.hits,
-            "misses": state.cache.stats.misses,
-            "evictions": state.cache.stats.evictions,
-            "hit_rate": state.cache.stats.hit_rate,
-        },
-        "jobs": state.jobs.counters(),
-        # Family -> aggregate value; the full labelled series live at
-        # GET /api/v1/metrics in Prometheus text form.
-        "metrics": get_registry().summary(),
-    }
-
-
-def results_by_dataset_payload(state: ServerState) -> dict[str, Any]:
-    """Per-dataset summary of the cached results."""
-    return {"results_by_dataset": state.cache.caps_by_dataset()}

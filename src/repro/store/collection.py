@@ -462,8 +462,8 @@ class Collection:
         """Serialisable snapshot (documents + index definitions).
 
         Taken under the write lock so a snapshot never observes a
-        half-applied write (the durable job registry saves the database
-        while claim-loop threads are still transitioning other jobs).
+        half-applied write (compaction dumps the live state while
+        claim-loop threads are still transitioning other jobs).
         """
         with self._write_lock:
             return {

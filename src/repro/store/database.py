@@ -22,8 +22,7 @@ Two engines share the :class:`Database` surface, chosen by ``path``:
 
 A path opens only a v3 store, or creates one where there is none; any
 other layout is refused untouched (:func:`repro.store.wal.check_format`)
-until ``repro store upgrade`` rewrites it.  The older snapshot format
-survives as the export format (:meth:`Database.save`).
+until ``repro store upgrade`` rewrites it.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
 import threading
 import time
 from contextlib import contextmanager
@@ -499,45 +497,6 @@ class Database:
                 tmp.unlink(missing_ok=True)
         _COMPACTION_SECONDS.observe(time.perf_counter() - started)
         return result
-
-    # -- persistence (the legacy snapshot format, as an export) -----------------
-
-    def save(self, path: str | Path | None = None) -> Path:
-        """Export a JSON snapshot atomically *and durably*; returns the path.
-
-        A pure export: the WAL engine needs no snapshot for durability
-        (every section's commit is fsync'd), and saving a memory database
-        does not bind it to ``path``.  A snapshot at a store path with no
-        WAL beside it opens only after ``repro store upgrade`` imports it.
-        The temp file is fsync'd
-        before the rename and the directory after it, so the snapshot
-        survives power loss, not just process death.
-        """
-        target = Path(path) if path is not None else self.path
-        if target is None:
-            raise ValueError("no snapshot path: pass one or construct Database(path=...)")
-        snapshot = {
-            "format": "repro-store-v1",
-            "collections": [c.dump() for c in self._collections.values()],
-        }
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp_name = tempfile.mkstemp(
-            dir=str(target.parent), prefix=target.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(snapshot, handle, separators=(",", ":"))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_name, target)
-            _fsync_dir(target.parent)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except FileNotFoundError:
-                pass
-            raise
-        return target
 
     @classmethod
     def open(cls, path: str | Path) -> "Database":

@@ -228,7 +228,6 @@ class TestPersistenceAcrossRestart:
         db = Database(path)
         cache = ResultCache(db)
         cache.put(MiscelaMiner(tiny_params).mine(tiny_dataset))
-        db.save()
 
         cache2 = ResultCache(Database.open(path))
         cached = cache2.get("tiny", tiny_params)

@@ -9,8 +9,10 @@ builds one: four sensors in two spatial clusters, with sensors ``a`` and
 from __future__ import annotations
 
 import functools
+import json
 import math
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from repro.core.result_columns import ResultTable
 from repro.core.search import search_all
 from repro.core.types import CAP, Sensor, SensorDataset
 from repro.jobs import mine_process
+from repro.store.database import Database
 from tests.jobs.harness import scripted_mine
 
 
@@ -98,6 +101,20 @@ def legacy_dataset_document(dataset: SensorDataset) -> dict:
             for s in dataset
         },
     }
+
+
+def write_legacy_snapshot(database: Database, path: Path) -> None:
+    """Write ``database`` at ``path`` as a ``repro-store-v1`` snapshot.
+
+    The format older releases exported and ``repro store upgrade`` imports
+    (the runtime refuses to open it): every collection's ``dump()``, in
+    creation order, as compact JSON.
+    """
+    snapshot = {
+        "format": "repro-store-v1",
+        "collections": [database[name].dump() for name in database],
+    }
+    path.write_text(json.dumps(snapshot, separators=(",", ":")))
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ and delays) across the plain, controlled, pooled and in-process
 distributed paths for every search mode — simultaneous, direction-aware,
 and delayed — plus the degenerate shapes the sharder must survive
 (nothing but isolated sensors, and one giant component that forces the
-seed-split path).  The shard planner and the zero-copy evolving-set
-handoff get unit tests of their own.
+seed-split path).  The shard planner and the bitmap-only pickle of an
+evolving set get unit tests of their own.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.baseline import naive_search
+from repro.core.bitset import BitsetEvolvingSet
 from repro.core.evolving import extract_all_evolving
 from repro.core.miner import MiscelaMiner, MiningResult
 from repro.core.parallel import (
     MiningCancelled,
     MiningControl,
-    PackedEvolvingStore,
     plan_shards,
     resolve_jobs,
 )
@@ -143,35 +143,45 @@ class TestParametersSerialisation:
         assert MiningParameters.from_document(doc).n_jobs == 4
 
 
-class TestPackedEvolvingStore:
+class TestEvolvingSetPickle:
+    """A spawned pool worker gets each evolving set as its bitmap alone."""
+
     def test_round_trip_exact(self):
         rng = np.random.default_rng(5)
-        evolving = {}
-        for i, n in enumerate((0, 1, 63, 64, 65, 130)):
+        for n in (0, 1, 63, 64, 65, 130):
             indices = np.flatnonzero(rng.random(n) < 0.4).astype(np.int64)
             directions = rng.choice(np.array([-1, 1], dtype=np.int8), size=indices.size)
-            evolving[f"s{i}"] = EvolvingSet(indices, directions)
-        store = PackedEvolvingStore.pack(evolving)
-        rebuilt = store.unpack()
-        assert set(rebuilt) == set(evolving)
-        for sid, original in evolving.items():
-            np.testing.assert_array_equal(rebuilt[sid].indices, original.indices)
-            np.testing.assert_array_equal(rebuilt[sid].directions, original.directions)
-            assert rebuilt[sid].bits.presence == original.bits.presence
-            assert rebuilt[sid].bits.dirs == original.bits.dirs
-            assert rebuilt[sid].bits.horizon == original.bits.horizon
+            original = EvolvingSet(indices, directions)
+            rebuilt = pickle.loads(pickle.dumps(original))
+            np.testing.assert_array_equal(rebuilt.indices, original.indices)
+            np.testing.assert_array_equal(rebuilt.directions, original.directions)
+            assert not rebuilt.indices.flags.writeable
+            assert not rebuilt.directions.flags.writeable
+            assert rebuilt.bits.presence == original.bits.presence
+            assert rebuilt.bits.dirs == original.bits.dirs
+            assert rebuilt.bits.horizon == original.bits.horizon
 
-    def test_unpacked_sets_carry_the_packed_bitmaps(self):
-        """Workers search on the handed-over bitmaps, never a re-pack."""
-        evolving = {
-            "a": EvolvingSet(np.array([1, 5, 70]), np.array([1, -1, 1], dtype=np.int8)),
-            "b": EvolvingSet(np.array([2, 64]), np.array([1, 1], dtype=np.int8)),
-        }
-        store = PackedEvolvingStore.pack(evolving)
-        assert pickle.loads(pickle.dumps(store)).bitmaps.keys() == evolving.keys()
-        rebuilt = store.unpack()
-        for sid in evolving:
-            assert rebuilt[sid].bits is store.bitmaps[sid]
+    def test_unpickled_set_carries_the_pickled_bitmap(self, monkeypatch):
+        """Workers search on the carried bitmap, never a re-pack: a bitmap
+        grown past the last index (as the streaming miner's are) keeps its
+        horizon, and packing is not called at all."""
+        head = EvolvingSet(np.array([1, 5]), np.array([1, -1], dtype=np.int8))
+        head.bits  # built, so the append grows it instead of packing anew
+        grown = head.append(
+            EvolvingSet(np.array([3]), np.array([1], dtype=np.int8)), 67, 200
+        )
+        payload = pickle.dumps(grown)
+
+        def no_repack(*args, **kwargs):
+            raise AssertionError("the unpickled set re-packed its bitmap")
+
+        monkeypatch.setattr(BitsetEvolvingSet, "from_arrays", no_repack)
+        rebuilt = pickle.loads(payload)
+        assert rebuilt.indices.tolist() == [1, 5, 70]
+        assert rebuilt.directions.tolist() == [1, -1, 1]
+        assert rebuilt.bits.presence == grown.bits.presence
+        assert rebuilt.bits.dirs == grown.bits.dirs
+        assert rebuilt.bits.horizon == grown.bits.horizon == 200
 
 
 class TestShardPlanner:

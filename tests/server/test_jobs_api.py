@@ -143,6 +143,27 @@ class TestSubmitPollResult:
         response = mine_v1(client, "santander", PARAMS, mode="nope")
         assert response.status == 400
 
+    @pytest.mark.parametrize("plan_workers", [True, 0, 65])
+    def test_bad_plan_workers_rejected(self, client, plan_workers):
+        """JSON ``true`` is no planning width (bool is an int in Python), and
+        the width is bounded by ``PLAN_WORKERS_MAX``."""
+        response = mine_v1(
+            client, "santander", PARAMS, mode="distributed", plan_workers=plan_workers
+        )
+        assert response.status == 400, response.json()
+        error = response.json()["error"]
+        assert error["code"] == "bad_plan_workers"
+        assert "from 1 to 64" in error["message"]
+        assert client.get(f"{API}/jobs").json()["jobs"] == []
+
+    def test_plan_workers_at_the_maximum_accepted(self, client):
+        response = mine_v1(
+            client, "santander", PARAMS, mode="distributed", plan_workers=64
+        )
+        assert response.status == 202, response.json()
+        final = poll_until_terminal(client, response.json()["job_id"])
+        assert final["state"] == "succeeded", final
+
     def test_unknown_dataset_rejected_at_submit(self, client):
         response = mine_v1(client, "ghost", PARAMS, mode="async")
         assert response.status == 404

@@ -44,34 +44,12 @@ class TestPersistence:
         db = Database(path)
         db["caps"].create_index("key", "hash")
         db["caps"].insert_one({"key": "abc", "result": {"caps": [1, 2]}})
-        db.save()
 
         reopened = Database.open(path)
         doc = reopened["caps"].find_one({"key": "abc"})
         assert doc is not None
         assert doc["result"]["caps"] == [1, 2]
         assert reopened["caps"].indexes()["hash"] == ["key"]
-
-    def test_save_requires_path(self):
-        with pytest.raises(ValueError, match="snapshot path"):
-            Database().save()
-
-    def test_save_explicit_path(self, tmp_path):
-        db = Database()
-        db["x"].insert_one({"a": 1})
-        target = db.save(tmp_path / "explicit.json")
-        assert target.exists()
-        # A pure export: the memory store stays unbound (no WAL engine,
-        # no durable registry behind a store whose writes never hit disk).
-        assert db.path is None
-        assert db.engine == "memory"
-
-    def test_snapshot_is_json(self, tmp_path):
-        db = Database()
-        db["x"].insert_one({"a": 1})
-        path = db.save(tmp_path / "s.json")
-        snapshot = json.loads(path.read_text())
-        assert snapshot["format"] == "repro-store-v1"
 
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -83,21 +61,12 @@ class TestPersistence:
         db = Database(tmp_path / "nothere.json")
         assert db.collection_names() == []
 
-    def test_atomic_replace_leaves_no_temp(self, tmp_path):
-        db = Database()
-        db["x"].insert_one({"a": 1})
-        db.save(tmp_path / "db.json")
-        db.save(tmp_path / "db.json")  # overwrite
-        leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
-        assert leftovers == []
-
     def test_ids_survive_reload(self, tmp_path):
         path = tmp_path / "db.json"
         db = Database(path)
         db["x"].insert_one({"n": 1})
         db["x"].insert_one({"n": 2})
         db["x"].delete_many({"n": 2})
-        db.save()
         reopened = Database.open(path)
         assert reopened["x"].insert_one({"n": 3}) == 3
 

@@ -2,7 +2,7 @@
 
 Contracts:
 
-* every older layout (a v1 or v2 directory, a ``save()``d snapshot, an
+* every older layout (a v1 or v2 directory, a ``repro-store-v1`` snapshot, an
   empty or unknown ``FORMAT`` marker) is refused by ``Database(path)`` and
   by ``repro serve --store`` with an error naming
   ``repro store upgrade --store <path>``, and the refusal changes no byte
@@ -30,6 +30,7 @@ from repro.core.miner import MiningResult
 from repro.data.documents import dataset_from_document
 from repro.store import Database, wal
 from repro.store.upgrade import upgrade
+from tests.conftest import write_legacy_snapshot
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 TESTS = Path(__file__).resolve().parents[1]
@@ -46,7 +47,7 @@ def _older_store(tmp_path: Path, layout: str) -> Path:
     elif layout == "snapshot":
         database = Database()
         database["caps"].insert_one({"i": 1})
-        database.save(path)
+        write_legacy_snapshot(database, path)
     elif layout == "empty_marker":
         root.mkdir()
         (root / wal.FORMAT_MARKER).write_text("")

@@ -20,6 +20,7 @@ import pytest
 from repro.store import upgrade, wal
 from repro.store.compaction import CompactionThread, needs_compaction
 from repro.store.database import Database
+from tests.conftest import write_legacy_snapshot
 
 
 # -- codec ---------------------------------------------------------------------
@@ -323,7 +324,7 @@ def _legacy_store(tmp_path, documents):
     legacy["caps"].create_index("i", "hash")
     for document in documents:
         legacy["caps"].insert_one(dict(document))
-    legacy.save(path)
+    write_legacy_snapshot(legacy, path)
     return path, legacy
 
 

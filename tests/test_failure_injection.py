@@ -8,11 +8,9 @@ injects one failure and checks the system degrades the way it promises.
 from __future__ import annotations
 
 import json
-import os
 from datetime import datetime, timedelta
 
 import numpy as np
-import pytest
 
 from repro.core.miner import MiscelaMiner
 from repro.core.parameters import MiningParameters
@@ -22,7 +20,7 @@ from repro.data.synthetic import generate_santander
 from repro.server.app import TestClient, create_app
 from repro.store.database import Database
 from repro.store.upgrade import upgrade
-from tests.conftest import make_timeline, step_series
+from tests.conftest import make_timeline, step_series, write_legacy_snapshot
 
 
 class TestStoreCorruption:
@@ -30,7 +28,7 @@ class TestStoreCorruption:
         path = tmp_path / "db.json"
         db = Database()
         db["x"].insert_one({"a": 1})
-        db.save(path)
+        write_legacy_snapshot(db, path)
         # Truncate the file mid-JSON.
         raw = path.read_text()
         path.write_text(raw[: len(raw) // 2])
@@ -43,35 +41,6 @@ class TestStoreCorruption:
         assert len(quarantined) == 1
         # The torn bytes survive for post-mortems.
         assert quarantined[0].read_text() == raw[: len(raw) // 2]
-
-    def test_save_failure_preserves_previous_snapshot(self, tmp_path):
-        path = tmp_path / "db.json"
-        db = Database()
-        db["x"].insert_one({"a": 1})
-        db.save(path)
-        before = path.read_text()
-
-        # Inject: a document that cannot be JSON-encoded.
-        db["x"].insert_one({"bad": {"nested": bytes(b"\x00")}})
-        with pytest.raises(TypeError):
-            db.save(path)
-        # Atomic write: the old snapshot is untouched and no temp litter.
-        assert path.read_text() == before
-        assert [p for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
-
-    def test_save_into_readonly_directory(self, tmp_path):
-        target_dir = tmp_path / "ro"
-        target_dir.mkdir()
-        db = Database()
-        db["x"].insert_one({"a": 1})
-        os.chmod(target_dir, 0o500)
-        try:
-            if os.access(target_dir, os.W_OK):  # running as root: chmod is advisory
-                pytest.skip("directory permissions not enforced for this user")
-            with pytest.raises(OSError):
-                db.save(target_dir / "db.json")
-        finally:
-            os.chmod(target_dir, 0o700)
 
 
 class TestServerUnhappyPaths:
